@@ -21,13 +21,10 @@
 //! smoke runs and CI. Results print as aligned text tables and are also
 //! dumped as JSON under `results/`.
 
-// `deny` rather than `forbid`: the counting global allocator in
-// `metrics` needs one audited `unsafe impl GlobalAlloc`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod metrics;
 pub mod plot;
 
 use digest_core::{

@@ -30,7 +30,6 @@
 pub mod baselines;
 pub mod engine;
 pub mod error;
-pub mod grouped;
 pub mod indep;
 pub mod mux;
 pub mod panel;
@@ -45,7 +44,6 @@ pub mod tag;
 
 pub use engine::{DigestEngine, EngineConfig, EstimatorKind, SchedulerKind};
 pub use error::CoreError;
-pub use grouped::{GroupEstimate, GroupedEstimator, GroupedQuery, GroupedSnapshot};
 pub use indep::IndependentEstimator;
 pub use mux::{
     MuxConfig, MuxQueryOutcome, MuxQueryTotals, PanelKey, PanelWeight, QueryMux, RoundPlan,

@@ -32,8 +32,8 @@
 //!
 //! The accounting methods ([`NodeStore::bytes`],
 //! [`NodeStore::bytes_per_node`]) measure actual heap footprint so the
-//! `bench_sim` regression gate can assert ≤ 64 resident bytes/node for
-//! store + adjacency at 10⁶ nodes.
+//! `digest-sim` flat-store test suite can assert ≤ 64 resident
+//! bytes/node for store + adjacency.
 
 use crate::error::NetError;
 use crate::graph::NodeId;
@@ -608,7 +608,7 @@ impl NodeStore {
             + self.journal.capacity() * std::mem::size_of::<(u64, u32)>()
     }
 
-    /// Resident bytes per live node (the `bench_sim` gate metric).
+    /// Resident bytes per live node (gated at ≤ 64 by the flat-store tests).
     #[must_use]
     pub fn bytes_per_node(&self) -> f64 {
         if self.live_count == 0 {
@@ -804,7 +804,7 @@ mod tests {
 
     #[test]
     fn bytes_accounting_is_positive_and_bounded() {
-        // Pre-sized like bench_sim sizes its overlay: exact column
+        // Pre-sized like a bulk-loaded overlay: exact column
         // reservations, compacted arena. The fixed ~128 KB journal
         // amortizes away at scale, so measure at a scale-ish n.
         let n = 20_000usize;

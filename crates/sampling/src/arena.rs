@@ -18,7 +18,7 @@
 //! arena (cloned operators share no buffers and need none).
 
 use crate::executor::{SlotOutcome, SlotTask};
-use crate::sync::OnceLock;
+use crate::par::Cells;
 use crate::Result;
 
 /// Retained buffers for one operator's walk batches.
@@ -26,10 +26,9 @@ use crate::Result;
 pub(crate) struct WalkArena {
     /// Per-slot work orders, fully written before workers start.
     pub(crate) tasks: Vec<SlotTask>,
-    /// Slot-indexed reassembly table the workers fill lock-free (each
-    /// cell written by exactly one worker via `publish_slot`; always
-    /// returned to the arena all-empty, capacity intact).
-    pub(crate) results: Vec<OnceLock<Result<SlotOutcome>>>,
+    /// Slot-indexed reassembly table [`crate::par::run_indexed`] fills
+    /// lock-free (always left all-empty, capacity intact).
+    pub(crate) results: Cells<Result<SlotOutcome>>,
     /// Slot-ordered outcomes of the last successful batch; drained by
     /// the operator.
     pub(crate) outcomes: Vec<SlotOutcome>,

@@ -2,27 +2,15 @@
 //!
 //! The paper's batch mode invokes `S` n times *simultaneously* (§VI-A);
 //! this module is that simultaneity made real on threads without giving
-//! up replayability. The design mirrors the replication harness in
-//! `digest-sim::parallel`:
+//! up replayability:
 //!
-//! * **Counter-derived RNG streams.** The caller draws exactly one
+//! * **The shared parallel substrate.** The caller draws exactly one
 //!   `u64` occasion seed from its own RNG; every walk slot then owns an
-//!   independent `ChaCha8Rng` seeded by a SplitMix64 mix of
-//!   `(occasion_seed, slot)`. No walk ever reads another walk's stream,
-//!   so the sampled panel is a pure function of `(occasion_seed, slot)`
-//!   — **byte-identical for any worker count, including 1**. The
-//!   sequential case is literally `workers == 1` running the same drain
-//!   loop inline, not a separate code path.
-//! * **Index stealing + slot-order reassembly, lock-free.** Workers
-//!   claim slot indices from an atomic cursor ([`claim_slot`]) and
-//!   publish results into a slot-indexed table of `OnceLock` cells
-//!   ([`publish_slot`]) — each cell is written by exactly one worker, so
-//!   the substrate holds no lock anywhere (R6). After the scope joins,
-//!   cells are drained in slot order, so thread scheduling can influence
-//!   neither the output order nor which error surfaces first. The
-//!   claim/publish protocol is model-checked against the vendored loom
-//!   stand-in under `RUSTFLAGS="--cfg loom"` (see [`crate::sync`] and
-//!   DESIGN.md §13).
+//!   independent `ChaCha8Rng` seeded by [`crate::par::stream_seed`]
+//!   `(occasion_seed, slot)`, and the slots run through
+//!   [`crate::par::run_indexed`] (claim / publish / slot-order drain), so
+//!   the sampled panel is **byte-identical for any worker count,
+//!   including 1**, and the lowest-slot error always wins.
 //! * **A cached occasion snapshot.** The operator refreshes a
 //!   [`OccasionSnapshot`] through its [`crate::snapshot::SnapshotCache`]
 //!   (reuse / patch / rebuild, see that module) and lends it here;
@@ -46,8 +34,8 @@ use crate::arena::WalkArena;
 use crate::error::SamplingError;
 use crate::metropolis::MetropolisWalk;
 use crate::operator::{SampleCost, SamplingConfig};
+use crate::par;
 use crate::snapshot::{OccasionSnapshot, ACCEPT_ALWAYS};
-use crate::sync::{AtomicUsize, OnceLock, Ordering};
 use crate::Result;
 use digest_db::{P2PDatabase, Tuple, TupleHandle};
 use digest_net::NodeId;
@@ -58,45 +46,6 @@ use rand_chacha::ChaCha8Rng;
 /// Retry budget for landing on a content-bearing node, matching the
 /// bounded loop in `SamplingOperator::sample_tuple`.
 const TUPLE_RETRY_LIMIT: usize = 64;
-
-/// SplitMix64 finalizer (Steele et al., "Fast splittable pseudorandom
-/// number generators") — used to derive well-separated per-slot seeds
-/// from the single occasion seed.
-/// xtask: no-alloc
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The seed of walk slot `slot`'s private RNG stream for this occasion.
-/// xtask: no-alloc
-pub(crate) fn walk_stream_seed(occasion_seed: u64, slot: usize) -> u64 {
-    splitmix64(occasion_seed.wrapping_add((slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-}
-
-/// Claims the next unprocessed slot index from the batch cursor, or
-/// `None` once the batch is drained. Lock-free index stealing: each
-/// index in `0..limit` is handed to exactly one caller because
-/// `fetch_add` is atomic.
-/// xtask: no-alloc
-pub(crate) fn claim_slot(cursor: &AtomicUsize, limit: usize) -> Option<usize> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // slot results are published through `OnceLock::set` and the scope
-    // join, so no ordering rides on this counter.
-    let index = cursor.fetch_add(1, Ordering::Relaxed);
-    (index < limit).then_some(index)
-}
-
-/// Publishes one slot's result into its reassembly cell. Returns `false`
-/// when the cell was already filled — impossible while [`claim_slot`]
-/// hands out each index once (model-checked under `--cfg loom`), and
-/// surfaced as a batch error rather than a panic if the protocol is ever
-/// broken.
-pub(crate) fn publish_slot<T>(cell: &OnceLock<T>, value: T) -> bool {
-    cell.set(value).is_ok()
-}
 
 /// Local (lock-free) telemetry tallies of one walk slot, flushed into
 /// the global counters post-join.
@@ -407,69 +356,40 @@ pub(crate) fn run_tuple_batch(
             } else {
                 config.reset_length
             },
-            seed: walk_stream_seed(request.occasion_seed, slot),
+            seed: par::stream_seed(request.occasion_seed, slot),
         }
     }));
 
-    let mut results = std::mem::take(&mut arena.results);
-    results.clear();
-    results.resize_with(request.n, OnceLock::new);
     let tasks = &arena.tasks;
-    let next = AtomicUsize::new(0);
-    let table = &results;
-    let drain = || {
-        while let Some(index) = claim_slot(&next, tasks.len()) {
-            let Some(task) = tasks.get(index) else {
-                return;
-            };
-            let outcome = run_slot(task, snapshot, db, config.reset_length);
-            // Always true: `claim_slot` hands each index to one worker.
-            let _ = publish_slot(&table[index], outcome);
-        }
-    };
-
-    {
+    let outcomes = &mut arena.outcomes;
+    // Lowest-slot problem wins.
+    let mut failure: Option<SamplingError> = None;
+    let drained = {
         // Workers could interleave events nondeterministically; run them
         // suppressed and emit deterministic rollups post-join. The guard
         // also covers the inline (single-worker) path so the emitted
         // stream is identical for every worker count.
         let _quiet = digest_telemetry::suppress_events();
-        let workers = config.workers.max(1).min(request.n.max(1));
-        if workers <= 1 {
-            drain();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(drain);
+        par::run_indexed(
+            config.workers,
+            request.n,
+            &mut arena.results,
+            |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
+            |outcome| match outcome {
+                Ok(outcome) if failure.is_none() => outcomes.push(outcome),
+                Ok(_) => {}
+                Err(err) => {
+                    failure.get_or_insert(err);
                 }
-            });
-        }
+            },
+        )
+    };
+    if drained.is_err() {
+        // Unreachable by construction, surfaced per the panic policy.
+        failure.get_or_insert(SamplingError::InvalidConfig {
+            reason: "parallel walk worker exited without reporting a result",
+        });
     }
-
-    // Lowest-slot problem wins; the table returns to the arena all-empty
-    // with its capacity intact either way.
-    let mut failure: Option<SamplingError> = None;
-    for slot in results.iter_mut() {
-        match slot.take() {
-            Some(Ok(outcome)) => {
-                if failure.is_none() {
-                    arena.outcomes.push(outcome);
-                }
-            }
-            Some(Err(err)) => {
-                failure.get_or_insert(err);
-            }
-            // Unreachable by construction (the scope joins all workers
-            // and every index below `n` is claimed exactly once), but
-            // surfaced as an error per the panic policy.
-            None => {
-                failure.get_or_insert(SamplingError::InvalidConfig {
-                    reason: "parallel walk worker exited without reporting a result",
-                });
-            }
-        }
-    }
-    arena.results = results;
     if let Some(err) = failure {
         arena.outcomes.clear();
         return Err(err);
@@ -501,83 +421,6 @@ pub(crate) fn run_tuple_batch(
         );
     }
     Ok(())
-}
-
-#[cfg(all(test, loom))]
-#[allow(clippy::unwrap_used)]
-mod loom_tests {
-    use super::{claim_slot, publish_slot};
-    use crate::sync::{AtomicUsize, OnceLock};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Exhaustively interleaves two workers draining a three-slot batch
-    /// through the production `claim_slot` / `publish_slot` protocol:
-    /// under every schedule each slot is claimed exactly once, every
-    /// publish lands in a previously-empty cell, and after the join the
-    /// table holds each slot's result exactly once.
-    #[test]
-    fn loom_claim_publish_fills_every_slot_exactly_once() {
-        loom::model(|| {
-            const SLOTS: usize = 3;
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let table: Arc<Vec<OnceLock<usize>>> =
-                Arc::new((0..SLOTS).map(|_| OnceLock::new()).collect());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let table = Arc::clone(&table);
-                    thread::spawn(move || {
-                        while let Some(index) = claim_slot(&cursor, SLOTS) {
-                            assert!(
-                                publish_slot(&table[index], index * 10),
-                                "slot {index} was claimed twice"
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut table = Arc::try_unwrap(table).ok().unwrap();
-            for (index, cell) in table.iter_mut().enumerate() {
-                assert_eq!(cell.take(), Some(index * 10), "slot {index} missing");
-            }
-        });
-    }
-
-    /// A cursor overshooting the slot count (more workers than work)
-    /// never yields an in-range index twice and never blocks: late
-    /// claimers see `None` and exit.
-    #[test]
-    fn loom_overshooting_claims_return_none() {
-        loom::model(|| {
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let claimed = Arc::new(OnceLock::new());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let claimed = Arc::clone(&claimed);
-                    thread::spawn(move || match claim_slot(&cursor, 1) {
-                        Some(index) => {
-                            assert!(claimed.set(index).is_ok(), "single slot claimed twice");
-                        }
-                        None => {}
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut claimed = Arc::try_unwrap(claimed).ok().unwrap();
-            assert_eq!(claimed.take(), Some(0));
-        });
-    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -625,16 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_stream_seeds_are_distinct_across_slots_and_occasions() {
-        let mut seen = std::collections::BTreeSet::new();
-        for occasion in 0..8u64 {
-            for slot in 0..64usize {
-                assert!(seen.insert(walk_stream_seed(occasion, slot)));
-            }
-        }
-    }
-
-    #[test]
     fn isolated_node_walk_stays_put_on_snapshot() {
         let mut g = digest_net::Graph::new();
         let a = g.add_node();
@@ -678,14 +511,14 @@ mod tests {
         };
         run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
-        assert_eq!(arena.results.len(), 8);
-        assert!(arena.results.iter().all(|cell| cell.get().is_none()));
-        let results_cap = arena.results.capacity();
+        assert_eq!(arena.results.0.len(), 8);
+        assert!(arena.results.0.iter().all(|cell| cell.get().is_none()));
+        let results_cap = arena.results.0.capacity();
         let tasks_cap = arena.tasks.capacity();
         let outcomes_cap = arena.outcomes.capacity();
         run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
-        assert_eq!(arena.results.capacity(), results_cap);
+        assert_eq!(arena.results.0.capacity(), results_cap);
         assert_eq!(arena.tasks.capacity(), tasks_cap);
         assert_eq!(arena.outcomes.capacity(), outcomes_cap);
     }

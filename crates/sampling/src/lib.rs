@@ -48,6 +48,7 @@ mod executor;
 pub mod metropolis;
 pub mod mixing;
 pub mod operator;
+pub mod par;
 pub mod size_estimate;
 mod snapshot;
 mod sync;

@@ -1,11 +1,10 @@
-//! Sync primitives for the parallel walk executor, swappable for the
+//! Sync primitives for the parallel substrate, swappable for the
 //! vendored loom model checker under `RUSTFLAGS="--cfg loom"` (see
 //! DESIGN.md §13).
 //!
-//! The executor's claim/publish/reassembly protocol (`claim_slot` /
-//! `publish_slot` in [`crate::executor`]) is written against these
-//! aliases, so the very functions the production batch path runs are the
-//! ones the loom tests exhaustively interleave.
+//! The claim/publish protocol in [`crate::par`] is written against these
+//! aliases, so the very functions the production paths run are the ones
+//! the loom tests exhaustively interleave.
 
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};

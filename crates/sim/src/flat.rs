@@ -10,45 +10,29 @@
 //! of a million ticks with sparse churn/query schedules costs only the
 //! due ticks.
 //!
-//! Determinism follows the executor discipline of
-//! `digest-sampling::executor` and [`crate::parallel`]:
+//! Determinism follows the shared substrate, [`digest_sampling::par`]:
 //!
 //! * **Counter-split RNG streams.** The control stream draws one `u64`
 //!   occasion seed per occasion; each logical *shard* then owns an
-//!   independent `ChaCha8Rng` seeded by a SplitMix64 mix of
-//!   `(occasion_seed, shard)`. The shard count is part of the
-//!   configuration — not derived from the machine — so the sampled
-//!   panel is a pure function of the config and seed.
-//! * **Lock-free claim/publish.** Workers claim shard indices from an
-//!   atomic cursor and publish partial sums into a shard-indexed table
-//!   of `OnceLock` cells, drained in shard order after the scope
-//!   joins. Worker counts {1, k} therefore produce **byte-identical**
-//!   reports (floating-point merge order is fixed by shard index).
+//!   independent `ChaCha8Rng` seeded by `par::stream_seed(occasion_seed,
+//!   shard)`. The shard count is part of the configuration — not derived
+//!   from the machine — so the sampled panel is a pure function of the
+//!   config and seed.
+//! * **Claim / publish / shard-order merge.** Shards run through
+//!   `par::run_indexed`, so worker counts {1, k} produce
+//!   **byte-identical** reports (floating-point merge order is fixed by
+//!   shard index).
 //! * **Single-threaded mutation.** Churn and value updates run on the
 //!   control thread between occasions; workers only ever read the
 //!   store.
 
 use crate::events::EventQueue;
-use crate::sync::{AtomicU64, OnceLock, Ordering};
 use digest_core::{CoreError, Result};
 use digest_net::{topology, ChurnConfig, ChurnProcess, NodeStore};
+use digest_sampling::par::{self, splitmix64};
 use digest_telemetry::registry as telemetry;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// SplitMix64 finalizer — derives well-separated per-shard seeds from
-/// the single occasion seed (same mix as the sampling executor).
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The seed of shard `shard`'s private RNG stream for one occasion.
-fn shard_stream_seed(occasion_seed: u64, shard: usize) -> u64 {
-    splitmix64(occasion_seed.wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-}
 
 /// Configuration of a flat-store simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -189,16 +173,6 @@ fn mh_walk(store: &NodeStore, start: u32, len: usize, rng: &mut ChaCha8Rng) -> (
     (store.value(cur).unwrap_or(0.0), hops)
 }
 
-/// Claims the next unprocessed shard index, or `None` once the occasion
-/// is drained. Same lock-free index stealing as the replication runner.
-fn claim_shard(cursor: &AtomicU64, shards: usize) -> Option<usize> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // shard results are published through `OnceLock::set` and the scope
-    // join, so no ordering rides on this counter.
-    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-    usize::try_from(shard).ok().filter(|&s| s < shards)
-}
-
 /// Answers one occasion: `walks` MH walks from `origin`, sharded over
 /// `shards` fixed RNG streams and executed by up to `workers` threads,
 /// merged in shard order.
@@ -209,13 +183,8 @@ fn run_occasion(
     config: &FlatSimConfig,
 ) -> Result<ShardOut> {
     let shards = config.shards;
-    let workers = config.workers.max(1).min(shards);
-    let cursor = AtomicU64::new(0);
-    let mut cells: Vec<OnceLock<ShardOut>> = (0..shards).map(|_| OnceLock::new()).collect();
-    let table = &cells;
-
     let run_shard = |shard: usize| -> ShardOut {
-        let mut rng = ChaCha8Rng::seed_from_u64(shard_stream_seed(occasion_seed, shard));
+        let mut rng = ChaCha8Rng::seed_from_u64(par::stream_seed(occasion_seed, shard));
         let lo = shard * config.walks / shards;
         let hi = (shard + 1) * config.walks / shards;
         let mut out = ShardOut {
@@ -232,47 +201,27 @@ fn run_occasion(
         out
     };
 
-    if workers == 1 {
-        // The sequential case is the same drain loop run inline.
-        while let Some(shard) = claim_shard(&cursor, shards) {
-            let _ = table[shard].set(run_shard(shard));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(shard) = claim_shard(&cursor, shards) {
-                        // Each shard is claimed exactly once, so the
-                        // cell is always empty (model-checked protocol,
-                        // see `crate::parallel`).
-                        let _ = table[shard].set(run_shard(shard));
-                    }
-                });
-            }
-        });
-    }
-
-    // Merge in shard order: the floating-point sum order is fixed by
+    // Merged in shard order: the floating-point sum order is fixed by
     // shard index, independent of which worker ran which shard.
     let mut merged = ShardOut {
         sum: 0.0,
         walks: 0,
         hops: 0,
     };
-    for cell in cells.iter_mut() {
-        match cell.take() {
-            Some(out) => {
-                merged.sum += out.sum;
-                merged.walks += out.walks;
-                merged.hops += out.hops;
-            }
-            None => {
-                return Err(CoreError::InvalidConfig {
-                    reason: "flat shard worker exited without publishing a result",
-                })
-            }
-        }
-    }
+    par::run_indexed(
+        config.workers,
+        shards,
+        &mut par::Cells::default(),
+        run_shard,
+        |out| {
+            merged.sum += out.sum;
+            merged.walks += out.walks;
+            merged.hops += out.hops;
+        },
+    )
+    .map_err(|_| CoreError::InvalidConfig {
+        reason: "flat shard worker exited without publishing a result",
+    })?;
     Ok(merged)
 }
 
@@ -455,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_executes_only_due_ticks() {
+    fn only_due_ticks_are_executed() {
         let config = small(1);
         let report = run_flat(&config).unwrap();
         // Due ticks: churn at 50,100,...,950 and occasions at
@@ -500,6 +449,36 @@ mod tests {
                 "tick {tick}: estimate {estimate} far from uniform mean"
             );
         }
+    }
+
+    /// The flat store's reason to exist: after churn and compaction a
+    /// BA overlay stays within 64 resident bytes per live node.
+    #[test]
+    #[cfg_attr(miri, ignore = "20 000-node build is too slow interpreted")]
+    fn churned_overlay_stays_within_64_bytes_per_node() {
+        let report = run_flat(&FlatSimConfig {
+            nodes: 20_000,
+            attach: 2,
+            ticks: 2_000,
+            churn_interval: 100,
+            churn_leaves: 100,
+            churn_joins: 100,
+            query_interval: 1_000,
+            walks: 32,
+            walk_length: 20,
+            shards: 4,
+            workers: 1,
+            seed: 20080402,
+        })
+        .unwrap();
+        assert_eq!(report.churn_batches, 19);
+        assert!(report.leaves >= 1_000 && report.joins >= 1_000);
+        assert!(report.live_nodes >= 19_000);
+        assert!(
+            report.bytes_per_node <= 64.0,
+            "{} bytes/node",
+            report.bytes_per_node
+        );
     }
 
     #[test]

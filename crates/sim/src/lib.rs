@@ -8,18 +8,20 @@
 //! [`parallel::run_replications`] replays a scenario under many seeds on
 //! worker threads for statistically reliable (error-barred) metrics;
 //! [`runner::run`] drives one [`digest_core::QuerySystem`] against one
-//! [`digest_workload::Workload`] for a span of ticks, collecting a
+//! [`digest_workload::Workload`] for a span of ticks through the one
+//! hint-driven tick loop ([`runner::run_ticks`]), collecting a
 //! [`trace::RunReport`]: per-tick records of the exact aggregate (oracle)
 //! versus the system's running estimate, plus totals of snapshots, samples
 //! and messages, and the realised precision-violation rates that verify
 //! the `(δ, ε, p)` guarantee.
 //!
-//! For million-node overlays, [`runner::run_events`] swaps the dense tick
-//! loop for a calendar [`events::EventQueue`] (cost ∝ due ticks, not the
-//! horizon), and [`flat::run_flat`] runs a sharded deterministic
-//! simulation directly over the flat [`digest_net::NodeStore`] —
-//! per-shard counter-split RNG streams, lock-free claim/publish, ordered
-//! merge — so worker counts {1, k} produce byte-identical reports.
+//! For million-node overlays, [`flat::run_flat`] runs a sharded
+//! deterministic simulation directly over the flat
+//! [`digest_net::NodeStore`], timed by a calendar [`events::EventQueue`]
+//! (cost ∝ due ticks, not the horizon) — per-shard counter-split RNG
+//! streams, lock-free claim/publish, ordered merge
+//! ([`digest_sampling::par`]) — so worker counts {1, k} produce
+//! byte-identical reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +31,10 @@ pub mod events;
 pub mod flat;
 pub mod parallel;
 pub mod runner;
-mod sync;
 pub mod trace;
 
 pub use events::EventQueue;
 pub use flat::{run_flat, FlatReport, FlatSimConfig};
 pub use parallel::{run_replications, summarize, MetricSummary};
-pub use runner::{run, run_events, run_mux, run_observed, RunConfig};
+pub use runner::{run, run_mux, run_observed, run_ticks, RunConfig};
 pub use trace::{RunReport, TraceRecord};

@@ -7,18 +7,13 @@
 //! replication set is exactly reproducible) and summarises the
 //! distribution of any per-run metric.
 //!
-//! The substrate is lock-free: workers claim replication seeds from an
-//! atomic cursor (`claim_replication`) and publish reports into a
-//! seed-indexed table of `OnceLock` cells (`publish_report`) — each
-//! cell written by exactly one worker, drained in seed order after the
-//! scope joins. The claim/publish protocol is model-checked against the
-//! vendored loom stand-in under `RUSTFLAGS="--cfg loom"` (see the
-//! crate's `sync` module and DESIGN.md §13).
+//! Workers steal replication seeds and reports are reassembled in seed
+//! order through the shared substrate, [`digest_sampling::par`].
 
 use crate::runner::{run, RunConfig};
-use crate::sync::{AtomicU64, OnceLock, Ordering};
 use crate::trace::RunReport;
-use digest_core::{QuerySystem, Result};
+use digest_core::{CoreError, QuerySystem, Result};
+use digest_sampling::par;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use digest_workload::Workload;
 use rand::SeedableRng;
@@ -67,27 +62,6 @@ impl MetricSummary {
             max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-}
-
-/// Claims the next unprocessed replication seed from the batch cursor,
-/// or `None` once all `0..replications` seeds are handed out. Lock-free
-/// index stealing: each seed is given to exactly one caller because
-/// `fetch_add` is atomic.
-pub(crate) fn claim_replication(cursor: &AtomicU64, replications: u64) -> Option<u64> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // reports are published through `OnceLock::set` and the scope join,
-    // so no ordering rides on this counter.
-    let seed = cursor.fetch_add(1, Ordering::Relaxed);
-    (seed < replications).then_some(seed)
-}
-
-/// Publishes one replication's report into its reassembly cell. Returns
-/// `false` when the cell was already filled — impossible while
-/// [`claim_replication`] hands out each seed once (model-checked under
-/// `--cfg loom`), and surfaced as a run error rather than a panic if the
-/// protocol is ever broken.
-pub(crate) fn publish_report<T>(cell: &OnceLock<T>, value: T) -> bool {
-    cell.set(value).is_ok()
 }
 
 /// Runs `replications` independent simulations in parallel and returns the
@@ -156,57 +130,32 @@ where
     FW: Fn(u64) -> W + Sync,
     FS: Fn(u64) -> S + Sync,
 {
-    let workers = workers
-        .max(1)
-        .min(usize::try_from(replications.max(1)).unwrap_or(usize::MAX));
-
-    let next = AtomicU64::new(0);
-    let mut results: Vec<OnceLock<std::result::Result<RunReport, digest_core::CoreError>>> =
-        (0..replications).map(|_| OnceLock::new()).collect();
-    let table = &results;
-
-    // `std::thread::scope` joins every worker before returning and re-raises
-    // any worker panic, replacing the old crossbeam scope.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(seed) = claim_replication(&next, replications) {
-                    let mut workload = make_workload(seed);
-                    let mut system = make_system(seed);
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-                    // Workers would interleave per-tick events nondeterministically,
-                    // so event emission is suppressed inside the replication; the
-                    // deterministic rollups are emitted post-join in seed order.
-                    let _quiet = digest_telemetry::suppress_events();
-                    let _span = digest_telemetry::span(Stage::Replication);
-                    let outcome = run(&mut workload, &mut system, config, delta, epsilon, &mut rng);
-                    // `seed < replications`, whose range built the table, so
-                    // the index is always in bounds (and fits usize for the
-                    // same reason); the publish always succeeds because
-                    // `claim_replication` hands each seed to one worker.
-                    if let Some(cell) = usize::try_from(seed).ok().and_then(|i| table.get(i)) {
-                        let _ = publish_report(cell, outcome);
-                    }
-                }
-            });
-        }
-    });
-
-    let mut reports = Vec::with_capacity(usize::try_from(replications).unwrap_or(0));
-    for cell in results.iter_mut() {
-        match cell.take() {
-            Some(outcome) => reports.push(outcome?),
-            // Unreachable by construction (the scope joins all workers and
-            // every index below `replications` is claimed exactly once), but
-            // surfaced as an error instead of a panic per the panic policy.
-            None => {
-                return Err(digest_core::CoreError::InvalidConfig {
-                    reason: "replication worker exited without reporting a result",
-                })
-            }
-        }
-    }
+    let count = usize::try_from(replications).unwrap_or(usize::MAX);
+    let mut outcomes = Vec::with_capacity(count);
+    par::run_indexed(
+        workers,
+        count,
+        &mut par::Cells::default(),
+        |index| {
+            let seed = index as u64;
+            let mut workload = make_workload(seed);
+            let mut system = make_system(seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+            // Workers would interleave per-tick events nondeterministically,
+            // so event emission is suppressed inside the replication; the
+            // deterministic rollups are emitted post-join in seed order.
+            let _quiet = digest_telemetry::suppress_events();
+            let _span = digest_telemetry::span(Stage::Replication);
+            run(&mut workload, &mut system, config, delta, epsilon, &mut rng)
+        },
+        |outcome| outcomes.push(outcome),
+    )
+    // Unreachable by construction, surfaced per the panic policy.
+    .map_err(|_| CoreError::InvalidConfig {
+        reason: "replication worker exited without reporting a result",
+    })?;
+    // The first failing seed's error wins.
+    let reports = outcomes.into_iter().collect::<Result<Vec<RunReport>>>()?;
     // Worker-side engines bump the global trace counter in a thread-
     // dependent order; their events were suppressed, but the *current*
     // trace register would leak a nondeterministic id into the post-join
@@ -238,55 +187,7 @@ pub fn summarize<F: Fn(&RunReport) -> f64>(reports: &[RunReport], metric: F) -> 
     MetricSummary::of(&values)
 }
 
-#[cfg(all(test, loom))]
-#[allow(clippy::unwrap_used)]
-mod loom_tests {
-    use super::{claim_replication, publish_report};
-    use crate::sync::{AtomicU64, OnceLock};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Exhaustively interleaves two workers draining a three-replication
-    /// run through the production `claim_replication` / `publish_report`
-    /// protocol: under every schedule each seed is claimed exactly once,
-    /// every publish lands in an empty cell, and the seed-order drain
-    /// finds every report.
-    #[test]
-    fn loom_claim_publish_fills_every_seed_exactly_once() {
-        loom::model(|| {
-            const REPLICATIONS: u64 = 3;
-            let cursor = Arc::new(AtomicU64::new(0));
-            let table: Arc<Vec<OnceLock<u64>>> =
-                Arc::new((0..REPLICATIONS).map(|_| OnceLock::new()).collect());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let table = Arc::clone(&table);
-                    thread::spawn(move || {
-                        while let Some(seed) = claim_replication(&cursor, REPLICATIONS) {
-                            let cell = &table[usize::try_from(seed).unwrap()];
-                            assert!(
-                                publish_report(cell, seed * 7),
-                                "seed {seed} was claimed twice"
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut table = Arc::try_unwrap(table).ok().unwrap();
-            for (seed, cell) in table.iter_mut().enumerate() {
-                assert_eq!(cell.take(), Some(seed as u64 * 7), "seed {seed} missing");
-            }
-        });
-    }
-}
-
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 #[allow(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -3,7 +3,7 @@
 //! Every metric in the Digest workspace is declared here, in one place,
 //! as a `static` handle with a dotted name (`<crate>.<subsystem>.<what>`).
 //! Instrumented crates import the handles they touch; consumers (the CLI
-//! summary table, the `bench_telemetry` profiler, tests) iterate
+//! summary table, the benchmark's traced pass, tests) iterate
 //! [`descriptors`] — declaration order is reporting order, so snapshots
 //! are deterministic without any runtime registration machinery, and the
 //! hot path stays a single static atomic access.

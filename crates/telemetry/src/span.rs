@@ -7,7 +7,7 @@
 //!
 //! * [`ClockMode::Wall`] — durations are measured with
 //!   [`std::time::Instant`] and accumulated in nanoseconds. This is the
-//!   mode the `bench_telemetry` profiler runs in.
+//!   mode wall-clock profiling runs in.
 //! * [`ClockMode::Deterministic`] (the default) — no wall clock is ever
 //!   read; durations are measured in *simulation ticks* (the global tick
 //!   set by the driver via [`crate::set_tick`]). Every accumulated value
@@ -95,7 +95,7 @@ pub const STAGES: &[Stage] = &[
 ];
 
 impl Stage {
-    /// Stable snake-case name (used in summaries and `BENCH_telemetry.json`).
+    /// Stable snake-case name (used in summaries).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -11,15 +11,13 @@
 //!   both with and without `--telemetry` — and byte-diff the stdout
 //!   traces and the JSONL event streams. Also replays each scenario
 //!   with `--sampling-workers 4` and requires the trace to match the
-//!   inline run byte-for-byte (worker-count independence), with
+//!   inline run byte-for-byte (worker-count independence), and with
 //!   `DIGEST_SNAPSHOT_CACHE=0` to prove the occasion-snapshot cache
-//!   never moves a byte of output even under churn, and with
-//!   `--event-loop` to prove the hint-driven event scheduler replays
-//!   the dense tick sweep exactly. A sketch-aggregate leg replays the
-//!   `p90+distinct+top4` mux mix the same way (replay + workers=4
-//!   byte-identity) since sweep estimators must be RNG-free. Exits
-//!   non-zero on any divergence (including telemetry perturbing the
-//!   plain trace).
+//!   never moves a byte of output even under churn. A sketch-aggregate
+//!   leg replays the `p90+distinct+top4` mux mix the same way (replay +
+//!   workers=4 byte-identity) since sweep estimators must be RNG-free.
+//!   Exits non-zero on any divergence (including telemetry perturbing
+//!   the plain trace).
 //! * `telemetry-schema` — run a fixed-seed scenario with `--telemetry`
 //!   and validate every emitted JSONL line against the event schema,
 //!   requiring coverage of the core event kinds.
@@ -384,32 +382,6 @@ fn run_determinism(root: &Path) -> ExitCode {
             Err(e) => {
                 println!("ERROR");
                 eprintln!("xtask determinism: scenario {label} (DIGEST_SNAPSHOT_CACHE=0): {e}");
-                all_identical = false;
-            }
-        }
-
-        // Re-run with the event-driven scheduler loop: due-time hints
-        // may only ever name provably idle spans, so replacing the dense
-        // tick sweep with hint-driven skipping must not move a byte of
-        // the trace.
-        print!("xtask determinism: scenario {label} (--event-loop) ... ");
-        let mut event_args: Vec<&str> = vec!["--event-loop"];
-        event_args.extend_from_slice(args);
-        match capture(&cli, &event_args, root) {
-            Ok(evented) => match &plain {
-                Some(plain) if *plain == evented => {
-                    println!("identical ({} trace bytes)", evented.len());
-                }
-                Some(plain) => {
-                    println!("DIVERGED (event loop leaked into the trace)");
-                    report_divergence(plain, &evented);
-                    all_identical = false;
-                }
-                None => println!("skipped (no plain trace to compare against)"),
-            },
-            Err(e) => {
-                println!("ERROR");
-                eprintln!("xtask determinism: scenario {label} (--event-loop): {e}");
                 all_identical = false;
             }
         }

@@ -356,7 +356,7 @@ fn r5_seeding_modules_are_exempt_in_workspace_scan() {
     let module = R5_SEEDING_MODULES[0];
     ws.write(
         module,
-        "pub fn walk_stream_seed(occasion_seed: u64, slot: u64) -> u64 {\n    \
+        "pub fn slot_rng_probe(occasion_seed: u64, slot: u64) -> u64 {\n    \
              let _rng = ChaCha8Rng::seed_from_u64(occasion_seed ^ slot);\n    \
              occasion_seed\n\
          }\n",

@@ -33,10 +33,10 @@
 //! trace (span + instant events, `trace`-id envelopes) as Chrome/Perfetto
 //! trace-event JSON.
 
-use digest::audit::{MuxAudit, QueryAudit};
+use digest::audit::{AuditReport, MuxAudit, QueryAudit};
 use digest::core::{
     AggregateOp, ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision,
-    QueryMux, QuerySystem, SchedulerKind, TickContext, TickObserver,
+    QueryMux, QuerySystem, SchedulerKind, TickObserver,
 };
 use digest::db::{Expr, Schema};
 use digest::sampling::SamplingConfig;
@@ -59,7 +59,6 @@ struct Options {
     audit: bool,
     audit_json: Option<String>,
     trace_out: Option<String>,
-    event_loop: bool,
     mux: bool,
     queries_spec: Option<String>,
     statements: Vec<String>,
@@ -71,15 +70,10 @@ fn usage() -> ! {
          [--scheduler all|pred<K>] [--estimator indep|rpt] [--seed S] \
          [--sampling-workers N] [--telemetry out.jsonl] [--audit] \
          [--audit-json report.json] [--trace-out trace.json] \
-         [--event-loop] [--mux] [--queries N[@delta,epsilon,p]] \
+         [--mux] [--queries N[@delta,epsilon,p]] \
          [--queries kind+kind+...[@delta,epsilon,p]] \
          \"SELECT ...\" [\"SELECT ...\"]\n\
          \n\
-         --event-loop drives independent engines from scheduler due-time \
-         hints instead of a dense tick sweep: ticks where every engine \
-         reports a pure idle hold and the workload is quiet are skipped \
-         outright. The trace is byte-identical to the dense loop by \
-         contract (hints only ever name provably idle spans).\n\
          --mux serves all statements through one shared QueryMux (shared \
          sample panels, coalesced PRED-k rounds) instead of independent \
          engines; --queries additionally registers N generated AVG \
@@ -223,7 +217,6 @@ fn parse_args() -> Options {
         audit: false,
         audit_json: None,
         trace_out: None,
-        event_loop: false,
         mux: false,
         queries_spec: None,
         statements: Vec::new(),
@@ -234,7 +227,6 @@ fn parse_args() -> Options {
             "--world" => opts.world = args.next().unwrap_or_else(|| usage()),
             "--telemetry" => opts.telemetry = Some(args.next().unwrap_or_else(|| usage())),
             "--audit" => opts.audit = true,
-            "--event-loop" => opts.event_loop = true,
             "--mux" => opts.mux = true,
             "--queries" => {
                 opts.queries_spec = Some(args.next().unwrap_or_else(|| usage()));
@@ -339,13 +331,14 @@ fn print_telemetry_summary() {
 }
 
 /// Serves every query through one shared [`QueryMux`] (shared sample
-/// panels, coalesced PRED-k rounds) and prints per-query updates, the
-/// cost summary, and — under `--audit` — each member's guarantee audit.
+/// panels, coalesced PRED-k rounds), prints per-query updates and the
+/// cost summary, and returns each member's guarantee audit (empty unless
+/// auditing).
 fn serve_mux<W: Workload>(
     world: &mut W,
     opts: &Options,
     queries: Vec<ContinuousQuery>,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<Vec<AuditReport>, Box<dyn std::error::Error>> {
     let mut mux = QueryMux::new(MuxConfig {
         scheduler: opts.scheduler,
         estimator: opts.estimator,
@@ -414,28 +407,7 @@ fn serve_mux<W: Workload>(
         mux.total_messages()
     );
 
-    if auditing {
-        let audit_reports = audit.reports();
-        if opts.audit {
-            println!();
-            println!("--- guarantee audit ---");
-            for (_, report) in &audit_reports {
-                print!("{}", report.render_table());
-            }
-        }
-        if let Some(path) = &opts.audit_json {
-            let value = serde_json::Value::Array(
-                audit_reports
-                    .iter()
-                    .map(|(_, r)| r.to_json_value())
-                    .collect(),
-            );
-            let mut text = serde_json::to_string_pretty(&value)?;
-            text.push('\n');
-            std::fs::write(path, text)?;
-        }
-    }
-    Ok(())
+    Ok(audit.reports().into_iter().map(|(_, r)| r).collect())
 }
 
 fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -487,23 +459,51 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
         queries.extend(parse_fleet_spec(spec, &schema)?);
     }
 
-    if opts.mux {
-        serve_mux(&mut world, opts, queries)?;
-        if sink_installed {
-            digest_telemetry::flush();
-            digest_telemetry::take_sink();
-            digest_telemetry::set_span_events(false);
+    let audit_reports = if opts.mux {
+        serve_mux(&mut world, opts, queries)?
+    } else {
+        serve_engines(&mut world, opts, &queries)?
+    };
+    if !audit_reports.is_empty() {
+        if opts.audit {
+            println!();
+            println!("--- guarantee audit ---");
+            for report in &audit_reports {
+                print!("{}", report.render_table());
+            }
         }
-        if let (Some(path), Some(buffer)) = (&opts.trace_out, &trace_buffer) {
-            std::fs::write(path, digest::audit::chrome_trace_json(&buffer.lines()))?;
+        if let Some(path) = &opts.audit_json {
+            let value =
+                serde_json::Value::Array(audit_reports.iter().map(|r| r.to_json_value()).collect());
+            let mut text = serde_json::to_string_pretty(&value)?;
+            text.push('\n');
+            std::fs::write(path, text)?;
         }
-        if opts.telemetry.is_some() {
-            print_telemetry_summary();
-        }
-        return Ok(());
     }
+    if sink_installed {
+        digest_telemetry::flush();
+        digest_telemetry::take_sink();
+        digest_telemetry::set_span_events(false);
+    }
+    if let (Some(path), Some(buffer)) = (&opts.trace_out, &trace_buffer) {
+        std::fs::write(path, digest::audit::chrome_trace_json(&buffer.lines()))?;
+    }
+    if opts.telemetry.is_some() {
+        print_telemetry_summary();
+    }
+    Ok(())
+}
 
-    let mut engines: Vec<DigestEngine> = queries
+/// Serves every query on its own independent [`DigestEngine`], all ticked
+/// by the one shared loop, prints per-query updates and the cost
+/// summary, and returns each query's guarantee audit (empty unless
+/// auditing).
+fn serve_engines<W: Workload>(
+    world: &mut W,
+    opts: &Options,
+    queries: &[ContinuousQuery],
+) -> Result<Vec<AuditReport>, Box<dyn std::error::Error>> {
+    let engines: Vec<DigestEngine> = queries
         .iter()
         .map(|q| {
             DigestEngine::new(
@@ -528,7 +528,7 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
     println!();
 
     let auditing = opts.audit || opts.audit_json.is_some();
-    let mut audits: Vec<QueryAudit> = if auditing {
+    let audits: Vec<QueryAudit> = if auditing {
         queries
             .iter()
             .enumerate()
@@ -543,84 +543,58 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
         .unwrap_or_else(|| world.duration())
         .min(world.duration());
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
-    let mut origin = world.graph().nodes().next().ok_or("world has no nodes")?;
-    let mut tick = 0u64;
-    while tick < ticks {
-        digest_telemetry::set_tick(tick);
-        // `advance_to` replays one `advance` per consecutive tick, so the
-        // dense path is unchanged; under --event-loop it carries sparse
-        // workloads across skipped quiet spans without touching the RNG.
-        world.advance_to(tick, &mut rng);
-        if !world.graph().contains(origin) {
-            origin = world.graph().random_node(&mut rng)?;
-        }
-        for (i, engine) in engines.iter_mut().enumerate() {
-            let (outcome, exact) = {
-                let ctx = TickContext {
-                    tick,
-                    graph: world.graph(),
-                    db: world.db(),
-                    origin,
-                };
-                let outcome = engine.on_tick(&ctx, &mut rng)?;
+    let mut systems = (engines, audits);
+    digest::sim::run_ticks(
+        world,
+        RunConfig::for_ticks(ticks),
+        &mut rng,
+        &mut systems,
+        |(engines, audits), world, ctx, rng| {
+            for (i, engine) in engines.iter_mut().enumerate() {
+                let outcome = engine.on_tick(ctx, rng)?;
+                let exact = engine
+                    .oracle_truth(ctx)
+                    .unwrap_or_else(|| world.exact_aggregate());
                 // Restore this engine's occasion trace id: with several
                 // queries per run the global register still holds the
                 // *last* engine's id after `on_tick`.
                 digest_telemetry::set_trace(engine.trace_id());
-                let exact = engine
-                    .oracle_truth(&ctx)
-                    .unwrap_or_else(|| world.exact_aggregate());
                 if let Some(audit) = audits.get_mut(i) {
-                    audit.observe(&ctx, &outcome, exact);
+                    audit.observe(ctx, &outcome, exact);
                 }
-                (outcome, exact)
-            };
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "tick",
-                    &[
-                        ("estimate", Field::F64(outcome.estimate)),
-                        ("exact", Field::F64(world.exact_aggregate())),
-                        ("snapshot", Field::Bool(outcome.snapshot_executed)),
-                        ("samples", Field::U64(outcome.samples_this_tick)),
-                        ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
-                        ("messages", Field::U64(outcome.messages_this_tick)),
-                        ("updated", Field::U64(u64::from(outcome.updated))),
-                        ("query", Field::U64(i as u64)),
-                    ],
-                );
-            }
-            if outcome.updated {
-                println!(
-                    "t={tick:>5}  [{i}] UPDATE  X̂ = {:>12.3}   (oracle = {exact:>10.3})",
-                    outcome.estimate,
-                );
-            }
-        }
-        // Dense sweep unless --event-loop: then skip straight to the
-        // earliest tick any engine or the workload needs. A `None` hint
-        // from either side means "cannot predict" and forces tick + 1,
-        // so the skip only ever covers provably idle spans and the trace
-        // stays byte-identical to the dense loop.
-        tick = if opts.event_loop {
-            let mut due = Some(u64::MAX);
-            for engine in &mut engines {
-                match engine.next_due(tick) {
-                    Some(t) => due = due.map(|d: u64| d.min(t)),
-                    None => {
-                        due = None;
-                        break;
-                    }
+                if digest_telemetry::events_enabled() {
+                    digest_telemetry::emit(
+                        "tick",
+                        &[
+                            ("estimate", Field::F64(outcome.estimate)),
+                            ("exact", Field::F64(exact)),
+                            ("snapshot", Field::Bool(outcome.snapshot_executed)),
+                            ("samples", Field::U64(outcome.samples_this_tick)),
+                            ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
+                            ("messages", Field::U64(outcome.messages_this_tick)),
+                            ("updated", Field::U64(u64::from(outcome.updated))),
+                            ("query", Field::U64(i as u64)),
+                        ],
+                    );
+                }
+                if outcome.updated {
+                    println!(
+                        "t={:>5}  [{i}] UPDATE  X̂ = {:>12.3}   (oracle = {exact:>10.3})",
+                        ctx.tick, outcome.estimate,
+                    );
                 }
             }
-            match (world.next_activity(), due) {
-                (Some(w), Some(s)) => w.min(s).max(tick + 1),
-                _ => tick + 1,
-            }
-        } else {
-            tick + 1
-        };
-    }
+            Ok(())
+        },
+        // The earliest tick any engine needs; one engine without a
+        // schedule keeps the sweep dense.
+        |(engines, _), now| {
+            engines
+                .iter_mut()
+                .try_fold(u64::MAX, |due, engine| Some(due.min(engine.next_due(now)?)))
+        },
+    )?;
+    let (engines, audits) = systems;
 
     println!();
     println!("--- cost summary over {ticks} ticks ---");
@@ -633,36 +607,7 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
             engine.total_messages(),
         );
     }
-    if !audits.is_empty() {
-        let reports: Vec<digest::audit::AuditReport> =
-            audits.iter().map(QueryAudit::report).collect();
-        if opts.audit {
-            println!();
-            println!("--- guarantee audit ---");
-            for report in &reports {
-                print!("{}", report.render_table());
-            }
-        }
-        if let Some(path) = &opts.audit_json {
-            let value =
-                serde_json::Value::Array(reports.iter().map(|r| r.to_json_value()).collect());
-            let mut text = serde_json::to_string_pretty(&value)?;
-            text.push('\n');
-            std::fs::write(path, text)?;
-        }
-    }
-    if sink_installed {
-        digest_telemetry::flush();
-        digest_telemetry::take_sink();
-        digest_telemetry::set_span_events(false);
-    }
-    if let (Some(path), Some(buffer)) = (&opts.trace_out, &trace_buffer) {
-        std::fs::write(path, digest::audit::chrome_trace_json(&buffer.lines()))?;
-    }
-    if opts.telemetry.is_some() {
-        print_telemetry_summary();
-    }
-    Ok(())
+    Ok(audits.iter().map(QueryAudit::report).collect())
 }
 
 fn main() {

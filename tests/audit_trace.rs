@@ -2,7 +2,8 @@
 //! stream (occasion traces, re-emitted worker spans, audit events) must
 //! be byte-identical across same-seed replays and across sampling worker
 //! counts, with the deterministic-tick clock monotone over the whole
-//! stream.
+//! stream. Observation must also be passive: the audited, sink-installed
+//! run's `RunReport.records` equal a plain `run`'s.
 //!
 //! Everything lives in one `#[test]` because the telemetry sink is
 //! process-global: integration-test binaries are separate processes, but
@@ -12,7 +13,7 @@ use digest::audit::{chrome_trace_json, QueryAudit};
 use digest::core::{ContinuousQuery, DigestEngine, EngineConfig, Precision};
 use digest::core::{EstimatorKind, QuerySystem, SchedulerKind};
 use digest::db::Expr;
-use digest::sim::{run_observed, RunConfig};
+use digest::sim::{run, run_observed, RunConfig, TraceRecord};
 use digest::workload::{TemperatureConfig, TemperatureWorkload, Workload};
 use digest_telemetry::MemorySink;
 use rand::SeedableRng;
@@ -25,20 +26,14 @@ fn workload() -> TemperatureWorkload {
     })
 }
 
-/// One fully audited, span-traced run at the given worker count;
-/// returns the JSONL event lines and the audit-report JSON.
-fn traced_run(workers: usize) -> (Vec<String>, String) {
-    digest_telemetry::reset_run_state();
-    let buffer = MemorySink::new();
-    digest_telemetry::install_sink(Box::new(buffer.clone()));
-    digest_telemetry::set_span_events(true);
-
-    let mut w = workload();
-    let query = ContinuousQuery::avg(
+fn query(w: &TemperatureWorkload) -> ContinuousQuery {
+    ContinuousQuery::avg(
         Expr::first_attr(w.db().schema()),
         Precision::new(8.0, 2.0, 0.95).unwrap(),
-    );
-    let mut audit = QueryAudit::new(&query, 0).unwrap();
+    )
+}
+
+fn engine(query: ContinuousQuery, workers: usize) -> DigestEngine {
     let mut engine = DigestEngine::new(
         query,
         EngineConfig {
@@ -49,8 +44,41 @@ fn traced_run(workers: usize) -> (Vec<String>, String) {
     )
     .unwrap();
     engine.set_sampling_workers(workers);
+    engine
+}
+
+/// The same run with nothing watching: no observer, no sink.
+fn plain_run(workers: usize) -> Vec<TraceRecord> {
+    let mut w = workload();
+    let mut engine = engine(query(&w), workers);
     let mut rng = ChaCha8Rng::seed_from_u64(20080402);
-    run_observed(
+    run(
+        &mut w,
+        &mut engine,
+        RunConfig::for_ticks(50),
+        8.0,
+        2.0,
+        &mut rng,
+    )
+    .unwrap()
+    .records
+}
+
+/// One fully audited, span-traced run at the given worker count;
+/// returns the JSONL event lines, the audit-report JSON and the run's
+/// trace records.
+fn traced_run(workers: usize) -> (Vec<String>, String, Vec<TraceRecord>) {
+    digest_telemetry::reset_run_state();
+    let buffer = MemorySink::new();
+    digest_telemetry::install_sink(Box::new(buffer.clone()));
+    digest_telemetry::set_span_events(true);
+
+    let mut w = workload();
+    let query = query(&w);
+    let mut audit = QueryAudit::new(&query, 0).unwrap();
+    let mut engine = engine(query, workers);
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let records = run_observed(
         &mut w,
         &mut engine,
         RunConfig::for_ticks(50),
@@ -59,13 +87,14 @@ fn traced_run(workers: usize) -> (Vec<String>, String) {
         &mut rng,
         &mut audit,
     )
-    .unwrap();
+    .unwrap()
+    .records;
 
     digest_telemetry::flush();
     digest_telemetry::set_span_events(false);
     digest_telemetry::take_sink();
     let report = serde_json::to_string_pretty(&audit.report().to_json_value()).unwrap();
-    (buffer.lines(), report)
+    (buffer.lines(), report, records)
 }
 
 /// Extracts `"key":<u64>` from a JSONL event line.
@@ -78,8 +107,14 @@ fn u64_field(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn audited_stream_is_worker_independent_and_tick_monotone() {
-    let (lines_1, report_1) = traced_run(1);
-    let (lines_4, report_4) = traced_run(4);
+    // Observation is passive: a `QueryAudit` observer plus an installed
+    // sink with span events on must not move a bit of the run's trace.
+    let plain = plain_run(1);
+    let (lines_1, report_1, records_1) = traced_run(1);
+    let (lines_4, report_4, records_4) = traced_run(4);
+    assert_eq!(plain.len(), 50);
+    assert_eq!(plain, records_1, "observer + sink perturbed the run");
+    assert_eq!(plain, records_4, "observer + sink perturbed the run");
 
     // Worker-side spans are suppressed inside the batch and re-emitted
     // post-join in slot order, so the whole stream — spans included —
@@ -92,7 +127,7 @@ fn audited_stream_is_worker_independent_and_tick_monotone() {
 
     // Same-seed replay at the same worker count: byte-identical stream,
     // report, and Chrome trace export.
-    let (lines_4b, report_4b) = traced_run(4);
+    let (lines_4b, report_4b, _) = traced_run(4);
     assert_eq!(lines_4, lines_4b, "same-seed replay diverged");
     assert_eq!(report_4, report_4b, "same-seed audit report diverged");
     assert_eq!(

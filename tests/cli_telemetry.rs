@@ -1,0 +1,64 @@
+//! `digest-cli --telemetry`: the `tick` event's `exact` field is the
+//! statement's own oracle — the value the auditor scores against and the
+//! CLI prints — not the workload's plain-AVG aggregate.
+
+use std::collections::BTreeMap;
+use std::process::Command;
+
+#[test]
+fn tick_events_carry_the_statements_own_oracle() {
+    let events =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_telemetry_sum_where.jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_digest-cli"))
+        .args(["--world", "temperature", "--ticks", "40", "--seed", "7"])
+        .args(["--audit", "--telemetry"])
+        .arg(&events)
+        .arg("SELECT SUM(temperature) FROM R WHERE temperature > 60 WITH delta=2000, epsilon=800, p=0.95")
+        .output()
+        .expect("digest-cli runs");
+    assert!(output.status.success(), "{output:?}");
+
+    let mut ticks: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut occasions: BTreeMap<u64, f64> = BTreeMap::new();
+    for line in std::fs::read_to_string(&events)
+        .expect("event stream")
+        .lines()
+    {
+        let event = serde_json::from_str(line).expect("valid JSONL");
+        let into = match event["kind"].as_str() {
+            Some("tick") => &mut ticks,
+            Some("audit.occasion") => &mut occasions,
+            _ => continue,
+        };
+        let tick = event["tick"].as_u64().expect("tick stamp");
+        into.insert(tick, event["exact"].as_f64().expect("exact field"));
+    }
+
+    assert_eq!(ticks.len(), 40, "one tick event per simulated tick");
+    assert!(occasions.len() >= 5, "only {} occasions", occasions.len());
+    for (tick, audited) in &occasions {
+        assert_eq!(
+            ticks[tick].to_bits(),
+            audited.to_bits(),
+            "tick {tick}: tick.exact {} != audit.occasion exact {audited}",
+            ticks[tick]
+        );
+    }
+    // A predicated SUM over 2 000 readings near 60 is in the tens of
+    // thousands; the plain AVG the event used to carry is ≈ 60.
+    assert!(ticks.values().all(|&exact| exact > 1_000.0));
+
+    // The printed oracle is the same number.
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    let printed = stdout
+        .lines()
+        .find(|l| l.starts_with("t=    0 "))
+        .and_then(|l| l.split("oracle =").nth(1))
+        .and_then(|s| s.trim().trim_end_matches(')').parse::<f64>().ok())
+        .expect("first update line");
+    assert!(
+        (printed - ticks[&0]).abs() < 1e-3,
+        "{printed} vs {}",
+        ticks[&0]
+    );
+}
