@@ -17,11 +17,6 @@ pub enum NetError {
     },
     /// The graph is empty where at least one node is required.
     EmptyGraph,
-    /// The flat node store's `u32` addressing space (ids or adjacency
-    /// arena offsets) would be exceeded by the operation.
-    CapacityExceeded,
-    /// A bulk CSR load was attempted on a store that already holds edges.
-    NotEmpty,
 }
 
 impl fmt::Display for NetError {
@@ -31,10 +26,6 @@ impl fmt::Display for NetError {
             NetError::SelfLoop(id) => write!(f, "self-loop on node {id} not allowed"),
             NetError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
             NetError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
-            NetError::CapacityExceeded => {
-                write!(f, "flat node store u32 addressing space exhausted")
-            }
-            NetError::NotEmpty => write!(f, "bulk CSR load requires an edge-free store"),
         }
     }
 }

@@ -526,18 +526,6 @@ impl Graph {
     pub fn id_upper_bound(&self) -> usize {
         self.row_off.len()
     }
-
-    /// Heap bytes held by the adjacency arena and its per-row tables
-    /// (excluding the journal and live-list bookkeeping). Exposed so
-    /// benchmarks can track resident bytes/node across representations.
-    #[must_use]
-    pub fn adjacency_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<NodeId>()
-            + self.row_off.capacity() * std::mem::size_of::<usize>()
-            + self.row_len.capacity() * std::mem::size_of::<usize>()
-            + self.row_cap.capacity() * std::mem::size_of::<usize>()
-            + self.alive.capacity() * std::mem::size_of::<bool>()
-    }
 }
 
 #[cfg(test)]
@@ -549,7 +537,9 @@ impl Graph {
 )]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn triangle() -> (Graph, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -809,67 +799,184 @@ mod tests {
         assert_eq!(g.changes_since(mark).unwrap(), vec![a, b]);
     }
 
-    #[test]
-    fn arena_relocation_and_compaction_preserve_adjacency() {
-        // Grow a hub far past the initial row capacity (forcing repeated
-        // relocations), delete enough rows to trigger compaction, and
-        // check the surviving adjacency is exactly right throughout.
-        let mut g = Graph::new();
-        let hub = g.add_node();
-        let mut spokes = Vec::new();
-        for _ in 0..600 {
-            let s = g.add_node();
-            g.add_edge(hub, s).unwrap();
-            spokes.push(s);
+    /// An arbitrary mutation applied to a graph.
+    #[derive(Debug, Clone)]
+    enum Op {
+        AddNode,
+        RemoveNode(u32),
+        AddEdge(u32, u32),
+        RemoveEdge(u32, u32),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::AddNode),
+            (0u32..64).prop_map(Op::RemoveNode),
+            (0u32..64, 0u32..64).prop_map(|(a, b)| Op::AddEdge(a, b)),
+            (0u32..64, 0u32..64).prop_map(|(a, b)| Op::RemoveEdge(a, b)),
+        ]
+    }
+
+    /// A graph and a naive `BTreeMap` adjacency model driven in lock-step,
+    /// plus what the arena was seen doing along the way.
+    #[derive(Default)]
+    struct Mirror {
+        g: Graph,
+        model: BTreeMap<NodeId, BTreeSet<NodeId>>,
+        /// Epoch the journal window opened at; ids the model changed since.
+        mark: u64,
+        touched: BTreeSet<NodeId>,
+        compactions: usize,
+        relocations_after_compaction: usize,
+    }
+
+    impl Mirror {
+        /// Applies `op` to both sides; the graph must return what the model
+        /// predicts and journal every id the model touched.
+        fn apply(&mut self, op: &Op) -> std::result::Result<(), String> {
+            let (pool, garbage) = (self.g.pool.len(), self.g.pool_garbage);
+            match *op {
+                Op::AddNode => {
+                    let id = self.g.add_node();
+                    prop_assert!(self.model.insert(id, BTreeSet::new()).is_none());
+                    self.touched.insert(id);
+                }
+                Op::RemoveNode(i) => {
+                    let id = NodeId(i);
+                    let row = self.model.remove(&id);
+                    prop_assert_eq!(self.g.remove_node(id).is_ok(), row.is_some());
+                    if let Some(row) = row {
+                        for nb in &row {
+                            self.model.get_mut(nb).unwrap().remove(&id);
+                        }
+                        self.touched.insert(id);
+                        self.touched.extend(row);
+                    }
+                }
+                Op::AddEdge(a, b) => {
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    let live = a != b && self.model.contains_key(&a) && self.model.contains_key(&b);
+                    let fresh = live && self.model.get_mut(&a).unwrap().insert(b);
+                    if fresh {
+                        self.model.get_mut(&b).unwrap().insert(a);
+                        self.touched.extend([a, b]);
+                    }
+                    prop_assert_eq!(self.g.add_edge(a, b).ok(), live.then_some(fresh));
+                }
+                Op::RemoveEdge(a, b) => {
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    let live = self.model.contains_key(&a) && self.model.contains_key(&b);
+                    let removed = live && self.model.get_mut(&a).unwrap().remove(&b);
+                    if removed {
+                        self.model.get_mut(&b).unwrap().remove(&a);
+                        self.touched.extend([a, b]);
+                    }
+                    prop_assert_eq!(self.g.remove_edge(a, b).ok(), live.then_some(removed));
+                }
+            }
+            // Garbage only ever shrinks in `compact_pool`; the pool only
+            // ever grows when `push_neighbor` relocates a full row.
+            if self.g.pool_garbage < garbage {
+                self.compactions += 1;
+            } else if self.compactions > 0 && self.g.pool.len() > pool {
+                self.relocations_after_compaction += 1;
+            }
+            match self.g.changes_since(self.mark) {
+                Some(changed) => prop_assert!(
+                    self.touched
+                        .iter()
+                        .all(|id| changed.binary_search(id).is_ok()),
+                    "journal missed a change"
+                ),
+                // Overflowed past the mark: open a new window.
+                None => {
+                    prop_assert!(self.g.journal_floor > self.mark);
+                    self.mark = self.g.epoch();
+                    self.touched.clear();
+                }
+            }
+            Ok(())
         }
-        assert_eq!(g.degree(hub), 600);
-        // Appends preserve insertion order.
-        assert_eq!(g.neighbors(hub).to_vec(), spokes);
-        // Remove most spokes: garbage accumulates, compaction fires.
-        for s in spokes.iter().skip(100) {
-            g.remove_node(*s).unwrap();
+
+        /// Same live ids, degrees, neighbour sets and edge count.
+        fn compare(&self) -> std::result::Result<(), String> {
+            prop_assert_eq!(self.g.node_count(), self.model.len());
+            let live: BTreeSet<NodeId> = self.g.nodes().collect();
+            prop_assert!(live.iter().eq(self.model.keys()), "live id sets differ");
+            for (&v, reference) in &self.model {
+                // Degree == set size also rules out parallel edges.
+                prop_assert_eq!(self.g.degree(v), reference.len(), "degree of {}", v);
+                let actual: BTreeSet<NodeId> = self.g.neighbors(v).iter().copied().collect();
+                prop_assert_eq!(&actual, reference, "neighbour set of {}", v);
+            }
+            let degree_sum: usize = self.model.values().map(BTreeSet::len).sum();
+            prop_assert_eq!(degree_sum, 2 * self.g.edge_count());
+            Ok(())
         }
-        assert_eq!(g.degree(hub), 100);
-        for s in &spokes[..100] {
-            assert!(g.has_edge(hub, *s));
-            assert_eq!(g.neighbors(*s), &[hub]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Arbitrary ops around a hub phase sized from `COMPACT_MIN_POOL`:
+        /// the hub row relocates up to that size, most spokes then leave so
+        /// garbage dominates the pool and compaction fires, and the ops
+        /// that follow relocate rows compaction left at `cap == len`.
+        #[test]
+        fn graph_matches_reference_model_through_compaction(
+            ops in prop::collection::vec(op_strategy(), 0..400),
+            spokes in COMPACT_MIN_POOL..2 * COMPACT_MIN_POOL,
+        ) {
+            let mut m = Mirror::default();
+            let (before, after) = ops.split_at(ops.len() / 2);
+            for op in before {
+                m.apply(op)?;
+            }
+            m.compare()?;
+
+            let hub = m.g.id_upper_bound() as u32;
+            let spokes = hub + 1..=hub + spokes as u32;
+            m.apply(&Op::AddNode)?;
+            for spoke in spokes.clone() {
+                m.apply(&Op::AddNode)?;
+                m.apply(&Op::AddEdge(hub, spoke))?;
+            }
+            // Appends (and the relocations under them) keep insertion order.
+            prop_assert!(m.g.neighbors(NodeId(hub)).iter().map(|n| n.0).eq(spokes.clone()));
+            m.compare()?;
+            for spoke in spokes.clone().skip(16) {
+                m.apply(&Op::RemoveNode(spoke))?;
+            }
+            prop_assert!(m.compactions > 0, "hub phase never compacted");
+            m.compare()?;
+
+            for spoke in spokes.take(16).skip(1) {
+                m.apply(&Op::AddEdge(spoke - 1, spoke))?;
+            }
+            for op in after {
+                m.apply(op)?;
+            }
+            prop_assert!(m.relocations_after_compaction > 0);
+            m.compare()?;
         }
-        // Handshake lemma still holds.
-        let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
-        assert_eq!(degree_sum, 2 * g.edge_count());
     }
 
     #[test]
-    fn stress_add_remove_keeps_invariants() {
-        let mut g = Graph::new();
+    fn dense_random_graph_matches_reference_model() {
+        let mut m = Mirror::default();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
-        let mut ids = Vec::new();
         for _ in 0..200 {
-            ids.push(g.add_node());
+            m.apply(&Op::AddNode).unwrap();
         }
-        use rand::Rng;
         for _ in 0..2000 {
-            let a = ids[rng.gen_range(0..ids.len())];
-            let b = ids[rng.gen_range(0..ids.len())];
-            if a != b && g.contains(a) && g.contains(b) {
-                let _ = g.add_edge(a, b);
-            }
+            let edge = Op::AddEdge(rng.gen_range(0..200), rng.gen_range(0..200));
+            m.apply(&edge).unwrap();
         }
-        // Remove half the nodes.
-        for id in ids.iter().step_by(2) {
-            if g.contains(*id) {
-                g.remove_node(*id).unwrap();
-            }
+        // Remove half the nodes: mid-row swap-removes, then compaction.
+        for id in (0..200).step_by(2) {
+            m.apply(&Op::RemoveNode(id)).unwrap();
         }
-        // Invariant: handshake lemma.
-        let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
-        assert_eq!(degree_sum, 2 * g.edge_count());
-        // Invariant: all neighbor references live and symmetric.
-        for v in g.nodes() {
-            for &nb in g.neighbors(v) {
-                assert!(g.contains(nb));
-                assert!(g.neighbors(nb).contains(&v));
-            }
-        }
+        assert!(m.compactions > 0);
+        m.compare().unwrap();
     }
 }

@@ -5,17 +5,15 @@
 //! The paper models the network as an undirected graph `G(V, E)` with
 //! arbitrary, dynamically changing topology (§II). This crate provides:
 //!
-//! * [`graph`] — the overlay graph itself: stable node identities across
-//!   joins/leaves, adjacency queries, connectivity analysis.
+//! * [`graph`] — the overlay graph itself, and the only overlay
+//!   representation at every scale: stable never-reused node identities
+//!   across joins/leaves, CSR-style adjacency in one shared arena, a
+//!   mutation-epoch journal, adjacency queries, connectivity analysis.
 //! * [`topology`] — seeded generators for the topologies the paper's
 //!   evaluation uses (mesh for the weather-station network, power-law /
 //!   Barabási–Albert for the SETI@home-like computing network) plus
 //!   Erdős–Rényi, ring, Watts–Strogatz, complete, and star graphs for
 //!   tests and ablations.
-//! * [`store`] — the flat structure-of-arrays node store for
-//!   million-node overlays: u32 ids with free-list recycling behind
-//!   generation-tagged handles, CSR adjacency in one shared arena, SoA
-//!   value/weight/liveness columns, and a dirty-row change journal.
 //! * [`churn`] — the node join/leave process that drives the dynamic
 //!   membership of `V` (and hence of the stored relation).
 //! * [`metrics`] — degree distributions, power-law exponent estimation,
@@ -30,14 +28,12 @@ pub mod churn;
 pub mod error;
 pub mod graph;
 pub mod metrics;
-pub mod store;
 pub mod topology;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess};
 pub use error::NetError;
 pub use graph::{Graph, NodeId};
 pub use metrics::{degree_distribution, estimate_power_law_alpha, DegreeStats};
-pub use store::{NodeRef, NodeStore};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NetError>;

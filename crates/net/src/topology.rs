@@ -11,7 +11,6 @@
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
-use crate::store::NodeStore;
 use crate::Result;
 use rand::Rng;
 
@@ -165,79 +164,6 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
         ids.push(new);
     }
     Ok(g)
-}
-
-/// Barabási–Albert preferential attachment straight into a flat
-/// [`NodeStore`] — the million-node path. Attachment logic matches
-/// [`barabasi_albert`] (seed clique of `m0 = m + 1`, degree-proportional
-/// `targets` sampling), but edges are accumulated into one edge list and
-/// bulk-loaded as an exact CSR: O(V + E) with zero arena slack, instead
-/// of 10⁶ incremental row relocations. Node values/weights start at
-/// `0.0`/`1.0`; callers initialise the value column afterwards.
-///
-/// # Errors
-///
-/// [`NetError::InvalidTopology`] if `m == 0` or `n ≤ m`;
-/// [`NetError::CapacityExceeded`] if `n` outgrows u32 ids.
-pub fn barabasi_albert_store<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<NodeStore> {
-    if m == 0 {
-        return Err(NetError::InvalidTopology {
-            reason: "BA attachment count m must be positive",
-        });
-    }
-    let m0 = m + 1;
-    if n < m0 {
-        return Err(NetError::InvalidTopology {
-            reason: "BA requires n > m",
-        });
-    }
-    let edge_total = m0 * (m0 - 1) / 2 + (n - m0) * m;
-    let mut store = NodeStore::with_capacity(n, edge_total);
-    let mut refs = Vec::with_capacity(n);
-    for _ in 0..n {
-        refs.push(store.add_node(0.0, 1.0)?);
-    }
-
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(edge_total);
-    // Seed clique over the first m0 ids.
-    for i in 0..m0 {
-        for j in i + 1..m0 {
-            edges.push((refs[i].id(), refs[j].id()));
-        }
-    }
-    // `targets` holds one entry per edge endpoint: sampling it uniformly
-    // is sampling nodes proportional to degree. The clique block is laid
-    // out id-major — the same order the Graph generator produces — so
-    // both generators consume the RNG stream identically and one seed
-    // yields one topology regardless of representation.
-    let mut targets: Vec<u32> = Vec::with_capacity(2 * edge_total);
-    for r in refs.iter().take(m0) {
-        for _ in 0..(m0 - 1) {
-            targets.push(r.id());
-        }
-    }
-    let mut chosen: Vec<u32> = Vec::with_capacity(m);
-    for arrival in refs.iter().skip(m0) {
-        let new_id = arrival.id();
-        chosen.clear();
-        while chosen.len() < m {
-            let candidate = targets[rng.gen_range(0..targets.len())];
-            if candidate != new_id && !chosen.contains(&candidate) {
-                chosen.push(candidate);
-            }
-        }
-        for &c in &chosen {
-            edges.push((new_id, c));
-            targets.push(new_id);
-            targets.push(c);
-        }
-    }
-    store.bulk_load_edges(&edges)?;
-    Ok(store)
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: edges are sampled
@@ -441,30 +367,6 @@ mod tests {
     fn barabasi_albert_rejects_bad_params() {
         assert!(barabasi_albert(10, 0, &mut rng(3)).is_err());
         assert!(barabasi_albert(3, 3, &mut rng(3)).is_err());
-    }
-
-    #[test]
-    fn barabasi_albert_store_matches_edge_budget() {
-        let s = barabasi_albert_store(500, 3, &mut rng(1)).unwrap();
-        assert_eq!(s.live_count(), 500);
-        let expected = 6 + (500 - 4) * 3;
-        assert_eq!(s.edge_count(), expected);
-        // Minimum degree is m; bulk CSR is exact (no slack).
-        assert!(s.live_ids().all(|v| s.degree(v) >= 3));
-        // Same attachment process ⇒ same degree sequence as the Graph
-        // generator under the same seed.
-        let g = barabasi_albert(500, 3, &mut rng(1)).unwrap();
-        let mut dg: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-        let mut ds: Vec<usize> = s.live_ids().map(|v| s.degree(v)).collect();
-        dg.sort_unstable();
-        ds.sort_unstable();
-        assert_eq!(dg, ds);
-    }
-
-    #[test]
-    fn barabasi_albert_store_rejects_bad_params() {
-        assert!(barabasi_albert_store(10, 0, &mut rng(3)).is_err());
-        assert!(barabasi_albert_store(3, 3, &mut rng(3)).is_err());
     }
 
     #[test]

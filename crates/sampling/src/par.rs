@@ -2,10 +2,10 @@
 //! seeds plus lock-free index stealing with in-order reassembly.
 //!
 //! The paper's batch mode invokes `S` n times *simultaneously* (§VI-A);
-//! every place this workspace makes that simultaneity real on threads —
-//! an occasion's walk batch (`executor`), a replication set
-//! (`digest-sim::parallel`), a flat-store occasion's shards
-//! (`digest-sim::flat`) — runs through [`run_indexed`]:
+//! the two places this workspace makes that simultaneity real on threads
+//! — an occasion's walk batch (`executor::run_tuple_batch`) and a
+//! replication set (`digest-sim::parallel::run_replications_with_workers`)
+//! — run through [`run_indexed`]:
 //!
 //! * **Counter-derived streams.** The caller contributes one root `u64`;
 //!   job `index` seeds its private RNG from [`stream_seed`]`(root, index)`.

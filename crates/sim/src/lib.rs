@@ -15,13 +15,11 @@
 //! and messages, and the realised precision-violation rates that verify
 //! the `(δ, ε, p)` guarantee.
 //!
-//! For million-node overlays, [`flat::run_flat`] runs a sharded
-//! deterministic simulation directly over the flat
-//! [`digest_net::NodeStore`], timed by a calendar [`events::EventQueue`]
-//! (cost ∝ due ticks, not the horizon) — per-shard counter-split RNG
-//! streams, lock-free claim/publish, ordered merge
-//! ([`digest_sampling::par`]) — so worker counts {1, k} produce
-//! byte-identical reports.
+//! For overlays far above paper scale, [`flat::run_flat`] builds a MEMORY
+//! world (BA overlay on the one [`digest_net::Graph`]) and a PRED3+RPT
+//! engine at a configured node count and calls [`runner::run`] — nothing
+//! else. It and [`events::EventQueue`] have no caller in the workspace;
+//! both stay only because `benchmark/` (frozen) times them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +32,7 @@ pub mod runner;
 pub mod trace;
 
 pub use events::EventQueue;
-pub use flat::{run_flat, FlatReport, FlatSimConfig};
+pub use flat::{run_flat, FlatSimConfig};
 pub use parallel::{run_replications, summarize, MetricSummary};
 pub use runner::{run, run_mux, run_observed, run_ticks, RunConfig};
 pub use trace::{RunReport, TraceRecord};

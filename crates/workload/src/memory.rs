@@ -208,27 +208,37 @@ impl MemoryWorkload {
         // 1. Churn.
         let events = self.churn.step(&mut self.graph, &mut self.rng);
         self.churn_events += events.len() as u64;
-        for event in events {
-            match event {
-                ChurnEvent::Left(node) => {
-                    if self.db.has_node(node) {
-                        self.db.remove_node(node).expect("fragment existed");
-                    }
-                    self.units.retain(|u| u.handle.node != node);
+        // Departures first, then one order-preserving pass over the units
+        // for all of them: node ids are never reused, so a unit is on a
+        // departed node exactly when the overlay no longer contains its
+        // node. Doing it before the joiners' pushes keeps `units` within its
+        // initial capacity.
+        let mut any_left = false;
+        for event in &events {
+            if let ChurnEvent::Left(node) = *event {
+                if self.db.has_node(node) {
+                    self.db.remove_node(node).expect("fragment existed");
                 }
-                ChurnEvent::Joined(node) => {
-                    self.db.register_node(node);
-                    for _ in 0..self.config.units_per_join {
-                        let offset = self.config.offset_std * gaussian(&mut self.rng);
-                        let ar = self.config.ar_std * gaussian(&mut self.rng);
-                        let value = (self.config.mean + offset + ar).max(0.0);
-                        let handle = self
-                            .db
-                            .insert(node, Tuple::single(value))
-                            .expect("node just registered");
-                        self.units.push(Unit { handle, offset, ar });
-                        self.update_records += 1;
-                    }
+                any_left = true;
+            }
+        }
+        if any_left {
+            let graph = &self.graph;
+            self.units.retain(|u| graph.contains(u.handle.node));
+        }
+        for event in events {
+            if let ChurnEvent::Joined(node) = event {
+                self.db.register_node(node);
+                for _ in 0..self.config.units_per_join {
+                    let offset = self.config.offset_std * gaussian(&mut self.rng);
+                    let ar = self.config.ar_std * gaussian(&mut self.rng);
+                    let value = (self.config.mean + offset + ar).max(0.0);
+                    let handle = self
+                        .db
+                        .insert(node, Tuple::single(value))
+                        .expect("node just registered");
+                    self.units.push(Unit { handle, offset, ar });
+                    self.update_records += 1;
                 }
             }
         }
@@ -371,6 +381,35 @@ mod tests {
             assert!(w.graph().contains(handle.node), "fragment on departed node");
         }
         assert!(w.db().total_tuples() > 0);
+    }
+
+    #[test]
+    fn departures_in_one_step_drop_exactly_their_units() {
+        let mut w = MemoryWorkload::new(MemoryConfig {
+            leave_prob: 0.05,
+            join_rate: 3.0,
+            update_prob: 0.0,
+            ..MemoryConfig::reduced(400, 200, 200)
+        });
+        let before_nodes: Vec<_> = w.graph().nodes().collect();
+        let before_bound = w.graph().id_upper_bound();
+        let mut expected: Vec<TupleHandle> = w.units.iter().map(|u| u.handle).collect();
+        w.second();
+        let departed: Vec<_> = before_nodes
+            .into_iter()
+            .filter(|&n| !w.graph().contains(n))
+            .collect();
+        assert!(departed.len() >= 2, "departed = {departed:?}");
+        // The filter `second` used to run once per departure.
+        for node in departed {
+            expected.retain(|h| h.node != node);
+        }
+        let units: Vec<TupleHandle> = w.units.iter().map(|u| u.handle).collect();
+        let (survivors, joined) = units.split_at(expected.len());
+        assert_eq!(survivors, expected);
+        assert_eq!(joined.len(), 3 * w.config().units_per_join);
+        assert!(joined.iter().all(|h| h.node.0 as usize >= before_bound));
+        assert_eq!(w.db().total_tuples(), units.len());
     }
 
     #[test]
