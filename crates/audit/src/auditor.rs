@@ -170,7 +170,7 @@ impl Auditor {
         }
 
         if digest_telemetry::events_enabled() {
-            let mut fields = vec![
+            let fields = [
                 ("estimate", Field::F64(estimate)),
                 ("exact", Field::F64(exact)),
                 ("error", Field::F64(error)),
@@ -179,11 +179,10 @@ impl Auditor {
                 ("panel", Field::U64(panel)),
                 ("messages", Field::U64(messages)),
                 ("query", Field::U64(self.config.query_index)),
+                ("round", Field::U64(round.unwrap_or(0))),
             ];
-            if let Some(round) = round {
-                fields.push(("round", Field::U64(round)));
-            }
-            digest_telemetry::emit("audit.occasion", &fields);
+            let used = fields.len() - usize::from(round.is_none());
+            digest_telemetry::emit("audit.occasion", &fields[..used]);
         }
     }
 

@@ -9,12 +9,20 @@
 //! the oracle-visible database each tick and tallies exactly the messages
 //! each baseline would have sent on the identical data stream, giving a
 //! per-query cost comparison with zero cross-run noise.
+//!
+//! The filter table mirrors the database's own `(node, slot)` layout — one
+//! row per node id, one entry per slot — so a tick is one pass over
+//! [`P2PDatabase::iter`] with an indexed lookup per tuple, and once the
+//! rows have grown to the database's slot counts that pass never touches
+//! the heap (DESIGN.md §14).
 
-use digest_db::{Expr, P2PDatabase, Predicate, TupleHandle};
-use std::collections::BTreeMap;
-use std::mem;
+use digest_db::{Expr, P2PDatabase, Predicate};
 
-/// Per-tuple filter state.
+/// `seen` stamp of an entry no `observe` call has reached yet (the tick
+/// counter starts at 1 and cannot get here).
+const NEVER: u64 = u64::MAX;
+
+/// Per-slot filter state.
 #[derive(Debug, Clone, Copy)]
 struct FilterEntry {
     /// The value as of the previous tick (change detection for `ALL`).
@@ -22,7 +30,23 @@ struct FilterEntry {
     /// The value last shipped through the `ALL+FILTER` filter (the
     /// filter's centre; escape when `|v − shipped| > ε`).
     shipped: f64,
+    /// Generation of the tuple this state belongs to: a reused slot is a
+    /// different tuple.
+    generation: u32,
+    /// `totals.ticks` of the `observe` call that last saw this slot hold
+    /// a qualifying tuple. State carries over only from the immediately
+    /// preceding call, so anything that dropped out in between — deleted,
+    /// node departed, predicate false — needs no pruning: it is simply
+    /// new again when it reappears.
+    seen: u64,
 }
+
+const VACANT: FilterEntry = FilterEntry {
+    last: 0.0,
+    shipped: 0.0,
+    generation: 0,
+    seen: NEVER,
+};
 
 /// Totals the ledger has accumulated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,8 +65,10 @@ pub struct MessageLedger {
     epsilon: f64,
     expr: Expr,
     predicate: Predicate,
-    entries: BTreeMap<TupleHandle, FilterEntry>,
-    scratch: BTreeMap<TupleHandle, FilterEntry>,
+    /// `rows[node][slot]`, grown on demand and never shrunk.
+    rows: Vec<Vec<FilterEntry>>,
+    /// Entries stamped by the latest `observe` call.
+    tracked: usize,
     totals: LedgerTotals,
 }
 
@@ -55,8 +81,8 @@ impl MessageLedger {
             epsilon,
             expr,
             predicate,
-            entries: BTreeMap::new(),
-            scratch: BTreeMap::new(),
+            rows: Vec::new(),
+            tracked: 0,
             totals: LedgerTotals::default(),
         }
     }
@@ -67,13 +93,15 @@ impl MessageLedger {
     /// value must reach the origin either way); afterwards `ALL` pays for
     /// every value change while `ALL+FILTER` pays only for changes that
     /// escape the width-`2ε` filter, recentring the filter on each ship.
-    /// Departed tuples are dropped from the filter table.
+    /// A tuple that did not qualify on the immediately preceding call is
+    /// new: its filter state is gone and it ships again.
+    ///
+    /// xtask: no-alloc
     pub fn observe(&mut self, db: &P2PDatabase) {
+        let previous = self.totals.ticks;
         self.totals.ticks += 1;
-        // Rebuild the entry table each tick: surviving tuples carry their
-        // filter state over, departed tuples fall away.
-        let mut next = mem::take(&mut self.scratch);
-        next.clear();
+        let tick = self.totals.ticks;
+        self.tracked = 0;
         for (handle, tuple) in db.iter() {
             if !self.predicate.eval(tuple).unwrap_or(false) {
                 continue;
@@ -81,35 +109,33 @@ impl MessageLedger {
             let Ok(value) = self.expr.eval(tuple) else {
                 continue;
             };
-            let entry = match self.entries.get(&handle) {
-                None => {
-                    // New tuple: both baselines ship the initial value.
-                    self.totals.all_messages += 1;
-                    self.totals.filter_messages += 1;
-                    FilterEntry {
-                        last: value,
-                        shipped: value,
-                    }
-                }
-                Some(&prev) => {
-                    let mut entry = prev;
-                    // Bit comparison: any representational change is a
-                    // change the source would push (exact float equality
-                    // is the intended semantics here, not tolerance).
-                    if value.to_bits() != prev.last.to_bits() {
-                        self.totals.all_messages += 1;
-                    }
-                    if (value - prev.shipped).abs() > self.epsilon {
-                        self.totals.filter_messages += 1;
-                        entry.shipped = value;
-                    }
-                    entry.last = value;
-                    entry
-                }
+            let (node, slot) = (handle.node.0 as usize, handle.slot as usize);
+            let entry = match self.rows.get_mut(node).and_then(|row| row.get_mut(slot)) {
+                Some(entry) => entry,
+                None => grow(&mut self.rows, node, slot),
             };
-            next.insert(handle, entry);
+            if entry.seen == previous && entry.generation == handle.generation {
+                // Bit comparison: any representational change is a
+                // change the source would push (exact float equality
+                // is the intended semantics here, not tolerance).
+                if value.to_bits() != entry.last.to_bits() {
+                    self.totals.all_messages += 1;
+                }
+                if (value - entry.shipped).abs() > self.epsilon {
+                    self.totals.filter_messages += 1;
+                    entry.shipped = value;
+                }
+            } else {
+                // New tuple: both baselines ship the initial value.
+                self.totals.all_messages += 1;
+                self.totals.filter_messages += 1;
+                entry.shipped = value;
+                entry.generation = handle.generation;
+            }
+            entry.last = value;
+            entry.seen = tick;
+            self.tracked += 1;
         }
-        self.scratch = mem::replace(&mut self.entries, next);
     }
 
     /// The accumulated baseline totals.
@@ -121,7 +147,131 @@ impl MessageLedger {
     /// Tuples currently tracked by the filter table.
     #[must_use]
     pub fn tracked(&self) -> usize {
-        self.entries.len()
+        self.tracked
+    }
+}
+
+/// Extends the table to cover `(node, slot)` — the only place the ledger
+/// allocates, reached once per slot the database ever hands out.
+#[cold]
+fn grow(rows: &mut Vec<Vec<FilterEntry>>, node: usize, slot: usize) -> &mut FilterEntry {
+    if rows.len() <= node {
+        rows.resize_with(node + 1, Vec::new);
+    }
+    let row = &mut rows[node];
+    if row.len() <= slot {
+        row.resize(slot + 1, VACANT);
+    }
+    &mut row[slot]
+}
+
+/// The `BTreeMap` implementation this table replaced, kept verbatim as
+/// the model the proptest below holds the dense table to.
+#[cfg(test)]
+mod reference {
+    use super::LedgerTotals;
+    use digest_db::{Expr, P2PDatabase, Predicate, TupleHandle};
+    use std::collections::BTreeMap;
+    use std::mem;
+
+    /// Per-tuple filter state.
+    #[derive(Debug, Clone, Copy)]
+    struct FilterEntry {
+        /// The value as of the previous tick (change detection for `ALL`).
+        last: f64,
+        /// The value last shipped through the `ALL+FILTER` filter (the
+        /// filter's centre; escape when `|v − shipped| > ε`).
+        shipped: f64,
+    }
+
+    /// Same-run message accounting for the `ALL` / `ALL+FILTER` baselines.
+    #[derive(Debug)]
+    pub struct MessageLedger {
+        epsilon: f64,
+        expr: Expr,
+        predicate: Predicate,
+        entries: BTreeMap<TupleHandle, FilterEntry>,
+        scratch: BTreeMap<TupleHandle, FilterEntry>,
+        totals: LedgerTotals,
+    }
+
+    impl MessageLedger {
+        /// Builds a ledger for the query's expression/predicate with filter
+        /// half-width `epsilon`.
+        #[must_use]
+        pub fn new(expr: Expr, predicate: Predicate, epsilon: f64) -> Self {
+            Self {
+                epsilon,
+                expr,
+                predicate,
+                entries: BTreeMap::new(),
+                scratch: BTreeMap::new(),
+                totals: LedgerTotals::default(),
+            }
+        }
+
+        /// Observes one tick of database state and charges both baselines.
+        ///
+        /// A tuple's first appearance ships under both baselines (the initial
+        /// value must reach the origin either way); afterwards `ALL` pays for
+        /// every value change while `ALL+FILTER` pays only for changes that
+        /// escape the width-`2ε` filter, recentring the filter on each ship.
+        /// Departed tuples are dropped from the filter table.
+        pub fn observe(&mut self, db: &P2PDatabase) {
+            self.totals.ticks += 1;
+            // Rebuild the entry table each tick: surviving tuples carry their
+            // filter state over, departed tuples fall away.
+            let mut next = mem::take(&mut self.scratch);
+            next.clear();
+            for (handle, tuple) in db.iter() {
+                if !self.predicate.eval(tuple).unwrap_or(false) {
+                    continue;
+                }
+                let Ok(value) = self.expr.eval(tuple) else {
+                    continue;
+                };
+                let entry = match self.entries.get(&handle) {
+                    None => {
+                        // New tuple: both baselines ship the initial value.
+                        self.totals.all_messages += 1;
+                        self.totals.filter_messages += 1;
+                        FilterEntry {
+                            last: value,
+                            shipped: value,
+                        }
+                    }
+                    Some(&prev) => {
+                        let mut entry = prev;
+                        // Bit comparison: any representational change is a
+                        // change the source would push (exact float equality
+                        // is the intended semantics here, not tolerance).
+                        if value.to_bits() != prev.last.to_bits() {
+                            self.totals.all_messages += 1;
+                        }
+                        if (value - prev.shipped).abs() > self.epsilon {
+                            self.totals.filter_messages += 1;
+                            entry.shipped = value;
+                        }
+                        entry.last = value;
+                        entry
+                    }
+                };
+                next.insert(handle, entry);
+            }
+            self.scratch = mem::replace(&mut self.entries, next);
+        }
+
+        /// The accumulated baseline totals.
+        #[must_use]
+        pub fn totals(&self) -> LedgerTotals {
+            self.totals
+        }
+
+        /// Tuples currently tracked by the filter table.
+        #[must_use]
+        pub fn tracked(&self) -> usize {
+            self.entries.len()
+        }
     }
 }
 
@@ -134,8 +284,9 @@ impl MessageLedger {
 )]
 mod tests {
     use super::*;
-    use digest_db::{P2PDatabase, Schema, Tuple};
+    use digest_db::{P2PDatabase, Schema, Tuple, TupleHandle};
     use digest_net::NodeId;
+    use proptest::prelude::*;
 
     fn db_with(values: &[f64]) -> (P2PDatabase, Vec<TupleHandle>) {
         let mut db = P2PDatabase::new(Schema::single("a"));
@@ -236,5 +387,183 @@ mod tests {
         let t = ledger.totals();
         assert_eq!(t.all_messages, 2);
         assert_eq!(ledger.tracked(), 2);
+    }
+
+    const EPSILON: f64 = 1.0;
+    /// Every tuple's `c`: the accounted population is `a > c`.
+    const THRESHOLD: f64 = 50.0;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert {
+            node: u32,
+            a: f64,
+        },
+        /// `a += by`: steps inside ε, jumps outside it, `0.0` rewrites the
+        /// identical bits.
+        Shift {
+            pick: usize,
+            by: f64,
+        },
+        /// Mirrors `a` around the threshold, flipping the predicate.
+        Cross {
+            pick: usize,
+        },
+        Delete {
+            pick: usize,
+        },
+        /// Delete, then insert at the same node: the slot is reused under
+        /// a bumped generation.
+        Replace {
+            pick: usize,
+            a: f64,
+        },
+        RemoveNode {
+            node: u32,
+        },
+        /// Remove (if present) and re-register the node, then insert: the
+        /// new handles collide with the departed tuples'.
+        Rejoin {
+            node: u32,
+            values: Vec<f64>,
+        },
+        Observe,
+        ObserveTwice,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let value = || 44.0f64..56.0;
+        prop_oneof![
+            (0u32..6, value()).prop_map(|(node, a)| Op::Insert { node, a }),
+            (0usize..64, -0.4f64..0.4).prop_map(|(pick, by)| Op::Shift { pick, by }),
+            (0usize..64, 1.5f64..6.0).prop_map(|(pick, by)| Op::Shift { pick, by }),
+            (0usize..64, -6.0f64..-1.5).prop_map(|(pick, by)| Op::Shift { pick, by }),
+            (0usize..64).prop_map(|pick| Op::Shift { pick, by: 0.0 }),
+            (0usize..64).prop_map(|pick| Op::Cross { pick }),
+            (0usize..64).prop_map(|pick| Op::Delete { pick }),
+            (0usize..64, value()).prop_map(|(pick, a)| Op::Replace { pick, a }),
+            (0u32..6).prop_map(|node| Op::RemoveNode { node }),
+            (0u32..6, prop::collection::vec(value(), 1..4))
+                .prop_map(|(node, values)| Op::Rejoin { node, values }),
+            Just(Op::Observe),
+            Just(Op::Observe),
+            Just(Op::ObserveTwice),
+        ]
+    }
+
+    /// The database under test plus the live handles the ops pick from.
+    struct World {
+        db: P2PDatabase,
+        live: Vec<TupleHandle>,
+    }
+
+    impl World {
+        fn insert(&mut self, node: NodeId, a: f64) {
+            if self.db.has_node(node) {
+                let tuple = Tuple::new(vec![a, THRESHOLD]);
+                self.live.push(self.db.insert(node, tuple).unwrap());
+            }
+        }
+
+        fn picked(&self, pick: usize) -> Option<TupleHandle> {
+            (!self.live.is_empty()).then(|| self.live[pick % self.live.len()])
+        }
+
+        fn delete(&mut self, handle: TupleHandle) {
+            assert!(self.db.delete(handle).unwrap());
+            self.live.retain(|&h| h != handle);
+        }
+
+        fn remove_node(&mut self, node: NodeId) {
+            if self.db.has_node(node) {
+                self.db.remove_node(node).unwrap();
+                self.live.retain(|h| h.node != node);
+            }
+        }
+
+        fn apply(&mut self, op: &Op) {
+            match *op {
+                Op::Insert { node, a } => self.insert(NodeId(node), a),
+                Op::Shift { pick, by } => {
+                    if let Some(h) = self.picked(pick) {
+                        let a = self.db.read(h).unwrap().values()[0] + by;
+                        self.db.update(h, &[a, THRESHOLD]).unwrap();
+                    }
+                }
+                Op::Cross { pick } => {
+                    if let Some(h) = self.picked(pick) {
+                        let a = 2.0 * THRESHOLD - self.db.read(h).unwrap().values()[0];
+                        self.db.update(h, &[a, THRESHOLD]).unwrap();
+                    }
+                }
+                Op::Delete { pick } => {
+                    if let Some(h) = self.picked(pick) {
+                        self.delete(h);
+                    }
+                }
+                Op::Replace { pick, a } => {
+                    if let Some(h) = self.picked(pick) {
+                        self.delete(h);
+                        self.insert(h.node, a);
+                        let new = self.live[self.live.len() - 1];
+                        assert_eq!((new.node, new.slot), (h.node, h.slot));
+                        assert_ne!(new.generation, h.generation);
+                    }
+                }
+                Op::RemoveNode { node } => self.remove_node(NodeId(node)),
+                Op::Rejoin { node, ref values } => {
+                    self.remove_node(NodeId(node));
+                    self.db.register_node(NodeId(node));
+                    for &a in values {
+                        self.insert(NodeId(node), a);
+                    }
+                }
+                Op::Observe | Op::ObserveTwice => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The `BTreeMap` ledger is the oracle for the dense table: the
+        /// same totals and the same tracked count after every `observe`,
+        /// whatever happened to the database in between.
+        #[test]
+        fn dense_table_matches_the_map_reference(
+            nodes in 1u32..7,
+            ops in prop::collection::vec(op_strategy(), 0..120),
+        ) {
+            let schema = Schema::new(["a", "c"]);
+            let expr = Expr::first_attr(&schema);
+            let predicate = Predicate::parse("a > c", &schema).unwrap();
+            let mut world = World { db: P2PDatabase::new(schema), live: Vec::new() };
+            for node in 0..nodes {
+                world.db.register_node(NodeId(node));
+                // One tuple on each side of the threshold.
+                world.insert(NodeId(node), THRESHOLD + 2.0);
+                world.insert(NodeId(node), THRESHOLD - 2.0);
+            }
+            let mut ledger = MessageLedger::new(expr.clone(), predicate.clone(), EPSILON);
+            let mut model = reference::MessageLedger::new(expr, predicate, EPSILON);
+            for op in &ops {
+                world.apply(op);
+                let observes = match op {
+                    Op::Observe => 1,
+                    Op::ObserveTwice => 2,
+                    _ => 0,
+                };
+                for _ in 0..observes {
+                    ledger.observe(&world.db);
+                    model.observe(&world.db);
+                    prop_assert_eq!(ledger.totals(), model.totals());
+                    prop_assert_eq!(ledger.tracked(), model.tracked());
+                }
+            }
+            ledger.observe(&world.db);
+            model.observe(&world.db);
+            prop_assert_eq!(ledger.totals(), model.totals());
+            prop_assert_eq!(ledger.tracked(), model.tracked());
+        }
     }
 }

@@ -11,8 +11,8 @@
 
 use crate::trace::{RunReport, TraceRecord};
 use digest_core::{
-    CoreError, MuxObserver, NoopObserver, QueryMux, QuerySystem, Result, TickContext, TickObserver,
-    TickOutcome,
+    ContinuousQuery, CoreError, MuxObserver, NoopObserver, QueryMux, QuerySystem, Result,
+    TickContext, TickObserver, TickOutcome,
 };
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use digest_workload::Workload;
@@ -248,12 +248,43 @@ pub fn run_observed<W: Workload, S: QuerySystem + ?Sized>(
     })
 }
 
+/// Groups mux members by the question they ask: `classes[i]` is the
+/// truth class of `ids[i]`, numbered in order of first appearance, and two
+/// members share a class iff their `(op, expr, predicate)` are equal. The
+/// oracle reads nothing else of a query, so one scan per class per tick
+/// yields, bit for bit, the value each member's own scan would. An id the
+/// mux does not know gets no class (`usize::MAX`).
+fn truth_classes(mux: &QueryMux, ids: &[u64]) -> Vec<usize> {
+    let mut asked: Vec<&ContinuousQuery> = Vec::new();
+    ids.iter()
+        .map(|&id| {
+            let Some(q) = mux.query(id) else {
+                return usize::MAX;
+            };
+            let same = |a: &&ContinuousQuery| {
+                a.op == q.op && a.expr == q.expr && a.predicate == q.predicate
+            };
+            asked.iter().position(same).unwrap_or_else(|| {
+                asked.push(q);
+                asked.len() - 1
+            })
+        })
+        .collect()
+}
+
 /// Runs a [`QueryMux`] against `workload`, recording one per-tick trace
 /// *per member query* (ascending query id). Mirrors [`run_observed`], but
 /// each member gets its own oracle truth (its query's exact aggregate),
 /// its own `tick` event (disambiguated by a `query` field), and its own
 /// observer callback — with the coalesced round's trace id attached when
 /// the member's occasion was served from a shared sampling round.
+///
+/// The oracle is evaluated once per *truth class* per executed tick, not
+/// once per member: members whose `(op, expr, predicate)` are equal ask
+/// the same question of the same database, so the first of them to report
+/// scans the relation and the rest are handed the same `f64`. `exact` is
+/// therefore bit-identical to a per-member scan — same tuples, same
+/// order, same arithmetic — whatever the members' `(δ, ε, p)` contracts.
 ///
 /// The member set must stay fixed for the duration of the run (register
 /// before calling; dynamic arrival/departure workloads drive the mux
@@ -279,30 +310,47 @@ pub fn run_mux<W: Workload>(
 
     let capacity = usize::try_from(config.horizon(workload)).unwrap_or(0);
     let ids = mux.query_ids();
-    let records: BTreeMap<u64, Vec<TraceRecord>> = ids
+    let classes = truth_classes(mux, &ids);
+    // This tick's truth per class (at most one class per member), filled
+    // by the first member of the class to report.
+    let truths = vec![None; ids.len()];
+    let members: BTreeMap<u64, (usize, Vec<TraceRecord>)> = ids
         .iter()
-        .map(|&id| (id, Vec::with_capacity(capacity)))
+        .zip(classes)
+        .map(|(&id, class)| (id, (class, Vec::with_capacity(capacity))))
         .collect();
 
-    let mut state = (&mut *mux, observer, records);
+    let mut state = (&mut *mux, observer, members, truths);
     run_ticks(
         workload,
         config,
         rng,
         &mut state,
-        |(mux, observer, records), workload, ctx, rng| {
+        |(mux, observer, members, truths), workload, ctx, rng| {
+            truths.fill(None);
             for o in &mux.on_tick_mux(ctx, rng)? {
-                // Each member's ground truth is its own query's oracle.
-                let exact = mux
-                    .query(o.query)
-                    .and_then(|q| q.oracle(ctx.db))
-                    .unwrap_or_else(|| workload.exact_aggregate());
+                // Each member's ground truth is its own query's oracle,
+                // scanned once per tick for the member's whole class.
+                let scan = || {
+                    mux.query(o.query)
+                        .and_then(|q| q.oracle(ctx.db))
+                        .unwrap_or_else(|| workload.exact_aggregate())
+                };
+                let member = members.get_mut(&o.query);
+                let exact = match member
+                    .as_ref()
+                    .and_then(|(class, _)| truths.get_mut(*class))
+                {
+                    Some(truth) => *truth.get_or_insert_with(scan),
+                    // Not a member when the run started: its own scan.
+                    None => scan(),
+                };
                 // Attribute the member's tick/audit events to the occasion
                 // that produced its current estimate.
                 digest_telemetry::set_trace(o.trace);
                 observer.observe_query(o.query, ctx, &o.outcome, exact, o.round);
                 let record = record_tick(ctx.tick, exact, &o.outcome, Some(o.query));
-                if let Some(trace) = records.get_mut(&o.query) {
+                if let Some((_, trace)) = member {
                     trace.push(record);
                 }
             }
@@ -310,7 +358,7 @@ pub fn run_mux<W: Workload>(
         },
         |(mux, ..), now| mux.next_due(now),
     )?;
-    let (.., mut records) = state;
+    let (.., mut members, _) = state;
 
     let workload_name = workload.name().to_owned();
     Ok(ids
@@ -320,7 +368,10 @@ pub fn run_mux<W: Workload>(
             Some(RunReport {
                 system: format!("{}[q{id}]", mux.name()),
                 workload: workload_name.clone(),
-                records: records.remove(&id).unwrap_or_default(),
+                records: members
+                    .remove(&id)
+                    .map(|(_, trace)| trace)
+                    .unwrap_or_default(),
                 delta: query.precision.delta,
                 epsilon: query.precision.epsilon,
             })
@@ -338,7 +389,8 @@ pub fn run_mux<W: Workload>(
 mod tests {
     use super::*;
     use digest_core::{
-        ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision, SchedulerKind,
+        AggregateOp, ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision,
+        SchedulerKind,
     };
     use digest_db::Expr;
     use digest_workload::{MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload};
@@ -650,6 +702,38 @@ mod tests {
         }
     }
 
+    /// The dense sweep `run_mux` must replay: every tick executed, every
+    /// member's `exact` from that member's own oracle scan.
+    fn dense_mux_reference<W: Workload>(
+        workload: &mut W,
+        mux: &mut QueryMux,
+        horizon: u64,
+        rng: &mut dyn RngCore,
+    ) -> BTreeMap<u64, Vec<TraceRecord>> {
+        let mut origin = workload.graph().nodes().next().unwrap();
+        let mut dense: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
+        for tick in 0..horizon {
+            workload.advance_to(tick, rng);
+            if !workload.graph().contains(origin) {
+                origin = workload.graph().random_node(rng).unwrap();
+            }
+            let ctx = TickContext {
+                tick,
+                graph: workload.graph(),
+                db: workload.db(),
+                origin,
+            };
+            for o in mux.on_tick_mux(&ctx, rng).unwrap() {
+                let exact = mux.query(o.query).unwrap().oracle(ctx.db).unwrap();
+                dense
+                    .entry(o.query)
+                    .or_default()
+                    .push(record_tick(tick, exact, &o.outcome, None));
+            }
+        }
+        dense
+    }
+
     /// `run_mux` honours the same `Workload` contract through the shared
     /// loop: on the sparse fixture it skips the span before the members'
     /// earliest deadline, and every member's records agree with a dense
@@ -668,29 +752,12 @@ mod tests {
             mux
         };
         const TICKS: u64 = 200;
-        let mut dense: BTreeMap<u64, Vec<TraceRecord>> = BTreeMap::new();
-        {
-            let mut w = FrozenWorkload::new();
-            let mut mux = make_mux();
-            let mut rng = ChaCha8Rng::seed_from_u64(23);
-            let origin = w.graph().nodes().next().unwrap();
-            for tick in 0..TICKS {
-                w.advance_to(tick, &mut rng);
-                let ctx = TickContext {
-                    tick,
-                    graph: w.graph(),
-                    db: w.db(),
-                    origin,
-                };
-                for o in mux.on_tick_mux(&ctx, &mut rng).unwrap() {
-                    let exact = mux.query(o.query).unwrap().oracle(ctx.db).unwrap();
-                    dense
-                        .entry(o.query)
-                        .or_default()
-                        .push(record_tick(tick, exact, &o.outcome, None));
-                }
-            }
-        }
+        let dense = dense_mux_reference(
+            &mut FrozenWorkload::new(),
+            &mut make_mux(),
+            TICKS,
+            &mut ChaCha8Rng::seed_from_u64(23),
+        );
         let mut mux = make_mux();
         let reports = run_mux(
             &mut FrozenWorkload::new(),
@@ -711,6 +778,136 @@ mod tests {
             assert_eq!(dense[&id].len() as u64, TICKS);
             assert_matches_dense(&report.records, &dense[&id]);
         }
+    }
+
+    /// Six members, five questions: two plain `AVG`s that differ only in
+    /// their contract, then a filtered `AVG`, `SUM`, `COUNT(*)` and
+    /// `MEDIAN`. Contracts scale with the world's `sigma` and `tuples`.
+    fn mixed_mux(schema: &digest_db::Schema, threshold: f64, sigma: f64, tuples: f64) -> QueryMux {
+        let a = || Expr::first_attr(schema);
+        let above = digest_db::Predicate::cmp(digest_db::CmpOp::Gt, a(), Expr::Const(threshold));
+        let contract = |delta, epsilon, p| Precision::new(delta, epsilon, p).unwrap();
+        let query = |op, precision| ContinuousQuery::new(op, a(), precision);
+        let mut mux = QueryMux::new(digest_core::MuxConfig::default()).unwrap();
+        for member in [
+            query(AggregateOp::Avg, contract(4.0 * sigma, sigma, 0.9)),
+            query(AggregateOp::Avg, contract(2.0 * sigma, 0.5 * sigma, 0.95)),
+            query(AggregateOp::Avg, contract(4.0 * sigma, sigma, 0.9)).with_predicate(above),
+            query(
+                AggregateOp::Sum,
+                contract(2.0 * tuples * sigma, tuples * sigma, 0.9),
+            ),
+            query(AggregateOp::Count, contract(tuples, 0.25 * tuples, 0.9)),
+            query(AggregateOp::Median, contract(4.0 * sigma, sigma, 0.9)),
+        ] {
+            mux.register(member).unwrap();
+        }
+        mux
+    }
+
+    /// What the truth-class tests pin of one member's `AuditReport`.
+    fn audit_key(report: &digest_audit::AuditReport) -> [u64; 7] {
+        [
+            report.ticks,
+            report.occasions,
+            report.violations,
+            report.resolution_violations,
+            report.digest_messages,
+            report.all_messages,
+            report.filter_messages,
+        ]
+    }
+
+    /// Runs `make_mux()` over `make_workload()` through `run_mux` with a
+    /// `MuxAudit` attached and checks it against the dense per-member
+    /// sweep: the partition is two `AVG`s in one class and four singleton
+    /// classes, every record's `exact` is bit-equal to the member's own
+    /// scan, and the audit reports are the parent commit's.
+    fn assert_truth_classes_replay_member_scans<W: Workload>(
+        make_workload: impl Fn() -> W,
+        make_mux: impl Fn(&W) -> QueryMux,
+        ticks: u64,
+        seed: u64,
+        pinned: [[u64; 7]; 6],
+    ) {
+        let mut w = make_workload();
+        let mut mux = make_mux(&w);
+        let dense = dense_mux_reference(
+            &mut w,
+            &mut mux,
+            ticks,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        );
+
+        let mut w = make_workload();
+        let mut mux = make_mux(&w);
+        let ids = mux.query_ids();
+        assert_eq!(truth_classes(&mux, &ids), [0, 0, 1, 2, 3, 4]);
+        assert_eq!(
+            truth_classes(&mux, &[ids[5], 99, ids[1]]),
+            [0, usize::MAX, 1]
+        );
+        let mut audit = digest_audit::MuxAudit::new();
+        for &id in &ids {
+            audit.register(id, mux.query(id).unwrap()).unwrap();
+        }
+        let reports = run_mux(
+            &mut w,
+            &mut mux,
+            RunConfig::for_ticks(ticks),
+            &mut ChaCha8Rng::seed_from_u64(seed),
+            &mut audit,
+        )
+        .unwrap();
+        assert_eq!(reports.len(), 6);
+        for (report, id) in reports.iter().zip(&ids) {
+            assert!(report.total_snapshots() > 0);
+            assert_matches_dense(&report.records, &dense[id]);
+        }
+        let audited: Vec<[u64; 7]> = audit.reports().iter().map(|(_, r)| audit_key(r)).collect();
+        assert_eq!(audited, pinned);
+    }
+
+    #[test]
+    fn truth_classes_replay_member_scans_on_a_frozen_world() {
+        assert_truth_classes_replay_member_scans(
+            FrozenWorkload::new,
+            |w| mixed_mux(w.db().schema(), 40.0, w.sigma_ref(), 160.0),
+            200,
+            31,
+            [
+                [19, 19, 0, 0, 3253, 160, 160],
+                [19, 19, 0, 0, 3249, 160, 160],
+                [19, 19, 0, 0, 3246, 80, 80],
+                [19, 19, 19, 10, 3242, 160, 160],
+                [19, 19, 10, 0, 3239, 160, 160],
+                [19, 19, 0, 0, 8, 160, 160],
+            ],
+        );
+    }
+
+    #[test]
+    fn truth_classes_replay_member_scans_under_churn() {
+        assert_truth_classes_replay_member_scans(
+            || {
+                MemoryWorkload::new(MemoryConfig {
+                    leave_prob: 0.05,
+                    join_rate: 2.0,
+                    ..MemoryConfig::reduced(80, 40, 2_000)
+                })
+            },
+            |w| mixed_mux(w.db().schema(), 512.0, w.sigma_ref(), 80.0),
+            50,
+            32,
+            [
+                [50, 19, 0, 0, 6010, 1940, 1828],
+                [50, 19, 1, 0, 6008, 1940, 1885],
+                [50, 19, 0, 0, 6005, 984, 942],
+                [50, 19, 19, 31, 6000, 1940, 1765],
+                [50, 19, 0, 0, 5996, 1940, 1778],
+                [50, 19, 0, 0, 757, 1940, 1828],
+            ],
+        );
     }
 
     /// Same equivalence on a churning workload (origin re-election

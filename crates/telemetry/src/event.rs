@@ -12,7 +12,6 @@
 //! same-seed runs produce byte-identical JSONL streams and lets
 //! `cargo xtask determinism` run with telemetry enabled.
 
-use serde_json::{Map, Value};
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -32,13 +31,69 @@ pub enum Field<'a> {
 }
 
 impl Field<'_> {
-    fn to_value(self) -> Value {
+    /// Appends the field's JSON scalar. Every number goes through `f64`
+    /// and the vendored serialiser's own writer, so integers and floats
+    /// render exactly as a `serde_json::Value::Number` would.
+    fn write_json(self, out: &mut String) {
         match self {
-            Field::U64(v) => Value::Number(v as f64),
-            Field::I64(v) => Value::Number(v as f64),
-            Field::F64(v) => Value::Number(v),
-            Field::Bool(v) => Value::Bool(v),
-            Field::Str(v) => Value::String(v.to_owned()),
+            Field::U64(v) => serde_json::write_number(out, v as f64),
+            Field::I64(v) => serde_json::write_number(out, v as f64),
+            Field::F64(v) => serde_json::write_number(out, v),
+            Field::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            Field::Str(v) => serde_json::write_escaped(out, v),
+        }
+    }
+}
+
+/// One `(key, value)` pair of an event.
+type Entry<'a> = (&'static str, Field<'a>);
+
+/// Entries a [`FieldBuf`] holds on the stack: the widest schema
+/// (`audit.occasion`, 9 fields) plus the `kind` / `tick` / `trace`
+/// envelope, with headroom.
+const INLINE_FIELDS: usize = 16;
+
+/// An event's entries, gathered without touching the heap: up to
+/// [`INLINE_FIELDS`] live in a stack array, a longer list (no in-tree
+/// caller has one) moves to a `Vec`.
+pub(crate) struct FieldBuf<'a> {
+    inline: [Entry<'a>; INLINE_FIELDS],
+    len: usize,
+    spill: Vec<Entry<'a>>,
+}
+
+impl<'a> FieldBuf<'a> {
+    pub(crate) fn new() -> Self {
+        Self {
+            inline: [("", Field::Bool(false)); INLINE_FIELDS],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, entry: Entry<'a>) {
+        if self.spill.is_empty() {
+            if let Some(slot) = self.inline.get_mut(self.len) {
+                *slot = entry;
+                self.len += 1;
+                return;
+            }
+            self.spill.extend_from_slice(&self.inline);
+        }
+        self.spill.push(entry);
+    }
+
+    pub(crate) fn extend(&mut self, entries: &[Entry<'a>]) {
+        for &entry in entries {
+            self.push(entry);
+        }
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Entry<'a>] {
+        if self.spill.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
         }
     }
 }
@@ -57,25 +112,43 @@ pub trait EventSink: Send + Sync {
 
 /// Renders an event as one canonical JSON line (no trailing newline).
 ///
-/// Keys serialise in sorted order (the vendored `serde_json` stores
-/// objects in a `BTreeMap`), so the rendering of a given event is a pure
-/// function of its fields — the byte-level determinism the JSONL trace
-/// format relies on.
+/// Keys serialise in sorted order and a repeated key keeps its last
+/// value — what inserting `kind`, `tick` and then the fields into the
+/// vendored `serde_json` object (a `BTreeMap`) and serialising it yields,
+/// byte for byte — so the rendering of a given event is a pure function
+/// of its fields: the byte-level determinism the JSONL trace format
+/// relies on. The line is written straight into one `String`; nothing
+/// else is allocated.
 #[must_use]
 pub fn render_json_line(
     kind: &'static str,
     tick: u64,
     fields: &[(&'static str, Field<'_>)],
 ) -> String {
-    let mut map = Map::new();
-    map.insert("kind".to_owned(), Value::String(kind.to_owned()));
-    map.insert("tick".to_owned(), Value::Number(tick as f64));
-    for (name, field) in fields {
-        map.insert((*name).to_owned(), field.to_value());
+    let mut entries = FieldBuf::new();
+    entries.push(("kind", Field::Str(kind)));
+    entries.push(("tick", Field::U64(tick)));
+    entries.extend(fields);
+    let entries = entries.as_mut_slice();
+    // Stable: equal keys stay in call order, the last one wins below.
+    entries.sort_by_key(|&(key, _)| key);
+
+    let mut line = String::with_capacity(24 * entries.len());
+    line.push('{');
+    for (i, &(key, field)) in entries.iter().enumerate() {
+        if entries.get(i + 1).is_some_and(|&(next, _)| next == key) {
+            continue;
+        }
+        // Not the first entry after the opening brace.
+        if line.len() > 1 {
+            line.push(',');
+        }
+        serde_json::write_escaped(&mut line, key);
+        line.push(':');
+        field.write_json(&mut line);
     }
-    // The vendored serialiser is infallible for object/number/string
-    // values; fall back to an empty object rather than propagating.
-    serde_json::to_string(&Value::Object(map)).unwrap_or_else(|_| "{}".to_owned())
+    line.push('}');
+    line
 }
 
 /// A sink that appends one JSON line per event to an `io::Write` stream
@@ -217,6 +290,141 @@ impl EventSink for MemorySink {
 )]
 mod tests {
     use super::*;
+    use crate::schema::{FieldType, EVENT_SCHEMAS};
+    use serde_json::{Map, Value};
+
+    /// The `serde_json::Map` rendering [`render_json_line`] replaced: the
+    /// reference its bytes are held to.
+    fn render_via_map(kind: &'static str, tick: u64, fields: &[Entry<'_>]) -> String {
+        let to_value = |field: Field<'_>| match field {
+            Field::U64(v) => Value::Number(v as f64),
+            Field::I64(v) => Value::Number(v as f64),
+            Field::F64(v) => Value::Number(v),
+            Field::Bool(v) => Value::Bool(v),
+            Field::Str(v) => Value::String(v.to_owned()),
+        };
+        let mut map = Map::new();
+        map.insert("kind".to_owned(), Value::String(kind.to_owned()));
+        map.insert("tick".to_owned(), Value::Number(tick as f64));
+        for &(name, field) in fields {
+            map.insert(name.to_owned(), to_value(field));
+        }
+        serde_json::to_string(&Value::Object(map)).unwrap()
+    }
+
+    fn assert_same_bytes(kind: &'static str, tick: u64, fields: &[Entry<'_>]) {
+        assert_eq!(
+            render_json_line(kind, tick, fields),
+            render_via_map(kind, tick, fields),
+            "{kind} {fields:?}"
+        );
+    }
+
+    #[test]
+    fn rendering_matches_the_map_reference_on_every_schema_kind() {
+        for schema in EVENT_SCHEMAS {
+            for (round, tick) in [0, 7, u64::MAX].into_iter().enumerate() {
+                let all: Vec<Entry<'_>> = schema
+                    .fields
+                    .iter()
+                    .enumerate()
+                    .map(|(i, spec)| {
+                        let n = (i + round) as u64;
+                        let field = match spec.ty {
+                            FieldType::U64 => Field::U64(n * 1_000_003),
+                            FieldType::F64 => Field::F64(61.25 - n as f64 / 3.0),
+                            FieldType::Bool => Field::Bool(n & 1 == 0),
+                            FieldType::Str => Field::Str(["pred3", "rpt", "patched"][i % 3]),
+                        };
+                        (spec.name, field)
+                    })
+                    .collect();
+                assert_same_bytes(schema.kind, tick, &all);
+                let required: Vec<Entry<'_>> = schema
+                    .fields
+                    .iter()
+                    .zip(&all)
+                    .filter_map(|(spec, &entry)| spec.required.then_some(entry))
+                    .collect();
+                assert_same_bytes(schema.kind, tick, &required);
+                // The `trace` envelope `emit` stamps on, in call order.
+                let mut stamped = all;
+                stamped.push(("trace", Field::U64(3 + tick / 2)));
+                assert_same_bytes(schema.kind, tick, &stamped);
+            }
+        }
+    }
+
+    #[test]
+    fn rendering_matches_the_map_reference_on_awkward_values() {
+        const TWO_53: u64 = 1 << 53;
+        assert_same_bytes("tick", 0, &[]);
+        assert_same_bytes(
+            "span",
+            TWO_53 + 1,
+            &[
+                ("nan", Field::F64(f64::NAN)),
+                ("inf", Field::F64(f64::INFINITY)),
+                ("ninf", Field::F64(f64::NEG_INFINITY)),
+                ("nzero", Field::F64(-0.0)),
+                ("tiny", Field::F64(5e-324)),
+                ("huge", Field::F64(1.797_693_134_862_315_7e308)),
+                ("edge", Field::F64(9_007_199_254_740_992.0)),
+                ("below", Field::U64(TWO_53 - 1)),
+                ("at", Field::U64(TWO_53)),
+                ("above", Field::U64(TWO_53 + 1)),
+                ("max", Field::U64(u64::MAX)),
+                ("imin", Field::I64(i64::MIN)),
+                ("neg", Field::I64(-(1 << 53))),
+            ],
+        );
+        assert_same_bytes(
+            "tick",
+            1,
+            &[
+                ("quote", Field::Str("say \"hi\"")),
+                ("slash", Field::Str("a\\b")),
+                ("ctl", Field::Str("line\nbreak\ttab\r\u{1}\u{1f}")),
+                ("uni", Field::Str("δ ≤ ε — ✓")),
+                ("needs \"escaping\"\n", Field::Bool(true)),
+                ("", Field::Str("")),
+            ],
+        );
+        // A repeated key keeps its last value, the envelope's included.
+        assert_same_bytes(
+            "tick",
+            2,
+            &[
+                ("dup", Field::U64(1)),
+                ("other", Field::Bool(false)),
+                ("dup", Field::Str("second")),
+                ("kind", Field::Str("override")),
+                ("dup", Field::F64(3.5)),
+                ("tick", Field::U64(99)),
+            ],
+        );
+        let line = render_json_line("tick", 2, &[("dup", Field::U64(1)), ("dup", Field::U64(2))]);
+        assert_eq!(line, r#"{"dup":2,"kind":"tick","tick":2}"#);
+    }
+
+    #[test]
+    fn long_field_lists_spill_without_changing_the_bytes() {
+        const NAMES: [&str; 40] = [
+            "f00", "f39", "f01", "f38", "f02", "f37", "f03", "f36", "f04", "f35", "f05", "f34",
+            "f06", "f33", "f07", "f32", "f08", "f31", "f09", "f30", "f10", "f29", "f11", "f28",
+            "f12", "f27", "f13", "f26", "f14", "f25", "f15", "f24", "f16", "f23", "f17", "f22",
+            "f18", "f21", "f19", "f20",
+        ];
+        for len in [INLINE_FIELDS - 3, INLINE_FIELDS - 2, INLINE_FIELDS - 1, 40] {
+            let mut fields: Vec<Entry<'_>> = NAMES[..len]
+                .iter()
+                .enumerate()
+                .map(|(i, &name)| (name, Field::U64(i as u64)))
+                .collect();
+            fields.push((NAMES[0], Field::Str("again")));
+            assert_same_bytes("tick", 5, &fields);
+        }
+    }
 
     #[test]
     fn rendering_is_canonical_and_sorted() {

@@ -210,13 +210,11 @@ pub fn emit(kind: &'static str, fields: &[(&'static str, Field<'_>)]) {
         if trace == 0 {
             sink.emit(kind, tick, fields);
         } else {
-            // Stamp the causal trace id into the envelope. The copy is
-            // cold-path only: we are already past the enabled check and
-            // about to render JSON.
-            let mut stamped = Vec::with_capacity(fields.len() + 1);
-            stamped.extend_from_slice(fields);
+            // Stamp the causal trace id into the envelope.
+            let mut stamped = event::FieldBuf::new();
+            stamped.extend(fields);
             stamped.push(("trace", Field::U64(trace)));
-            sink.emit(kind, tick, &stamped);
+            sink.emit(kind, tick, stamped.as_mut_slice());
         }
     }
 }

@@ -1,0 +1,165 @@
+//! The audited-run budget as a gate that cannot flake (ROADMAP item 5a:
+//! audited ≤ 1.25× plain wall). Wall-clock ratios are too noisy to gate
+//! on; allocation counts repeat exactly, and an observer that never
+//! touches the heap on a steady-state tick is what keeps the ratio inside
+//! the budget. `cargo xtask lint` guards the same property statically
+//! through the `xtask: no-alloc` tag on `MessageLedger::observe`.
+
+use digest::audit::QueryAudit;
+use digest::core::{
+    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision, QuerySystem,
+    SchedulerKind, TickContext, TickObserver,
+};
+use digest::db::Expr;
+use digest::sampling::SamplingConfig;
+use digest::workload::{TemperatureConfig, TemperatureWorkload, Workload};
+use digest_telemetry::MemorySink;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap allocations (and reallocations) made by this thread. Const
+    /// initialised and without a destructor, so reading it from inside
+    /// the allocator allocates nothing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // A thread being torn down has no counter left; nothing to count for.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the wrapper only bumps a counter and
+// never reads or writes through the returned pointers.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, per the
+        // caller's contract and the forwarding above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// What one phase of the run saw of `QueryAudit::observe`.
+#[derive(Debug, Default)]
+struct Phase {
+    idle_ticks: u64,
+    idle_allocs: u64,
+    occasions: u64,
+    occasion_allocs: u64,
+}
+
+#[test]
+fn audit_observation_stays_off_the_heap() {
+    const WARM_UP: u64 = 3;
+    const MEASURED: u64 = 50;
+
+    // The benchmark's `audited` world and engine: paper-scale TEMPERATURE,
+    // one AVG under PRED3+RPT at (δ, ε, p) = (8, 2, 0.95).
+    let mut workload = TemperatureWorkload::new(TemperatureConfig::paper_scale());
+    let query = ContinuousQuery::avg(
+        Expr::first_attr(workload.db().schema()),
+        Precision::new(8.0, 2.0, 0.95).unwrap(),
+    );
+    let mut engine = DigestEngine::new(
+        query,
+        EngineConfig {
+            scheduler: SchedulerKind::Pred(3),
+            estimator: EstimatorKind::Repeated,
+            sampling: SamplingConfig::recommended(workload.graph().node_count()),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let mut audit = QueryAudit::new(engine.query(), 0).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let origin = workload.graph().nodes().next().unwrap();
+
+    let mut tick = 0;
+    let mut run = |ticks: u64| {
+        let mut phase = Phase::default();
+        for _ in 0..ticks {
+            workload.advance_to(tick, &mut rng);
+            digest_telemetry::set_tick(tick);
+            let ctx = TickContext {
+                tick,
+                graph: workload.graph(),
+                db: workload.db(),
+                origin,
+            };
+            let outcome = engine.on_tick(&ctx, &mut rng).unwrap();
+            let exact = engine.oracle_truth(&ctx).unwrap();
+            let before = allocs();
+            audit.observe(&ctx, &outcome, exact);
+            let spent = allocs() - before;
+            if outcome.snapshot_executed {
+                phase.occasions += 1;
+                phase.occasion_allocs += spent;
+            } else {
+                phase.idle_ticks += 1;
+                phase.idle_allocs += spent;
+            }
+            tick += 1;
+        }
+        phase
+    };
+
+    // The ledger's table grows to the database's slot counts on the first
+    // observation; nothing may be left to grow after the warm-up.
+    run(WARM_UP);
+
+    // No sink installed: nothing is rendered, so no tick may allocate —
+    // occasion or not.
+    let quiet = run(MEASURED);
+    assert!(quiet.idle_ticks > 0 && quiet.occasions > 0, "{quiet:?}");
+    assert_eq!(
+        (quiet.idle_allocs, quiet.occasion_allocs),
+        (0, 0),
+        "{quiet:?}"
+    );
+
+    // With a sink, an occasion tick pays for its `audit.occasion` line
+    // (the rendered `String` and the sink's line list) and nothing else.
+    let sink = MemorySink::new();
+    digest_telemetry::install_sink(Box::new(sink.clone()));
+    let traced = run(MEASURED);
+    digest_telemetry::take_sink();
+    let events = sink
+        .lines()
+        .iter()
+        .filter(|line| line.contains("audit.occasion"))
+        .count() as u64;
+    assert!(traced.idle_ticks > 0 && traced.occasions > 0, "{traced:?}");
+    assert_eq!(events, traced.occasions);
+    assert_eq!(traced.idle_allocs, 0, "{traced:?}");
+    assert!(traced.occasion_allocs <= 8 * events, "{traced:?}");
+}
