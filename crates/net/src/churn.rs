@@ -13,9 +13,13 @@
 //! stitching stray components back to the giant component — modelling the
 //! overlay's bootstrap/rejoin machinery, and preserving the paper's
 //! standing assumption that the graph sampled by a walk is connected.
+//! A step almost never partitions a large overlay, so the repair first
+//! tries to prove that from what the step touched (see `repair`) and
+//! scans the graph only when that proof fails.
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
+use crate::topology::stitch_connected;
 use crate::Result;
 use digest_telemetry::{registry as telemetry, Field};
 use rand::Rng;
@@ -62,7 +66,9 @@ pub enum ChurnEvent {
 }
 
 /// The churn process. Stateless apart from its configuration; determinism
-/// comes from the caller's RNG.
+/// comes from the caller's RNG. What a repairing step learns — that it
+/// left the overlay connected — is kept on the [`Graph`], keyed to its
+/// mutation epoch, so the next step can build on it.
 #[derive(Debug, Clone)]
 pub struct ChurnProcess {
     config: ChurnConfig,
@@ -103,21 +109,45 @@ impl ChurnProcess {
     /// Advances the churn process one tick, mutating the graph and
     /// returning the membership events in application order.
     pub fn step<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R) -> Vec<ChurnEvent> {
+        self.step_and_report(g, rng).0
+    }
+
+    /// [`Self::step`], also reporting whether the repair had to scan the
+    /// whole overlay.
+    fn step_and_report<R: Rng + ?Sized>(
+        &self,
+        g: &mut Graph,
+        rng: &mut R,
+    ) -> (Vec<ChurnEvent>, bool) {
         let mut events = Vec::new();
         let cfg = &self.config;
+        let was_connected = g.proven_connected();
+        // What `repair` chains together: the former neighbours of every
+        // departed node, one pre-step survivor, and every joiner.
+        let mut terminals = Vec::new();
 
-        // Leaves.
+        // Leaves: decided over the live list as the step found it, then
+        // applied in that order.
         if cfg.leave_prob > 0.0 {
-            let candidates: Vec<NodeId> = g.nodes().collect();
-            for id in candidates {
-                if g.node_count() <= cfg.min_nodes {
+            let mut remaining = g.node_count();
+            for id in g.nodes() {
+                if remaining <= cfg.min_nodes {
                     break;
                 }
-                if rng.gen_bool(cfg.leave_prob) && g.remove_node(id).is_ok() {
+                if rng.gen_bool(cfg.leave_prob) {
                     events.push(ChurnEvent::Left(id));
+                    remaining -= 1;
+                }
+            }
+            for event in &events {
+                if let ChurnEvent::Left(id) = *event {
+                    terminals.extend_from_slice(g.neighbors(id));
+                    // Cannot fail: `id` came off the live list just now.
+                    let _ = g.remove_node(id);
                 }
             }
         }
+        terminals.extend(g.nodes().next());
 
         // Joins. The clamp keeps the float-to-int cast in-range (join
         // rates are small; 1e9 is far beyond any usable overlay size).
@@ -130,6 +160,7 @@ impl ChurnProcess {
         for _ in 0..joins {
             let new = g.add_node();
             events.push(ChurnEvent::Joined(new));
+            terminals.push(new);
             let peers = g.node_count() - 1;
             let links = cfg.attach_links.min(peers);
             let mut attached = 0usize;
@@ -146,9 +177,7 @@ impl ChurnProcess {
             }
         }
 
-        if cfg.repair_partitions {
-            repair(g, rng);
-        }
+        let scanned = cfg.repair_partitions && repair(g, rng, was_connected, &terminals);
 
         let joined = events
             .iter()
@@ -163,7 +192,7 @@ impl ChurnProcess {
                 &[("joins", Field::U64(joined)), ("leaves", Field::U64(left))],
             );
         }
-        events
+        (events, scanned)
     }
 
     /// Picks an attachment target: uniform, or degree-biased by choosing a
@@ -195,20 +224,108 @@ impl ChurnProcess {
     }
 }
 
-/// Stitches every stray component back to the giant component with a
-/// single random edge.
-fn repair<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
-    loop {
-        let giant = g.largest_component();
-        if giant.len() == g.node_count() || giant.is_empty() {
-            return;
+/// Leaves the overlay connected — stitching every stray component back to
+/// the giant one with a single random edge — and marks it so. Returns
+/// whether that took a scan of the whole graph.
+///
+/// It does not when the overlay was proven connected as the step began
+/// (`was_connected`) and the step's `terminals` — the former neighbours of
+/// every departed node, one pre-step survivor, every joiner — all reach
+/// one another now. That is a proof for any overlay: a step removes no
+/// edge between survivors, so the old path from a survivor to the chosen
+/// one either still stands or first breaks at a departed node, whose
+/// surviving predecessor on it is a terminal; and every joiner is a
+/// terminal itself (two joiners linked only to each other have degree 1
+/// and are still an island, which is why degrees prove nothing). Without
+/// the proof there may be a partition, and which stray gets which anchor
+/// depends on the whole component structure.
+fn repair<R: Rng + ?Sized>(
+    g: &mut Graph,
+    rng: &mut R,
+    was_connected: bool,
+    terminals: &[NodeId],
+) -> bool {
+    let scan = !(was_connected && g.chain_connected(terminals));
+    if scan {
+        stitch_connected(g, rng);
+    }
+    g.mark_connected();
+    scan
+}
+
+/// The scan-every-step implementation `step` replaced, kept verbatim as
+/// the model the proptest below holds it to.
+#[cfg(test)]
+mod reference {
+    use super::{ChurnEvent, ChurnProcess};
+    use crate::graph::{Graph, NodeId};
+    use rand::Rng;
+
+    pub(super) fn step<R: Rng + ?Sized>(
+        process: &ChurnProcess,
+        g: &mut Graph,
+        rng: &mut R,
+    ) -> Vec<ChurnEvent> {
+        let mut events = Vec::new();
+        let cfg = &process.config;
+
+        // Leaves.
+        if cfg.leave_prob > 0.0 {
+            let candidates: Vec<NodeId> = g.nodes().collect();
+            for id in candidates {
+                if g.node_count() <= cfg.min_nodes {
+                    break;
+                }
+                if rng.gen_bool(cfg.leave_prob) && g.remove_node(id).is_ok() {
+                    events.push(ChurnEvent::Left(id));
+                }
+            }
         }
-        let in_giant: std::collections::BTreeSet<NodeId> = giant.iter().copied().collect();
-        let Some(stray) = g.nodes().find(|id| !in_giant.contains(id)) else {
-            return;
-        };
-        let anchor = giant[rng.gen_range(0..giant.len())];
-        let _ = g.add_edge(stray, anchor);
+
+        #[allow(clippy::cast_possible_truncation)]
+        let mut joins = cfg.join_rate.floor().clamp(0.0, 1e9) as usize;
+        let frac = cfg.join_rate - joins as f64;
+        if frac > 0.0 && rng.gen_bool(frac) {
+            joins += 1;
+        }
+        for _ in 0..joins {
+            let new = g.add_node();
+            events.push(ChurnEvent::Joined(new));
+            let peers = g.node_count() - 1;
+            let links = cfg.attach_links.min(peers);
+            let mut attached = 0usize;
+            let mut attempts = 0usize;
+            while attached < links && attempts < 20 * links + 20 {
+                attempts += 1;
+                let target = match process.pick_target(g, new, rng) {
+                    Some(t) => t,
+                    None => break,
+                };
+                if let Ok(true) = g.add_edge(new, target) {
+                    attached += 1;
+                }
+            }
+        }
+
+        if cfg.repair_partitions {
+            repair(g, rng);
+        }
+        events
+    }
+
+    fn repair<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
+        loop {
+            let giant = g.largest_component();
+            if giant.len() == g.node_count() || giant.is_empty() {
+                return;
+            }
+            let in_giant: std::collections::BTreeSet<NodeId> = giant.iter().copied().collect();
+            let Some(stray) = g.nodes().find(|id| !in_giant.contains(id)) else {
+                return;
+            };
+            let anchor = giant[rng.gen_range(0..giant.len())];
+            let _ = g.add_edge(stray, anchor);
+        }
     }
 }
 
@@ -222,7 +339,8 @@ fn repair<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
 mod tests {
     use super::*;
     use crate::topology;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -399,5 +517,268 @@ mod tests {
             (log, g.node_count())
         };
         assert_eq!(run(9), run(9));
+    }
+
+    /// ChaCha8 with a periodic stretch of its words forced to `u64::MAX` —
+    /// the word on which `random_node` picks the newest node and
+    /// `gen_bool(p < 1)` says no. A stretch that covers a joiner's
+    /// `pick_target` makes every attachment attempt fail, which an honest
+    /// stream does about once in 2³² joins.
+    #[derive(Clone)]
+    struct Loaded {
+        inner: ChaCha8Rng,
+        drawn: u64,
+        period: u64,
+        stuck: u64,
+    }
+
+    impl RngCore for Loaded {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let word = self.inner.next_u64();
+            self.drawn += 1;
+            if self.drawn % self.period < self.stuck {
+                u64::MAX
+            } else {
+                word
+            }
+        }
+    }
+
+    fn path(n: usize) -> Graph {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
+        for w in ids.windows(2) {
+            g.add_edge(w[0], w[1]).unwrap();
+        }
+        g
+    }
+
+    /// Two rings that share nothing: an overlay that arrives partitioned.
+    fn two_rings(n: usize) -> Graph {
+        let mut g = topology::ring(n).unwrap();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
+        for i in 0..n {
+            g.add_edge(ids[i], ids[(i + 1) % n]).unwrap();
+        }
+        g
+    }
+
+    fn overlay(shape: u32, n: usize, seed: u64) -> Graph {
+        match shape {
+            0 => topology::barabasi_albert(n.max(4), 1 + n % 3, &mut rng(seed)).unwrap(),
+            1 => topology::ring(n.max(3)).unwrap(),
+            2 => topology::star(n).unwrap(),
+            3 => path(n),
+            4 => two_rings(n.max(3)),
+            _ => topology::complete(2 + n % 2).unwrap(),
+        }
+    }
+
+    /// What happens to the overlay between two steps.
+    #[derive(Debug, Clone)]
+    enum Between {
+        Nothing,
+        /// The step's graph is swapped for a clone of itself.
+        CloneGraph,
+        /// The `k`-th live node (mod n) loses the edge to its first
+        /// neighbour — a bridge on paths, stars and stitched strays.
+        CutEdge(usize),
+        /// A node appears that nobody attached.
+        AddIsolated,
+    }
+
+    fn between_strategy() -> impl Strategy<Value = Between> {
+        prop_oneof![
+            Just(Between::Nothing),
+            Just(Between::Nothing),
+            Just(Between::Nothing),
+            Just(Between::CloneGraph),
+            (0usize..64).prop_map(Between::CutEdge),
+            Just(Between::AddIsolated),
+        ]
+    }
+
+    fn config_strategy() -> impl Strategy<Value = ChurnConfig> {
+        let rates = (
+            prop_oneof![Just(0.0), 0.01f64..0.3, 0.6f64..1.0, Just(1.0)],
+            prop_oneof![Just(0.0), 0.0f64..1.5, 3.0f64..5.0],
+        );
+        (rates, 1usize..4, 0u32..2, 0usize..6, 0u32..6).prop_map(
+            |((leave_prob, join_rate), attach_links, preferential, min_nodes, repair)| {
+                ChurnConfig {
+                    leave_prob,
+                    join_rate,
+                    attach_links,
+                    preferential: preferential == 1,
+                    min_nodes,
+                    repair_partitions: repair != 0,
+                }
+            },
+        )
+    }
+
+    fn same_overlay(a: &Graph, b: &Graph) -> std::result::Result<(), String> {
+        prop_assert!(a.nodes().eq(b.nodes()), "live order differs");
+        for v in a.nodes() {
+            prop_assert_eq!(a.neighbors(v), b.neighbors(v));
+        }
+        prop_assert_eq!(a.edge_count(), b.edge_count());
+        prop_assert_eq!(a.epoch(), b.epoch());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// `step` against the scan-every-step model it replaced, on clones
+        /// of one overlay with cloned RNGs: same events, same overlay down
+        /// to neighbour order, same RNG position after every step — and a
+        /// full scan exactly when the mark was void or the model stitched.
+        #[test]
+        fn step_matches_the_scanning_model(
+            shape in 0u32..6,
+            n in 2usize..40,
+            seed in 0u64..1_000_000,
+            config in config_strategy(),
+            loaded in (40u64..400, 0u64..90),
+            script in prop::collection::vec(between_strategy(), 1..41),
+        ) {
+            let process = ChurnProcess::new(config).unwrap();
+            let unrepaired = ChurnProcess::new(ChurnConfig {
+                repair_partitions: false,
+                ..config
+            })
+            .unwrap();
+            let mut g = overlay(shape, n, seed);
+            let mut model = g.clone();
+            let mut r = Loaded {
+                inner: rng(seed ^ 0x5eed),
+                drawn: 0,
+                period: loaded.0,
+                stuck: loaded.1,
+            };
+            let mut model_r = r.clone();
+            for between in &script {
+                match *between {
+                    Between::Nothing => {}
+                    Between::CloneGraph => g = g.clone(),
+                    Between::CutEdge(k) => {
+                        let v = g.nodes().nth(k % g.node_count().max(1));
+                        if let Some((v, &nb)) = v.and_then(|v| Some((v, g.neighbors(v).first()?))) {
+                            g.remove_edge(v, nb).unwrap();
+                            model.remove_edge(v, nb).unwrap();
+                        }
+                    }
+                    Between::AddIsolated => {
+                        g.add_node();
+                        model.add_node();
+                    }
+                }
+                let proven = g.proven_connected();
+                let mut left_alone = g.clone();
+                reference::step(&unrepaired, &mut left_alone, &mut r.clone());
+
+                let (events, scanned) = process.step_and_report(&mut g, &mut r);
+                let model_events = reference::step(&process, &mut model, &mut model_r);
+                prop_assert_eq!(events, model_events);
+                same_overlay(&g, &model)?;
+                prop_assert_eq!(r.clone().next_u64(), model_r.clone().next_u64());
+                if config.repair_partitions {
+                    prop_assert!(g.is_connected());
+                    prop_assert!(g.proven_connected());
+                    prop_assert_eq!(scanned, !proven || !left_alone.is_connected());
+                } else {
+                    prop_assert!(!scanned && !g.proven_connected());
+                }
+            }
+        }
+    }
+
+    fn quiet() -> ChurnProcess {
+        ChurnProcess::new(ChurnConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn a_bridge_cut_between_steps_voids_the_mark_and_gets_stitched() {
+        let mut g = path(9);
+        let p = quiet();
+        let mut r = rng(11);
+        assert!(p.step_and_report(&mut g, &mut r).1, "arrives unproven");
+        assert!(!p.step_and_report(&mut g, &mut r).1, "nothing changed");
+        g.remove_edge(NodeId(4), NodeId(5)).unwrap();
+        assert!(!g.proven_connected());
+        let (events, scanned) = p.step_and_report(&mut g, &mut r);
+        assert!(events.is_empty() && scanned);
+        assert!(g.is_connected());
+        assert_eq!(g.edge_count(), 8);
+    }
+
+    #[test]
+    fn a_departing_cut_vertex_takes_the_full_path() {
+        let leave_hub = ChurnProcess::new(ChurnConfig {
+            leave_prob: 1.0,
+            min_nodes: 11,
+            ..Default::default()
+        })
+        .unwrap();
+        // `min_nodes` stops the loop after the first live node: the hub.
+        let mut g = topology::star(12).unwrap();
+        let mut r = rng(12);
+        quiet().step(&mut g, &mut r);
+        let (events, scanned) = leave_hub.step_and_report(&mut g, &mut r);
+        assert_eq!(events, vec![ChurnEvent::Left(NodeId(0))]);
+        assert!(scanned && g.is_connected());
+        assert_eq!(g.edge_count(), 10);
+    }
+
+    #[test]
+    fn the_mark_follows_clone_and_not_new() {
+        let mut g = topology::ring(8).unwrap();
+        assert!(!g.proven_connected() && !Graph::new().proven_connected());
+        quiet().step(&mut g, &mut rng(13));
+        assert!(g.proven_connected() && g.clone().proven_connected());
+        let mut edited = g.clone();
+        edited.add_node();
+        assert!(!edited.proven_connected() && g.proven_connected());
+    }
+
+    /// On a large overlay at `churn_100k`'s rates the scan runs once, for
+    /// the unproven arrival, plus once per step that really partitioned it.
+    #[test]
+    fn full_scans_are_as_rare_as_partitions() {
+        let config = ChurnConfig {
+            leave_prob: 2e-5,
+            join_rate: 2.0,
+            attach_links: 3,
+            preferential: true,
+            min_nodes: 8,
+            repair_partitions: true,
+        };
+        let process = ChurnProcess::new(config).unwrap();
+        let unrepaired = ChurnProcess::new(ChurnConfig {
+            repair_partitions: false,
+            ..config
+        })
+        .unwrap();
+        let mut r = rng(14);
+        let mut g = topology::barabasi_albert(20_000, 3, &mut r).unwrap();
+        let (mut scans, mut partitions, mut left) = (0, 0, 0);
+        for _ in 0..200 {
+            let mut left_alone = g.clone();
+            reference::step(&unrepaired, &mut left_alone, &mut r.clone());
+            partitions += usize::from(!left_alone.is_connected());
+            let (events, scanned) = process.step_and_report(&mut g, &mut r);
+            scans += usize::from(scanned);
+            left += events
+                .iter()
+                .filter(|e| matches!(e, ChurnEvent::Left(_)))
+                .count();
+        }
+        assert!(left > 40, "only {left} departures");
+        assert_eq!(scans, 1 + partitions);
     }
 }

@@ -195,7 +195,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Gra
             }
         }
     }
-    stitch_connected(&mut g, rng)?;
+    stitch_connected(&mut g, rng);
     Ok(g)
 }
 
@@ -250,26 +250,36 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
             }
         }
     }
-    stitch_connected(&mut g, rng)?;
+    stitch_connected(&mut g, rng);
     Ok(g)
 }
 
 /// Connects every stray component to the largest one with a single random
-/// edge.
-fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) -> Result<()> {
+/// edge each: the overlay's bootstrap / rejoin service. The one
+/// scan-and-stitch loop of the crate — these builders run it once, the
+/// churn process whenever a step may have partitioned the overlay. Draws
+/// one `gen_range` per stitched component and nothing on a connected graph.
+pub(crate) fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
+    let mut in_giant = Vec::new();
     loop {
         let giant = g.largest_component();
         if giant.len() == g.node_count() {
-            return Ok(());
+            return;
         }
-        let in_giant: std::collections::BTreeSet<NodeId> = giant.iter().copied().collect();
-        let Some(stray) = g.nodes().find(|id| !in_giant.contains(id)) else {
+        in_giant.clear();
+        in_giant.resize(g.id_upper_bound(), false);
+        for v in &giant {
+            in_giant[v.0 as usize] = true;
+        }
+        let Some(stray) = g.nodes().find(|id| !in_giant[id.0 as usize]) else {
             // Giant smaller than node count implies a stray exists; if the
             // scan still finds none, there is nothing left to stitch.
-            return Ok(());
+            return;
         };
         let anchor = giant[rng.gen_range(0..giant.len())];
-        g.add_edge(stray, anchor)?;
+        // Cannot fail: both ends are live, and `anchor` is in the giant
+        // while `stray` is not, so they differ.
+        let _ = g.add_edge(stray, anchor);
     }
 }
 

@@ -17,10 +17,15 @@
 //!   writes.
 //! * **CSR patching.** When the graph changed but the mutation journal
 //!   still covers the gap, [`digest_net::Graph::changes_since`] yields
-//!   the sorted set of dirty node ids; only their CSR rows are re-read
-//!   from the graph while clean rows are block-copied from the previous
-//!   snapshot, all into retained scratch buffers (steady-state: zero
-//!   allocation).
+//!   the sorted set of dirty node ids. The snapshot is patched where it
+//!   changed and in place: the clean row spans between dirty ids slide to
+//!   their new positions in bulk (adjacency and thresholds alike), dirty
+//!   rows are re-read from the graph, and acceptance thresholds are
+//!   re-derived only for the rows of the *changed set* `C` — dirty ids
+//!   plus ids whose captured weight differs from the cached one — and of
+//!   `C`'s neighbours, the only rows an Eq. 12 ratio can have moved in.
+//!   What stays O(n) is what a reuse pays too: capturing the weights and
+//!   comparing them.
 //! * **M–H proposal caching.** The snapshot precomputes, for every
 //!   directed CSR edge `(i, j)`, the Metropolis–Hastings acceptance
 //!   ratio `(w_j·d_i) / (max(w_i, ε)·d_j)` of PAPER.md §V-A Eq. 12 using
@@ -153,51 +158,176 @@ impl OccasionSnapshot {
     }
 
     /// Recomputes the proposal tables (per-edge acceptance thresholds,
-    /// per-node rejection thresholds) from the current CSR + weights.
-    /// O(n + m); runs on every build *and* patch, because a single
-    /// changed weight or degree perturbs the ratios of every incident
-    /// edge (and, through `d_j`, of every edge *pointing at* a dirty
-    /// node).
+    /// per-node rejection thresholds) of every row from the current CSR +
+    /// weights. O(n + m): the cold build's pass — a patch re-derives the
+    /// rows around what changed instead.
     fn recompute_tables(&mut self) {
-        self.accept.clear();
-        self.accept.reserve(self.adjacency.len());
         let upper = self.live.len();
-        self.reject.clear();
-        self.reject.reserve(upper);
+        resize_retained(&mut self.accept, self.adjacency.len(), 0);
+        resize_retained(&mut self.reject, upper, 0);
         for i in 0..upper {
-            let (start, len) = (
-                self.offsets.get(i).copied().unwrap_or(0),
-                self.offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(self.offsets.get(i).copied().unwrap_or(0)),
-            );
-            self.reject.push(lemire_reject_threshold(
-                u64::try_from(len).unwrap_or(u64::MAX),
-            ));
-            let d_i = len as f64;
-            let w_i = self
-                .weights
-                .get(i)
-                .copied()
-                .unwrap_or(0.0)
-                .max(ZERO_WEIGHT_FLOOR);
-            for k in start..start + len {
-                let j = self.adjacency.get(k).map_or(0, |n| n.0 as usize);
-                let w_j = self.weights.get(j).copied().unwrap_or(0.0);
-                let d_j = (self
-                    .offsets
-                    .get(j + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(self.offsets.get(j).copied().unwrap_or(0)))
-                    as f64;
-                self.accept
-                    .push(accept_threshold((w_j * d_i) / (w_i * d_j)));
-            }
+            let degree = self.offsets[i + 1] - self.offsets[i];
+            self.reject[i] = lemire_reject_threshold(degree as u64);
+            self.derive_row(i);
         }
     }
+
+    /// Derives the acceptance thresholds of row `i` from the current CSR +
+    /// weights: the one place the tables evaluate the Eq. 12 ratio.
+    /// xtask: no-alloc
+    fn derive_row(&mut self, i: usize) {
+        let Self {
+            offsets,
+            adjacency,
+            accept,
+            weights,
+            ..
+        } = self;
+        let (start, end) = (offsets[i], offsets[i + 1]);
+        let d_i = (end - start) as f64;
+        let w_i = weights[i].max(ZERO_WEIGHT_FLOOR);
+        for (slot, nb) in accept[start..end].iter_mut().zip(&adjacency[start..end]) {
+            let j = nb.0 as usize;
+            let d_j = (offsets[j + 1] - offsets[j]) as f64;
+            *slot = accept_threshold((weights[j] * d_i) / (w_i * d_j));
+        }
+    }
+
+    /// Brings the CSR rows, liveness and rejection thresholds up to the
+    /// graph's state, given the `dirty` ids (sorted, deduped, complete —
+    /// the contract of [`Graph::changes_since`]) and an id space that did
+    /// not shrink. In place: the clean spans between dirty ids slide to
+    /// their new positions, carrying their thresholds, and only dirty
+    /// rows are re-read from the graph. Clean rows cannot reference
+    /// removed nodes because `remove_node` marks all former neighbors
+    /// dirty. Dirty rows' thresholds are left for the caller to derive.
+    /// xtask: no-alloc
+    fn patch_rows(&mut self, g: &Graph, dirty: &[NodeId]) {
+        let Some(first) = dirty.first().map(|d| d.0 as usize) else {
+            return;
+        };
+        let upper = g.id_upper_bound();
+        let old_total = self.adjacency.len();
+        // Ids past the old bound are all dirty (`add_node` journals them);
+        // their old rows are empty ones at the old end.
+        resize_retained(&mut self.offsets, upper + 1, old_total);
+        resize_retained(&mut self.live, upper, false);
+        resize_retained(&mut self.reject, upper, 0);
+        let Self {
+            offsets,
+            adjacency,
+            accept,
+            reject,
+            live,
+            ..
+        } = self;
+
+        let (gained, lost) = dirty.iter().fold((0, 0), |(gained, lost), &d| {
+            let i = d.0 as usize;
+            (gained + g.degree(d), lost + offsets[i + 1] - offsets[i])
+        });
+        let total = old_total + gained - lost;
+        if total > old_total {
+            resize_retained(adjacency, total, NodeId(0));
+            resize_retained(accept, total, 0);
+        }
+
+        // The clean span after `dirty[r]`, as its old `(start, end)`.
+        let span_after = |offsets: &[usize], r: usize| {
+            let start = offsets[dirty[r].0 as usize + 1];
+            let end = dirty
+                .get(r + 1)
+                .map_or(old_total, |next| offsets[next.0 as usize]);
+            (start, end)
+        };
+        // A span moving left lands on dirty rows' old slots and on slots
+        // that spans before it have left; one moving right, on those that
+        // spans after it have left — so left-movers go first to last,
+        // then right-movers last to first, and nothing clean is
+        // overwritten before it has moved.
+        let mut write = offsets[first];
+        for (r, &d) in dirty.iter().enumerate() {
+            write += g.degree(d);
+            let (start, end) = span_after(offsets, r);
+            if write < start {
+                adjacency.copy_within(start..end, write);
+                accept.copy_within(start..end, write);
+            }
+            write += end - start;
+        }
+        let mut write_end = total;
+        for (r, &d) in dirty.iter().enumerate().rev() {
+            let (start, end) = span_after(offsets, r);
+            let to = write_end - (end - start);
+            if to > start {
+                adjacency.copy_within(start..end, to);
+                accept.copy_within(start..end, to);
+            }
+            write_end = to - g.degree(d);
+        }
+        adjacency.truncate(total);
+        accept.truncate(total);
+
+        // Dirty rows, and the row starts after each re-based by how far
+        // its span moved (`wrapping`: the distance may be negative).
+        let mut write = offsets[first];
+        for (r, &d) in dirty.iter().enumerate() {
+            let i = d.0 as usize;
+            let (start, end) = span_after(offsets, r);
+            let row = g.neighbors(d);
+            offsets[i] = write;
+            adjacency[write..write + row.len()].copy_from_slice(row);
+            live[i] = g.contains(d);
+            reject[i] = lemire_reject_threshold(row.len() as u64);
+            write += row.len();
+            let moved = write.wrapping_sub(start);
+            let next = dirty.get(r + 1).map_or(upper + 1, |next| next.0 as usize);
+            if moved != 0 {
+                for row_start in &mut offsets[i + 1..next] {
+                    *row_start = row_start.wrapping_add(moved);
+                }
+            }
+            write += end - start;
+        }
+    }
+
+    /// Re-derives the thresholds of row `c` and of its neighbours' rows —
+    /// every row a change of `c`'s weight or degree can have moved a ratio
+    /// in — skipping rows whose bit in `done` says this patch has them.
+    /// xtask: no-alloc
+    fn derive_around(&mut self, c: usize, done: &mut [u64]) {
+        self.derive_once(c, done);
+        for k in self.offsets[c]..self.offsets[c + 1] {
+            self.derive_once(self.adjacency[k].0 as usize, done);
+        }
+    }
+
+    /// xtask: no-alloc
+    fn derive_once(&mut self, i: usize, done: &mut [u64]) {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if done[word] & bit == 0 {
+            done[word] |= bit;
+            self.derive_row(i);
+        }
+    }
+}
+
+/// Resizes one of the cache's retained arrays, enlarging its allocation
+/// by an eighth at a time rather than `Vec`'s doubling (the first
+/// allocation is exact). These are the operator's largest buffers, the
+/// id space and edge count of a churning overlay creep rather than jump,
+/// and a doubled `accept` alone would hold 4.8 MB idle at 10⁵ nodes.
+fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if len > v.capacity() {
+        grow_retained(v, len);
+    }
+    v.resize(len, fill);
+}
+
+#[cold]
+fn grow_retained<T>(v: &mut Vec<T>, len: usize) {
+    let capacity = len.max(v.capacity() + v.capacity() / 8);
+    v.reserve_exact(capacity - v.len());
 }
 
 /// Sentinel threshold for "ratio ≥ 1": the walk accepts the proposal
@@ -249,8 +379,8 @@ pub(crate) enum SnapshotRefresh {
     /// snapshot was returned with zero writes.
     Reused,
     /// Incremental path: the mutation journal covered the delta, so only
-    /// dirty CSR rows were re-read (clean rows block-copied) and the
-    /// acceptance table recomputed.
+    /// dirty CSR rows were re-read (clean spans moved in place) and only
+    /// the thresholds around changed nodes re-derived.
     Patched,
 }
 
@@ -284,11 +414,11 @@ pub(crate) struct SnapshotCache {
     epoch: u64,
     /// FNV-1a fingerprint of the captured weight vector.
     weight_fp: u64,
-    /// Per-occasion weight re-evaluation target.
+    /// Per-occasion weight re-evaluation target; after a patch, the
+    /// weights the snapshot held before it.
     weights_scratch: Vec<f64>,
-    /// Double buffers for in-place CSR patching.
-    offsets_scratch: Vec<usize>,
-    adjacency_scratch: Vec<NodeId>,
+    /// One bit per row: thresholds the current patch has re-derived.
+    derived: Vec<u64>,
 }
 
 impl SnapshotCache {
@@ -341,10 +471,12 @@ impl SnapshotCache {
                 telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
                 return Ok((&self.snapshot, SnapshotRefresh::Reused));
             }
-            if let Some(dirty) = g.changes_since(self.epoch) {
-                self.patch_topology(g, &dirty);
-                std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
-                self.snapshot.recompute_tables();
+            // Ids are never reused, so the id space of the graph this
+            // cache is bound to cannot shrink; a smaller one is another
+            // graph's and gets a cold build.
+            let grown = g.id_upper_bound() >= self.snapshot.live.len();
+            if let Some(dirty) = g.changes_since(self.epoch).filter(|_| grown) {
+                self.patch(g, &dirty);
                 self.epoch = epoch;
                 self.weight_fp = fp;
                 telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
@@ -367,9 +499,9 @@ impl SnapshotCache {
         let upper = g.id_upper_bound();
         let snap = &mut self.snapshot;
         snap.offsets.clear();
-        snap.offsets.resize(upper + 1, 0);
+        resize_retained(&mut snap.offsets, upper + 1, 0);
         snap.live.clear();
-        snap.live.resize(upper, false);
+        resize_retained(&mut snap.live, upper, false);
         for v in g.nodes() {
             let i = v.0 as usize;
             if let (Some(live), Some(deg)) = (snap.live.get_mut(i), snap.offsets.get_mut(i + 1)) {
@@ -385,7 +517,7 @@ impl SnapshotCache {
         }
         let total = snap.offsets.get(upper).copied().unwrap_or(0);
         snap.adjacency.clear();
-        snap.adjacency.resize(total, NodeId(0));
+        resize_retained(&mut snap.adjacency, total, NodeId(0));
         for v in g.nodes() {
             // `nodes()` iterates the dense live list, which is *not*
             // id-ordered after churn — write each row at its offset.
@@ -398,14 +530,87 @@ impl SnapshotCache {
         }
     }
 
-    /// Incremental CSR refresh: rows of `dirty` ids (sorted, deduped,
-    /// complete — the contract of [`Graph::changes_since`]) are re-read
-    /// from the graph; every clean row is block-copied from the previous
-    /// snapshot. Clean rows cannot reference removed nodes because
-    /// `remove_node` marks all former neighbors dirty.
-    fn patch_topology(&mut self, g: &Graph, dirty: &[NodeId]) {
-        let upper = g.id_upper_bound();
+    /// Incremental refresh from the journal's `dirty` ids and the freshly
+    /// captured `weights_scratch`: every array ends byte-equal to a cold
+    /// build's. Work is proportional to the changed set `C` — dirty ids
+    /// plus ids whose weight bits changed — and its neighbourhood; the
+    /// weight comparison is the one pass over all ids.
+    /// xtask: no-alloc
+    fn patch(&mut self, g: &Graph, dirty: &[NodeId]) {
         let snap = &mut self.snapshot;
+        let old_upper = snap.live.len();
+        snap.patch_rows(g, dirty);
+        std::mem::swap(&mut snap.weights, &mut self.weights_scratch);
+
+        self.derived.clear();
+        resize_retained(&mut self.derived, snap.live.len().div_ceil(64), 0);
+        for d in dirty {
+            snap.derive_around(d.0 as usize, &mut self.derived);
+        }
+        // Ids past the old bound were all dirty.
+        for i in 0..old_upper {
+            if self.weights_scratch[i].to_bits() != snap.weights[i].to_bits() {
+                snap.derive_around(i, &mut self.derived);
+            }
+        }
+    }
+
+    /// How many rows the last patch re-derived thresholds for.
+    #[cfg(test)]
+    fn rows_derived(&self) -> usize {
+        self.derived.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Evaluates `w` over every live node into `scratch` (0.0 for dead id
+/// slots), validating eagerly.
+fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> Result<()> {
+    let upper = g.id_upper_bound();
+    scratch.clear();
+    resize_retained(scratch, upper, 0.0);
+    for v in g.nodes() {
+        let weight = w.weight(v);
+        if !weight.is_finite() || weight < 0.0 {
+            return Err(SamplingError::InvalidWeight { node: v, weight });
+        }
+        if let Some(slot) = scratch.get_mut(v.0 as usize) {
+            *slot = weight;
+        }
+    }
+    Ok(())
+}
+
+/// The whole-graph patch `SnapshotCache::patch` replaced — every CSR row
+/// re-copied into double buffers with a binary search per node, then
+/// every threshold recomputed — kept verbatim as the model the proptest
+/// below holds the in-place patch to.
+#[cfg(test)]
+mod reference {
+    use super::{accept_threshold, lemire_reject_threshold, OccasionSnapshot};
+    use crate::metropolis::ZERO_WEIGHT_FLOOR;
+    use digest_net::{Graph, NodeId};
+
+    /// Patches `snap` to `g`'s state given the journal's `dirty` ids and
+    /// the newly captured `weights`.
+    pub(super) fn patch(
+        snap: &mut OccasionSnapshot,
+        g: &Graph,
+        dirty: &[NodeId],
+        weights: Vec<f64>,
+    ) {
+        patch_topology(snap, g, dirty);
+        snap.weights = weights;
+        recompute_tables(snap);
+    }
+
+    fn node_id(i: usize) -> NodeId {
+        NodeId(u32::try_from(i).unwrap_or(u32::MAX))
+    }
+
+    fn patch_topology(snap: &mut OccasionSnapshot, g: &Graph, dirty: &[NodeId]) {
+        let mut offsets_scratch = Vec::new();
+        let mut adjacency_scratch = Vec::new();
+        let upper = g.id_upper_bound();
         let old_upper = snap.live.len();
         let is_dirty = |i: usize| dirty.binary_search(&node_id(i)).is_ok();
 
@@ -418,9 +623,9 @@ impl SnapshotCache {
             }
         }
 
-        self.offsets_scratch.clear();
-        self.offsets_scratch.reserve(upper + 1);
-        self.offsets_scratch.push(0);
+        offsets_scratch.clear();
+        offsets_scratch.reserve(upper + 1);
+        offsets_scratch.push(0);
         let mut running = 0usize;
         for i in 0..upper {
             let deg = if is_dirty(i) {
@@ -439,52 +644,67 @@ impl SnapshotCache {
                 0
             };
             running += deg;
-            self.offsets_scratch.push(running);
+            offsets_scratch.push(running);
         }
 
-        self.adjacency_scratch.clear();
-        self.adjacency_scratch.reserve(running);
+        adjacency_scratch.clear();
+        adjacency_scratch.reserve(running);
         for i in 0..upper {
             if is_dirty(i) {
                 if snap.live.get(i).copied().unwrap_or(false) {
-                    self.adjacency_scratch
-                        .extend_from_slice(g.neighbors(node_id(i)));
+                    adjacency_scratch.extend_from_slice(g.neighbors(node_id(i)));
                 }
             } else if i < old_upper {
                 let start = snap.offsets.get(i).copied().unwrap_or(0);
                 let end = snap.offsets.get(i + 1).copied().unwrap_or(0);
-                self.adjacency_scratch
-                    .extend_from_slice(snap.adjacency.get(start..end).unwrap_or(&[]));
+                adjacency_scratch.extend_from_slice(snap.adjacency.get(start..end).unwrap_or(&[]));
             }
         }
 
-        std::mem::swap(&mut snap.offsets, &mut self.offsets_scratch);
-        std::mem::swap(&mut snap.adjacency, &mut self.adjacency_scratch);
+        std::mem::swap(&mut snap.offsets, &mut offsets_scratch);
+        std::mem::swap(&mut snap.adjacency, &mut adjacency_scratch);
     }
-}
 
-/// `NodeId` from a CSR slot index (ids above `u32::MAX` cannot exist:
-/// `Graph::add_node` saturates there).
-fn node_id(i: usize) -> NodeId {
-    NodeId(u32::try_from(i).unwrap_or(u32::MAX))
-}
-
-/// Evaluates `w` over every live node into `scratch` (0.0 for dead id
-/// slots), validating eagerly.
-fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> Result<()> {
-    let upper = g.id_upper_bound();
-    scratch.clear();
-    scratch.resize(upper, 0.0);
-    for v in g.nodes() {
-        let weight = w.weight(v);
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(SamplingError::InvalidWeight { node: v, weight });
-        }
-        if let Some(slot) = scratch.get_mut(v.0 as usize) {
-            *slot = weight;
+    fn recompute_tables(snap: &mut OccasionSnapshot) {
+        snap.accept.clear();
+        snap.accept.reserve(snap.adjacency.len());
+        let upper = snap.live.len();
+        snap.reject.clear();
+        snap.reject.reserve(upper);
+        for i in 0..upper {
+            let (start, len) = (
+                snap.offsets.get(i).copied().unwrap_or(0),
+                snap.offsets
+                    .get(i + 1)
+                    .copied()
+                    .unwrap_or(0)
+                    .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0)),
+            );
+            snap.reject.push(lemire_reject_threshold(
+                u64::try_from(len).unwrap_or(u64::MAX),
+            ));
+            let d_i = len as f64;
+            let w_i = snap
+                .weights
+                .get(i)
+                .copied()
+                .unwrap_or(0.0)
+                .max(ZERO_WEIGHT_FLOOR);
+            for k in start..start + len {
+                let j = snap.adjacency.get(k).map_or(0, |n| n.0 as usize);
+                let w_j = snap.weights.get(j).copied().unwrap_or(0.0);
+                let d_j = (snap
+                    .offsets
+                    .get(j + 1)
+                    .copied()
+                    .unwrap_or(0)
+                    .saturating_sub(snap.offsets.get(j).copied().unwrap_or(0)))
+                    as f64;
+                snap.accept
+                    .push(accept_threshold((w_j * d_i) / (w_i * d_j)));
+            }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -497,8 +717,10 @@ fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> R
 mod tests {
     use super::*;
     use digest_net::topology;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -830,5 +1052,193 @@ mod tests {
         let (_, kind) = cache.refresh(&g, &w, true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+    }
+
+    /// One edit to the overlay or the weight table between refreshes;
+    /// node operands index the live list (mod its length).
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A node joins with one link (grows the id space).
+        Join(usize),
+        /// A node joins and attaches to the highest-degree node.
+        JoinHub,
+        Leave(usize),
+        AddEdge(usize, usize),
+        RemoveEdge(usize),
+        SetWeight(usize, f64),
+        /// One edge toggled until the journal overflows.
+        Storm,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..64).prop_map(Op::Join),
+            Just(Op::JoinHub),
+            (0usize..64).prop_map(Op::Leave),
+            (0usize..64, 0usize..64).prop_map(|(a, b)| Op::AddEdge(a, b)),
+            (0usize..64).prop_map(Op::RemoveEdge),
+            (0usize..64, 0.0f64..4.0).prop_map(|(k, w)| Op::SetWeight(k, w)),
+            (0usize..64, 0.0f64..4.0).prop_map(|(k, w)| Op::SetWeight(k, w)),
+            (0usize..64).prop_map(|k| Op::SetWeight(k, 0.0)),
+            Just(Op::Storm),
+        ]
+    }
+
+    fn apply(op: &Op, g: &mut Graph, table: &mut Vec<f64>) {
+        let live: Vec<NodeId> = g.nodes().collect();
+        let pick = |k: usize| live[k % live.len()];
+        match *op {
+            Op::Join(k) => {
+                let v = g.add_node();
+                g.add_edge(v, pick(k)).unwrap();
+            }
+            Op::JoinHub => {
+                let hub = live.iter().copied().max_by_key(|&v| g.degree(v)).unwrap();
+                let v = g.add_node();
+                g.add_edge(v, hub).unwrap();
+            }
+            Op::Leave(k) if live.len() > 2 => g.remove_node(pick(k)).unwrap(),
+            Op::Leave(_) => {}
+            Op::AddEdge(a, b) => {
+                let _ = g.add_edge(pick(a), pick(b));
+            }
+            Op::RemoveEdge(k) => {
+                if let Some(&nb) = g.neighbors(pick(k)).first() {
+                    g.remove_edge(pick(k), nb).unwrap();
+                }
+            }
+            Op::SetWeight(k, w) => {
+                let i = pick(k).0 as usize;
+                if table.len() <= i {
+                    table.resize(i + 1, 1.0);
+                }
+                table[i] = w;
+            }
+            Op::Storm => {
+                let (a, b) = (pick(0), pick(1));
+                let had = g.has_edge(a, b);
+                for _ in 0..600 {
+                    g.add_edge(a, b).unwrap();
+                    g.remove_edge(a, b).unwrap();
+                }
+                if had {
+                    g.add_edge(a, b).unwrap();
+                }
+            }
+        }
+    }
+
+    /// `|C| + Σ_{c ∈ C} deg(c)` for the changed set between `before` and
+    /// the graph's and `weights`' current state.
+    fn change_bound(g: &Graph, dirty: &[NodeId], before: &[f64], weights: &[f64]) -> usize {
+        let mut changed: BTreeSet<usize> = dirty.iter().map(|d| d.0 as usize).collect();
+        changed.extend((0..before.len()).filter(|&i| before[i].to_bits() != weights[i].to_bits()));
+        changed
+            .iter()
+            .map(|&c| 1 + g.degree(NodeId(c as u32)))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Arbitrary edits between refreshes: whatever way a refresh is
+        /// served, all six arrays equal a cold build's; a patch also
+        /// equals the whole-graph patch it replaced, and re-derives no
+        /// more rows than the changed set and its neighbours have.
+        #[test]
+        fn every_refresh_equals_a_cold_build(
+            shape in (0u32..3, 8usize..48, 0u64..1000),
+            rounds in prop::collection::vec(prop::collection::vec(op_strategy(), 0..7), 1..12),
+        ) {
+            let (kind, n, seed) = shape;
+            let mut g = match kind {
+                0 => topology::barabasi_albert(n, 2, &mut rng(seed)).unwrap(),
+                1 => topology::ring(n).unwrap(),
+                _ => topology::star(n).unwrap(),
+            };
+            let mut table: Vec<f64> = Vec::new();
+            let mut cache = SnapshotCache::new();
+            cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+            for ops in &rounds {
+                let before = cache.snapshot.clone();
+                let (mark, fp) = cache.key().unwrap();
+                for op in ops {
+                    apply(op, &mut g, &mut table);
+                }
+                let w = |v: NodeId| table.get(v.0 as usize).copied().unwrap_or(1.0);
+                let (_, served) = cache.refresh(&g, &w, true).unwrap();
+                let cold = OccasionSnapshot::build(&g, &w).unwrap();
+                assert_snapshots_equal(&cache.snapshot, &cold);
+
+                let unchanged = g.epoch() == mark && cold.weights == before.weights;
+                let stormed = ops.iter().any(|op| matches!(op, Op::Storm));
+                match served {
+                    SnapshotRefresh::Reused => {
+                        prop_assert!(unchanged);
+                        prop_assert_eq!(cache.key().unwrap(), (mark, fp));
+                    }
+                    SnapshotRefresh::Built => prop_assert!(stormed),
+                    SnapshotRefresh::Patched => {
+                        prop_assert!(!unchanged);
+                        let dirty = g.changes_since(mark).unwrap();
+                        let bound = change_bound(&g, &dirty, &before.weights, &cold.weights);
+                        prop_assert!(cache.rows_derived() <= bound);
+                        let mut model = before;
+                        reference::patch(&mut model, &g, &dirty, cold.weights.clone());
+                        assert_snapshots_equal(&cache.snapshot, &model);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A weight that changes on a node the journal never saw must still
+    /// reach the rows pointing at that node, and no others.
+    #[test]
+    fn weight_change_on_a_clean_node_rederives_its_neighbourhood_only() {
+        let g = topology::barabasi_albert(300, 3, &mut rng(21)).unwrap();
+        let mut cache = SnapshotCache::new();
+        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+        let target = NodeId(150);
+        let w = |v: NodeId| if v == target { 0.125 } else { 1.0 };
+        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        assert_eq!(kind, SnapshotRefresh::Patched);
+        assert_eq!(cache.rows_derived(), 1 + g.degree(target));
+        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+    }
+
+    /// The O(change) property as a count: one join and one leave on a
+    /// 20 000-node overlay re-derive the rows of the changed set and its
+    /// neighbours — a few percent of the table even when a hub is among
+    /// them — and move everything else without looking at it.
+    #[test]
+    fn one_join_and_one_leave_rederive_a_sliver_of_a_large_overlay() {
+        let mut g = topology::barabasi_albert(20_000, 3, &mut rng(22)).unwrap();
+        let w = |v: NodeId| f64::from(v.0 % 5) + 1.0;
+        let mut cache = SnapshotCache::new();
+        cache.refresh(&g, &w, true).unwrap();
+        let before = cache.snapshot.weights.clone();
+        let mark = g.epoch();
+
+        let hub = g.nodes().max_by_key(|&v| g.degree(v)).unwrap();
+        let joiner = g.add_node();
+        for target in [hub, NodeId(4_321), NodeId(17)] {
+            g.add_edge(joiner, target).unwrap();
+        }
+        g.remove_node(NodeId(9_876)).unwrap();
+
+        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        assert_eq!(kind, SnapshotRefresh::Patched);
+        let cold = OccasionSnapshot::build(&g, &w).unwrap();
+        assert_snapshots_equal(&cache.snapshot, &cold);
+        let dirty = g.changes_since(mark).unwrap();
+        let rows = cache.rows_derived();
+        assert!(
+            rows > g.degree(hub),
+            "the hub's neighbours point at a new degree"
+        );
+        assert!(rows <= change_bound(&g, &dirty, &before, &cold.weights));
+        assert!(rows * 20 < g.id_upper_bound(), "{rows} rows re-derived");
     }
 }
