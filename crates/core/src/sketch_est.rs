@@ -194,7 +194,7 @@ impl SketchSweepEstimator {
             let mut fingerprint = FNV_OFFSET;
             let mut qualifying = 0u64;
             let mut values: Vec<f64> = Vec::new();
-            for tuple in db.iter_node(node) {
+            for (_, tuple) in db.iter_node(node) {
                 if predicate.eval(tuple)? {
                     let value = expr.eval(tuple)?;
                     fingerprint = fnv_fold(fingerprint, value.to_bits());

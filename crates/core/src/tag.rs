@@ -174,8 +174,7 @@ impl QuerySystem for TreeAggregationEngine {
                 continue; // fragmented subtree: data silently lost
             }
             if ctx.db.has_node(node) {
-                for (handle, tuple) in ctx.db.iter().filter(|(h, _)| h.node == node) {
-                    let _ = handle;
+                for (_, tuple) in ctx.db.iter_node(node) {
                     if !self.query.predicate.eval(tuple).unwrap_or(false) {
                         continue;
                     }

@@ -10,11 +10,13 @@
 use crate::error::DbError;
 use crate::expr::Expr;
 use crate::predicate::Predicate;
-use crate::store::LocalStore;
-use crate::tuple::{Schema, Tuple, TupleHandle};
+use crate::store::{LocalStore, StoreRows};
+use crate::tuple::{RowView, Schema, Tuple, TupleHandle};
 use crate::Result;
 use digest_net::NodeId;
 use rand::Rng;
+use std::iter::Zip;
+use std::ops::RangeFrom;
 
 /// The peer-to-peer database: schema + per-node fragments.
 #[derive(Debug, Clone)]
@@ -50,7 +52,7 @@ impl P2PDatabase {
             self.fragments.resize_with(idx + 1, || None);
         }
         if self.fragments[idx].is_none() {
-            self.fragments[idx] = Some(LocalStore::new());
+            self.fragments[idx] = Some(LocalStore::new(self.schema.arity()));
         }
     }
 
@@ -90,7 +92,7 @@ impl P2PDatabase {
             });
         }
         let store = self.store_mut(node)?;
-        let (slot, generation) = store.insert(tuple);
+        let (slot, generation) = store.insert(&tuple);
         self.total_tuples += 1;
         Ok(TupleHandle {
             node,
@@ -114,13 +116,13 @@ impl P2PDatabase {
         Ok(deleted)
     }
 
-    /// Reads the tuple behind a handle.
+    /// Reads the tuple behind a handle, in place.
     ///
     /// # Errors
     ///
     /// * [`DbError::UnknownNode`] if the node departed.
     /// * [`DbError::StaleHandle`] if the tuple was deleted.
-    pub fn read(&self, handle: TupleHandle) -> Result<&Tuple> {
+    pub fn read(&self, handle: TupleHandle) -> Result<RowView<'_>> {
         let store = self.store(handle.node)?;
         store
             .get(handle.slot, handle.generation)
@@ -142,13 +144,38 @@ impl P2PDatabase {
                 expected: self.schema.arity(),
             });
         }
-        let store = self.store_mut(handle.node)?;
-        let tuple = store
-            .get_mut(handle.slot, handle.generation)
-            .ok_or(DbError::StaleHandle)?;
-        tuple.values_mut().copy_from_slice(values);
+        self.row_mut(handle)?.copy_from_slice(values);
         digest_telemetry::registry::DB_UPDATES.inc();
         Ok(())
+    }
+
+    /// Updates many tuples in place: `write(k, row)` is handed the stored
+    /// attribute values of `handles[k]`, in order, to overwrite. Equivalent
+    /// to one [`P2PDatabase::update`] per handle — same checks, same rows
+    /// written — except that the update tally is bumped once for the whole
+    /// batch (a world that rewrites every tuple every tick pays for the
+    /// per-call atomic otherwise).
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::UnknownNode`] / [`DbError::StaleHandle`] at the first
+    /// handle that no longer resolves; the rows before it stay written
+    /// (and counted), the rows from it on are untouched.
+    ///
+    /// xtask: no-alloc
+    pub fn update_rows(
+        &mut self,
+        handles: &[TupleHandle],
+        mut write: impl FnMut(usize, &mut [f64]),
+    ) -> Result<()> {
+        let mut written = 0u64;
+        let outcome = handles.iter().enumerate().try_for_each(|(k, &handle)| {
+            write(k, self.row_mut(handle)?);
+            written += 1;
+            Ok(())
+        });
+        digest_telemetry::registry::DB_UPDATES.add(written);
+        outcome
     }
 
     /// Content size `m_v` of a node (0 for unknown nodes — a weight
@@ -174,9 +201,9 @@ impl P2PDatabase {
         &self,
         node: NodeId,
         rng: &mut R,
-    ) -> Option<(TupleHandle, &Tuple)> {
+    ) -> Option<(TupleHandle, RowView<'_>)> {
         let store = self.fragments.get(node.0 as usize)?.as_ref()?;
-        let (slot, generation, tuple) = store.sample_uniform(rng)?;
+        let (slot, generation, row) = store.sample_uniform(rng)?;
         digest_telemetry::registry::DB_LOCAL_SAMPLES.inc();
         Some((
             TupleHandle {
@@ -184,40 +211,36 @@ impl P2PDatabase {
                 slot,
                 generation,
             },
-            tuple,
+            row,
         ))
     }
 
-    /// Iterates over all `(handle, tuple)` pairs (oracle-only: a real peer
-    /// cannot enumerate the database).
-    pub fn iter(&self) -> impl Iterator<Item = (TupleHandle, &Tuple)> + '_ {
-        self.fragments.iter().enumerate().flat_map(|(idx, frag)| {
-            let node = NodeId(u32::try_from(idx).unwrap_or(u32::MAX));
-            frag.iter().flat_map(move |store| {
-                store.iter().map(move |(slot, generation, tuple)| {
-                    (
-                        TupleHandle {
-                            node,
-                            slot,
-                            generation,
-                        },
-                        tuple,
-                    )
-                })
-            })
-        })
+    /// Iterates over all `(handle, row)` pairs, fragments in node-id order
+    /// and each in its store's order (oracle-only: a real peer cannot
+    /// enumerate the database).
+    pub fn iter(&self) -> impl Iterator<Item = (TupleHandle, RowView<'_>)> + '_ {
+        Rows {
+            fragments: (0..).zip(&self.fragments),
+            node: NodeId(0),
+            current: StoreRows::default(),
+        }
     }
 
-    /// Iterates over `node`'s own fragment in live-slot order (empty for
-    /// unknown nodes). Unlike [`P2PDatabase::iter`] this is a legitimate
-    /// peer operation — a node enumerating its local fragment — and is
-    /// what the sketch sweep estimator folds per-node sketch mass from.
-    pub fn iter_node(&self, node: NodeId) -> impl Iterator<Item = &Tuple> + '_ {
-        self.fragments
-            .get(node.0 as usize)
-            .and_then(Option::as_ref)
-            .into_iter()
-            .flat_map(|store| store.iter().map(|(_, _, tuple)| tuple))
+    /// Iterates over `node`'s own fragment as `(handle, row)` pairs, in the
+    /// order [`P2PDatabase::iter`] lists them (empty for unknown nodes).
+    /// Unlike `iter` this is a legitimate peer operation — a node
+    /// enumerating its local fragment — and is what the sketch sweep
+    /// estimator folds per-node sketch mass from.
+    pub fn iter_node(&self, node: NodeId) -> impl Iterator<Item = (TupleHandle, RowView<'_>)> + '_ {
+        let fragment = self.fragments.get(node.0 as usize);
+        Rows {
+            fragments: (0..).zip(&[]),
+            node,
+            current: fragment
+                .and_then(Option::as_ref)
+                .map(LocalStore::rows)
+                .unwrap_or_default(),
+        }
     }
 
     /// Nodes currently holding fragments.
@@ -236,10 +259,7 @@ impl P2PDatabase {
     /// [`DbError::EmptyRelation`] over an empty relation, or any
     /// expression-evaluation error.
     pub fn exact_avg(&self, expr: &Expr) -> Result<f64> {
-        if self.total_tuples == 0 {
-            return Err(DbError::EmptyRelation);
-        }
-        Ok(self.exact_sum(expr)? / self.total_tuples as f64)
+        self.exact_avg_where(expr, &Predicate::True)
     }
 
     /// Oracle: exact `SUM(expression)` over the whole relation (0 when
@@ -249,11 +269,7 @@ impl P2PDatabase {
     ///
     /// Any expression-evaluation error.
     pub fn exact_sum(&self, expr: &Expr) -> Result<f64> {
-        let mut sum = 0.0;
-        for (_, tuple) in self.iter() {
-            sum += expr.eval(tuple)?;
-        }
-        Ok(sum)
+        self.exact_sum_where(expr, &Predicate::True)
     }
 
     /// Oracle: exact `COUNT(*)` over the whole relation.
@@ -292,22 +308,43 @@ impl P2PDatabase {
     ///
     /// Any predicate evaluation error.
     pub fn exact_count_where(&self, predicate: &Predicate) -> Result<usize> {
-        let mut count = 0;
-        for (_, tuple) in self.iter() {
-            if predicate.eval(tuple)? {
-                count += 1;
-            }
-        }
-        Ok(count)
+        // A constant never fails to evaluate, so only the predicate can err.
+        Ok(self.sum_count_where(&Expr::Const(0.0), predicate)?.1)
     }
 
+    /// The one fold behind every oracle aggregate: sum of `expr` and number
+    /// of rows over the tuples satisfying `predicate`, fragments in node-id
+    /// order and each in its store's order — one sequential `+=` chain, so
+    /// the `f64` sum is a function of the stored state alone.
+    ///
+    /// A bare attribute under the trivial predicate (every shipped query)
+    /// skips expression evaluation and adds the attribute's column, in the
+    /// same order and therefore to the same bits.
+    ///
+    /// xtask: no-alloc
     fn sum_count_where(&self, expr: &Expr, predicate: &Predicate) -> Result<(f64, usize)> {
+        let column = match (expr, predicate) {
+            // An out-of-range attribute takes the general arm for its error.
+            (Expr::Attr { index, .. }, Predicate::True) if *index < self.schema.arity() => {
+                Some(*index)
+            }
+            _ => None,
+        };
         let mut sum = 0.0;
         let mut count = 0usize;
-        for (_, tuple) in self.iter() {
-            if predicate.eval(tuple)? {
-                sum += expr.eval(tuple)?;
-                count += 1;
+        for store in self.fragments.iter().flatten() {
+            if let Some(index) = column {
+                for value in store.column(index) {
+                    sum += value;
+                }
+                count += store.len();
+            } else {
+                for (_, _, row) in store.rows() {
+                    if predicate.eval(row)? {
+                        sum += expr.eval(row)?;
+                        count += 1;
+                    }
+                }
             }
         }
         Ok((sum, count))
@@ -325,6 +362,45 @@ impl P2PDatabase {
             .get_mut(node.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(DbError::UnknownNode(node))
+    }
+
+    /// The stored attribute values behind a handle, for writing.
+    fn row_mut(&mut self, handle: TupleHandle) -> Result<&mut [f64]> {
+        self.store_mut(handle.node)?
+            .get_mut(handle.slot, handle.generation)
+            .ok_or(DbError::StaleHandle)
+    }
+}
+
+/// `(handle, row)` pairs, fragment after fragment: the rest of `current`
+/// (node `node`'s store), then every store still in `fragments`.
+struct Rows<'a> {
+    /// Fragments not yet started, by node id.
+    fragments: Zip<RangeFrom<u32>, std::slice::Iter<'a, Option<LocalStore>>>,
+    node: NodeId,
+    current: StoreRows<'a>,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (TupleHandle, RowView<'a>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((slot, generation, row)) = self.current.next() {
+                let handle = TupleHandle {
+                    node: self.node,
+                    slot,
+                    generation,
+                };
+                return Some((handle, row));
+            }
+            let (id, fragment) = self.fragments.next()?;
+            if let Some(store) = fragment {
+                self.node = NodeId(id);
+                self.current = store.rows();
+            }
+        }
     }
 }
 

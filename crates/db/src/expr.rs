@@ -9,7 +9,7 @@
 //! queries as text.
 
 use crate::error::DbError;
-use crate::tuple::{Schema, Tuple};
+use crate::tuple::{RowView, Schema};
 use crate::Result;
 use std::fmt;
 use std::sync::Arc;
@@ -112,18 +112,23 @@ impl Expr {
         }
     }
 
-    /// Evaluates the expression against a tuple.
+    /// Evaluates the expression against a row — a stored [`RowView`] or a
+    /// borrowed owned `&Tuple`.
     ///
     /// # Errors
     ///
-    /// [`DbError::AttributeIndexOutOfRange`] if the tuple is narrower than
+    /// [`DbError::AttributeIndexOutOfRange`] if the row is narrower than
     /// the expression expects.
-    pub fn eval(&self, tuple: &Tuple) -> Result<f64> {
+    pub fn eval<'a>(&self, row: impl Into<RowView<'a>>) -> Result<f64> {
+        self.eval_row(row.into())
+    }
+
+    fn eval_row(&self, row: RowView<'_>) -> Result<f64> {
         match self {
-            Expr::Attr { index, .. } => tuple.value(*index),
+            Expr::Attr { index, .. } => row.value(*index),
             Expr::Const(v) => Ok(*v),
-            Expr::Neg(inner) => Ok(-inner.eval(tuple)?),
-            Expr::Binary { op, lhs, rhs } => Ok(op.apply(lhs.eval(tuple)?, rhs.eval(tuple)?)),
+            Expr::Neg(inner) => Ok(-inner.eval_row(row)?),
+            Expr::Binary { op, lhs, rhs } => Ok(op.apply(lhs.eval_row(row)?, rhs.eval_row(row)?)),
         }
     }
 
@@ -326,6 +331,7 @@ impl Parser<'_> {
 )]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
 
     fn schema() -> Schema {
         Schema::new(["cpu", "memory", "storage", "bandwidth"])

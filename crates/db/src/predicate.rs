@@ -10,7 +10,7 @@
 
 use crate::error::DbError;
 use crate::expr::Expr;
-use crate::tuple::{Schema, Tuple};
+use crate::tuple::{RowView, Schema};
 use crate::Result;
 use std::fmt;
 
@@ -113,18 +113,23 @@ impl Predicate {
         matches!(self, Predicate::True)
     }
 
-    /// Evaluates the predicate against a tuple.
+    /// Evaluates the predicate against a row — a stored [`RowView`] or a
+    /// borrowed owned `&Tuple`.
     ///
     /// # Errors
     ///
     /// Any expression-evaluation error (e.g. attribute out of range).
-    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
+    pub fn eval<'a>(&self, row: impl Into<RowView<'a>>) -> Result<bool> {
+        self.eval_row(row.into())
+    }
+
+    fn eval_row(&self, row: RowView<'_>) -> Result<bool> {
         match self {
             Predicate::True => Ok(true),
-            Predicate::Cmp { op, lhs, rhs } => Ok(op.apply(lhs.eval(tuple)?, rhs.eval(tuple)?)),
-            Predicate::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
-            Predicate::Not(p) => Ok(!p.eval(tuple)?),
+            Predicate::Cmp { op, lhs, rhs } => Ok(op.apply(lhs.eval(row)?, rhs.eval(row)?)),
+            Predicate::And(a, b) => Ok(a.eval_row(row)? && b.eval_row(row)?),
+            Predicate::Or(a, b) => Ok(a.eval_row(row)? || b.eval_row(row)?),
+            Predicate::Not(p) => Ok(!p.eval_row(row)?),
         }
     }
 
@@ -349,6 +354,7 @@ impl PredParser<'_> {
 )]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
 
     fn schema() -> Schema {
         Schema::new(["cpu", "memory", "storage"])

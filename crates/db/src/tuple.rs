@@ -69,7 +69,9 @@ impl Schema {
     }
 }
 
-/// A tuple: one `f64` per schema attribute.
+/// A tuple: one `f64` per schema attribute. This is the *owned* row — the
+/// argument of an insert and the copy a sample carries away; reads of the
+/// stored relation hand out a borrowed [`RowView`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     values: Vec<f64>,
@@ -102,13 +104,7 @@ impl Tuple {
     ///
     /// [`DbError::AttributeIndexOutOfRange`] if out of range.
     pub fn value(&self, index: usize) -> Result<f64> {
-        self.values
-            .get(index)
-            .copied()
-            .ok_or(DbError::AttributeIndexOutOfRange {
-                index,
-                arity: self.values.len(),
-            })
+        RowView::from(self).value(index)
     }
 
     /// All attribute values.
@@ -126,6 +122,62 @@ impl Tuple {
 impl From<f64> for Tuple {
     fn from(v: f64) -> Self {
         Tuple::single(v)
+    }
+}
+
+/// A borrowed row of the stored relation: the attribute values of one
+/// tuple, read in place from its fragment's column store. `Copy`, so it
+/// passes by value; [`RowView::to_tuple`] takes the owned copy a sample
+/// ships back to the querying node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowView<'a> {
+    values: &'a [f64],
+}
+
+impl<'a> RowView<'a> {
+    /// Views a slice of attribute values as a row.
+    #[must_use]
+    pub fn new(values: &'a [f64]) -> Self {
+        Self { values }
+    }
+
+    /// Number of attributes.
+    #[must_use]
+    pub fn arity(self) -> usize {
+        self.values.len()
+    }
+
+    /// Value of attribute `index`.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::AttributeIndexOutOfRange`] if out of range.
+    pub fn value(self, index: usize) -> Result<f64> {
+        self.values
+            .get(index)
+            .copied()
+            .ok_or(DbError::AttributeIndexOutOfRange {
+                index,
+                arity: self.values.len(),
+            })
+    }
+
+    /// All attribute values.
+    #[must_use]
+    pub fn values(self) -> &'a [f64] {
+        self.values
+    }
+
+    /// An owned copy of the row.
+    #[must_use]
+    pub fn to_tuple(self) -> Tuple {
+        Tuple::new(self.values.to_vec())
+    }
+}
+
+impl<'a> From<&'a Tuple> for RowView<'a> {
+    fn from(tuple: &'a Tuple) -> Self {
+        RowView::new(&tuple.values)
     }
 }
 
@@ -187,6 +239,17 @@ mod tests {
             t.value(3).unwrap_err(),
             DbError::AttributeIndexOutOfRange { index: 3, arity: 3 }
         );
+    }
+
+    #[test]
+    fn row_view_reads_like_its_tuple() {
+        let t = Tuple::new(vec![1.0, 2.0, 3.0]);
+        let row = RowView::from(&t);
+        assert_eq!(row.arity(), 3);
+        assert_eq!(row.values(), t.values());
+        assert_eq!(row.value(1).unwrap(), 2.0);
+        assert_eq!(row.value(3).unwrap_err(), t.value(3).unwrap_err());
+        assert_eq!(row.to_tuple(), t);
     }
 
     #[test]

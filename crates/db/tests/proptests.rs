@@ -8,7 +8,9 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_db::{Expr, LocalStore, P2PDatabase, Schema, Tuple, TupleHandle};
+use digest_db::{
+    CmpOp, DbError, Expr, LocalStore, P2PDatabase, Predicate, Schema, Tuple, TupleHandle,
+};
 use digest_net::NodeId;
 use proptest::prelude::*;
 
@@ -29,8 +31,150 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Insert-heavy mix with rare departures, so fragments grow long enough
+/// for the order of a floating-point sum to show in its last bits.
+fn growing_op_strategy() -> impl Strategy<Value = Op> {
+    let insert = || (0u32..8, -1e6f64..1e6).prop_map(|(n, v)| Op::Insert(n, v));
+    prop_oneof![
+        insert(),
+        insert(),
+        insert(),
+        (0usize..256).prop_map(Op::DeleteNth),
+        (0usize..256, -1e6f64..1e6).prop_map(|(i, v)| Op::UpdateNth(i, v)),
+        (0u32..160).prop_map(|n| if n < 8 {
+            Op::RemoveNode(n)
+        } else {
+            Op::DeleteNth(n as usize)
+        }),
+    ]
+}
+
+/// The oracle as it was written before the column store: one pass over
+/// `iter()`, predicate then expression through `eval`, one `+=` chain.
+fn reference_sum_count(
+    db: &P2PDatabase,
+    expr: &Expr,
+    predicate: &Predicate,
+) -> Result<(f64, usize), DbError> {
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    for (_, row) in db.iter() {
+        if predicate.eval(row)? {
+            sum += expr.eval(row)?;
+            count += 1;
+        }
+    }
+    Ok((sum, count))
+}
+
+fn reference_avg(db: &P2PDatabase, expr: &Expr, predicate: &Predicate) -> Result<f64, DbError> {
+    match reference_sum_count(db, expr, predicate)? {
+        (_, 0) => Err(DbError::EmptyRelation),
+        (sum, count) => Ok(sum / count as f64),
+    }
+}
+
+fn bits(value: Result<f64, DbError>) -> Result<u64, DbError> {
+    value.map(f64::to_bits)
+}
+
+/// Checks all six `exact_*` methods against the reference fold for one
+/// question, bit for bit and error for error.
+fn assert_oracle_matches_reference(db: &P2PDatabase, expr: &Expr, predicate: &Predicate) {
+    let reference = reference_sum_count(db, expr, predicate);
+    assert_eq!(
+        bits(db.exact_sum_where(expr, predicate)),
+        bits(reference.clone().map(|(sum, _)| sum)),
+        "SUM({expr}) WHERE {predicate}"
+    );
+    assert_eq!(
+        bits(db.exact_avg_where(expr, predicate)),
+        bits(reference_avg(db, expr, predicate)),
+        "AVG({expr}) WHERE {predicate}"
+    );
+    assert_eq!(
+        db.exact_count_where(predicate),
+        reference_sum_count(db, &Expr::constant(0.0), predicate).map(|(_, count)| count),
+        "COUNT(*) WHERE {predicate}"
+    );
+    if predicate.is_trivial() {
+        assert_eq!(
+            bits(db.exact_sum(expr)),
+            bits(reference.map(|(sum, _)| sum))
+        );
+        assert_eq!(
+            bits(db.exact_avg(expr)),
+            bits(reference_avg(db, expr, predicate))
+        );
+        assert_eq!(db.exact_count(), db.iter().count());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The nested-loop fold (and its bare-attribute fast arm) returns what
+    /// the old `iter()` + `eval` oracle returned, to the last bit, on a
+    /// relation whose fragments have been through inserts, deletes,
+    /// updates and node departures.
+    #[test]
+    fn oracle_fold_matches_the_iter_eval_reference(
+        arity in 1usize..4,
+        ops in prop::collection::vec(growing_op_strategy(), 0..300),
+    ) {
+        let names = ["a", "b", "c"];
+        let mut db = P2PDatabase::new(Schema::new(names[..arity].iter().copied()));
+        for i in 0..8u32 {
+            db.register_node(NodeId(i));
+        }
+        let row = |v: f64| Tuple::new((0..arity).map(|j| v / (j + 1) as f64).collect());
+        let mut live: Vec<TupleHandle> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Insert(node, v) => live.push(db.insert(NodeId(node), row(v)).unwrap()),
+                Op::DeleteNth(i) if !live.is_empty() => {
+                    let _ = db.delete(live.swap_remove(i % live.len()));
+                }
+                Op::UpdateNth(i, v) if !live.is_empty() => {
+                    let _ = db.update(live[i % live.len()], row(v).values());
+                }
+                Op::RemoveNode(node) => {
+                    db.remove_node(NodeId(node)).unwrap();
+                    live.retain(|h| h.node != NodeId(node));
+                    db.register_node(NodeId(node));
+                }
+                Op::DeleteNth(_) | Op::UpdateNth(..) => {}
+            }
+        }
+        let schema = db.schema().clone();
+        let last = Expr::attr(&schema, names[arity - 1]).unwrap();
+        let beyond = Expr::Attr { index: arity, name: "beyond".into() };
+        let positive = Predicate::cmp(CmpOp::Gt, Expr::first_attr(&schema), Expr::constant(0.0));
+        // Always true, but not the `Predicate::True` the fast arm keys on.
+        let roundabout = Predicate::True.not().not();
+        for expr in [
+            Expr::first_attr(&schema),
+            last.clone(),
+            last.clone() * Expr::constant(3.0) - Expr::first_attr(&schema),
+            beyond.clone(),
+            beyond + last,
+        ] {
+            for predicate in [
+                Predicate::True,
+                roundabout.clone(),
+                positive.clone(),
+                positive.clone().not().or(Predicate::cmp(CmpOp::Lt, expr.clone(), Expr::constant(1e5))),
+                Predicate::True.not(),
+            ] {
+                assert_oracle_matches_reference(&db, &expr, &predicate);
+            }
+            // The fast arm and the general arm agree to the bit.
+            prop_assert_eq!(
+                bits(db.exact_sum(&expr)),
+                bits(db.exact_sum_where(&expr, &roundabout))
+            );
+        }
+    }
 
     #[test]
     fn database_counts_stay_consistent(ops in prop::collection::vec(op_strategy(), 0..300)) {
@@ -81,14 +225,14 @@ proptest! {
 
     #[test]
     fn store_slot_generations_prevent_aba(values in prop::collection::vec(-1e6f64..1e6, 1..50)) {
-        let mut store = LocalStore::new();
+        let mut store = LocalStore::new(1);
         let mut stale: Vec<(u32, u32)> = Vec::new();
         for &v in &values {
-            let (slot, generation) = store.insert(Tuple::single(v));
+            let (slot, generation) = store.insert(&Tuple::single(v));
             prop_assert!(store.delete(slot, generation));
             stale.push((slot, generation));
             // Refill (likely reusing the slot).
-            let _ = store.insert(Tuple::single(v + 1.0));
+            let _ = store.insert(&Tuple::single(v + 1.0));
         }
         // No stale handle ever resolves, even though slots were refilled.
         for (slot, generation) in stale {

@@ -91,7 +91,7 @@ impl OracleSampler {
         let target = rng.gen_range(0..total);
         db.iter()
             .nth(target)
-            .map(|(h, t)| (h, t.clone()))
+            .map(|(h, row)| (h, row.to_tuple()))
             .ok_or(SamplingError::EmptyDatabase)
     }
 }

@@ -250,7 +250,7 @@ fn run_slot(
     // lengths until it lands on a content-bearing one (bounded, as in
     // the sequential `sample_tuple`).
     for retry in 0..TUPLE_RETRY_LIMIT {
-        if let Some((handle, tuple)) = db.sample_local(walk.current, &mut rng) {
+        if let Some((handle, row)) = db.sample_local(walk.current, &mut rng) {
             return Ok(SlotOutcome {
                 fresh: task.fresh,
                 end: walk.current,
@@ -262,7 +262,7 @@ fn run_slot(
                 proposals: walk.tally.proposals,
                 accepts: walk.tally.accepts,
                 handle,
-                tuple: tuple.clone(),
+                tuple: row.to_tuple(),
                 cost: SampleCost {
                     walk_messages: walk.tally.hops,
                     report_messages: 1,

@@ -389,8 +389,8 @@ impl SamplingOperator {
             let (node, c) = self.sample_node(g, &w, origin, rng)?;
             cost.walk_messages += c.walk_messages;
             cost.report_messages = c.report_messages;
-            if let Some((handle, tuple)) = db.sample_local(node, rng) {
-                return Ok((handle, tuple.clone(), cost));
+            if let Some((handle, row)) = db.sample_local(node, rng) {
+                return Ok((handle, row.to_tuple(), cost));
             }
         }
         Err(SamplingError::ZeroTotalWeight)
@@ -517,11 +517,7 @@ impl SamplingOperator {
         let w = uniform_weight();
         let (node, cost) = self.sample_node(g, &w, origin, rng)?;
         // The report message ships the node's whole fragment as the batch.
-        let tuples: Vec<Tuple> = db
-            .iter()
-            .filter(|(h, _)| h.node == node)
-            .map(|(_, t)| t.clone())
-            .collect();
+        let tuples: Vec<Tuple> = db.iter_node(node).map(|(_, row)| row.to_tuple()).collect();
         Ok((node, tuples, cost))
     }
 }

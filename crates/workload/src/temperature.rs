@@ -97,8 +97,8 @@ impl TemperatureConfig {
     }
 }
 
+/// Generator state of one sensor unit; its tuple is `handles[i]`.
 struct Unit {
-    handle: TupleHandle,
     offset: f64,
     ar: f64,
 }
@@ -109,6 +109,8 @@ pub struct TemperatureWorkload {
     graph: Graph,
     db: P2PDatabase,
     expr: Expr,
+    /// The units' tuples, in the order `advance` rewrites them.
+    handles: Vec<TupleHandle>,
     units: Vec<Unit>,
     rng: ChaCha8Rng,
     tick: u64,
@@ -136,6 +138,7 @@ impl TemperatureWorkload {
         let node_ids: Vec<NodeId> = graph.nodes().collect();
         let expr = Expr::first_attr(db.schema());
 
+        let mut handles = Vec::with_capacity(config.units);
         let mut units = Vec::with_capacity(config.units);
         let base = base_signal(&config, 0, 0.0);
         for i in 0..config.units {
@@ -146,13 +149,15 @@ impl TemperatureWorkload {
             let handle = db
                 .insert(node, Tuple::single(value))
                 .expect("node registered");
-            units.push(Unit { handle, offset, ar });
+            handles.push(handle);
+            units.push(Unit { offset, ar });
         }
         Self {
             config,
             graph,
             db,
             expr,
+            handles,
             units,
             rng,
             tick: 0,
@@ -196,14 +201,16 @@ impl Workload for TemperatureWorkload {
         self.tick += 1;
         self.drift += self.config.drift_std * gaussian(&mut self.rng);
         let base = base_signal(&self.config, self.tick, self.drift);
-        let innovation_std = self.config.ar_std * (1.0 - self.config.ar_coeff.powi(2)).sqrt();
-        for unit in &mut self.units {
-            unit.ar = self.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut self.rng);
-            let value = base + unit.offset + unit.ar;
-            self.db
-                .update(unit.handle, &[value])
-                .expect("unit handles stay valid (no churn)");
-        }
+        let ar_coeff = self.config.ar_coeff;
+        let innovation_std = self.config.ar_std * (1.0 - ar_coeff.powi(2)).sqrt();
+        let (units, rng) = (&mut self.units, &mut self.rng);
+        self.db
+            .update_rows(&self.handles, |i, row| {
+                let unit = &mut units[i];
+                unit.ar = ar_coeff * unit.ar + innovation_std * gaussian(rng);
+                row[0] = base + unit.offset + unit.ar;
+            })
+            .expect("unit handles stay valid (no churn)");
     }
 
     fn exact_aggregate(&self) -> f64 {
@@ -293,6 +300,42 @@ mod tests {
             changed > 390,
             "almost all units should move, changed = {changed}"
         );
+    }
+
+    /// `advance` as it was before the batched writer: one `update` (and
+    /// one tally bump) per unit.
+    fn advance_per_unit(w: &mut TemperatureWorkload) {
+        w.tick += 1;
+        w.drift += w.config.drift_std * gaussian(&mut w.rng);
+        let base = base_signal(&w.config, w.tick, w.drift);
+        let innovation_std = w.config.ar_std * (1.0 - w.config.ar_coeff.powi(2)).sqrt();
+        for (unit, &handle) in w.units.iter_mut().zip(&w.handles) {
+            unit.ar = w.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut w.rng);
+            let value = base + unit.offset + unit.ar;
+            w.db.update(handle, &[value]).unwrap();
+        }
+    }
+
+    #[test]
+    fn batched_advance_is_the_per_unit_loop() {
+        let (mut batched, mut looped) = (small(), small());
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        for _ in 0..100 {
+            batched.advance(&mut rng);
+            advance_per_unit(&mut looped);
+        }
+        let bits = |w: &TemperatureWorkload| -> Vec<(TupleHandle, u64)> {
+            let rows = w.db().iter();
+            rows.map(|(h, row)| (h, row.values()[0].to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&batched), bits(&looped));
+        assert_eq!(batched.current_tick(), looped.current_tick());
+        assert_eq!(
+            batched.exact_aggregate().to_bits(),
+            looped.exact_aggregate().to_bits()
+        );
+        assert_eq!(batched.rng.next_u64(), looped.rng.next_u64());
     }
 
     #[test]

@@ -163,3 +163,25 @@ fn audit_observation_stays_off_the_heap() {
     assert_eq!(traced.idle_allocs, 0, "{traced:?}");
     assert!(traced.occasion_allocs <= 8 * events, "{traced:?}");
 }
+
+/// The other half of a `solo_loose` / `audited` tick (ROADMAP item 5a):
+/// advancing the paper-scale TEMPERATURE world rewrites 8 000 rows in place
+/// and its oracle is one fold over the fragments' columns — neither may
+/// touch the heap. Statically, `P2PDatabase::update_rows` and the oracle
+/// fold carry the `xtask: no-alloc` tag.
+#[test]
+fn world_advance_and_oracle_stay_off_the_heap() {
+    const TICKS: u64 = 50;
+
+    let mut workload = TemperatureWorkload::new(TemperatureConfig::paper_scale());
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let mut truths = 0.0;
+    let before = allocs();
+    for _ in 0..TICKS {
+        workload.advance(&mut rng);
+        truths += workload.exact_aggregate();
+    }
+    assert_eq!(allocs() - before, 0);
+    assert_eq!(workload.current_tick(), TICKS);
+    assert!(truths.is_finite());
+}
