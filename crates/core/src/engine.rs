@@ -71,6 +71,9 @@ impl Default for EngineConfig {
     }
 }
 
+// One per engine and never moved once built: boxing the big variant would
+// buy nothing but a heap object.
+#[allow(clippy::large_enum_variant)]
 enum EstimatorImpl {
     Indep(IndependentEstimator),
     Rpt(RepeatedEstimator),

@@ -137,8 +137,8 @@ impl IndependentEstimator {
         // Sequential rounds of batch draws: pilot first, then extend until
         // the CLT size is satisfied by the running σ̂ (sizes count
         // *qualifying* samples). Each round requests the current deficit
-        // in one `sample_tuples` batch, which runs the occasion's walks
-        // through the deterministic parallel executor.
+        // in one `sample_batch`, which runs the occasion's walks through
+        // the deterministic parallel executor.
         loop {
             let goal = if qualifying < self.pilot_size as u64 {
                 self.pilot_size
@@ -153,14 +153,14 @@ impl IndependentEstimator {
             let deficit = goal.saturating_sub(usize::try_from(qualifying).unwrap_or(usize::MAX));
             let headroom = max_draws.saturating_sub(usize::try_from(drawn).unwrap_or(usize::MAX));
             let want = deficit.min(headroom).max(1);
-            let batch = operator.sample_tuples(ctx.graph, ctx.db, ctx.origin, want, rng)?;
-            for (handle, tuple, cost) in batch {
+            let batch = operator.sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)?;
+            for (handle, row, cost) in batch.iter() {
                 messages += cost.total();
                 drawn += 1;
-                if !trivial && !predicate.eval(&tuple).unwrap_or(false) {
+                if !trivial && !predicate.eval(row).unwrap_or(false) {
                     continue;
                 }
-                let value = expr.eval(&tuple)?;
+                let value = expr.eval(row)?;
                 if value.is_finite() {
                     moments.push(value);
                     qualifying += 1;

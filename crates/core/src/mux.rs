@@ -19,9 +19,14 @@
 //!
 //! Each round draws one CLT-sized batch (Eq. 6 per member, sized at the
 //! maximum member requirement) through the parallel executor — one
-//! occasion seed, one join — then every member consumes the shared panel,
-//! applies its own predicate, δ-semantics, and scheduling, and receives
-//! its own causal trace id parented to the round's.
+//! occasion seed, one join. The panel is folded once per *question*:
+//! members whose `(expr, predicate)` are equal would push the same values
+//! in the same order into the same moments, so they share one tally
+//! (`question_classes`), and each sampled row is evaluated once per
+//! class, in place in the operator's batch column. Every member then
+//! reads its class's tally under its own `(δ, ε, p)` contract, aggregate
+//! op, δ-semantics and scheduling, and receives its own causal trace id
+//! parented to the round's.
 //!
 //! With sharing disabled the mux degrades to N independent
 //! [`DigestEngine`]s driven in registration order — byte-identical to
@@ -34,6 +39,7 @@ use crate::scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};
 use crate::sketch_est::SketchSweepEstimator;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
+use digest_db::{Expr, Predicate, RowView};
 use digest_sampling::{uniform_weight, SamplingConfig, SamplingOperator, SizeEstimator};
 use digest_stats::{required_sample_size, RunningMoments};
 use digest_telemetry::{Field, Stage};
@@ -421,12 +427,69 @@ impl SharedQuery {
     }
 }
 
-/// Per-query accumulation while a shared round's panel is drawn.
+/// What one question class has folded of a shared round's panel so far.
 #[derive(Debug, Default)]
 struct RoundTally {
     moments: RunningMoments,
     qualifying: u64,
     drawn: u64,
+}
+
+/// Partitions a round's panel members by the question they put to each
+/// sampled row: `classes[i]` is the class of `panel_members[i]`, numbered
+/// in order of first appearance, and two members share a class iff their
+/// `(expr, predicate)` are equal (`op` scales the folded mean afterwards
+/// and `(δ, ε, p)` sizes the panel; neither enters the fold). Every panel
+/// member sees every row of the round, so classmates would fold the same
+/// values in the same order — one [`RoundTally`] per class is, bit for
+/// bit, each member's own. Returns the classes and each class's question.
+fn question_classes<'a>(
+    queries: &'a BTreeMap<u64, SharedQuery>,
+    panel_members: &[u64],
+) -> (Vec<usize>, Vec<(&'a Expr, &'a Predicate)>) {
+    let mut questions: Vec<(&Expr, &Predicate)> = Vec::new();
+    let classes = panel_members
+        .iter()
+        .map(|id| {
+            // Panel members are registered queries; an unknown id gets
+            // no class and is skipped wherever classes are read.
+            let Some(q) = queries.get(id) else {
+                return usize::MAX;
+            };
+            let asked = (&q.query.expr, &q.query.predicate);
+            questions
+                .iter()
+                .position(|&question| question == asked)
+                .unwrap_or_else(|| {
+                    questions.push(asked);
+                    questions.len() - 1
+                })
+        })
+        .collect();
+    (classes, questions)
+}
+
+/// Folds one sampled row into every question class's tally: the class's
+/// predicate and expression are evaluated once, whatever the number of
+/// members asking.
+/// xtask: no-alloc
+fn fold_row(
+    questions: &[(&Expr, &Predicate)],
+    tallies: &mut [RoundTally],
+    row: RowView<'_>,
+) -> Result<()> {
+    for (&(expr, predicate), tally) in questions.iter().zip(tallies) {
+        tally.drawn += 1;
+        if !predicate.is_trivial() && !predicate.eval(row).unwrap_or(false) {
+            continue;
+        }
+        let value = expr.eval(row)?;
+        if value.is_finite() {
+            tally.moments.push(value);
+            tally.qualifying += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Shared-mode state: one operator, one walk pool, one size estimate.
@@ -864,8 +927,9 @@ fn shared_tick(
     }
 
     // --- Draw the shared panel: sequential CLT sizing at the maximum
-    // member requirement (Eq. 6), one `sample_tuples` batch per loop
-    // (one occasion seed, one join through the parallel executor). ---
+    // member requirement (Eq. 6), one `sample_batch` per loop (one
+    // occasion seed, one join through the parallel executor), folded
+    // once per question class. ---
     let any_nontrivial = panel_members.iter().any(|id| {
         state
             .queries
@@ -877,18 +941,16 @@ fn shared_tick(
     } else {
         config.rpt.max_samples
     };
-    let mut tallies: BTreeMap<u64, RoundTally> = panel_members
-        .iter()
-        .map(|&id| (id, RoundTally::default()))
-        .collect();
+    let (classes, questions) = question_classes(&state.queries, &panel_members);
+    let mut tallies: Vec<RoundTally> = questions.iter().map(|_| RoundTally::default()).collect();
     let mut drawn = 0u64;
     let mut empty_database = false;
     state.operator.begin_occasion();
     let eval_span = digest_telemetry::span(Stage::EstimatorEval);
     'rounds: loop {
         let mut want = 0usize;
-        for &id in &panel_members {
-            let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get(&id)) else {
+        for (id, &class) in panel_members.iter().zip(&classes) {
+            let (Some(q), Some(tally)) = (state.queries.get(id), tallies.get(class)) else {
                 continue;
             };
             let target = member_target(config, q, tally)?;
@@ -909,7 +971,7 @@ fn shared_tick(
         }
         let batch = match state
             .operator
-            .sample_tuples(ctx.graph, ctx.db, ctx.origin, want, rng)
+            .sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)
         {
             Ok(batch) => batch,
             // A transiently empty relation is a live condition (§V):
@@ -920,25 +982,10 @@ fn shared_tick(
             }
             Err(other) => return Err(other.into()),
         };
-        for (_handle, tuple, cost) in &batch {
+        for (_handle, row, cost) in batch.iter() {
             round_messages += cost.total();
             drawn += 1;
-            for &id in &panel_members {
-                let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get_mut(&id)) else {
-                    continue;
-                };
-                tally.drawn += 1;
-                if !q.query.predicate.is_trivial()
-                    && !q.query.predicate.eval(tuple).unwrap_or(false)
-                {
-                    continue;
-                }
-                let value = q.query.expr.eval(tuple)?;
-                if value.is_finite() {
-                    tally.moments.push(value);
-                    tally.qualifying += 1;
-                }
-            }
+            fold_row(&questions, &mut tallies, row)?;
         }
     }
     drop(eval_span);
@@ -947,14 +994,14 @@ fn shared_tick(
         // Hold: due members count an (empty) occasion and retry next
         // tick; everyone else idles. Messages spent so far are split
         // across due members.
-        let mut out = Vec::with_capacity(state.queries.len());
-        let due: Vec<u64> = plan.due.clone();
-        let m = due.len().max(1) as u64;
+        let m = plan.due.len().max(1) as u64;
         let share = round_messages / m;
         let remainder = round_messages % m;
-        for (i, &id) in due.iter().enumerate() {
+        let mut held: BTreeMap<u64, u64> = BTreeMap::new();
+        for (i, &id) in plan.due.iter().enumerate() {
+            let messages = share + u64::from((i as u64) < remainder);
+            held.insert(id, messages);
             if let Some(q) = state.queries.get_mut(&id) {
-                let messages = share + u64::from((i as u64) < remainder);
                 q.totals.messages += messages;
                 q.totals.snapshots += 1;
                 state.planner.set_deadline(id, ctx.tick + 1);
@@ -962,27 +1009,26 @@ fn shared_tick(
         }
         state.rounds += 1;
         state.last_round_trace = round_trace;
-        for (&id, q) in &state.queries {
-            let is_due = due.contains(&id);
-            out.push(MuxQueryOutcome {
-                query: id,
-                outcome: TickOutcome {
-                    estimate: q.current_estimate,
-                    updated: false,
-                    snapshot_executed: is_due,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: if is_due {
-                        let i = due.iter().position(|&d| d == id).unwrap_or(0);
-                        share + u64::from((i as u64) < remainder)
-                    } else {
-                        0
+        let out = state
+            .queries
+            .iter()
+            .map(|(&id, q)| {
+                let held = held.get(&id);
+                MuxQueryOutcome {
+                    query: id,
+                    outcome: TickOutcome {
+                        estimate: q.current_estimate,
+                        updated: false,
+                        snapshot_executed: held.is_some(),
+                        samples_this_tick: 0,
+                        fresh_samples_this_tick: 0,
+                        messages_this_tick: held.copied().unwrap_or(0),
                     },
-                },
-                trace: q.trace,
-                round: is_due.then_some(round_trace),
-            });
-        }
+                    trace: q.trace,
+                    round: held.map(|_| round_trace),
+                }
+            })
+            .collect();
         return Ok(out);
     }
 
@@ -994,6 +1040,8 @@ fn shared_tick(
     let share = round_messages / m;
     let remainder = round_messages % m;
     let mut panel_index = 0u64;
+    let mut member_classes = classes.iter();
+    let no_tally = RoundTally::default();
     let mut finalized: BTreeMap<u64, MuxQueryOutcome> = BTreeMap::new();
     for &id in &participants {
         let Some(q) = state.queries.get_mut(&id) else {
@@ -1067,13 +1115,12 @@ fn shared_tick(
             continue;
         }
 
-        let tally = tallies
-            .get(&id)
-            .map_or(RoundTally::default(), |t| RoundTally {
-                moments: t.moments,
-                qualifying: t.qualifying,
-                drawn: t.drawn,
-            });
+        // Panel members are finalised in `panel_members` order, which is
+        // the order `classes` is in.
+        let tally = member_classes
+            .next()
+            .and_then(|&class| tallies.get(class))
+            .unwrap_or(&no_tally);
         let messages = share + u64::from(panel_index < remainder);
         panel_index += 1;
 
@@ -1299,6 +1346,7 @@ mod tests {
     use crate::query::Precision;
     use digest_db::{Expr, P2PDatabase, Predicate, Schema, Tuple};
     use digest_net::{topology, Graph, NodeId};
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1856,5 +1904,677 @@ mod tests {
             }
         }
         assert!(idle_seen, "a steady signal must produce idle ticks");
+    }
+
+    /// A relation emptied mid-run: the three members due at that tick
+    /// hold (an occasion counted, the size round's messages split among
+    /// them, remainder to the first), the two scheduled later idle.
+    #[test]
+    fn emptied_relation_holds_due_members_and_idles_the_rest() {
+        let (graph, mut db) = world(15);
+        let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+        let early = [
+            mux.register(avg_query(16.0, 4.0, 0.9)).unwrap(),
+            mux.register(avg_query(12.0, 4.0, 0.9)).unwrap(),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let tick = |mux: &mut QueryMux, db: &P2PDatabase, tick, rng: &mut ChaCha8Rng| {
+            let ctx = TickContext {
+                tick,
+                graph: &graph,
+                db,
+                origin: NodeId(0),
+            };
+            mux.on_tick_mux(&ctx, rng).unwrap()
+        };
+        for t in 0..8 {
+            tick(&mut mux, &db, t, &mut rng);
+        }
+        let before: Vec<u64> = early
+            .iter()
+            .map(|&id| mux.query_totals(id).unwrap().snapshots)
+            .collect();
+
+        let doomed: Vec<_> = db.iter().map(|(handle, _)| handle).collect();
+        for handle in doomed {
+            db.delete(handle).unwrap();
+        }
+        let schema = Schema::single("a");
+        let sum = ContinuousQuery::new(
+            AggregateOp::Sum,
+            Expr::first_attr(&schema),
+            Precision::new(800.0, 400.0, 0.9).unwrap(),
+        );
+        let late = [
+            mux.register(avg_query(2.0, 2.0, 0.95)).unwrap(),
+            mux.register(sum).unwrap(),
+            mux.register(avg_query(4.0, 2.0, 0.9)).unwrap(),
+        ];
+        let out = tick(&mut mux, &db, 8, &mut rng);
+
+        let seen: Vec<(u64, bool, u64, bool)> = out
+            .iter()
+            .map(|o| {
+                (
+                    o.query,
+                    o.outcome.snapshot_executed,
+                    o.outcome.messages_this_tick,
+                    o.round.is_some(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (early[0], false, 0, false),
+                (early[1], false, 0, false),
+                (late[0], true, 1070, true),
+                (late[1], true, 1069, true),
+                (late[2], true, 1069, true),
+            ]
+        );
+        assert!(out
+            .iter()
+            .all(|o| !o.outcome.updated && o.outcome.samples_this_tick == 0));
+        for (&id, snapshots) in early.iter().zip(before) {
+            assert_eq!(mux.query_totals(id).unwrap().snapshots, snapshots);
+        }
+        for (&id, o) in late.iter().zip(&out[2..]) {
+            let totals = mux.query_totals(id).unwrap();
+            assert_eq!(
+                (totals.messages, totals.snapshots),
+                (o.outcome.messages_this_tick, 1)
+            );
+        }
+    }
+
+    /// The parent commit's `shared_tick`, verbatim but for the name of the
+    /// operator call and of the batch's row binding: one private tally per
+    /// panel member, every sampled row pushed into each of them, and the
+    /// O(members × due) hold path. The oracle `shared_tick` is held to.
+    #[allow(clippy::too_many_lines)]
+    fn shared_tick_per_member(
+        state: &mut SharedState,
+        config: &MuxConfig,
+        ctx: &TickContext<'_>,
+        rng: &mut dyn RngCore,
+    ) -> Result<Vec<MuxQueryOutcome>> {
+        let idle = |state: &SharedState| {
+            state
+                .queries
+                .iter()
+                .map(|(&id, q)| MuxQueryOutcome {
+                    query: id,
+                    outcome: TickOutcome::idle(q.current_estimate),
+                    trace: q.trace,
+                    round: None,
+                })
+                .collect::<Vec<_>>()
+        };
+        if state.queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let plan = state.planner.plan(ctx.tick);
+        if plan.is_empty() {
+            return Ok(idle(state));
+        }
+
+        // A round fires. Allocate its causal trace first so the sampling
+        // events below parent to the round, then one id per member (ascending
+        // id order — deterministic regardless of telemetry enablement).
+        let round_trace = digest_telemetry::begin_trace();
+        digest_telemetry::set_trace(round_trace);
+        let _round_span = digest_telemetry::span(Stage::EngineTick);
+
+        let participants: Vec<u64> = if config.piggyback {
+            state.queries.keys().copied().collect()
+        } else {
+            plan.members()
+        };
+        // Sweep-served members (DESIGN.md §17) are answered by per-member
+        // node sweeps, not the shared tuple panel; CLT sizing, the size
+        // refresh, and the round-cost split cover panel members only.
+        let panel_members: Vec<u64> = participants
+            .iter()
+            .copied()
+            .filter(|id| {
+                state
+                    .queries
+                    .get(id)
+                    .is_some_and(|q| !sweep_served(&q.query.op))
+            })
+            .collect();
+
+        let mut round_messages = 0u64;
+        let needs_size = panel_members.iter().any(|id| {
+            state
+                .queries
+                .get(id)
+                .is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
+        });
+        if needs_size
+            && (state.size_estimate.is_none()
+                || state.rounds_since_size_refresh >= config.size_refresh_rounds)
+        {
+            round_messages += refresh_size_estimate(state, config, ctx, rng)?;
+        }
+
+        // --- Draw the shared panel: sequential CLT sizing at the maximum
+        // member requirement (Eq. 6), one batch per loop
+        // (one occasion seed, one join through the parallel executor). ---
+        let any_nontrivial = panel_members.iter().any(|id| {
+            state
+                .queries
+                .get(id)
+                .is_some_and(|q| !q.query.predicate.is_trivial())
+        });
+        let max_draws = if any_nontrivial {
+            config.rpt.max_samples.saturating_mul(4)
+        } else {
+            config.rpt.max_samples
+        };
+        let mut tallies: BTreeMap<u64, RoundTally> = panel_members
+            .iter()
+            .map(|&id| (id, RoundTally::default()))
+            .collect();
+        let mut drawn = 0u64;
+        let mut empty_database = false;
+        state.operator.begin_occasion();
+        let eval_span = digest_telemetry::span(Stage::EstimatorEval);
+        'rounds: loop {
+            let mut want = 0usize;
+            for &id in &panel_members {
+                let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get(&id)) else {
+                    continue;
+                };
+                let target = member_target(config, q, tally)?;
+                let have = tally.moments.count();
+                if have >= target {
+                    continue;
+                }
+                let sel = if q.query.predicate.is_trivial() {
+                    1.0
+                } else {
+                    q.smoothed_selectivity()
+                };
+                let headroom =
+                    max_draws.saturating_sub(usize::try_from(drawn).unwrap_or(usize::MAX));
+                want = want.max(draws_for_deficit(target - have, sel, headroom));
+            }
+            if want == 0 {
+                break;
+            }
+            let batch = match state
+                .operator
+                .sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)
+            {
+                Ok(batch) => batch,
+                // A transiently empty relation is a live condition (§V):
+                // hold every due member and retry next tick.
+                Err(digest_sampling::SamplingError::EmptyDatabase) => {
+                    empty_database = true;
+                    break 'rounds;
+                }
+                Err(other) => return Err(other.into()),
+            };
+            for (_handle, tuple, cost) in batch.iter() {
+                round_messages += cost.total();
+                drawn += 1;
+                for &id in &panel_members {
+                    let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get_mut(&id))
+                    else {
+                        continue;
+                    };
+                    tally.drawn += 1;
+                    if !q.query.predicate.is_trivial()
+                        && !q.query.predicate.eval(tuple).unwrap_or(false)
+                    {
+                        continue;
+                    }
+                    let value = q.query.expr.eval(tuple)?;
+                    if value.is_finite() {
+                        tally.moments.push(value);
+                        tally.qualifying += 1;
+                    }
+                }
+            }
+        }
+        drop(eval_span);
+
+        if empty_database {
+            // Hold: due members count an (empty) occasion and retry next
+            // tick; everyone else idles. Messages spent so far are split
+            // across due members.
+            let mut out = Vec::with_capacity(state.queries.len());
+            let due: Vec<u64> = plan.due.clone();
+            let m = due.len().max(1) as u64;
+            let share = round_messages / m;
+            let remainder = round_messages % m;
+            for (i, &id) in due.iter().enumerate() {
+                if let Some(q) = state.queries.get_mut(&id) {
+                    let messages = share + u64::from((i as u64) < remainder);
+                    q.totals.messages += messages;
+                    q.totals.snapshots += 1;
+                    state.planner.set_deadline(id, ctx.tick + 1);
+                }
+            }
+            state.rounds += 1;
+            state.last_round_trace = round_trace;
+            for (&id, q) in &state.queries {
+                let is_due = due.contains(&id);
+                out.push(MuxQueryOutcome {
+                    query: id,
+                    outcome: TickOutcome {
+                        estimate: q.current_estimate,
+                        updated: false,
+                        snapshot_executed: is_due,
+                        samples_this_tick: 0,
+                        fresh_samples_this_tick: 0,
+                        messages_this_tick: if is_due {
+                            let i = due.iter().position(|&d| d == id).unwrap_or(0);
+                            share + u64::from((i as u64) < remainder)
+                        } else {
+                            0
+                        },
+                    },
+                    trace: q.trace,
+                    round: is_due.then_some(round_trace),
+                });
+            }
+            return Ok(out);
+        }
+
+        // --- Per-member finalisation in ascending id order: attribute the
+        // round cost, apply each member's δ-semantics, reschedule (§IV-A).
+        // Panel members split the shared round cost evenly; sweep-served
+        // members pay exactly their own fresh-node pulls (DESIGN.md §17). ---
+        let m = panel_members.len().max(1) as u64;
+        let share = round_messages / m;
+        let remainder = round_messages % m;
+        let mut panel_index = 0u64;
+        let mut finalized: BTreeMap<u64, MuxQueryOutcome> = BTreeMap::new();
+        for &id in &participants {
+            let Some(q) = state.queries.get_mut(&id) else {
+                continue;
+            };
+            q.trace = digest_telemetry::begin_trace();
+            digest_telemetry::set_trace(q.trace);
+
+            // Sweep path (DESIGN.md §17): one deterministic node sweep per
+            // occasion, retained members free, δ-semantics as usual.
+            if let Some(sketch) = q.sketch.as_mut() {
+                let snap = sketch.sweep(ctx.db, &q.query.expr, &q.query.predicate)?;
+                q.totals.messages += snap.messages;
+                q.totals.samples += snap.qualifying;
+                q.totals.snapshots += 1;
+                let outcome = if let Some(value) = snap.estimate {
+                    q.current_estimate = value;
+                    q.started = true;
+                    let updated = q.last_reported.is_nan()
+                        || (value - q.last_reported).abs() >= q.query.precision.delta;
+                    if updated {
+                        q.last_reported = value;
+                    }
+                    q.scheduler.observe(ctx.tick as f64, value);
+                    let delay = {
+                        let _span = digest_telemetry::span(Stage::SchedulerDecide);
+                        q.scheduler.next_delay(q.query.precision.delta)?
+                    };
+                    state.planner.set_deadline(id, ctx.tick + delay);
+                    TickOutcome {
+                        estimate: value,
+                        updated,
+                        snapshot_executed: true,
+                        samples_this_tick: snap.qualifying,
+                        fresh_samples_this_tick: snap.fresh_nodes,
+                        messages_this_tick: snap.messages,
+                    }
+                } else {
+                    // No tuple qualified for an order statistic: hold the
+                    // previous result and retry next tick (§IV hold rule).
+                    state.planner.set_deadline(id, ctx.tick + 1);
+                    TickOutcome {
+                        estimate: q.current_estimate,
+                        updated: false,
+                        snapshot_executed: true,
+                        samples_this_tick: 0,
+                        fresh_samples_this_tick: 0,
+                        messages_this_tick: snap.messages,
+                    }
+                };
+                if digest_telemetry::events_enabled() {
+                    digest_telemetry::emit(
+                        "engine.snapshot",
+                        &[
+                            ("system", Field::Str("MUX")),
+                            ("estimate", Field::F64(outcome.estimate)),
+                            ("messages", Field::U64(outcome.messages_this_tick)),
+                            ("samples", Field::U64(outcome.samples_this_tick)),
+                        ],
+                    );
+                }
+                finalized.insert(
+                    id,
+                    MuxQueryOutcome {
+                        query: id,
+                        outcome,
+                        trace: q.trace,
+                        round: Some(round_trace),
+                    },
+                );
+                continue;
+            }
+
+            let tally = tallies
+                .get(&id)
+                .map_or(RoundTally::default(), |t| RoundTally {
+                    moments: t.moments,
+                    qualifying: t.qualifying,
+                    drawn: t.drawn,
+                });
+            let messages = share + u64::from(panel_index < remainder);
+            panel_index += 1;
+
+            // Transiently empty qualifying sub-population for a started AVG:
+            // hold the previous result, still reschedule (engine semantics).
+            let trivial = q.query.predicate.is_trivial();
+            if tally.moments.count() == 0
+                && !trivial
+                && matches!(q.query.op, AggregateOp::Avg)
+                && q.started
+            {
+                q.scheduler.observe(ctx.tick as f64, q.current_estimate);
+                let delay = q.scheduler.next_delay(q.query.precision.delta)?;
+                state.planner.set_deadline(id, ctx.tick + delay);
+                q.totals.messages += messages;
+                q.totals.samples += drawn;
+                q.totals.snapshots += 1;
+                finalized.insert(
+                    id,
+                    MuxQueryOutcome {
+                        query: id,
+                        outcome: TickOutcome {
+                            estimate: q.current_estimate,
+                            updated: false,
+                            snapshot_executed: true,
+                            samples_this_tick: drawn,
+                            fresh_samples_this_tick: drawn,
+                            messages_this_tick: messages,
+                        },
+                        trace: q.trace,
+                        round: Some(round_trace),
+                    },
+                );
+                continue;
+            }
+
+            let selectivity = if trivial {
+                1.0
+            } else {
+                q.update_selectivity(tally.qualifying as f64, tally.drawn as f64)
+            };
+            let scaled = q.scale(tally.moments.mean(), selectivity, state.size_estimate);
+            q.current_estimate = scaled;
+            q.started = true;
+            if tally.moments.count() >= 2 {
+                let s = tally.moments.sample_std();
+                q.sigma_ema = Some(match q.sigma_ema {
+                    Some(old) => old + 0.5 * (s - old),
+                    None => s,
+                });
+            }
+            let updated = q.last_reported.is_nan()
+                || (scaled - q.last_reported).abs() >= q.query.precision.delta;
+            if updated {
+                q.last_reported = scaled;
+            }
+            q.scheduler.observe(ctx.tick as f64, scaled);
+            let delay = {
+                let _span = digest_telemetry::span(Stage::SchedulerDecide);
+                q.scheduler.next_delay(q.query.precision.delta)?
+            };
+            state.planner.set_deadline(id, ctx.tick + delay);
+            q.totals.messages += messages;
+            q.totals.samples += drawn;
+            q.totals.snapshots += 1;
+
+            if digest_telemetry::events_enabled() {
+                digest_telemetry::emit(
+                    "engine.snapshot",
+                    &[
+                        ("system", Field::Str("MUX")),
+                        ("estimate", Field::F64(scaled)),
+                        ("messages", Field::U64(messages)),
+                        ("samples", Field::U64(drawn)),
+                    ],
+                );
+            }
+            finalized.insert(
+                id,
+                MuxQueryOutcome {
+                    query: id,
+                    outcome: TickOutcome {
+                        estimate: scaled,
+                        updated,
+                        snapshot_executed: true,
+                        samples_this_tick: drawn,
+                        fresh_samples_this_tick: drawn,
+                        messages_this_tick: messages,
+                    },
+                    trace: q.trace,
+                    round: Some(round_trace),
+                },
+            );
+        }
+
+        // The round's own event, under the round's trace id.
+        digest_telemetry::set_trace(round_trace);
+        if digest_telemetry::events_enabled() {
+            digest_telemetry::emit(
+                "mux.round",
+                &[
+                    ("members", Field::U64(participants.len() as u64)),
+                    ("due", Field::U64(plan.due.len() as u64)),
+                    ("pulled", Field::U64(plan.pulled.len() as u64)),
+                    ("panel", Field::U64(drawn)),
+                    ("messages", Field::U64(round_messages)),
+                ],
+            );
+        }
+        state.rounds += 1;
+        state.rounds_since_size_refresh += 1;
+        state.last_round_trace = round_trace;
+
+        let out = state
+            .queries
+            .iter()
+            .map(|(&id, q)| {
+                finalized.remove(&id).unwrap_or(MuxQueryOutcome {
+                    query: id,
+                    outcome: TickOutcome::idle(q.current_estimate),
+                    trace: q.trace,
+                    round: None,
+                })
+            })
+            .collect();
+        Ok(out)
+    }
+
+    /// Outcome fields that do not depend on the process-wide trace
+    /// counter (which the two muxes — and every other test of this
+    /// binary — draw from): the ids themselves cannot match, whether a
+    /// new one was taken this tick can.
+    fn comparable(
+        outcomes: &[MuxQueryOutcome],
+        previous: &mut BTreeMap<u64, u64>,
+    ) -> Vec<[u64; 9]> {
+        outcomes
+            .iter()
+            .map(|o| {
+                let before = previous.insert(o.query, o.trace).unwrap_or(0);
+                [
+                    o.query,
+                    o.outcome.estimate.to_bits(),
+                    u64::from(o.outcome.updated),
+                    u64::from(o.outcome.snapshot_executed),
+                    o.outcome.samples_this_tick,
+                    o.outcome.fresh_samples_this_tick,
+                    o.outcome.messages_this_tick,
+                    u64::from(o.round.is_some()),
+                    u64::from(o.trace != before),
+                ]
+            })
+            .collect()
+    }
+
+    /// Two attributes, 6 nodes × 12 tuples.
+    fn two_attribute_world(
+        rng: &mut ChaCha8Rng,
+    ) -> (Graph, P2PDatabase, Vec<digest_db::TupleHandle>) {
+        let graph = topology::complete(6).unwrap();
+        let mut db = P2PDatabase::new(Schema::new(["a", "b"]));
+        let mut handles = Vec::new();
+        for v in 0..6 {
+            db.register_node(NodeId(v));
+            for _ in 0..12 {
+                let row = vec![
+                    50.0 + rng.gen_range(-8.0..8.0),
+                    10.0 + rng.gen_range(-3.0..3.0),
+                ];
+                handles.push(db.insert(NodeId(v), Tuple::new(row)).unwrap());
+            }
+        }
+        (graph, db, handles)
+    }
+
+    /// The member a `(expression, predicate, contract, op)` draw names:
+    /// 3 expressions × 3 predicates (one trivial), four contracts.
+    fn drawn_member(spec: (usize, usize, usize, usize)) -> ContinuousQuery {
+        let schema = Schema::new(["a", "b"]);
+        let (expr, predicate, contract, op) = spec;
+        let expr = Expr::parse(["a", "b", "a + b"][expr], &schema).unwrap();
+        let (delta, epsilon, p) = [
+            (2.0, 1.5, 0.95),
+            (1.0, 1.0, 0.9),
+            (4.0, 2.0, 0.9),
+            (3.0, 1.0, 0.95),
+        ][contract];
+        let (op, scale) = match op {
+            0..=5 => (AggregateOp::Avg, 1.0),
+            6 => (AggregateOp::Sum, 80.0),
+            7 => (AggregateOp::Count, 20.0),
+            _ => (AggregateOp::Percentile { q_permille: 900 }, 1.0),
+        };
+        let precision = Precision::new(delta * scale, epsilon * scale, p).unwrap();
+        let query = ContinuousQuery::new(op, expr, precision);
+        match predicate {
+            0 => query,
+            1 => query.with_predicate(Predicate::parse("a > 50", &schema).unwrap()),
+            _ => query.with_predicate(Predicate::parse("b < 10", &schema).unwrap()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One fold per question class ≡ one fold per member: 30 ticks on
+        /// a drifting two-attribute world (emptied for two ticks in most
+        /// cases, so the hold path runs too), members arriving and
+        /// leaving between rounds, a `SUM`, a `COUNT` and a sketch-served
+        /// member always aboard.
+        #[test]
+        fn question_class_tallies_replay_per_member_tallies(
+            seed in 0u64..u64::MAX,
+            members in prop::collection::vec((0usize..3, 0usize..3, 0usize..4, 0usize..6), 2..10),
+            piggyback in 0u8..2,
+            empty_at in 2u64..40,
+        ) {
+            let mut world_rng = ChaCha8Rng::seed_from_u64(seed);
+            let (graph, mut db, mut handles) = two_attribute_world(&mut world_rng);
+            let config = MuxConfig {
+                piggyback: piggyback == 1,
+                size_refresh_rounds: 3,
+                size_sample_target: 64,
+                ..MuxConfig::default()
+            };
+            let mut classed = QueryMux::new(config).unwrap();
+            let mut per_member = QueryMux::new(config).unwrap();
+            let fixed = [(0, 0, 0, 6), (2, 1, 1, 7), (1, 0, 2, 8)];
+            for &spec in members.iter().chain(&fixed) {
+                classed.register(drawn_member(spec)).unwrap();
+                per_member.register(drawn_member(spec)).unwrap();
+            }
+            let mut classed_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1);
+            let mut per_member_rng = classed_rng.clone();
+            let (mut classed_traces, mut per_member_traces) = (BTreeMap::new(), BTreeMap::new());
+
+            for tick in 0..30 {
+                // The world drifts; around `empty_at` it is empty.
+                if tick == empty_at {
+                    for h in handles.drain(..) {
+                        db.delete(h).unwrap();
+                    }
+                } else if tick == empty_at + 2 {
+                    for v in 0..6 {
+                        for _ in 0..12 {
+                            let row = vec![
+                                52.0 + world_rng.gen_range(-8.0..8.0),
+                                9.0 + world_rng.gen_range(-3.0..3.0),
+                            ];
+                            handles.push(db.insert(NodeId(v), Tuple::new(row)).unwrap());
+                        }
+                    }
+                }
+                for &h in &handles {
+                    let row = db.read(h).unwrap();
+                    let (a, b) = (row.value(0).unwrap(), row.value(1).unwrap());
+                    let drift = [a + 0.3 + world_rng.gen_range(-0.5..0.5), b + world_rng.gen_range(-0.2..0.2)];
+                    db.update(h, &drift).unwrap();
+                }
+                // Members leave and arrive between rounds.
+                match world_rng.gen_range(0..6) {
+                    0 => {
+                        let ids = classed.query_ids();
+                        let id = ids[world_rng.gen_range(0..ids.len())];
+                        if ids.len() > 1 {
+                            classed.deregister(id);
+                            per_member.deregister(id);
+                        }
+                    }
+                    1 => {
+                        let spec = (
+                            world_rng.gen_range(0..3),
+                            world_rng.gen_range(0..3),
+                            world_rng.gen_range(0..4),
+                            world_rng.gen_range(0..9),
+                        );
+                        classed.register(drawn_member(spec)).unwrap();
+                        per_member.register(drawn_member(spec)).unwrap();
+                    }
+                    _ => {}
+                }
+
+                let ctx = TickContext { tick, graph: &graph, db: &db, origin: NodeId(0) };
+                let got = classed.on_tick_mux(&ctx, &mut classed_rng).unwrap();
+                let Mode::Shared(state) = &mut per_member.mode else {
+                    unreachable!("sharing is on");
+                };
+                let want = shared_tick_per_member(state, &config, &ctx, &mut per_member_rng).unwrap();
+                prop_assert_eq!(
+                    comparable(&got, &mut classed_traces),
+                    comparable(&want, &mut per_member_traces),
+                    "tick {}", tick
+                );
+                for id in classed.query_ids() {
+                    let (a, b) = (classed.query_totals(id).unwrap(), per_member.query_totals(id).unwrap());
+                    prop_assert_eq!(
+                        (a.messages, a.samples, a.snapshots),
+                        (b.messages, b.samples, b.snapshots)
+                    );
+                }
+            }
+            prop_assert_eq!(classed.rounds(), per_member.rounds());
+            prop_assert_eq!(classed_rng.next_u64(), per_member_rng.next_u64());
+        }
     }
 }

@@ -9,6 +9,10 @@
 //! whose node left — are detected through the handle's generation check
 //! and dropped, forcing replacement by fresh samples exactly as §IV-B2a
 //! prescribes.
+//!
+//! A revisit writes into a [`RevisitReport`] its caller keeps from one
+//! occasion to the next, so a steady-state occasion revisits its panel
+//! without touching the heap.
 
 use digest_db::{Expr, P2PDatabase, Predicate, TupleHandle};
 
@@ -22,8 +26,10 @@ pub struct PanelEntry {
     pub prev_value: f64,
 }
 
-/// The result of revisiting the retained portion of a panel.
-#[derive(Debug, Clone)]
+/// The result of revisiting the retained portion of a panel. Kept by the
+/// caller across occasions: [`SamplePanel::revisit`] overwrites it, its
+/// buffers stay.
+#[derive(Debug, Clone, Default)]
 pub struct RevisitReport {
     /// Parallel previous/current values of the retained samples that
     /// survived (still resolvable).
@@ -67,6 +73,12 @@ impl SamplePanel {
         self.entries = entries;
     }
 
+    /// Exchanges the panel's contents with `entries` — `replace` for a
+    /// caller that recycles the outgoing buffer.
+    pub(crate) fn swap_entries(&mut self, entries: &mut Vec<PanelEntry>) {
+        std::mem::swap(&mut self.entries, entries);
+    }
+
     /// Adds one entry.
     pub fn push(&mut self, entry: PanelEntry) {
         self.entries.push(entry);
@@ -85,25 +97,26 @@ impl SamplePanel {
 
     /// Revisits the first `keep` entries of the panel (the retained
     /// portion under the current replacement policy): re-evaluates each
-    /// surviving tuple under `expr` and reports losses. Entries beyond
-    /// `keep` are discarded (they are the replaced portion).
+    /// surviving tuple under `expr` and overwrites `report` with the
+    /// outcome. Entries beyond `keep` are not visited (they are the
+    /// replaced portion).
     ///
     /// Values that fail to evaluate (e.g. schema drift) count as lost.
-    #[must_use]
+    ///
+    /// xtask: no-alloc
     pub fn revisit(
         &self,
         db: &P2PDatabase,
         expr: &Expr,
         predicate: &Predicate,
         keep: usize,
-    ) -> RevisitReport {
+        report: &mut RevisitReport,
+    ) {
+        report.prev_values.clear();
+        report.cur_values.clear();
+        report.survivors.clear();
+        report.lost = 0;
         let take = keep.min(self.entries.len());
-        let mut report = RevisitReport {
-            prev_values: Vec::with_capacity(take),
-            cur_values: Vec::with_capacity(take),
-            survivors: Vec::with_capacity(take),
-            lost: 0,
-        };
         for entry in &self.entries[..take] {
             // A retained sample survives only if it still resolves, still
             // satisfies the query predicate (it may have left the
@@ -127,7 +140,6 @@ impl SamplePanel {
                 _ => report.lost += 1,
             }
         }
-        report
     }
 }
 
@@ -156,6 +168,12 @@ mod tests {
         (db, handles, expr)
     }
 
+    fn revisit(panel: &SamplePanel, db: &P2PDatabase, expr: &Expr, keep: usize) -> RevisitReport {
+        let mut report = RevisitReport::default();
+        panel.revisit(db, expr, &Predicate::True, keep, &mut report);
+        report
+    }
+
     fn panel_from(handles: &[TupleHandle], values: &[f64]) -> SamplePanel {
         let mut p = SamplePanel::new();
         for (&h, &v) in handles.iter().zip(values) {
@@ -173,7 +191,7 @@ mod tests {
         let panel = panel_from(&handles, &[1.0, 2.0, 3.0]);
         // Values drift before the next occasion.
         db.update(handles[0], &[1.5]).unwrap();
-        let r = panel.revisit(&db, &expr, &Predicate::True, 3);
+        let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 0);
         assert_eq!(r.prev_values, vec![1.0, 2.0, 3.0]);
         assert_eq!(r.cur_values, vec![1.5, 2.0, 3.0]);
@@ -186,7 +204,7 @@ mod tests {
         let (mut db, handles, expr) = setup();
         let panel = panel_from(&handles, &[1.0, 2.0, 3.0]);
         db.delete(handles[1]).unwrap();
-        let r = panel.revisit(&db, &expr, &Predicate::True, 3);
+        let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 1);
         assert_eq!(r.cur_values, vec![1.0, 3.0]);
     }
@@ -196,7 +214,7 @@ mod tests {
         let (mut db, handles, expr) = setup();
         let panel = panel_from(&handles, &[1.0, 2.0, 3.0]);
         db.remove_node(NodeId(0)).unwrap();
-        let r = panel.revisit(&db, &expr, &Predicate::True, 3);
+        let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 2);
         assert_eq!(r.cur_values, vec![3.0]);
     }
@@ -209,7 +227,7 @@ mod tests {
         // handle stale even though the slot is occupied again.
         db.delete(handles[0]).unwrap();
         db.insert(NodeId(0), Tuple::single(99.0)).unwrap();
-        let r = panel.revisit(&db, &expr, &Predicate::True, 3);
+        let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 1);
         assert!(!r.cur_values.contains(&99.0));
     }
@@ -218,12 +236,30 @@ mod tests {
     fn revisit_respects_keep_bound() {
         let (db, handles, expr) = setup();
         let panel = panel_from(&handles, &[1.0, 2.0, 3.0]);
-        let r = panel.revisit(&db, &expr, &Predicate::True, 2);
+        let r = revisit(&panel, &db, &expr, 2);
         assert_eq!(r.cur_values.len(), 2);
-        let r = panel.revisit(&db, &expr, &Predicate::True, 0);
+        let r = revisit(&panel, &db, &expr, 0);
         assert!(r.cur_values.is_empty());
-        let r = panel.revisit(&db, &expr, &Predicate::True, 10);
+        let r = revisit(&panel, &db, &expr, 10);
         assert_eq!(r.cur_values.len(), 3, "keep beyond panel size is clamped");
+    }
+
+    #[test]
+    fn revisit_overwrites_a_kept_report() {
+        let (mut db, handles, expr) = setup();
+        let panel = panel_from(&handles, &[1.0, 2.0, 3.0]);
+        let mut report = revisit(&panel, &db, &expr, 3);
+        db.delete(handles[1]).unwrap();
+        panel.revisit(&db, &expr, &Predicate::True, 3, &mut report);
+        assert_eq!(report.lost, 1);
+        assert_eq!(report.prev_values, vec![1.0, 3.0]);
+        assert_eq!(report.cur_values, vec![1.0, 3.0]);
+        assert_eq!(report.survivors.len(), 2);
+        // Nothing of the previous revisit — its loss included — stays.
+        panel.revisit(&db, &expr, &Predicate::True, 1, &mut report);
+        assert_eq!(report.lost, 0);
+        assert_eq!(report.cur_values, vec![1.0]);
+        assert_eq!(report.survivors.len(), 1);
     }
 
     #[test]

@@ -18,10 +18,15 @@
 //! 4. `ρ̂` and `σ̂` are refreshed from this occasion's panel for the next
 //!    round (an exponential moving average keeps single-occasion noise
 //!    from whipsawing the replacement policy).
+//!
+//! The occasion's working set — the revisit report, the fresh values and
+//! the next panel — lives in buffers the estimator keeps across
+//! occasions, and fresh draws are read as rows of the operator's batch
+//! column: an occasion at a steady panel size allocates nothing here.
 
 use crate::error::CoreError;
 use crate::indep::{IndependentEstimator, SnapshotEstimate};
-use crate::panel::{PanelEntry, SamplePanel};
+use crate::panel::{PanelEntry, RevisitReport, SamplePanel};
 use crate::query::Precision;
 use crate::system::TickContext;
 use crate::Result;
@@ -103,6 +108,12 @@ pub struct RepeatedEstimator {
     sigma_hat: Option<f64>,
     occasions_evaluated: u64,
     last_forward_correction: Option<ForwardCorrection>,
+    /// Scratch of the occasion in progress, kept for its buffers: the
+    /// revisit of the retained part (whose `survivors`, with the fresh
+    /// entries pushed behind them, become the next panel) …
+    revisit: RevisitReport,
+    /// … and the values of the fresh draws.
+    fresh_values: Vec<f64>,
 }
 
 impl RepeatedEstimator {
@@ -141,6 +152,8 @@ impl RepeatedEstimator {
             sigma_hat: None,
             occasions_evaluated: 0,
             last_forward_correction: None,
+            revisit: RevisitReport::default(),
+            fresh_values: Vec::new(),
         })
     }
 
@@ -249,9 +262,9 @@ impl RepeatedEstimator {
 
         // 2. Optimal partition (Eq. 9) and revisit of the retained part.
         let partition = optimal_partition(n, rho);
-        let revisit = self
-            .panel
-            .revisit(ctx.db, expr, predicate, partition.retained);
+        let revisit = &mut self.revisit;
+        self.panel
+            .revisit(ctx.db, expr, predicate, partition.retained, revisit);
         let g_live = revisit.cur_values.len();
         let mut messages =
             g_live as u64 * cfg.revisit_cost + revisit.lost as u64 * cfg.lost_probe_cost;
@@ -260,8 +273,8 @@ impl RepeatedEstimator {
         //    retained samples. With a nontrivial predicate, non-qualifying
         //    draws are rejected (they still cost their walk).
         let fresh_needed = n.saturating_sub(g_live).max(usize::from(g_live == 0));
-        let mut fresh_values = Vec::with_capacity(fresh_needed);
-        let mut fresh_entries = Vec::with_capacity(fresh_needed);
+        let fresh_values = &mut self.fresh_values;
+        fresh_values.clear();
         let mut fresh_drawn = 0u64;
         let max_attempts = if trivial {
             fresh_needed
@@ -270,7 +283,8 @@ impl RepeatedEstimator {
         };
         // Rounds of batch draws through the deterministic parallel
         // executor: each round requests the remaining deficit (capped by
-        // the attempt budget) in one `sample_tuples` batch.
+        // the attempt budget) in one `sample_batch`. A fresh entry goes
+        // straight behind the survivors, where the next panel wants it.
         let mut attempts = 0usize;
         while fresh_values.len() < fresh_needed && attempts < max_attempts {
             let want = fresh_needed
@@ -278,17 +292,17 @@ impl RepeatedEstimator {
                 .min(max_attempts.saturating_sub(attempts))
                 .max(1);
             attempts += want;
-            let batch = operator.sample_tuples(ctx.graph, ctx.db, ctx.origin, want, rng)?;
-            for (handle, tuple, cost) in batch {
+            let batch = operator.sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)?;
+            for (handle, row, cost) in batch.iter() {
                 messages += cost.total();
                 fresh_drawn += 1;
-                if !trivial && !predicate.eval(&tuple).unwrap_or(false) {
+                if !trivial && !predicate.eval(row).unwrap_or(false) {
                     continue;
                 }
-                let value = expr.eval(&tuple)?;
+                let value = expr.eval(row)?;
                 if value.is_finite() {
                     fresh_values.push(value);
-                    fresh_entries.push(PanelEntry {
+                    revisit.survivors.push(PanelEntry {
                         handle,
                         prev_value: value,
                     });
@@ -305,7 +319,7 @@ impl RepeatedEstimator {
         let use_regression = g_live >= cfg.min_retained_pairs;
         let combined = if use_regression {
             combined_estimate(
-                &fresh_values,
+                fresh_values,
                 &revisit.prev_values,
                 &revisit.cur_values,
                 prev_estimate,
@@ -363,9 +377,7 @@ impl RepeatedEstimator {
         self.prev_variance = Some(combined.variance);
         self.occasions_evaluated += 1;
 
-        let mut next_panel = revisit.survivors;
-        next_panel.extend(fresh_entries);
-        self.panel.replace(next_panel);
+        self.panel.swap_entries(&mut revisit.survivors);
 
         let retained_fraction = if n == 0 {
             0.0

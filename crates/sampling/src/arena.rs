@@ -1,21 +1,21 @@
 //! Reusable walk-batch arenas: zero steady-state allocation for the
 //! occasion hot path.
 //!
-//! PR 3's executor allocated three vectors per `sample_tuples` batch
-//! (the slot task list, the slot-indexed result table, and the outcome
-//! list), every occasion, forever. [`WalkArena`] owns those buffers for
-//! the lifetime of a `SamplingOperator` and recycles them across batches
-//! and occasions: `clear()` + `resize` keep capacity, so after the first
-//! occasion at a given panel size the dispatch path performs no heap
-//! allocation of its own. (Per-slot state — the ChaCha8 stream and the
-//! walk cursor — already lives on the worker's stack; the only
-//! per-sample allocation left is the unavoidable clone of the sampled
-//! tuple out of the database.)
+//! [`WalkArena`] owns the buffers of a walk batch — the slot task list,
+//! the slot-indexed result table, the outcome list and the sampled
+//! rows — for the lifetime of a `SamplingOperator` and recycles them
+//! across batches and occasions: `clear()` + `resize` keep capacity, so
+//! after the first occasion at a given panel size a batch performs no
+//! heap allocation at all. Per-slot state — the ChaCha8 stream and the
+//! walk cursor — lives on the worker's stack, and the sampled rows are
+//! copied, one after another, into the single `values` column instead
+//! of one owned tuple each.
 //!
-//! The arena is scratch, not state: its contents are meaningful only
-//! *during* one `run_tuple_batch` call, and the operator drains
-//! `outcomes` immediately after. `Clone` therefore yields a fresh empty
-//! arena (cloned operators share no buffers and need none).
+//! The arena is scratch, not state: `outcomes` and `values` hold the
+//! last successful batch only until the next one starts, which is as
+//! long as the `SampledBatch` view the operator lends out can live.
+//! `Clone` therefore yields a fresh empty arena (cloned operators share
+//! no buffers and need none).
 
 use crate::executor::{SlotOutcome, SlotTask};
 use crate::par::Cells;
@@ -29,9 +29,12 @@ pub(crate) struct WalkArena {
     /// Slot-indexed reassembly table [`crate::par::run_indexed`] fills
     /// lock-free (always left all-empty, capacity intact).
     pub(crate) results: Cells<Result<SlotOutcome>>,
-    /// Slot-ordered outcomes of the last successful batch; drained by
-    /// the operator.
+    /// Slot-ordered outcomes of the last successful batch.
     pub(crate) outcomes: Vec<SlotOutcome>,
+    /// The sampled rows of `outcomes`, one after another in slot order:
+    /// the relation's arity many values each (so empty for a zero-arity
+    /// relation — count samples by `outcomes`, never by this column).
+    pub(crate) values: Vec<f64>,
 }
 
 impl WalkArena {

@@ -18,13 +18,22 @@
 //!   acceptance table instead of re-querying [`digest_net::Graph`] and
 //!   re-evaluating weights per step. Weights were validated at capture,
 //!   which is why the per-step walk below is infallible.
-//! * **Arena-recycled buffers.** Task, result, and outcome vectors live
-//!   in the operator's [`WalkArena`] and are reused across batches —
-//!   the steady-state dispatch path allocates nothing.
-//! * **Deferred telemetry.** Workers run with events suppressed and
-//!   accumulate per-slot tallies locally; counters and the per-slot
-//!   `sampling.walk` / per-batch `sampling.batch` events are flushed
-//!   post-join in slot order, keeping traces deterministic.
+//! * **Arena-recycled buffers.** Task, result, outcome and value
+//!   vectors live in the operator's [`WalkArena`] and are reused across
+//!   batches — the steady-state batch path allocates nothing.
+//! * **A `Copy` outcome, rows copied at the drain.** What a slot hands
+//!   across the join is its [`SlotOutcome`]: the sampled tuple's handle,
+//!   the walk's end position and its tallies, no heap. The slot-order
+//!   drain on the dispatching thread then reads each sampled row back
+//!   through its handle (the relation is borrowed immutably for the
+//!   whole batch, so it is the row the slot's local draw saw) into the
+//!   arena's one arity-strided `values` column.
+//! * **Deferred telemetry, once per batch.** Workers run with events
+//!   suppressed and tally per slot locally; post-join the `sampling.*`
+//!   counters and the burn-in histogram are bumped once with the batch's
+//!   sums, while the per-slot `sampling.walk` event and re-emitted walk
+//!   span (then the per-batch `sampling.batch` event) are emitted in
+//!   slot order, keeping traces deterministic.
 //!
 //! The batch is atomic: any slot error (or exhausted content-retry
 //! budget) fails the whole occasion batch, `arena.outcomes` is left
@@ -37,7 +46,7 @@ use crate::operator::{SampleCost, SamplingConfig};
 use crate::par;
 use crate::snapshot::{OccasionSnapshot, ACCEPT_ALWAYS};
 use crate::Result;
-use digest_db::{P2PDatabase, Tuple, TupleHandle};
+use digest_db::{P2PDatabase, TupleHandle};
 use digest_net::NodeId;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::{RngCore, SeedableRng};
@@ -190,20 +199,20 @@ pub(crate) struct SlotTask {
     seed: u64,
 }
 
-/// Everything one slot produced: the sampled tuple, the walk's final
-/// position for pool writeback, and the deferred telemetry tallies.
-#[derive(Debug, Clone)]
+/// Everything one slot hands across the join: the sampled tuple's
+/// handle, the walk's final position for pool writeback, and the
+/// deferred telemetry tallies. `Copy` — the row itself is read at the
+/// drain, not carried here.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotOutcome {
     /// Whether the slot launched a fresh walk (vs continuing a pooled
     /// one).
     pub(crate) fresh: bool,
     /// Where the walk ended (the pool writeback position).
     pub(crate) end: NodeId,
-    /// Planned burn-in of the first segment (mixing or reset length).
-    pub(crate) burn_in: u64,
     /// Extra reset-length segments walked to find a content-bearing
     /// node.
-    pub(crate) retries: u64,
+    retries: u64,
     /// Total M–H steps taken across all segments.
     pub(crate) steps: u64,
     /// Accepted moves (= forwarding messages).
@@ -213,10 +222,17 @@ pub(crate) struct SlotOutcome {
     accepts: u64,
     /// Handle of the sampled tuple.
     pub(crate) handle: TupleHandle,
-    /// Snapshot copy of the sampled tuple.
-    pub(crate) tuple: Tuple,
-    /// §VI-A message cost of this sample.
-    pub(crate) cost: SampleCost,
+}
+
+impl SlotOutcome {
+    /// §VI-A message cost of this sample: one message per accepted hop,
+    /// one more to report the tuple back.
+    pub(crate) fn cost(&self) -> SampleCost {
+        SampleCost {
+            walk_messages: self.hops,
+            report_messages: 1,
+        }
+    }
 }
 
 /// One occasion batch: which pool state to continue from and how many
@@ -236,108 +252,15 @@ pub(crate) struct BatchRequest<'a> {
     pub(crate) occasion_seed: u64,
 }
 
-fn run_slot(
-    task: &SlotTask,
-    snap: &OccasionSnapshot,
-    db: &P2PDatabase,
-    reset_length: u64,
-) -> Result<SlotOutcome> {
-    let mut rng = ChaCha8Rng::seed_from_u64(task.seed);
-    let mut walk = SnapshotWalk::new(task.start, snap);
-    let _span = digest_telemetry::span(Stage::SamplingWalk);
-    walk.run(snap, task.burn_in, &mut rng);
-    // Before convergence a walk can sit on an empty node; walk reset
-    // lengths until it lands on a content-bearing one (bounded, as in
-    // the sequential `sample_tuple`).
-    for retry in 0..TUPLE_RETRY_LIMIT {
-        if let Some((handle, row)) = db.sample_local(walk.current, &mut rng) {
-            return Ok(SlotOutcome {
-                fresh: task.fresh,
-                end: walk.current,
-                burn_in: task.burn_in,
-                retries: retry as u64,
-                steps: walk.tally.steps,
-                hops: walk.tally.hops,
-                lazy: walk.tally.lazy,
-                proposals: walk.tally.proposals,
-                accepts: walk.tally.accepts,
-                handle,
-                tuple: row.to_tuple(),
-                cost: SampleCost {
-                    walk_messages: walk.tally.hops,
-                    report_messages: 1,
-                },
-            });
-        }
-        walk.run(snap, reset_length, &mut rng);
-    }
-    Err(SamplingError::ZeroTotalWeight)
-}
-
-/// Flushes one slot's deferred tallies into the global registry and
-/// emits its `sampling.walk` event. Called post-join, in slot order.
-fn flush_slot_telemetry(config: &SamplingConfig, outcome: &SlotOutcome) {
-    if outcome.fresh {
-        telemetry::SAMPLING_WALKS_FRESH.inc();
-    } else {
-        telemetry::SAMPLING_WALKS_CONTINUED.inc();
-    }
-    telemetry::SAMPLING_BURN_IN.record(outcome.burn_in);
-    for _ in 0..outcome.retries {
-        telemetry::SAMPLING_BURN_IN.record(config.reset_length);
-    }
-    telemetry::SAMPLING_WALK_STEPS.add(outcome.steps);
-    telemetry::SAMPLING_MH_LAZY.add(outcome.lazy);
-    telemetry::SAMPLING_MH_PROPOSALS.add(outcome.proposals);
-    telemetry::SAMPLING_MH_ACCEPTS.add(outcome.accepts);
-    telemetry::SAMPLING_WALK_HOPS.add(outcome.hops);
-    telemetry::SAMPLING_SAMPLES.inc();
-    telemetry::SAMPLING_MESSAGES.add(outcome.cost.total());
-    if digest_telemetry::events_enabled() {
-        digest_telemetry::emit(
-            "sampling.walk",
-            &[
-                ("fresh", Field::Bool(outcome.fresh)),
-                ("steps", Field::U64(outcome.steps)),
-                ("hops", Field::U64(outcome.hops)),
-            ],
-        );
-    }
-    // Re-emit the worker-side walk span that was suppressed inside the
-    // batch. The deterministic clock cannot advance mid-batch (the tick
-    // is driver-stamped), so the re-emitted duration is always 0 ticks —
-    // what matters is that the span stream is identical for every worker
-    // count and stays monotone in tick order.
-    digest_telemetry::emit_span_event(Stage::SamplingWalk, 0);
-}
-
-/// Runs one occasion's walk batch over the (cache-refreshed) snapshot,
-/// leaving the slot outcomes in `arena.outcomes` in slot order. See the
-/// module docs for the determinism model.
-///
-/// # Errors
-///
-/// * [`SamplingError::UnknownNode`] if `origin` is not live in the
-///   snapshot.
-/// * [`SamplingError::ZeroTotalWeight`] if a slot exhausts its
-///   content-retry budget.
-/// * The lowest-slot error wins when several slots fail; on any error
-///   `arena.outcomes` is empty.
-pub(crate) fn run_tuple_batch(
-    db: &P2PDatabase,
-    request: &BatchRequest<'_>,
-    snapshot: &OccasionSnapshot,
-    arena: &mut WalkArena,
-) -> Result<()> {
-    let _batch_span = digest_telemetry::span(Stage::SamplingBatch);
-    arena.outcomes.clear();
-    if !snapshot.contains(request.origin) {
-        return Err(SamplingError::UnknownNode(request.origin));
-    }
-
+/// The batch's work orders, in slot order: a slot continues its pooled
+/// walk when continuation is on and the walk's node is still live,
+/// otherwise it starts fresh from the origin.
+fn slot_tasks<'a>(
+    request: &'a BatchRequest<'_>,
+    snapshot: &'a OccasionSnapshot,
+) -> impl Iterator<Item = SlotTask> + 'a {
     let config = request.config;
-    arena.tasks.clear();
-    arena.tasks.extend((0..request.n).map(|i| {
+    (0..request.n).map(move |i| {
         let slot = request.cursor + i;
         let pooled = config
             .continue_walks
@@ -358,10 +281,175 @@ pub(crate) fn run_tuple_batch(
             },
             seed: par::stream_seed(request.occasion_seed, slot),
         }
-    }));
+    })
+}
+
+fn run_slot(
+    task: &SlotTask,
+    snap: &OccasionSnapshot,
+    db: &P2PDatabase,
+    reset_length: u64,
+) -> Result<SlotOutcome> {
+    let mut rng = ChaCha8Rng::seed_from_u64(task.seed);
+    let mut walk = SnapshotWalk::new(task.start, snap);
+    let _span = digest_telemetry::span(Stage::SamplingWalk);
+    walk.run(snap, task.burn_in, &mut rng);
+    // Before convergence a walk can sit on an empty node; walk reset
+    // lengths until it lands on a content-bearing one (bounded, as in
+    // the sequential `sample_tuple`).
+    for retry in 0..TUPLE_RETRY_LIMIT {
+        if let Some((handle, _row)) = db.sample_local(walk.current, &mut rng) {
+            return Ok(SlotOutcome {
+                fresh: task.fresh,
+                end: walk.current,
+                retries: retry as u64,
+                steps: walk.tally.steps,
+                hops: walk.tally.hops,
+                lazy: walk.tally.lazy,
+                proposals: walk.tally.proposals,
+                accepts: walk.tally.accepts,
+                handle,
+            });
+        }
+        walk.run(snap, reset_length, &mut rng);
+    }
+    Err(SamplingError::ZeroTotalWeight)
+}
+
+/// Hands one slot's result to the batch, in slot order: copies the
+/// sampled row into the `values` column and keeps the outcome, or
+/// records the batch's failure (the lowest slot's wins).
+/// xtask: no-alloc
+fn drain_slot(
+    db: &P2PDatabase,
+    slot: Result<SlotOutcome>,
+    outcomes: &mut Vec<SlotOutcome>,
+    values: &mut Vec<f64>,
+    failure: &mut Option<SamplingError>,
+) {
+    match slot {
+        Ok(outcome) if failure.is_none() => match db.read(outcome.handle) {
+            Ok(row) => {
+                values.extend_from_slice(row.values());
+                outcomes.push(outcome);
+            }
+            // Unreachable while the batch borrows the relation (the
+            // handle was drawn from it moments ago); surfaced per the
+            // panic policy.
+            Err(_) => {
+                *failure = Some(SamplingError::InvalidConfig {
+                    reason: "a tuple sampled in this batch no longer resolves",
+                });
+            }
+        },
+        Ok(_) => {}
+        Err(err) => {
+            failure.get_or_insert(err);
+        }
+    }
+}
+
+/// Flushes a successful batch's deferred tallies into the global
+/// registry — each counter once, with the batch's sum — then emits the
+/// per-slot `sampling.walk` events in slot order and the batch's
+/// `sampling.batch` event.
+/// xtask: no-alloc
+fn flush_batch_telemetry(config: &SamplingConfig, outcomes: &[SlotOutcome]) {
+    let slots = outcomes.len() as u64;
+    let mut fresh = 0u64;
+    let mut sum = SlotTally::default();
+    let (mut retries, mut messages) = (0u64, 0u64);
+    for outcome in outcomes {
+        fresh += u64::from(outcome.fresh);
+        retries += outcome.retries;
+        sum.steps += outcome.steps;
+        sum.hops += outcome.hops;
+        sum.lazy += outcome.lazy;
+        sum.proposals += outcome.proposals;
+        sum.accepts += outcome.accepts;
+        messages = messages.saturating_add(outcome.cost().total());
+    }
+    let continued = slots - fresh;
+    telemetry::SAMPLING_WALKS_FRESH.add(fresh);
+    telemetry::SAMPLING_WALKS_CONTINUED.add(continued);
+    // A slot's first segment is the mixing length when fresh and the
+    // reset length when continued; every content retry is one more
+    // reset length.
+    telemetry::SAMPLING_BURN_IN.record_n(config.walk_length, fresh);
+    telemetry::SAMPLING_BURN_IN.record_n(config.reset_length, continued + retries);
+    telemetry::SAMPLING_WALK_STEPS.add(sum.steps);
+    telemetry::SAMPLING_MH_LAZY.add(sum.lazy);
+    telemetry::SAMPLING_MH_PROPOSALS.add(sum.proposals);
+    telemetry::SAMPLING_MH_ACCEPTS.add(sum.accepts);
+    telemetry::SAMPLING_WALK_HOPS.add(sum.hops);
+    telemetry::SAMPLING_SAMPLES.add(slots);
+    telemetry::SAMPLING_MESSAGES.add(messages);
+    telemetry::SAMPLING_WALK_BATCHES.inc();
+    telemetry::SAMPLING_BATCH_SLOTS.record(slots);
+    if !digest_telemetry::events_enabled() {
+        return;
+    }
+    for outcome in outcomes {
+        digest_telemetry::emit(
+            "sampling.walk",
+            &[
+                ("fresh", Field::Bool(outcome.fresh)),
+                ("steps", Field::U64(outcome.steps)),
+                ("hops", Field::U64(outcome.hops)),
+            ],
+        );
+        // Re-emit the worker-side walk span that was suppressed inside
+        // the batch. The deterministic clock cannot advance mid-batch
+        // (the tick is driver-stamped), so the re-emitted duration is
+        // always 0 ticks — what matters is that the span stream is
+        // identical for every worker count and stays monotone in tick
+        // order.
+        digest_telemetry::emit_span_event(Stage::SamplingWalk, 0);
+    }
+    digest_telemetry::emit(
+        "sampling.batch",
+        &[
+            ("slots", Field::U64(slots)),
+            ("fresh", Field::U64(fresh)),
+            ("continued", Field::U64(continued)),
+            ("messages", Field::U64(messages)),
+        ],
+    );
+}
+
+/// Runs one occasion's walk batch over the (cache-refreshed) snapshot,
+/// leaving the slot outcomes in `arena.outcomes` and the sampled rows in
+/// `arena.values` (`db`'s arity per outcome), both in slot order. See
+/// the module docs for the determinism model.
+///
+/// # Errors
+///
+/// * [`SamplingError::UnknownNode`] if `origin` is not live in the
+///   snapshot.
+/// * [`SamplingError::ZeroTotalWeight`] if a slot exhausts its
+///   content-retry budget.
+/// * The lowest-slot error wins when several slots fail; on any error
+///   `arena.outcomes` and `arena.values` are empty.
+pub(crate) fn run_tuple_batch(
+    db: &P2PDatabase,
+    request: &BatchRequest<'_>,
+    snapshot: &OccasionSnapshot,
+    arena: &mut WalkArena,
+) -> Result<()> {
+    let _batch_span = digest_telemetry::span(Stage::SamplingBatch);
+    arena.outcomes.clear();
+    arena.values.clear();
+    if !snapshot.contains(request.origin) {
+        return Err(SamplingError::UnknownNode(request.origin));
+    }
+
+    let config = request.config;
+    arena.tasks.clear();
+    arena.tasks.extend(slot_tasks(request, snapshot));
 
     let tasks = &arena.tasks;
     let outcomes = &mut arena.outcomes;
+    let values = &mut arena.values;
     // Lowest-slot problem wins.
     let mut failure: Option<SamplingError> = None;
     let drained = {
@@ -375,13 +463,7 @@ pub(crate) fn run_tuple_batch(
             request.n,
             &mut arena.results,
             |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
-            |outcome| match outcome {
-                Ok(outcome) if failure.is_none() => outcomes.push(outcome),
-                Ok(_) => {}
-                Err(err) => {
-                    failure.get_or_insert(err);
-                }
-            },
+            |slot| drain_slot(db, slot, outcomes, values, &mut failure),
         )
     };
     if drained.is_err() {
@@ -392,35 +474,103 @@ pub(crate) fn run_tuple_batch(
     }
     if let Some(err) = failure {
         arena.outcomes.clear();
+        arena.values.clear();
         return Err(err);
     }
-
-    let mut fresh = 0u64;
-    let mut continued = 0u64;
-    let mut messages = 0u64;
-    for outcome in &arena.outcomes {
-        flush_slot_telemetry(config, outcome);
-        if outcome.fresh {
-            fresh += 1;
-        } else {
-            continued += 1;
-        }
-        messages = messages.saturating_add(outcome.cost.total());
-    }
-    telemetry::SAMPLING_WALK_BATCHES.inc();
-    telemetry::SAMPLING_BATCH_SLOTS.record(request.n as u64);
-    if digest_telemetry::events_enabled() {
-        digest_telemetry::emit(
-            "sampling.batch",
-            &[
-                ("slots", Field::U64(request.n as u64)),
-                ("fresh", Field::U64(fresh)),
-                ("continued", Field::U64(continued)),
-                ("messages", Field::U64(messages)),
-            ],
-        );
-    }
+    flush_batch_telemetry(config, &arena.outcomes);
     Ok(())
+}
+
+/// The batch path this module replaced, kept as the oracle the operator's
+/// `sample_batch` is held to: every slot clones its sampled row into an
+/// owned `Tuple` on the worker and carries it across the join. (Its
+/// per-slot telemetry flush is replayed from outside the crate, by
+/// `tests/batch_telemetry.rs`, which needs the global registry to
+/// itself.)
+#[cfg(all(test, not(loom)))]
+#[allow(clippy::unwrap_used)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::par::Cells;
+    use digest_db::Tuple;
+
+    /// The parent's `SlotOutcome`: a heap-allocated tuple per sample.
+    #[derive(Debug, Clone)]
+    pub(crate) struct BoxedOutcome {
+        pub(crate) fresh: bool,
+        pub(crate) end: NodeId,
+        pub(crate) retries: u64,
+        pub(crate) steps: u64,
+        pub(crate) hops: u64,
+        pub(crate) handle: TupleHandle,
+        pub(crate) tuple: Tuple,
+        pub(crate) cost: SampleCost,
+    }
+
+    fn run_slot(
+        task: &SlotTask,
+        snap: &OccasionSnapshot,
+        db: &P2PDatabase,
+        reset_length: u64,
+    ) -> Result<BoxedOutcome> {
+        let mut rng = ChaCha8Rng::seed_from_u64(task.seed);
+        let mut walk = SnapshotWalk::new(task.start, snap);
+        walk.run(snap, task.burn_in, &mut rng);
+        for retry in 0..TUPLE_RETRY_LIMIT {
+            if let Some((handle, row)) = db.sample_local(walk.current, &mut rng) {
+                return Ok(BoxedOutcome {
+                    fresh: task.fresh,
+                    end: walk.current,
+                    retries: retry as u64,
+                    steps: walk.tally.steps,
+                    hops: walk.tally.hops,
+                    handle,
+                    tuple: row.to_tuple(),
+                    cost: SampleCost {
+                        walk_messages: walk.tally.hops,
+                        report_messages: 1,
+                    },
+                });
+            }
+            walk.run(snap, reset_length, &mut rng);
+        }
+        Err(SamplingError::ZeroTotalWeight)
+    }
+
+    /// The parent's `run_tuple_batch` less its telemetry, buffers local
+    /// (slot planning is shared: this PR did not touch it).
+    pub(crate) fn run_tuple_batch(
+        db: &P2PDatabase,
+        request: &BatchRequest<'_>,
+        snapshot: &OccasionSnapshot,
+    ) -> Result<Vec<BoxedOutcome>> {
+        if !snapshot.contains(request.origin) {
+            return Err(SamplingError::UnknownNode(request.origin));
+        }
+        let config = request.config;
+        let tasks: Vec<SlotTask> = slot_tasks(request, snapshot).collect();
+
+        let mut outcomes = Vec::new();
+        let mut failure: Option<SamplingError> = None;
+        par::run_indexed(
+            config.workers,
+            request.n,
+            &mut Cells::default(),
+            |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
+            |outcome| match outcome {
+                Ok(outcome) if failure.is_none() => outcomes.push(outcome),
+                Ok(_) => {}
+                Err(err) => {
+                    failure.get_or_insert(err);
+                }
+            },
+        )
+        .unwrap();
+        match failure {
+            Some(err) => Err(err),
+            None => Ok(outcomes),
+        }
+    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -489,7 +639,8 @@ mod tests {
         let mut db = P2PDatabase::new(digest_db::Schema::single("a"));
         for v in g.nodes() {
             db.register_node(v);
-            db.insert(v, Tuple::single(f64::from(v.0))).unwrap();
+            db.insert(v, digest_db::Tuple::single(f64::from(v.0)))
+                .unwrap();
         }
         let w = uniform_weight();
         let snap = OccasionSnapshot::build(&g, &w).unwrap();

@@ -62,8 +62,8 @@ pub use mixing::{
     SpectralDiagnostics,
 };
 pub use operator::{
-    default_cache_snapshots, default_workers, SampleCost, SamplingConfig, SamplingOperator,
-    SnapshotStats, SNAPSHOT_CACHE_ENV_VAR, WORKERS_ENV_VAR,
+    default_cache_snapshots, default_workers, SampleCost, SampledBatch, SamplingConfig,
+    SamplingOperator, SnapshotStats, SNAPSHOT_CACHE_ENV_VAR, WORKERS_ENV_VAR,
 };
 pub use size_estimate::SizeEstimator;
 pub use weight::{content_size_weight, degree_weight, uniform_weight, NodeWeight};

@@ -16,6 +16,13 @@
 //!   (§VI-A) — only needs the much shorter reset length;
 //! * each accepted hop is one message, and delivering the sampled node id
 //!   back to the originator is one more.
+//!
+//! Batch mode has one path: [`SamplingOperator::sample_batch`] runs an
+//! occasion's `n` walks through the deterministic executor and lends the
+//! panel as a [`SampledBatch`] — handles, costs and the sampled rows as
+//! one `f64` column in the operator's recycled buffers — which the
+//! estimators fold in place. [`SamplingOperator::sample_tuples`] is that
+//! call with the rows copied into owned tuples.
 
 use crate::arena::WalkArena;
 use crate::error::SamplingError;
@@ -24,7 +31,7 @@ use crate::metropolis::MetropolisWalk;
 use crate::snapshot::{SnapshotCache, SnapshotRefresh};
 use crate::weight::{content_size_weight, uniform_weight, NodeWeight};
 use crate::Result;
-use digest_db::{P2PDatabase, Tuple, TupleHandle};
+use digest_db::{P2PDatabase, RowView, Tuple, TupleHandle};
 use digest_net::{Graph, NodeId};
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::Rng;
@@ -165,6 +172,29 @@ impl SampleCost {
     }
 }
 
+/// One occasion batch (§V batch mode: `S` invoked n times at once), lent
+/// from the operator's recycled buffers until its next batch: per sample
+/// the tuple's handle, a view of the row as sampled, and its §VI-A
+/// message cost, in slot order. The rows sit in one arity-strided `f64`
+/// column, so consuming a batch allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct SampledBatch<'a> {
+    outcomes: &'a [executor::SlotOutcome],
+    values: &'a [f64],
+    arity: usize,
+}
+
+impl<'a> SampledBatch<'a> {
+    /// The samples in slot order (§V): handle, row, §VI-A cost.
+    pub fn iter(&self) -> impl Iterator<Item = (TupleHandle, RowView<'a>, SampleCost)> + '_ {
+        let (values, arity) = (self.values, self.arity);
+        self.outcomes.iter().enumerate().map(move |(i, outcome)| {
+            let row = RowView::new(&values[i * arity..(i + 1) * arity]);
+            (outcome.handle, row, outcome.cost())
+        })
+    }
+}
+
 /// The sampling operator: a pool of persistent walks plus cost accounting.
 ///
 /// Batch mode (paper §VI-A): the `i`-th sample of an occasion is produced
@@ -191,7 +221,7 @@ pub struct SamplingOperator {
 }
 
 /// Per-operator tally of how its occasion snapshots were produced
-/// (paper §VI-A batch occasions; one entry per `sample_tuples` call).
+/// (paper §VI-A batch occasions; one entry per `sample_batch` call).
 /// Mirrors the global `sampling.snapshot.{built,reused,patched}`
 /// telemetry counters but is race-free per operator, which is what the
 /// benchmarks and tests read.
@@ -399,7 +429,8 @@ impl SamplingOperator {
     /// Draws `n` uniformly random tuples ("batch mode": the paper invokes
     /// `S` n times simultaneously, and this is that simultaneity — the
     /// occasion's walk slots run on [`SamplingConfig::workers`] threads
-    /// through the deterministic executor in `executor`).
+    /// through the deterministic executor in `executor`) and lends them
+    /// as a [`SampledBatch`] over the operator's recycled buffers.
     ///
     /// RNG contract: exactly **one** `u64` is drawn from `rng` per call
     /// with `n > 0` (the occasion seed) and none when `n == 0`, so the
@@ -415,16 +446,21 @@ impl SamplingOperator {
     /// # Errors
     ///
     /// As for [`SamplingOperator::sample_tuple`].
-    pub fn sample_tuples<R: Rng + ?Sized>(
+    pub fn sample_batch<R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
         db: &P2PDatabase,
         origin: NodeId,
         n: usize,
         rng: &mut R,
-    ) -> Result<Vec<(TupleHandle, Tuple, SampleCost)>> {
+    ) -> Result<SampledBatch<'_>> {
+        let arity = db.schema().arity();
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(SampledBatch {
+                outcomes: &[],
+                values: &[],
+                arity,
+            });
         }
         if db.total_tuples() == 0 {
             return Err(SamplingError::EmptyDatabase);
@@ -467,8 +503,7 @@ impl SamplingOperator {
         };
         executor::run_tuple_batch(db, &request, snapshot, &mut self.arena)?;
 
-        let mut out = Vec::with_capacity(n);
-        for (i, outcome) in self.arena.outcomes.drain(..).enumerate() {
+        for (i, outcome) in self.arena.outcomes.iter().enumerate() {
             let slot = self.cursor + i;
             if self.config.continue_walks {
                 // Fold the batch walk's tallies back into the pooled
@@ -492,12 +527,35 @@ impl SamplingOperator {
                     self.walkers.push(walk);
                 }
             }
-            self.total_messages = self.total_messages.saturating_add(outcome.cost.total());
+            self.total_messages = self.total_messages.saturating_add(outcome.cost().total());
             self.samples_drawn += 1;
-            out.push((outcome.handle, outcome.tuple, outcome.cost));
         }
         self.cursor += n;
-        Ok(out)
+        Ok(SampledBatch {
+            outcomes: &self.arena.outcomes,
+            values: &self.arena.values,
+            arity,
+        })
+    }
+
+    /// [`SamplingOperator::sample_batch`] with every sampled row copied
+    /// into an owned [`Tuple`] — for callers that keep the samples past
+    /// the operator's next batch.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SamplingOperator::sample_batch`].
+    pub fn sample_tuples<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        db: &P2PDatabase,
+        origin: NodeId,
+        n: usize,
+        rng: &mut R,
+    ) -> Result<Vec<(TupleHandle, Tuple, SampleCost)>> {
+        let batch = self.sample_batch(g, db, origin, n, rng)?;
+        let owned = |(handle, row, cost): (_, RowView<'_>, _)| (handle, row.to_tuple(), cost);
+        Ok(batch.iter().map(owned).collect())
     }
 
     /// Cluster sampling (the alternative the paper rejects in §III): draw
@@ -1023,6 +1081,240 @@ mod tests {
         // Every tuple value encodes its node: 100·node + j.
         for t in &tuples {
             assert_eq!((t.value(0).unwrap() as u32) / 100, node.0);
+        }
+    }
+}
+
+/// `sample_batch` against the batch path it replaced (the parent commit's
+/// `sample_tuples` over `executor::reference`): same panel, same pool,
+/// same accounting, same caller-RNG advance.
+#[cfg(all(test, not(loom)))]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod batch_equivalence {
+    use super::*;
+    use digest_db::Schema;
+    use digest_net::topology;
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    type OwnedBatch = Vec<(TupleHandle, Tuple, SampleCost)>;
+
+    /// The parent's `SamplingOperator::sample_tuples`, verbatim but for
+    /// the executor it calls.
+    fn reference_sample_tuples(
+        op: &mut SamplingOperator,
+        g: &Graph,
+        db: &P2PDatabase,
+        origin: NodeId,
+        n: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<(OwnedBatch, u64)> {
+        if n == 0 {
+            return Ok((Vec::new(), 0));
+        }
+        if db.total_tuples() == 0 {
+            return Err(SamplingError::EmptyDatabase);
+        }
+        if g.is_empty() {
+            return Err(SamplingError::EmptyGraph);
+        }
+        if !g.contains(origin) {
+            return Err(SamplingError::UnknownNode(origin));
+        }
+        let occasion_seed = rng.next_u64();
+        let w = content_size_weight(db);
+        let (snapshot, refresh) = op.cache.refresh(g, &w, op.config.cache_snapshots)?;
+        match refresh {
+            SnapshotRefresh::Built => op.stats.built += 1,
+            SnapshotRefresh::Reused => op.stats.reused += 1,
+            SnapshotRefresh::Patched => op.stats.patched += 1,
+        }
+        let request = executor::BatchRequest {
+            config: &op.config,
+            pool: &op.walkers,
+            cursor: op.cursor,
+            origin,
+            n,
+            occasion_seed,
+        };
+        let outcomes = executor::reference::run_tuple_batch(db, &request, snapshot)?;
+
+        let mut out = Vec::with_capacity(n);
+        let mut retries = 0;
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            let slot = op.cursor + i;
+            if op.config.continue_walks {
+                let (walk_origin, prior_steps, prior_messages) = if outcome.fresh {
+                    (origin, 0, 0)
+                } else {
+                    let prev = &op.walkers[slot];
+                    (prev.origin(), prev.steps(), prev.messages())
+                };
+                let walk = MetropolisWalk::restore(
+                    outcome.end,
+                    walk_origin,
+                    prior_steps.saturating_add(outcome.steps),
+                    prior_messages.saturating_add(outcome.hops),
+                );
+                if slot < op.walkers.len() {
+                    op.walkers[slot] = walk;
+                } else {
+                    op.walkers.push(walk);
+                }
+            }
+            op.total_messages = op.total_messages.saturating_add(outcome.cost.total());
+            op.samples_drawn += 1;
+            retries += outcome.retries;
+            out.push((outcome.handle, outcome.tuple, outcome.cost));
+        }
+        op.cursor += n;
+        Ok((out, retries))
+    }
+
+    /// Pool, cursor and accounting: what a failed batch must leave alone.
+    fn pool_and_accounting(op: &SamplingOperator) -> impl PartialEq + std::fmt::Debug {
+        let pool: Vec<_> = op
+            .walkers
+            .iter()
+            .map(|w| (w.current(), w.origin(), w.steps(), w.messages()))
+            .collect();
+        (pool, op.cursor, op.total_messages, op.samples_drawn)
+    }
+
+    /// Everything of an operator a later batch or a caller can observe.
+    fn observable(op: &SamplingOperator) -> impl PartialEq + std::fmt::Debug {
+        (pool_and_accounting(op), op.stats)
+    }
+
+    /// A BA overlay of 40 nodes over a relation of the given arity in
+    /// which three nodes in four — the origin among them — hold nothing,
+    /// so short fresh walks end on empty nodes and must retry.
+    fn sparse_world(arity: usize) -> (Graph, P2PDatabase) {
+        let g = topology::barabasi_albert(40, 2, &mut ChaCha8Rng::seed_from_u64(31)).unwrap();
+        let names: Vec<String> = (0..arity).map(|k| format!("a{k}")).collect();
+        let mut db = P2PDatabase::new(Schema::new(names));
+        for v in g.nodes() {
+            db.register_node(v);
+            if v.0 % 4 != 1 {
+                continue;
+            }
+            for j in 0..=(v.0 % 3) {
+                let row = (0..arity)
+                    .map(|k| f64::from(100 * v.0 + 10 * j) + k as f64 / 8.0)
+                    .collect();
+                db.insert(v, Tuple::new(row)).unwrap();
+            }
+        }
+        (g, db)
+    }
+
+    fn config(workers: usize, continue_walks: bool) -> SamplingConfig {
+        SamplingConfig {
+            walk_length: 3,
+            reset_length: 1,
+            continue_walks,
+            workers,
+            cache_snapshots: true,
+        }
+    }
+
+    #[test]
+    fn sample_batch_matches_the_boxed_tuple_path_it_replaced() {
+        let origin = NodeId(0);
+        for arity in 0..=3 {
+            let (mut g, db) = sparse_world(arity);
+            for workers in [1, 2, 4] {
+                for continue_walks in [true, false] {
+                    let mut new = SamplingOperator::new(config(workers, continue_walks)).unwrap();
+                    let mut old = new.clone();
+                    let mut new_rng = ChaCha8Rng::seed_from_u64(7 + workers as u64);
+                    let mut old_rng = new_rng.clone();
+                    let mut retries = 0;
+                    for occasion in 0..4 {
+                        new.begin_occasion();
+                        old.begin_occasion();
+                        // Two batches per occasion: the second starts at a
+                        // non-zero cursor; an empty one draws nothing.
+                        for n in [9, 0, 5 + occasion] {
+                            let batch = new.sample_batch(&g, &db, origin, n, &mut new_rng).unwrap();
+                            let got: Vec<_> = batch
+                                .iter()
+                                .map(|(h, row, c)| (h, row.values().to_vec(), c))
+                                .collect();
+                            let (want, retried) =
+                                reference_sample_tuples(&mut old, &g, &db, origin, n, &mut old_rng)
+                                    .unwrap();
+                            retries += retried;
+                            assert_eq!(got.len(), n);
+                            assert_eq!(want.len(), n);
+                            for ((h, values, c), (wh, wt, wc)) in got.iter().zip(&want) {
+                                assert_eq!((h, c), (wh, wc));
+                                assert_eq!(values.len(), arity);
+                                let bits =
+                                    |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(bits(values), bits(wt.values()));
+                            }
+                            assert_eq!(observable(&new), observable(&old));
+                        }
+                    }
+                    assert!(retries > 0, "the world must force content retries");
+                    assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+                    assert_eq!(new.pool_size(), if continue_walks { 17 } else { 0 });
+                }
+            }
+            // The adapter is the same batch, owned.
+            let mut adapter = SamplingOperator::new(config(1, true)).unwrap();
+            let mut old = adapter.clone();
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            let owned = adapter
+                .sample_tuples(&g, &db, origin, 6, &mut rng.clone())
+                .unwrap();
+            let (want, _) =
+                reference_sample_tuples(&mut old, &g, &db, origin, 6, &mut rng).unwrap();
+            assert_eq!(owned, want);
+
+            // An error batch — the origin left the overlay — fails as the
+            // old path did and leaves pool, cursor and accounting alone.
+            let mut new = SamplingOperator::new(config(2, true)).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            new.sample_batch(&g, &db, origin, 7, &mut rng).unwrap();
+            let mut old = new.clone();
+            g.remove_node(origin).unwrap();
+            let before = observable(&new);
+            let err = new.sample_batch(&g, &db, origin, 7, &mut rng).map(|_| ());
+            assert_eq!(err, Err(SamplingError::UnknownNode(origin)));
+            assert_eq!(
+                reference_sample_tuples(&mut old, &g, &db, origin, 7, &mut rng).map(|_| ()),
+                err
+            );
+            assert_eq!(observable(&new), before);
+            assert_eq!(observable(&old), before);
+        }
+    }
+
+    /// A slot that exhausts its content-retry budget fails the whole
+    /// batch: nothing is lent, nothing is written back.
+    #[test]
+    fn a_failed_slot_fails_the_batch_atomically() {
+        // Node 0 is isolated and empty; the only tuple lives on node 1.
+        let mut g = Graph::new();
+        let (a, b) = (g.add_node(), g.add_node());
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        db.register_node(a);
+        db.register_node(b);
+        db.insert(b, Tuple::single(1.0)).unwrap();
+        for workers in [1, 3] {
+            let mut op = SamplingOperator::new(config(workers, true)).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            op.sample_batch(&g, &db, b, 2, &mut rng).unwrap();
+            op.begin_occasion();
+            let before = pool_and_accounting(&op);
+            // Slots 0–1 continue on node 1 and succeed; slot 2 is fresh
+            // from the empty origin and can never leave it.
+            let err = op.sample_batch(&g, &db, a, 3, &mut rng).map(|_| ());
+            assert_eq!(err, Err(SamplingError::ZeroTotalWeight));
+            assert!(op.arena.outcomes.is_empty() && op.arena.values.is_empty());
+            assert_eq!(pool_and_accounting(&op), before);
         }
     }
 }

@@ -153,6 +153,24 @@ impl Histogram {
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `n` observations of the same `value` with one update per
+    /// field — what `n` calls of [`Histogram::record`] leave behind, for
+    /// callers that tally a batch locally and flush it once. `n == 0`
+    /// records nothing. The sum's addend saturates at `u64::MAX` instead
+    /// of wrapping when `value · n` overflows.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let total = value.saturating_mul(n);
+        self.count.fetch_add(n, Ordering::Relaxed); // relaxed-ok: monotone tally
+        self.sum.fetch_add(total, Ordering::Relaxed); // relaxed-ok: monotone tally
+        self.max.fetch_max(value, Ordering::Relaxed); // relaxed-ok: monotone max
+        let bucket = &self.buckets[Self::bucket_of(value)];
+        bucket.fetch_add(n, Ordering::Relaxed); // relaxed-ok: monotone tally, as in `record`
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -331,6 +349,43 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_upper_bound(0.5), 0);
+    }
+
+    fn fields(h: &Histogram) -> (u64, u64, u64, [u64; HISTOGRAM_BUCKETS]) {
+        (h.count(), h.sum(), h.max(), h.bucket_counts())
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        for value in [0, 1, 23, 95, u64::MAX] {
+            // `n · value` overflows only for `u64::MAX`, where `record`'s
+            // own sum wraps; the two agree up to the last `n` that fits.
+            let fits = if value == u64::MAX { 1 } else { 7 };
+            for n in 0..=fits {
+                let (batched, looped) = (Histogram::new(), Histogram::new());
+                // A prior observation, so `n == 0` leaving `max` alone shows.
+                batched.record(5);
+                looped.record(5);
+                batched.record_n(value, n);
+                for _ in 0..n {
+                    looped.record(value);
+                }
+                assert_eq!(fields(&batched), fields(&looped), "{value} × {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_saturates_the_addend_instead_of_wrapping() {
+        let h = Histogram::new();
+        h.record_n(u64::MAX, 3);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.sum(), u64::MAX, "3 · u64::MAX pins, it does not wrap");
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.bucket_counts()[64], 3);
+        let h = Histogram::new();
+        h.record_n(u64::MAX / 2 + 1, 2);
+        assert_eq!(h.sum(), u64::MAX);
     }
 
     #[test]

@@ -7,17 +7,18 @@
 
 use digest::audit::QueryAudit;
 use digest::core::{
-    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision, QuerySystem,
-    SchedulerKind, TickContext, TickObserver,
+    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision, QueryMux,
+    QuerySystem, RepeatedEstimator, RptConfig, SchedulerKind, TickContext, TickObserver,
 };
-use digest::db::Expr;
-use digest::sampling::SamplingConfig;
+use digest::db::{Expr, Predicate};
+use digest::sampling::{SamplingConfig, SamplingOperator};
 use digest::workload::{TemperatureConfig, TemperatureWorkload, Workload};
 use digest_telemetry::MemorySink;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Heap allocations (and reallocations) made by this thread. Const
@@ -69,6 +70,16 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// The event sink and its suppression depth are process-wide: a walk batch
+/// on one test's thread silences — and an installed sink makes allocate —
+/// every other thread for its duration. The tests that sample or install
+/// a sink take turns.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn telemetry_turn() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What one phase of the run saw of `QueryAudit::observe`.
 #[derive(Debug, Default)]
 struct Phase {
@@ -82,6 +93,7 @@ struct Phase {
 fn audit_observation_stays_off_the_heap() {
     const WARM_UP: u64 = 3;
     const MEASURED: u64 = 50;
+    let _turn = telemetry_turn();
 
     // The benchmark's `audited` world and engine: paper-scale TEMPERATURE,
     // one AVG under PRED3+RPT at (δ, ε, p) = (8, 2, 0.95).
@@ -184,4 +196,131 @@ fn world_advance_and_oracle_stay_off_the_heap() {
     assert_eq!(allocs() - before, 0);
     assert_eq!(workload.current_tick(), TICKS);
     assert!(truths.is_finite());
+}
+
+/// What PR 17 bought on `solo_tight` (ROADMAP aim 1): an RPT occasion at
+/// a steady panel size revisits, draws, combines and re-panels inside
+/// buffers it already owns. The scheduler's fit is outside `evaluate` and
+/// outside this gate.
+#[test]
+fn steady_rpt_occasions_do_not_allocate_per_sample() {
+    const WARM_UP: u64 = 5;
+    const MEASURED: u64 = 50;
+    let _turn = telemetry_turn();
+
+    // The benchmark's `solo_tight` world and contract: an occasion every
+    // tick, a panel of a few hundred samples.
+    let mut workload =
+        TemperatureWorkload::new(TemperatureConfig::reduced(1060, 10, 53, WARM_UP + MEASURED));
+    let expr = Expr::first_attr(workload.db().schema());
+    let precision = Precision::new(1.0, 0.75, 0.99).unwrap();
+    let mut estimator = RepeatedEstimator::new(RptConfig::default()).unwrap();
+    let mut operator = SamplingOperator::new(SamplingConfig {
+        workers: 1,
+        ..SamplingConfig::recommended(workload.graph().node_count())
+    })
+    .unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let origin = workload.graph().nodes().next().unwrap();
+
+    let mut spent = Vec::new();
+    let mut samples = 0;
+    for tick in 0..WARM_UP + MEASURED {
+        workload.advance_to(tick, &mut rng);
+        let ctx = TickContext {
+            tick,
+            graph: workload.graph(),
+            db: workload.db(),
+            origin,
+        };
+        let before = allocs();
+        let snapshot = estimator
+            .evaluate(
+                &ctx,
+                &expr,
+                &Predicate::True,
+                &precision,
+                &mut operator,
+                &mut rng,
+            )
+            .unwrap();
+        let after = allocs();
+        if tick >= WARM_UP {
+            spent.push(after - before);
+            samples += snapshot.total_samples();
+        }
+    }
+    // Hundreds of samples an occasion, and not one allocation that grows
+    // with them: a late buffer growth is all an occasion may still pay.
+    assert!(samples >= 200 * MEASURED, "{samples}");
+    assert!(spent.iter().all(|&n| n <= 8), "{spent:?}");
+}
+
+/// What PR 17 bought on `mux32`: a shared round folds its panel once per
+/// question class, in place in the operator's batch column — 32 members
+/// asking the same `AVG` allocate what 4 members do plus a constant per
+/// extra member, not a constant per (member, sample). `ALL` scheduling
+/// fires a round every tick and keeps the PRED-k fit (which allocates per
+/// decision, and is not this PR's) out of the count.
+#[test]
+fn coincident_mux_members_share_one_fold() {
+    const ROUNDS: u64 = 20;
+    let _turn = telemetry_turn();
+
+    let run = |members: usize| {
+        let mut workload = TemperatureWorkload::new(TemperatureConfig::paper_scale());
+        let mut mux = QueryMux::new(MuxConfig {
+            scheduler: SchedulerKind::All,
+            sampling: SamplingConfig {
+                workers: 1,
+                ..SamplingConfig::recommended(workload.graph().node_count())
+            },
+            ..MuxConfig::default()
+        })
+        .unwrap();
+        let contracts = [
+            (2.0, 1.0, 0.95),
+            (1.0, 0.5, 0.99),
+            (4.0, 1.0, 0.90),
+            (2.0, 0.5, 0.95),
+        ];
+        for k in 0..members {
+            let (delta, epsilon, p) = contracts[k % contracts.len()];
+            mux.register(ContinuousQuery::avg(
+                Expr::first_attr(workload.db().schema()),
+                Precision::new(delta, epsilon, p).unwrap(),
+            ))
+            .unwrap();
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+        let origin = workload.graph().nodes().next().unwrap();
+        let (mut spent, mut samples) = (0, 0);
+        for tick in 0..ROUNDS {
+            workload.advance_to(tick, &mut rng);
+            let ctx = TickContext {
+                tick,
+                graph: workload.graph(),
+                db: workload.db(),
+                origin,
+            };
+            let before = allocs();
+            let outcomes = mux.on_tick_mux(&ctx, &mut rng).unwrap();
+            spent += allocs() - before;
+            samples += outcomes[0].outcome.samples_this_tick;
+        }
+        assert_eq!(mux.rounds(), ROUNDS);
+        (spent, samples)
+    };
+    let (few, few_samples) = run(4);
+    let (many, many_samples) = run(32);
+    // The same panels either way, well over a thousand samples a round …
+    assert_eq!(few_samples, many_samples);
+    assert!(few_samples >= 1_000 * ROUNDS, "{few_samples}");
+    // … none of which costs an allocation, and an extra member costs at
+    // most one per round.
+    assert!(
+        many < many_samples / 20,
+        "{many} for {many_samples} samples"
+    );
+    assert!(many <= few + ROUNDS * (32 - 4), "{few} -> {many}");
 }
