@@ -15,8 +15,11 @@
 //! standing assumption that the graph sampled by a walk is connected.
 //! A step almost never partitions a large overlay, so the repair first
 //! tries to prove that from what the step touched (see `repair`) and
-//! scans the graph only when that proof fails.
+//! scans the graph only when that proof fails. Who leaves is drawn by
+//! [`BernoulliHits`], one RNG word per departure, so a step costs what it
+//! changes and not what the overlay holds.
 
+use crate::bernoulli::BernoulliHits;
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
 use crate::topology::stitch_connected;
@@ -126,25 +129,12 @@ impl ChurnProcess {
         // departed node, one pre-step survivor, and every joiner.
         let mut terminals = Vec::new();
 
-        // Leaves: decided over the live list as the step found it, then
-        // applied in that order.
-        if cfg.leave_prob > 0.0 {
-            let mut remaining = g.node_count();
-            for id in g.nodes() {
-                if remaining <= cfg.min_nodes {
-                    break;
-                }
-                if rng.gen_bool(cfg.leave_prob) {
-                    events.push(ChurnEvent::Left(id));
-                    remaining -= 1;
-                }
-            }
-            for event in &events {
-                if let ChurnEvent::Left(id) = *event {
-                    terminals.extend_from_slice(g.neighbors(id));
-                    // Cannot fail: `id` came off the live list just now.
-                    let _ = g.remove_node(id);
-                }
+        decide_leaves(cfg, g, rng, &mut events);
+        for event in &events {
+            if let ChurnEvent::Left(id) = *event {
+                terminals.extend_from_slice(g.neighbors(id));
+                // Cannot fail: `id` came off the live list just now.
+                let _ = g.remove_node(id);
             }
         }
         terminals.extend(g.nodes().next());
@@ -224,6 +214,29 @@ impl ChurnProcess {
     }
 }
 
+/// Appends this step's departures to `events`: every node of the live
+/// list as the step found it leaves with `leave_prob`, in that list's
+/// order, until only `min_nodes` would remain. Decided before anything is
+/// applied, so position `i` is the `i`-th node the step started with.
+/// xtask: no-alloc
+fn decide_leaves<R: Rng + ?Sized>(
+    cfg: &ChurnConfig,
+    g: &Graph,
+    rng: &mut R,
+    events: &mut Vec<ChurnEvent>,
+) {
+    let mut remaining = g.node_count();
+    let mut leaving = BernoulliHits::new(remaining, cfg.leave_prob);
+    while remaining > cfg.min_nodes {
+        // `nth` on the live slice is a bounds check and an offset.
+        let Some(id) = leaving.next(rng).and_then(|i| g.nodes().nth(i)) else {
+            break;
+        };
+        events.push(ChurnEvent::Left(id));
+        remaining -= 1;
+    }
+}
+
 /// Leaves the overlay connected — stitching every stray component back to
 /// the giant one with a single random edge — and marks it so. Returns
 /// whether that took a scan of the whole graph.
@@ -253,11 +266,13 @@ fn repair<R: Rng + ?Sized>(
     scan
 }
 
-/// The scan-every-step implementation `step` replaced, kept verbatim as
-/// the model the proptest below holds it to.
+/// The scan-every-step implementation `step` replaced, kept as the model
+/// the proptest below holds it to: it shares who leaves (`decide_leaves`)
+/// and how a joiner picks its peers, and finds and mends partitions its
+/// own way.
 #[cfg(test)]
 mod reference {
-    use super::{ChurnEvent, ChurnProcess};
+    use super::{decide_leaves, ChurnEvent, ChurnProcess};
     use crate::graph::{Graph, NodeId};
     use rand::Rng;
 
@@ -269,16 +284,10 @@ mod reference {
         let mut events = Vec::new();
         let cfg = &process.config;
 
-        // Leaves.
-        if cfg.leave_prob > 0.0 {
-            let candidates: Vec<NodeId> = g.nodes().collect();
-            for id in candidates {
-                if g.node_count() <= cfg.min_nodes {
-                    break;
-                }
-                if rng.gen_bool(cfg.leave_prob) && g.remove_node(id).is_ok() {
-                    events.push(ChurnEvent::Left(id));
-                }
+        decide_leaves(cfg, g, rng, &mut events);
+        for event in &events {
+            if let ChurnEvent::Left(id) = *event {
+                let _ = g.remove_node(id);
             }
         }
 
@@ -338,6 +347,7 @@ mod reference {
 )]
 mod tests {
     use super::*;
+    use crate::bernoulli::Counting;
     use crate::topology;
     use proptest::prelude::*;
     use rand::{RngCore, SeedableRng};
@@ -520,10 +530,10 @@ mod tests {
     }
 
     /// ChaCha8 with a periodic stretch of its words forced to `u64::MAX` —
-    /// the word on which `random_node` picks the newest node and
-    /// `gen_bool(p < 1)` says no. A stretch that covers a joiner's
-    /// `pick_target` makes every attachment attempt fail, which an honest
-    /// stream does about once in 2³² joins.
+    /// the word on which `random_node` picks the newest node, a fractional
+    /// join says no and the next node in line leaves. A stretch that covers
+    /// a joiner's `pick_target` makes every attachment attempt fail, which
+    /// an honest stream does about once in 2³² joins.
     #[derive(Clone)]
     struct Loaded {
         inner: ChaCha8Rng,
@@ -546,6 +556,62 @@ mod tests {
                 word
             }
         }
+    }
+
+    /// A step's RNG cost is its departures (one word each, one to run off
+    /// the end) and its joiners' peer picks — not one word per live node.
+    #[test]
+    fn a_step_draws_words_for_what_changes_not_for_what_exists() {
+        let config = ChurnConfig {
+            leave_prob: 2e-5,
+            join_rate: 0.0,
+            attach_links: 3,
+            preferential: true,
+            min_nodes: 8,
+            repair_partitions: true,
+        };
+        let quiet_joins = ChurnProcess::new(config).unwrap();
+        let joining = ChurnProcess::new(ChurnConfig {
+            join_rate: 2.5,
+            ..config
+        })
+        .unwrap();
+        let mut g = topology::barabasi_albert(100_000, 3, &mut rng(15)).unwrap();
+        let mut r = Counting {
+            inner: rng(16),
+            words: 0,
+        };
+        // The unproven arrival: nothing leaves a BA overlay partitioned, so
+        // the scan stitches nothing and draws nothing.
+        quiet().step(&mut g, &mut r);
+        assert_eq!(r.words, 0);
+        let (mut left, mut joined) = (0, 0);
+        for step in 0..40 {
+            let before = r.words;
+            let process = if step % 2 == 0 {
+                &quiet_joins
+            } else {
+                &joining
+            };
+            let (events, scanned) = process.step_and_report(&mut g, &mut r);
+            assert!(!scanned);
+            let leaves = events
+                .iter()
+                .filter(|e| matches!(e, ChurnEvent::Left(_)))
+                .count();
+            let joins = events.len() - leaves;
+            left += leaves;
+            joined += joins;
+            // Per joiner: the odd rejected or repeated pick aside, two
+            // words for each of its three links; one for the fraction.
+            let join_words = if joins > 0 { 1 + 16 * joins } else { 0 };
+            let words = r.words - before;
+            assert!(
+                words <= leaves + 1 + join_words,
+                "step {step}: {words} words for {leaves} leaves, {joins} joins"
+            );
+        }
+        assert!(left > 40 && joined > 40, "{left} left, {joined} joined");
     }
 
     fn path(n: usize) -> Graph {

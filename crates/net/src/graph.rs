@@ -27,6 +27,7 @@
 use crate::error::NetError;
 use crate::Result;
 use rand::Rng;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Stable identifier of an overlay node.
@@ -39,10 +40,11 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Capacity of the structural-change journal. Past this many entries
-/// between two snapshot captures the journal overflows and consumers
-/// fall back to a full rebuild — the cap bounds Graph memory while
-/// keeping every realistic per-tick churn delta patchable.
+/// Capacity of the structural-change journal: the window holds the most
+/// recent this-many entries, so a consumer whose mark is more than this
+/// many changes old falls back to a full rebuild — the cap bounds Graph
+/// memory while keeping every realistic per-tick churn delta patchable.
+/// It counts changes, not nodes, so it is not sized from the overlay.
 const JOURNAL_CAP: usize = 1024;
 
 /// Pool size below which compaction is never attempted (compacting tiny
@@ -82,10 +84,12 @@ pub struct Graph {
     edge_count: usize,
     /// Monotonic mutation counter; bumped by every structural change.
     epoch: u64,
-    /// `(epoch, node)` entries for nodes whose adjacency/liveness changed.
-    journal: Vec<(u64, NodeId)>,
-    /// Earliest epoch from which `journal` is complete; requests for
-    /// changes since an older epoch must fall back to a full rebuild.
+    /// The latest `(epoch, node)` entries for nodes whose adjacency or
+    /// liveness changed, oldest first (so epochs never decrease).
+    journal: VecDeque<(u64, NodeId)>,
+    /// Earliest epoch from which `journal` is complete — the epoch of the
+    /// last entry the window dropped; requests for changes since an older
+    /// epoch must fall back to a full rebuild.
     journal_floor: u64,
     /// Epoch at which a repairing churn step last left the overlay
     /// connected. A proof only while it still equals `epoch`: every
@@ -116,11 +120,12 @@ impl Clone for ReachScratch {
 
 impl ReachScratch {
     /// Sizes `mark` for `upper` ids and keeps two fresh stamps available.
-    /// The only place the stamps allocate: once per id-space growth.
+    /// The only place the stamps allocate, and amortised: under churn the
+    /// id space grows on every tick with a join, so growth must not copy
+    /// the whole vector each time.
     #[cold]
     fn grow(&mut self, upper: usize) {
         if self.mark.len() < upper {
-            self.mark.reserve_exact(upper - self.mark.len());
             self.mark.resize(upper, 0);
         }
         if self.stamp > u32::MAX - 2 {
@@ -166,7 +171,7 @@ impl Graph {
             live_pos: Vec::with_capacity(n),
             edge_count: 0,
             epoch: 0,
-            journal: Vec::new(),
+            journal: VecDeque::new(),
             journal_floor: 0,
             connected_at: None,
             reach: ReachScratch::default(),
@@ -203,12 +208,9 @@ impl Graph {
         if since > self.epoch || since < self.journal_floor {
             return None;
         }
-        let mut out: Vec<NodeId> = self
-            .journal
-            .iter()
-            .filter(|&&(epoch, _)| epoch > since)
-            .map(|&(_, id)| id)
-            .collect();
+        // Entries are pushed in epoch order: the delta is a suffix.
+        let first = self.journal.partition_point(|&(epoch, _)| epoch <= since);
+        let mut out: Vec<NodeId> = self.journal.range(first..).map(|&(_, id)| id).collect();
         out.sort_unstable();
         out.dedup();
         Some(out)
@@ -219,17 +221,23 @@ impl Graph {
         self.epoch += 1;
     }
 
-    /// Records `id` as touched by the current epoch's change. On
-    /// overflow the journal restarts from the current epoch: dropped
-    /// entries all carry epochs ≤ the new floor, so completeness for
-    /// `since ≥ floor` is preserved and [`Graph::changes_since`] answers
+    /// Records `id` as touched by the current epoch's change. A full
+    /// journal slides: the oldest entry goes and its epoch becomes the
+    /// floor. A query at `since ≥ floor` wants only entries with epochs
+    /// `> floor`, and every dropped entry carries an epoch `≤ floor`, so
+    /// the window stays complete for it; [`Graph::changes_since`] answers
     /// `None` (forcing a rebuild) for every mark older than the floor.
+    /// A consumer therefore rebuilds only when more than [`JOURNAL_CAP`]
+    /// changes separate it from its mark, not whenever a wrap happens to
+    /// fall between the two.
+    /// xtask: no-alloc
     fn record_change(&mut self, id: NodeId) {
         if self.journal.len() >= JOURNAL_CAP {
-            self.journal.clear();
-            self.journal_floor = self.epoch;
+            if let Some((dropped, _)) = self.journal.pop_front() {
+                self.journal_floor = dropped;
+            }
         }
-        self.journal.push((self.epoch, id));
+        self.journal.push_back((self.epoch, id));
     }
 
     /// The neighbor row of `i` as an arena span (valid for live rows).
@@ -932,6 +940,67 @@ mod tests {
         let new_mark = g.epoch();
         g.add_edge(ids[2], ids[3]).unwrap();
         assert_eq!(g.changes_since(new_mark).unwrap(), vec![ids[2], ids[3]]);
+    }
+
+    /// The window slides: however many records went before, a mark that
+    /// is 100 entries old is served, wherever the wraps fell.
+    #[test]
+    fn a_recent_mark_is_served_however_long_the_history() {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..6).map(|_| g.add_node()).collect();
+        let mut records = ids.len();
+        let mut toggles = 0usize;
+        while records < 5_000 {
+            let mark = g.epoch();
+            // 50 toggles of two entries each: 100 entries past the mark.
+            for _ in 0..50 {
+                let (a, b) = (ids[toggles % 5], ids[toggles % 5 + 1]);
+                if !g.add_edge(a, b).unwrap() {
+                    g.remove_edge(a, b).unwrap();
+                }
+                toggles += 1;
+                assert!(g.changes_since(mark).is_some(), "after {records} records");
+            }
+            records += 100;
+            assert_eq!(g.changes_since(mark).unwrap().len(), 6);
+        }
+        assert_eq!(g.journal.len(), JOURNAL_CAP);
+    }
+
+    /// Where the window ends: the epoch of the last dropped entry is the
+    /// oldest mark still served, and it is served completely.
+    #[test]
+    fn the_floor_is_the_last_dropped_epoch() {
+        let mut g = Graph::new();
+        // One entry per epoch, ids = epochs − 1.
+        for _ in 0..JOURNAL_CAP {
+            g.add_node();
+        }
+        assert_eq!(g.journal_floor, 0);
+        assert_eq!(g.changes_since(0).unwrap().len(), JOURNAL_CAP);
+        // Two more entries drop epochs 1 and 2.
+        g.add_node();
+        g.add_node();
+        let dropped = 2;
+        assert_eq!(g.journal_floor, dropped);
+        assert!(g.changes_since(dropped - 1).is_none());
+        let served = g.changes_since(dropped).unwrap();
+        let expected: Vec<NodeId> = (dropped as u32..g.epoch() as u32).map(NodeId).collect();
+        assert_eq!(served, expected);
+
+        // An edge is two entries of one epoch; dropping the first of them
+        // leaves the second in a window whose floor is their epoch.
+        let mut g = Graph::new();
+        let a = g.add_node();
+        let b = g.add_node();
+        g.add_edge(a, b).unwrap();
+        for _ in 0..JOURNAL_CAP - 1 {
+            g.add_node();
+        }
+        assert_eq!(g.journal.front(), Some(&(3, b)));
+        assert_eq!(g.journal_floor, 3);
+        assert!(g.changes_since(2).is_none());
+        assert_eq!(g.changes_since(3).unwrap().len(), JOURNAL_CAP - 1);
     }
 
     #[test]

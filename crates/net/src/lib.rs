@@ -16,6 +16,9 @@
 //!   tests and ablations.
 //! * [`churn`] — the node join/leave process that drives the dynamic
 //!   membership of `V` (and hence of the stored relation).
+//! * [`bernoulli`] — the successes among `n` rare independent trials at
+//!   the cost of the successes; how a churn step picks who leaves and how
+//!   the MEMORY generator picks who updates.
 //! * [`metrics`] — degree distributions, power-law exponent estimation,
 //!   clustering, and diameter estimates used to validate generated
 //!   topologies against the paper's assumptions (`p_k ∝ k^−α`, 2 < α < 3).
@@ -24,12 +27,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod bernoulli;
 pub mod churn;
 pub mod error;
 pub mod graph;
 pub mod metrics;
 pub mod topology;
 
+pub use bernoulli::BernoulliHits;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess};
 pub use error::NetError;
 pub use graph::{Graph, NodeId};

@@ -886,6 +886,9 @@ mod tests {
         );
     }
 
+    /// The pinned rows are one realisation of the MEMORY stream: re-pin
+    /// them only with a deliberate stream change, and only after the
+    /// dense-replay half passes on the new worlds.
     #[test]
     fn truth_classes_replay_member_scans_under_churn() {
         assert_truth_classes_replay_member_scans(
@@ -900,12 +903,12 @@ mod tests {
             50,
             32,
             [
-                [50, 19, 0, 0, 6010, 1940, 1828],
-                [50, 19, 1, 0, 6008, 1940, 1885],
-                [50, 19, 0, 0, 6005, 984, 942],
-                [50, 19, 19, 31, 6000, 1940, 1765],
-                [50, 19, 0, 0, 5996, 1940, 1778],
-                [50, 19, 0, 0, 757, 1940, 1828],
+                [50, 16, 0, 0, 4533, 1951, 1838],
+                [50, 16, 1, 0, 4529, 1951, 1899],
+                [50, 16, 0, 0, 4527, 952, 908],
+                [50, 16, 12, 20, 4526, 1951, 1779],
+                [50, 16, 0, 0, 4524, 1951, 1786],
+                [50, 16, 0, 0, 650, 1951, 1838],
             ],
         );
     }

@@ -14,13 +14,23 @@
 //! (the unit's records leave with the node) and joins add new nodes with
 //! fresh units — exercising the repeated-sampling forced-replacement path
 //! heavily, as SETI@home did in the paper.
+//!
+//! One second costs what changed in it. Which units update is drawn by
+//! [`BernoulliHits`] over the positions of the unit list — one RNG word
+//! per update, not per unit — and a departed node's units are found
+//! through a per-node chain (`unit_head` by node id, `next` in each unit)
+//! and `swap_remove`d, not by a pass over all units. The unit list
+//! therefore has no meaningful order: a removal moves the last unit into
+//! the hole. Every position is equally likely to update, so the order is
+//! a determinism matter only; it is a function of the seed like
+//! everything else.
 
 use crate::scenario::Workload;
 use crate::temperature::gaussian;
 use digest_db::{Expr, P2PDatabase, Schema, Tuple, TupleHandle};
-use digest_net::{topology, ChurnConfig, ChurnEvent, ChurnProcess, Graph};
+use digest_net::{topology, BernoulliHits, ChurnConfig, ChurnEvent, ChurnProcess, Graph, NodeId};
+use rand::RngCore;
 use rand::SeedableRng;
-use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration of the MEMORY generator.
@@ -110,7 +120,12 @@ struct Unit {
     handle: TupleHandle,
     offset: f64,
     ar: f64,
+    /// Position of the next unit on the same node, or [`NO_UNIT`].
+    next: u32,
 }
+
+/// End of a node's unit chain.
+const NO_UNIT: u32 = u32::MAX;
 
 /// The live MEMORY scenario.
 pub struct MemoryWorkload {
@@ -119,6 +134,9 @@ pub struct MemoryWorkload {
     db: P2PDatabase,
     expr: Expr,
     units: Vec<Unit>,
+    /// By node id: position of the first unit in the node's chain, or
+    /// [`NO_UNIT`]. The chains partition `units` by node.
+    unit_head: Vec<u32>,
     churn: ChurnProcess,
     rng: ChaCha8Rng,
     tick: u64,
@@ -146,18 +164,6 @@ impl MemoryWorkload {
         let expr = Expr::first_attr(db.schema());
         let node_ids: Vec<_> = graph.nodes().collect();
 
-        let mut units = Vec::with_capacity(config.units);
-        for i in 0..config.units {
-            let node = node_ids[i % node_ids.len()];
-            let offset = config.offset_std * gaussian(&mut rng);
-            let ar = config.ar_std * gaussian(&mut rng);
-            let value = (config.mean + offset + ar).max(0.0);
-            let handle = db
-                .insert(node, Tuple::single(value))
-                .expect("node registered");
-            units.push(Unit { handle, offset, ar });
-        }
-
         let churn = ChurnProcess::new(ChurnConfig {
             leave_prob: config.leave_prob,
             join_rate: config.join_rate,
@@ -168,19 +174,80 @@ impl MemoryWorkload {
         })
         .expect("valid churn config");
 
-        Self {
+        let mut this = Self {
+            units: Vec::with_capacity(config.units),
+            unit_head: vec![NO_UNIT; graph.id_upper_bound()],
             config,
             graph,
             db,
             expr,
-            units,
             churn,
             rng,
             tick: 0,
             seconds: 0,
             update_records: 0,
             churn_events: 0,
+        };
+        for i in 0..config.units {
+            this.add_unit(node_ids[i % node_ids.len()]);
         }
+        this
+    }
+
+    /// Creates a unit on `node` (registered in the database) from a fresh
+    /// draw of its offset and AR state, at the head of the node's chain.
+    fn add_unit(&mut self, node: NodeId) {
+        let config = &self.config;
+        let offset = config.offset_std * gaussian(&mut self.rng);
+        let ar = config.ar_std * gaussian(&mut self.rng);
+        let value = (config.mean + offset + ar).max(0.0);
+        let handle = self
+            .db
+            .insert(node, Tuple::single(value))
+            .expect("node registered");
+        let slot = node.0 as usize;
+        if self.unit_head.len() <= slot {
+            self.unit_head.resize(slot + 1, NO_UNIT);
+        }
+        let position = u32::try_from(self.units.len()).expect("fewer than 2³² units");
+        let next = std::mem::replace(&mut self.unit_head[slot], position);
+        self.units.push(Unit {
+            handle,
+            offset,
+            ar,
+            next,
+        });
+    }
+
+    /// Drops every unit of `node`, which has just left: each comes off the
+    /// head of the node's chain, `swap_remove` fills its place with the
+    /// last unit, and the one link that named that unit's old position is
+    /// re-pointed. Chains are as short as a node has units, so a departure
+    /// touches a handful of units however many there are.
+    fn remove_units_of(&mut self, node: NodeId) {
+        let slot = node.0 as usize;
+        while let Some(position) = self.unit_head.get(slot).copied().filter(|&p| p != NO_UNIT) {
+            self.unit_head[slot] = self.units[position as usize].next;
+            let last = u32::try_from(self.units.len() - 1).expect("fewer than 2³² units");
+            if position != last {
+                *self.link_to(last) = position;
+            }
+            self.units.swap_remove(position as usize);
+        }
+    }
+
+    /// The link — a node's head or a unit's `next` — that holds `position`,
+    /// found along the chain of the node that unit lives on.
+    fn link_to(&mut self, position: u32) -> &mut u32 {
+        let slot = self.units[position as usize].handle.node.0 as usize;
+        let mut at = self.unit_head[slot];
+        if at == position {
+            return &mut self.unit_head[slot];
+        }
+        while self.units[at as usize].next != position {
+            at = self.units[at as usize].next;
+        }
+        &mut self.units[at as usize].next
     }
 
     /// The configuration.
@@ -208,49 +275,33 @@ impl MemoryWorkload {
         // 1. Churn.
         let events = self.churn.step(&mut self.graph, &mut self.rng);
         self.churn_events += events.len() as u64;
-        // Departures first, then one order-preserving pass over the units
-        // for all of them: node ids are never reused, so a unit is on a
-        // departed node exactly when the overlay no longer contains its
-        // node. Doing it before the joiners' pushes keeps `units` within its
-        // initial capacity.
-        let mut any_left = false;
+        // Departures before the joiners' pushes, so `units` stays within its
+        // initial capacity while joins and leaves balance.
         for event in &events {
             if let ChurnEvent::Left(node) = *event {
                 if self.db.has_node(node) {
                     self.db.remove_node(node).expect("fragment existed");
                 }
-                any_left = true;
+                self.remove_units_of(node);
             }
-        }
-        if any_left {
-            let graph = &self.graph;
-            self.units.retain(|u| graph.contains(u.handle.node));
         }
         for event in events {
             if let ChurnEvent::Joined(node) = event {
                 self.db.register_node(node);
                 for _ in 0..self.config.units_per_join {
-                    let offset = self.config.offset_std * gaussian(&mut self.rng);
-                    let ar = self.config.ar_std * gaussian(&mut self.rng);
-                    let value = (self.config.mean + offset + ar).max(0.0);
-                    let handle = self
-                        .db
-                        .insert(node, Tuple::single(value))
-                        .expect("node just registered");
-                    self.units.push(Unit { handle, offset, ar });
+                    self.add_unit(node);
                     self.update_records += 1;
                 }
             }
         }
 
-        // 2. Sparse value updates.
+        // 2. Sparse value updates: the units that update, by position.
         let load = self.config.load_amplitude
             * (2.0 * std::f64::consts::PI * self.seconds as f64 / self.config.load_period).sin();
         let innovation_std = self.config.ar_std * (1.0 - self.config.ar_coeff.powi(2)).sqrt();
-        for unit in &mut self.units {
-            if !self.rng.gen_bool(self.config.update_prob) {
-                continue;
-            }
+        let mut updating = BernoulliHits::new(self.units.len(), self.config.update_prob);
+        while let Some(position) = updating.next(&mut self.rng) {
+            let unit = &mut self.units[position];
             unit.ar = self.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut self.rng);
             let value = (self.config.mean + load + unit.offset + unit.ar).max(0.0);
             self.db
@@ -309,6 +360,8 @@ impl Workload for MemoryWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn small() -> MemoryWorkload {
         MemoryWorkload::new(MemoryConfig::reduced(100, 50, 200))
@@ -383,6 +436,50 @@ mod tests {
         assert!(w.db().total_tuples() > 0);
     }
 
+    /// Every unit's handle resolves, and the chains partition the unit
+    /// positions by node: each live node's chain lists exactly the
+    /// positions of its units, and no chain is left on a departed node.
+    fn check_index(w: &MemoryWorkload) -> Result<(), String> {
+        let mut by_node: BTreeMap<NodeId, BTreeSet<usize>> = BTreeMap::new();
+        for (position, unit) in w.units.iter().enumerate() {
+            if w.db.read(unit.handle).is_err() {
+                return Err(format!("unit {position} dangles: {}", unit.handle));
+            }
+            by_node
+                .entry(unit.handle.node)
+                .or_default()
+                .insert(position);
+        }
+        if w.db.total_tuples() != w.units.len() {
+            return Err(format!(
+                "{} tuples, {} units",
+                w.db.total_tuples(),
+                w.units.len()
+            ));
+        }
+        for (slot, &head) in w.unit_head.iter().enumerate() {
+            let node = NodeId(slot as u32);
+            let mut chain = BTreeSet::new();
+            let mut at = head;
+            while at != NO_UNIT {
+                if !chain.insert(at as usize) || chain.len() > w.units.len() {
+                    return Err(format!("chain of {node} loops at {at}"));
+                }
+                at = w.units[at as usize].next;
+            }
+            if !w.graph.contains(node) && !chain.is_empty() {
+                return Err(format!("departed {node} keeps a chain: {chain:?}"));
+            }
+            if chain != by_node.remove(&node).unwrap_or_default() {
+                return Err(format!("chain of {node} is not its units: {chain:?}"));
+            }
+        }
+        match by_node.keys().next() {
+            Some(node) => Err(format!("units on {node}, which has no chain")),
+            None => Ok(()),
+        }
+    }
+
     #[test]
     fn departures_in_one_step_drop_exactly_their_units() {
         let mut w = MemoryWorkload::new(MemoryConfig {
@@ -391,25 +488,131 @@ mod tests {
             update_prob: 0.0,
             ..MemoryConfig::reduced(400, 200, 200)
         });
+        check_index(&w).unwrap();
         let before_nodes: Vec<_> = w.graph().nodes().collect();
         let before_bound = w.graph().id_upper_bound();
-        let mut expected: Vec<TupleHandle> = w.units.iter().map(|u| u.handle).collect();
+        let mut expected: BTreeSet<TupleHandle> = w.units.iter().map(|u| u.handle).collect();
         w.second();
         let departed: Vec<_> = before_nodes
             .into_iter()
             .filter(|&n| !w.graph().contains(n))
             .collect();
         assert!(departed.len() >= 2, "departed = {departed:?}");
-        // The filter `second` used to run once per departure.
-        for node in departed {
-            expected.retain(|h| h.node != node);
-        }
+        expected.retain(|h| !departed.contains(&h.node));
+        // Removals reorder the survivors among themselves; the joiners'
+        // units are pushed after every removal, so they come last.
         let units: Vec<TupleHandle> = w.units.iter().map(|u| u.handle).collect();
         let (survivors, joined) = units.split_at(expected.len());
-        assert_eq!(survivors, expected);
+        assert_eq!(survivors.iter().copied().collect::<BTreeSet<_>>(), expected);
         assert_eq!(joined.len(), 3 * w.config().units_per_join);
         assert!(joined.iter().all(|h| h.node.0 as usize >= before_bound));
         assert_eq!(w.db().total_tuples(), units.len());
+        check_index(&w).unwrap();
+    }
+
+    /// RNG words between two states of the generator's stream (every draw
+    /// on this path is a whole `u64`).
+    fn words_between(before: &ChaCha8Rng, after: &ChaCha8Rng) -> usize {
+        let target = format!("{after:?}");
+        let mut probe = before.clone();
+        let mut words = 0;
+        while format!("{probe:?}") != target {
+            probe.next_u64();
+            words += 1;
+            assert!(words < 1_000_000, "streams never met");
+        }
+        words
+    }
+
+    /// A second's RNG cost is its updates — a gap word and a Gaussian's two
+    /// each — plus one word to run off the end of the units; not a word
+    /// per unit.
+    #[test]
+    fn a_second_draws_words_for_its_updates_not_for_its_units() {
+        let mut w = MemoryWorkload::new(MemoryConfig {
+            units: 200_000,
+            nodes: 20_000,
+            update_prob: 0.01,
+            leave_prob: 0.0,
+            join_rate: 0.0,
+            ..MemoryConfig::paper_scale()
+        });
+        for _ in 0..3 {
+            let (rng, records) = (w.rng.clone(), w.update_records());
+            w.second();
+            let updates = (w.update_records() - records) as usize;
+            assert!((1_700..2_300).contains(&updates), "updates = {updates}");
+            assert_eq!(words_between(&rng, &w.rng), 3 * updates + 1);
+        }
+    }
+
+    /// Table II's record count follows from the per-second update rate:
+    /// over the paper-scale hour it lies within 4σ of `units · seconds ·
+    /// update_prob` (joiners' first records aside, which churn adds and
+    /// the shrinking population takes back).
+    #[test]
+    fn paper_scale_update_records_match_the_rate() {
+        let cfg = MemoryConfig {
+            leave_prob: 0.0,
+            join_rate: 0.0,
+            ..MemoryConfig::paper_scale()
+        };
+        let mut w = MemoryWorkload::new(cfg);
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for _ in 0..w.duration() {
+            w.advance(&mut rng);
+        }
+        let trials = (cfg.units as u64 * cfg.ticks) as f64;
+        let mean = trials * cfg.update_prob;
+        let sigma = (mean * (1.0 - cfg.update_prob)).sqrt();
+        let records = w.update_records() as f64;
+        assert!(
+            (records - mean).abs() < 4.0 * sigma,
+            "{records} records, expected {mean} ± {sigma}"
+        );
+
+        // With Table II's churn the population drifts by a few per cent,
+        // and the count with it.
+        let mut w = MemoryWorkload::new(MemoryConfig::paper_scale());
+        for _ in 0..w.duration() {
+            w.advance(&mut rng);
+        }
+        let records = w.update_records() as f64;
+        assert!((records - 95_445.0).abs() < 4_000.0, "{records} records");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Forty seconds of heavy churn: after each one the unit index is
+        /// whole — no dangling handle, no chain on a departed node, every
+        /// live node's chain exactly its units.
+        #[test]
+        fn the_unit_index_survives_churn(
+            seed in 0u64..1_000_000,
+            leave_prob in 0.0f64..0.2,
+            join_rate in 0.0f64..6.0,
+            units_per_join in 1usize..4,
+            units in 30usize..200,
+        ) {
+            let mut w = MemoryWorkload::new(MemoryConfig {
+                leave_prob,
+                join_rate,
+                units_per_join,
+                update_prob: 0.05,
+                seed,
+                ..MemoryConfig::reduced(units, 40, 40)
+            });
+            // The list reallocates only once it has truly outgrown its start.
+            let capacity = w.units.capacity();
+            let mut peak = w.units.len();
+            for _ in 0..40 {
+                w.second();
+                check_index(&w)?;
+                peak = peak.max(w.units.len());
+                prop_assert!(peak > capacity || w.units.capacity() == capacity);
+            }
+        }
     }
 
     #[test]
