@@ -6,6 +6,20 @@
 //! exposes *oracle* exact aggregates; the real system can never compute
 //! these (that is the whole point of Digest), but the simulator uses them
 //! as ground truth to verify precision guarantees.
+//!
+//! # The digest
+//!
+//! Beside the fragments the database keeps, dense by node id, each
+//! fragment's row count and its per-attribute column sum — its *leaf*: the
+//! sequential `+=` chain over the fragment's rows in store order, from
+//! `0.0` (a departed or unknown id holds `0` and `0.0`). Every writer
+//! keeps them true, so the exact sum of a bare attribute is one pass over a
+//! dense `f64` column (`combine`) and `content_size` one `u32` read;
+//! neither touches a fragment. A leaf is only ever *recomputed* from the
+//! rows it covers (or extended by the row just appended, which is the
+//! recomputed chain), never adjusted by `new − old`: it stays a function
+//! of the stored rows alone, whatever `NaN`, `∞` or cancellation passed
+//! through them.
 
 use crate::error::DbError;
 use crate::expr::Expr;
@@ -25,6 +39,21 @@ pub struct P2PDatabase {
     /// Fragment per node id (`None` = node unknown or departed).
     fragments: Vec<Option<LocalStore>>,
     total_tuples: usize,
+    /// Row count of each fragment, by node id (`0` = none).
+    sizes: Vec<u32>,
+    /// Per schema attribute, the leaf of each fragment by node id: the
+    /// `+=` chain over that column in store order, from `0.0`.
+    sums: Vec<Vec<f64>>,
+    /// One bit per node id: fragments [`P2PDatabase::update_rows`] wrote
+    /// and has yet to re-add. All zero between calls.
+    written: Vec<u64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fragments this thread's writers have re-added (a test's own count:
+    /// each test runs on its own thread).
+    static READDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl P2PDatabase {
@@ -32,9 +61,12 @@ impl P2PDatabase {
     #[must_use]
     pub fn new(schema: Schema) -> Self {
         Self {
+            sums: vec![Vec::new(); schema.arity()],
             schema,
             fragments: Vec::new(),
             total_tuples: 0,
+            sizes: Vec::new(),
+            written: Vec::new(),
         }
     }
 
@@ -45,11 +77,17 @@ impl P2PDatabase {
     }
 
     /// Registers a node (idempotent): the node now holds an (initially
-    /// empty) fragment.
+    /// empty) fragment. The digest grows here with the id space, so no
+    /// writer or reader ever sizes it.
     pub fn register_node(&mut self, node: NodeId) {
         let idx = node.0 as usize;
         if idx >= self.fragments.len() {
             self.fragments.resize_with(idx + 1, || None);
+            self.sizes.resize(idx + 1, 0);
+            for column in &mut self.sums {
+                column.resize(idx + 1, 0.0);
+            }
+            self.written.resize(idx / 64 + 1, 0);
         }
         if self.fragments[idx].is_none() {
             self.fragments[idx] = Some(LocalStore::new(self.schema.arity()));
@@ -69,12 +107,17 @@ impl P2PDatabase {
     ///
     /// [`DbError::UnknownNode`] if the node holds no fragment.
     pub fn remove_node(&mut self, node: NodeId) -> Result<usize> {
+        let idx = node.0 as usize;
         let store = self
             .fragments
-            .get_mut(node.0 as usize)
+            .get_mut(idx)
             .and_then(Option::take)
             .ok_or(DbError::UnknownNode(node))?;
         self.total_tuples -= store.len();
+        self.sizes[idx] = 0;
+        for column in &mut self.sums {
+            column[idx] = 0.0;
+        }
         Ok(store.len())
     }
 
@@ -94,6 +137,13 @@ impl P2PDatabase {
         let store = self.store_mut(node)?;
         let (slot, generation) = store.insert(&tuple);
         self.total_tuples += 1;
+        // The new row is last in store order: extending each chain by it
+        // is the recomputed chain.
+        let idx = node.0 as usize;
+        self.sizes[idx] += 1;
+        for (column, value) in self.sums.iter_mut().zip(tuple.values()) {
+            column[idx] += value;
+        }
         Ok(TupleHandle {
             node,
             slot,
@@ -112,6 +162,10 @@ impl P2PDatabase {
         let deleted = store.delete(handle.slot, handle.generation);
         if deleted {
             self.total_tuples -= 1;
+            // The swap-remove reordered the fragment's rows.
+            let idx = handle.node.0 as usize;
+            self.sizes[idx] -= 1;
+            self.readd(idx);
         }
         Ok(deleted)
     }
@@ -145,6 +199,7 @@ impl P2PDatabase {
             });
         }
         self.row_mut(handle)?.copy_from_slice(values);
+        self.readd(handle.node.0 as usize);
         digest_telemetry::registry::DB_UPDATES.inc();
         Ok(())
     }
@@ -154,13 +209,15 @@ impl P2PDatabase {
     /// to one [`P2PDatabase::update`] per handle — same checks, same rows
     /// written — except that the update tally is bumped once for the whole
     /// batch (a world that rewrites every tuple every tick pays for the
-    /// per-call atomic otherwise).
+    /// per-call atomic otherwise) and that each written fragment's leaves
+    /// are re-added once, after the loop, however many of its rows the
+    /// batch wrote.
     ///
     /// # Errors
     ///
     /// [`DbError::UnknownNode`] / [`DbError::StaleHandle`] at the first
     /// handle that no longer resolves; the rows before it stay written
-    /// (and counted), the rows from it on are untouched.
+    /// (counted, and re-added), the rows from it on are untouched.
     ///
     /// xtask: no-alloc
     pub fn update_rows(
@@ -171,21 +228,56 @@ impl P2PDatabase {
         let mut written = 0u64;
         let outcome = handles.iter().enumerate().try_for_each(|(k, &handle)| {
             write(k, self.row_mut(handle)?);
+            let idx = handle.node.0 as usize;
+            self.written[idx / 64] |= 1 << (idx % 64);
             written += 1;
             Ok(())
         });
+        self.readd_written();
         digest_telemetry::registry::DB_UPDATES.add(written);
         outcome
     }
 
+    /// Re-adds every fragment marked in `written` and clears the marks.
+    ///
+    /// xtask: no-alloc
+    fn readd_written(&mut self) {
+        for word in 0..self.written.len() {
+            let mut marks = std::mem::take(&mut self.written[word]);
+            while marks != 0 {
+                self.readd(word * 64 + marks.trailing_zeros() as usize);
+                marks &= marks - 1;
+            }
+        }
+    }
+
+    /// Recomputes fragment `idx`'s leaves from its stored rows: per
+    /// attribute, the `+=` chain over the column in store order from `0.0`.
+    /// The row count is the writers' to keep; a rewrite cannot move it.
+    ///
+    /// xtask: no-alloc
+    fn readd(&mut self, idx: usize) {
+        let Some(Some(store)) = self.fragments.get(idx) else {
+            return;
+        };
+        for (index, column) in self.sums.iter_mut().enumerate() {
+            let mut leaf = 0.0;
+            for value in store.column(index) {
+                leaf += value;
+            }
+            column[idx] = leaf;
+        }
+        #[cfg(test)]
+        READDS.with(|n| n.set(n.get() + 1));
+    }
+
     /// Content size `m_v` of a node (0 for unknown nodes — a weight
-    /// function must be total over `V`).
+    /// function must be total over `V`): one read of the dense size column,
+    /// not of the fragment — the weight capture asks this of every live
+    /// node on every occasion.
     #[must_use]
     pub fn content_size(&self, node: NodeId) -> usize {
-        self.fragments
-            .get(node.0 as usize)
-            .and_then(Option::as_ref)
-            .map_or(0, LocalStore::len)
+        self.sizes.get(node.0 as usize).map_or(0, |&m| m as usize)
     }
 
     /// Total number of tuples `N` across all fragments.
@@ -313,40 +405,35 @@ impl P2PDatabase {
     }
 
     /// The one fold behind every oracle aggregate: sum of `expr` and number
-    /// of rows over the tuples satisfying `predicate`, fragments in node-id
-    /// order and each in its store's order — one sequential `+=` chain, so
-    /// the `f64` sum is a function of the stored state alone.
+    /// of rows over the tuples satisfying `predicate`. The sum is two-level:
+    /// each fragment's leaf — the `+=` chain over its qualifying rows in
+    /// store order, from `0.0` — then [`combine`] over the leaves by node
+    /// id, so the `f64` sum is a function of the stored state alone.
     ///
     /// A bare attribute under the trivial predicate (every shipped query)
-    /// skips expression evaluation and adds the attribute's column, in the
-    /// same order and therefore to the same bits.
+    /// reads its leaves from the digest instead of the fragments
+    /// ([`digest_sum_count`]): the same leaves through the same `combine`,
+    /// and therefore the same bits.
     ///
     /// xtask: no-alloc
     fn sum_count_where(&self, expr: &Expr, predicate: &Predicate) -> Result<(f64, usize)> {
-        let column = match (expr, predicate) {
+        if let (Expr::Attr { index, .. }, Predicate::True) = (expr, predicate) {
             // An out-of-range attribute takes the general arm for its error.
-            (Expr::Attr { index, .. }, Predicate::True) if *index < self.schema.arity() => {
-                Some(*index)
-            }
-            _ => None,
-        };
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for store in self.fragments.iter().flatten() {
-            if let Some(index) = column {
-                for value in store.column(index) {
-                    sum += value;
-                }
-                count += store.len();
-            } else {
-                for (_, _, row) in store.rows() {
-                    if predicate.eval(row)? {
-                        sum += expr.eval(row)?;
-                        count += 1;
-                    }
-                }
+            if let Some(column) = self.sums.get(*index) {
+                return digest_sum_count(column, self.total_tuples);
             }
         }
+        let mut count = 0usize;
+        let sum = combine(self.fragments.iter().map(|fragment| {
+            let mut leaf = 0.0;
+            for (_, _, row) in fragment.iter().flat_map(LocalStore::rows) {
+                if predicate.eval(row)? {
+                    leaf += expr.eval(row)?;
+                    count += 1;
+                }
+            }
+            Ok(leaf)
+        }))?;
         Ok((sum, count))
     }
 
@@ -370,6 +457,42 @@ impl P2PDatabase {
             .get_mut(handle.slot, handle.generation)
             .ok_or(DbError::StaleHandle)
     }
+}
+
+/// Leaves are summed in this many interleaved chains.
+const LANES: usize = 8;
+
+/// The one definition of a sum across fragments: leaf `i` (node id `i`'s)
+/// goes into chain `i % LANES`, and the chains are joined pairwise. The
+/// shape is fixed, and a `+0.0` leaf — an empty, departed or not yet
+/// registered id — is inert in it (no chain is ever `-0.0`: each starts at
+/// `0.0`), so the value depends on the leaves alone, not on how far the id
+/// space has grown. Stops at the first leaf that fails.
+///
+/// xtask: no-alloc
+fn combine(mut leaves: impl Iterator<Item = Result<f64>>) -> Result<f64> {
+    let mut lanes = [0.0f64; LANES];
+    // A lap over the lanes per `LANES` leaves, rather than `lanes[i % LANES]`:
+    // the lanes stay in registers.
+    'laps: loop {
+        for lane in &mut lanes {
+            match leaves.next() {
+                Some(leaf) => *lane += leaf?,
+                None => break 'laps,
+            }
+        }
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    Ok(((a + b) + (c + d)) + ((e + f) + (g + h)))
+}
+
+/// The shipped arm of the oracle — `(Σ attribute, COUNT(*))` over the whole
+/// relation — as a function of the digest alone: the attribute's leaf
+/// column and the tuple count. No fragment is in scope.
+///
+/// xtask: no-alloc
+fn digest_sum_count(column: &[f64], total_tuples: usize) -> Result<(f64, usize)> {
+    Ok((combine(column.iter().map(|&leaf| Ok(leaf)))?, total_tuples))
 }
 
 /// `(handle, row)` pairs, fragment after fragment: the rest of `current`
@@ -504,6 +627,140 @@ mod tests {
         assert_eq!(db.exact_count(), 4);
         assert!((db.exact_sum(&expr).unwrap() - 12.0).abs() < 1e-12);
         assert!((db.exact_avg(&expr).unwrap() - 3.0).abs() < 1e-12);
+    }
+
+    /// A two-attribute relation of `rows` tuples dealt round-robin over
+    /// `nodes` nodes, with cancellation-prone values.
+    fn dealt(nodes: u32, rows: u32) -> (P2PDatabase, Vec<TupleHandle>) {
+        let mut db = P2PDatabase::new(Schema::new(["a", "b"]));
+        for i in 0..nodes {
+            db.register_node(NodeId(i));
+        }
+        let handles = (0..rows)
+            .map(|i| {
+                let row = vec![1e15 / f64::from(i + 1), 1e-3 * f64::from(i)];
+                db.insert(NodeId(i % nodes), Tuple::new(row)).unwrap()
+            })
+            .collect();
+        (db, handles)
+    }
+
+    /// The digest is what a from-scratch derivation gives — per id the
+    /// row count and each column's `+=` chain in `iter_node` order — and
+    /// no batch mark is left behind.
+    fn assert_digest_true(db: &P2PDatabase) {
+        assert_eq!(db.sizes.len(), db.fragments.len());
+        for (id, &size) in (0u32..).zip(&db.sizes) {
+            assert_eq!(size as usize, db.iter_node(NodeId(id)).count(), "{id}");
+            for (index, column) in db.sums.iter().enumerate() {
+                let mut leaf = 0.0f64;
+                for (_, row) in db.iter_node(NodeId(id)) {
+                    leaf += row.value(index).unwrap();
+                }
+                assert_eq!(
+                    column[id as usize].to_bits(),
+                    leaf.to_bits(),
+                    "{id}.{index}"
+                );
+            }
+        }
+        assert!(db.written.iter().all(|&word| word == 0));
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_the_digest_true() {
+        let (mut db, handles) = dealt(70, 700);
+        // Handle 150 is stale: rows 0..150 — two full rounds and ten nodes
+        // of a third — are written, over all 70 fragments.
+        assert!(db.delete(handles[150]).unwrap());
+        assert_digest_true(&db);
+        let before = READDS.get();
+        let outcome = db.update_rows(&handles, |k, row| row.fill(0.1 * k as f64));
+        assert_eq!(outcome, Err(DbError::StaleHandle));
+        assert_eq!(db.read(handles[149]).unwrap().values(), [14.9, 14.9]);
+        assert_eq!(db.read(handles[151]).unwrap().values()[1], 0.151);
+        assert_digest_true(&db);
+        assert_eq!(READDS.get() - before, 70);
+
+        // The marks are gone: a later batch re-adds what it wrote itself.
+        let before = READDS.get();
+        db.update_rows(&[handles[3], handles[73], handles[69]], |_, row| {
+            row.fill(7.0)
+        })
+        .unwrap();
+        assert_digest_true(&db);
+        assert_eq!(READDS.get() - before, 2);
+    }
+
+    #[test]
+    fn registration_and_stale_deletes_leave_the_digest_alone() {
+        let (mut db, handles) = dealt(5, 40);
+        let digest = |db: &P2PDatabase| (db.sizes.clone(), db.sums.clone(), READDS.get());
+        let before = digest(&db);
+        db.register_node(NodeId(2));
+        assert_eq!(digest(&db), before, "re-registering a live node");
+
+        assert_eq!(db.remove_node(NodeId(2)).unwrap(), 8);
+        assert_digest_true(&db);
+        db.register_node(NodeId(2));
+        assert_digest_true(&db);
+        assert_eq!((db.sizes[2], db.sums[0][2], db.sums[1][2]), (0, 0.0, 0.0));
+        db.insert(NodeId(2), Tuple::new(vec![3.0, 4.0])).unwrap();
+        assert_digest_true(&db);
+
+        assert!(db.delete(handles[0]).unwrap());
+        assert_digest_true(&db);
+        let before = digest(&db);
+        assert!(!db.delete(handles[0]).unwrap());
+        assert_eq!(digest(&db), before, "deleting a stale handle");
+
+        // Ids past the bound, with a gap: the digest grows with them.
+        db.register_node(NodeId(200));
+        assert_digest_true(&db);
+        assert_eq!(db.content_size(NodeId(150)), 0);
+    }
+
+    /// What the digest costs the writers, by counts: a fragment re-add per
+    /// `update`, one per *fragment* per batch, none per insert.
+    #[test]
+    fn writers_re_add_each_touched_fragment_once() {
+        // The paper-scale TEMPERATURE relation: 8 000 rows on 530 nodes.
+        let (mut db, handles) = dealt(530, 8_000);
+        assert_eq!(READDS.get(), 0, "an insert extends the chain");
+        for (k, &handle) in handles.iter().take(100).enumerate() {
+            db.update(handle, &[k as f64, 0.5]).unwrap();
+        }
+        assert_eq!(READDS.get(), 100);
+        db.update_rows(&handles, |k, row| row.fill(k as f64))
+            .unwrap();
+        assert_eq!(READDS.get(), 100 + 530);
+        assert_digest_true(&db);
+    }
+
+    /// The shipped arm reads the digest and nothing else: its inputs are a
+    /// leaf column and a count. Zero leaves — departed, empty or not yet
+    /// registered ids — are inert wherever they sit.
+    #[test]
+    fn the_digest_arm_is_a_function_of_the_leaf_column() {
+        let leaves: Vec<f64> = (0..37).map(|i| 1e15 / f64::from(i + 1) - 1e-3).collect();
+        let mut lanes = [0.0f64; 8];
+        for (i, leaf) in leaves.iter().enumerate() {
+            lanes[i & 7] += leaf;
+        }
+        let want = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+        assert_eq!(digest_sum_count(&leaves, 99).unwrap(), (want, 99));
+        let mut grown = leaves.clone();
+        grown.resize(1000, 0.0);
+        assert_eq!(digest_sum_count(&grown, 99).unwrap(), (want, 99));
+        assert_eq!(digest_sum_count(&[], 0).unwrap(), (0.0, 0));
+
+        let (db, _) = dealt(37, 500);
+        let b = Expr::attr(db.schema(), "b").unwrap();
+        assert_eq!(
+            db.sum_count_where(&b, &Predicate::True).unwrap(),
+            digest_sum_count(&db.sums[1], 500).unwrap()
+        );
     }
 
     #[test]

@@ -31,148 +31,313 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Insert-heavy mix with rare departures, so fragments grow long enough
-/// for the order of a floating-point sum to show in its last bits.
-fn growing_op_strategy() -> impl Strategy<Value = Op> {
-    let insert = || (0u32..8, -1e6f64..1e6).prop_map(|(n, v)| Op::Insert(n, v));
+/// Mostly ordinary values; one in four is a value that a sum carried as a
+/// running delta would not forget: a signed zero, an infinity, a `NaN`, or
+/// half of a 10¹⁵-vs-10⁻³ cancellation pair.
+fn value_strategy() -> impl Strategy<Value = f64> {
+    (0u32..28, -1e6f64..1e6).prop_map(|(kind, ordinary)| match kind {
+        0 => -0.0,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => f64::NAN,
+        4 => 1e15,
+        5 => -1e15,
+        6 => 1e-3,
+        _ => ordinary,
+    })
+}
+
+/// Every writer of the database. A `usize` picks a node among the ids
+/// registered so far, or a handle among the live *and* the deleted ones.
+#[derive(Debug, Clone)]
+enum WriterOp {
+    Insert(usize, Vec<f64>),
+    Delete(usize),
+    Update(usize, Vec<f64>),
+    /// `update_rows` over these picks; row `k` is written from
+    /// `values[k..]`, cyclically.
+    UpdateRows(Vec<usize>, Vec<f64>),
+    RemoveNode(usize),
+    /// Registers a node: one seen before (live: a no-op; departed: back,
+    /// empty) or a new id, up to ten past the bound.
+    Register(usize, u32),
+}
+
+fn writer_op_strategy() -> impl Strategy<Value = WriterOp> {
+    let row = || prop::collection::vec(value_strategy(), 3..4);
+    let insert = move || (0usize..64, row()).prop_map(|(n, v)| WriterOp::Insert(n, v));
     prop_oneof![
         insert(),
         insert(),
         insert(),
-        (0usize..256).prop_map(Op::DeleteNth),
-        (0usize..256, -1e6f64..1e6).prop_map(|(i, v)| Op::UpdateNth(i, v)),
-        (0u32..160).prop_map(|n| if n < 8 {
-            Op::RemoveNode(n)
+        (0usize..512).prop_map(WriterOp::Delete),
+        (0usize..512, row()).prop_map(|(i, v)| WriterOp::Update(i, v)),
+        (0usize..512, row()).prop_map(|(i, v)| WriterOp::Update(i, v)),
+        (
+            prop::collection::vec(0usize..512, 0..24),
+            prop::collection::vec(value_strategy(), 8..9)
+        )
+            .prop_map(|(picks, values)| WriterOp::UpdateRows(picks, values)),
+        (0usize..64, 0u32..30).prop_map(|(n, jump)| if jump < 6 {
+            WriterOp::RemoveNode(n)
         } else {
-            Op::DeleteNth(n as usize)
+            WriterOp::Register(n, jump - 6)
         }),
     ]
 }
 
-/// The oracle as it was written before the column store: one pass over
-/// `iter()`, predicate then expression through `eval`, one `+=` chain.
+/// The oracle's definition of a sum, written out (DESIGN §4): per node id
+/// in `0..=max_id`, the `+=` chain over that node's qualifying rows in
+/// `iter_node` order, from `0.0`; leaf `id` into lane `id & 7` of eight
+/// chains; the lanes joined pairwise. Predicate, then expression, through
+/// `eval`.
 fn reference_sum_count(
     db: &P2PDatabase,
+    max_id: u32,
     expr: &Expr,
     predicate: &Predicate,
 ) -> Result<(f64, usize), DbError> {
-    let mut sum = 0.0;
+    let mut lanes = [0.0f64; 8];
     let mut count = 0usize;
-    for (_, row) in db.iter() {
-        if predicate.eval(row)? {
-            sum += expr.eval(row)?;
-            count += 1;
+    for id in 0..=max_id {
+        let mut leaf = 0.0;
+        for (_, row) in db.iter_node(NodeId(id)) {
+            if predicate.eval(row)? {
+                leaf += expr.eval(row)?;
+                count += 1;
+            }
         }
+        lanes[id as usize & 7] += leaf;
     }
-    Ok((sum, count))
+    let [a, b, c, d, e, f, g, h] = lanes;
+    Ok((((a + b) + (c + d)) + ((e + f) + (g + h)), count))
 }
 
-fn reference_avg(db: &P2PDatabase, expr: &Expr, predicate: &Predicate) -> Result<f64, DbError> {
-    match reference_sum_count(db, expr, predicate)? {
-        (_, 0) => Err(DbError::EmptyRelation),
-        (sum, count) => Ok(sum / count as f64),
-    }
-}
-
+/// Bit pattern of an oracle answer. All `NaN`s are one answer: which of two
+/// `NaN` operands an addition returns is the code generator's choice.
 fn bits(value: Result<f64, DbError>) -> Result<u64, DbError> {
-    value.map(f64::to_bits)
+    value.map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
 }
 
-/// Checks all six `exact_*` methods against the reference fold for one
+/// Checks all six `exact_*` methods against the written-out fold for one
 /// question, bit for bit and error for error.
-fn assert_oracle_matches_reference(db: &P2PDatabase, expr: &Expr, predicate: &Predicate) {
-    let reference = reference_sum_count(db, expr, predicate);
+fn assert_oracle_matches_reference(
+    db: &P2PDatabase,
+    max_id: u32,
+    expr: &Expr,
+    predicate: &Predicate,
+) {
+    let reference = reference_sum_count(db, max_id, expr, predicate);
+    let sum = reference.clone().map(|(sum, _)| sum);
+    let avg = reference.and_then(|(sum, count)| match count {
+        0 => Err(DbError::EmptyRelation),
+        _ => Ok(sum / count as f64),
+    });
     assert_eq!(
         bits(db.exact_sum_where(expr, predicate)),
-        bits(reference.clone().map(|(sum, _)| sum)),
+        bits(sum.clone()),
         "SUM({expr}) WHERE {predicate}"
     );
     assert_eq!(
         bits(db.exact_avg_where(expr, predicate)),
-        bits(reference_avg(db, expr, predicate)),
+        bits(avg.clone()),
         "AVG({expr}) WHERE {predicate}"
     );
     assert_eq!(
         db.exact_count_where(predicate),
-        reference_sum_count(db, &Expr::constant(0.0), predicate).map(|(_, count)| count),
+        reference_sum_count(db, max_id, &Expr::constant(0.0), predicate).map(|(_, count)| count),
         "COUNT(*) WHERE {predicate}"
     );
     if predicate.is_trivial() {
-        assert_eq!(
-            bits(db.exact_sum(expr)),
-            bits(reference.map(|(sum, _)| sum))
-        );
-        assert_eq!(
-            bits(db.exact_avg(expr)),
-            bits(reference_avg(db, expr, predicate))
-        );
+        assert_eq!(bits(db.exact_sum(expr)), bits(sum), "SUM({expr})");
+        assert_eq!(bits(db.exact_avg(expr)), bits(avg), "AVG({expr})");
         assert_eq!(db.exact_count(), db.iter().count());
     }
+}
+
+/// `Predicate::True` by another name: always true, but not what the
+/// digest arm keys on.
+fn roundabout() -> Predicate {
+    Predicate::True.not().not()
+}
+
+/// What must hold after every single write: the size column is the row
+/// count of every id (registered, departed or never seen), and every
+/// attribute's sum — from the digest and from the rows — is the
+/// written-out fold.
+fn assert_digest_is_true(db: &P2PDatabase, max_id: u32) {
+    let mut total = 0;
+    for id in 0..=max_id + 3 {
+        let rows = db.iter_node(NodeId(id)).count();
+        assert_eq!(db.content_size(NodeId(id)), rows, "m_v of node {id}");
+        total += rows;
+    }
+    assert_eq!(db.total_tuples(), total);
+    for (index, name) in db.schema().names().iter().enumerate() {
+        let attr = Expr::Attr {
+            index,
+            name: name.as_str().into(),
+        };
+        assert_oracle_matches_reference(db, max_id, &attr, &Predicate::True);
+        assert_oracle_matches_reference(db, max_id, &attr, &roundabout());
+    }
+    // A zero-arity relation has no sum column to count from.
+    assert_oracle_matches_reference(db, max_id, &Expr::constant(1.0), &Predicate::True);
+}
+
+/// The handle a pick names among the live and the deleted ones, and
+/// whether it is live.
+fn pick_handle(
+    live: &[TupleHandle],
+    deleted: &[TupleHandle],
+    pick: usize,
+) -> Option<(TupleHandle, bool)> {
+    let pick = pick.checked_rem(live.len() + deleted.len())?;
+    Some(match live.get(pick) {
+        Some(&handle) => (handle, true),
+        None => (deleted[pick - live.len()], false),
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The nested-loop fold (and its bare-attribute fast arm) returns what
-    /// the old `iter()` + `eval` oracle returned, to the last bit, on a
-    /// relation whose fragments have been through inserts, deletes,
-    /// updates and node departures.
+    /// The fold written out is the oracle of the maintained one: after
+    /// every insert, delete, update, batch update (also one that stops on
+    /// a deleted handle), departure and (re-)registration, the digest is
+    /// what a from-scratch derivation gives, and both arms of all six
+    /// `exact_*` return what the written-out two-level fold returns, to
+    /// the last bit and error for error — through values a running delta
+    /// would never recover from, and after they are overwritten.
     #[test]
     fn oracle_fold_matches_the_iter_eval_reference(
-        arity in 1usize..4,
-        ops in prop::collection::vec(growing_op_strategy(), 0..300),
+        arity in 0usize..4,
+        ops in prop::collection::vec(writer_op_strategy(), 0..200),
     ) {
         let names = ["a", "b", "c"];
         let mut db = P2PDatabase::new(Schema::new(names[..arity].iter().copied()));
-        for i in 0..8u32 {
+        // Ids registered so far are `0..bound`.
+        let mut bound = 4u32;
+        for i in 0..bound {
             db.register_node(NodeId(i));
         }
-        let row = |v: f64| Tuple::new((0..arity).map(|j| v / (j + 1) as f64).collect());
         let mut live: Vec<TupleHandle> = Vec::new();
+        let mut deleted: Vec<TupleHandle> = Vec::new();
         for op in ops {
             match op {
-                Op::Insert(node, v) => live.push(db.insert(NodeId(node), row(v)).unwrap()),
-                Op::DeleteNth(i) if !live.is_empty() => {
-                    let _ = db.delete(live.swap_remove(i % live.len()));
+                WriterOp::Insert(n, row) => {
+                    let node = NodeId(n as u32 % bound);
+                    match db.insert(node, Tuple::new(row[..arity].to_vec())) {
+                        Ok(handle) => live.push(handle),
+                        Err(err) => {
+                            prop_assert_eq!(err, DbError::UnknownNode(node));
+                            prop_assert!(!db.has_node(node));
+                        }
+                    }
                 }
-                Op::UpdateNth(i, v) if !live.is_empty() => {
-                    let _ = db.update(live[i % live.len()], row(v).values());
+                WriterOp::Delete(pick) => {
+                    if let Some((handle, is_live)) = pick_handle(&live, &deleted, pick) {
+                        prop_assert_eq!(db.delete(handle), Ok(is_live));
+                        if is_live {
+                            live.retain(|&h| h != handle);
+                            deleted.push(handle);
+                        }
+                    }
                 }
-                Op::RemoveNode(node) => {
-                    db.remove_node(NodeId(node)).unwrap();
-                    live.retain(|h| h.node != NodeId(node));
-                    db.register_node(NodeId(node));
+                WriterOp::Update(pick, row) => {
+                    if let Some((handle, is_live)) = pick_handle(&live, &deleted, pick) {
+                        let want = if is_live { Ok(()) } else { Err(DbError::StaleHandle) };
+                        prop_assert_eq!(db.update(handle, &row[..arity]), want);
+                    }
                 }
-                Op::DeleteNth(_) | Op::UpdateNth(..) => {}
+                WriterOp::UpdateRows(picks, values) => {
+                    let batch: Vec<(TupleHandle, bool)> = picks
+                        .iter()
+                        .filter_map(|&pick| pick_handle(&live, &deleted, pick))
+                        .collect();
+                    let handles: Vec<TupleHandle> = batch.iter().map(|&(h, _)| h).collect();
+                    let outcome = db.update_rows(&handles, |k, row| {
+                        for (j, cell) in row.iter_mut().enumerate() {
+                            *cell = values[(k + j) % values.len()];
+                        }
+                    });
+                    let want = match batch.iter().all(|&(_, is_live)| is_live) {
+                        true => Ok(()),
+                        false => Err(DbError::StaleHandle),
+                    };
+                    prop_assert_eq!(outcome, want);
+                }
+                WriterOp::RemoveNode(n) => {
+                    let node = NodeId(n as u32 % bound);
+                    if db.has_node(node) {
+                        let rows = db.content_size(node);
+                        prop_assert_eq!(db.remove_node(node), Ok(rows));
+                        // A re-registered node restarts its generations, so
+                        // handles from before the departure mean nothing.
+                        live.retain(|h| h.node != node);
+                        deleted.retain(|h| h.node != node);
+                    } else {
+                        prop_assert_eq!(db.remove_node(node), Err(DbError::UnknownNode(node)));
+                    }
+                }
+                WriterOp::Register(n, jump) => {
+                    let node = match jump.checked_sub(14) {
+                        Some(past) => NodeId(bound + past),
+                        None => NodeId(n as u32 % bound),
+                    };
+                    db.register_node(node);
+                    bound = bound.max(node.0 + 1);
+                }
             }
+            assert_digest_is_true(&db, bound - 1);
         }
+
         let schema = db.schema().clone();
-        let last = Expr::attr(&schema, names[arity - 1]).unwrap();
+        let last = match arity {
+            0 => Expr::constant(2.5),
+            _ => Expr::attr(&schema, names[arity - 1]).unwrap(),
+        };
         let beyond = Expr::Attr { index: arity, name: "beyond".into() };
-        let positive = Predicate::cmp(CmpOp::Gt, Expr::first_attr(&schema), Expr::constant(0.0));
-        // Always true, but not the `Predicate::True` the fast arm keys on.
-        let roundabout = Predicate::True.not().not();
-        for expr in [
-            Expr::first_attr(&schema),
-            last.clone(),
-            last.clone() * Expr::constant(3.0) - Expr::first_attr(&schema),
-            beyond.clone(),
-            beyond + last,
-        ] {
-            for predicate in [
-                Predicate::True,
-                roundabout.clone(),
-                positive.clone(),
-                positive.clone().not().or(Predicate::cmp(CmpOp::Lt, expr.clone(), Expr::constant(1e5))),
-                Predicate::True.not(),
+        let further = Expr::Attr { index: arity + 1, name: "further".into() };
+        let positive = Predicate::cmp(CmpOp::Gt, last.clone(), Expr::constant(0.0));
+        let questions = |db: &P2PDatabase| {
+            for expr in [
+                Expr::first_attr(&schema),
+                last.clone(),
+                last.clone() * Expr::constant(3.0) - Expr::first_attr(&schema),
+                beyond.clone(),
+                beyond.clone() + last.clone(),
             ] {
-                assert_oracle_matches_reference(&db, &expr, &predicate);
+                for predicate in [
+                    Predicate::True,
+                    roundabout(),
+                    positive.clone(),
+                    positive.clone().not().or(Predicate::cmp(CmpOp::Lt, expr.clone(), Expr::constant(1e5))),
+                    Predicate::True.not(),
+                    // Fails before the expression can: the predicate's error wins.
+                    Predicate::cmp(CmpOp::Gt, further.clone(), Expr::constant(0.0)),
+                ] {
+                    assert_oracle_matches_reference(db, bound - 1, &expr, &predicate);
+                }
+                // The digest arm and the general arm agree to the bit.
+                assert_eq!(
+                    bits(db.exact_sum(&expr)),
+                    bits(db.exact_sum_where(&expr, &roundabout()))
+                );
             }
-            // The fast arm and the general arm agree to the bit.
-            prop_assert_eq!(
-                bits(db.exact_sum(&expr)),
-                bits(db.exact_sum_where(&expr, &roundabout))
-            );
+        };
+        questions(&db);
+        // Every row overwritten by finite values, one `update` at a time:
+        // nothing of what passed through the leaves may remain in them.
+        for (k, &handle) in live.iter().enumerate() {
+            let row: Vec<f64> = (0..arity).map(|j| (k * 3 + j) as f64 - 17.25).collect();
+            db.update(handle, &row).unwrap();
+        }
+        assert_digest_is_true(&db, bound - 1);
+        questions(&db);
+        for name in &names[..arity] {
+            let attr = Expr::attr(&schema, name).unwrap();
+            prop_assert!(db.exact_sum(&attr).unwrap().is_finite());
         }
     }
 

@@ -92,10 +92,10 @@ pub struct SamplingConfig {
     /// so this knob trades wall-clock time only, never results.
     pub workers: usize,
     /// Reuse / incrementally patch the per-occasion overlay snapshot
-    /// across occasions (keyed by graph mutation epoch and weight
-    /// fingerprint; see `crate::snapshot`) instead of rebuilding it per
-    /// batch. Byte-identical panels either way; off reproduces the cold
-    /// PR 3 path for A/B runs.
+    /// across occasions (keyed by graph mutation epoch, the captured
+    /// weights compared exactly; see `crate::snapshot`) instead of
+    /// rebuilding it per batch. Byte-identical panels either way; off
+    /// reproduces the cold PR 3 path for A/B runs.
     pub cache_snapshots: bool,
 }
 
@@ -975,8 +975,8 @@ mod tests {
 
     /// Regression test for the stale-cache-after-reset bug: graph
     /// epochs are per-instance, so a *different* graph can report the
-    /// same epoch and weight fingerprint as the one the cache was built
-    /// against. `reset()` must drop the cache so the next occasion
+    /// same epoch and weights as the one the cache was built against.
+    /// `reset()` must drop the cache so the next occasion
     /// rebuilds from the new graph.
     #[test]
     fn reset_drops_cached_snapshot_before_graph_swap() {
@@ -984,7 +984,7 @@ mod tests {
         let a = topology::ring(8).unwrap();
         // Graph B: 8 nodes, a path 0-…-7 plus edge 0-4 — also exactly
         // 16 mutations, so `epoch(A) == epoch(B)`, same id range, and
-        // (uniform content below) the same weight fingerprint.
+        // (uniform content below) the same weights.
         let mut b = digest_net::Graph::new();
         let ids: Vec<NodeId> = (0..8).map(|_| b.add_node()).collect();
         for pair in ids.windows(2) {

@@ -8,8 +8,8 @@
 //! PAPERS.md):
 //!
 //! * **Epoch-keyed caching.** [`SnapshotCache`] holds the last-built
-//!   [`OccasionSnapshot`] keyed by `(graph mutation epoch, weight
-//!   fingerprint)`. [`digest_net::Graph::epoch`] advances only on
+//!   [`OccasionSnapshot`] keyed by the graph mutation epoch.
+//!   [`digest_net::Graph::epoch`] advances only on
 //!   structural mutation, so an unchanged overlay is detected in O(1);
 //!   weights (arbitrary caller closures) are re-evaluated into a scratch
 //!   buffer each occasion — O(n), unavoidable without purity guarantees
@@ -384,23 +384,6 @@ pub(crate) enum SnapshotRefresh {
     Patched,
 }
 
-/// FNV-1a over the bit patterns of a weight vector (position-sensitive
-/// via the running hash). Informational cache-key component; reuse is
-/// confirmed by exact comparison, so a collision can never corrupt a
-/// panel.
-fn weight_fingerprint(weights: &[f64]) -> u64 {
-    // Word-at-a-time FNV-1a variant: one xor-multiply round per weight
-    // keeps the per-occasion fingerprint cost negligible next to the
-    // walk itself (the byte-wise original cost ~8× more and bought
-    // nothing — reuse is confirmed by exact comparison either way).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in weights {
-        h ^= w.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Epoch-keyed cache of the last [`OccasionSnapshot`], owned by a
 /// `SamplingOperator`. All scratch buffers are retained across
 /// occasions, so the steady state (unchanged overlay) allocates nothing
@@ -412,8 +395,6 @@ pub(crate) struct SnapshotCache {
     valid: bool,
     /// Graph mutation epoch the snapshot was captured at.
     epoch: u64,
-    /// FNV-1a fingerprint of the captured weight vector.
-    weight_fp: u64,
     /// Per-occasion weight re-evaluation target; after a patch, the
     /// weights the snapshot held before it.
     weights_scratch: Vec<f64>,
@@ -434,11 +415,11 @@ impl SnapshotCache {
         *self = Self::new();
     }
 
-    /// The current cache key, `(graph epoch, weight fingerprint)`, or
-    /// `None` while invalid. Exposed for tests and diagnostics.
+    /// The graph epoch the cached snapshot was captured at, or `None`
+    /// while invalid.
     #[cfg(test)]
-    pub(crate) fn key(&self) -> Option<(u64, u64)> {
-        self.valid.then_some((self.epoch, self.weight_fp))
+    pub(crate) fn key(&self) -> Option<u64> {
+        self.valid.then_some(self.epoch)
     }
 
     /// Produces the occasion snapshot for the graph's current state,
@@ -462,12 +443,8 @@ impl SnapshotCache {
             self.invalidate();
             return Err(err);
         }
-        let fp = weight_fingerprint(&self.weights_scratch);
         if caching && self.valid {
-            if epoch == self.epoch
-                && fp == self.weight_fp
-                && self.weights_scratch == self.snapshot.weights
-            {
+            if epoch == self.epoch && self.weights_scratch == self.snapshot.weights {
                 telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
                 return Ok((&self.snapshot, SnapshotRefresh::Reused));
             }
@@ -478,7 +455,6 @@ impl SnapshotCache {
             if let Some(dirty) = g.changes_since(self.epoch).filter(|_| grown) {
                 self.patch(g, &dirty);
                 self.epoch = epoch;
-                self.weight_fp = fp;
                 telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
                 return Ok((&self.snapshot, SnapshotRefresh::Patched));
             }
@@ -487,7 +463,6 @@ impl SnapshotCache {
         std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
         self.snapshot.recompute_tables();
         self.epoch = epoch;
-        self.weight_fp = fp;
         self.valid = true;
         telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
         Ok((&self.snapshot, SnapshotRefresh::Built))
@@ -1025,14 +1000,6 @@ mod tests {
         assert_eq!(kind, SnapshotRefresh::Built);
     }
 
-    #[test]
-    fn fingerprint_is_position_sensitive() {
-        let a = weight_fingerprint(&[1.0, 2.0, 3.0]);
-        let b = weight_fingerprint(&[3.0, 2.0, 1.0]);
-        assert_ne!(a, b);
-        assert_ne!(weight_fingerprint(&[]), weight_fingerprint(&[0.0]));
-    }
-
     /// Growing then shrinking `id_upper_bound` across patches must stay
     /// consistent with cold builds (regression guard for resize logic).
     #[test]
@@ -1162,7 +1129,7 @@ mod tests {
             cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
             for ops in &rounds {
                 let before = cache.snapshot.clone();
-                let (mark, fp) = cache.key().unwrap();
+                let mark = cache.key().unwrap();
                 for op in ops {
                     apply(op, &mut g, &mut table);
                 }
@@ -1176,7 +1143,7 @@ mod tests {
                 match served {
                     SnapshotRefresh::Reused => {
                         prop_assert!(unchanged);
-                        prop_assert_eq!(cache.key().unwrap(), (mark, fp));
+                        prop_assert_eq!(cache.key().unwrap(), mark);
                     }
                     SnapshotRefresh::Built => prop_assert!(stormed),
                     SnapshotRefresh::Patched => {

@@ -46,7 +46,7 @@ pub static SAMPLING_BATCH_SLOTS: Histogram = Histogram::new();
 /// table materialisation).
 pub static SAMPLING_SNAPSHOT_BUILT: Counter = Counter::new();
 /// Occasion snapshots served verbatim from the operator's cache (graph
-/// epoch and weight fingerprint both unchanged).
+/// epoch and captured weights both unchanged).
 pub static SAMPLING_SNAPSHOT_REUSED: Counter = Counter::new();
 /// Occasion snapshots incrementally patched in place (small churn delta
 /// or weight-only change; allocations and clean CSR rows reused).

@@ -12,7 +12,9 @@ use digest::core::{
 };
 use digest::db::{Expr, Predicate};
 use digest::sampling::{SamplingConfig, SamplingOperator};
-use digest::workload::{TemperatureConfig, TemperatureWorkload, Workload};
+use digest::workload::{
+    MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
+};
 use digest_telemetry::MemorySink;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -196,6 +198,59 @@ fn world_advance_and_oracle_stay_off_the_heap() {
     assert_eq!(allocs() - before, 0);
     assert_eq!(workload.current_tick(), TICKS);
     assert!(truths.is_finite());
+}
+
+/// The MEMORY twin, with joins: the per-node digest beside the fragments
+/// grows where the id space does — in `register_node`, amortised — and
+/// never in a writer or a reader. A second without churn updates rows of
+/// old and freshly joined nodes alike and allocates nothing but
+/// `ChurnProcess::step`'s list of repair terminals; the oracle and the
+/// weight capture's `content_size` never touch the heap.
+#[test]
+fn memory_world_allocates_only_where_nodes_join() {
+    const TICKS: u64 = 2_000;
+
+    let mut workload = MemoryWorkload::new(MemoryConfig {
+        seconds_per_tick: 1,
+        ..MemoryConfig::paper_scale()
+    });
+    let first_ids = workload.graph().id_upper_bound();
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    // The first second sizes the world's lazily grown scratch.
+    workload.advance(&mut rng);
+    let (mut quiet_ticks, mut churn_allocs, mut truths, mut sizes) = (0u64, 0u64, 0.0, 0usize);
+    for _ in 1..TICKS {
+        let events = workload.churn_events();
+        let before = allocs();
+        workload.advance(&mut rng);
+        let spent = allocs() - before;
+        if workload.churn_events() == events {
+            assert_eq!(spent, 1, "tick {}", workload.current_tick());
+            quiet_ticks += 1;
+        } else {
+            churn_allocs += spent;
+        }
+
+        let before = allocs();
+        truths += workload.exact_aggregate();
+        for v in workload.graph().nodes() {
+            sizes += workload.db().content_size(v);
+        }
+        assert_eq!(allocs() - before, 0);
+    }
+    // Hundreds of joins took the id space past a power of two …
+    let ids = workload.graph().id_upper_bound();
+    assert!(ids >= first_ids + 250 && ids > first_ids.next_power_of_two());
+    assert!(quiet_ticks >= TICKS / 2, "{quiet_ticks}");
+    // … for under eight allocations per churn event (a joiner's adjacency,
+    // fragment and unit; ≈ 7.7 measured). Three more per join — a digest
+    // that grew an entry at a time — would not fit.
+    assert!(
+        churn_allocs <= 8 * workload.churn_events(),
+        "{churn_allocs} over {} events",
+        workload.churn_events()
+    );
+    assert!(truths.is_finite() && sizes > 0);
 }
 
 /// What PR 17 bought on `solo_tight` (ROADMAP aim 1): an RPT occasion at
