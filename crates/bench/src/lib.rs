@@ -1,8 +1,8 @@
 //! # digest-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §3 for the experiment index), plus Criterion
-//! microbenchmarks of the hot kernels.
+//! (see DESIGN.md §3 for the experiment index). Performance is measured
+//! by the standalone `benchmark/` package, not here.
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|

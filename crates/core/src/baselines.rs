@@ -20,7 +20,8 @@
 //! the network is metered through the BFS hop distance to the querier.
 
 use crate::error::CoreError;
-use crate::query::{AggregateOp, ContinuousQuery};
+use crate::query::{exact_over, AggregateOp, ContinuousQuery};
+use crate::report::Report;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
 use digest_db::TupleHandle;
@@ -67,8 +68,7 @@ impl DistanceCache {
 pub struct PushAllEngine {
     query: ContinuousQuery,
     distances: DistanceCache,
-    current_estimate: f64,
-    last_reported: f64,
+    report: Report,
     total_messages: u64,
     total_snapshots: u64,
 }
@@ -80,8 +80,7 @@ impl PushAllEngine {
         Self {
             query,
             distances: DistanceCache::default(),
-            current_estimate: 0.0,
-            last_reported: f64::NAN,
+            report: Report::new(),
             total_messages: 0,
             total_snapshots: 0,
         }
@@ -98,7 +97,7 @@ impl QuerySystem for PushAllEngine {
         let mut sum = 0.0;
         let mut count = 0u64;
         let mut values = Vec::new();
-        let want_median = matches!(self.query.op, AggregateOp::Median) || self.query.op.is_sketch();
+        let want_values = self.query.op.is_sketch();
         for (handle, tuple) in ctx.db.iter() {
             // Every tuple is pushed (cost) — the querier filters locally.
             messages += self.distances.get(ctx.graph, ctx.origin, handle.node);
@@ -108,73 +107,24 @@ impl QuerySystem for PushAllEngine {
             let value = self.query.expr.eval(tuple)?;
             sum += value;
             count += 1;
-            if want_median {
+            if want_values {
                 values.push(value);
             }
         }
         let estimate = match self.query.op {
-            AggregateOp::Avg => {
-                if count == 0 {
-                    self.current_estimate
-                } else {
-                    sum / count as f64
-                }
-            }
+            AggregateOp::Avg if count > 0 => sum / count as f64,
+            AggregateOp::Avg => self.report.current,
             AggregateOp::Sum => sum,
             AggregateOp::Count => count as f64,
-            AggregateOp::Median | AggregateOp::Percentile { .. } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    values.sort_by(f64::total_cmp);
-                    // quantile_rank is Some for both arms by construction.
-                    let q = self.query.op.quantile_rank().unwrap_or(0.5);
-                    digest_stats::sample_quantile(&values, q)
-                        .map_err(digest_sampling::SamplingError::from)
-                        .map_err(CoreError::from)?
-                }
-            }
             // Flooding pushes every tuple to the querier, which can then
-            // count cells exactly (DESIGN.md §17 cell domain).
-            AggregateOp::Distinct => {
-                let cells: std::collections::BTreeSet<i64> = values
-                    .iter()
-                    .map(|v| digest_sketch::value_cell(*v))
-                    .collect();
-                cells.len() as f64
-            }
-            AggregateOp::TopK { k } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    let mut counts: std::collections::BTreeMap<i64, u64> =
-                        std::collections::BTreeMap::new();
-                    for v in &values {
-                        *counts.entry(digest_sketch::value_cell(*v)).or_insert(0) += 1;
-                    }
-                    let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                    entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                    let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                    (top as f64 / values.len() as f64).clamp(0.0, 1.0)
-                }
-            }
+            // finalise the sketch kinds exactly (DESIGN.md §17).
+            op => exact_over(op, &mut values).unwrap_or(self.report.current),
         };
-        self.current_estimate = estimate;
-        let updated = self.last_reported.is_nan()
-            || (estimate - self.last_reported).abs() >= self.query.precision.delta;
-        if updated {
-            self.last_reported = estimate;
-        }
         self.total_messages += messages;
         self.total_snapshots += 1;
-        Ok(TickOutcome {
-            estimate,
-            updated,
-            snapshot_executed: true,
-            samples_this_tick: 0,
-            fresh_samples_this_tick: 0,
-            messages_this_tick: messages,
-        })
+        Ok(self
+            .report
+            .every_tick(estimate, self.query.precision.delta, messages))
     }
 
     fn total_messages(&self) -> u64 {
@@ -226,8 +176,7 @@ pub struct FilterEngine {
     config: FilterConfig,
     distances: DistanceCache,
     filters: BTreeMap<TupleHandle, Filter>,
-    current_estimate: f64,
-    last_reported: f64,
+    report: Report,
     ticks_seen: u64,
     total_messages: u64,
     total_snapshots: u64,
@@ -262,8 +211,7 @@ impl FilterEngine {
             config,
             distances: DistanceCache::default(),
             filters: BTreeMap::new(),
-            current_estimate: 0.0,
-            last_reported: f64::NAN,
+            report: Report::new(),
             ticks_seen: 0,
             total_messages: 0,
             total_snapshots: 0,
@@ -355,26 +303,15 @@ impl QuerySystem for FilterEngine {
         }
 
         let estimate = if self.filters.is_empty() {
-            self.current_estimate
+            self.report.current
         } else {
             self.filters.values().map(|f| f.center).sum::<f64>() / self.filters.len() as f64
         };
-        self.current_estimate = estimate;
-        let updated = self.last_reported.is_nan()
-            || (estimate - self.last_reported).abs() >= self.query.precision.delta;
-        if updated {
-            self.last_reported = estimate;
-        }
         self.total_messages += messages;
         self.total_snapshots += 1;
-        Ok(TickOutcome {
-            estimate,
-            updated,
-            snapshot_executed: true,
-            samples_this_tick: 0,
-            fresh_samples_this_tick: 0,
-            messages_this_tick: messages,
-        })
+        Ok(self
+            .report
+            .every_tick(estimate, self.query.precision.delta, messages))
     }
 
     fn total_messages(&self) -> u64 {

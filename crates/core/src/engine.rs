@@ -14,12 +14,13 @@
 
 use crate::indep::IndependentEstimator;
 use crate::query::{AggregateOp, ContinuousQuery};
+use crate::report::{emit_snapshot, finish, scale, Report, Selectivity, SizeTracker, Snapshot};
 use crate::rpt::{RepeatedEstimator, RptConfig};
 use crate::scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
-use digest_sampling::{uniform_weight, SamplingConfig, SamplingOperator, SizeEstimator};
-use digest_telemetry::{registry as telemetry, Field, Stage};
+use digest_sampling::{SamplingConfig, SamplingOperator};
+use digest_telemetry::{registry as telemetry, Stage};
 use rand::RngCore;
 
 /// Which continual-querying policy to run (paper §IV-A).
@@ -77,9 +78,6 @@ impl Default for EngineConfig {
 enum EstimatorImpl {
     Indep(IndependentEstimator),
     Rpt(RepeatedEstimator),
-    /// `MEDIAN` queries ignore the configured estimator kind: regression
-    /// estimation corrects means, not order statistics.
-    Quantile(crate::quantile_est::QuantileEstimator),
     /// Sketch-served kinds (`PERCENTILE`/`COUNT DISTINCT`/`TOPK`) sweep
     /// per-node mergeable sketches instead of sampling (DESIGN.md §17).
     Sketch(crate::sketch_est::SketchSweepEstimator),
@@ -94,9 +92,8 @@ pub struct DigestEngine {
     scheduler: Box<dyn SnapshotScheduler + Send>,
     estimator: EstimatorImpl,
     operator: SamplingOperator,
-    /// Dedicated uniform-weight operator for size estimation, so the main
-    /// operator's persistent content-weighted walk is not disturbed.
-    size_operator: SamplingOperator,
+    /// `N̂` for `SUM`/`COUNT` scaling.
+    size: SizeTracker,
 
     started: bool,
     next_snapshot_tick: u64,
@@ -105,18 +102,11 @@ pub struct DigestEngine {
     /// at each occasion start so every telemetry event downstream of the
     /// scheduler decision carries the same id.
     trace: u64,
-    current_estimate: f64,
-    last_reported: f64,
-    size_estimate: Option<f64>,
-    snapshots_since_size_refresh: u64,
-    /// Exponentially decayed (qualifying, drawn) fresh-sample counts for a
-    /// stable selectivity estimate across occasions — one occasion's few
-    /// fresh draws are far too noisy to scale COUNT/SUM by.
-    selectivity_counts: (f64, f64),
+    report: Report,
+    selectivity: Selectivity,
 
     total_messages: u64,
     total_samples: u64,
-    total_fresh_samples: u64,
     total_snapshots: u64,
 }
 
@@ -144,12 +134,6 @@ impl DigestEngine {
         };
         let estimator = if query.op.is_sketch() {
             EstimatorImpl::Sketch(crate::sketch_est::SketchSweepEstimator::for_query(&query)?)
-        } else if matches!(query.op, AggregateOp::Median) {
-            EstimatorImpl::Quantile(crate::quantile_est::QuantileEstimator::new(
-                0.5,
-                config.rpt.pilot_size.max(2),
-                config.rpt.max_samples,
-            )?)
         } else {
             match config.estimator {
                 EstimatorKind::Independent => EstimatorImpl::Indep(IndependentEstimator::new(
@@ -161,19 +145,9 @@ impl DigestEngine {
             }
         };
         let operator = SamplingOperator::new(config.sampling)?;
-        // Size estimation targets the *uniform* node distribution, which
-        // the Metropolis walk reaches more slowly than the content-biased
-        // one on skewed topologies — and capture–recapture is biased (it
-        // over-counts collisions, under-estimating N̂) if the walks are
-        // under-mixed. Give the size walks 4× the budget.
-        let size_operator = SamplingOperator::new(SamplingConfig {
-            walk_length: config.sampling.walk_length.saturating_mul(4),
-            reset_length: config.sampling.reset_length.saturating_mul(2),
-            ..config.sampling
-        })?;
+        let size = SizeTracker::new(config.sampling)?;
         let est_name = match &estimator {
             EstimatorImpl::Sketch(s) => s.name(),
-            EstimatorImpl::Quantile(_) => "QUANTILE",
             EstimatorImpl::Indep(_) => "INDEP",
             EstimatorImpl::Rpt(_) => "RPT",
         };
@@ -185,18 +159,14 @@ impl DigestEngine {
             scheduler,
             estimator,
             operator,
-            size_operator,
+            size,
             started: false,
             next_snapshot_tick: 0,
             trace: 0,
-            current_estimate: 0.0,
-            last_reported: f64::NAN,
-            size_estimate: None,
-            snapshots_since_size_refresh: 0,
-            selectivity_counts: (0.0, 0.0),
+            report: Report::new(),
+            selectivity: Selectivity::default(),
             total_messages: 0,
             total_samples: 0,
-            total_fresh_samples: 0,
             total_snapshots: 0,
         })
     }
@@ -217,87 +187,89 @@ impl DigestEngine {
     /// `SUM`/`COUNT` queries).
     #[must_use]
     pub fn size_estimate(&self) -> Option<f64> {
-        self.size_estimate
+        self.size.estimate()
     }
 
-    /// Runs one size-estimation round: uniform node samples until the
-    /// capture–recapture estimator stabilises or the sample budget is
-    /// spent. Returns messages used.
-    fn refresh_size_estimate(
+    /// Executes this occasion's snapshot query through the estimator;
+    /// returns how it ended and the messages it cost.
+    fn evaluate(
         &mut self,
         ctx: &TickContext<'_>,
         rng: &mut dyn RngCore,
-    ) -> Result<u64> {
-        let _span = digest_telemetry::span(Stage::SizeEstimate);
-        telemetry::CORE_SIZE_REFRESHES.inc();
-        let mut est = SizeEstimator::new();
-        let mut messages = 0u64;
-        let w = uniform_weight();
-        self.size_operator.begin_occasion();
-        for _ in 0..self.config.size_sample_target {
-            let (node, cost) = self
-                .size_operator
-                .sample_node(ctx.graph, &w, ctx.origin, rng)?;
-            messages += cost.total();
-            est.add_sample(node, ctx.db.content_size(node));
-            // Enough collisions for a stable estimate → stop early.
-            // (var(r̂)/r̂² ≈ 1/C, so C = 32 gives ~18 % relative error.)
-            if est.collisions() >= 32 {
-                break;
+    ) -> Result<(Snapshot, u64)> {
+        let query = &self.query;
+        let eval_span = digest_telemetry::span(Stage::EstimatorEval);
+        let evaluated = match &mut self.estimator {
+            // Sketch-served kinds bypass the sampling estimators entirely:
+            // one deterministic sweep over the overlay (DESIGN.md §17).
+            EstimatorImpl::Sketch(est) => {
+                let sweep = est.sweep(ctx.db, &query.expr, &query.predicate)?;
+                return Ok((sweep.into(), sweep.messages));
             }
-        }
-        if let Ok(n_hat) = est.estimate_tuple_count() {
-            // Blend with the previous estimate: capture–recapture rounds
-            // are noisy (relative error ~1/√C) but the relation size moves
-            // slowly, so averaging across refreshes pays off.
-            self.size_estimate = Some(match self.size_estimate {
-                Some(old) => old + 0.5 * (n_hat - old),
-                None => n_hat,
-            });
-        } else if self.size_estimate.is_none() {
-            // Too few collisions (network larger than the budget can
-            // resolve): fall back to distinct·mean as a floor estimate.
-            let mean_content = if est.samples() > 0 {
-                est.distinct() as f64
-            } else {
-                0.0
-            };
-            self.size_estimate = Some(mean_content.max(1.0));
-        }
-        self.snapshots_since_size_refresh = 0;
-        Ok(messages)
-    }
+            EstimatorImpl::Indep(e) => e.evaluate(
+                ctx,
+                &query.expr,
+                &query.predicate,
+                &query.precision,
+                &mut self.operator,
+                rng,
+            ),
+            EstimatorImpl::Rpt(e) => e.evaluate(
+                ctx,
+                &query.expr,
+                &query.predicate,
+                &query.precision,
+                &mut self.operator,
+                rng,
+            ),
+        };
+        drop(eval_span);
+        let snapshot = match evaluated {
+            Ok(snapshot) => snapshot,
+            // A transiently empty relation (every content-bearing node
+            // left at once) is a live condition, not a programming error:
+            // hold the current result and retry next tick.
+            Err(crate::error::CoreError::Sampling(
+                digest_sampling::SamplingError::EmptyDatabase,
+            )) => return Ok((Snapshot::Retry, 0)),
+            Err(other) => return Err(other),
+        };
+        let (samples, fresh) = (snapshot.total_samples(), snapshot.fresh_samples);
 
-    /// Scales the sampled AVG into the query's aggregate.
-    /// Folds one occasion's fresh-draw counts into the decayed selectivity
-    /// tally and returns the smoothed selectivity.
-    fn update_selectivity(&mut self, qualifying: f64, drawn: f64) -> f64 {
-        const DECAY: f64 = 0.75;
-        let (q, d) = self.selectivity_counts;
-        self.selectivity_counts = (q * DECAY + qualifying, d * DECAY + drawn);
-        let (q, d) = self.selectivity_counts;
-        if d > 0.0 {
-            q / d
-        } else {
+        // A nontrivial predicate can transiently match nothing; hold the
+        // previous result rather than reporting a meaningless mean, but
+        // still count the probe (COUNT/SUM legitimately report 0).
+        if snapshot.qualifying_samples == 0
+            && !query.predicate.is_trivial()
+            && matches!(query.op, AggregateOp::Avg)
+            && self.started
+        {
+            return Ok((Snapshot::Hold { samples, fresh }, snapshot.messages));
+        }
+
+        let selectivity = if query.predicate.is_trivial() {
             1.0
-        }
-    }
-
-    /// Scales the sampled qualifying-AVG into the query's aggregate.
-    /// With a `WHERE` predicate, `SUM`/`COUNT` additionally scale by the
-    /// measured selectivity: the qualifying population is `N̂ · sel`.
-    fn scale(&self, avg: f64, selectivity: f64) -> f64 {
-        match self.query.op {
-            // Sketch kinds finalize to their scalar directly — no
-            // scaling by N̂ (DESIGN.md §17).
-            AggregateOp::Avg
-            | AggregateOp::Median
-            | AggregateOp::Percentile { .. }
-            | AggregateOp::Distinct
-            | AggregateOp::TopK { .. } => avg,
-            AggregateOp::Sum => avg * selectivity * self.size_estimate.unwrap_or(0.0),
-            AggregateOp::Count => selectivity * self.size_estimate.unwrap_or(0.0),
-        }
+        } else {
+            self.selectivity.update(
+                snapshot.selectivity * snapshot.fresh_samples as f64,
+                snapshot.fresh_samples as f64,
+            )
+        };
+        self.size.served_occasion();
+        let value = scale(
+            query.op,
+            snapshot.estimate,
+            selectivity,
+            self.size.estimate(),
+        );
+        Ok((
+            Snapshot::Value {
+                value,
+                samples,
+                fresh,
+            },
+            snapshot.messages,
+        ))
     }
 }
 
@@ -324,7 +296,7 @@ impl QuerySystem for DigestEngine {
         // tick-stamping driver.
         digest_telemetry::set_tick(ctx.tick);
         if self.started && ctx.tick < self.next_snapshot_tick {
-            return Ok(TickOutcome::idle(self.current_estimate));
+            return Ok(TickOutcome::idle(self.report.current));
         }
 
         // --- Execute a snapshot query. ---
@@ -342,217 +314,36 @@ impl QuerySystem for DigestEngine {
         // do: their scalar needs no N̂ scaling (DESIGN.md §17), and a
         // capture–recapture round would cost messages and RNG draws for
         // nothing.
-        if !matches!(self.query.op, AggregateOp::Avg)
-            && !self.query.op.is_sketch()
-            && (self.size_estimate.is_none()
-                || self.snapshots_since_size_refresh >= self.config.size_refresh_interval)
+        if matches!(self.query.op, AggregateOp::Sum | AggregateOp::Count)
+            && self.size.is_stale(self.config.size_refresh_interval)
         {
-            messages += self.refresh_size_estimate(ctx, rng)?;
+            messages += self
+                .size
+                .refresh(ctx, self.config.size_sample_target, rng)?;
         }
 
-        // Sketch-served kinds bypass the sampling estimators entirely:
-        // one deterministic sweep over the overlay (DESIGN.md §17).
-        if let EstimatorImpl::Sketch(est) = &mut self.estimator {
-            let eval_span = digest_telemetry::span(Stage::EstimatorEval);
-            let sweep = est.sweep(ctx.db, &self.query.expr, &self.query.predicate)?;
-            drop(eval_span);
-            messages += sweep.messages;
-            let Some(scaled) = sweep.estimate else {
-                // Nothing qualified (e.g. quantile over an empty set):
-                // hold the current result and retry next tick.
-                self.next_snapshot_tick = ctx.tick + 1;
-                self.total_messages += messages;
-                self.total_snapshots += 1;
-                return Ok(TickOutcome {
-                    estimate: self.current_estimate,
-                    updated: false,
-                    snapshot_executed: true,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: messages,
-                });
-            };
-            self.current_estimate = scaled;
+        let (snapshot, cost) = self.evaluate(ctx, rng)?;
+        messages += cost;
+        let (outcome, delay) = finish(
+            &mut self.report,
+            &mut *self.scheduler,
+            ctx.tick,
+            self.query.precision.delta,
+            snapshot,
+            messages,
+        )?;
+        self.next_snapshot_tick = ctx.tick + delay;
+        self.total_messages += messages;
+        self.total_samples += outcome.samples_this_tick;
+        self.total_snapshots += 1;
+        if matches!(snapshot, Snapshot::Value { .. }) {
             self.started = true;
-            let updated = self.last_reported.is_nan()
-                || (scaled - self.last_reported).abs() >= self.query.precision.delta;
-            if updated {
-                self.last_reported = scaled;
-            }
-            self.scheduler.observe(ctx.tick as f64, scaled);
-            let delay = {
-                let _span = digest_telemetry::span(Stage::SchedulerDecide);
-                self.scheduler.next_delay(self.query.precision.delta)?
-            };
-            self.next_snapshot_tick = ctx.tick + delay;
-            self.total_messages += messages;
-            self.total_samples += sweep.qualifying;
-            self.total_fresh_samples += sweep.fresh_nodes;
-            self.total_snapshots += 1;
             telemetry::CORE_ENGINE_SNAPSHOTS.inc();
             telemetry::CORE_ENGINE_MESSAGES.add(messages);
-            telemetry::CORE_ENGINE_SAMPLES.add(sweep.qualifying);
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "engine.snapshot",
-                    &[
-                        ("system", Field::Str(&self.name)),
-                        ("estimate", Field::F64(scaled)),
-                        ("messages", Field::U64(messages)),
-                        ("samples", Field::U64(sweep.qualifying)),
-                    ],
-                );
-            }
-            return Ok(TickOutcome {
-                estimate: scaled,
-                updated,
-                snapshot_executed: true,
-                samples_this_tick: sweep.qualifying,
-                fresh_samples_this_tick: sweep.fresh_nodes,
-                messages_this_tick: messages,
-            });
+            telemetry::CORE_ENGINE_SAMPLES.add(outcome.samples_this_tick);
+            emit_snapshot(&self.name, &outcome);
         }
-
-        let eval_span = digest_telemetry::span(Stage::EstimatorEval);
-        let evaluated = match &mut self.estimator {
-            EstimatorImpl::Indep(e) => e.evaluate(
-                ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
-                &mut self.operator,
-                rng,
-            ),
-            EstimatorImpl::Rpt(e) => e.evaluate(
-                ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
-                &mut self.operator,
-                rng,
-            ),
-            EstimatorImpl::Quantile(e) => e.evaluate(
-                ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
-                &mut self.operator,
-                rng,
-            ),
-            // Handled by the early-return sweep path above.
-            EstimatorImpl::Sketch(_) => Err(crate::error::CoreError::InvalidConfig {
-                reason: "sketch estimators take the sweep path",
-            }),
-        };
-        drop(eval_span);
-        let snapshot = match evaluated {
-            Ok(snapshot) => snapshot,
-            // A transiently empty relation (every content-bearing node
-            // left at once) is a live condition, not a programming error:
-            // hold the current result and retry next tick.
-            Err(crate::error::CoreError::Sampling(
-                digest_sampling::SamplingError::EmptyDatabase,
-            )) => {
-                self.next_snapshot_tick = ctx.tick + 1;
-                self.total_messages += messages;
-                self.total_snapshots += 1;
-                return Ok(TickOutcome {
-                    estimate: self.current_estimate,
-                    updated: false,
-                    snapshot_executed: true,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: messages,
-                });
-            }
-            Err(other) => return Err(other),
-        };
-        messages += snapshot.messages;
-
-        // A nontrivial predicate can transiently match nothing; hold the
-        // previous result rather than reporting a meaningless mean, but
-        // still count the probe (COUNT/SUM legitimately report 0).
-        if snapshot.qualifying_samples == 0
-            && !self.query.predicate.is_trivial()
-            && matches!(self.query.op, AggregateOp::Avg)
-            && self.started
-        {
-            self.scheduler
-                .observe(ctx.tick as f64, self.current_estimate);
-            let delay = self.scheduler.next_delay(self.query.precision.delta)?;
-            self.next_snapshot_tick = ctx.tick + delay;
-            self.total_messages += messages;
-            self.total_samples += snapshot.total_samples();
-            self.total_fresh_samples += snapshot.fresh_samples;
-            self.total_snapshots += 1;
-            return Ok(TickOutcome {
-                estimate: self.current_estimate,
-                updated: false,
-                snapshot_executed: true,
-                samples_this_tick: snapshot.total_samples(),
-                fresh_samples_this_tick: snapshot.fresh_samples,
-                messages_this_tick: messages,
-            });
-        }
-
-        let selectivity = if self.query.predicate.is_trivial() {
-            1.0
-        } else {
-            self.update_selectivity(
-                snapshot.selectivity * snapshot.fresh_samples as f64,
-                snapshot.fresh_samples as f64,
-            )
-        };
-        let scaled = self.scale(snapshot.estimate, selectivity);
-        self.current_estimate = scaled;
-        self.started = true;
-        self.snapshots_since_size_refresh += 1;
-
-        // δ-semantics: the user-visible result updates only when the
-        // aggregate moved at least δ since the last reported update.
-        let updated = self.last_reported.is_nan()
-            || (scaled - self.last_reported).abs() >= self.query.precision.delta;
-        if updated {
-            self.last_reported = scaled;
-        }
-
-        // Schedule the next occasion.
-        self.scheduler.observe(ctx.tick as f64, scaled);
-        let delay = {
-            let _span = digest_telemetry::span(Stage::SchedulerDecide);
-            self.scheduler.next_delay(self.query.precision.delta)?
-        };
-        self.next_snapshot_tick = ctx.tick + delay;
-
-        let samples = snapshot.total_samples();
-        self.total_messages += messages;
-        self.total_samples += samples;
-        self.total_fresh_samples += snapshot.fresh_samples;
-        self.total_snapshots += 1;
-
-        telemetry::CORE_ENGINE_SNAPSHOTS.inc();
-        telemetry::CORE_ENGINE_MESSAGES.add(messages);
-        telemetry::CORE_ENGINE_SAMPLES.add(samples);
-        if digest_telemetry::events_enabled() {
-            digest_telemetry::emit(
-                "engine.snapshot",
-                &[
-                    ("system", Field::Str(&self.name)),
-                    ("estimate", Field::F64(scaled)),
-                    ("messages", Field::U64(messages)),
-                    ("samples", Field::U64(samples)),
-                ],
-            );
-        }
-
-        Ok(TickOutcome {
-            estimate: scaled,
-            updated,
-            snapshot_executed: true,
-            samples_this_tick: samples,
-            fresh_samples_this_tick: snapshot.fresh_samples,
-            messages_this_tick: messages,
-        })
+        Ok(outcome)
     }
 
     fn total_messages(&self) -> u64 {
@@ -562,7 +353,7 @@ impl QuerySystem for DigestEngine {
     fn set_sampling_workers(&mut self, workers: usize) {
         self.config.sampling.workers = workers;
         self.operator.set_workers(workers);
-        self.size_operator.set_workers(workers);
+        self.size.set_workers(workers);
     }
 
     fn total_samples(&self) -> u64 {

@@ -33,8 +33,8 @@ pub mod error;
 pub mod indep;
 pub mod mux;
 pub mod panel;
-pub mod quantile_est;
 pub mod query;
+mod report;
 pub mod rpt;
 pub mod scheduler;
 pub mod sketch_est;
@@ -50,7 +50,6 @@ pub use mux::{
     RoundPlanner,
 };
 pub use panel::SamplePanel;
-pub use quantile_est::QuantileEstimator;
 pub use query::{AggregateOp, ContinuousQuery, Precision};
 pub use rpt::{ForwardCorrection, RepeatedEstimator, RptConfig};
 pub use scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};

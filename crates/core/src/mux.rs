@@ -34,38 +34,24 @@
 
 use crate::engine::{DigestEngine, EngineConfig, EstimatorKind, SchedulerKind};
 use crate::query::{AggregateOp, ContinuousQuery};
+use crate::report::{emit_snapshot, finish, scale, Report, Selectivity, SizeTracker, Snapshot};
 use crate::rpt::RptConfig;
 use crate::scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};
 use crate::sketch_est::SketchSweepEstimator;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
 use digest_db::{Expr, Predicate, RowView};
-use digest_sampling::{uniform_weight, SamplingConfig, SamplingOperator, SizeEstimator};
+use digest_sampling::{SamplingConfig, SamplingOperator};
 use digest_stats::{required_sample_size, RunningMoments};
 use digest_telemetry::{Field, Stage};
 use rand::RngCore;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-/// Smoothing factor for the per-query decayed selectivity tally (same
-/// role as the engine's; keeps COUNT/SUM scaling stable across the few
-/// fresh draws of one occasion — §IV-B).
-const SELECTIVITY_DECAY: f64 = 0.75;
-
 /// Floor on the smoothed selectivity used to convert a qualifying-sample
 /// deficit into a draw request (Eq. 6 sizing counts *qualifying*
 /// samples); bounds the rejection-sampling inflation at 8×.
 const SELECTIVITY_FLOOR: f64 = 0.125;
-
-/// Whether a shared-mode member is served by the per-member node sweep
-/// (DESIGN.md §17) instead of the shared CLT-sized tuple panel (Eq. 6).
-/// `MEDIAN` joins the sweep family here: order statistics cannot reuse
-/// the shared CLT sizing, but the mergeable UDDSketch sweep answers them
-/// at rank 0.5 (in unshared mode `MEDIAN` keeps its standalone
-/// [`crate::QuantileEstimator`] engine, byte-identical to before).
-fn sweep_served(op: &AggregateOp) -> bool {
-    op.is_sketch() || matches!(op, AggregateOp::Median)
-}
 
 /// The sampling weight a panel was drawn under — stage one of the
 /// two-stage operator (§V).
@@ -101,12 +87,12 @@ pub struct PanelKey {
 impl PanelKey {
     /// The key of the panel `query`'s estimator consumes. Every
     /// *mean-like* aggregate over tuple expressions — `AVG`, `SUM`,
-    /// `COUNT`, `MEDIAN`, with or without predicates — consumes the
+    /// `COUNT`, with or without predicates — consumes the
     /// uniform-over-tuples distribution of the two-stage operator (§V),
     /// so those queries map to the same key and may share panels. The
-    /// sketch kinds (`PERCENTILE`/`COUNT DISTINCT`/`TOPK` — DESIGN.md
-    /// §17) consume deterministic node sweeps instead and never share
-    /// with sampled panels.
+    /// sketch kinds (`PERCENTILE` — `MEDIAN` is its rank 0.5 —
+    /// `COUNT DISTINCT`, `TOPK`; DESIGN.md §17) consume deterministic
+    /// node sweeps instead and never share with sampled panels.
     #[must_use]
     pub fn for_query(query: &ContinuousQuery) -> Self {
         if query.op.is_sketch() {
@@ -385,46 +371,10 @@ struct SharedQuery {
     sketch: Option<SketchSweepEstimator>,
     started: bool,
     trace: u64,
-    current_estimate: f64,
-    last_reported: f64,
+    report: Report,
     sigma_ema: Option<f64>,
-    selectivity_counts: (f64, f64),
+    selectivity: Selectivity,
     totals: MuxQueryTotals,
-}
-
-impl SharedQuery {
-    fn smoothed_selectivity(&self) -> f64 {
-        let (q, d) = self.selectivity_counts;
-        if d > 0.0 {
-            q / d
-        } else {
-            1.0
-        }
-    }
-
-    fn update_selectivity(&mut self, qualifying: f64, drawn: f64) -> f64 {
-        let (q, d) = self.selectivity_counts;
-        self.selectivity_counts = (
-            q * SELECTIVITY_DECAY + qualifying,
-            d * SELECTIVITY_DECAY + drawn,
-        );
-        self.smoothed_selectivity()
-    }
-
-    fn scale(&self, avg: f64, selectivity: f64, size_estimate: Option<f64>) -> f64 {
-        match self.query.op {
-            // The sweep-served kinds (DESIGN.md §17) never take this
-            // path — their sweeps finalize to the scalar directly — but
-            // the passthrough keeps the match total.
-            AggregateOp::Avg
-            | AggregateOp::Median
-            | AggregateOp::Percentile { .. }
-            | AggregateOp::Distinct
-            | AggregateOp::TopK { .. } => avg,
-            AggregateOp::Sum => avg * selectivity * size_estimate.unwrap_or(0.0),
-            AggregateOp::Count => selectivity * size_estimate.unwrap_or(0.0),
-        }
-    }
 }
 
 /// What one question class has folded of a shared round's panel so far.
@@ -495,11 +445,10 @@ fn fold_row(
 /// Shared-mode state: one operator, one walk pool, one size estimate.
 struct SharedState {
     operator: SamplingOperator,
-    size_operator: SamplingOperator,
+    /// `N̂` for the `SUM`/`COUNT` members, shared by all of them.
+    size: SizeTracker,
     planner: RoundPlanner,
     queries: BTreeMap<u64, SharedQuery>,
-    size_estimate: Option<f64>,
-    rounds_since_size_refresh: u64,
     rounds: u64,
     last_round_trace: u64,
 }
@@ -544,22 +493,11 @@ impl QueryMux {
     /// settings.
     pub fn new(config: MuxConfig) -> Result<Self> {
         let mode = if config.sharing {
-            let operator = SamplingOperator::new(config.sampling)?;
-            // Size estimation targets the uniform node distribution,
-            // which mixes slower than the content-biased one (§V-B):
-            // give those walks more budget, as the engine does.
-            let size_operator = SamplingOperator::new(SamplingConfig {
-                walk_length: config.sampling.walk_length.saturating_mul(4),
-                reset_length: config.sampling.reset_length.saturating_mul(2),
-                ..config.sampling
-            })?;
             Mode::Shared(Box::new(SharedState {
-                operator,
-                size_operator,
+                operator: SamplingOperator::new(config.sampling)?,
+                size: SizeTracker::new(config.sampling)?,
                 planner: RoundPlanner::new(config.coalesce_horizon),
                 queries: BTreeMap::new(),
-                size_estimate: None,
-                rounds_since_size_refresh: 0,
                 rounds: 0,
                 last_round_trace: 0,
             }))
@@ -619,10 +557,9 @@ impl QueryMux {
             }
             Mode::Shared(state) => {
                 // Sweep-served members (quantiles, distinct count, top-k
-                // mass — DESIGN.md §17; shared-mode MEDIAN rides the
-                // same UDDSketch sweep at rank 0.5) carry a per-member
-                // sweep estimator; mean-like members share the panel.
-                let sketch = if sweep_served(&query.op) {
+                // mass — DESIGN.md §17) carry a per-member sweep
+                // estimator; mean-like members share the panel.
+                let sketch = if query.op.is_sketch() {
                     Some(SketchSweepEstimator::for_query(&query)?)
                 } else {
                     None
@@ -639,10 +576,9 @@ impl QueryMux {
                         sketch,
                         started: false,
                         trace: 0,
-                        current_estimate: 0.0,
-                        last_reported: f64::NAN,
+                        report: Report::new(),
                         sigma_ema: None,
-                        selectivity_counts: (0.0, 0.0),
+                        selectivity: Selectivity::default(),
                         totals: MuxQueryTotals::default(),
                     },
                 );
@@ -815,47 +751,6 @@ fn member_target(config: &MuxConfig, q: &SharedQuery, tally: &RoundTally) -> Res
     Ok(target as u64)
 }
 
-/// Runs one shared-mode size-estimation round (§V-B capture–recapture on
-/// uniform node samples); returns messages spent.
-fn refresh_size_estimate(
-    state: &mut SharedState,
-    config: &MuxConfig,
-    ctx: &TickContext<'_>,
-    rng: &mut dyn RngCore,
-) -> Result<u64> {
-    let _span = digest_telemetry::span(Stage::SizeEstimate);
-    digest_telemetry::registry::CORE_SIZE_REFRESHES.inc();
-    let mut est = SizeEstimator::new();
-    let mut messages = 0u64;
-    let w = uniform_weight();
-    state.size_operator.begin_occasion();
-    for _ in 0..config.size_sample_target {
-        let (node, cost) = state
-            .size_operator
-            .sample_node(ctx.graph, &w, ctx.origin, rng)?;
-        messages += cost.total();
-        est.add_sample(node, ctx.db.content_size(node));
-        if est.collisions() >= 32 {
-            break;
-        }
-    }
-    if let Ok(n_hat) = est.estimate_tuple_count() {
-        state.size_estimate = Some(match state.size_estimate {
-            Some(old) => old + 0.5 * (n_hat - old),
-            None => n_hat,
-        });
-    } else if state.size_estimate.is_none() {
-        let floor = if est.samples() > 0 {
-            est.distinct() as f64
-        } else {
-            0.0
-        };
-        state.size_estimate = Some(floor.max(1.0));
-    }
-    state.rounds_since_size_refresh = 0;
-    Ok(messages)
-}
-
 /// One shared-mode tick: plan the round, draw one shared panel through
 /// the parallel executor (one occasion seed per batch — §V), then let
 /// every participant consume it under its own contract (§II).
@@ -872,7 +767,7 @@ fn shared_tick(
             .iter()
             .map(|(&id, q)| MuxQueryOutcome {
                 query: id,
-                outcome: TickOutcome::idle(q.current_estimate),
+                outcome: TickOutcome::idle(q.report.current),
                 trace: q.trace,
                 round: None,
             })
@@ -908,7 +803,7 @@ fn shared_tick(
             state
                 .queries
                 .get(id)
-                .is_some_and(|q| !sweep_served(&q.query.op))
+                .is_some_and(|q| !q.query.op.is_sketch())
         })
         .collect();
 
@@ -919,11 +814,8 @@ fn shared_tick(
             .get(id)
             .is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
     });
-    if needs_size
-        && (state.size_estimate.is_none()
-            || state.rounds_since_size_refresh >= config.size_refresh_rounds)
-    {
-        round_messages += refresh_size_estimate(state, config, ctx, rng)?;
+    if needs_size && state.size.is_stale(config.size_refresh_rounds) {
+        round_messages += state.size.refresh(ctx, config.size_sample_target, rng)?;
     }
 
     // --- Draw the shared panel: sequential CLT sizing at the maximum
@@ -961,7 +853,7 @@ fn shared_tick(
             let sel = if q.query.predicate.is_trivial() {
                 1.0
             } else {
-                q.smoothed_selectivity()
+                q.selectivity.smoothed()
             };
             let headroom = max_draws.saturating_sub(usize::try_from(drawn).unwrap_or(usize::MAX));
             want = want.max(draws_for_deficit(target - have, sel, headroom));
@@ -1016,14 +908,9 @@ fn shared_tick(
                 let held = held.get(&id);
                 MuxQueryOutcome {
                     query: id,
-                    outcome: TickOutcome {
-                        estimate: q.current_estimate,
-                        updated: false,
-                        snapshot_executed: held.is_some(),
-                        samples_this_tick: 0,
-                        fresh_samples_this_tick: 0,
-                        messages_this_tick: held.copied().unwrap_or(0),
-                    },
+                    outcome: held.map_or(TickOutcome::idle(q.report.current), |&messages| {
+                        TickOutcome::held(q.report.current, messages)
+                    }),
                     trace: q.trace,
                     round: held.map(|_| round_trace),
                 }
@@ -1050,166 +937,89 @@ fn shared_tick(
         q.trace = digest_telemetry::begin_trace();
         digest_telemetry::set_trace(q.trace);
 
+        let delta = q.query.precision.delta;
+
         // Sweep path (DESIGN.md §17): one deterministic node sweep per
-        // occasion, retained members free, δ-semantics as usual.
-        if let Some(sketch) = q.sketch.as_mut() {
+        // occasion, retained members free, δ-semantics as usual. A sweep
+        // member pays exactly its own fresh-node pulls.
+        let (snapshot, messages) = if let Some(sketch) = q.sketch.as_mut() {
             let snap = sketch.sweep(ctx.db, &q.query.expr, &q.query.predicate)?;
-            q.totals.messages += snap.messages;
-            q.totals.samples += snap.qualifying;
-            q.totals.snapshots += 1;
-            let outcome = if let Some(value) = snap.estimate {
-                q.current_estimate = value;
-                q.started = true;
-                let updated = q.last_reported.is_nan()
-                    || (value - q.last_reported).abs() >= q.query.precision.delta;
-                if updated {
-                    q.last_reported = value;
-                }
-                q.scheduler.observe(ctx.tick as f64, value);
-                let delay = {
-                    let _span = digest_telemetry::span(Stage::SchedulerDecide);
-                    q.scheduler.next_delay(q.query.precision.delta)?
-                };
-                state.planner.set_deadline(id, ctx.tick + delay);
-                TickOutcome {
-                    estimate: value,
-                    updated,
-                    snapshot_executed: true,
-                    samples_this_tick: snap.qualifying,
-                    fresh_samples_this_tick: snap.fresh_nodes,
-                    messages_this_tick: snap.messages,
+            (snap.into(), snap.messages)
+        } else {
+            // Panel members are finalised in `panel_members` order, which
+            // is the order `classes` is in.
+            let tally = member_classes
+                .next()
+                .and_then(|&class| tallies.get(class))
+                .unwrap_or(&no_tally);
+            let messages = share + u64::from(panel_index < remainder);
+            panel_index += 1;
+
+            // Transiently empty qualifying sub-population for a started
+            // AVG: hold the previous result, still reschedule (engine
+            // semantics).
+            let trivial = q.query.predicate.is_trivial();
+            let snapshot = if tally.moments.count() == 0
+                && !trivial
+                && matches!(q.query.op, AggregateOp::Avg)
+                && q.started
+            {
+                Snapshot::Hold {
+                    samples: drawn,
+                    fresh: drawn,
                 }
             } else {
-                // No tuple qualified for an order statistic: hold the
-                // previous result and retry next tick (§IV hold rule).
-                state.planner.set_deadline(id, ctx.tick + 1);
-                TickOutcome {
-                    estimate: q.current_estimate,
-                    updated: false,
-                    snapshot_executed: true,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: snap.messages,
+                let selectivity = if trivial {
+                    1.0
+                } else {
+                    q.selectivity
+                        .update(tally.qualifying as f64, tally.drawn as f64)
+                };
+                if tally.moments.count() >= 2 {
+                    let s = tally.moments.sample_std();
+                    q.sigma_ema = Some(match q.sigma_ema {
+                        Some(old) => old + 0.5 * (s - old),
+                        None => s,
+                    });
+                }
+                Snapshot::Value {
+                    value: scale(
+                        q.query.op,
+                        tally.moments.mean(),
+                        selectivity,
+                        state.size.estimate(),
+                    ),
+                    samples: drawn,
+                    fresh: drawn,
                 }
             };
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "engine.snapshot",
-                    &[
-                        ("system", Field::Str("MUX")),
-                        ("estimate", Field::F64(outcome.estimate)),
-                        ("messages", Field::U64(outcome.messages_this_tick)),
-                        ("samples", Field::U64(outcome.samples_this_tick)),
-                    ],
-                );
-            }
-            finalized.insert(
-                id,
-                MuxQueryOutcome {
-                    query: id,
-                    outcome,
-                    trace: q.trace,
-                    round: Some(round_trace),
-                },
-            );
-            continue;
-        }
-
-        // Panel members are finalised in `panel_members` order, which is
-        // the order `classes` is in.
-        let tally = member_classes
-            .next()
-            .and_then(|&class| tallies.get(class))
-            .unwrap_or(&no_tally);
-        let messages = share + u64::from(panel_index < remainder);
-        panel_index += 1;
-
-        // Transiently empty qualifying sub-population for a started AVG:
-        // hold the previous result, still reschedule (engine semantics).
-        let trivial = q.query.predicate.is_trivial();
-        if tally.moments.count() == 0
-            && !trivial
-            && matches!(q.query.op, AggregateOp::Avg)
-            && q.started
-        {
-            q.scheduler.observe(ctx.tick as f64, q.current_estimate);
-            let delay = q.scheduler.next_delay(q.query.precision.delta)?;
-            state.planner.set_deadline(id, ctx.tick + delay);
-            q.totals.messages += messages;
-            q.totals.samples += drawn;
-            q.totals.snapshots += 1;
-            finalized.insert(
-                id,
-                MuxQueryOutcome {
-                    query: id,
-                    outcome: TickOutcome {
-                        estimate: q.current_estimate,
-                        updated: false,
-                        snapshot_executed: true,
-                        samples_this_tick: drawn,
-                        fresh_samples_this_tick: drawn,
-                        messages_this_tick: messages,
-                    },
-                    trace: q.trace,
-                    round: Some(round_trace),
-                },
-            );
-            continue;
-        }
-
-        let selectivity = if trivial {
-            1.0
-        } else {
-            q.update_selectivity(tally.qualifying as f64, tally.drawn as f64)
+            (snapshot, messages)
         };
-        let scaled = q.scale(tally.moments.mean(), selectivity, state.size_estimate);
-        q.current_estimate = scaled;
-        q.started = true;
-        if tally.moments.count() >= 2 {
-            let s = tally.moments.sample_std();
-            q.sigma_ema = Some(match q.sigma_ema {
-                Some(old) => old + 0.5 * (s - old),
-                None => s,
-            });
-        }
-        let updated =
-            q.last_reported.is_nan() || (scaled - q.last_reported).abs() >= q.query.precision.delta;
-        if updated {
-            q.last_reported = scaled;
-        }
-        q.scheduler.observe(ctx.tick as f64, scaled);
-        let delay = {
-            let _span = digest_telemetry::span(Stage::SchedulerDecide);
-            q.scheduler.next_delay(q.query.precision.delta)?
-        };
+
+        let (outcome, delay) = finish(
+            &mut q.report,
+            &mut *q.scheduler,
+            ctx.tick,
+            delta,
+            snapshot,
+            messages,
+        )?;
         state.planner.set_deadline(id, ctx.tick + delay);
         q.totals.messages += messages;
-        q.totals.samples += drawn;
+        q.totals.samples += outcome.samples_this_tick;
         q.totals.snapshots += 1;
-
-        if digest_telemetry::events_enabled() {
-            digest_telemetry::emit(
-                "engine.snapshot",
-                &[
-                    ("system", Field::Str("MUX")),
-                    ("estimate", Field::F64(scaled)),
-                    ("messages", Field::U64(messages)),
-                    ("samples", Field::U64(drawn)),
-                ],
-            );
+        // A sweep member's occasion is an event even when it held; a
+        // panel member's only when it produced a value.
+        let reported = matches!(snapshot, Snapshot::Value { .. });
+        q.started |= reported;
+        if reported || q.sketch.is_some() {
+            emit_snapshot("MUX", &outcome);
         }
         finalized.insert(
             id,
             MuxQueryOutcome {
                 query: id,
-                outcome: TickOutcome {
-                    estimate: scaled,
-                    updated,
-                    snapshot_executed: true,
-                    samples_this_tick: drawn,
-                    fresh_samples_this_tick: drawn,
-                    messages_this_tick: messages,
-                },
+                outcome,
                 trace: q.trace,
                 round: Some(round_trace),
             },
@@ -1231,7 +1041,7 @@ fn shared_tick(
         );
     }
     state.rounds += 1;
-    state.rounds_since_size_refresh += 1;
+    state.size.served_occasion();
     state.last_round_trace = round_trace;
 
     let out = state
@@ -1240,7 +1050,7 @@ fn shared_tick(
         .map(|(&id, q)| {
             finalized.remove(&id).unwrap_or(MuxQueryOutcome {
                 query: id,
-                outcome: TickOutcome::idle(q.current_estimate),
+                outcome: TickOutcome::idle(q.report.current),
                 trace: q.trace,
                 round: None,
             })
@@ -1318,7 +1128,7 @@ impl QuerySystem for QueryMux {
             }
             Mode::Shared(state) => {
                 state.operator.set_workers(workers);
-                state.size_operator.set_workers(workers);
+                state.size.set_workers(workers);
             }
         }
     }
@@ -1385,6 +1195,13 @@ mod tests {
         assert!(b.shares_panel(&a));
         assert!(a.shares_panel(&a));
         assert!(!a.shares_panel(&PanelKey::size_estimation()));
+        // A median is a quantile sweep, never a sampled-panel member.
+        let median = ContinuousQuery::new(
+            AggregateOp::MEDIAN,
+            Expr::first_attr(&Schema::single("a")),
+            Precision::new(2.0, 1.0, 0.95).unwrap(),
+        );
+        assert_eq!(PanelKey::for_query(&median).weight, PanelWeight::NodeSweep);
     }
 
     #[test]
@@ -1527,7 +1344,7 @@ mod tests {
         let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
         let median = mux
             .register(ContinuousQuery::new(
-                AggregateOp::Median,
+                AggregateOp::MEDIAN,
                 Expr::first_attr(&Schema::single("a")),
                 Precision::new(2.0, 1.0, 0.95).unwrap(),
             ))
@@ -1547,7 +1364,7 @@ mod tests {
         assert_eq!(out[0].round, out[1].round);
         assert!(out[0].round.is_some());
         let exact = ContinuousQuery::new(
-            AggregateOp::Median,
+            AggregateOp::MEDIAN,
             Expr::first_attr(db.schema()),
             Precision::new(2.0, 1.0, 0.95).unwrap(),
         )
@@ -2005,7 +1822,7 @@ mod tests {
                 .iter()
                 .map(|(&id, q)| MuxQueryOutcome {
                     query: id,
-                    outcome: TickOutcome::idle(q.current_estimate),
+                    outcome: TickOutcome::idle(q.report.current),
                     trace: q.trace,
                     round: None,
                 })
@@ -2041,7 +1858,7 @@ mod tests {
                 state
                     .queries
                     .get(id)
-                    .is_some_and(|q| !sweep_served(&q.query.op))
+                    .is_some_and(|q| !q.query.op.is_sketch())
             })
             .collect();
 
@@ -2052,11 +1869,8 @@ mod tests {
                 .get(id)
                 .is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
         });
-        if needs_size
-            && (state.size_estimate.is_none()
-                || state.rounds_since_size_refresh >= config.size_refresh_rounds)
-        {
-            round_messages += refresh_size_estimate(state, config, ctx, rng)?;
+        if needs_size && state.size.is_stale(config.size_refresh_rounds) {
+            round_messages += state.size.refresh(ctx, config.size_sample_target, rng)?;
         }
 
         // --- Draw the shared panel: sequential CLT sizing at the maximum
@@ -2095,7 +1909,7 @@ mod tests {
                 let sel = if q.query.predicate.is_trivial() {
                     1.0
                 } else {
-                    q.smoothed_selectivity()
+                    q.selectivity.smoothed()
                 };
                 let headroom =
                     max_draws.saturating_sub(usize::try_from(drawn).unwrap_or(usize::MAX));
@@ -2165,7 +1979,7 @@ mod tests {
                 out.push(MuxQueryOutcome {
                     query: id,
                     outcome: TickOutcome {
-                        estimate: q.current_estimate,
+                        estimate: q.report.current,
                         updated: false,
                         snapshot_executed: is_due,
                         samples_this_tick: 0,
@@ -2208,12 +2022,12 @@ mod tests {
                 q.totals.samples += snap.qualifying;
                 q.totals.snapshots += 1;
                 let outcome = if let Some(value) = snap.estimate {
-                    q.current_estimate = value;
+                    q.report.current = value;
                     q.started = true;
-                    let updated = q.last_reported.is_nan()
-                        || (value - q.last_reported).abs() >= q.query.precision.delta;
+                    let updated = q.report.last_reported.is_nan()
+                        || (value - q.report.last_reported).abs() >= q.query.precision.delta;
                     if updated {
-                        q.last_reported = value;
+                        q.report.last_reported = value;
                     }
                     q.scheduler.observe(ctx.tick as f64, value);
                     let delay = {
@@ -2234,7 +2048,7 @@ mod tests {
                     // previous result and retry next tick (§IV hold rule).
                     state.planner.set_deadline(id, ctx.tick + 1);
                     TickOutcome {
-                        estimate: q.current_estimate,
+                        estimate: q.report.current,
                         updated: false,
                         snapshot_executed: true,
                         samples_this_tick: 0,
@@ -2283,7 +2097,7 @@ mod tests {
                 && matches!(q.query.op, AggregateOp::Avg)
                 && q.started
             {
-                q.scheduler.observe(ctx.tick as f64, q.current_estimate);
+                q.scheduler.observe(ctx.tick as f64, q.report.current);
                 let delay = q.scheduler.next_delay(q.query.precision.delta)?;
                 state.planner.set_deadline(id, ctx.tick + delay);
                 q.totals.messages += messages;
@@ -2294,7 +2108,7 @@ mod tests {
                     MuxQueryOutcome {
                         query: id,
                         outcome: TickOutcome {
-                            estimate: q.current_estimate,
+                            estimate: q.report.current,
                             updated: false,
                             snapshot_executed: true,
                             samples_this_tick: drawn,
@@ -2311,10 +2125,16 @@ mod tests {
             let selectivity = if trivial {
                 1.0
             } else {
-                q.update_selectivity(tally.qualifying as f64, tally.drawn as f64)
+                q.selectivity
+                    .update(tally.qualifying as f64, tally.drawn as f64)
             };
-            let scaled = q.scale(tally.moments.mean(), selectivity, state.size_estimate);
-            q.current_estimate = scaled;
+            let scaled = scale(
+                q.query.op,
+                tally.moments.mean(),
+                selectivity,
+                state.size.estimate(),
+            );
+            q.report.current = scaled;
             q.started = true;
             if tally.moments.count() >= 2 {
                 let s = tally.moments.sample_std();
@@ -2323,10 +2143,10 @@ mod tests {
                     None => s,
                 });
             }
-            let updated = q.last_reported.is_nan()
-                || (scaled - q.last_reported).abs() >= q.query.precision.delta;
+            let updated = q.report.last_reported.is_nan()
+                || (scaled - q.report.last_reported).abs() >= q.query.precision.delta;
             if updated {
-                q.last_reported = scaled;
+                q.report.last_reported = scaled;
             }
             q.scheduler.observe(ctx.tick as f64, scaled);
             let delay = {
@@ -2382,7 +2202,7 @@ mod tests {
             );
         }
         state.rounds += 1;
-        state.rounds_since_size_refresh += 1;
+        state.size.served_occasion();
         state.last_round_trace = round_trace;
 
         let out = state
@@ -2391,7 +2211,7 @@ mod tests {
             .map(|(&id, q)| {
                 finalized.remove(&id).unwrap_or(MuxQueryOutcome {
                     query: id,
-                    outcome: TickOutcome::idle(q.current_estimate),
+                    outcome: TickOutcome::idle(q.report.current),
                     trace: q.trace,
                     round: None,
                 })

@@ -17,6 +17,7 @@
 use crate::error::CoreError;
 use crate::Result;
 use digest_db::{Expr, Predicate};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The aggregate operation of the query.
@@ -29,14 +30,11 @@ pub enum AggregateOp {
     Sum,
     /// `COUNT(*)` — estimated as `N̂`.
     Count,
-    /// `MEDIAN(expression)` — estimated by order statistics with a
-    /// distribution-free confidence interval (an extension beyond the
-    /// paper's operations; see `quantile_est`).
-    Median,
     /// `PERCENTILE(expression, q)` — continuous approximate quantile at
     /// rank `q = q_permille / 1000`, served by the UDDSketch sweep
     /// (DESIGN.md §17); `ε` is an absolute half-width on the reported
-    /// quantile value under the §II contract.
+    /// quantile value under the §II contract. `MEDIAN(expression)` is
+    /// accepted as sugar for rank 0.5 ([`AggregateOp::MEDIAN`]).
     Percentile {
         /// Quantile rank in permille, restricted to `1..=999`.
         q_permille: u16,
@@ -55,6 +53,11 @@ pub enum AggregateOp {
 }
 
 impl AggregateOp {
+    /// What `MEDIAN(expression)` parses to: the quantile at rank 0.5. A
+    /// median is the quantile sketch read at one rank, not an estimator
+    /// of its own (DESIGN.md §17).
+    pub const MEDIAN: Self = AggregateOp::Percentile { q_permille: 500 };
+
     /// True for the sketch-served aggregate kinds of DESIGN.md §17
     /// (`PERCENTILE`, `COUNT DISTINCT`, `TOPK`) whose snapshots are
     /// mergeable-sketch sweeps rather than §IV CLT-sized sample panels.
@@ -76,12 +79,10 @@ impl AggregateOp {
     }
 
     /// The quantile rank in `[0, 1]` this operation reports, if it is an
-    /// order statistic (`MEDIAN` → 0.5, `PERCENTILE` → q; §IV order-
-    /// statistic extension).
+    /// order statistic (`PERCENTILE` → q; §IV order-statistic extension).
     #[must_use]
     pub fn quantile_rank(&self) -> Option<f64> {
         match self {
-            AggregateOp::Median => Some(0.5),
             AggregateOp::Percentile { q_permille } => Some(f64::from(*q_permille) / 1000.0),
             _ => None,
         }
@@ -94,7 +95,6 @@ impl fmt::Display for AggregateOp {
             AggregateOp::Avg => write!(f, "AVG"),
             AggregateOp::Sum => write!(f, "SUM"),
             AggregateOp::Count => write!(f, "COUNT"),
-            AggregateOp::Median => write!(f, "MEDIAN"),
             AggregateOp::Percentile { .. } => write!(f, "PERCENTILE"),
             AggregateOp::Distinct => write!(f, "COUNT DISTINCT"),
             AggregateOp::TopK { .. } => write!(f, "TOPK"),
@@ -207,51 +207,54 @@ impl ContinuousQuery {
             AggregateOp::Avg => db.exact_avg_where(&self.expr, &self.predicate).ok(),
             AggregateOp::Sum => db.exact_sum_where(&self.expr, &self.predicate).ok(),
             AggregateOp::Count => db.exact_count_where(&self.predicate).ok().map(|c| c as f64),
-            AggregateOp::Median | AggregateOp::Percentile { .. } => {
-                // quantile_rank is Some for both arms by construction.
-                let q = self.op.quantile_rank()?;
+            op => {
                 let mut values = Vec::new();
                 for (_, tuple) in db.iter() {
                     if self.predicate.eval(tuple).ok()? {
                         values.push(self.expr.eval(tuple).ok()?);
                     }
                 }
-                if values.is_empty() {
-                    return None;
-                }
-                values.sort_by(f64::total_cmp);
-                digest_stats::sample_quantile(&values, q).ok()
+                exact_over(op, &mut values)
             }
-            AggregateOp::Distinct => {
-                let mut cells = std::collections::BTreeSet::new();
-                for (_, tuple) in db.iter() {
-                    if self.predicate.eval(tuple).ok()? {
-                        cells.insert(digest_sketch::value_cell(self.expr.eval(tuple).ok()?));
-                    }
-                }
-                #[allow(clippy::cast_precision_loss)]
-                Some(cells.len() as f64)
+        }
+    }
+}
+
+/// The exact answer of a sketch-served aggregate (`PERCENTILE` /
+/// `COUNT DISTINCT` / `TOPK`, DESIGN.md §17) over the qualifying `values`
+/// — what the oracle, `ALL+ALL` and TAG all finalise with once the values
+/// are in one place. Sorts `values` in place for the order statistic.
+///
+/// `None` when the answer is undefined (an order statistic or a mass
+/// fraction over nothing; `COUNT DISTINCT` over nothing is 0), and for
+/// the mean-like kinds, which are not finalised from a value list.
+pub(crate) fn exact_over(op: AggregateOp, values: &mut [f64]) -> Option<f64> {
+    match op {
+        AggregateOp::Avg | AggregateOp::Sum | AggregateOp::Count => None,
+        AggregateOp::Percentile { .. } => {
+            values.sort_by(f64::total_cmp);
+            digest_stats::sample_quantile(values, op.quantile_rank()?).ok()
+        }
+        // Unit-width value cells (DESIGN.md §17 cell domain).
+        AggregateOp::Distinct => {
+            let cells: BTreeSet<i64> = values
+                .iter()
+                .map(|v| digest_sketch::value_cell(*v))
+                .collect();
+            Some(cells.len() as f64)
+        }
+        AggregateOp::TopK { k } => {
+            if values.is_empty() {
+                return None;
             }
-            AggregateOp::TopK { k } => {
-                let mut counts: std::collections::BTreeMap<i64, u64> =
-                    std::collections::BTreeMap::new();
-                let mut total: u64 = 0;
-                for (_, tuple) in db.iter() {
-                    if self.predicate.eval(tuple).ok()? {
-                        let cell = digest_sketch::value_cell(self.expr.eval(tuple).ok()?);
-                        *counts.entry(cell).or_insert(0) += 1;
-                        total += 1;
-                    }
-                }
-                if total == 0 {
-                    return None;
-                }
-                let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                #[allow(clippy::cast_precision_loss)]
-                Some((top as f64 / total as f64).clamp(0.0, 1.0))
+            let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+            for v in values.iter() {
+                *counts.entry(digest_sketch::value_cell(*v)).or_insert(0) += 1;
             }
+            let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
+            entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
+            let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
+            Some((top as f64 / values.len() as f64).clamp(0.0, 1.0))
         }
     }
 }

@@ -115,9 +115,8 @@ impl SketchSweepEstimator {
     /// sketch-served kind; sketch-layer errors for degenerate contracts.
     pub fn for_query(query: &ContinuousQuery) -> Result<Self> {
         let kind = match query.op {
-            AggregateOp::Median | AggregateOp::Percentile { .. } => SweepKind::Quantile {
-                // quantile_rank is Some for both arms by construction.
-                q: query.op.quantile_rank().unwrap_or(0.5),
+            AggregateOp::Percentile { q_permille } => SweepKind::Quantile {
+                q: f64::from(q_permille) / 1000.0,
             },
             AggregateOp::Distinct => {
                 let z = digest_stats::z_for_confidence(query.precision.confidence)?;
@@ -136,7 +135,7 @@ impl SketchSweepEstimator {
             }
             _ => {
                 return Err(crate::CoreError::InvalidConfig {
-                    reason: "sketch sweep serves only MEDIAN/PERCENTILE/DISTINCT/TOPK",
+                    reason: "sketch sweep serves only PERCENTILE/DISTINCT/TOPK",
                 })
             }
         };

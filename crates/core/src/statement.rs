@@ -212,7 +212,7 @@ impl ContinuousQuery {
         let (op, expr) = match op_name.as_str() {
             "AVG" => (AggregateOp::Avg, Expr::parse(expr_text, schema)?),
             "SUM" => (AggregateOp::Sum, Expr::parse(expr_text, schema)?),
-            "MEDIAN" => (AggregateOp::Median, Expr::parse(expr_text, schema)?),
+            "MEDIAN" => (AggregateOp::MEDIAN, Expr::parse(expr_text, schema)?),
             "COUNT" => {
                 // COUNT(*) — the expression is irrelevant to a pure
                 // count; COUNT(DISTINCT expression) — the sketch-served
@@ -363,14 +363,29 @@ mod tests {
     }
 
     #[test]
-    fn parses_median() {
+    fn median_is_sugar_for_percentile_one_half() {
         let q = ContinuousQuery::parse(
             "SELECT MEDIAN(temperature) FROM R WITH delta=2, epsilon=1, p=0.95",
             &schema(),
         )
         .unwrap();
-        assert_eq!(q.op, AggregateOp::Median);
-        assert!(q.to_string().contains("MEDIAN"));
+        assert_eq!(q.op, AggregateOp::Percentile { q_permille: 500 });
+        assert_eq!(q.op, AggregateOp::MEDIAN);
+        // parse → Display → parse is a fixed point: the sugar is spelled
+        // out once and stays spelled out.
+        let shown = q.to_string();
+        assert!(
+            shown.starts_with("SELECT PERCENTILE(temperature, 0.5) FROM R"),
+            "{shown}"
+        );
+        let back = shown
+            .replace("[δ=", "WITH delta=")
+            .replace(", ε=", ", epsilon=")
+            .replace(", p=", ", confidence=")
+            .replace(']', "");
+        let q2 = ContinuousQuery::parse(&back, &schema()).unwrap();
+        assert_eq!(q2.op, q.op);
+        assert_eq!(q2.to_string(), shown);
     }
 
     #[test]

@@ -59,6 +59,17 @@ impl TickOutcome {
             messages_this_tick: 0,
         }
     }
+
+    /// A held occasion: a snapshot ran and spent `messages`, but produced
+    /// nothing to report — the estimate stands.
+    #[must_use]
+    pub fn held(estimate: f64, messages: u64) -> Self {
+        Self {
+            snapshot_executed: true,
+            messages_this_tick: messages,
+            ..Self::idle(estimate)
+        }
+    }
 }
 
 /// A continuous-query answering system under test.

@@ -18,7 +18,8 @@
 //! `exp_tag` experiment measures the resulting error spikes against
 //! Digest's under identical churn.
 
-use crate::query::{AggregateOp, ContinuousQuery};
+use crate::query::{exact_over, AggregateOp, ContinuousQuery};
+use crate::report::Report;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
 use digest_net::NodeId;
@@ -50,8 +51,7 @@ pub struct TreeAggregationEngine {
     parent: Vec<Option<NodeId>>,
     root: Option<NodeId>,
     ticks_since_rebuild: u64,
-    current_estimate: f64,
-    last_reported: f64,
+    report: Report,
     total_messages: u64,
     total_snapshots: u64,
 }
@@ -66,8 +66,7 @@ impl TreeAggregationEngine {
             parent: Vec::new(),
             root: None,
             ticks_since_rebuild: 0,
-            current_estimate: 0.0,
-            last_reported: f64::NAN,
+            report: Report::new(),
             total_messages: 0,
             total_snapshots: 0,
         }
@@ -150,7 +149,6 @@ impl QuerySystem for TreeAggregationEngine {
         // its parent; fragments whose path to the root is broken are lost.
         let mut sum = 0.0;
         let mut count = 0u64;
-        let mut members = 0u64;
         // Sketch kinds (DESIGN.md §17): in-network partials push every
         // qualifying value to the querier, which finalizes exactly over
         // whatever fragments stayed connected.
@@ -169,7 +167,6 @@ impl QuerySystem for TreeAggregationEngine {
             if node != ctx.origin {
                 messages += 1; // one partial aggregate up the tree
             }
-            members += 1;
             if !self.connected_to_root(ctx, node) {
                 continue; // fragmented subtree: data silently lost
             }
@@ -187,69 +184,18 @@ impl QuerySystem for TreeAggregationEngine {
                 }
             }
         }
-        let _ = members;
-
         let estimate = match self.query.op {
-            AggregateOp::Avg | AggregateOp::Median => {
-                if count == 0 {
-                    self.current_estimate
-                } else {
-                    sum / count as f64
-                }
-            }
+            AggregateOp::Avg if count > 0 => sum / count as f64,
+            AggregateOp::Avg => self.report.current,
             AggregateOp::Sum => sum,
             AggregateOp::Count => count as f64,
-            AggregateOp::Percentile { .. } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    values.sort_by(f64::total_cmp);
-                    // quantile_rank is Some for Percentile by construction.
-                    let q = self.query.op.quantile_rank().unwrap_or(0.5);
-                    digest_stats::sample_quantile(&values, q)
-                        .map_err(digest_sampling::SamplingError::from)
-                        .map_err(crate::CoreError::from)?
-                }
-            }
-            AggregateOp::Distinct => {
-                let cells: std::collections::BTreeSet<i64> = values
-                    .iter()
-                    .map(|v| digest_sketch::value_cell(*v))
-                    .collect();
-                cells.len() as f64
-            }
-            AggregateOp::TopK { k } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    let mut counts: std::collections::BTreeMap<i64, u64> =
-                        std::collections::BTreeMap::new();
-                    for v in &values {
-                        *counts.entry(digest_sketch::value_cell(*v)).or_insert(0) += 1;
-                    }
-                    let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                    entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                    let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                    (top as f64 / values.len() as f64).clamp(0.0, 1.0)
-                }
-            }
+            op => exact_over(op, &mut values).unwrap_or(self.report.current),
         };
-        self.current_estimate = estimate;
-        let updated = self.last_reported.is_nan()
-            || (estimate - self.last_reported).abs() >= self.query.precision.delta;
-        if updated {
-            self.last_reported = estimate;
-        }
         self.total_messages += messages;
         self.total_snapshots += 1;
-        Ok(TickOutcome {
-            estimate,
-            updated,
-            snapshot_executed: true,
-            samples_this_tick: 0,
-            fresh_samples_this_tick: 0,
-            messages_this_tick: messages,
-        })
+        Ok(self
+            .report
+            .every_tick(estimate, self.query.precision.delta, messages))
     }
 
     fn total_messages(&self) -> u64 {
@@ -329,6 +275,46 @@ mod tests {
         };
         let o = tag.on_tick(&ctx, &mut rng).unwrap();
         assert_eq!(o.messages_this_tick, g.node_count() as u64 - 1);
+    }
+
+    /// Regression: `MEDIAN` used to be its own op that TAG finalised
+    /// with the mean (61.25 for a true 10.26 on the `median_queries`
+    /// world). It is `PERCENTILE(·, 0.5)` now, finalised exactly.
+    #[test]
+    fn median_is_the_median_not_the_mean() {
+        let g = topology::mesh(4, 4, false).unwrap();
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        for (i, v) in g.nodes().enumerate() {
+            db.register_node(v);
+            for j in 0..10u32 {
+                // 90 % in 8–12, 10 % in 200–1 000.
+                let value = if j == 9 {
+                    200.0 + 50.0 * i as f64
+                } else {
+                    8.0 + 0.4 * f64::from(j) + 0.02 * i as f64
+                };
+                db.insert(v, Tuple::single(value)).unwrap();
+            }
+        }
+        let query = ContinuousQuery::new(
+            AggregateOp::MEDIAN,
+            Expr::first_attr(db.schema()),
+            Precision::new(1.0, 1.0, 0.95).unwrap(),
+        );
+        let exact = query.oracle(&db).unwrap();
+        let mean = db.exact_avg(&Expr::first_attr(db.schema())).unwrap();
+        let mut tag = TreeAggregationEngine::new(query, TagConfig::default());
+        let ctx = TickContext {
+            tick: 0,
+            graph: &g,
+            db: &db,
+            origin: NodeId(0),
+        };
+        let o = tag
+            .on_tick(&ctx, &mut ChaCha8Rng::seed_from_u64(5))
+            .unwrap();
+        assert_eq!(o.estimate, exact);
+        assert!((o.estimate - mean).abs() > 10.0, "{} vs {mean}", o.estimate);
     }
 
     #[test]

@@ -798,7 +798,7 @@ mod tests {
                 contract(2.0 * tuples * sigma, tuples * sigma, 0.9),
             ),
             query(AggregateOp::Count, contract(tuples, 0.25 * tuples, 0.9)),
-            query(AggregateOp::Median, contract(4.0 * sigma, sigma, 0.9)),
+            query(AggregateOp::MEDIAN, contract(4.0 * sigma, sigma, 0.9)),
         ] {
             mux.register(member).unwrap();
         }

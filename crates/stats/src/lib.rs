@@ -23,8 +23,8 @@
 //! * [`taylor`] — Taylor-polynomial extrapolation with Lagrange remainder
 //!   bounds: predicts the earliest time the running aggregate can have
 //!   drifted by the resolution threshold `δ` (paper §IV-A, Eqs. 1–4).
-//! * [`quantile`] — sample quantiles with distribution-free
-//!   (order-statistic) confidence intervals, powering `MEDIAN` queries.
+//! * [`quantile`] — the interpolated sample quantile the exact oracle
+//!   and baselines finalise `PERCENTILE` / `MEDIAN` with.
 //! * [`regression`] — simple linear regression between paired samples,
 //!   the auxiliary-variate machinery behind repeated sampling.
 //! * [`repeated`] — the repeated-sampling estimator algebra of paper
@@ -77,7 +77,7 @@ pub use lm::{LevenbergMarquardt, LmConfig, LmOutcome, LmReport, ResidualModel};
 pub use moments::{PairedMoments, RunningMoments};
 pub use normal::{inverse_phi, phi, phi_pdf, z_for_confidence};
 pub use poly::Polynomial;
-pub use quantile::{quantile_interval, sample_quantile, QuantileInterval};
+pub use quantile::sample_quantile;
 pub use regression::SimpleLinearRegression;
 pub use repeated::{combined_estimate, optimal_partition, CombinedEstimate, PanelPartition};
 pub use taylor::{Extrapolator, ExtrapolatorConfig, Prediction};

@@ -1,43 +1,12 @@
-//! Quantile estimation with distribution-free confidence intervals.
+//! Sample quantiles.
 //!
-//! Means are not the only aggregate a sampling system can certify: for
-//! any quantile `q`, the order statistics of an i.i.d. sample bracket the
-//! population quantile with known (binomial) probability, *without any
-//! distributional assumption*. If `Y_(1) ≤ … ≤ Y_(n)` is the sorted
-//! sample, then
-//!
-//! ```text
-//! Pr( Y_(r) ≤ Q_q ≤ Y_(s) ) ≥ p   for   r = ⌊nq − z√(nq(1−q))⌋,
-//!                                        s = ⌈nq + z√(nq(1−q))⌉
-//! ```
-//!
-//! (normal approximation to the binomial; `z = Φ⁻¹((1+p)/2)`). The query
-//! engine draws samples until the bracket `[Y_(r), Y_(s)]` is narrower
-//! than the query's `ε` — a *value-adaptive* stopping rule that needs no
-//! density estimate.
+//! The interpolated order statistic of a sorted sample — what the exact
+//! oracle and the exact baselines finalise `PERCENTILE` (and so `MEDIAN`)
+//! with. Approximate quantiles are `digest-sketch`'s UDDSketch, not this
+//! module.
 
 use crate::error::StatsError;
-use crate::normal::z_for_confidence;
 use crate::Result;
-
-/// A distribution-free confidence interval for a population quantile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantileInterval {
-    /// Point estimate (interpolated sample quantile).
-    pub estimate: f64,
-    /// Lower confidence bound (an order statistic).
-    pub lower: f64,
-    /// Upper confidence bound (an order statistic).
-    pub upper: f64,
-}
-
-impl QuantileInterval {
-    /// Interval width `upper − lower`.
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        self.upper - self.lower
-    }
-}
 
 /// The interpolated sample quantile (type R-7, the common default) of a
 /// **sorted** slice.
@@ -61,41 +30,6 @@ pub fn sample_quantile(sorted: &[f64], q: f64) -> Result<f64> {
     let hi = crate::f64_to_usize_saturating(h.ceil()).min(sorted.len() - 1);
     let frac = h - lo as f64;
     Ok(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
-}
-
-/// Distribution-free confidence interval for the population `q`-quantile
-/// from a **sorted** i.i.d. sample, at two-sided confidence `p`.
-///
-/// When the sample is too small for the bracket to fit (the binomial
-/// bound exceeds the sample), the interval degrades to the full sample
-/// range — still a valid (if loose) bracket.
-///
-/// # Errors
-///
-/// * [`StatsError::InsufficientData`] for an empty slice.
-/// * [`StatsError::InvalidProbability`] for `q ∉ [0,1]` or `p ∉ (0,1)`.
-pub fn quantile_interval(sorted: &[f64], q: f64, confidence: f64) -> Result<QuantileInterval> {
-    let estimate = sample_quantile(sorted, q)?;
-    let z = z_for_confidence(confidence)?;
-    let n = sorted.len() as f64;
-    let spread = z * (n * q * (1.0 - q)).sqrt();
-    let r = (n * q - spread).floor();
-    let s = (n * q + spread).ceil();
-    let lower_idx = if r < 1.0 {
-        0
-    } else {
-        (crate::f64_to_usize_saturating(r) - 1).min(sorted.len() - 1)
-    };
-    let upper_idx = if s >= n {
-        sorted.len() - 1
-    } else {
-        crate::f64_to_usize_saturating(s)
-    };
-    Ok(QuantileInterval {
-        estimate,
-        lower: sorted[lower_idx],
-        upper: sorted[upper_idx],
-    })
 }
 
 #[cfg(test)]
@@ -125,65 +59,5 @@ mod tests {
         assert!(sample_quantile(&[], 0.5).is_err());
         assert!(sample_quantile(&[1.0], -0.1).is_err());
         assert!(sample_quantile(&[1.0], 1.1).is_err());
-        assert!(quantile_interval(&[], 0.5, 0.95).is_err());
-        assert!(quantile_interval(&[1.0], 0.5, 1.5).is_err());
-    }
-
-    #[test]
-    fn interval_brackets_the_estimate_and_shrinks_with_n() {
-        let make = |n: usize| -> Vec<f64> { (0..n).map(|i| i as f64 / n as f64).collect() };
-        let small = quantile_interval(&make(50), 0.5, 0.95).unwrap();
-        let large = quantile_interval(&make(5_000), 0.5, 0.95).unwrap();
-        assert!(small.lower <= small.estimate && small.estimate <= small.upper);
-        assert!(large.lower <= large.estimate && large.estimate <= large.upper);
-        assert!(
-            large.width() < small.width() / 3.0,
-            "interval must shrink: {} vs {}",
-            large.width(),
-            small.width()
-        );
-    }
-
-    #[test]
-    fn coverage_is_at_least_nominal() {
-        // Monte-Carlo: true median of Uniform(0,1) is 0.5; the 95 %
-        // interval must cover it ≈ 95 % of the time.
-        let mut seed = 7u64;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (seed >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let trials = 600;
-        let mut covered = 0;
-        for _ in 0..trials {
-            let mut xs: Vec<f64> = (0..101).map(|_| next()).collect();
-            xs.sort_by(f64::total_cmp);
-            let ci = quantile_interval(&xs, 0.5, 0.95).unwrap();
-            if ci.lower <= 0.5 && 0.5 <= ci.upper {
-                covered += 1;
-            }
-        }
-        let rate = f64::from(covered) / f64::from(trials);
-        assert!(rate > 0.92, "coverage {rate}");
-    }
-
-    #[test]
-    fn tiny_samples_fall_back_to_the_range() {
-        let xs = [1.0, 2.0, 3.0];
-        let ci = quantile_interval(&xs, 0.5, 0.99).unwrap();
-        assert_eq!(ci.lower, 1.0);
-        assert_eq!(ci.upper, 3.0);
-    }
-
-    #[test]
-    fn extreme_quantiles_stay_in_bounds() {
-        let xs: Vec<f64> = (0..100).map(f64::from).collect();
-        for q in [0.01, 0.99] {
-            let ci = quantile_interval(&xs, q, 0.95).unwrap();
-            assert!(ci.lower >= xs[0] && ci.upper <= xs[99]);
-            assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
-        }
     }
 }

@@ -65,7 +65,8 @@ pub enum Stage {
     EngineTick,
     /// Capture–recapture relation-size estimation round.
     SizeEstimate,
-    /// One estimator snapshot evaluation (INDEP / RPT / quantile).
+    /// One estimator snapshot evaluation (INDEP / RPT / sketch sweep, or a
+    /// shared mux round's panel draw and fold).
     EstimatorEval,
     /// One scheduler `next_delay` decision.
     SchedulerDecide,

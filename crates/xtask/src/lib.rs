@@ -90,7 +90,7 @@ pub const R4_FILES: &[&str] = &[
     "crates/core/src/rpt.rs",
     "crates/core/src/indep.rs",
     "crates/core/src/baselines.rs",
-    "crates/core/src/quantile_est.rs",
+    "crates/core/src/report.rs",
     "crates/core/src/mux.rs",
     "crates/sampling/src/metropolis.rs",
     "crates/sampling/src/operator.rs",

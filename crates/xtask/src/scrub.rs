@@ -265,37 +265,79 @@ fn is_no_alloc_tag(comment_line: &str) -> bool {
         .starts_with(NO_ALLOC_TAG)
 }
 
+/// Keywords that open a braced item: once one follows a pending marker,
+/// the marker belongs to that item and only its `{` (or `;`) consumes it
+/// — the commas of its generics and `where` clause do not.
+const BRACED_ITEM_KEYWORDS: &[&str] = &["fn", "impl", "mod", "struct", "enum", "trait", "union"];
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether a braced-item keyword starts at byte `i` of `line`.
+fn braced_item_keyword_at(line: &str, i: usize) -> bool {
+    let bytes = line.as_bytes();
+    if i > 0 && is_ident_byte(bytes[i - 1]) {
+        return false;
+    }
+    // Byte-wise: `i` need not be a char boundary.
+    BRACED_ITEM_KEYWORDS.iter().any(|kw| {
+        bytes[i..].starts_with(kw.as_bytes())
+            && !bytes.get(i + kw.len()).copied().is_some_and(is_ident_byte)
+    })
+}
+
+/// A region marker (`#[cfg(test)]` or the no-alloc tag) that has been
+/// seen but whose item has not opened yet.
+#[derive(Clone, Copy)]
+struct Pending {
+    /// Paren / bracket depth at which the marker was seen.
+    nesting: usize,
+    /// Whether a braced-item keyword has followed the marker.
+    item: bool,
+}
+
 fn mark_regions(code_src: &str, comment_src: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut depth: usize = 0;
+    // Paren / bracket depth, for telling a field's `,` from an argument's.
+    let mut nesting: usize = 0;
     // Depths at which a cfg(test) / no-alloc region's braces opened.
     let mut test_stack: Vec<usize> = Vec::new();
     let mut alloc_stack: Vec<usize> = Vec::new();
-    let mut pending_cfg_test = false;
-    let mut pending_no_alloc = false;
+    let mut pending_cfg_test: Option<Pending> = None;
+    let mut pending_no_alloc: Option<Pending> = None;
 
     for (code_line, comment_line) in code_src.lines().zip(comment_src.lines()) {
         let started_test = !test_stack.is_empty();
         let started_alloc = !alloc_stack.is_empty();
+        // The line a `#[cfg(test)]` field ends on is still that field.
+        let mut ended_test_field = false;
         if is_no_alloc_tag(comment_line) {
-            pending_no_alloc = true;
+            pending_no_alloc = Some(Pending {
+                nesting,
+                item: false,
+            });
         }
         // Byte-wise walk: the markers of interest are all ASCII, and `#`
         // is always a char boundary, so slicing at it is safe.
         for (i, b) in code_line.bytes().enumerate() {
             match b {
                 b'#' if TEST_CFGS.iter().any(|cfg| code_line[i..].starts_with(cfg)) => {
-                    pending_cfg_test = true;
+                    pending_cfg_test = Some(Pending {
+                        nesting,
+                        item: false,
+                    });
                 }
+                b'(' | b'[' => nesting += 1,
+                b')' | b']' => nesting = nesting.saturating_sub(1),
                 b'{' => {
                     depth += 1;
-                    if pending_cfg_test {
+                    if pending_cfg_test.take().is_some() {
                         test_stack.push(depth);
-                        pending_cfg_test = false;
                     }
-                    if pending_no_alloc {
+                    if pending_no_alloc.take().is_some() {
                         alloc_stack.push(depth);
-                        pending_no_alloc = false;
                     }
                 }
                 b'}' => {
@@ -311,11 +353,35 @@ fn mark_regions(code_src: &str, comment_src: &str) -> Vec<Line> {
                 // declaration `fn f(&self);` — the pending marker is
                 // consumed by a braceless item.
                 b';' => {
-                    if pending_cfg_test && test_stack.last() != Some(&depth) {
-                        pending_cfg_test = false;
+                    if test_stack.last() != Some(&depth) {
+                        pending_cfg_test = None;
                     }
-                    if pending_no_alloc && alloc_stack.last() != Some(&depth) {
-                        pending_no_alloc = false;
+                    if alloc_stack.last() != Some(&depth) {
+                        pending_no_alloc = None;
+                    }
+                }
+                // `#[cfg(test)] field: u32,` / `#[cfg(test)] field: init,`
+                // — a struct field or field initialiser ends at the `,`
+                // on the marker's own paren / bracket level (an argument
+                // list's commas sit one level deeper) and has no braced
+                // item of its own, so the marker must not live on to
+                // exempt whatever braced item comes next.
+                b',' => {
+                    let ends_field = |p: &Pending| !p.item && p.nesting == nesting;
+                    if pending_cfg_test.as_ref().is_some_and(ends_field) {
+                        pending_cfg_test = None;
+                        ended_test_field = true;
+                    }
+                    if pending_no_alloc.as_ref().is_some_and(ends_field) {
+                        pending_no_alloc = None;
+                    }
+                }
+                _ if braced_item_keyword_at(code_line, i) => {
+                    for p in [&mut pending_cfg_test, &mut pending_no_alloc]
+                        .into_iter()
+                        .flatten()
+                    {
+                        p.item = true;
                     }
                 }
                 _ => {}
@@ -326,8 +392,8 @@ fn mark_regions(code_src: &str, comment_src: &str) -> Vec<Line> {
         lines.push(Line {
             code: code_line.to_string(),
             comment: comment_line.to_string(),
-            in_test: started_test || ended_test || pending_cfg_test,
-            no_alloc: started_alloc || ended_alloc || pending_no_alloc,
+            in_test: started_test || ended_test || ended_test_field || pending_cfg_test.is_some(),
+            no_alloc: started_alloc || ended_alloc || pending_no_alloc.is_some(),
         });
     }
     lines
@@ -451,6 +517,52 @@ mod tests {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn prod() { baz(); }\n";
         let lines = scrub(src);
         assert!(!lines[2].in_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_field_does_not_exempt_the_next_item() {
+        let src = "struct S {\n\
+                       #[cfg(test)]\n\
+                       probe: u32,\n\
+                       live: u32,\n\
+                   }\n\
+                   impl S {\n\
+                       fn f(&self) { x.unwrap(); }\n\
+                   }\n\
+                   fn build() -> S {\n\
+                       S {\n\
+                           #[cfg(test)]\n\
+                           probe: make(1, 2),\n\
+                           live: 0,\n\
+                       }\n\
+                   }\n\
+                   fn after() { y.unwrap(); }\n";
+        let lines = scrub(src);
+        assert!(lines[1].in_test && lines[2].in_test); // the field itself
+        assert!(!lines[3].in_test);
+        assert!(!lines[6].in_test, "impl after a cfg(test) field");
+        assert!(lines[10].in_test && lines[11].in_test); // the initialiser
+        assert!(!lines[12].in_test);
+        assert!(!lines[15].in_test, "fn after a cfg(test) initialiser");
+    }
+
+    #[test]
+    fn item_commas_do_not_consume_a_pending_marker() {
+        let src = "#[cfg(test)]\n\
+                   fn helper<A, B>(a: A, b: B) -> u32\n\
+                   where\n\
+                       A: Copy,\n\
+                       B: Copy,\n\
+                   {\n\
+                       x.unwrap()\n\
+                   }\n\
+                   /// xtask: no-alloc\n\
+                   fn hot<T, U>(t: T, u: U) -> u64 where T: Copy, U: Copy {\n\
+                       let δ = Vec::new();\n\
+                   }\n";
+        let lines = scrub(src);
+        assert!(lines[6].in_test, "generics / where commas keep the marker");
+        assert!(lines[10].no_alloc, "generics / where commas keep the tag");
     }
 
     #[test]

@@ -32,6 +32,27 @@ fn r1_flags_each_seeded_panic_construct() {
     assert_eq!(findings.len(), 4, "{findings:?}");
 }
 
+/// A `#[cfg(test)]` struct field has no braces of its own: its marker
+/// must end at the field's `,`, not carry over and exempt the `impl`
+/// that follows (ROADMAP 5(b)'s scrubber hole).
+#[test]
+fn r1_cfg_test_on_a_field_does_not_exempt_the_next_impl() {
+    let source = "pub struct Probe {\n\
+                      #[cfg(test)]\n\
+                      reads: u32,\n\
+                      value: Option<u32>,\n\
+                  }\n\
+                  impl Probe {\n\
+                      pub fn get(&self) -> u32 {\n\
+                          self.value.unwrap()\n\
+                      }\n\
+                  }\n";
+    let findings = lint_no_panic("fixtures/inline.rs", source);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains(".unwrap()"));
+    assert_eq!(findings[0].line, 8);
+}
+
 #[test]
 fn r2_flags_hash_collections_outside_tests() {
     let findings = lint_no_hash_collections("fixtures/r2_hash.rs", &fixture("r2_hash.rs"));

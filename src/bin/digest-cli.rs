@@ -79,21 +79,21 @@ fn usage() -> ! {
          engines; --queries additionally registers N generated AVG \
          queries — cycling a contract-tier mix, or all at the given \
          delta,epsilon,p — and implies --mux. A \"+\"-separated kind \
-         list (avg|median|distinct|p<N>|top<K>, e.g. p90+distinct+top4) \
-         registers one query per kind instead, served by the sketch \
-         sweep estimators where applicable."
+         list (avg|median|distinct|p<N>|top<K>, e.g. p90+distinct+top4; \
+         median is p50) registers one query per kind instead, served by \
+         the sketch sweep estimators where applicable."
     );
     std::process::exit(2);
 }
 
 /// Parses one aggregate-kind token of the "+"-separated `--queries`
-/// grammar: `avg`, `median`, `distinct`, `p<N>` (the N-th percentile,
-/// 1–99), or `top<K>` (top-K heavy-hitter mass, 1–64).
+/// grammar: `avg`, `median` (sugar for `p50`), `distinct`, `p<N>` (the
+/// N-th percentile, 1–99), or `top<K>` (top-K heavy-hitter mass, 1–64).
 fn parse_kind_token(token: &str) -> Result<AggregateOp, String> {
     let t = token.trim().to_ascii_lowercase();
     match t.as_str() {
         "avg" => return Ok(AggregateOp::Avg),
-        "median" => return Ok(AggregateOp::Median),
+        "median" => return Ok(AggregateOp::MEDIAN),
         "distinct" => return Ok(AggregateOp::Distinct),
         _ => {}
     }

@@ -4,14 +4,15 @@
 //! reproduction of *"Fixed-Precision Approximate Continuous Aggregate
 //! Queries in Peer-to-Peer Databases"* (Banaei-Kashani & Shahabi,
 //! ICDE 2008), plus its §VIII future-work extensions (`WHERE`
-//! predicates, statement parsing, forward regression, `MEDIAN`).
+//! predicates, statement parsing, forward regression, `MEDIAN` /
+//! `PERCENTILE` by sketch sweep).
 //!
 //! Each subsystem lives in its own crate, re-exported here under a short
 //! module name:
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `digest-core` | the two-tier query engine: `(δ, ε, p)` semantics, `ALL`/`PRED-k` schedulers, `INDEP`/`RPT`/quantile estimators, push/TAG baselines |
+//! | [`core`] | `digest-core` | the two-tier query engine: `(δ, ε, p)` semantics, `ALL`/`PRED-k` schedulers, `INDEP`/`RPT`/sketch-sweep estimators, push/TAG baselines |
 //! | [`sampling`] | `digest-sampling` | the Metropolis random-walk sampling operator, mixing diagnostics, size estimation |
 //! | [`net`] | `digest-net` | the unstructured overlay: topologies and churn |
 //! | [`db`] | `digest-db` | the horizontally partitioned relation, expressions, predicates |
