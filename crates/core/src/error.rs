@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn conversions_and_sources() {
-        let e: CoreError = digest_stats::StatsError::SingularMatrix.into();
+        let e: CoreError = digest_stats::StatsError::NonFiniteInput { what: "x" }.into();
         assert!(std::error::Error::source(&e).is_some());
         let e: CoreError = digest_db::DbError::StaleHandle.into();
         assert!(e.to_string().contains("database"));

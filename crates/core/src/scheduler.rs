@@ -77,31 +77,22 @@ pub struct PredScheduler {
 }
 
 impl PredScheduler {
-    /// Creates `PRED-k` with default safety settings.
+    /// Creates `PRED-k`.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] if `k == 0`.
+    /// [`CoreError::InvalidConfig`] unless
+    /// `1 ≤ k ≤` [`digest_stats::taylor::MAX_HISTORY`].
     pub fn new(k: usize) -> Result<Self> {
-        if k == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "PRED-k requires k >= 1",
-            });
-        }
-        Self::with_config(ExtrapolatorConfig::pred(k))
-    }
-
-    /// Creates a scheduler with full control over the extrapolator.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for invalid extrapolator settings.
-    pub fn with_config(config: ExtrapolatorConfig) -> Result<Self> {
-        let name = format!("PRED{}", config.history);
-        let extrapolator = Extrapolator::new(config).map_err(|_| CoreError::InvalidConfig {
-            reason: "invalid extrapolator config",
+        let extrapolator = Extrapolator::new(ExtrapolatorConfig { history: k }).map_err(|_| {
+            CoreError::InvalidConfig {
+                reason: "PRED-k requires 1 <= k <= 8",
+            }
         })?;
-        Ok(Self { name, extrapolator })
+        Ok(Self {
+            name: format!("PRED{k}"),
+            extrapolator,
+        })
     }
 }
 
@@ -114,22 +105,22 @@ impl SnapshotScheduler for PredScheduler {
         self.extrapolator.observe(t, estimate);
     }
 
+    /// xtask: no-alloc
     fn next_delay(&mut self, delta: f64) -> Result<u64> {
         let prediction = self.extrapolator.predict(delta)?;
         let delay = prediction.next_update_in.max(1);
         telemetry::CORE_SCHEDULER_DECISIONS.inc();
         telemetry::CORE_SCHEDULER_DELAY.record(delay);
         if digest_telemetry::events_enabled() {
-            let mut fields = vec![
+            let fields = [
                 ("scheduler", Field::Str(&self.name)),
                 ("delay", Field::U64(delay)),
                 ("bootstrapping", Field::Bool(prediction.bootstrapping)),
+                ("derivative_bound", Field::F64(prediction.derivative_bound)),
             ];
             // During bootstrap the bound is +∞, which JSON cannot carry.
-            if prediction.derivative_bound.is_finite() {
-                fields.push(("derivative_bound", Field::F64(prediction.derivative_bound)));
-            }
-            digest_telemetry::emit("scheduler.decision", &fields);
+            let carried = fields.len() - usize::from(!prediction.derivative_bound.is_finite());
+            digest_telemetry::emit("scheduler.decision", &fields[..carried]);
         }
         Ok(delay)
     }
@@ -160,6 +151,17 @@ mod tests {
     #[test]
     fn pred_scheduler_name_and_validation() {
         assert!(PredScheduler::new(0).is_err());
+        // Above the fixed window: an error, not an index out of bounds.
+        let cap = digest_stats::taylor::MAX_HISTORY;
+        assert!(PredScheduler::new(cap).is_ok());
+        for k in [cap + 1, 171, usize::MAX] {
+            match PredScheduler::new(k) {
+                Err(CoreError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(&format!("<= {cap}")), "{reason}");
+                }
+                other => panic!("k = {k}: {other:?}"),
+            }
+        }
         let s = PredScheduler::new(3).unwrap();
         assert_eq!(s.name(), "PRED3");
     }

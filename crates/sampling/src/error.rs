@@ -81,7 +81,7 @@ mod tests {
             weight: -1.0,
         };
         assert!(e.to_string().contains("n2"));
-        let e: SamplingError = digest_stats::StatsError::SingularMatrix.into();
+        let e: SamplingError = digest_stats::StatsError::NonFiniteInput { what: "x" }.into();
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -19,9 +19,6 @@ pub enum StatsError {
         /// Minimum number of observations required.
         need: usize,
     },
-    /// A matrix was singular (or numerically indistinguishable from
-    /// singular) during factorisation.
-    SingularMatrix,
     /// Matrix dimensions did not line up for the requested operation.
     DimensionMismatch {
         /// Description of what was expected.
@@ -39,12 +36,6 @@ pub enum StatsError {
         /// The offending value.
         value: f64,
     },
-    /// The iterative optimiser exhausted its iteration budget without
-    /// meeting any convergence criterion.
-    DidNotConverge {
-        /// Number of iterations performed.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -59,16 +50,12 @@ impl fmt::Display for StatsError {
                     "insufficient data: got {got} observations, need at least {need}"
                 )
             }
-            StatsError::SingularMatrix => write!(f, "matrix is singular to working precision"),
             StatsError::DimensionMismatch { context } => {
                 write!(f, "dimension mismatch: {context}")
             }
             StatsError::NonFiniteInput { what } => write!(f, "non-finite input: {what}"),
             StatsError::InvalidParameter { what, value } => {
                 write!(f, "invalid parameter {what} = {value}")
-            }
-            StatsError::DidNotConverge { iterations } => {
-                write!(f, "did not converge after {iterations} iterations")
             }
         }
     }
@@ -98,11 +85,11 @@ mod tests {
         let e = StatsError::InsufficientData { got: 1, need: 2 };
         assert!(e.to_string().contains("got 1"));
 
-        let e = StatsError::SingularMatrix;
-        assert!(e.to_string().contains("singular"));
-
-        let e = StatsError::DidNotConverge { iterations: 42 };
-        assert!(e.to_string().contains("42"));
+        let e = StatsError::InvalidParameter {
+            what: "history",
+            value: 171.0,
+        };
+        assert!(e.to_string().contains("history = 171"));
     }
 
     #[test]

@@ -13,16 +13,13 @@
 //! * [`clt`] — central-limit-theorem sample sizing: how many i.i.d. samples
 //!   are needed so that the sample mean lands within `±ε` of the population
 //!   mean with probability `p` (paper Eq. 6).
-//! * [`linalg`] — small dense matrices and linear solvers (LU with partial
-//!   pivoting, Cholesky) backing the least-squares fitters.
-//! * [`lm`] — the Levenberg–Marquardt damped least-squares optimiser the
-//!   paper prescribes for fitting the Taylor polynomial of the running
-//!   aggregate.
-//! * [`poly`] — dense univariate polynomials and (non)linear least-squares
-//!   polynomial fitting.
+//! * [`linalg`] — small dense matrices (products, power-iteration spectral
+//!   radius) for explicit transition matrices in the mixing diagnostics.
 //! * [`taylor`] — Taylor-polynomial extrapolation with Lagrange remainder
 //!   bounds: predicts the earliest time the running aggregate can have
-//!   drifted by the resolution threshold `δ` (paper §IV-A, Eqs. 1–4).
+//!   drifted by the resolution threshold `δ` (paper §IV-A, Eqs. 1–4). The
+//!   exactly determined fit is the Newton interpolant, read with the
+//!   remainder bound off one on-stack divided-difference table.
 //! * [`quantile`] — the interpolated sample quantile the exact oracle
 //!   and baselines finalise `PERCENTILE` / `MEDIAN` with.
 //! * [`regression`] — simple linear regression between paired samples,
@@ -60,10 +57,8 @@ pub(crate) fn f64_to_usize_saturating(x: f64) -> usize {
     out
 }
 pub mod linalg;
-pub mod lm;
 pub mod moments;
 pub mod normal;
-pub mod poly;
 pub mod quantile;
 pub mod regression;
 pub mod repeated;
@@ -73,10 +68,8 @@ pub mod tvd;
 pub use clt::{required_sample_size, required_sample_size_for_variance};
 pub use error::StatsError;
 pub use linalg::Matrix;
-pub use lm::{LevenbergMarquardt, LmConfig, LmOutcome, LmReport, ResidualModel};
 pub use moments::{PairedMoments, RunningMoments};
 pub use normal::{inverse_phi, phi, phi_pdf, z_for_confidence};
-pub use poly::Polynomial;
 pub use quantile::sample_quantile;
 pub use regression::SimpleLinearRegression;
 pub use repeated::{combined_estimate, optimal_partition, CombinedEstimate, PanelPartition};

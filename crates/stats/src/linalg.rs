@@ -1,9 +1,9 @@
-//! Small dense linear algebra for the least-squares fitters.
+//! Small dense matrices for the mixing diagnostics.
 //!
-//! The matrices here are tiny (a Taylor fit of degree 3 solves a 4×4
-//! system), so the implementation favours clarity and robustness over
-//! blocking/SIMD tricks: row-major storage, LU with partial pivoting, and
-//! Cholesky for the symmetric positive-definite normal equations.
+//! The matrices here are explicit transition matrices of test-sized
+//! overlays, so the implementation favours clarity over blocking/SIMD
+//! tricks: row-major storage, products, and a power-iteration spectral
+//! radius.
 
 use crate::error::StatsError;
 use crate::Result;
@@ -128,140 +128,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Solves `A x = b` by LU factorisation with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::DimensionMismatch`] if `A` is not square or `b` has
-    ///   the wrong length.
-    /// * [`StatsError::SingularMatrix`] if a pivot is numerically zero.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rows;
-        if self.cols != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "solve: matrix must be square",
-            });
-        }
-        if b.len() != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "solve: rhs length must equal matrix dimension",
-            });
-        }
-
-        // Work on copies; the matrix is small.
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for col in 0..n {
-            // Partial pivot: largest |a| in this column at or below the diagonal.
-            let mut pivot_row = col;
-            let mut pivot_val = a[perm[col] * n + col].abs();
-            for (r, &pr) in perm.iter().enumerate().skip(col + 1) {
-                let v = a[pr * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return Err(StatsError::SingularMatrix);
-            }
-            perm.swap(col, pivot_row);
-
-            let prow = perm[col];
-            let pivot = a[prow * n + col];
-            for &r in &perm[col + 1..] {
-                let factor = a[r * n + col] / pivot;
-                if factor.classify() == std::num::FpCategory::Zero {
-                    continue;
-                }
-                a[r * n + col] = 0.0;
-                for j in col + 1..n {
-                    a[r * n + j] -= factor * a[prow * n + j];
-                }
-                x[r] -= factor * x[prow];
-            }
-        }
-
-        // Back substitution through the permutation.
-        let mut out = vec![0.0; n];
-        for col in (0..n).rev() {
-            let prow = perm[col];
-            let mut sum = x[prow];
-            for j in col + 1..n {
-                sum -= a[prow * n + j] * out[j];
-            }
-            let diag = a[prow * n + col];
-            if diag.abs() < 1e-300 {
-                return Err(StatsError::SingularMatrix);
-            }
-            out[col] = sum / diag;
-        }
-        Ok(out)
-    }
-
-    /// Solves `A x = b` for symmetric positive-definite `A` by Cholesky
-    /// factorisation (`A = L Lᵀ`). Used for normal equations `JᵀJ + λ diag`.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::DimensionMismatch`] as for [`Matrix::solve`].
-    /// * [`StatsError::SingularMatrix`] if `A` is not positive definite to
-    ///   working precision.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.rows;
-        if self.cols != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "solve_spd: matrix must be square",
-            });
-        }
-        if b.len() != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "solve_spd: rhs length must equal matrix dimension",
-            });
-        }
-
-        // Cholesky: l[i][j] for j <= i, row-major lower triangle.
-        let mut l = vec![0.0_f64; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(StatsError::SingularMatrix);
-                    }
-                    l[i * n + i] = sum.sqrt();
-                } else {
-                    l[i * n + j] = sum / l[j * n + j];
-                }
-            }
-        }
-
-        // Forward solve L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l[i * n + k] * y[k];
-            }
-            y[i] = sum / l[i * n + i];
-        }
-        // Back solve Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in i + 1..n {
-                sum -= l[k * n + i] * x[k];
-            }
-            x[i] = sum / l[i * n + i];
-        }
-        Ok(x)
-    }
-
     /// Largest absolute eigenvalue estimated by power iteration, for
     /// spectral diagnostics of small transition matrices.
     ///
@@ -312,87 +178,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 )]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_solve_is_identity() {
-        let a = Matrix::identity(4);
-        let b = [1.0, 2.0, 3.0, 4.0];
-        let x = a.solve(&b).unwrap();
-        for (xi, bi) in x.iter().zip(b.iter()) {
-            assert!((xi - bi).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn solve_known_system() {
-        // [2 1; 1 3] x = [3; 5] → x = [4/5, 7/5].
-        let a = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
-        let x = a.solve(&[3.0, 5.0]).unwrap();
-        assert!((x[0] - 0.8).abs() < 1e-12);
-        assert!((x[1] - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // Zero on the diagonal: naive elimination would divide by zero.
-        let a = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_detects_singularity() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert_eq!(
-            a.solve(&[1.0, 2.0]).unwrap_err(),
-            StatsError::SingularMatrix
-        );
-    }
-
-    #[test]
-    fn solve_random_round_trip() {
-        // A·x = b then solve must return x; deterministic pseudo-random fill.
-        let n = 6;
-        let mut seed = 0x9e37_79b9_u64;
-        let mut next = || {
-            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = next();
-            }
-            a[(i, i)] += 4.0; // diagonal dominance → well-conditioned
-        }
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 2.5).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let x = a.solve(&b).unwrap();
-        for (got, want) in x.iter().zip(x_true.iter()) {
-            assert!((got - want).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn spd_solve_matches_lu() {
-        let a = Matrix::from_rows(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let x1 = a.solve(&b).unwrap();
-        let x2 = a.solve_spd(&b).unwrap();
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn spd_rejects_indefinite() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
-        assert_eq!(
-            a.solve_spd(&[1.0, 1.0]).unwrap_err(),
-            StatsError::SingularMatrix
-        );
-    }
 
     #[test]
     fn matmul_and_transpose() {

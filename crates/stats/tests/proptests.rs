@@ -11,7 +11,7 @@
 use digest_stats::repeated::{combined_variance, min_combined_variance, optimal_partition};
 use digest_stats::{
     inverse_phi, phi, required_sample_size, total_variation_distance, DiscreteDistribution,
-    PairedMoments, Polynomial, RunningMoments,
+    PairedMoments, RunningMoments,
 };
 use proptest::prelude::*;
 
@@ -78,35 +78,6 @@ proptest! {
         let n_wider_sigma = required_sample_size(sigma * 2.0, eps, p).unwrap();
         prop_assert!(n_tighter >= n);
         prop_assert!(n_wider_sigma >= n);
-    }
-
-    #[test]
-    fn polynomial_eval_is_horner_consistent(
-        origin in -1e3f64..1e3,
-        coeffs in prop::collection::vec(-1e3f64..1e3, 1..6),
-        t in -1e3f64..1e3,
-    ) {
-        let p = Polynomial::new(origin, coeffs.clone()).unwrap();
-        let x: f64 = t - origin;
-        let naive: f64 = coeffs.iter().enumerate().map(|(k, c)| c * x.powi(k as i32)).sum();
-        let scale = 1.0 + naive.abs();
-        prop_assert!((p.eval(t) - naive).abs() / scale < 1e-9);
-    }
-
-    #[test]
-    fn polynomial_fit_interpolates_exact_data(
-        coeffs in prop::collection::vec(-100.0f64..100.0, 1..4),
-    ) {
-        let origin = 50.0;
-        let truth = Polynomial::new(origin, coeffs).unwrap();
-        let ts: Vec<f64> = (0..10).map(|i| 45.0 + f64::from(i)).collect();
-        let ys: Vec<f64> = ts.iter().map(|&t| truth.eval(t)).collect();
-        let fit =
-            Polynomial::fit_least_squares(origin, &ts, &ys, truth.degree()).unwrap();
-        for (&t, &y) in ts.iter().zip(ys.iter()) {
-            let scale = 1.0 + y.abs();
-            prop_assert!((fit.eval(t) - y).abs() / scale < 1e-6);
-        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ use digest::core::{
 use digest::db::{Expr, Schema};
 use digest::sampling::SamplingConfig;
 use digest::sim::RunConfig;
+use digest::stats::taylor::MAX_HISTORY;
 use digest::workload::{
     MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
 };
@@ -67,7 +68,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: digest-cli [--world temperature|memory] [--ticks N] \
-         [--scheduler all|pred<K>] [--estimator indep|rpt] [--seed S] \
+         [--scheduler all|pred<1..8>] [--estimator indep|rpt] [--seed S] \
          [--sampling-workers N] [--telemetry out.jsonl] [--audit] \
          [--audit-json report.json] [--trace-out trace.json] \
          [--mux] [--queries N[@delta,epsilon,p]] \
@@ -259,7 +260,11 @@ fn parse_args() -> Options {
                 let v = args.next().unwrap_or_else(|| usage());
                 opts.scheduler = if v.eq_ignore_ascii_case("all") {
                     SchedulerKind::All
-                } else if let Some(k) = v.strip_prefix("pred").and_then(|k| k.parse().ok()) {
+                } else if let Some(k) = v
+                    .strip_prefix("pred")
+                    .and_then(|k| k.parse().ok())
+                    .filter(|k| (1..=MAX_HISTORY).contains(k))
+                {
                     SchedulerKind::Pred(k)
                 } else {
                     usage()

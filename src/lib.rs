@@ -16,7 +16,7 @@
 //! | [`sampling`] | `digest-sampling` | the Metropolis random-walk sampling operator, mixing diagnostics, size estimation |
 //! | [`net`] | `digest-net` | the unstructured overlay: topologies and churn |
 //! | [`db`] | `digest-db` | the horizontally partitioned relation, expressions, predicates |
-//! | [`stats`] | `digest-stats` | the numerical substrate (moments, quantiles, CLT sizing, Levenberg–Marquardt, Taylor extrapolation, repeated-sampling algebra) |
+//! | [`stats`] | `digest-stats` | the numerical substrate (moments, quantiles, CLT sizing, Taylor extrapolation, repeated-sampling algebra) |
 //! | [`workload`] | `digest-workload` | the calibrated TEMPERATURE / MEMORY synthetic datasets |
 //! | [`sim`] | `digest-sim` | the discrete-time runner with oracle verification and parallel replication |
 //! | [`audit`] | `digest-audit` | the continuous-guarantee auditor: ε-violation tracking, CI calibration, message-cost ledger, Perfetto trace export |

@@ -7,8 +7,9 @@
 
 use digest::audit::QueryAudit;
 use digest::core::{
-    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision, QueryMux,
-    QuerySystem, RepeatedEstimator, RptConfig, SchedulerKind, TickContext, TickObserver,
+    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision,
+    PredScheduler, QueryMux, QuerySystem, RepeatedEstimator, RptConfig, SchedulerKind,
+    SnapshotScheduler, TickContext, TickObserver,
 };
 use digest::db::{Expr, Predicate};
 use digest::sampling::{SamplingConfig, SamplingOperator};
@@ -255,8 +256,8 @@ fn memory_world_allocates_only_where_nodes_join() {
 
 /// What PR 17 bought on `solo_tight` (ROADMAP aim 1): an RPT occasion at
 /// a steady panel size revisits, draws, combines and re-panels inside
-/// buffers it already owns. The scheduler's fit is outside `evaluate` and
-/// outside this gate.
+/// buffers it already owns. The scheduler's fit is outside `evaluate`;
+/// `pred_occasions_stay_off_the_heap` gates the whole `on_tick`.
 #[test]
 fn steady_rpt_occasions_do_not_allocate_per_sample() {
     const WARM_UP: u64 = 5;
@@ -315,8 +316,7 @@ fn steady_rpt_occasions_do_not_allocate_per_sample() {
 /// question class, in place in the operator's batch column — 32 members
 /// asking the same `AVG` allocate what 4 members do plus a constant per
 /// extra member, not a constant per (member, sample). `ALL` scheduling
-/// fires a round every tick and keeps the PRED-k fit (which allocates per
-/// decision, and is not this PR's) out of the count.
+/// fires a round every tick.
 #[test]
 fn coincident_mux_members_share_one_fold() {
     const ROUNDS: u64 = 20;
@@ -378,4 +378,84 @@ fn coincident_mux_members_share_one_fold() {
         "{many} for {many_samples} samples"
     );
     assert!(many <= few + ROUNDS * (32 - 4), "{few} -> {many}");
+}
+
+/// A PRED-k decision is a divided-difference table on the stack: once the
+/// scheduler exists, observing, deciding and resetting never allocate.
+/// Statically, `Extrapolator::{observe, predict}` and
+/// `PredScheduler::next_delay` carry the `xtask: no-alloc` tag.
+#[test]
+fn pred_decisions_stay_off_the_heap() {
+    const CALLS: u64 = 1_000;
+    let _turn = telemetry_turn();
+
+    let mut scheduler = PredScheduler::new(3).unwrap();
+    let mut decide = |range: std::ops::Range<u64>| {
+        let mut ticks = 0;
+        for t in range {
+            if t == CALLS / 2 {
+                scheduler.reset();
+            }
+            let t = t as f64;
+            scheduler.observe(t, 60.0 + 4.0 * (t / 40.0).sin());
+            ticks += scheduler.next_delay(1.0).unwrap();
+        }
+        ticks
+    };
+    decide(0..10);
+    let before = allocs();
+    let ticks = decide(10..10 + CALLS);
+    assert_eq!(allocs() - before, 0);
+    // Bootstrap answers 1; the fitted sine skips ahead in between.
+    assert!(ticks > CALLS, "{ticks}");
+}
+
+/// The benchmark's `solo_tight` engine (PRED3+RPT at (1, 0.75, 0.99) on
+/// two tuples a node, an occasion almost every tick): with the fit on the
+/// stack, a warmed-up `on_tick` — snapshot refresh, walks, RPT combine,
+/// δ-report, PRED-3 decision — allocates nothing at all.
+#[test]
+fn pred_occasions_stay_off_the_heap() {
+    const WARM_UP: u64 = 100;
+    const MEASURED: u64 = 200;
+    let _turn = telemetry_turn();
+
+    let mut workload =
+        TemperatureWorkload::new(TemperatureConfig::reduced(1060, 10, 53, WARM_UP + MEASURED));
+    let query = ContinuousQuery::avg(
+        Expr::first_attr(workload.db().schema()),
+        Precision::new(1.0, 0.75, 0.99).unwrap(),
+    );
+    let mut engine = DigestEngine::new(
+        query,
+        EngineConfig {
+            scheduler: SchedulerKind::Pred(3),
+            estimator: EstimatorKind::Repeated,
+            sampling: SamplingConfig::recommended(workload.graph().node_count()),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    engine.set_sampling_workers(1);
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let origin = workload.graph().nodes().next().unwrap();
+
+    let (mut spent, mut occasions) = (0, 0);
+    for tick in 0..WARM_UP + MEASURED {
+        workload.advance_to(tick, &mut rng);
+        let ctx = TickContext {
+            tick,
+            graph: workload.graph(),
+            db: workload.db(),
+            origin,
+        };
+        let before = allocs();
+        let outcome = engine.on_tick(&ctx, &mut rng).unwrap();
+        if tick >= WARM_UP {
+            spent += allocs() - before;
+            occasions += u64::from(outcome.snapshot_executed);
+        }
+    }
+    assert!(occasions >= MEASURED / 2, "{occasions}");
+    assert_eq!(spent, 0, "over {occasions} occasions");
 }
