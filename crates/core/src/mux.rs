@@ -8,8 +8,9 @@
 //!    (§V) draws node `v` with probability proportional to its content
 //!    size `m_v` and then a uniform local tuple, which is uniform over
 //!    *tuples* regardless of the aggregated expression or predicate. One
-//!    drawn panel therefore serves every registered query whose target
-//!    distribution coincides — captured by [`PanelKey`].
+//!    drawn panel therefore serves every registered tuple-expression
+//!    aggregate; `op.is_sketch()` splits those panel-served members from
+//!    the sweep-served sketch kinds (DESIGN.md §17).
 //! 2. **PRED-k deadlines coalesce.** Each query's extrapolating scheduler
 //!    (§IV-A) produces a next-occasion deadline; the [`RoundPlanner`]
 //!    fires a *round* at the earliest member deadline, pulls in queries
@@ -45,83 +46,12 @@ use digest_sampling::{SamplingConfig, SamplingOperator};
 use digest_stats::{required_sample_size, RunningMoments};
 use digest_telemetry::{Field, Stage};
 use rand::RngCore;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Floor on the smoothed selectivity used to convert a qualifying-sample
 /// deficit into a draw request (Eq. 6 sizing counts *qualifying*
 /// samples); bounds the rejection-sampling inflation at 8×.
 const SELECTIVITY_FLOOR: f64 = 0.125;
-
-/// The sampling weight a panel was drawn under — stage one of the
-/// two-stage operator (§V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PanelWeight {
-    /// Node `v` with probability `∝ m_v`, then a uniform local tuple:
-    /// uniform over tuples (§V) — the distribution every tuple-expression
-    /// aggregate consumes.
-    ContentSize,
-    /// Uniform over *nodes* — the distribution capture–recapture size
-    /// estimation consumes (§V-B); never interchangeable with tuple
-    /// panels.
-    UniformNode,
-    /// An ascending sweep of every live node with fingerprint-validated
-    /// retained members (DESIGN.md §17): the deterministic "panel" the
-    /// sketch kinds consume. It is not a sample from any distribution,
-    /// so it is never interchangeable with sampled panels.
-    NodeSweep,
-}
-
-/// Identifies the target distribution of a sample panel (§V): two queries
-/// may share a panel iff their keys are equal. Key equality is an
-/// equivalence relation (reflexive, symmetric, transitive) — pinned by
-/// property tests — because a panel drawn from one target distribution is
-/// a valid i.i.d. sample for exactly the queries that need that same
-/// distribution, irrespective of their expressions or predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PanelKey {
-    /// The stage-one sampling weight of the panel's target distribution.
-    pub weight: PanelWeight,
-}
-
-impl PanelKey {
-    /// The key of the panel `query`'s estimator consumes. Every
-    /// *mean-like* aggregate over tuple expressions — `AVG`, `SUM`,
-    /// `COUNT`, with or without predicates — consumes the
-    /// uniform-over-tuples distribution of the two-stage operator (§V),
-    /// so those queries map to the same key and may share panels. The
-    /// sketch kinds (`PERCENTILE` — `MEDIAN` is its rank 0.5 —
-    /// `COUNT DISTINCT`, `TOPK`; DESIGN.md §17) consume deterministic
-    /// node sweeps instead and never share with sampled panels.
-    #[must_use]
-    pub fn for_query(query: &ContinuousQuery) -> Self {
-        if query.op.is_sketch() {
-            Self {
-                weight: PanelWeight::NodeSweep,
-            }
-        } else {
-            Self {
-                weight: PanelWeight::ContentSize,
-            }
-        }
-    }
-
-    /// The key of relation-size estimation panels (§V-B): uniform node
-    /// samples, deliberately distinct from every tuple-panel key.
-    #[must_use]
-    pub fn size_estimation() -> Self {
-        Self {
-            weight: PanelWeight::UniformNode,
-        }
-    }
-
-    /// Whether two panels are interchangeable — identical target
-    /// distributions (§V). Equivalent to `self == other`.
-    #[must_use]
-    pub fn shares_panel(&self, other: &Self) -> bool {
-        self == other
-    }
-}
 
 /// The membership of one coalesced sampling round (§IV-A deadlines over
 /// N queries): queries at or past their deadline, plus queries pulled in
@@ -159,23 +89,11 @@ impl RoundPlan {
 /// only ever pulls occasions earlier (within the horizon), which keeps
 /// every member's `δ`-resolution contract intact.
 ///
-/// Planning is heap-driven: scheduled deadlines live in a min-heap keyed
-/// by `(tick, id)` with lazy deletion (entries are validated against the
-/// authoritative deadline map on pop), and never-scheduled members live
-/// in an ordered set. [`RoundPlanner::plan`] therefore costs
-/// `O(due · log Q)` per tick instead of a full `O(Q)` member scan — the
-/// difference between a mux of a thousand idle queries costing a
-/// thousand comparisons per tick and costing one heap peek.
+/// Planning is one ordered scan of the members.
 #[derive(Debug, Clone)]
 pub struct RoundPlanner {
-    /// Authoritative schedule: `None` = never scheduled (due
-    /// immediately). Heap entries are valid only while they match this.
+    /// `None` = never scheduled (due immediately).
     deadlines: BTreeMap<u64, Option<u64>>,
-    /// Members with no deadline yet (due immediately), ascending id.
-    unscheduled: BTreeSet<u64>,
-    /// Min-heap of `(deadline, id)`; may hold stale entries for
-    /// deadlines that were since overwritten or removed (lazy deletion).
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
     horizon: u64,
 }
 
@@ -186,8 +104,6 @@ impl RoundPlanner {
     pub fn new(horizon: u64) -> Self {
         Self {
             deadlines: BTreeMap::new(),
-            unscheduled: BTreeSet::new(),
-            heap: BinaryHeap::new(),
             horizon,
         }
     }
@@ -196,24 +112,19 @@ impl RoundPlanner {
     /// at its arrival tick — §II: answers start at arrival time).
     pub fn register(&mut self, id: u64) {
         self.deadlines.insert(id, None);
-        self.unscheduled.insert(id);
     }
 
     /// Removes a departed query from the schedule (§II: the contract ends
-    /// with the query). Any heap entry it left behind goes stale and is
-    /// dropped on its next pop.
+    /// with the query).
     pub fn remove(&mut self, id: u64) {
         self.deadlines.remove(&id);
-        self.unscheduled.remove(&id);
     }
 
     /// Records `id`'s next PRED-k deadline (§IV-A `next_delay` output,
-    /// absolute tick). The previous heap entry, if any, goes stale.
+    /// absolute tick); ignored for ids that are not registered.
     pub fn set_deadline(&mut self, id: u64, tick: u64) {
         if let Some(slot) = self.deadlines.get_mut(&id) {
             *slot = Some(tick);
-            self.unscheduled.remove(&id);
-            self.heap.push(Reverse((tick, id)));
         }
     }
 
@@ -224,68 +135,39 @@ impl RoundPlanner {
         self.deadlines.get(&id).copied()
     }
 
-    /// The earliest live deadline: `Some(None)` when some member is due
+    /// The earliest deadline (§IV-A): `Some(None)` when some member is due
     /// immediately (never scheduled), `Some(Some(t))` for the smallest
-    /// scheduled deadline, `None` when nothing is queued. Takes `&mut
-    /// self` to discard stale heap heads as a side effect.
-    pub fn next_deadline(&mut self) -> Option<Option<u64>> {
-        if !self.unscheduled.is_empty() {
-            return Some(None);
-        }
-        while let Some(&Reverse((d, id))) = self.heap.peek() {
-            if self.deadlines.get(&id).copied() == Some(Some(d)) {
-                return Some(Some(d));
-            }
-            self.heap.pop();
-        }
-        None
+    /// scheduled deadline, `None` when no member is registered.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<Option<u64>> {
+        // `None < Some(_)`: an unscheduled member is the minimum.
+        self.deadlines.values().copied().min()
     }
 
     /// Plans the round for `tick`: all queries with deadline `≤ tick` are
     /// due; if any are, queries with deadlines within `(tick, tick +
     /// horizon]` are pulled forward (§IV-A coalescing — early occasions
-    /// are always contract-safe, late ones never happen).
-    ///
-    /// Heap pops validate against the deadline map (lazy deletion), and
-    /// live entries up to the horizon are re-pushed — a planned member
-    /// stays due until [`RoundPlanner::set_deadline`] reschedules it, so
-    /// repeated calls at the same tick return the same plan.
+    /// are always contract-safe, late ones never happen). A planned
+    /// member stays due until [`RoundPlanner::set_deadline`] reschedules
+    /// it, so repeated calls at the same tick return the same plan.
     #[must_use]
-    pub fn plan(&mut self, tick: u64) -> RoundPlan {
+    pub fn plan(&self, tick: u64) -> RoundPlan {
+        let mut plan = RoundPlan::default();
+        for (&id, &deadline) in &self.deadlines {
+            if deadline.is_none_or(|d| d <= tick) {
+                plan.due.push(id);
+            }
+        }
+        if plan.due.is_empty() {
+            return plan;
+        }
         let limit = tick.saturating_add(self.horizon);
-        let mut due: BTreeSet<u64> = self.unscheduled.clone();
-        let mut pulled: BTreeSet<u64> = BTreeSet::new();
-        let mut keep: Vec<(u64, u64)> = Vec::new();
-        while let Some(&Reverse((d, id))) = self.heap.peek() {
-            if d > limit {
-                break;
-            }
-            self.heap.pop();
-            // Lazy deletion: only entries matching the authoritative map
-            // are live; stale ones (rescheduled or deregistered ids) are
-            // dropped for good. The set-inserts double as dedup, so a
-            // re-pushed duplicate never survives a second pop.
-            if self.deadlines.get(&id).copied() == Some(Some(d)) {
-                let fresh = if d <= tick {
-                    due.insert(id)
-                } else {
-                    pulled.insert(id)
-                };
-                if fresh {
-                    keep.push((d, id));
-                }
+        for (&id, &deadline) in &self.deadlines {
+            if deadline.is_some_and(|d| d > tick && d <= limit) {
+                plan.pulled.push(id);
             }
         }
-        for (d, id) in keep {
-            self.heap.push(Reverse((d, id)));
-        }
-        if due.is_empty() {
-            return RoundPlan::default();
-        }
-        RoundPlan {
-            due: due.into_iter().collect(),
-            pulled: pulled.into_iter().collect(),
-        }
+        plan
     }
 }
 
@@ -1183,28 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn panel_keys_coincide_for_all_tuple_queries() {
-        let a = PanelKey::for_query(&avg_query(2.0, 1.0, 0.95));
-        let q = ContinuousQuery::new(
-            AggregateOp::Sum,
-            Expr::first_attr(&Schema::single("a")),
-            Precision::new(10.0, 5.0, 0.9).unwrap(),
-        );
-        let b = PanelKey::for_query(&q);
-        assert!(a.shares_panel(&b));
-        assert!(b.shares_panel(&a));
-        assert!(a.shares_panel(&a));
-        assert!(!a.shares_panel(&PanelKey::size_estimation()));
-        // A median is a quantile sweep, never a sampled-panel member.
-        let median = ContinuousQuery::new(
-            AggregateOp::MEDIAN,
-            Expr::first_attr(&Schema::single("a")),
-            Precision::new(2.0, 1.0, 0.95).unwrap(),
-        );
-        assert_eq!(PanelKey::for_query(&median).weight, PanelWeight::NodeSweep);
-    }
-
-    #[test]
     fn planner_fires_due_members_and_pulls_within_horizon() {
         let mut p = RoundPlanner::new(2);
         p.register(0);
@@ -1224,86 +1084,6 @@ mod tests {
         assert_eq!(plan.members(), vec![0, 1]);
     }
 
-    /// The pre-heap planner, kept verbatim as the reference model: a
-    /// full scan of the member map per plan call.
-    fn plan_by_full_scan(
-        deadlines: &BTreeMap<u64, Option<u64>>,
-        tick: u64,
-        horizon: u64,
-    ) -> RoundPlan {
-        let mut plan = RoundPlan::default();
-        for (&id, &deadline) in deadlines {
-            match deadline {
-                None => plan.due.push(id),
-                Some(d) if d <= tick => plan.due.push(id),
-                _ => {}
-            }
-        }
-        if plan.due.is_empty() {
-            return plan;
-        }
-        let limit = tick.saturating_add(horizon);
-        for (&id, &deadline) in deadlines {
-            if let Some(d) = deadline {
-                if d > tick && d <= limit {
-                    plan.pulled.push(id);
-                }
-            }
-        }
-        plan
-    }
-
-    /// Golden-trace pin for the heap refactor: the lazy-deletion heap
-    /// planner must produce exactly the plans the full member scan
-    /// produced, under arbitrary interleavings of register / remove /
-    /// reschedule / plan — including re-planning the same tick twice
-    /// and rescheduling to the same deadline (duplicate heap entries).
-    #[test]
-    fn planner_heap_matches_full_scan_reference() {
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        for horizon in [0u64, 2, 5] {
-            let mut planner = RoundPlanner::new(horizon);
-            let mut reference: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-            let mut next_id = 0u64;
-            let mut tick = 0u64;
-            for _ in 0..2_000 {
-                match rng.gen_range(0..10) {
-                    0 | 1 => {
-                        planner.register(next_id);
-                        reference.insert(next_id, None);
-                        next_id += 1;
-                    }
-                    2 => {
-                        if let Some(&id) = reference.keys().next() {
-                            planner.remove(id);
-                            reference.remove(&id);
-                        }
-                    }
-                    3..=6 => {
-                        let ids: Vec<u64> = reference.keys().copied().collect();
-                        if !ids.is_empty() {
-                            let id = ids[rng.gen_range(0..ids.len())];
-                            let deadline = tick + rng.gen_range(0..12);
-                            planner.set_deadline(id, deadline);
-                            reference.insert(id, Some(deadline));
-                        }
-                    }
-                    _ => {
-                        tick += rng.gen_range(0..4);
-                        let heap_plan = planner.plan(tick);
-                        let scan_plan = plan_by_full_scan(&reference, tick, horizon);
-                        assert_eq!(heap_plan.due, scan_plan.due, "due at tick {tick}");
-                        assert_eq!(heap_plan.pulled, scan_plan.pulled, "pulled at tick {tick}");
-                        // Re-planning without rescheduling is idempotent.
-                        let again = planner.plan(tick);
-                        assert_eq!(again.due, scan_plan.due);
-                        assert_eq!(again.pulled, scan_plan.pulled);
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn planner_next_deadline_tracks_earliest_live_entry() {
         let mut p = RoundPlanner::new(2);
@@ -1314,7 +1094,7 @@ mod tests {
         p.register(1);
         p.set_deadline(1, 4);
         assert_eq!(p.next_deadline(), Some(Some(4)));
-        // Rescheduling strands a stale heap entry; the answer must skip it.
+        // Rescheduling replaces the old deadline outright.
         p.set_deadline(1, 15);
         assert_eq!(p.next_deadline(), Some(Some(9)));
         p.remove(0);

@@ -43,22 +43,6 @@ pub struct RptConfig {
     pub pilot_size: usize,
     /// Hard cap on samples per occasion.
     pub max_samples: usize,
-    /// Messages to revisit one retained sample (direct request + reply —
-    /// the node is already located, no walk needed).
-    pub revisit_cost: u64,
-    /// Messages wasted discovering that a retained sample's node is gone
-    /// (timed-out probe).
-    pub lost_probe_cost: u64,
-    /// EMA weight given to the newest `ρ̂` observation (0 = frozen,
-    /// 1 = no smoothing).
-    pub rho_smoothing: f64,
-    /// EMA weight given to the newest `σ̂²` observation. Smoothing matters:
-    /// sizing is convex in σ̂², so raw per-occasion noise systematically
-    /// inflates the average panel.
-    pub sigma_smoothing: f64,
-    /// Minimum retained pairs for the regression to be trusted; below
-    /// this the occasion degrades to a plain fresh-mean estimate.
-    pub min_retained_pairs: usize,
     /// Forward regression (paper §VIII future work): after each occasion,
     /// regress the retained samples' *previous* values on their current
     /// ones to retro-correct the previous occasion's reported result.
@@ -73,15 +57,26 @@ impl Default for RptConfig {
         Self {
             pilot_size: 30,
             max_samples: 20_000,
-            revisit_cost: 2,
-            lost_probe_cost: 1,
-            rho_smoothing: 0.5,
-            sigma_smoothing: 0.3,
-            min_retained_pairs: 5,
             forward_correction: false,
         }
     }
 }
+
+/// Messages to revisit one retained sample (§IV-B2): direct request +
+/// reply — the node is already located, no walk needed.
+const REVISIT_COST: u64 = 2;
+/// Messages wasted discovering that a retained sample's node is gone (a
+/// timed-out probe).
+const LOST_PROBE_COST: u64 = 1;
+/// EMA weight given to the newest `ρ̂` observation.
+const RHO_SMOOTHING: f64 = 0.5;
+/// EMA weight given to the newest `σ̂²` observation. Smoothing matters:
+/// sizing (Eq. 10) is convex in σ̂², so raw per-occasion noise
+/// systematically inflates the average panel.
+const SIGMA_SMOOTHING: f64 = 0.3;
+/// Minimum retained pairs for the Eq. 7 regression to be trusted; below
+/// this the occasion degrades to a plain fresh-mean estimate.
+const MIN_RETAINED_PAIRS: usize = 5;
 
 /// A retro-correction of the previous occasion's estimate produced by
 /// forward regression (the backward use of the §IV-B2 regression pair).
@@ -131,16 +126,6 @@ impl RepeatedEstimator {
         if config.max_samples < config.pilot_size {
             return Err(CoreError::InvalidConfig {
                 reason: "max_samples must cover the pilot",
-            });
-        }
-        if !(0.0..=1.0).contains(&config.rho_smoothing) {
-            return Err(CoreError::InvalidConfig {
-                reason: "rho_smoothing must be in [0, 1]",
-            });
-        }
-        if !(0.0..=1.0).contains(&config.sigma_smoothing) {
-            return Err(CoreError::InvalidConfig {
-                reason: "sigma_smoothing must be in [0, 1]",
             });
         }
         Ok(Self {
@@ -266,8 +251,7 @@ impl RepeatedEstimator {
         self.panel
             .revisit(ctx.db, expr, predicate, partition.retained, revisit);
         let g_live = revisit.cur_values.len();
-        let mut messages =
-            g_live as u64 * cfg.revisit_cost + revisit.lost as u64 * cfg.lost_probe_cost;
+        let mut messages = g_live as u64 * REVISIT_COST + revisit.lost as u64 * LOST_PROBE_COST;
 
         // 3. Fresh draws: the replaced portion plus replacements for lost
         //    retained samples. With a nontrivial predicate, non-qualifying
@@ -316,7 +300,7 @@ impl RepeatedEstimator {
         //    (No per-occasion variance top-up: the paper sizes once per
         //    occasion, and re-drawing on a noisy variance estimate would
         //    systematically inflate the panel.)
-        let use_regression = g_live >= cfg.min_retained_pairs;
+        let use_regression = g_live >= MIN_RETAINED_PAIRS;
         let combined = if use_regression {
             combined_estimate(
                 fresh_values,
@@ -330,16 +314,16 @@ impl RepeatedEstimator {
             combined_estimate(&all, &[], &[], prev_estimate)?
         };
 
-        // 6. Refresh cross-occasion state (EMA on σ̂² — see RptConfig).
+        // 6. Refresh cross-occasion state (EMA on σ̂² — see SIGMA_SMOOTHING).
         let sigma_new = combined.sigma2_hat.sqrt();
         let old_s2 = self.sigma_hat.map_or(combined.sigma2_hat, |s| s * s);
-        let smoothed_s2 = old_s2 + cfg.sigma_smoothing * (combined.sigma2_hat - old_s2);
+        let smoothed_s2 = old_s2 + SIGMA_SMOOTHING * (combined.sigma2_hat - old_s2);
         self.sigma_hat = Some(smoothed_s2.sqrt().max(1e-12));
         if use_regression {
             let observed = combined.rho_hat;
             let smoothed = match self.rho_hat {
                 None => observed,
-                Some(old) => old + cfg.rho_smoothing * (observed - old),
+                Some(old) => old + RHO_SMOOTHING * (observed - old),
             };
             self.rho_hat = Some(smoothed.clamp(-0.999, 0.999));
         }
@@ -512,11 +496,6 @@ mod tests {
         .is_err());
         assert!(RepeatedEstimator::new(RptConfig {
             max_samples: 5,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(RepeatedEstimator::new(RptConfig {
-            rho_smoothing: 1.5,
             ..Default::default()
         })
         .is_err());

@@ -91,6 +91,12 @@ fn parse_with_clause(text: &str) -> Result<Precision> {
     )
 }
 
+/// Length in *bytes* of the identifier (`é` is two) that `s` starts with.
+fn word_len(s: &str) -> usize {
+    s.find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(s.len())
+}
+
 /// Splits `"delta = 1 epsilon = 2"` into assignment-sized chunks.
 fn split_assignments(s: &str) -> Vec<&str> {
     let mut out = Vec::new();
@@ -108,16 +114,13 @@ fn split_assignments(s: &str) -> Vec<&str> {
             if word_start < offset {
                 continue;
             }
-            let word_len = after[word_start..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .count();
-            let after_word = after[word_start + word_len..].trim_start();
+            let word_end = word_start + word_len(&after[word_start..]);
+            let after_word = after[word_end..].trim_start();
             if after_word.starts_with('=') {
                 value_end = word_start;
                 break;
             }
-            offset = word_start + word_len;
+            offset = word_end;
         }
         out.push(&rest[..eq + 1 + value_end]);
         rest = rest[eq + 1 + value_end..].trim();
@@ -272,10 +275,7 @@ impl ContinuousQuery {
             return Err(err("unexpected tokens between the aggregate and FROM"));
         }
         let after_from = after_expr[from_pos + 4..].trim_start();
-        let rel_len = after_from
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .count();
+        let rel_len = word_len(after_from);
         if rel_len == 0 {
             return Err(err("expected a relation name after FROM"));
         }
@@ -531,6 +531,29 @@ mod tests {
                 "should reject: {bad}"
             );
         }
+    }
+
+    /// Word lengths were counted in chars and used as byte offsets, so a
+    /// multi-byte letter sliced `&str` mid-character and panicked.
+    #[test]
+    fn multi_byte_words_are_measured_in_bytes() {
+        let s = schema();
+        for bad in [
+            "SELECT AVG(temperature) FROM R WITH delta=1 é=2",
+            "SELECT AVG(temperature) FROM R WITH delta=1 épsilon=1 p=0.5",
+        ] {
+            let got = ContinuousQuery::parse(bad, &s);
+            assert!(
+                matches!(got, Err(CoreError::InvalidStatement { .. })),
+                "{bad}: {got:?}"
+            );
+        }
+        // The relation name is uninterpreted, whatever its alphabet.
+        ContinuousQuery::parse(
+            "SELECT AVG(temperature) FROM é WITH delta=1, epsilon=1, p=0.5",
+            &s,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -8,10 +8,33 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{AggregateOp, ContinuousQuery, PanelKey, Precision, RoundPlanner};
+use digest_core::{AggregateOp, ContinuousQuery, Precision, RoundPlanner};
 use digest_core::{AllScheduler, PredScheduler, SnapshotScheduler};
 use digest_db::{Expr, Predicate, Schema};
 use proptest::prelude::*;
+
+/// Characters the statement grammar gives meaning to, and multi-byte
+/// letters (two, three and four bytes) that pass `is_alphabetic`.
+const STRUCTURAL: [char; 16] = [
+    ' ', ',', '=', '(', ')', '*', '.', '_', '1', 'e', 'W', 'é', 'ε', 'δ', '中', '𝐚',
+];
+
+/// Any Unicode scalar value, or — half the time — a structural one.
+fn any_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x11_0000)
+            .prop_map(|code| char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)),
+        (0usize..STRUCTURAL.len()).prop_map(|i| STRUCTURAL[i]),
+    ]
+}
+
+fn any_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    prop::collection::vec(any_char(), len).prop_map(|chars| chars.into_iter().collect())
+}
+
+fn word(text: &str) -> impl Strategy<Value = String> {
+    Just(text.to_owned())
+}
 
 proptest! {
     #[test]
@@ -140,43 +163,28 @@ proptest! {
         prop_assert_eq!(&members, &deduped);
     }
 
-    /// Panel-sharing keys form an equivalence relation over queries:
-    /// reflexive and symmetric for arbitrary (op, predicate, precision)
-    /// combinations, and never compatible with size-estimation panels.
+    /// A statement is text from outside the program: whatever it holds —
+    /// any Unicode scalar anywhere, including multi-byte letters where a
+    /// keyword, relation or `WITH` key belongs — the parser answers `Ok`
+    /// or `Err`, never a panic.
     #[test]
-    fn panel_keys_are_reflexive_and_symmetric(
-        op_a in 0usize..3,
-        op_b in 0usize..3,
-        // Thresholds above 50 mean "no predicate".
-        pred_a in (-50.0f64..70.0).prop_map(|v| (v <= 50.0).then_some(v)),
-        pred_b in (-50.0f64..70.0).prop_map(|v| (v <= 50.0).then_some(v)),
-        delta in 0.1f64..10.0,
+    fn statement_parser_never_panics(
+        text in any_text(0..60),
+        op in prop_oneof![word("AVG"), word("COUNT"), word("PERCENTILE"), word("TOPK"), any_text(0..5)],
+        expr in prop_oneof![word("a"), word("a + b"), word("*"), word("DISTINCT a"), word("a, 0.9"), any_text(0..8)],
+        relation in prop_oneof![word("R"), any_text(0..4)],
+        filter in prop_oneof![word(""), word("WHERE a > 1"), any_text(0..8)],
+        with in prop_oneof![word("delta=1, epsilon=1, p=0.5"), any_text(0..12)],
+        tail in any_text(0..6),
     ) {
         let schema = Schema::new(["a", "b"]);
-        let ops = [AggregateOp::Avg, AggregateOp::Sum, AggregateOp::Count];
-        let build = |op: usize, pred: Option<f64>| {
-            let mut q = ContinuousQuery::new(
-                ops[op],
-                Expr::parse("a + b", &schema).unwrap(),
-                Precision::new(delta, 1.0, 0.9).unwrap(),
-            );
-            if let Some(threshold) = pred {
-                q = q.with_predicate(
-                    Predicate::parse(&format!("a > {threshold}"), &schema).unwrap(),
-                );
-            }
-            q
-        };
-        let qa = build(op_a, pred_a);
-        let qb = build(op_b, pred_b);
-        let ka = PanelKey::for_query(&qa);
-        let kb = PanelKey::for_query(&qb);
-        prop_assert!(ka.shares_panel(&ka), "reflexive");
-        prop_assert_eq!(ka.shares_panel(&kb), kb.shares_panel(&ka), "symmetric");
-        // All tuple-expression aggregates share the uniform-over-tuples
-        // panel (§V), while size-estimation panels never mix in.
-        prop_assert!(ka.shares_panel(&kb));
-        prop_assert!(!ka.shares_panel(&PanelKey::size_estimation()));
-        prop_assert!(!PanelKey::size_estimation().shares_panel(&kb));
+        let _ = ContinuousQuery::parse(&text, &schema);
+        for statement in [
+            format!("SELECT {op}({expr}) FROM {relation} {filter} WITH {with}"),
+            format!("SELECT {op}({expr}) FROM {relation} {filter} WITH delta=1 {tail}=2"),
+            format!("SELECT AVG(a) FROM R WITH delta=1, epsilon=1, p=0.5{tail}"),
+        ] {
+            let _ = ContinuousQuery::parse(&statement, &schema);
+        }
     }
 }

@@ -326,8 +326,12 @@ impl UddSketch {
         }
         cursor.finish()?;
         let [neg, pos] = maps;
-        let bucket_total: u64 = neg.values().chain(pos.values()).sum();
-        if zero_count.saturating_add(bucket_total) != count {
+        // The counts are the sender's: a sum that overflows cannot equal `count`.
+        let total = neg
+            .values()
+            .chain(pos.values())
+            .try_fold(zero_count, |total, &n| total.checked_add(n));
+        if total != Some(count) {
             return Err(SketchError::InvalidBytes {
                 reason: "count does not match buckets",
             });
@@ -511,6 +515,31 @@ mod tests {
         // count-consistency check.
         counterfeit[len - 1] ^= 0xff;
         assert!(UddSketch::deserialize(&counterfeit).is_err());
+    }
+
+    /// Two buckets of `u64::MAX` under `count = 0`: the sum used to
+    /// overflow (a panic in debug, a wrap to a "consistent" total in
+    /// release) instead of failing the count check.
+    #[test]
+    fn deserialize_rejects_bucket_counts_that_overflow() {
+        let mut bytes = UddSketch::new(1e-3, 64).unwrap().serialize();
+        bytes.truncate(bytes.len() - 8); // drop the empty positive map
+        bytes.extend_from_slice(&2u64.to_be_bytes());
+        for idx in [1i64, 2] {
+            bytes.extend_from_slice(&idx.to_be_bytes());
+            bytes.extend_from_slice(&u64::MAX.to_be_bytes());
+        }
+        assert_eq!(bytes.len(), 92);
+        assert!(matches!(
+            UddSketch::deserialize(&bytes),
+            Err(SketchError::InvalidBytes { .. })
+        ));
+        // MAX + 1 + MAX wraps to exactly MAX: consistent only if it wraps.
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&1u64.to_be_bytes());
+        bytes[28..36].copy_from_slice(&u64::MAX.to_be_bytes()); // count
+        bytes[36..44].copy_from_slice(&u64::MAX.to_be_bytes()); // zero_count
+        assert!(UddSketch::deserialize(&bytes).is_err());
     }
 
     #[test]

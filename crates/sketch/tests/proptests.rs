@@ -1,6 +1,6 @@
 //! Property-based tests of the mergeable sketches (DESIGN.md §17).
 //!
-//! Three families, mirroring the `digest-stats` proptest idiom:
+//! Four families, mirroring the `digest-stats` proptest idiom:
 //!
 //! * **merge algebra** — merging is commutative and associative
 //!   *byte-for-byte* (equal canonical serializations, not just equal
@@ -12,6 +12,10 @@
 //! * **serialization** — `deserialize(serialize(s))` reproduces the
 //!   exact byte string (the canonical-form invariant behind replay and
 //!   audit byte-identity).
+//! * **hostile bytes** — `deserialize` answers `Ok` or `Err`, never a
+//!   panic, on arbitrary bytes and on a valid serialization with a few
+//!   bytes or words overwritten or its tail cut off; whatever it accepts
+//!   is canonical (re-serializes to the same bytes).
 //! * **error bounds** — over 18 pinned ChaCha8 seeds, each sketch's
 //!   estimate stays inside its documented bound against the exact
 //!   answer: UDDSketch within relative `2α/(1−α)` on the median, HLL++
@@ -79,7 +83,76 @@ fn cells(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-16i64..16, len)
 }
 
+/// One piece of damage to a serialized sketch: what, where, with what.
+type Edit = (u8, usize, u64);
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    prop::collection::vec((0u8..3, 0usize..1 << 20, 0u64..u64::MAX), 1..5)
+}
+
+/// Values a length, count or index field is least likely to survive.
+const EXTREMES: [u64; 6] = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX, (1 << 63) - 1];
+
+/// Applies `edits` to `bytes`: overwrite one byte, overwrite one of the
+/// big-endian words that follow the 4-byte magic with an extreme, or
+/// truncate.
+fn damage(mut bytes: Vec<u8>, edits: &[Edit]) -> Vec<u8> {
+    for &(kind, at, with) in edits {
+        let words = bytes.len().saturating_sub(4) / 8;
+        match kind {
+            0 if !bytes.is_empty() => {
+                let at = at % bytes.len();
+                bytes[at] = with as u8;
+            }
+            1 if words > 0 => {
+                let at = 4 + 8 * (at % words);
+                let extreme = EXTREMES[with as usize % EXTREMES.len()];
+                bytes[at..at + 8].copy_from_slice(&extreme.to_be_bytes());
+            }
+            _ => bytes.truncate(at % (bytes.len() + 1)),
+        }
+    }
+    bytes
+}
+
+/// `deserialize` must answer, and anything it lets in must be canonical.
+fn accepts_only_canonical_bytes(bytes: &[u8]) -> Result<(), String> {
+    if let Ok(s) = UddSketch::deserialize(bytes) {
+        prop_assert_eq!(s.serialize(), bytes);
+    }
+    if let Ok(s) = HllSketch::deserialize(bytes) {
+        prop_assert_eq!(s.serialize(), bytes);
+    }
+    if let Ok(s) = SpaceSavingSketch::deserialize(bytes) {
+        prop_assert_eq!(s.serialize(), bytes);
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn deserialize_never_panics_on_arbitrary_bytes(
+        magic in 0usize..4,
+        tail in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..200),
+    ) {
+        // Three cases in four get past the first check of one parser.
+        let mut bytes = [&b"UDD1"[..], b"HLL1", b"SSK1", b""][magic].to_vec();
+        bytes.extend_from_slice(&tail);
+        accepts_only_canonical_bytes(&bytes)?;
+    }
+
+    #[test]
+    fn deserialize_never_panics_on_damaged_sketches(
+        xs in values(0..12),
+        ks in keys(0..40),
+        cs in cells(0..40),
+        edits in edits(),
+    ) {
+        for valid in [udd_of(&xs).serialize(), hll_of(&ks).serialize(), ss_of(&cs).serialize()] {
+            accepts_only_canonical_bytes(&damage(valid, &edits))?;
+        }
+    }
+
     #[test]
     fn udd_merge_is_commutative_bytes(xs in values(1..120), ys in values(1..120)) {
         let a = udd_of(&xs);

@@ -44,12 +44,17 @@
 //! regions are tracked by brace depth) rather than a full parser: the
 //! rules target textual constructs that survive that approximation, and a
 //! std-only pass keeps the gate runnable in the offline build environment.
+//!
+//! The three gates that drive the built `digest-cli` (`cargo xtask
+//! determinism` / `telemetry-schema` / `audit`) are the scenario × variant
+//! table in [`gate`].
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod gate;
 pub mod scrub;
 
 /// Crates whose library sources must be panic-free (R1).
