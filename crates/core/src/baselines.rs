@@ -20,7 +20,7 @@
 //! the network is metered through the BFS hop distance to the querier.
 
 use crate::error::CoreError;
-use crate::query::{exact_over, AggregateOp, ContinuousQuery};
+use crate::query::{AggregateOp, ContinuousQuery, ExactFold};
 use crate::report::Report;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
@@ -94,32 +94,13 @@ impl QuerySystem for PushAllEngine {
 
     fn on_tick(&mut self, ctx: &TickContext<'_>, _rng: &mut dyn RngCore) -> Result<TickOutcome> {
         let mut messages = 0u64;
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        let mut values = Vec::new();
-        let want_values = self.query.op.is_sketch();
+        let mut fold = ExactFold::new(&self.query);
         for (handle, tuple) in ctx.db.iter() {
             // Every tuple is pushed (cost) — the querier filters locally.
             messages += self.distances.get(ctx.graph, ctx.origin, handle.node);
-            if !self.query.predicate.eval(tuple).unwrap_or(false) {
-                continue;
-            }
-            let value = self.query.expr.eval(tuple)?;
-            sum += value;
-            count += 1;
-            if want_values {
-                values.push(value);
-            }
+            fold.push(tuple)?;
         }
-        let estimate = match self.query.op {
-            AggregateOp::Avg if count > 0 => sum / count as f64,
-            AggregateOp::Avg => self.report.current,
-            AggregateOp::Sum => sum,
-            AggregateOp::Count => count as f64,
-            // Flooding pushes every tuple to the querier, which can then
-            // finalise the sketch kinds exactly (DESIGN.md §17).
-            op => exact_over(op, &mut values).unwrap_or(self.report.current),
-        };
+        let estimate = fold.finish(self.report.current);
         self.total_messages += messages;
         self.total_snapshots += 1;
         Ok(self

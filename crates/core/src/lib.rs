@@ -45,7 +45,7 @@ pub mod tag;
 pub use engine::{DigestEngine, EngineConfig, EstimatorKind, SchedulerKind};
 pub use error::CoreError;
 pub use indep::IndependentEstimator;
-pub use mux::{MuxConfig, MuxQueryOutcome, MuxQueryTotals, QueryMux, RoundPlan, RoundPlanner};
+pub use mux::{MuxConfig, MuxQueryOutcome, MuxQueryTotals, QueryMux};
 pub use panel::SamplePanel;
 pub use query::{AggregateOp, ContinuousQuery, Precision};
 pub use rpt::{ForwardCorrection, RepeatedEstimator, RptConfig};

@@ -11,12 +11,13 @@
 //!    drawn panel therefore serves every registered tuple-expression
 //!    aggregate; `op.is_sketch()` splits those panel-served members from
 //!    the sweep-served sketch kinds (DESIGN.md §17).
-//! 2. **PRED-k deadlines coalesce.** Each query's extrapolating scheduler
-//!    (§IV-A) produces a next-occasion deadline; the [`RoundPlanner`]
-//!    fires a *round* at the earliest member deadline, pulls in queries
-//!    due within a small horizon, and — because reading an already-paid
-//!    panel costs zero extra messages — lets every other compatible query
-//!    piggyback on the round for free.
+//! 2. **PRED-k deadlines coalesce.** Each member's extrapolating scheduler
+//!    (§IV-A) sets the tick of its next occasion. A *round* fires at any
+//!    tick some member's deadline has come, and — because reading an
+//!    already-paid panel costs zero extra messages — every member is
+//!    served from it: someone is due, everyone is served. A member is
+//!    therefore never served later than its own deadline, only earlier,
+//!    which keeps every `δ`-resolution contract intact.
 //!
 //! Each round draws one CLT-sized batch (Eq. 6 per member, sized at the
 //! maximum member requirement) through the parallel executor — one
@@ -53,138 +54,14 @@ use std::collections::BTreeMap;
 /// samples); bounds the rejection-sampling inflation at 8×.
 const SELECTIVITY_FLOOR: f64 = 0.125;
 
-/// The membership of one coalesced sampling round (§IV-A deadlines over
-/// N queries): queries at or past their deadline, plus queries pulled in
-/// early because their deadline falls within the coalescing horizon.
-#[derive(Debug, Clone, Default)]
-pub struct RoundPlan {
-    /// Queries whose deadline is `≤` the round tick (must fire now).
-    pub due: Vec<u64>,
-    /// Queries pulled forward: deadline within `(tick, tick + horizon]`.
-    pub pulled: Vec<u64>,
-}
-
-impl RoundPlan {
-    /// Whether no round fires this tick (no member is due). A plan never
-    /// pulls queries forward without at least one due member (§IV-A:
-    /// pulling alone would waste an occasion).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.due.is_empty()
-    }
-
-    /// Due and pulled members, ascending by query id.
-    #[must_use]
-    pub fn members(&self) -> Vec<u64> {
-        let mut all = self.due.clone();
-        all.extend_from_slice(&self.pulled);
-        all.sort_unstable();
-        all
-    }
-}
-
-/// The coalescing scheduler over per-query PRED-k deadlines (§IV-A): a
-/// round fires at tick `t` whenever some member's deadline is `≤ t`, and
-/// a member is never served *later* than its own deadline — coalescing
-/// only ever pulls occasions earlier (within the horizon), which keeps
-/// every member's `δ`-resolution contract intact.
-///
-/// Planning is one ordered scan of the members.
-#[derive(Debug, Clone)]
-pub struct RoundPlanner {
-    /// `None` = never scheduled (due immediately).
-    deadlines: BTreeMap<u64, Option<u64>>,
-    horizon: u64,
-}
-
-impl RoundPlanner {
-    /// Creates a planner with the given pull-forward horizon (§IV-A;
-    /// horizon 0 disables pulling).
-    #[must_use]
-    pub fn new(horizon: u64) -> Self {
-        Self {
-            deadlines: BTreeMap::new(),
-            horizon,
-        }
-    }
-
-    /// Registers a query as immediately due (a fresh query must snapshot
-    /// at its arrival tick — §II: answers start at arrival time).
-    pub fn register(&mut self, id: u64) {
-        self.deadlines.insert(id, None);
-    }
-
-    /// Removes a departed query from the schedule (§II: the contract ends
-    /// with the query).
-    pub fn remove(&mut self, id: u64) {
-        self.deadlines.remove(&id);
-    }
-
-    /// Records `id`'s next PRED-k deadline (§IV-A `next_delay` output,
-    /// absolute tick); ignored for ids that are not registered.
-    pub fn set_deadline(&mut self, id: u64, tick: u64) {
-        if let Some(slot) = self.deadlines.get_mut(&id) {
-            *slot = Some(tick);
-        }
-    }
-
-    /// The currently recorded deadline (`None` = immediately due), or
-    /// `None` for unknown ids (§IV-A bookkeeping accessor).
-    #[must_use]
-    pub fn deadline(&self, id: u64) -> Option<Option<u64>> {
-        self.deadlines.get(&id).copied()
-    }
-
-    /// The earliest deadline (§IV-A): `Some(None)` when some member is due
-    /// immediately (never scheduled), `Some(Some(t))` for the smallest
-    /// scheduled deadline, `None` when no member is registered.
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Option<u64>> {
-        // `None < Some(_)`: an unscheduled member is the minimum.
-        self.deadlines.values().copied().min()
-    }
-
-    /// Plans the round for `tick`: all queries with deadline `≤ tick` are
-    /// due; if any are, queries with deadlines within `(tick, tick +
-    /// horizon]` are pulled forward (§IV-A coalescing — early occasions
-    /// are always contract-safe, late ones never happen). A planned
-    /// member stays due until [`RoundPlanner::set_deadline`] reschedules
-    /// it, so repeated calls at the same tick return the same plan.
-    #[must_use]
-    pub fn plan(&self, tick: u64) -> RoundPlan {
-        let mut plan = RoundPlan::default();
-        for (&id, &deadline) in &self.deadlines {
-            if deadline.is_none_or(|d| d <= tick) {
-                plan.due.push(id);
-            }
-        }
-        if plan.due.is_empty() {
-            return plan;
-        }
-        let limit = tick.saturating_add(self.horizon);
-        for (&id, &deadline) in &self.deadlines {
-            if deadline.is_some_and(|d| d > tick && d <= limit) {
-                plan.pulled.push(id);
-            }
-        }
-        plan
-    }
-}
-
 /// Multiplexer configuration: scheduler × estimator defaults for member
-/// queries plus the sharing/coalescing policy (§IV-A, §V).
+/// queries plus the sharing switch (§IV-A, §V).
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
     /// Share walk batches and panels across compatible queries. When
     /// `false` the mux runs one full [`DigestEngine`] per query —
     /// byte-identical to standalone engines (§IV baseline).
     pub sharing: bool,
-    /// Pull-forward horizon of the coalescing scheduler (§IV-A), in
-    /// ticks.
-    pub coalesce_horizon: u64,
-    /// Let queries that are not yet due consume an already-paid round
-    /// panel for free (§V: reading a drawn panel costs no messages).
-    pub piggyback: bool,
     /// Scheduler for member queries (§IV-A).
     pub scheduler: SchedulerKind,
     /// Estimator for member queries in unshared mode (§IV-B; shared
@@ -205,8 +82,6 @@ impl Default for MuxConfig {
     fn default() -> Self {
         Self {
             sharing: true,
-            coalesce_horizon: 2,
-            piggyback: true,
             scheduler: SchedulerKind::Pred(3),
             estimator: EstimatorKind::Repeated,
             sampling: SamplingConfig::default(),
@@ -251,12 +126,31 @@ struct SharedQuery {
     /// Per-member sweep estimator for the sketch-served kinds (DESIGN.md
     /// §17); `None` for the panel-served mean-like kinds.
     sketch: Option<SketchSweepEstimator>,
+    /// Tick of the member's next occasion, as its scheduler last decided
+    /// (§IV-A); `None` = never served, due at once (§II: answers start at
+    /// arrival time).
+    deadline: Option<u64>,
     started: bool,
     trace: u64,
     report: Report,
     sigma_ema: Option<f64>,
     selectivity: Selectivity,
     totals: MuxQueryTotals,
+}
+
+impl SharedQuery {
+    fn is_due(&self, tick: u64) -> bool {
+        self.deadline.is_none_or(|deadline| deadline <= tick)
+    }
+
+    fn idle(&self, id: u64) -> MuxQueryOutcome {
+        MuxQueryOutcome {
+            query: id,
+            outcome: TickOutcome::idle(self.report.current),
+            trace: self.trace,
+            round: None,
+        }
+    }
 }
 
 /// What one question class has folded of a shared round's panel so far.
@@ -267,27 +161,28 @@ struct RoundTally {
     drawn: u64,
 }
 
+/// The members a round's tuple panel serves, ascending by id: all but the
+/// sweep-served sketch kinds, which are answered by per-member node
+/// sweeps (DESIGN.md §17).
+fn panel_members(queries: &BTreeMap<u64, SharedQuery>) -> impl Iterator<Item = &SharedQuery> {
+    queries.values().filter(|q| q.sketch.is_none())
+}
+
 /// Partitions a round's panel members by the question they put to each
-/// sampled row: `classes[i]` is the class of `panel_members[i]`, numbered
-/// in order of first appearance, and two members share a class iff their
-/// `(expr, predicate)` are equal (`op` scales the folded mean afterwards
-/// and `(δ, ε, p)` sizes the panel; neither enters the fold). Every panel
-/// member sees every row of the round, so classmates would fold the same
-/// values in the same order — one [`RoundTally`] per class is, bit for
-/// bit, each member's own. Returns the classes and each class's question.
-fn question_classes<'a>(
-    queries: &'a BTreeMap<u64, SharedQuery>,
-    panel_members: &[u64],
-) -> (Vec<usize>, Vec<(&'a Expr, &'a Predicate)>) {
+/// sampled row: `classes[i]` is the class of the `i`-th panel member,
+/// numbered in order of first appearance, and two members share a class
+/// iff their `(expr, predicate)` are equal (`op` scales the folded mean
+/// afterwards and `(δ, ε, p)` sizes the panel; neither enters the fold).
+/// Every panel member sees every row of the round, so classmates would
+/// fold the same values in the same order — one [`RoundTally`] per class
+/// is, bit for bit, each member's own. Returns the classes and each
+/// class's question.
+fn question_classes(
+    queries: &BTreeMap<u64, SharedQuery>,
+) -> (Vec<usize>, Vec<(&Expr, &Predicate)>) {
     let mut questions: Vec<(&Expr, &Predicate)> = Vec::new();
-    let classes = panel_members
-        .iter()
-        .map(|id| {
-            // Panel members are registered queries; an unknown id gets
-            // no class and is skipped wherever classes are read.
-            let Some(q) = queries.get(id) else {
-                return usize::MAX;
-            };
+    let classes = panel_members(queries)
+        .map(|q| {
             let asked = (&q.query.expr, &q.query.predicate);
             questions
                 .iter()
@@ -329,7 +224,6 @@ struct SharedState {
     operator: SamplingOperator,
     /// `N̂` for the `SUM`/`COUNT` members, shared by all of them.
     size: SizeTracker,
-    planner: RoundPlanner,
     queries: BTreeMap<u64, SharedQuery>,
     rounds: u64,
     last_round_trace: u64,
@@ -378,7 +272,6 @@ impl QueryMux {
             Mode::Shared(Box::new(SharedState {
                 operator: SamplingOperator::new(config.sampling)?,
                 size: SizeTracker::new(config.sampling)?,
-                planner: RoundPlanner::new(config.coalesce_horizon),
                 queries: BTreeMap::new(),
                 rounds: 0,
                 last_round_trace: 0,
@@ -456,6 +349,7 @@ impl QueryMux {
                         query,
                         scheduler,
                         sketch,
+                        deadline: None,
                         started: false,
                         trace: 0,
                         report: Report::new(),
@@ -464,7 +358,6 @@ impl QueryMux {
                         totals: MuxQueryTotals::default(),
                     },
                 );
-                state.planner.register(id);
             }
         }
         self.next_id += 1;
@@ -480,7 +373,6 @@ impl QueryMux {
             }
             Mode::Shared(state) => {
                 state.queries.remove(&id);
-                state.planner.remove(id);
             }
         }
     }
@@ -633,9 +525,11 @@ fn member_target(config: &MuxConfig, q: &SharedQuery, tally: &RoundTally) -> Res
     Ok(target as u64)
 }
 
-/// One shared-mode tick: plan the round, draw one shared panel through
-/// the parallel executor (one occasion seed per batch — §V), then let
-/// every participant consume it under its own contract (§II).
+/// One shared-mode tick. A round fires when some member's deadline has
+/// come (§IV-A); it draws one shared panel through the parallel executor
+/// (one occasion seed per batch — §V) and serves *every* member from it,
+/// each under its own contract (§II) — reading a paid panel costs no
+/// messages, so nobody waits for a deadline of their own.
 #[allow(clippy::too_many_lines)]
 fn shared_tick(
     state: &mut SharedState,
@@ -643,24 +537,10 @@ fn shared_tick(
     ctx: &TickContext<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<Vec<MuxQueryOutcome>> {
-    let idle = |state: &SharedState| {
-        state
-            .queries
-            .iter()
-            .map(|(&id, q)| MuxQueryOutcome {
-                query: id,
-                outcome: TickOutcome::idle(q.report.current),
-                trace: q.trace,
-                round: None,
-            })
-            .collect::<Vec<_>>()
-    };
-    if state.queries.is_empty() {
-        return Ok(Vec::new());
-    }
-    let plan = state.planner.plan(ctx.tick);
-    if plan.is_empty() {
-        return Ok(idle(state));
+    let tick = ctx.tick;
+    let due = state.queries.values().filter(|q| q.is_due(tick)).count() as u64;
+    if due == 0 {
+        return Ok(state.queries.iter().map(|(&id, q)| q.idle(id)).collect());
     }
 
     // A round fires. Allocate its causal trace first so the sampling
@@ -670,32 +550,10 @@ fn shared_tick(
     digest_telemetry::set_trace(round_trace);
     let _round_span = digest_telemetry::span(Stage::EngineTick);
 
-    let participants: Vec<u64> = if config.piggyback {
-        state.queries.keys().copied().collect()
-    } else {
-        plan.members()
-    };
-    // Sweep-served members (DESIGN.md §17) are answered by per-member
-    // node sweeps, not the shared tuple panel; CLT sizing, the size
-    // refresh, and the round-cost split cover panel members only.
-    let panel_members: Vec<u64> = participants
-        .iter()
-        .copied()
-        .filter(|id| {
-            state
-                .queries
-                .get(id)
-                .is_some_and(|q| !q.query.op.is_sketch())
-        })
-        .collect();
-
+    // CLT sizing, the size refresh and the round-cost split cover panel
+    // members only.
     let mut round_messages = 0u64;
-    let needs_size = panel_members.iter().any(|id| {
-        state
-            .queries
-            .get(id)
-            .is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
-    });
+    let needs_size = panel_members(&state.queries).any(|q| !matches!(q.query.op, AggregateOp::Avg));
     if needs_size && state.size.is_stale(config.size_refresh_rounds) {
         round_messages += state.size.refresh(ctx, config.size_sample_target, rng)?;
     }
@@ -704,18 +562,13 @@ fn shared_tick(
     // member requirement (Eq. 6), one `sample_batch` per loop (one
     // occasion seed, one join through the parallel executor), folded
     // once per question class. ---
-    let any_nontrivial = panel_members.iter().any(|id| {
-        state
-            .queries
-            .get(id)
-            .is_some_and(|q| !q.query.predicate.is_trivial())
-    });
+    let any_nontrivial = panel_members(&state.queries).any(|q| !q.query.predicate.is_trivial());
     let max_draws = if any_nontrivial {
         config.rpt.max_samples.saturating_mul(4)
     } else {
         config.rpt.max_samples
     };
-    let (classes, questions) = question_classes(&state.queries, &panel_members);
+    let (classes, questions) = question_classes(&state.queries);
     let mut tallies: Vec<RoundTally> = questions.iter().map(|_| RoundTally::default()).collect();
     let mut drawn = 0u64;
     let mut empty_database = false;
@@ -723,8 +576,8 @@ fn shared_tick(
     let eval_span = digest_telemetry::span(Stage::EstimatorEval);
     'rounds: loop {
         let mut want = 0usize;
-        for (id, &class) in panel_members.iter().zip(&classes) {
-            let (Some(q), Some(tally)) = (state.queries.get(id), tallies.get(class)) else {
+        for (q, &class) in panel_members(&state.queries).zip(&classes) {
+            let Some(tally) = tallies.get(class) else {
                 continue;
             };
             let target = member_target(config, q, tally)?;
@@ -764,40 +617,33 @@ fn shared_tick(
     }
     drop(eval_span);
 
+    let mut out = Vec::with_capacity(state.queries.len());
     if empty_database {
         // Hold: due members count an (empty) occasion and retry next
         // tick; everyone else idles. Messages spent so far are split
         // across due members.
-        let m = plan.due.len().max(1) as u64;
-        let share = round_messages / m;
-        let remainder = round_messages % m;
-        let mut held: BTreeMap<u64, u64> = BTreeMap::new();
-        for (i, &id) in plan.due.iter().enumerate() {
-            let messages = share + u64::from((i as u64) < remainder);
-            held.insert(id, messages);
-            if let Some(q) = state.queries.get_mut(&id) {
-                q.totals.messages += messages;
-                q.totals.snapshots += 1;
-                state.planner.set_deadline(id, ctx.tick + 1);
+        let share = round_messages / due;
+        let remainder = round_messages % due;
+        let mut held = 0u64;
+        for (&id, q) in &mut state.queries {
+            if !q.is_due(tick) {
+                out.push(q.idle(id));
+                continue;
             }
+            let messages = share + u64::from(held < remainder);
+            held += 1;
+            q.totals.messages += messages;
+            q.totals.snapshots += 1;
+            q.deadline = Some(tick + 1);
+            out.push(MuxQueryOutcome {
+                query: id,
+                outcome: TickOutcome::held(q.report.current, messages),
+                trace: q.trace,
+                round: Some(round_trace),
+            });
         }
         state.rounds += 1;
         state.last_round_trace = round_trace;
-        let out = state
-            .queries
-            .iter()
-            .map(|(&id, q)| {
-                let held = held.get(&id);
-                MuxQueryOutcome {
-                    query: id,
-                    outcome: held.map_or(TickOutcome::idle(q.report.current), |&messages| {
-                        TickOutcome::held(q.report.current, messages)
-                    }),
-                    trace: q.trace,
-                    round: held.map(|_| round_trace),
-                }
-            })
-            .collect();
         return Ok(out);
     }
 
@@ -805,17 +651,13 @@ fn shared_tick(
     // round cost, apply each member's δ-semantics, reschedule (§IV-A).
     // Panel members split the shared round cost evenly; sweep-served
     // members pay exactly their own fresh-node pulls (DESIGN.md §17). ---
-    let m = panel_members.len().max(1) as u64;
+    let m = classes.len().max(1) as u64;
     let share = round_messages / m;
     let remainder = round_messages % m;
     let mut panel_index = 0u64;
     let mut member_classes = classes.iter();
     let no_tally = RoundTally::default();
-    let mut finalized: BTreeMap<u64, MuxQueryOutcome> = BTreeMap::new();
-    for &id in &participants {
-        let Some(q) = state.queries.get_mut(&id) else {
-            continue;
-        };
+    for (&id, q) in &mut state.queries {
         q.trace = digest_telemetry::begin_trace();
         digest_telemetry::set_trace(q.trace);
 
@@ -828,8 +670,7 @@ fn shared_tick(
             let snap = sketch.sweep(ctx.db, &q.query.expr, &q.query.predicate)?;
             (snap.into(), snap.messages)
         } else {
-            // Panel members are finalised in `panel_members` order, which
-            // is the order `classes` is in.
+            // Panel members are finalised in the order `classes` is in.
             let tally = member_classes
                 .next()
                 .and_then(|&class| tallies.get(class))
@@ -881,12 +722,12 @@ fn shared_tick(
         let (outcome, delay) = finish(
             &mut q.report,
             &mut *q.scheduler,
-            ctx.tick,
+            tick,
             delta,
             snapshot,
             messages,
         )?;
-        state.planner.set_deadline(id, ctx.tick + delay);
+        q.deadline = Some(tick + delay);
         q.totals.messages += messages;
         q.totals.samples += outcome.samples_this_tick;
         q.totals.snapshots += 1;
@@ -897,15 +738,12 @@ fn shared_tick(
         if reported || q.sketch.is_some() {
             emit_snapshot("MUX", &outcome);
         }
-        finalized.insert(
-            id,
-            MuxQueryOutcome {
-                query: id,
-                outcome,
-                trace: q.trace,
-                round: Some(round_trace),
-            },
-        );
+        out.push(MuxQueryOutcome {
+            query: id,
+            outcome,
+            trace: q.trace,
+            round: Some(round_trace),
+        });
     }
 
     // The round's own event, under the round's trace id.
@@ -914,9 +752,8 @@ fn shared_tick(
         digest_telemetry::emit(
             "mux.round",
             &[
-                ("members", Field::U64(participants.len() as u64)),
-                ("due", Field::U64(plan.due.len() as u64)),
-                ("pulled", Field::U64(plan.pulled.len() as u64)),
+                ("members", Field::U64(out.len() as u64)),
+                ("due", Field::U64(due)),
                 ("panel", Field::U64(drawn)),
                 ("messages", Field::U64(round_messages)),
             ],
@@ -925,19 +762,6 @@ fn shared_tick(
     state.rounds += 1;
     state.size.served_occasion();
     state.last_round_trace = round_trace;
-
-    let out = state
-        .queries
-        .iter()
-        .map(|(&id, q)| {
-            finalized.remove(&id).unwrap_or(MuxQueryOutcome {
-                query: id,
-                outcome: TickOutcome::idle(q.report.current),
-                trace: q.trace,
-                round: None,
-            })
-        })
-        .collect();
     Ok(out)
 }
 
@@ -960,16 +784,17 @@ impl QuerySystem for QueryMux {
                 }
                 earliest
             }
-            Mode::Shared(state) => match state.planner.next_deadline() {
-                // Ticks before the earliest deadline plan an empty
-                // round and idle without consuming randomness.
-                Some(Some(d)) if d > now => Some(d),
-                // Someone is due now (or was never scheduled): dense.
-                Some(_) => None,
-                // No member queued: nothing will ever fire, but `None`
-                // (dense) is the safe answer for an empty mux.
-                None => None,
-            },
+            // The earliest deadline, if it is still ahead: ticks before
+            // it idle without consuming randomness. A member due now, or
+            // never served (`None` sorts first), keeps the mux dense — as
+            // does an empty mux.
+            Mode::Shared(state) => state
+                .queries
+                .values()
+                .map(|q| q.deadline)
+                .min()
+                .flatten()
+                .filter(|&deadline| deadline > now),
         }
     }
 
@@ -1062,55 +887,6 @@ mod tests {
             Expr::first_attr(&Schema::single("a")),
             Precision::new(delta, eps, p).unwrap(),
         )
-    }
-
-    #[test]
-    fn planner_fires_due_members_and_pulls_within_horizon() {
-        let mut p = RoundPlanner::new(2);
-        p.register(0);
-        p.register(1);
-        p.register(2);
-        // Fresh queries are immediately due.
-        let plan = p.plan(5);
-        assert_eq!(plan.due, vec![0, 1, 2]);
-        p.set_deadline(0, 7);
-        p.set_deadline(1, 9);
-        p.set_deadline(2, 20);
-        let plan = p.plan(6);
-        assert!(plan.is_empty());
-        let plan = p.plan(7);
-        assert_eq!(plan.due, vec![0]);
-        assert_eq!(plan.pulled, vec![1], "deadline 9 within 7+2");
-        assert_eq!(plan.members(), vec![0, 1]);
-    }
-
-    #[test]
-    fn planner_next_deadline_tracks_earliest_live_entry() {
-        let mut p = RoundPlanner::new(2);
-        assert_eq!(p.next_deadline(), None);
-        p.register(0);
-        assert_eq!(p.next_deadline(), Some(None), "fresh member is due now");
-        p.set_deadline(0, 9);
-        p.register(1);
-        p.set_deadline(1, 4);
-        assert_eq!(p.next_deadline(), Some(Some(4)));
-        // Rescheduling replaces the old deadline outright.
-        p.set_deadline(1, 15);
-        assert_eq!(p.next_deadline(), Some(Some(9)));
-        p.remove(0);
-        assert_eq!(p.next_deadline(), Some(Some(15)));
-        p.remove(1);
-        assert_eq!(p.next_deadline(), None);
-    }
-
-    #[test]
-    fn planner_never_pulls_without_a_due_member() {
-        let mut p = RoundPlanner::new(10);
-        p.register(0);
-        p.set_deadline(0, 8);
-        let plan = p.plan(5);
-        assert!(plan.is_empty());
-        assert!(plan.pulled.is_empty());
     }
 
     /// Regression for the lifted shared-mode `MEDIAN` rejection: a
@@ -1479,11 +1255,7 @@ mod tests {
     #[test]
     fn idle_ticks_cost_nothing_in_shared_mode() {
         let (graph, db) = world(13);
-        let mut mux = QueryMux::new(MuxConfig {
-            coalesce_horizon: 0,
-            ..MuxConfig::default()
-        })
-        .unwrap();
+        let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
         mux.register(avg_query(16.0, 4.0, 0.9)).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(14);
         let mut idle_seen = false;
@@ -1585,10 +1357,11 @@ mod tests {
         }
     }
 
-    /// The parent commit's `shared_tick`, verbatim but for the name of the
-    /// operator call and of the batch's row binding: one private tally per
-    /// panel member, every sampled row pushed into each of them, and the
-    /// O(members × due) hold path. The oracle `shared_tick` is held to.
+    /// `shared_tick` as it was before question classes, reading due-ness
+    /// from each member's `deadline`: id lists looked up one by one, one
+    /// private tally per panel member, every sampled row pushed into each
+    /// of them, every finalisation spelt out, and the O(members × due)
+    /// hold path. The oracle `shared_tick` is held to.
     #[allow(clippy::too_many_lines)]
     fn shared_tick_per_member(
         state: &mut SharedState,
@@ -1611,8 +1384,13 @@ mod tests {
         if state.queries.is_empty() {
             return Ok(Vec::new());
         }
-        let plan = state.planner.plan(ctx.tick);
-        if plan.is_empty() {
+        let due: Vec<u64> = state
+            .queries
+            .iter()
+            .filter(|(_, q)| q.is_due(ctx.tick))
+            .map(|(&id, _)| id)
+            .collect();
+        if due.is_empty() {
             return Ok(idle(state));
         }
 
@@ -1623,11 +1401,7 @@ mod tests {
         digest_telemetry::set_trace(round_trace);
         let _round_span = digest_telemetry::span(Stage::EngineTick);
 
-        let participants: Vec<u64> = if config.piggyback {
-            state.queries.keys().copied().collect()
-        } else {
-            plan.members()
-        };
+        let participants: Vec<u64> = state.queries.keys().copied().collect();
         // Sweep-served members (DESIGN.md §17) are answered by per-member
         // node sweeps, not the shared tuple panel; CLT sizing, the size
         // refresh, and the round-cost split cover panel members only.
@@ -1740,7 +1514,6 @@ mod tests {
             // tick; everyone else idles. Messages spent so far are split
             // across due members.
             let mut out = Vec::with_capacity(state.queries.len());
-            let due: Vec<u64> = plan.due.clone();
             let m = due.len().max(1) as u64;
             let share = round_messages / m;
             let remainder = round_messages % m;
@@ -1749,7 +1522,7 @@ mod tests {
                     let messages = share + u64::from((i as u64) < remainder);
                     q.totals.messages += messages;
                     q.totals.snapshots += 1;
-                    state.planner.set_deadline(id, ctx.tick + 1);
+                    q.deadline = Some(ctx.tick + 1);
                 }
             }
             state.rounds += 1;
@@ -1814,7 +1587,7 @@ mod tests {
                         let _span = digest_telemetry::span(Stage::SchedulerDecide);
                         q.scheduler.next_delay(q.query.precision.delta)?
                     };
-                    state.planner.set_deadline(id, ctx.tick + delay);
+                    q.deadline = Some(ctx.tick + delay);
                     TickOutcome {
                         estimate: value,
                         updated,
@@ -1826,7 +1599,7 @@ mod tests {
                 } else {
                     // No tuple qualified for an order statistic: hold the
                     // previous result and retry next tick (§IV hold rule).
-                    state.planner.set_deadline(id, ctx.tick + 1);
+                    q.deadline = Some(ctx.tick + 1);
                     TickOutcome {
                         estimate: q.report.current,
                         updated: false,
@@ -1879,7 +1652,7 @@ mod tests {
             {
                 q.scheduler.observe(ctx.tick as f64, q.report.current);
                 let delay = q.scheduler.next_delay(q.query.precision.delta)?;
-                state.planner.set_deadline(id, ctx.tick + delay);
+                q.deadline = Some(ctx.tick + delay);
                 q.totals.messages += messages;
                 q.totals.samples += drawn;
                 q.totals.snapshots += 1;
@@ -1933,7 +1706,7 @@ mod tests {
                 let _span = digest_telemetry::span(Stage::SchedulerDecide);
                 q.scheduler.next_delay(q.query.precision.delta)?
             };
-            state.planner.set_deadline(id, ctx.tick + delay);
+            q.deadline = Some(ctx.tick + delay);
             q.totals.messages += messages;
             q.totals.samples += drawn;
             q.totals.snapshots += 1;
@@ -1974,8 +1747,7 @@ mod tests {
                 "mux.round",
                 &[
                     ("members", Field::U64(participants.len() as u64)),
-                    ("due", Field::U64(plan.due.len() as u64)),
-                    ("pulled", Field::U64(plan.pulled.len() as u64)),
+                    ("due", Field::U64(due.len() as u64)),
                     ("panel", Field::U64(drawn)),
                     ("messages", Field::U64(round_messages)),
                 ],
@@ -2047,6 +1819,41 @@ mod tests {
         (graph, db, handles)
     }
 
+    /// One tick of the two-attribute world: every row drifts; at
+    /// `empty_at` the relation is emptied, two ticks later refilled.
+    fn drift_world(
+        tick: u64,
+        empty_at: u64,
+        db: &mut P2PDatabase,
+        handles: &mut Vec<digest_db::TupleHandle>,
+        world_rng: &mut ChaCha8Rng,
+    ) {
+        if tick == empty_at {
+            for h in handles.drain(..) {
+                db.delete(h).unwrap();
+            }
+        } else if tick == empty_at + 2 {
+            for v in 0..6 {
+                for _ in 0..12 {
+                    let row = vec![
+                        52.0 + world_rng.gen_range(-8.0..8.0),
+                        9.0 + world_rng.gen_range(-3.0..3.0),
+                    ];
+                    handles.push(db.insert(NodeId(v), Tuple::new(row)).unwrap());
+                }
+            }
+        }
+        for &h in handles.iter() {
+            let row = db.read(h).unwrap();
+            let (a, b) = (row.value(0).unwrap(), row.value(1).unwrap());
+            let drift = [
+                a + 0.3 + world_rng.gen_range(-0.5..0.5),
+                b + world_rng.gen_range(-0.2..0.2),
+            ];
+            db.update(h, &drift).unwrap();
+        }
+    }
+
     /// The member a `(expression, predicate, contract, op)` draw names:
     /// 3 expressions × 3 predicates (one trivial), four contracts.
     fn drawn_member(spec: (usize, usize, usize, usize)) -> ContinuousQuery {
@@ -2086,13 +1893,11 @@ mod tests {
         fn question_class_tallies_replay_per_member_tallies(
             seed in 0u64..u64::MAX,
             members in prop::collection::vec((0usize..3, 0usize..3, 0usize..4, 0usize..6), 2..10),
-            piggyback in 0u8..2,
             empty_at in 2u64..40,
         ) {
             let mut world_rng = ChaCha8Rng::seed_from_u64(seed);
             let (graph, mut db, mut handles) = two_attribute_world(&mut world_rng);
             let config = MuxConfig {
-                piggyback: piggyback == 1,
                 size_refresh_rounds: 3,
                 size_sample_target: 64,
                 ..MuxConfig::default()
@@ -2109,28 +1914,7 @@ mod tests {
             let (mut classed_traces, mut per_member_traces) = (BTreeMap::new(), BTreeMap::new());
 
             for tick in 0..30 {
-                // The world drifts; around `empty_at` it is empty.
-                if tick == empty_at {
-                    for h in handles.drain(..) {
-                        db.delete(h).unwrap();
-                    }
-                } else if tick == empty_at + 2 {
-                    for v in 0..6 {
-                        for _ in 0..12 {
-                            let row = vec![
-                                52.0 + world_rng.gen_range(-8.0..8.0),
-                                9.0 + world_rng.gen_range(-3.0..3.0),
-                            ];
-                            handles.push(db.insert(NodeId(v), Tuple::new(row)).unwrap());
-                        }
-                    }
-                }
-                for &h in &handles {
-                    let row = db.read(h).unwrap();
-                    let (a, b) = (row.value(0).unwrap(), row.value(1).unwrap());
-                    let drift = [a + 0.3 + world_rng.gen_range(-0.5..0.5), b + world_rng.gen_range(-0.2..0.2)];
-                    db.update(h, &drift).unwrap();
-                }
+                drift_world(tick, empty_at, &mut db, &mut handles, &mut world_rng);
                 // Members leave and arrive between rounds.
                 match world_rng.gen_range(0..6) {
                     0 => {
@@ -2175,6 +1959,87 @@ mod tests {
             }
             prop_assert_eq!(classed.rounds(), per_member.rounds());
             prop_assert_eq!(classed_rng.next_u64(), per_member_rng.next_u64());
+        }
+
+        /// The round rule, seen from outside: 40 dense ticks on the
+        /// drifting world (emptied for two of them), arbitrary contracts,
+        /// members arriving unscheduled. A member is served no later than
+        /// the deadline its last occasion set; a tick on which nobody is
+        /// due is idle for everyone and draws nothing from the RNG; and
+        /// the `next_due` hint is the earliest deadline while that is
+        /// still ahead, dense otherwise. (Four cases in five have idle
+        /// ticks; a δ below the drift keeps some member due every tick.)
+        #[test]
+        fn someone_is_due_everyone_is_served(
+            seed in 0u64..u64::MAX,
+            members in prop::collection::vec((0usize..3, 0usize..3, 0usize..4, 0usize..9), 1..8),
+            empty_at in 2u64..50,
+        ) {
+            let mut world_rng = ChaCha8Rng::seed_from_u64(seed);
+            let (graph, mut db, mut handles) = two_attribute_world(&mut world_rng);
+            let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+            for &spec in &members {
+                mux.register(drawn_member(spec)).unwrap();
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
+            let deadlines = |mux: &QueryMux| -> Vec<(u64, Option<u64>)> {
+                let Mode::Shared(state) = &mux.mode else {
+                    unreachable!("sharing is on");
+                };
+                state.queries.iter().map(|(&id, q)| (id, q.deadline)).collect()
+            };
+            let mut rounds = 0u64;
+
+            for tick in 0..40 {
+                drift_world(tick, empty_at, &mut db, &mut handles, &mut world_rng);
+                if world_rng.gen_range(0..8) == 0 {
+                    let spec = (
+                        world_rng.gen_range(0..3),
+                        world_rng.gen_range(0..3),
+                        world_rng.gen_range(0..4),
+                        world_rng.gen_range(0..9),
+                    );
+                    mux.register(drawn_member(spec)).unwrap();
+                }
+
+                let before = deadlines(&mux);
+                let someone_due = before.iter().any(|(_, d)| d.is_none_or(|d| d <= tick));
+                let rng_before = rng.clone();
+                let ctx = TickContext { tick, graph: &graph, db: &db, origin: NodeId(0) };
+                let out = mux.on_tick_mux(&ctx, &mut rng).unwrap();
+                prop_assert_eq!(out.len(), before.len());
+
+                if someone_due {
+                    rounds += 1;
+                } else {
+                    prop_assert_eq!(rng.clone().next_u64(), rng_before.clone().next_u64());
+                }
+                for (o, &(id, deadline)) in out.iter().zip(&before) {
+                    prop_assert_eq!(o.query, id);
+                    let overdue = deadline.is_none_or(|d| d <= tick);
+                    // Due ⇒ served at this tick, which is no later than
+                    // the deadline because every earlier tick ran too.
+                    prop_assert!(
+                        o.outcome.snapshot_executed || !overdue,
+                        "tick {}: member {} idled past its deadline {:?}", tick, id, deadline
+                    );
+                    if !someone_due {
+                        prop_assert!(!o.outcome.snapshot_executed && !o.outcome.updated);
+                        prop_assert_eq!(
+                            (o.outcome.messages_this_tick, o.outcome.samples_this_tick, o.round),
+                            (0, 0, None)
+                        );
+                    }
+                }
+
+                // A round leaves every member scheduled ahead of it.
+                let after = deadlines(&mux);
+                prop_assert!(!someone_due || after.iter().all(|(_, d)| d.is_some_and(|d| d > tick)));
+                let earliest = after.iter().map(|&(_, d)| d).min().flatten();
+                prop_assert_eq!(mux.next_due(tick), earliest.filter(|&d| d > tick));
+            }
+            prop_assert_eq!(mux.rounds(), rounds);
+            prop_assert!(rounds > 0);
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::error::CoreError;
 use crate::Result;
-use digest_db::{Expr, Predicate};
+use digest_db::{Expr, Predicate, RowView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -222,8 +222,8 @@ impl ContinuousQuery {
 
 /// The exact answer of a sketch-served aggregate (`PERCENTILE` /
 /// `COUNT DISTINCT` / `TOPK`, DESIGN.md §17) over the qualifying `values`
-/// — what the oracle, `ALL+ALL` and TAG all finalise with once the values
-/// are in one place. Sorts `values` in place for the order statistic.
+/// — what the oracle and the flooding comparators ([`ExactFold`]) finalise
+/// with once the values are in one place. Sorts `values` in place for the order statistic.
 ///
 /// `None` when the answer is undefined (an order statistic or a mass
 /// fraction over nothing; `COUNT DISTINCT` over nothing is 0), and for
@@ -255,6 +255,54 @@ pub(crate) fn exact_over(op: AggregateOp, values: &mut [f64]) -> Option<f64> {
             entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
             let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
             Some((top as f64 / values.len() as f64).clamp(0.0, 1.0))
+        }
+    }
+}
+
+/// What a flooding comparator (`ALL+ALL`, TAG) makes of the tuples that
+/// reach the querier: a running sum and count for the mean-like kinds,
+/// the qualifying values themselves for the sketch kinds, which the
+/// querier then finalises exactly ([`exact_over`], DESIGN.md §17).
+pub(crate) struct ExactFold<'q> {
+    query: &'q ContinuousQuery,
+    sum: f64,
+    count: u64,
+    values: Vec<f64>,
+}
+
+impl<'q> ExactFold<'q> {
+    pub(crate) fn new(query: &'q ContinuousQuery) -> Self {
+        Self {
+            query,
+            sum: 0.0,
+            count: 0,
+            values: Vec::new(),
+        }
+    }
+
+    /// Folds in one delivered tuple, if it qualifies.
+    pub(crate) fn push(&mut self, row: RowView<'_>) -> Result<()> {
+        if !self.query.predicate.eval(row).unwrap_or(false) {
+            return Ok(());
+        }
+        let value = self.query.expr.eval(row)?;
+        self.sum += value;
+        self.count += 1;
+        if self.query.op.is_sketch() {
+            self.values.push(value);
+        }
+        Ok(())
+    }
+
+    /// The query's exact answer over what was folded in; `held` where
+    /// that is undefined (nothing qualified).
+    pub(crate) fn finish(mut self, held: f64) -> f64 {
+        match self.query.op {
+            AggregateOp::Avg if self.count > 0 => self.sum / self.count as f64,
+            AggregateOp::Avg => held,
+            AggregateOp::Sum => self.sum,
+            AggregateOp::Count => self.count as f64,
+            op => exact_over(op, &mut self.values).unwrap_or(held),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! `exp_tag` experiment measures the resulting error spikes against
 //! Digest's under identical churn.
 
-use crate::query::{exact_over, AggregateOp, ContinuousQuery};
+use crate::query::{ContinuousQuery, ExactFold};
 use crate::report::Report;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
@@ -147,13 +147,10 @@ impl QuerySystem for TreeAggregationEngine {
 
         // Epoch: every tree node sends one partial-aggregate message to
         // its parent; fragments whose path to the root is broken are lost.
-        let mut sum = 0.0;
-        let mut count = 0u64;
         // Sketch kinds (DESIGN.md §17): in-network partials push every
         // qualifying value to the querier, which finalizes exactly over
         // whatever fragments stayed connected.
-        let want_values = self.query.op.is_sketch();
-        let mut values: Vec<f64> = Vec::new();
+        let mut fold = ExactFold::new(&self.query);
         for node in ctx.graph.nodes() {
             if self
                 .parent
@@ -172,25 +169,11 @@ impl QuerySystem for TreeAggregationEngine {
             }
             if ctx.db.has_node(node) {
                 for (_, tuple) in ctx.db.iter_node(node) {
-                    if !self.query.predicate.eval(tuple).unwrap_or(false) {
-                        continue;
-                    }
-                    let value = self.query.expr.eval(tuple)?;
-                    sum += value;
-                    count += 1;
-                    if want_values {
-                        values.push(value);
-                    }
+                    fold.push(tuple)?;
                 }
             }
         }
-        let estimate = match self.query.op {
-            AggregateOp::Avg if count > 0 => sum / count as f64,
-            AggregateOp::Avg => self.report.current,
-            AggregateOp::Sum => sum,
-            AggregateOp::Count => count as f64,
-            op => exact_over(op, &mut values).unwrap_or(self.report.current),
-        };
+        let estimate = fold.finish(self.report.current);
         self.total_messages += messages;
         self.total_snapshots += 1;
         Ok(self
@@ -224,7 +207,7 @@ impl QuerySystem for TreeAggregationEngine {
 )]
 mod tests {
     use super::*;
-    use crate::query::Precision;
+    use crate::query::{AggregateOp, Precision};
     use digest_db::{Expr, P2PDatabase, Schema, Tuple};
     use digest_net::topology;
     use rand::SeedableRng;

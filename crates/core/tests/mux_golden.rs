@@ -1,16 +1,10 @@
 //! Golden-trace regression test for the mux scheduler.
 //!
-//! Two sections, byte-compared against a checked-in fixture:
-//!
-//! * **planner** — replays the pure [`RoundPlanner`] over scripted
-//!   per-member deadline periods, logging every round's due/pulled split.
-//!   Any change to the coalescing rule (fire at earliest member deadline,
-//!   pull within the horizon, never pull without a due member) shows up
-//!   as a readable line diff.
-//! * **mux** — drives a seeded shared [`QueryMux`] over a fixed world and
-//!   logs each member's per-tick decision (snapshot or hold, shared round
-//!   id, samples, messages, estimate). This pins the end-to-end scheduler
-//!   × sizing × panel-sharing pipeline bit-for-bit.
+//! Drives a seeded shared [`QueryMux`] over a fixed world and logs each
+//! member's per-tick decision (snapshot or hold, shared round id, samples,
+//! messages, estimate), byte-compared against a checked-in fixture. This
+//! pins the end-to-end scheduler × sizing × panel-sharing pipeline
+//! bit-for-bit.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -24,7 +18,7 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{ContinuousQuery, MuxConfig, Precision, QueryMux, RoundPlanner, TickContext};
+use digest_core::{ContinuousQuery, MuxConfig, Precision, QueryMux, TickContext};
 use digest_db::{Expr, P2PDatabase, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
 use rand::{Rng, SeedableRng};
@@ -35,33 +29,6 @@ const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/mux_decisions.txt"
 );
-
-/// Replays the planner over members with fixed re-arm periods: each
-/// served member's next deadline is `tick + period`. Deterministic, no
-/// randomness — the log is exactly the coalescing rule's output.
-fn replay_planner(horizon: u64, periods: &[u64], ticks: u64, out: &mut String) {
-    writeln!(out, "planner horizon={horizon} periods={periods:?}").unwrap();
-    let mut planner = RoundPlanner::new(horizon);
-    for id in 0..periods.len() as u64 {
-        planner.register(id);
-    }
-    for tick in 0..ticks {
-        let plan = planner.plan(tick);
-        if plan.is_empty() {
-            continue;
-        }
-        writeln!(
-            out,
-            "  t={tick:>3} due={:?} pulled={:?}",
-            plan.due, plan.pulled
-        )
-        .unwrap();
-        for &id in &plan.members() {
-            planner.set_deadline(id, tick + periods[id as usize]);
-        }
-    }
-    writeln!(out, "end planner").unwrap();
-}
 
 /// The fixed world the mux section runs on: a complete 8-node overlay,
 /// 25 tuples per node around 50. Same construction as the mux unit
@@ -85,6 +52,8 @@ fn world(seed: u64) -> (Graph, P2PDatabase) {
 /// one so the fixture does not depend on the process-global trace
 /// counter.
 fn replay_mux(out: &mut String) {
+    // The fixture's section header, kept as first written: the round rule
+    // it names is the only one there is now.
     writeln!(out, "mux sharing=on horizon=2 piggyback=on").unwrap();
     let (graph, db) = world(42);
     let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
@@ -130,15 +99,6 @@ fn replay_mux(out: &mut String) {
 fn decision_trace() -> String {
     let mut out = String::new();
     out.push_str("mux golden decision trace v1\n");
-    // Immediate-due bootstrap, then staggered periods around one another:
-    // exercises pull-forward (periods 5/6 within horizon 2) and isolated
-    // fires (period 13).
-    replay_planner(2, &[5, 6, 13], 60, &mut out);
-    // Horizon 0 disables pulling entirely.
-    replay_planner(0, &[5, 6, 13], 60, &mut out);
-    // A tight member (period 1) drags a loose one (period 9) along only
-    // when deadlines actually land within the horizon.
-    replay_planner(3, &[1, 9], 30, &mut out);
     replay_mux(&mut out);
     out
 }

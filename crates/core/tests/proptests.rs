@@ -8,7 +8,7 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{AggregateOp, ContinuousQuery, Precision, RoundPlanner};
+use digest_core::{AggregateOp, ContinuousQuery, Precision};
 use digest_core::{AllScheduler, PredScheduler, SnapshotScheduler};
 use digest_db::{Expr, Predicate, Schema};
 use proptest::prelude::*;
@@ -108,59 +108,6 @@ proptest! {
             let t = digest_db::Tuple::new(vec![a, 0.0]);
             prop_assert_eq!(reparsed.eval(&t).unwrap(), q.predicate.eval(&t).unwrap());
         }
-    }
-
-    /// A coalesced round never serves a member *later* than its own
-    /// PRED-k deadline: for every tick and every registered query, if the
-    /// deadline is `≤ tick` the query appears in `due`; and nothing is
-    /// pulled past the horizon.
-    #[test]
-    fn planner_never_serves_a_member_late(
-        horizon in 0u64..6,
-        // 0..40 = a concrete deadline; ≥ 40 = never scheduled (the
-        // vendored proptest has no Option strategy).
-        deadlines in proptest::collection::vec(
-            (0u64..48).prop_map(|v| if v >= 40 { None } else { Some(v) }),
-            1..12,
-        ),
-        tick in 0u64..45,
-    ) {
-        let mut planner = RoundPlanner::new(horizon);
-        for (id, deadline) in deadlines.iter().enumerate() {
-            let id = id as u64;
-            planner.register(id);
-            if let Some(d) = deadline {
-                planner.set_deadline(id, *d);
-            }
-        }
-        let plan = planner.plan(tick);
-        for (id, deadline) in deadlines.iter().enumerate() {
-            let id = id as u64;
-            let overdue = deadline.is_none_or(|d| d <= tick);
-            prop_assert_eq!(
-                plan.due.contains(&id),
-                overdue,
-                "query {} with deadline {:?} at tick {}: due must equal overdue",
-                id, deadline, tick
-            );
-        }
-        for &id in &plan.pulled {
-            let d = deadlines[id as usize].unwrap();
-            prop_assert!(
-                d > tick && d <= tick + horizon,
-                "pulled query {id} has deadline {d} outside ({tick}, {}]",
-                tick + horizon
-            );
-        }
-        // Pulling without a due member would waste an occasion.
-        if plan.due.is_empty() {
-            prop_assert!(plan.pulled.is_empty());
-        }
-        // Members are each listed exactly once, ascending.
-        let members = plan.members();
-        let mut deduped = members.clone();
-        deduped.dedup();
-        prop_assert_eq!(&members, &deduped);
     }
 
     /// A statement is text from outside the program: whatever it holds —

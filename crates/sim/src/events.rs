@@ -16,7 +16,7 @@
 //! replays byte-identically under any worker count.
 //!
 //! No driver in the workspace uses the queue: the one tick loop
-//! ([`crate::runner::run_ticks`]) skips idle spans from the
+//! (`runner::run_ticks`) skips idle spans from the
 //! `next_activity` / `next_due` hints. It stays, with its tests, only
 //! because `benchmark/`'s `sim.event_queue_ns` probe times it; delete it
 //! with that probe in the next benchmark PR.

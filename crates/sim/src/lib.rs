@@ -9,7 +9,7 @@
 //! worker threads for statistically reliable (error-barred) metrics;
 //! [`runner::run`] drives one [`digest_core::QuerySystem`] against one
 //! [`digest_workload::Workload`] for a span of ticks through the one
-//! hint-driven tick loop ([`runner::run_ticks`]), collecting a
+//! hint-driven tick loop (`runner::run_ticks`), collecting a
 //! [`trace::RunReport`]: per-tick records of the exact aggregate (oracle)
 //! versus the system's running estimate, plus totals of snapshots, samples
 //! and messages, and the realised precision-violation rates that verify
@@ -34,5 +34,5 @@ pub mod trace;
 pub use events::EventQueue;
 pub use flat::{run_flat, FlatSimConfig};
 pub use parallel::{run_replications, summarize, MetricSummary};
-pub use runner::{run, run_mux, run_observed, run_ticks, RunConfig};
+pub use runner::{run, run_mux, run_observed, RunConfig};
 pub use trace::{RunReport, TraceRecord};

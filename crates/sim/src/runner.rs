@@ -1,6 +1,6 @@
 //! Driving query systems over one workload.
 //!
-//! There is one tick loop, [`run_ticks`]: per executed tick the world
+//! There is one tick loop, `run_ticks`: per executed tick the world
 //! advances, the origin is re-elected if churn took it, and the caller's
 //! per-tick body runs. After each tick the loop consults the workload's
 //! [`Workload::next_activity`] and the systems' `next_due` hints and
@@ -84,7 +84,12 @@ impl RunConfig {
 /// * [`CoreError::EmptyWorkload`] if the workload's graph has no live
 ///   nodes (at start, or after churn drained it mid-run).
 /// * Propagates any error from `body`.
-pub fn run_ticks<W: Workload, S: ?Sized>(
+// Kept out of line: once private the loop is inlined into its callers, and
+// `churn_100k/run_s` read 1.16× the parent's on ten alternating pairs out
+// of ten (`workload.advance_us_p50` 0.96 → 1.25 ms with no line of
+// `advance` changed). Out of line it reads as it did when it was `pub`.
+#[inline(never)]
+fn run_ticks<W: Workload, S: ?Sized>(
     workload: &mut W,
     config: RunConfig,
     rng: &mut dyn RngCore,
@@ -167,11 +172,12 @@ fn record_tick(tick: u64, exact: f64, outcome: &TickOutcome, query: Option<u64>)
 ///
 /// Per tick, the order is: advance the workload (apply this tick's
 /// updates/churn), let the system react, then record the oracle truth
-/// next to the system's estimate (see [`run_ticks`]).
+/// next to the system's estimate (the one tick loop, `run_ticks`).
 ///
 /// # Errors
 ///
-/// As for [`run_ticks`], propagating any engine error.
+/// [`CoreError::EmptyWorkload`] if the workload's graph has no live nodes
+/// (at start, or after churn drained it mid-run); any engine error.
 pub fn run<W: Workload, S: QuerySystem + ?Sized>(
     workload: &mut W,
     system: &mut S,

@@ -208,8 +208,8 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     },
     // One coalesced multi-query sampling round executed by the query
     // multiplexer: how many member queries consumed the shared panel, how
-    // many were at their deadline vs pulled forward within the coalescing
-    // horizon, the panel size drawn, and the round's total message spend.
+    // many of them were at their deadline (the rest rode along), the panel
+    // size drawn, and the round's total message spend.
     // The event's `trace` envelope is the round id that member
     // `audit.occasion` events reference via their `round` field.
     EventSchema {
@@ -217,7 +217,6 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
         fields: &[
             req("members", U64),
             req("due", U64),
-            req("pulled", U64),
             req("panel", U64),
             req("messages", U64),
         ],
@@ -389,7 +388,6 @@ mod tests {
             &[
                 ("members", Field::U64(5)),
                 ("due", Field::U64(2)),
-                ("pulled", Field::U64(1)),
                 ("panel", Field::U64(256)),
                 ("messages", Field::U64(9000)),
             ],
@@ -418,12 +416,12 @@ mod tests {
     fn rejects_malformed_mux_round_events() {
         // Missing required field (`panel`).
         assert!(validate_line(
-            r#"{"due":1,"kind":"mux.round","members":3,"messages":10,"pulled":0,"tick":0}"#
+            r#"{"due":1,"kind":"mux.round","members":3,"messages":10,"tick":0}"#
         )
         .is_err());
         // Type mismatch (`members` must be u64).
         assert!(validate_line(
-            r#"{"due":1,"kind":"mux.round","members":"x","messages":10,"panel":8,"pulled":0,"tick":0}"#
+            r#"{"due":1,"kind":"mux.round","members":"x","messages":10,"panel":8,"tick":0}"#
         )
         .is_err());
         // `round` on audit.occasion must be u64.

@@ -3,7 +3,7 @@
 //!
 //! | [`SCENARIOS`] | `determinism` ([`Mode::Plain`]) | `audit` ([`Mode::Audited`]) | `telemetry-schema` (`Audited` + `Telemetry`) |
 //! |---|---|---|---|
-//! | `temperature/rpt` | `Replay`, `Workers(4)`, `SnapshotCacheOff`, `Telemetry` | `Replay`, `Workers(4)`; stdout extends plain; 1 member, `Absolute` drift | [`SCHEMA_REQUIRED_KINDS`] |
+//! | `temperature/rpt` | `Replay`, `Workers(4)`, `SnapshotCacheOff`, `Telemetry` | `Replay`, `Workers(4)`; 1 member, `Absolute` drift | [`SCHEMA_REQUIRED_KINDS`] |
 //! | `memory/indep` | `Replay`, `Workers(4)`, `SnapshotCacheOff`, `Telemetry` | — | — |
 //! | `temperature/mux` | — | `Replay`, `Workers(4)`; 5 members, `UnderCoverageOnly` | [`MUX_SCHEMA_REQUIRED_KINDS`] |
 //! | `temperature/sketch` | `Replay`, `Workers(4)` | `Replay`, `Workers(4)`; 3 members, `UnderCoverageOnly` | — |
@@ -13,7 +13,7 @@
 //! trace byte-identical to the scenario's reference run; a `Telemetry`
 //! leg replays against itself), [`extends`] (an observer's stdout is the
 //! plain stdout plus a suffix — `--telemetry` in `determinism`, `--audit`
-//! in `audit`), [`check_report`] (exact member count; per member:
+//! on every row of `audit`), [`check_report`] (exact member count; per member:
 //! occasions ≥ [`AUDIT_MIN_OCCASIONS`], `violation_rate ≤
 //! violation_bound` — the `(1 − p) + 3σ` bound the report itself carries
 //! — and drift ≤ [`AUDIT_DRIFT_TOLERANCE`]) and [`validate_event_stream`]
@@ -79,9 +79,6 @@ pub struct AuditRow {
     pub members: usize,
     /// How calibration drift is read off each member's report.
     pub drift: DriftGate,
-    /// Also require the audited stdout to extend a plain run's stdout
-    /// (auditing must observe, never perturb).
-    pub extends_plain: bool,
 }
 
 /// One fixed-seed `digest-cli` invocation and the legs each gate runs on it.
@@ -159,7 +156,6 @@ pub const SCENARIOS: &[Scenario] = &[
         audit: Some(AuditRow {
             members: 1,
             drift: DriftGate::Absolute,
-            extends_plain: true,
         }),
         schema: SCHEMA_REQUIRED_KINDS,
     },
@@ -203,7 +199,6 @@ pub const SCENARIOS: &[Scenario] = &[
         audit: Some(AuditRow {
             members: 5,
             drift: DriftGate::UnderCoverageOnly,
-            extends_plain: false,
         }),
         schema: MUX_SCHEMA_REQUIRED_KINDS,
     },
@@ -223,7 +218,6 @@ pub const SCENARIOS: &[Scenario] = &[
         audit: Some(AuditRow {
             members: 3,
             drift: DriftGate::UnderCoverageOnly,
-            extends_plain: false,
         }),
         schema: &[],
     },
@@ -609,11 +603,10 @@ pub fn audit(cli: &Cli) -> Result<bool, String> {
             let other = run(cli, scenario, Mode::Audited, variant);
             ok &= same(&leg(cli, scenario, Mode::Audited, variant), &audited, other);
         }
-        if row.extends_plain {
-            let leg = leg(cli, scenario, Mode::Plain, Variant::Replay);
-            let plain = run(cli, scenario, Mode::Plain, Variant::Replay)?;
-            ok &= extends(&leg, "--audit", &plain.stdout, &audited.stdout);
-        }
+        // Auditing must observe, never perturb.
+        let leg = leg(cli, scenario, Mode::Plain, Variant::Replay);
+        let plain = run(cli, scenario, Mode::Plain, Variant::Replay)?;
+        ok &= extends(&leg, "--audit", &plain.stdout, &audited.stdout);
         ok &= check_report(scenario.label, &audited.report, &row);
     }
     Ok(ok)

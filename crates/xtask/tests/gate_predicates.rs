@@ -102,11 +102,7 @@ fn report(members: &[Member]) -> Vec<u8> {
 }
 
 fn row(members: usize, drift: DriftGate) -> AuditRow {
-    AuditRow {
-        members,
-        drift,
-        extends_plain: false,
-    }
+    AuditRow { members, drift }
 }
 
 const BOTH_GATES: [DriftGate; 2] = [DriftGate::Absolute, DriftGate::UnderCoverageOnly];
@@ -242,7 +238,7 @@ fn a_report_missing_a_numeric_field_is_red() {
 
 /// Three real lines of the `temperature/mux` stream, one per required kind.
 const MUX_STREAM: [&str; 3] = [
-    r#"{"due":5,"kind":"mux.round","members":5,"messages":3494,"panel":91,"pulled":0,"tick":0,"trace":1}"#,
+    r#"{"due":5,"kind":"mux.round","members":5,"messages":3494,"panel":91,"tick":0,"trace":1}"#,
     r#"{"error":0.6165221309732232,"estimate":66.60137985870993,"exact":65.98485772773671,"kind":"audit.occasion","messages":699,"panel":91,"query":0,"round":1,"staleness":0,"tick":0,"trace":2,"violation":false}"#,
     r#"{"estimate":66.60137985870993,"exact":65.98485772773671,"fresh":91,"kind":"tick","messages":699,"query":0,"samples":91,"snapshot":true,"tick":0,"trace":2,"updated":1}"#,
 ];
@@ -272,10 +268,10 @@ fn a_stream_missing_a_required_kind_is_red() {
 #[test]
 fn a_schema_invalid_line_is_red_even_when_every_kind_is_present() {
     let planted = [
-        // A field the schema does not know.
-        MUX_STREAM[0].replace("\"due\":5", "\"due\":5,\"extra\":1"),
+        // A field the schema does not know (`mux.round` carried it once).
+        MUX_STREAM[0].replace("\"panel\":91", "\"panel\":91,\"pulled\":0"),
         // A required field gone.
-        MUX_STREAM[0].replace("\"pulled\":0,", ""),
+        MUX_STREAM[0].replace("\"panel\":91,", ""),
         // A field of the wrong type.
         MUX_STREAM[2].replace("\"snapshot\":true", "\"snapshot\":\"yes\""),
         // Not JSON.
@@ -303,7 +299,7 @@ fn the_table_runs_the_stated_leg_inventory() {
     let inventory: Vec<_> = SCENARIOS
         .iter()
         .map(|s| {
-            let audit = s.audit.map(|a| (a.members, a.drift, a.extends_plain));
+            let audit = s.audit.map(|a| (a.members, a.drift));
             (s.label, s.determinism, audit, s.schema)
         })
         .collect();
@@ -314,17 +310,21 @@ fn the_table_runs_the_stated_leg_inventory() {
             (
                 "temperature/rpt",
                 every,
-                Some((1, DriftGate::Absolute, true)),
+                Some((1, DriftGate::Absolute)),
                 SCHEMA_REQUIRED_KINDS
             ),
             ("memory/indep", every, None, &[][..]),
             (
                 "temperature/mux",
                 &[][..],
-                Some((5, shared, false)),
+                Some((5, shared)),
                 MUX_SCHEMA_REQUIRED_KINDS
             ),
-            ("temperature/sketch", two, Some((3, shared, false)), &[][..]),
+            ("temperature/sketch", two, Some((3, shared)), &[][..]),
         ]
     );
+    // Each audit row runs `two`, one audited-stdout-extends-plain and one
+    // report check (the extends leg ran on `temperature/rpt` alone once).
+    let audit_rows = SCENARIOS.iter().filter(|s| s.audit.is_some()).count();
+    assert_eq!(audit_rows * (two.len() + 2), 12);
 }

@@ -15,9 +15,10 @@
 //!   "SELECT MEDIAN(temperature) FROM R WITH delta=3, epsilon=1, p=0.9"
 //! ```
 //!
-//! The CLI builds the requested synthetic world, runs every query
-//! side-by-side, prints each δ-update as it happens next to the oracle
-//! truth, and closes with a cost summary.
+//! The CLI builds the requested synthetic world, serves every query from
+//! one `QueryMux` under one driver (`--mux` shares sample panels; without
+//! it each statement gets an engine of its own), prints the δ-updates in
+//! tick order next to the oracle truth, and closes with a cost summary.
 //!
 //! `--telemetry <path.jsonl>` additionally streams structured events
 //! (one JSON object per line, sorted keys — see README "Telemetry") to
@@ -33,10 +34,10 @@
 //! trace (span + instant events, `trace`-id envelopes) as Chrome/Perfetto
 //! trace-event JSON.
 
-use digest::audit::{AuditReport, MuxAudit, QueryAudit};
+use digest::audit::{AuditReport, MuxAudit};
 use digest::core::{
-    AggregateOp, ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision,
-    QueryMux, QuerySystem, SchedulerKind, TickObserver,
+    AggregateOp, ContinuousQuery, EstimatorKind, MuxConfig, Precision, QueryMux, QuerySystem,
+    SchedulerKind,
 };
 use digest::db::{Expr, Schema};
 use digest::sampling::SamplingConfig;
@@ -45,7 +46,7 @@ use digest::stats::taylor::MAX_HISTORY;
 use digest::workload::{
     MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
 };
-use digest_telemetry::{Field, JsonlSink, MemorySink, MetricHandle, TeeSink};
+use digest_telemetry::{JsonlSink, MemorySink, MetricHandle, TeeSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -75,11 +76,11 @@ fn usage() -> ! {
          [--queries kind+kind+...[@delta,epsilon,p]] \
          \"SELECT ...\" [\"SELECT ...\"]\n\
          \n\
-         --mux serves all statements through one shared QueryMux (shared \
-         sample panels, coalesced PRED-k rounds) instead of independent \
-         engines; --queries additionally registers N generated AVG \
-         queries — cycling a contract-tier mix, or all at the given \
-         delta,epsilon,p — and implies --mux. A \"+\"-separated kind \
+         --mux shares sample panels and coalesced PRED-k rounds across all \
+         statements; without it each statement gets an engine of its own, \
+         under the same driver. --queries additionally registers N \
+         generated AVG queries — cycling a contract-tier mix, or all at \
+         the given delta,epsilon,p — and implies --mux. A \"+\"-separated kind \
          list (avg|median|distinct|p<N>|top<K>, e.g. p90+distinct+top4; \
          median is p50) registers one query per kind instead, served by \
          the sketch sweep estimators where applicable."
@@ -187,6 +188,9 @@ fn parse_fleet_spec(spec: &str, schema: &Schema) -> Result<Vec<ContinuousQuery>,
     let count: usize = count_text
         .parse()
         .map_err(|_| format!("bad --queries count `{count_text}`"))?;
+    if count == 0 {
+        return Err("bad --queries count `0` (want at least 1)".to_owned());
+    }
     let tiers: Vec<(f64, f64, f64)> = match shared {
         Some(c) => vec![c],
         None => vec![
@@ -335,16 +339,17 @@ fn print_telemetry_summary() {
     }
 }
 
-/// Serves every query through one shared [`QueryMux`] (shared sample
-/// panels, coalesced PRED-k rounds), prints per-query updates and the
-/// cost summary, and returns each member's guarantee audit (empty unless
-/// auditing).
-fn serve_mux<W: Workload>(
+/// Serves every query through one [`QueryMux`] — shared sample panels and
+/// coalesced PRED-k rounds under `--mux`, one independent engine per
+/// query otherwise — prints per-query updates and the cost summary, and
+/// returns each member's guarantee audit (empty unless auditing).
+fn serve<W: Workload>(
     world: &mut W,
     opts: &Options,
     queries: Vec<ContinuousQuery>,
 ) -> Result<Vec<AuditReport>, Box<dyn std::error::Error>> {
     let mut mux = QueryMux::new(MuxConfig {
+        sharing: opts.mux,
         scheduler: opts.scheduler,
         estimator: opts.estimator,
         sampling: SamplingConfig {
@@ -368,7 +373,12 @@ fn serve_mux<W: Workload>(
         let q = mux.query(id).ok_or("registered query")?;
         println!("  [{id}] {q}");
     }
-    println!("serving {} queries through one shared mux", ids.len());
+    let how = if opts.mux {
+        "through one shared mux"
+    } else {
+        "on one engine each"
+    };
+    println!("serving {} queries {how}", ids.len());
     println!();
 
     let ticks = opts
@@ -464,11 +474,7 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
         queries.extend(parse_fleet_spec(spec, &schema)?);
     }
 
-    let audit_reports = if opts.mux {
-        serve_mux(&mut world, opts, queries)?
-    } else {
-        serve_engines(&mut world, opts, &queries)?
-    };
+    let audit_reports = serve(&mut world, opts, queries)?;
     if !audit_reports.is_empty() {
         if opts.audit {
             println!();
@@ -497,122 +503,6 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
         print_telemetry_summary();
     }
     Ok(())
-}
-
-/// Serves every query on its own independent [`DigestEngine`], all ticked
-/// by the one shared loop, prints per-query updates and the cost
-/// summary, and returns each query's guarantee audit (empty unless
-/// auditing).
-fn serve_engines<W: Workload>(
-    world: &mut W,
-    opts: &Options,
-    queries: &[ContinuousQuery],
-) -> Result<Vec<AuditReport>, Box<dyn std::error::Error>> {
-    let engines: Vec<DigestEngine> = queries
-        .iter()
-        .map(|q| {
-            DigestEngine::new(
-                q.clone(),
-                EngineConfig {
-                    scheduler: opts.scheduler,
-                    estimator: opts.estimator,
-                    sampling: SamplingConfig {
-                        workers: opts
-                            .sampling_workers
-                            .unwrap_or_else(digest::sampling::default_workers),
-                        ..SamplingConfig::recommended(world.graph().node_count())
-                    },
-                    ..Default::default()
-                },
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    for (i, q) in queries.iter().enumerate() {
-        println!("  [{i}] {q}");
-    }
-    println!();
-
-    let auditing = opts.audit || opts.audit_json.is_some();
-    let audits: Vec<QueryAudit> = if auditing {
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| QueryAudit::new(q, i as u64))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
-
-    let ticks = opts
-        .ticks
-        .unwrap_or_else(|| world.duration())
-        .min(world.duration());
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
-    let mut systems = (engines, audits);
-    digest::sim::run_ticks(
-        world,
-        RunConfig::for_ticks(ticks),
-        &mut rng,
-        &mut systems,
-        |(engines, audits), world, ctx, rng| {
-            for (i, engine) in engines.iter_mut().enumerate() {
-                let outcome = engine.on_tick(ctx, rng)?;
-                let exact = engine
-                    .oracle_truth(ctx)
-                    .unwrap_or_else(|| world.exact_aggregate());
-                // Restore this engine's occasion trace id: with several
-                // queries per run the global register still holds the
-                // *last* engine's id after `on_tick`.
-                digest_telemetry::set_trace(engine.trace_id());
-                if let Some(audit) = audits.get_mut(i) {
-                    audit.observe(ctx, &outcome, exact);
-                }
-                if digest_telemetry::events_enabled() {
-                    digest_telemetry::emit(
-                        "tick",
-                        &[
-                            ("estimate", Field::F64(outcome.estimate)),
-                            ("exact", Field::F64(exact)),
-                            ("snapshot", Field::Bool(outcome.snapshot_executed)),
-                            ("samples", Field::U64(outcome.samples_this_tick)),
-                            ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
-                            ("messages", Field::U64(outcome.messages_this_tick)),
-                            ("updated", Field::U64(u64::from(outcome.updated))),
-                            ("query", Field::U64(i as u64)),
-                        ],
-                    );
-                }
-                if outcome.updated {
-                    println!(
-                        "t={:>5}  [{i}] UPDATE  X̂ = {:>12.3}   (oracle = {exact:>10.3})",
-                        ctx.tick, outcome.estimate,
-                    );
-                }
-            }
-            Ok(())
-        },
-        // The earliest tick any engine needs; one engine without a
-        // schedule keeps the sweep dense.
-        |(engines, _), now| {
-            engines
-                .iter_mut()
-                .try_fold(u64::MAX, |due, engine| Some(due.min(engine.next_due(now)?)))
-        },
-    )?;
-    let (engines, audits) = systems;
-
-    println!();
-    println!("--- cost summary over {ticks} ticks ---");
-    for (i, engine) in engines.iter().enumerate() {
-        println!(
-            "  [{i}] {:<14} {:>6} snapshots  {:>9} samples  {:>10} messages",
-            engine.name(),
-            engine.total_snapshots(),
-            engine.total_samples(),
-            engine.total_messages(),
-        );
-    }
-    Ok(audits.iter().map(QueryAudit::report).collect())
 }
 
 fn main() {

@@ -1,6 +1,7 @@
-//! `digest-cli --telemetry`: the `tick` event's `exact` field is the
-//! statement's own oracle — the value the auditor scores against and the
-//! CLI prints — not the workload's plain-AVG aggregate.
+//! `digest-cli` driven as a process: the `--telemetry` `tick` event's `exact`
+//! field is the statement's own oracle — the value the auditor scores
+//! against and the CLI prints — not the workload's plain-AVG aggregate; and
+//! a `--queries` count of zero is refused by name.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -61,4 +62,25 @@ fn tick_events_carry_the_statements_own_oracle() {
         "{printed} vs {}",
         ticks[&0]
     );
+}
+
+/// `--queries 0` asks for nothing to serve: the count is rejected where
+/// it is parsed, by name, before any mux is built (it used to reach
+/// `run_mux` and come back as "workload graph has no live nodes").
+#[test]
+fn a_zero_query_count_is_rejected_by_name() {
+    for spec in ["0", "0@4,2,0.9"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_digest-cli"))
+            .args(["--ticks", "5", "--queries", spec])
+            .output()
+            .expect("digest-cli runs");
+        assert_eq!(output.status.code(), Some(1), "{output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+        assert_eq!(
+            stderr.trim(),
+            "error: bad --queries count `0` (want at least 1)"
+        );
+        let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+        assert!(!stdout.contains("serving"), "{stdout}");
+    }
 }
