@@ -434,12 +434,6 @@ impl QueryMux {
         }
     }
 
-    /// Whether panel sharing is enabled (§V).
-    #[must_use]
-    pub fn sharing(&self) -> bool {
-        self.config.sharing
-    }
-
     /// Advances every member query one tick; returns one outcome per
     /// member in ascending id order (§II: each member keeps its own
     /// estimate stream and δ-semantics).

@@ -11,42 +11,20 @@
 //!   WITH delta = 2, epsilon = 1, confidence = 0.95
 //! ```
 //!
-//! Keywords are case-insensitive; `p` is accepted as an alias for
-//! `confidence`; commas in the `WITH` clause are optional. The relation
-//! name after `FROM` is required but uninterpreted — the model is
-//! single-relation (§II).
+//! The grammar — `statement` and everything under it — is the EBNF block
+//! on [`digest_db::parse`], whose [`Cursor`] this module walks. What is
+//! decided here is what that block leaves open: the aggregates (`AVG`,
+//! `SUM`, `COUNT`, `MEDIAN`, `PERCENTILE`, `TOPK`), which of them take
+//! `*`, `DISTINCT` or a second argument, and the contract keys (`delta` |
+//! `δ`, `epsilon` | `eps` | `ε`, `confidence` | `p`; all three required,
+//! the last of a repeated key wins). The relation name after `FROM` is
+//! required but uninterpreted — the model is single-relation (§II).
 
 use crate::error::CoreError;
 use crate::query::{AggregateOp, ContinuousQuery, Precision};
 use crate::Result;
+use digest_db::parse::{Cursor, Token::Symbol, Token::Word};
 use digest_db::{Expr, Predicate, Schema};
-
-/// Case-insensitive search for a *word* occurrence of `kw` at paren depth
-/// zero; returns the byte offset.
-fn find_keyword(text: &str, kw: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => depth += 1,
-            b')' => depth = depth.saturating_sub(1),
-            c if depth == 0 && c.is_ascii_alphabetic() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                if text[start..i].eq_ignore_ascii_case(kw) {
-                    return Some(start);
-                }
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
 
 fn err(message: impl Into<String>) -> CoreError {
     CoreError::InvalidStatement {
@@ -54,30 +32,18 @@ fn err(message: impl Into<String>) -> CoreError {
     }
 }
 
-/// Parses one `key = value` pair list (the `WITH` clause).
-fn parse_with_clause(text: &str) -> Result<Precision> {
-    let mut delta = None;
-    let mut epsilon = None;
-    let mut confidence = None;
-    for part in text.split(',').flat_map(|s| {
-        // Allow both comma- and whitespace-separated pairs by re-splitting
-        // on whitespace boundaries between assignments.
-        split_assignments(s)
-    }) {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
+/// Parses the `contract` after `WITH`, to the end of the statement.
+fn parse_with_clause(cursor: &mut Cursor<'_>) -> Result<Precision> {
+    let (mut delta, mut epsilon, mut confidence) = (None, None, None);
+    loop {
+        while cursor.eat(Symbol(",")) {}
+        if cursor.peek().is_none() {
+            break;
         }
-        let (key, value) = part.split_once('=').ok_or_else(|| {
-            err(format!(
-                "expected `key = value` in WITH clause, got `{part}`"
-            ))
-        })?;
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| err(format!("invalid number `{}` in WITH clause", value.trim())))?;
-        match key.trim().to_ascii_lowercase().as_str() {
+        let key = cursor.word("a WITH parameter")?;
+        cursor.require(Symbol("="))?;
+        let value = cursor.signed("a number")?;
+        match key.to_ascii_lowercase().as_str() {
             "delta" | "δ" => delta = Some(value),
             "epsilon" | "eps" | "ε" => epsilon = Some(value),
             "confidence" | "p" => confidence = Some(value),
@@ -91,150 +57,35 @@ fn parse_with_clause(text: &str) -> Result<Precision> {
     )
 }
 
-/// Length in *bytes* of the identifier (`é` is two) that `s` starts with.
-fn word_len(s: &str) -> usize {
-    s.find(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .unwrap_or(s.len())
-}
-
-/// Splits `"delta = 1 epsilon = 2"` into assignment-sized chunks.
-fn split_assignments(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = s.trim();
-    while let Some(eq) = rest.find('=') {
-        // The value runs to the next key (a word followed by '='), or EOL.
-        let after = &rest[eq + 1..];
-        let mut value_end = after.len();
-        let mut offset = 0;
-        for word_start in after
-            .char_indices()
-            .filter(|(_, c)| c.is_alphabetic())
-            .map(|(i, _)| i)
-        {
-            if word_start < offset {
-                continue;
-            }
-            let word_end = word_start + word_len(&after[word_start..]);
-            let after_word = after[word_end..].trim_start();
-            if after_word.starts_with('=') {
-                value_end = word_start;
-                break;
-            }
-            offset = word_end;
-        }
-        out.push(&rest[..eq + 1 + value_end]);
-        rest = rest[eq + 1 + value_end..].trim();
-        if rest.is_empty() {
-            break;
-        }
-    }
-    if out.is_empty() && !s.trim().is_empty() {
-        out.push(s);
-    }
-    out
-}
-
-/// Strips a leading case-insensitive `DISTINCT` keyword (followed by
-/// whitespace) from a `COUNT(...)` body, returning the inner expression
-/// text of the DESIGN.md §17 cardinality kind.
-fn strip_distinct(body: &str) -> Option<&str> {
-    let head = body.get(..8)?;
-    if !head.eq_ignore_ascii_case("distinct") {
-        return None;
-    }
-    let rest = &body[8..];
-    let trimmed = rest.trim_start();
-    // Require a separator so attributes like `distinctness` still parse
-    // as plain COUNT expressions.
-    (trimmed.len() < rest.len() && !trimmed.is_empty()).then_some(trimmed)
-}
-
-/// Splits `"expr, arg"` at the last depth-zero comma (the two-argument
-/// aggregate forms `PERCENTILE(expr, q)` / `TOPK(expr, k)`).
-fn split_last_comma(body: &str) -> Option<(&str, &str)> {
-    let mut depth = 0usize;
-    let mut split = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => split = Some(i),
-            _ => {}
-        }
-    }
-    split.map(|i| (&body[..i], &body[i + 1..]))
-}
-
 impl ContinuousQuery {
     /// Parses a full continuous-query statement against a schema.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidStatement`] for malformed statements,
-    /// [`CoreError::Db`] for expression/predicate errors, and
+    /// [`CoreError::Db`] carrying a `ParseError` — its position a byte
+    /// offset into `text` — where the text does not fit the grammar, or an
+    /// `UnknownAttribute`; [`CoreError::InvalidStatement`] for an unknown
+    /// aggregate or `WITH` parameter, or an argument out of range; and
     /// [`CoreError::InvalidPrecision`] for out-of-range precision values.
     pub fn parse(text: &str, schema: &Schema) -> Result<ContinuousQuery> {
-        let text = text.trim();
-        let rest = text
-            .get(..6)
-            .filter(|head| head.eq_ignore_ascii_case("select"))
-            .map(|_| text[6..].trim_start())
-            .ok_or_else(|| err("statement must start with SELECT"))?;
-
-        // Aggregate op up to '('.
-        let open = rest
-            .find('(')
-            .ok_or_else(|| err("expected `(` after the aggregate operation"))?;
-        let op_name = rest[..open].trim().to_ascii_uppercase();
-        if !matches!(
-            op_name.as_str(),
-            "AVG" | "SUM" | "COUNT" | "MEDIAN" | "PERCENTILE" | "TOPK"
-        ) {
-            return Err(err(format!("unknown aggregate operation `{op_name}`")));
-        }
-
-        // Balanced expression inside the parens.
-        let body = &rest[open + 1..];
-        let mut depth = 1usize;
-        let mut close = None;
-        for (i, c) in body.char_indices() {
-            match c {
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let close = close.ok_or_else(|| err("unbalanced parentheses in aggregate expression"))?;
-        let expr_text = body[..close].trim();
+        let mut cursor = Cursor::new(text, schema)?;
+        cursor.require(Word("SELECT"))?;
+        let op_name = cursor.word("an aggregate operation")?.to_ascii_uppercase();
+        cursor.require(Symbol("("))?;
         let (op, expr) = match op_name.as_str() {
-            "AVG" => (AggregateOp::Avg, Expr::parse(expr_text, schema)?),
-            "SUM" => (AggregateOp::Sum, Expr::parse(expr_text, schema)?),
-            "MEDIAN" => (AggregateOp::MEDIAN, Expr::parse(expr_text, schema)?),
-            "COUNT" => {
-                // COUNT(*) — the expression is irrelevant to a pure
-                // count; COUNT(DISTINCT expression) — the sketch-served
-                // cardinality kind of DESIGN.md §17.
-                if expr_text == "*" {
-                    (AggregateOp::Count, Expr::first_attr(schema))
-                } else if let Some(inner) = strip_distinct(expr_text) {
-                    (AggregateOp::Distinct, Expr::parse(inner, schema)?)
-                } else {
-                    (AggregateOp::Count, Expr::parse(expr_text, schema)?)
-                }
-            }
+            "AVG" => (AggregateOp::Avg, cursor.expr()?),
+            "SUM" => (AggregateOp::Sum, cursor.expr()?),
+            "MEDIAN" => (AggregateOp::MEDIAN, cursor.expr()?),
+            // COUNT(*) — the expression is irrelevant to a pure count;
+            // COUNT(DISTINCT expression) — the sketch-served cardinality
+            // kind of DESIGN.md §17.
+            "COUNT" if cursor.eat(Symbol("*")) => (AggregateOp::Count, Expr::first_attr(schema)),
+            "COUNT" if cursor.eat(Word("DISTINCT")) => (AggregateOp::Distinct, cursor.expr()?),
+            "COUNT" => (AggregateOp::Count, cursor.expr()?),
             "PERCENTILE" => {
-                let (inner, arg) = split_last_comma(expr_text)
-                    .ok_or_else(|| err("PERCENTILE requires `(expression, rank)`"))?;
-                let q: f64 = arg
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(format!("invalid PERCENTILE rank `{}`", arg.trim())))?;
+                let expr = cursor.expr()?;
+                cursor.require(Symbol(","))?;
+                let q: f64 = cursor.signed("a PERCENTILE rank")?;
                 let permille = (q * 1000.0).round();
                 if !q.is_finite() || !(1.0..=999.0).contains(&permille) {
                     return Err(err("PERCENTILE rank must be in [0.001, 0.999]"));
@@ -245,74 +96,29 @@ impl ContinuousQuery {
                 let permille_wide = permille as u64;
                 let q_permille = u16::try_from(permille_wide)
                     .map_err(|_| err("PERCENTILE rank must be in [0.001, 0.999]"))?;
-                (
-                    AggregateOp::Percentile { q_permille },
-                    Expr::parse(inner.trim(), schema)?,
-                )
+                (AggregateOp::Percentile { q_permille }, expr)
             }
             "TOPK" => {
-                let (inner, arg) = split_last_comma(expr_text)
-                    .ok_or_else(|| err("TOPK requires `(expression, k)`"))?;
-                let k: u16 = arg
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(format!("invalid TOPK count `{}`", arg.trim())))?;
+                let expr = cursor.expr()?;
+                cursor.require(Symbol(","))?;
+                let k: u16 = cursor.signed("a TOPK count")?;
                 if !(1..=64).contains(&k) {
                     return Err(err("TOPK count must be in [1, 64]"));
                 }
-                (AggregateOp::TopK { k }, Expr::parse(inner.trim(), schema)?)
+                (AggregateOp::TopK { k }, expr)
             }
-            // Unreachable: op_name was validated above.
             other => return Err(err(format!("unknown aggregate operation `{other}`"))),
         };
-
-        let after_expr = body[close + 1..].trim_start();
-
-        // FROM <relation>.
-        let from_pos =
-            find_keyword(after_expr, "from").ok_or_else(|| err("expected FROM clause"))?;
-        if !after_expr[..from_pos].trim().is_empty() {
-            return Err(err("unexpected tokens between the aggregate and FROM"));
-        }
-        let after_from = after_expr[from_pos + 4..].trim_start();
-        let rel_len = word_len(after_from);
-        if rel_len == 0 {
-            return Err(err("expected a relation name after FROM"));
-        }
-        let after_rel = after_from[rel_len..].trim_start();
-
-        // Optional WHERE … up to WITH.
-        let with_pos = find_keyword(after_rel, "with");
-        let (where_text, with_text) = match (find_keyword(after_rel, "where"), with_pos) {
-            (Some(wh), Some(wi)) if wh < wi => (
-                Some(after_rel[wh + 5..wi].trim()),
-                Some(&after_rel[wi + 4..]),
-            ),
-            (Some(wh), None) => (Some(after_rel[wh + 5..].trim()), None),
-            (None, Some(wi)) => {
-                if !after_rel[..wi].trim().is_empty() {
-                    return Err(err("unexpected tokens between FROM and WITH"));
-                }
-                (None, Some(&after_rel[wi + 4..]))
-            }
-            (None, None) => {
-                if !after_rel.trim().is_empty() {
-                    return Err(err("unexpected trailing tokens after FROM clause"));
-                }
-                (None, None)
-            }
-            (Some(_), Some(_)) => return Err(err("WHERE must precede WITH")),
+        cursor.require(Symbol(")"))?;
+        cursor.require(Word("FROM"))?;
+        cursor.word("a relation name")?;
+        let predicate = if cursor.eat(Word("WHERE")) {
+            cursor.predicate()?
+        } else {
+            Predicate::True
         };
-
-        let precision = parse_with_clause(
-            with_text.ok_or_else(|| err("statement must end with a WITH precision clause"))?,
-        )?;
-        let predicate = match where_text {
-            None => Predicate::True,
-            Some("") => return Err(err("empty WHERE clause")),
-            Some(p) => Predicate::parse(p, schema)?,
-        };
-
+        cursor.require(Word("WITH"))?;
+        let precision = parse_with_clause(&mut cursor)?;
         Ok(ContinuousQuery::new(op, expr, precision).with_predicate(predicate))
     }
 }

@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 /// Characters the statement grammar gives meaning to, and multi-byte
 /// letters (two, three and four bytes) that pass `is_alphabetic`.
-const STRUCTURAL: [char; 16] = [
-    ' ', ',', '=', '(', ')', '*', '.', '_', '1', 'e', 'W', 'é', 'ε', 'δ', '中', '𝐚',
+const STRUCTURAL: [char; 24] = [
+    ' ', ',', '=', '(', ')', '*', '.', '_', '1', 'e', 'W', 'é', 'ε', 'δ', '中', '𝐚', '<', '>', '!',
+    '+', '-', '/', 'a', '€',
 ];
 
 /// Any Unicode scalar value, or — half the time — a structural one.
@@ -109,18 +110,29 @@ proptest! {
             prop_assert_eq!(reparsed.eval(&t).unwrap(), q.predicate.eval(&t).unwrap());
         }
     }
+}
+
+// The parser is microsecond-scale, so this runs many more cases than the
+// properties above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// A statement is text from outside the program: whatever it holds —
-    /// any Unicode scalar anywhere, including multi-byte letters where a
-    /// keyword, relation or `WITH` key belongs — the parser answers `Ok`
-    /// or `Err`, never a panic.
+    /// any Unicode scalar anywhere, including multi-byte text where a
+    /// keyword, relation, aggregate argument, `WHERE` predicate or `WITH`
+    /// key belongs — the parser answers `Ok` or `Err`, never a panic.
     #[test]
     fn statement_parser_never_panics(
         text in any_text(0..60),
         op in prop_oneof![word("AVG"), word("COUNT"), word("PERCENTILE"), word("TOPK"), any_text(0..5)],
         expr in prop_oneof![word("a"), word("a + b"), word("*"), word("DISTINCT a"), word("a, 0.9"), any_text(0..8)],
         relation in prop_oneof![word("R"), any_text(0..4)],
-        filter in prop_oneof![word(""), word("WHERE a > 1"), any_text(0..8)],
+        filter in prop_oneof![
+            word(""),
+            word("WHERE a > 1"),
+            any_text(0..8),
+            any_text(0..8).prop_map(|text| format!("WHERE {text}")),
+        ],
         with in prop_oneof![word("delta=1, epsilon=1, p=0.5"), any_text(0..12)],
         tail in any_text(0..6),
     ) {

@@ -26,9 +26,9 @@ pub enum DbError {
         /// The schema's arity.
         expected: usize,
     },
-    /// Expression text failed to parse.
+    /// Query text failed to parse.
     ParseError {
-        /// Position (byte offset) of the failure.
+        /// Byte offset of the failure into the text handed to `parse`.
         position: usize,
         /// Description of what was expected.
         message: String,
@@ -53,7 +53,7 @@ impl fmt::Display for DbError {
                 )
             }
             DbError::ParseError { position, message } => {
-                write!(f, "expression parse error at byte {position}: {message}")
+                write!(f, "parse error at byte {position}: {message}")
             }
             DbError::EmptyRelation => write!(f, "aggregate over empty relation is undefined"),
         }

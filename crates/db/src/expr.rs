@@ -3,12 +3,10 @@
 //! The query model is `SELECT op(expression) FROM R` where `expression` is
 //! "an arithmetic expression involving the attributes of R" (paper §II) —
 //! e.g. `SUM(memory + storage)` in the peer-to-peer computing example.
-//! This module provides the expression AST, an evaluator against a tuple,
-//! and a small recursive-descent parser (`+ − * /`, unary minus,
-//! parentheses, numeric literals, attribute names) so examples can write
-//! queries as text.
+//! This module provides the expression AST and an evaluator against a
+//! tuple; [`Expr::parse`] reads one from text through [`crate::parse`].
 
-use crate::error::DbError;
+use crate::parse::Cursor;
 use crate::tuple::{RowView, Schema};
 use crate::Result;
 use std::fmt;
@@ -77,7 +75,8 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// [`DbError::UnknownAttribute`] if the name is not in the schema.
+    /// [`DbError::UnknownAttribute`](crate::DbError::UnknownAttribute) if the
+    /// name is not in the schema.
     pub fn attr(schema: &Schema, name: &str) -> Result<Expr> {
         let index = schema.index_of(name)?;
         Ok(Expr::Attr {
@@ -117,8 +116,8 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// [`DbError::AttributeIndexOutOfRange`] if the row is narrower than
-    /// the expression expects.
+    /// [`DbError::AttributeIndexOutOfRange`](crate::DbError::AttributeIndexOutOfRange)
+    /// if the row is narrower than the expression expects.
     pub fn eval<'a>(&self, row: impl Into<RowView<'a>>) -> Result<f64> {
         self.eval_row(row.into())
     }
@@ -132,32 +131,16 @@ impl Expr {
         }
     }
 
-    /// Parses an expression against a schema.
-    ///
-    /// Grammar: `expr := term (('+'|'-') term)*`,
-    /// `term := factor (('*'|'/') factor)*`,
-    /// `factor := '-' factor | number | attribute | '(' expr ')'`.
+    /// Parses an expression against a schema: a number-valued `or` of the
+    /// one grammar in [`crate::parse`], and nothing after it.
     ///
     /// # Errors
     ///
-    /// [`DbError::ParseError`] on malformed input;
-    /// [`DbError::UnknownAttribute`] for names outside the schema.
+    /// Those of [`Cursor::new`], [`Cursor::expr`] and [`Cursor::finish`].
     pub fn parse(text: &str, schema: &Schema) -> Result<Expr> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            schema,
-        };
-        p.skip_ws();
-        let e = p.expr()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(DbError::ParseError {
-                position: p.pos,
-                message: "unexpected trailing input".into(),
-            });
-        }
-        Ok(e)
+        let mut cursor = Cursor::new(text, schema)?;
+        let expr = cursor.expr()?;
+        cursor.finish().map(|()| expr)
     }
 }
 
@@ -195,133 +178,6 @@ impl std::ops::Neg for Expr {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    schema: &'a Schema,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.term()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'+') => {
-                    self.pos += 1;
-                    lhs = Expr::binary(BinOp::Add, lhs, self.term()?);
-                }
-                Some(b'-') => {
-                    self.pos += 1;
-                    lhs = Expr::binary(BinOp::Sub, lhs, self.term()?);
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn term(&mut self) -> Result<Expr> {
-        let mut lhs = self.factor()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'*') => {
-                    self.pos += 1;
-                    lhs = Expr::binary(BinOp::Mul, lhs, self.factor()?);
-                }
-                Some(b'/') => {
-                    self.pos += 1;
-                    lhs = Expr::binary(BinOp::Div, lhs, self.factor()?);
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn factor(&mut self) -> Result<Expr> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'-') => {
-                self.pos += 1;
-                Ok(Expr::Neg(Box::new(self.factor()?)))
-            }
-            Some(b'(') => {
-                self.pos += 1;
-                let inner = self.expr()?;
-                self.skip_ws();
-                if self.peek() == Some(b')') {
-                    self.pos += 1;
-                    Ok(inner)
-                } else {
-                    Err(DbError::ParseError {
-                        position: self.pos,
-                        message: "expected ')'".into(),
-                    })
-                }
-            }
-            Some(c) if c.is_ascii_digit() || c == b'.' => self.number(),
-            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.attribute(),
-            _ => Err(DbError::ParseError {
-                position: self.pos,
-                message: "expected number, attribute, '(' or '-'".into(),
-            }),
-        }
-    }
-
-    fn number(&mut self) -> Result<Expr> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E')
-        {
-            self.pos += 1;
-            // Allow exponent signs directly after e/E.
-            if matches!(self.bytes.get(self.pos - 1), Some(b'e' | b'E'))
-                && matches!(self.peek(), Some(b'+' | b'-'))
-            {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| DbError::ParseError {
-                position: start,
-                message: "non-UTF-8 bytes in numeric literal".into(),
-            })?;
-        text.parse::<f64>()
-            .map(Expr::Const)
-            .map_err(|_| DbError::ParseError {
-                position: start,
-                message: format!("invalid numeric literal `{text}`"),
-            })
-    }
-
-    fn attribute(&mut self) -> Result<Expr> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-        {
-            self.pos += 1;
-        }
-        let name =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| DbError::ParseError {
-                position: start,
-                message: "non-UTF-8 bytes in attribute name".into(),
-            })?;
-        Expr::attr(self.schema, name)
-    }
-}
-
 #[cfg(test)]
 #[allow(
     clippy::unwrap_used,
@@ -332,6 +188,7 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::tuple::Tuple;
+    use crate::DbError;
 
     fn schema() -> Schema {
         Schema::new(["cpu", "memory", "storage", "bandwidth"])

@@ -10,9 +10,11 @@
 //!   deletion.
 //! * [`expr`] — the arithmetic `expression` of the query model
 //!   (`SELECT op(expression) FROM R`): an AST over the relation's
-//!   attributes with a small text parser for the examples.
+//!   attributes.
 //! * [`predicate`] — boolean `WHERE` predicates over the same attributes
 //!   (the paper's §VIII selection extension).
+//! * [`parse`] — the one tokenizer and typed precedence grammar all query
+//!   text is read through; its module docs hold the whole grammar.
 //! * [`store`] — a node's local tuple store with O(1) insert / delete /
 //!   uniform local sampling, the second stage of two-stage sampling. Rows
 //!   live back to back in one `Vec<f64>` per fragment with their
@@ -30,6 +32,7 @@
 pub mod database;
 pub mod error;
 pub mod expr;
+pub mod parse;
 pub mod predicate;
 pub mod store;
 pub mod tuple;

@@ -8,8 +8,8 @@
 //! and estimates aggregates over the qualifying sub-population (see
 //! `digest-core`); the measured selectivity scales `SUM`/`COUNT`.
 
-use crate::error::DbError;
 use crate::expr::Expr;
+use crate::parse::Cursor;
 use crate::tuple::{RowView, Schema};
 use crate::Result;
 use std::fmt;
@@ -133,37 +133,16 @@ impl Predicate {
         }
     }
 
-    /// Parses a predicate against a schema.
-    ///
-    /// Grammar (keywords case-insensitive):
-    ///
-    /// ```text
-    /// pred    := term ('or' term)*
-    /// term    := factor ('and' factor)*
-    /// factor  := 'not' factor | '(' pred ')' | comparison | 'true' | 'false'
-    /// comparison := expr ('<'|'<='|'>'|'>='|'='|'!=') expr
-    /// ```
+    /// Parses a predicate against a schema: a truth-valued `or` of the one
+    /// grammar in [`crate::parse`], and nothing after it.
     ///
     /// # Errors
     ///
-    /// [`DbError::ParseError`] on malformed input;
-    /// [`DbError::UnknownAttribute`] for names outside the schema.
+    /// Those of [`Cursor::new`], [`Cursor::predicate`] and [`Cursor::finish`].
     pub fn parse(text: &str, schema: &Schema) -> Result<Predicate> {
-        let mut p = PredParser {
-            text,
-            pos: 0,
-            schema,
-        };
-        p.skip_ws();
-        let pred = p.pred()?;
-        p.skip_ws();
-        if p.pos != p.text.len() {
-            return Err(DbError::ParseError {
-                position: p.pos,
-                message: "unexpected trailing input".into(),
-            });
-        }
-        Ok(pred)
+        let mut cursor = Cursor::new(text, schema)?;
+        let predicate = cursor.predicate()?;
+        cursor.finish().map(|()| predicate)
     }
 }
 
@@ -176,172 +155,6 @@ impl fmt::Display for Predicate {
             Predicate::Or(a, b) => write!(f, "({a} or {b})"),
             Predicate::Not(p) => write!(f, "not ({p})"),
         }
-    }
-}
-
-struct PredParser<'a> {
-    text: &'a str,
-    pos: usize,
-    schema: &'a Schema,
-}
-
-impl PredParser<'_> {
-    fn skip_ws(&mut self) {
-        let rest = &self.text.as_bytes()[self.pos..];
-        let skipped = rest.iter().take_while(|c| c.is_ascii_whitespace()).count();
-        self.pos += skipped;
-    }
-
-    /// Consumes a case-insensitive keyword followed by a non-word
-    /// boundary.
-    fn keyword(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let rest = &self.text[self.pos..];
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
-            let boundary = rest.as_bytes().get(kw.len());
-            let ok = !matches!(boundary, Some(c) if c.is_ascii_alphanumeric() || *c == b'_');
-            if ok {
-                self.pos += kw.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn pred(&mut self) -> Result<Predicate> {
-        let mut lhs = self.term()?;
-        while self.keyword("or") {
-            lhs = lhs.or(self.term()?);
-        }
-        Ok(lhs)
-    }
-
-    fn term(&mut self) -> Result<Predicate> {
-        let mut lhs = self.factor()?;
-        while self.keyword("and") {
-            lhs = lhs.and(self.factor()?);
-        }
-        Ok(lhs)
-    }
-
-    fn factor(&mut self) -> Result<Predicate> {
-        if self.keyword("not") {
-            return Ok(self.factor()?.not());
-        }
-        if self.keyword("true") {
-            return Ok(Predicate::True);
-        }
-        if self.keyword("false") {
-            return Ok(Predicate::True.not());
-        }
-        self.skip_ws();
-        if self.text.as_bytes().get(self.pos) == Some(&b'(') {
-            // Ambiguity: '(' may open a boolean group or an arithmetic
-            // expression. Try the boolean parse; fall back to comparison.
-            let saved = self.pos;
-            self.pos += 1;
-            if let Ok(inner) = self.pred() {
-                self.skip_ws();
-                if self.text.as_bytes().get(self.pos) == Some(&b')') {
-                    self.pos += 1;
-                    return Ok(inner);
-                }
-            }
-            self.pos = saved;
-        }
-        self.comparison()
-    }
-
-    fn comparison(&mut self) -> Result<Predicate> {
-        let lhs = self.expr_until_cmp()?;
-        self.skip_ws();
-        let rest = &self.text.as_bytes()[self.pos..];
-        let (op, len) = match rest {
-            [b'<', b'=', ..] => (CmpOp::Le, 2),
-            [b'>', b'=', ..] => (CmpOp::Ge, 2),
-            [b'!', b'=', ..] => (CmpOp::Ne, 2),
-            [b'<', b'>', ..] => (CmpOp::Ne, 2),
-            [b'<', ..] => (CmpOp::Lt, 1),
-            [b'>', ..] => (CmpOp::Gt, 1),
-            [b'=', ..] => (CmpOp::Eq, 1),
-            _ => {
-                return Err(DbError::ParseError {
-                    position: self.pos,
-                    message: "expected comparison operator".into(),
-                })
-            }
-        };
-        self.pos += len;
-        let rhs = self.expr_until_bool()?;
-        Ok(Predicate::cmp(op, lhs, rhs))
-    }
-
-    /// Parses an arithmetic expression ending at a comparison operator.
-    fn expr_until_cmp(&mut self) -> Result<Expr> {
-        self.slice_expr(&["<", ">", "=", "!="])
-    }
-
-    /// Parses an arithmetic expression ending at a boolean keyword,
-    /// closing paren, or end of input.
-    fn expr_until_bool(&mut self) -> Result<Expr> {
-        self.slice_expr(&[])
-    }
-
-    /// Finds the extent of the next arithmetic expression and delegates to
-    /// [`Expr::parse`]. The extent ends at the first top-level comparison
-    /// symbol (when `stops` includes them), boolean keyword, or
-    /// unbalanced `)`.
-    fn slice_expr(&mut self, stops: &[&str]) -> Result<Expr> {
-        self.skip_ws();
-        let bytes = self.text.as_bytes();
-        let start = self.pos;
-        let mut depth = 0usize;
-        let mut i = start;
-        while i < bytes.len() {
-            let c = bytes[i];
-            match c {
-                b'(' => depth += 1,
-                b')' => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                b'<' | b'>' | b'=' | b'!' if depth == 0 && !stops.is_empty() => break,
-                _ if depth == 0 && c.is_ascii_alphabetic() => {
-                    // Boundary at boolean keywords.
-                    let rest = &self.text[i..];
-                    let word_len = rest
-                        .bytes()
-                        .take_while(|c| c.is_ascii_alphanumeric() || *c == b'_')
-                        .count();
-                    let word = &rest[..word_len];
-                    if word.eq_ignore_ascii_case("and") || word.eq_ignore_ascii_case("or") {
-                        break;
-                    }
-                    i += word_len;
-                    continue;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        let slice = self.text[start..i].trim_end();
-        if slice.is_empty() {
-            return Err(DbError::ParseError {
-                position: start,
-                message: "expected arithmetic expression".into(),
-            });
-        }
-        let expr = Expr::parse(slice, self.schema).map_err(|e| match e {
-            DbError::ParseError { position, message } => DbError::ParseError {
-                position: start + position,
-                message,
-            },
-            other => other,
-        })?;
-        self.pos = start + slice.len();
-        Ok(expr)
     }
 }
 

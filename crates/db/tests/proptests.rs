@@ -425,13 +425,6 @@ proptest! {
     }
 
     #[test]
-    fn expression_parser_never_panics(text in "[a-z0-9+\\-*/(). ]{0,40}") {
-        let schema = Schema::new(["a", "b", "cpu"]);
-        // Must return Ok or Err — never panic.
-        let _ = Expr::parse(&text, &schema);
-    }
-
-    #[test]
     fn parsed_expressions_evaluate_deterministically(
         a in -100.0f64..100.0,
         b in -100.0f64..100.0,
@@ -441,5 +434,42 @@ proptest! {
         let t = Tuple::new(vec![a, b]);
         let expected = (a + b) * 2.0 - a / 4.0;
         prop_assert!((expr.eval(&t).unwrap() - expected).abs() < 1e-9 * (1.0 + expected.abs()));
+    }
+}
+
+/// What the grammar of `digest_db::parse` gives meaning to: keywords,
+/// operators, the characters a number is made of, two attributes.
+const ALPHABET: [&str; 28] = [
+    "and", "or", "not", "true", "false", "<", "<=", "<>", "!=", ">", ">=", "=", "(", ")", ",", "e",
+    "E", ".", "+", "-", "*", "/", "1", "0", "a", "cpu", " ", "!",
+];
+
+/// Query text from outside the program: any Unicode scalar value anywhere,
+/// mixed one for one with pieces of the alphabet.
+fn query_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        (0u32..0x11_0000).prop_map(|code| char::from_u32(code)
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+            .to_string()),
+        (0usize..ALPHABET.len()).prop_map(|i| ALPHABET[i].to_owned()),
+    ];
+    prop::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
+// The parsers are microsecond-scale, so these run many more cases than the
+// properties above: whatever the text holds, the answer is `Ok` or `Err`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn expression_parser_never_panics(text in query_text()) {
+        let schema = Schema::new(["a", "b", "cpu"]);
+        let _ = Expr::parse(&text, &schema);
+    }
+
+    #[test]
+    fn predicate_parser_never_panics(text in query_text()) {
+        let schema = Schema::new(["a", "b", "cpu"]);
+        let _ = Predicate::parse(&text, &schema);
     }
 }

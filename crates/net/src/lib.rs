@@ -19,9 +19,9 @@
 //! * [`bernoulli`] — the successes among `n` rare independent trials at
 //!   the cost of the successes; how a churn step picks who leaves and how
 //!   the MEMORY generator picks who updates.
-//! * [`metrics`] — degree distributions, power-law exponent estimation,
-//!   clustering, and diameter estimates used to validate generated
-//!   topologies against the paper's assumptions (`p_k ∝ k^−α`, 2 < α < 3).
+//! * [`metrics`] — degree distributions and power-law exponent estimation,
+//!   used to validate generated topologies against the paper's assumptions
+//!   (`p_k ∝ k^−α`, 2 < α < 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,15 +2,11 @@
 //!
 //! The mixing-time result (paper Theorem 4) assumes a power-law degree
 //! distribution `p_k ∝ k^−α` with `2 < α < 3`; these helpers let the
-//! experiments verify that generated topologies actually look like that,
-//! and provide the structural statistics reported alongside the
-//! mixing-time sweeps.
+//! experiments verify that generated topologies actually look like that.
 
 use crate::error::NetError;
 use crate::graph::Graph;
 use crate::Result;
-use digest_telemetry::registry as telemetry;
-use rand::{Rng, RngCore};
 
 /// Summary statistics of a degree distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,20 +53,6 @@ pub fn degree_distribution(g: &Graph) -> DegreeStats {
     }
 }
 
-/// Degree histogram: `hist[k]` = number of nodes of degree `k`.
-#[must_use]
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in g.nodes() {
-        let d = g.degree(v);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Maximum-likelihood estimate of the power-law exponent `α` for the
 /// degree distribution, using the discrete Hill estimator
 /// `α = 1 + n / Σ ln(k_i / (k_min − ½))` over nodes with degree ≥ `k_min`.
@@ -99,93 +81,6 @@ pub fn estimate_power_law_alpha(g: &Graph, k_min: usize) -> Result<f64> {
         return Err(NetError::EmptyGraph);
     }
     Ok(1.0 + n as f64 / log_sum)
-}
-
-/// Global clustering coefficient: `3 × triangles / connected triples`.
-/// Returns 0 for graphs without a connected triple.
-#[must_use]
-pub fn clustering_coefficient(g: &Graph) -> f64 {
-    let mut triangles = 0usize;
-    let mut triples = 0usize;
-    for v in g.nodes() {
-        let nbs = g.neighbors(v);
-        let d = nbs.len();
-        if d < 2 {
-            continue;
-        }
-        triples += d * (d - 1) / 2;
-        for i in 0..d {
-            for j in i + 1..d {
-                if g.has_edge(nbs[i], nbs[j]) {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        0.0
-    } else {
-        // Each triangle is counted once per corner = 3 times; the formula's
-        // numerator 3·T equals our raw per-corner count.
-        triangles as f64 / triples as f64
-    }
-}
-
-/// Lower bound on the diameter via a double BFS sweep (exact on trees,
-/// a good estimate on general graphs).
-///
-/// # Errors
-///
-/// [`NetError::EmptyGraph`] for an empty graph.
-pub fn estimate_diameter(g: &Graph) -> Result<u32> {
-    let start = g.nodes().next().ok_or(NetError::EmptyGraph)?;
-    let far = g
-        .bfs_distances(start)?
-        .into_iter()
-        .max_by_key(|&(_, d)| d)
-        .map(|(v, _)| v)
-        .ok_or(NetError::EmptyGraph)?;
-    let diameter = g
-        .bfs_distances(far)?
-        .into_iter()
-        .map(|(_, d)| d)
-        .max()
-        .unwrap_or(0);
-    Ok(diameter)
-}
-
-/// Mean shortest-path hop count from `samples` *uniformly random* sources
-/// to all reachable nodes — the expected per-push routing cost used to
-/// meter the push-based baselines.
-///
-/// Sources are drawn without replacement by a partial Fisher–Yates
-/// shuffle, so `samples >= node_count` sweeps every node exactly once
-/// (making the result exact and source-order independent) and smaller
-/// budgets give an unbiased subsample. The previous behaviour of walking
-/// the first `samples` nodes in id order systematically favoured the
-/// oldest nodes, which on preferentially-grown topologies are the hubs.
-#[must_use]
-pub fn mean_path_length(g: &Graph, samples: usize, rng: &mut dyn RngCore) -> f64 {
-    let mut sources: Vec<_> = g.nodes().collect();
-    let picks = samples.min(sources.len());
-    let mut total = 0u64;
-    let mut count = 0u64;
-    for i in 0..picks {
-        let j = rng.gen_range(i..sources.len());
-        sources.swap(i, j);
-        telemetry::NET_PATH_BFS_RUNS.inc();
-        if let Ok(dists) = g.bfs_distances(sources[i]) {
-            for (_, d) in dists {
-                total += u64::from(d);
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
-    }
 }
 
 #[cfg(test)]
@@ -219,44 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_of_star() {
-        let g = topology::star(5).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4); // leaves
-        assert_eq!(h[4], 1); // hub
-    }
-
-    #[test]
-    fn clustering_of_complete_graph_is_one() {
-        let g = topology::complete(5).unwrap();
-        assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_of_star_is_zero() {
-        let g = topology::star(6).unwrap();
-        assert_eq!(clustering_coefficient(&g), 0.0);
-    }
-
-    #[test]
-    fn diameter_of_path() {
-        // A 1×n mesh is a path: diameter n−1 and double-sweep is exact.
-        let g = topology::mesh(1, 8, false).unwrap();
-        assert_eq!(estimate_diameter(&g).unwrap(), 7);
-    }
-
-    #[test]
-    fn diameter_of_complete_is_one() {
-        let g = topology::complete(4).unwrap();
-        assert_eq!(estimate_diameter(&g).unwrap(), 1);
-    }
-
-    #[test]
-    fn diameter_of_empty_errors() {
-        assert!(estimate_diameter(&Graph::new()).is_err());
-    }
-
-    #[test]
     fn alpha_estimate_on_ba_graph() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
         let g = topology::barabasi_albert(3000, 2, &mut rng).unwrap();
@@ -271,46 +128,5 @@ mod tests {
         assert!(estimate_power_law_alpha(&g, 0).is_err());
         // k_min above every degree → no data.
         assert!(estimate_power_law_alpha(&g, 10).is_err());
-    }
-
-    #[test]
-    fn mean_path_length_of_path_graph() {
-        let g = topology::mesh(1, 3, false).unwrap();
-        // Budget covers all nodes → exact regardless of source order.
-        // From node 0: 0+1+2; node 1: 1+0+1; node 2: 2+1+0 → mean = 8/9.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let mpl = mean_path_length(&g, 10, &mut rng);
-        assert!((mpl - 8.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_path_length_samples_sources_uniformly() {
-        // On a 1×20 path, node 0 is the most eccentric source (mean
-        // distance 9.5); a single *uniform* source must not always be it.
-        let g = topology::mesh(1, 20, false).unwrap();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-        let exact = mean_path_length(&g, 20, &mut rng);
-        let endpoint_mean = 9.5;
-        assert!(exact < endpoint_mean, "population mean must beat node 0's");
-
-        // Averaging many single-source draws must approach the population
-        // mean, not node 0's — the signature of uniform source choice.
-        let trials = 400;
-        let mut sum = 0.0;
-        let mut saw_non_endpoint = false;
-        for seed in 0..trials {
-            let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(1000 + seed);
-            let one = mean_path_length(&g, 1, &mut r);
-            if (one - endpoint_mean).abs() > 1e-9 {
-                saw_non_endpoint = true;
-            }
-            sum += one;
-        }
-        assert!(saw_non_endpoint, "sources were never anything but node 0");
-        let mean_of_means = sum / trials as f64;
-        assert!(
-            (mean_of_means - exact).abs() < 0.5,
-            "single-source average {mean_of_means} vs population {exact}"
-        );
     }
 }

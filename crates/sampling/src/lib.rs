@@ -66,7 +66,7 @@ pub use operator::{
     SamplingOperator, SnapshotStats, SNAPSHOT_CACHE_ENV_VAR, WORKERS_ENV_VAR,
 };
 pub use size_estimate::SizeEstimator;
-pub use weight::{content_size_weight, degree_weight, uniform_weight, NodeWeight};
+pub use weight::{content_size_weight, uniform_weight, NodeWeight};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, SamplingError>;

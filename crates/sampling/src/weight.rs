@@ -7,7 +7,7 @@
 //! the local ratio `w_j / w_i`.
 
 use digest_db::P2PDatabase;
-use digest_net::{Graph, NodeId};
+use digest_net::NodeId;
 
 /// A (not necessarily normalised) weight function over nodes.
 ///
@@ -40,14 +40,6 @@ pub fn content_size_weight(db: &P2PDatabase) -> impl NodeWeight + Copy + '_ {
     move |v: NodeId| db.content_size(v) as f64
 }
 
-/// Degree-proportional weight — the stationary distribution of the naive
-/// (uncorrected) random walk; exposed so experiments can target it
-/// explicitly.
-#[must_use]
-pub fn degree_weight(g: &Graph) -> impl NodeWeight + Copy + '_ {
-    move |v: NodeId| g.degree(v) as f64
-}
-
 #[cfg(test)]
 #[allow(
     clippy::unwrap_used,
@@ -58,7 +50,6 @@ pub fn degree_weight(g: &Graph) -> impl NodeWeight + Copy + '_ {
 mod tests {
     use super::*;
     use digest_db::{Schema, Tuple};
-    use digest_net::topology;
 
     #[test]
     fn uniform_is_one_everywhere() {
@@ -78,14 +69,6 @@ mod tests {
         assert_eq!(w.weight(NodeId(0)), 2.0);
         assert_eq!(w.weight(NodeId(1)), 0.0);
         assert_eq!(w.weight(NodeId(7)), 0.0, "unknown nodes weigh 0");
-    }
-
-    #[test]
-    fn degree_weight_tracks_graph() {
-        let g = topology::star(4).unwrap();
-        let w = degree_weight(&g);
-        assert_eq!(w.weight(NodeId(0)), 3.0);
-        assert_eq!(w.weight(NodeId(1)), 1.0);
     }
 
     #[test]

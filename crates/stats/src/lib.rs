@@ -22,8 +22,6 @@
 //!   remainder bound off one on-stack divided-difference table.
 //! * [`quantile`] — the interpolated sample quantile the exact oracle
 //!   and baselines finalise `PERCENTILE` / `MEDIAN` with.
-//! * [`regression`] — simple linear regression between paired samples,
-//!   the auxiliary-variate machinery behind repeated sampling.
 //! * [`repeated`] — the repeated-sampling estimator algebra of paper
 //!   §IV-B2: optimal panel partitioning `g_opt`, the combined
 //!   regression+mean estimator, and its variance (Eqs. 7–11).
@@ -60,7 +58,6 @@ pub mod linalg;
 pub mod moments;
 pub mod normal;
 pub mod quantile;
-pub mod regression;
 pub mod repeated;
 pub mod taylor;
 pub mod tvd;
@@ -71,7 +68,6 @@ pub use linalg::Matrix;
 pub use moments::{PairedMoments, RunningMoments};
 pub use normal::{inverse_phi, phi, phi_pdf, z_for_confidence};
 pub use quantile::sample_quantile;
-pub use regression::SimpleLinearRegression;
 pub use repeated::{combined_estimate, optimal_partition, CombinedEstimate, PanelPartition};
 pub use taylor::{Extrapolator, ExtrapolatorConfig, Prediction};
 pub use tvd::{total_variation_distance, DiscreteDistribution};

@@ -84,3 +84,36 @@ fn a_zero_query_count_is_rejected_by_name() {
         assert!(!stdout.contains("serving"), "{stdout}");
     }
 }
+
+/// A statement is text from outside the program. Multi-byte text where a
+/// keyword could start used to slice `&str` off a character boundary and
+/// exit 101; thirty thousand nested parentheses used to overflow the
+/// parser's stack, and sixty thousand chained `+` that of `eval`, and abort
+/// (exit 134). All three are statements the CLI rejects.
+#[test]
+fn a_statement_the_parser_cannot_read_is_an_error_not_a_crash() {
+    let deep = format!(
+        "SELECT AVG({}temperature{}) FROM R WITH delta=1, epsilon=1, p=0.9",
+        "(".repeat(30_000),
+        ")".repeat(30_000)
+    );
+    let long = format!(
+        "SELECT AVG({}) FROM R WITH delta=1, epsilon=1, p=0.9",
+        vec!["1"; 60_000].join("+")
+    );
+    for statement in [
+        "SELECT AVG(temperature) FROM R WHERE €€ WITH delta=1, epsilon=1, p=0.9",
+        deep.as_str(),
+        long.as_str(),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_digest-cli"))
+            .args(["--ticks", "5", statement])
+            .output()
+            .expect("digest-cli runs");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+        assert_eq!(output.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("error: "), "{stderr}");
+        assert!(stderr.contains("parse error at byte"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
