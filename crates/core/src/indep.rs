@@ -8,13 +8,15 @@
 //! procedure for on-the-fly sampling).
 
 use crate::error::CoreError;
-use crate::panel::PanelEntry;
+use crate::panel::{answer, SamplePanel};
 use crate::query::Precision;
+use crate::report::MessageSplit;
 use crate::system::TickContext;
 use crate::Result;
 use digest_db::{Expr, Predicate};
 use digest_sampling::SamplingOperator;
 use digest_stats::{required_sample_size, RunningMoments};
+use digest_telemetry::Field;
 use rand::RngCore;
 
 /// The outcome of evaluating one snapshot query (§IV-B; carries the
@@ -44,7 +46,7 @@ pub struct SnapshotEstimate {
     pub selectivity: f64,
     /// Panel to retain for the next occasion (empty for independent
     /// sampling).
-    pub panel_for_next: Vec<PanelEntry>,
+    pub panel_for_next: SamplePanel,
 }
 
 impl SnapshotEstimate {
@@ -122,8 +124,11 @@ impl IndependentEstimator {
         operator.begin_occasion();
         let trivial = predicate.is_trivial();
         let mut moments = RunningMoments::new();
-        let mut messages = 0u64;
-        let mut panel = Vec::new();
+        let mut messages = MessageSplit::default();
+        let mut panel = SamplePanel::new();
+        if self.build_panel {
+            panel.reset(1);
+        }
 
         let mut drawn = 0u64;
         let mut qualifying = 0u64;
@@ -153,35 +158,38 @@ impl IndependentEstimator {
             let deficit = goal.saturating_sub(usize::try_from(qualifying).unwrap_or(usize::MAX));
             let headroom = max_draws.saturating_sub(usize::try_from(drawn).unwrap_or(usize::MAX));
             let want = deficit.min(headroom).max(1);
+            if self.build_panel {
+                panel.reserve(want);
+            }
             let batch = operator.sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)?;
             for (handle, row, cost) in batch.iter() {
-                messages += cost.total();
+                messages.draw(cost);
                 drawn += 1;
-                if !trivial && !predicate.eval(row).unwrap_or(false) {
+                let Some(value) = answer((expr, predicate), row)? else {
                     continue;
-                }
-                let value = expr.eval(row)?;
-                if value.is_finite() {
-                    moments.push(value);
-                    qualifying += 1;
-                    if self.build_panel {
-                        panel.push(PanelEntry {
-                            handle,
-                            prev_value: value,
-                        });
-                    }
+                };
+                moments.push(value);
+                qualifying += 1;
+                if self.build_panel {
+                    panel.stage(Some(value));
+                    panel.commit(handle);
                 }
             }
         }
 
         if digest_telemetry::events_enabled() {
+            let [walk, report, revisit, lost] = messages.fields();
             digest_telemetry::emit(
                 "estimator.snapshot",
                 &[
-                    ("estimator", digest_telemetry::Field::Str("INDEP")),
-                    ("estimate", digest_telemetry::Field::F64(moments.mean())),
-                    ("fresh", digest_telemetry::Field::U64(drawn)),
-                    ("retained", digest_telemetry::Field::U64(0)),
+                    ("estimator", Field::Str("INDEP")),
+                    ("estimate", Field::F64(moments.mean())),
+                    ("fresh", Field::U64(drawn)),
+                    ("retained", Field::U64(0)),
+                    walk,
+                    report,
+                    revisit,
+                    lost,
                 ],
             );
         }
@@ -191,7 +199,7 @@ impl IndependentEstimator {
             estimate: moments.mean(),
             fresh_samples: drawn,
             revisited_samples: 0,
-            messages,
+            messages: messages.total(),
             sigma_hat: moments.sample_std(),
             rho_hat: None,
             estimator_variance: moments.sample_variance() / n,
@@ -384,11 +392,12 @@ mod tests {
         let r = est
             .evaluate(&ctx, &expr, &Predicate::True, &precision, &mut op, &mut rng)
             .unwrap();
-        assert_eq!(r.panel_for_next.len() as u64, r.fresh_samples);
+        let panel = &r.panel_for_next;
+        assert_eq!(panel.len() as u64, r.fresh_samples);
         // Panel values are the observed values.
-        for e in &r.panel_for_next {
-            let t = db.read(e.handle).unwrap();
-            assert_eq!(expr.eval(t).unwrap(), e.prev_value);
+        for (&h, &value) in panel.handles().iter().zip(panel.values()) {
+            let t = db.read(h).unwrap();
+            assert_eq!(expr.eval(t).unwrap(), value);
         }
     }
 

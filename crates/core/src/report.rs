@@ -11,8 +11,10 @@
 //! * the scheduler hand-off that follows it ([`finish`]: δ-rule →
 //!   `observe` → `next_delay`, the latter always inside one
 //!   `SchedulerDecide` span);
-//! * the decayed selectivity tally and the `SUM`/`COUNT` scaling by `N̂`
-//!   ([`Selectivity`], [`scale`]);
+//! * the decayed selectivity tally, the conversion of a qualifying-sample
+//!   requirement into draws, and the `SUM`/`COUNT` scaling by `N̂`
+//!   ([`Selectivity`], [`draws_for_deficit`], [`scale`]);
+//! * the split of an occasion's messages by cause ([`MessageSplit`]);
 //! * relation-size estimation ([`SizeTracker`]: the 4×-walk uniform
 //!   operator, `N̂`, the since-refresh counter and the one refresh body);
 //! * the one `engine.snapshot` event ([`emit_snapshot`]).
@@ -26,7 +28,9 @@ use crate::scheduler::SnapshotScheduler;
 use crate::sketch_est::SweepSnapshot;
 use crate::system::{TickContext, TickOutcome};
 use crate::Result;
-use digest_sampling::{uniform_weight, SamplingConfig, SamplingOperator, SizeEstimator};
+use digest_sampling::{
+    uniform_weight, SampleCost, SamplingConfig, SamplingOperator, SizeEstimator,
+};
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::RngCore;
 
@@ -165,6 +169,63 @@ pub(crate) fn emit_snapshot(system: &str, outcome: &TickOutcome) {
             ],
         );
     }
+}
+
+/// Where an occasion's sampling messages went, by cause (§VI-A cost
+/// model): walk forwarding and sample reports of fresh draws (§V),
+/// direct revisits of retained tuples, and probes of retained tuples that
+/// were gone (§IV-B2a).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct MessageSplit {
+    pub(crate) walk: u64,
+    pub(crate) report: u64,
+    pub(crate) revisit: u64,
+    pub(crate) lost: u64,
+}
+
+impl MessageSplit {
+    /// Counts one fresh draw's walk and report.
+    pub(crate) fn draw(&mut self, cost: SampleCost) {
+        self.walk += cost.walk_messages;
+        self.report += cost.report_messages;
+    }
+
+    /// All of it.
+    pub(crate) fn total(&self) -> u64 {
+        self.walk + self.report + self.revisit + self.lost
+    }
+
+    /// The split as event fields, next to the event's `messages`.
+    pub(crate) fn fields(&self) -> [(&'static str, Field<'static>); 4] {
+        [
+            ("walk", Field::U64(self.walk)),
+            ("report", Field::U64(self.report)),
+            ("revisit", Field::U64(self.revisit)),
+            ("lost", Field::U64(self.lost)),
+        ]
+    }
+}
+
+/// Floor on a smoothed selectivity used to convert a qualifying-sample
+/// requirement into draws (Eq. 6 and Eq. 10 count *qualifying* samples);
+/// bounds the rejection-sampling inflation at 8×.
+const SELECTIVITY_FLOOR: f64 = 0.125;
+
+/// Converts a qualifying-sample requirement into a draw request under a
+/// smoothed selectivity (§IV-B sizing with a `WHERE` predicate; bounded
+/// inflation, capped at `cap`).
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_precision_loss
+)]
+pub(crate) fn draws_for_deficit(deficit: u64, selectivity: f64, cap: usize) -> usize {
+    let sel = selectivity.max(SELECTIVITY_FLOOR);
+    let want = (deficit as f64 / sel).ceil();
+    if !want.is_finite() || want <= 0.0 {
+        return 0;
+    }
+    (want as usize).min(cap)
 }
 
 /// Smoothing factor of the decayed selectivity tally.

@@ -789,12 +789,19 @@ mod tests {
     /// Six members, five questions: two plain `AVG`s that differ only in
     /// their contract, then a filtered `AVG`, `SUM`, `COUNT(*)` and
     /// `MEDIAN`. Contracts scale with the world's `sigma` and `tuples`.
+    /// Shared rounds draw fresh CLT-sized panels (INDEP), the rounds the
+    /// pinned reports were recorded with; what the truth classes replay
+    /// does not depend on how a round samples.
     fn mixed_mux(schema: &digest_db::Schema, threshold: f64, sigma: f64, tuples: f64) -> QueryMux {
         let a = || Expr::first_attr(schema);
         let above = digest_db::Predicate::cmp(digest_db::CmpOp::Gt, a(), Expr::Const(threshold));
         let contract = |delta, epsilon, p| Precision::new(delta, epsilon, p).unwrap();
         let query = |op, precision| ContinuousQuery::new(op, a(), precision);
-        let mut mux = QueryMux::new(digest_core::MuxConfig::default()).unwrap();
+        let mut mux = QueryMux::new(digest_core::MuxConfig {
+            estimator: digest_core::EstimatorKind::Independent,
+            ..digest_core::MuxConfig::default()
+        })
+        .unwrap();
         for member in [
             query(AggregateOp::Avg, contract(4.0 * sigma, sigma, 0.9)),
             query(AggregateOp::Avg, contract(2.0 * sigma, 0.5 * sigma, 0.95)),

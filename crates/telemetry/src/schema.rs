@@ -117,7 +117,10 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             opt("derivative_bound", F64),
         ],
     },
-    // One estimator snapshot evaluation (RPT adds the panel split).
+    // One estimator snapshot evaluation (RPT adds the panel split), with
+    // its messages by cause: walk hops and sample reports of fresh draws,
+    // revisits of retained tuples, probes of retained tuples that were
+    // gone.
     EventSchema {
         kind: "estimator.snapshot",
         fields: &[
@@ -125,6 +128,10 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("estimate", F64),
             req("fresh", U64),
             req("retained", U64),
+            req("walk", U64),
+            req("report", U64),
+            req("revisit", U64),
+            req("lost", U64),
             opt("retained_fraction", F64),
             opt("rho", F64),
         ],
@@ -209,7 +216,9 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     // One coalesced multi-query sampling round executed by the query
     // multiplexer: how many member queries consumed the shared panel, how
     // many of them were at their deadline (the rest rode along), the panel
-    // size drawn, and the round's total message spend.
+    // size read (revisited + fresh), and the round's total message spend,
+    // then that spend by cause — `estimator.snapshot`'s four plus the
+    // relation-size refresh — summing to `messages`.
     // The event's `trace` envelope is the round id that member
     // `audit.occasion` events reference via their `round` field.
     EventSchema {
@@ -219,6 +228,11 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("due", U64),
             req("panel", U64),
             req("messages", U64),
+            req("walk", U64),
+            req("report", U64),
+            req("revisit", U64),
+            req("lost", U64),
+            req("size", U64),
         ],
     },
 ];
@@ -390,6 +404,11 @@ mod tests {
                 ("due", Field::U64(2)),
                 ("panel", Field::U64(256)),
                 ("messages", Field::U64(9000)),
+                ("walk", Field::U64(6000)),
+                ("report", Field::U64(2000)),
+                ("revisit", Field::U64(600)),
+                ("lost", Field::U64(4)),
+                ("size", Field::U64(396)),
             ],
         );
         assert_eq!(validate_line(&line), Ok(()));
@@ -414,16 +433,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_mux_round_events() {
-        // Missing required field (`panel`).
-        assert!(validate_line(
-            r#"{"due":1,"kind":"mux.round","members":3,"messages":10,"tick":0}"#
-        )
-        .is_err());
+        let valid = r#"{"due":1,"kind":"mux.round","lost":0,"members":3,"messages":10,"panel":8,"report":2,"revisit":4,"size":0,"tick":0,"walk":4}"#;
+        assert_eq!(validate_line(valid), Ok(()));
+        // Missing required field (`panel`, or a cause of the split).
+        for missing in ["\"panel\":8,", "\"revisit\":4,"] {
+            assert!(
+                validate_line(&valid.replace(missing, "")).is_err(),
+                "{missing}"
+            );
+        }
         // Type mismatch (`members` must be u64).
-        assert!(validate_line(
-            r#"{"due":1,"kind":"mux.round","members":"x","messages":10,"panel":8,"tick":0}"#
-        )
-        .is_err());
+        assert!(validate_line(&valid.replace("\"members\":3", "\"members\":\"x\"")).is_err());
         // `round` on audit.occasion must be u64.
         assert!(validate_line(
             r#"{"error":0.1,"estimate":1.0,"exact":0.9,"kind":"audit.occasion","messages":1,"panel":2,"round":-3,"staleness":0,"tick":0,"violation":false}"#

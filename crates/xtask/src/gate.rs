@@ -6,6 +6,7 @@
 //! | `temperature/rpt` | `Replay`, `Workers(4)`, `SnapshotCacheOff`, `Telemetry` | `Replay`, `Workers(4)`; 1 member, `Absolute` drift | [`SCHEMA_REQUIRED_KINDS`] |
 //! | `memory/indep` | `Replay`, `Workers(4)`, `SnapshotCacheOff`, `Telemetry` | — | — |
 //! | `temperature/mux` | — | `Replay`, `Workers(4)`; 5 members, `UnderCoverageOnly` | [`MUX_SCHEMA_REQUIRED_KINDS`] |
+//! | `temperature/mux-indep` | — | `Replay`, `Workers(4)`; 5 members, `UnderCoverageOnly` | — |
 //! | `temperature/sketch` | `Replay`, `Workers(4)` | `Replay`, `Workers(4)`; 3 members, `UnderCoverageOnly` | — |
 //!
 //! Every leg is one [`run`] of `digest-cli` and one predicate over its
@@ -135,7 +136,8 @@ pub const REPLAY_AND_WORKERS: &[Variant] = &[Variant::Replay, Variant::Workers(4
 /// The table. Between them the rows cover both worlds, both sampling
 /// estimators, the PRED scheduler, the 5-member shared-round mux (four
 /// generated AVG contracts plus a predicate query, each gated against its
-/// *own* `1 − p` bound) and the RNG-free sweep estimators (DESIGN.md §17).
+/// *own* `1 − p` bound) with RPT rounds and with INDEP rounds, and the
+/// RNG-free sweep estimators (DESIGN.md §17).
 pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         label: "temperature/rpt",
@@ -201,6 +203,32 @@ pub const SCENARIOS: &[Scenario] = &[
             drift: DriftGate::UnderCoverageOnly,
         }),
         schema: MUX_SCHEMA_REQUIRED_KINDS,
+    },
+    // The same fleet on fresh CLT-sized panels every round: what every
+    // shared round was before RPT rounds, stdout byte for byte.
+    Scenario {
+        label: "temperature/mux-indep",
+        args: &[
+            "--world",
+            "temperature",
+            "--ticks",
+            "120",
+            "--seed",
+            "20080402",
+            "--scheduler",
+            "pred3",
+            "--estimator",
+            "indep",
+            "--queries",
+            "4",
+            "SELECT AVG(temperature) FROM R WHERE temperature > 60 WITH delta=4, epsilon=3, p=0.9",
+        ],
+        determinism: &[],
+        audit: Some(AuditRow {
+            members: 5,
+            drift: DriftGate::UnderCoverageOnly,
+        }),
+        schema: &[],
     },
     Scenario {
         label: "temperature/sketch",

@@ -238,7 +238,7 @@ fn a_report_missing_a_numeric_field_is_red() {
 
 /// Three real lines of the `temperature/mux` stream, one per required kind.
 const MUX_STREAM: [&str; 3] = [
-    r#"{"due":5,"kind":"mux.round","members":5,"messages":3494,"panel":91,"tick":0,"trace":1}"#,
+    r#"{"due":5,"kind":"mux.round","lost":0,"members":5,"messages":3494,"panel":91,"report":91,"revisit":0,"size":0,"tick":0,"trace":1,"walk":3403}"#,
     r#"{"error":0.6165221309732232,"estimate":66.60137985870993,"exact":65.98485772773671,"kind":"audit.occasion","messages":699,"panel":91,"query":0,"round":1,"staleness":0,"tick":0,"trace":2,"violation":false}"#,
     r#"{"estimate":66.60137985870993,"exact":65.98485772773671,"fresh":91,"kind":"tick","messages":699,"query":0,"samples":91,"snapshot":true,"tick":0,"trace":2,"updated":1}"#,
 ];
@@ -320,11 +320,12 @@ fn the_table_runs_the_stated_leg_inventory() {
                 Some((5, shared)),
                 MUX_SCHEMA_REQUIRED_KINDS
             ),
+            ("temperature/mux-indep", &[][..], Some((5, shared)), &[][..]),
             ("temperature/sketch", two, Some((3, shared)), &[][..]),
         ]
     );
     // Each audit row runs `two`, one audited-stdout-extends-plain and one
     // report check (the extends leg ran on `temperature/rpt` alone once).
     let audit_rows = SCENARIOS.iter().filter(|s| s.audit.is_some()).count();
-    assert_eq!(audit_rows * (two.len() + 2), 12);
+    assert_eq!(audit_rows * (two.len() + 2), 16);
 }

@@ -16,9 +16,11 @@
 //! ```
 //!
 //! The CLI builds the requested synthetic world, serves every query from
-//! one `QueryMux` under one driver (`--mux` shares sample panels; without
-//! it each statement gets an engine of its own), prints the δ-updates in
-//! tick order next to the oracle truth, and closes with a cost summary.
+//! one `QueryMux` under one driver (`--mux` shares sample panels — one
+//! rotating RPT panel, or with `--estimator indep` a fresh one every
+//! round; without it each statement gets an engine of its own), prints
+//! the δ-updates in tick order next to the oracle truth, and closes with
+//! a cost summary.
 //!
 //! `--telemetry <path.jsonl>` additionally streams structured events
 //! (one JSON object per line, sorted keys — see README "Telemetry") to
@@ -77,8 +79,9 @@ fn usage() -> ! {
          \"SELECT ...\" [\"SELECT ...\"]\n\
          \n\
          --mux shares sample panels and coalesced PRED-k rounds across all \
-         statements; without it each statement gets an engine of its own, \
-         under the same driver. --queries additionally registers N \
+         statements (--estimator rpt keeps one rotating panel across \
+         rounds, indep draws a fresh one every round); without it each \
+         statement gets an engine of its own, under the same driver. --queries additionally registers N \
          generated AVG queries — cycling a contract-tier mix, or all at \
          the given delta,epsilon,p — and implies --mux. A \"+\"-separated kind \
          list (avg|median|distinct|p<N>|top<K>, e.g. p90+distinct+top4; \

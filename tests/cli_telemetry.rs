@@ -1,10 +1,50 @@
 //! `digest-cli` driven as a process: the `--telemetry` `tick` event's `exact`
 //! field is the statement's own oracle — the value the auditor scores
-//! against and the CLI prints — not the workload's plain-AVG aggregate; and
-//! a `--queries` count of zero is refused by name.
+//! against and the CLI prints — not the workload's plain-AVG aggregate; a
+//! `--queries` count of zero is refused by name; `--estimator` reaches
+//! shared rounds; and an estimator's messages split by cause add up.
 
 use std::collections::BTreeMap;
 use std::process::Command;
+
+/// Runs `digest-cli` with `args` and `--telemetry`; returns its stdout and
+/// event lines.
+fn run_with_events(name: &str, args: &[&str]) -> (String, Vec<String>) {
+    let events = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let output = Command::new(env!("CARGO_BIN_EXE_digest-cli"))
+        .args(args)
+        .arg("--telemetry")
+        .arg(&events)
+        .output()
+        .expect("digest-cli runs");
+    assert!(output.status.success(), "{output:?}");
+    let lines = std::fs::read_to_string(&events)
+        .expect("event stream")
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    (
+        String::from_utf8(output.stdout).expect("utf-8 stdout"),
+        lines,
+    )
+}
+
+/// The events of `kind`, parsed.
+fn events_of(lines: &[String], kind: &str) -> Vec<serde_json::Value> {
+    lines
+        .iter()
+        .map(|l| serde_json::from_str(l).expect("valid JSONL"))
+        .filter(|e| e["kind"].as_str() == Some(kind))
+        .collect()
+}
+
+/// An event's messages by cause, summed.
+fn split(event: &serde_json::Value) -> u64 {
+    ["walk", "report", "revisit", "lost", "size"]
+        .iter()
+        .filter_map(|key| event[*key].as_u64())
+        .sum()
+}
 
 #[test]
 fn tick_events_carry_the_statements_own_oracle() {
@@ -115,5 +155,93 @@ fn a_statement_the_parser_cannot_read_is_an_error_not_a_crash() {
         assert!(stderr.contains("error: "), "{stderr}");
         assert!(stderr.contains("parse error at byte"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+/// `--estimator` reaches shared rounds. It used to be read by unshared
+/// engines only, so `--queries 4 --estimator rpt` and `--estimator indep`
+/// printed the same trace and emitted the same `mux.round` stream; now RPT
+/// rounds revisit a rotating panel and INDEP rounds draw a fresh one, and
+/// INDEP is exactly what every shared round was before (the fixture is
+/// the parent commit's `--queries 4` stdout, byte for byte).
+#[test]
+fn the_estimator_reaches_shared_rounds() {
+    let run = |estimator: &str| {
+        let args = [
+            "--ticks",
+            "60",
+            "--seed",
+            "7",
+            "--queries",
+            "4",
+            "--estimator",
+            estimator,
+        ];
+        let (stdout, lines) = run_with_events(&format!("estimator_{estimator}.jsonl"), &args);
+        let rounds = events_of(&lines, "mux.round");
+        assert!(rounds.len() >= 20, "{} rounds", rounds.len());
+        for round in &rounds {
+            assert_eq!(split(round), round["messages"].as_u64().unwrap(), "{round}");
+        }
+        let revisits: u64 = rounds.iter().map(|r| r["revisit"].as_u64().unwrap()).sum();
+        // The summary `--telemetry` appends is not the trace.
+        let trace = stdout
+            .split("\n--- telemetry summary")
+            .next()
+            .unwrap()
+            .to_owned();
+        (rounds, revisits, trace)
+    };
+    let (rpt, rpt_revisits, _) = run("rpt");
+    let (indep, indep_revisits, indep_trace) = run("indep");
+    assert_ne!(rpt, indep);
+    assert!(rpt_revisits > 0);
+    assert_eq!(indep_revisits, 0);
+    assert_eq!(
+        indep_trace,
+        include_str!("golden/queries4_stdout.txt"),
+        "--estimator indep is no longer the shared round of old"
+    );
+}
+
+/// A solo engine's `estimator.snapshot` splits its messages by cause —
+/// walk hops, sample reports, revisits, lost probes — and for an `AVG`
+/// (no size refresh) they add up to the occasion's `engine.snapshot`
+/// messages.
+#[test]
+fn an_estimators_messages_add_up_by_cause() {
+    for estimator in ["rpt", "indep"] {
+        let (_, lines) = run_with_events(
+            &format!("split_{estimator}.jsonl"),
+            &[
+                "--ticks",
+                "40",
+                "--seed",
+                "7",
+                "--estimator",
+                estimator,
+                "SELECT AVG(temperature) FROM R WITH delta=2, epsilon=1, p=0.95",
+            ],
+        );
+        let snapshots: BTreeMap<u64, u64> = events_of(&lines, "engine.snapshot")
+            .iter()
+            .map(|e| {
+                (
+                    e["trace"].as_u64().unwrap(),
+                    e["messages"].as_u64().unwrap(),
+                )
+            })
+            .collect();
+        let estimated = events_of(&lines, "estimator.snapshot");
+        assert_eq!(estimated.len(), snapshots.len(), "{estimator}");
+        for event in &estimated {
+            assert_eq!(
+                Some(&split(event)),
+                snapshots.get(&event["trace"].as_u64().unwrap()),
+                "{event}"
+            );
+        }
+        let revisits = estimated.iter().filter(|e| e["revisit"].as_u64() > Some(0));
+        assert_eq!(revisits.count() > 0, estimator == "rpt");
     }
 }
