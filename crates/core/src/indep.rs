@@ -178,7 +178,7 @@ impl IndependentEstimator {
         }
 
         if digest_telemetry::events_enabled() {
-            let [walk, report, revisit, lost] = messages.fields();
+            let [walk, report, revisit, lost, peers] = messages.fields();
             digest_telemetry::emit(
                 "estimator.snapshot",
                 &[
@@ -190,6 +190,7 @@ impl IndependentEstimator {
                     report,
                     revisit,
                     lost,
+                    peers,
                 ],
             );
         }

@@ -25,14 +25,15 @@
 //! evaluated once per class, in place in the operator's batch column.
 //! With `EstimatorKind::Repeated` (the default) the panel is one rotating
 //! RPT panel (§IV-B2) kept across rounds by one [`RepeatedEstimator`]:
-//! a round revisits its retained part (two messages a live tuple, no
-//! walk), draws the `n − g` shortfall in one batch, and folds each
-//! class's Eq. 7 with the class's own `ρ̂` / `σ̂` — `n` the largest Eq. 10
-//! requirement over the members' contracts. A round with no panel to
-//! revisit (the first, or one meeting a question nobody asked before) and
-//! every round with `EstimatorKind::Independent` draws a fresh CLT-sized
-//! panel instead (Eq. 6 per member, sized at the maximum requirement,
-//! §IV-B1), which then seeds the RPT panel. Every member reads its
+//! a round revisits its retained part (one request and one reply per live
+//! peer holding retained tuples, no walk), draws the `n − g` shortfall in
+//! one batch, and folds each class's Eq. 7 with the class's own `ρ̂` /
+//! `σ̂` — `n` the largest Eq. 10 requirement over the members'
+//! contracts. A round with no panel to revisit (the first, or one meeting
+//! a question nobody asked before) and every round with
+//! `EstimatorKind::Independent` draws a fresh CLT-sized panel instead
+//! (Eq. 6 per member, sized at the maximum requirement, §IV-B1), which
+//! then seeds the RPT panel. Every member reads its
 //! class's result under its own `(δ, ε, p)` contract, aggregate op,
 //! δ-semantics and scheduling, and receives its own causal trace id
 //! parented to the round's.
@@ -884,7 +885,7 @@ fn shared_tick(
     // split by cause.
     digest_telemetry::set_trace(round_trace);
     if digest_telemetry::events_enabled() {
-        let [walk, report, revisit, lost] = round.messages.fields();
+        let [walk, report, revisit, lost, peers] = round.messages.fields();
         digest_telemetry::emit(
             "mux.round",
             &[
@@ -897,6 +898,7 @@ fn shared_tick(
                 revisit,
                 lost,
                 ("size", Field::U64(size)),
+                peers,
             ],
         );
     }
@@ -1965,6 +1967,7 @@ mod tests {
                     ("revisit", Field::U64(split.revisit)),
                     ("lost", Field::U64(split.lost)),
                     ("size", Field::U64(size)),
+                    ("peers", Field::U64(split.peers)),
                 ],
             );
         }

@@ -8,13 +8,15 @@
 //! §V), so one panel serves every question class of a shared mux round; a
 //! lone engine is the case of one question.
 //!
-//! At the next occasion the retained part of the panel is *revisited*: the
-//! owning node is contacted directly (it is already located, so this costs
-//! a constant couple of messages rather than a random walk) and the tuple
-//! re-evaluated under every question. Tuples that were deleted — or whose
-//! node left — are detected through the handle's generation check and
-//! dropped, forcing replacement by fresh samples exactly as §IV-B2a
-//! prescribes; so is a tuple that no longer answers any question.
+//! At the next occasion the retained part of the panel is *revisited*:
+//! each node owning retained entries is contacted directly, once (it is
+//! already located, so this costs one request listing its handles and one
+//! reply with every row rather than a random walk; a node that left costs
+//! one timed-out probe), and each tuple re-evaluated under every question.
+//! Tuples that were deleted — or whose node left — are detected through
+//! the handle's generation check and dropped, forcing replacement by fresh
+//! samples exactly as §IV-B2a prescribes; so is a tuple that no longer
+//! answers any question.
 //!
 //! A revisit writes into a [`RevisitReport`] its caller keeps from one
 //! occasion to the next, so a steady-state occasion revisits its panel
@@ -22,6 +24,7 @@
 
 use crate::Result;
 use digest_db::{Expr, P2PDatabase, Predicate, RowView, TupleHandle};
+use digest_net::NodeId;
 
 /// One question a panel answers: an expression, aggregated over the
 /// tuples satisfying a predicate.
@@ -74,6 +77,38 @@ pub struct RevisitReport {
     /// How many retained samples were lost: deleted, on a departed node,
     /// or answering no question any more.
     pub lost: usize,
+    /// Live nodes contacted: each was asked once for all of its retained
+    /// entries and replied once, whatever had become of them.
+    pub peers: usize,
+    /// Departed nodes probed: one unanswered request each, however many
+    /// retained entries they held.
+    pub departed: usize,
+    /// One bit per node id: the owners this revisit has reached. All zero
+    /// between calls.
+    contacted: Vec<u64>,
+}
+
+impl RevisitReport {
+    /// Counts `node` as a peer or a departed node, unless this revisit has
+    /// reached it already. (An id beyond the bits is one the database never
+    /// held, so no node to reach.)
+    ///
+    /// xtask: no-alloc
+    fn contact(&mut self, db: &P2PDatabase, node: NodeId) {
+        let id = node.0 as usize;
+        let bit = 1u64 << (id % 64);
+        if let Some(word) = self.contacted.get_mut(id / 64) {
+            if *word & bit != 0 {
+                return;
+            }
+            *word |= bit;
+        }
+        if db.has_node(node) {
+            self.peers += 1;
+        } else {
+            self.departed += 1;
+        }
+    }
 }
 
 /// The panel: an ordered multiset of sampled tuples, oldest first, with
@@ -186,6 +221,10 @@ impl SamplePanel {
     /// still resolves and answers at least one of them (values that fail
     /// to evaluate, e.g. after schema drift, answer nothing).
     ///
+    /// The owners are counted, not the entries: a node holding several
+    /// retained entries — or one entry twice — is one peer, or one
+    /// departed node. Counting reorders nothing.
+    ///
     /// xtask: no-alloc
     pub fn revisit(
         &self,
@@ -209,12 +248,21 @@ impl SamplePanel {
         report.survivors.reset(questions.len());
         report.survivors.reserve(kept);
         report.lost = 0;
+        report.peers = 0;
+        report.departed = 0;
+        // A bit for every node id the database has held, sized once: the
+        // power of two leaves room for the ids of joining nodes.
+        let words = db.id_upper_bound().div_ceil(64);
+        if report.contacted.len() < words {
+            report.contacted.resize(words.next_power_of_two(), 0);
+        }
         let skip = self.handles.len() - kept;
         let entries = self
             .handles
             .iter()
             .zip(self.values.chunks_exact(self.questions.max(1)));
         for (&handle, previous) in entries.skip(skip) {
+            report.contact(db, handle.node);
             let row = db.read(handle).ok();
             for ((&question, &prev), answers) in
                 questions.iter().zip(previous).zip(&mut report.answers)
@@ -234,6 +282,12 @@ impl SamplePanel {
                 report.lost += 1;
             }
         }
+        // Every bit set above is an owner of one of these entries.
+        for handle in self.handles.iter().skip(skip) {
+            if let Some(word) = report.contacted.get_mut(handle.node.0 as usize / 64) {
+                *word = 0;
+            }
+        }
     }
 }
 
@@ -247,7 +301,6 @@ impl SamplePanel {
 mod tests {
     use super::*;
     use digest_db::{Schema, Tuple};
-    use digest_net::NodeId;
 
     fn setup() -> (P2PDatabase, Vec<TupleHandle>, Expr) {
         let mut db = P2PDatabase::new(Schema::single("a"));
@@ -300,6 +353,8 @@ mod tests {
         let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 1);
         assert_eq!(r.answers[0].cur, vec![1.0, 3.0]);
+        // Node 0 still answers — one of its two tuples as gone.
+        assert_eq!((r.peers, r.departed), (2, 0));
     }
 
     #[test]
@@ -310,6 +365,22 @@ mod tests {
         let r = revisit(&panel, &db, &expr, 3);
         assert_eq!(r.lost, 2);
         assert_eq!(r.answers[0].cur, vec![3.0]);
+        // Two entries lost, one node probed.
+        assert_eq!((r.peers, r.departed), (1, 1));
+    }
+
+    /// Owners are counted once per revisit, however many entries — or
+    /// copies of one entry — they hold.
+    #[test]
+    fn revisit_counts_owners_not_entries() {
+        let (db, handles, expr) = setup();
+        let twice = [handles[0], handles[1], handles[2], handles[2]];
+        let panel = panel_from(&twice, &[1.0, 2.0, 3.0, 3.0]);
+        let r = revisit(&panel, &db, &expr, 4);
+        assert_eq!(r.answers[0].cur, vec![1.0, 2.0, 3.0, 3.0]);
+        assert_eq!((r.lost, r.peers, r.departed), (0, 2, 0));
+        let r = revisit(&panel, &db, &expr, 2);
+        assert_eq!((r.peers, r.departed), (1, 0));
     }
 
     #[test]
@@ -353,12 +424,17 @@ mod tests {
         assert_eq!(report.answers[0].prev, vec![1.0, 3.0]);
         assert_eq!(report.answers[0].cur, vec![1.0, 3.0]);
         assert_eq!(report.survivors.len(), 2);
+        assert_eq!(
+            report.peers, 2,
+            "the first revisit's owners are not remembered"
+        );
         // Nothing of the previous revisit — its loss included — stays. The
         // newest entry is the one kept.
         panel.revisit(&db, &question, 1, &mut report);
         assert_eq!(report.lost, 0);
         assert_eq!(report.answers[0].cur, vec![3.0]);
         assert_eq!(report.survivors.len(), 1);
+        assert_eq!((report.peers, report.departed), (1, 0));
     }
 
     /// The retained part is the newest `keep` entries, in panel order:

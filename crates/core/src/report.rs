@@ -172,15 +172,17 @@ pub(crate) fn emit_snapshot(system: &str, outcome: &TickOutcome) {
 }
 
 /// Where an occasion's sampling messages went, by cause (§VI-A cost
-/// model): walk forwarding and sample reports of fresh draws (§V),
-/// direct revisits of retained tuples, and probes of retained tuples that
-/// were gone (§IV-B2a).
+/// model): walk forwarding and sample reports of fresh draws (§V), one
+/// direct exchange with each live peer holding retained tuples, and one
+/// probe of each departed one (§IV-B2a) — and how many peers that was.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MessageSplit {
     pub(crate) walk: u64,
     pub(crate) report: u64,
     pub(crate) revisit: u64,
     pub(crate) lost: u64,
+    /// The live peers `revisit` pays for: a count, not messages.
+    pub(crate) peers: u64,
 }
 
 impl MessageSplit {
@@ -195,13 +197,15 @@ impl MessageSplit {
         self.walk + self.report + self.revisit + self.lost
     }
 
-    /// The split as event fields, next to the event's `messages`.
-    pub(crate) fn fields(&self) -> [(&'static str, Field<'static>); 4] {
+    /// The split as event fields, next to the event's `messages`; the
+    /// last, `peers`, is no part of the sum.
+    pub(crate) fn fields(&self) -> [(&'static str, Field<'static>); 5] {
         [
             ("walk", Field::U64(self.walk)),
             ("report", Field::U64(self.report)),
             ("revisit", Field::U64(self.revisit)),
             ("lost", Field::U64(self.lost)),
+            ("peers", Field::U64(self.peers)),
         ]
     }
 }

@@ -8,11 +8,12 @@
 //!    variance formula (Eq. 10) under the current `ρ̂`, `σ̂` — by Eq. 11
 //!    a factor `2/(1+√(1−ρ̂²))` smaller than the CLT size INDEP needs;
 //! 2. the panel is partitioned optimally (Eq. 9): `g_opt` samples are
-//!    *retained* and revisited (cheap — the nodes are already located),
-//!    the rest replaced by fresh walks; the retained part is the newest
-//!    `g_opt` entries, so the panel rotates. Tuples that died or whose
-//!    node left are detected on revisit and silently become fresh draws
-//!    (§IV-B2a's forced-replacement rule);
+//!    *retained* and revisited (cheap — the nodes are already located, and
+//!    each is asked once for all of its retained samples), the rest
+//!    replaced by fresh walks; the retained part is the newest `g_opt`
+//!    entries, so the panel rotates. Tuples that died or whose node left
+//!    are detected on revisit and silently become fresh draws (§IV-B2a's
+//!    forced-replacement rule);
 //! 3. the reported result combines the regression estimate over the
 //!    retained pairs with the fresh-sample mean, inverse-variance
 //!    weighted (Eq. 7, Table 1);
@@ -74,11 +75,12 @@ impl Default for RptConfig {
     }
 }
 
-/// Messages to revisit one retained sample (§IV-B2): direct request +
-/// reply — the node is already located, no walk needed.
+/// Messages to revisit one live peer (§IV-B2): a direct request listing
+/// the handles of its retained samples and one reply with every row, a
+/// deleted one as "gone" — the node is already located, no walk needed.
 const REVISIT_COST: u64 = 2;
-/// Messages wasted discovering that a retained sample's node is gone (a
-/// timed-out probe).
+/// Messages wasted discovering that a peer holding retained samples is
+/// gone: one timed-out probe, however many samples it held.
 const LOST_PROBE_COST: u64 = 1;
 /// EMA weight given to the newest `ρ̂` observation.
 const RHO_SMOOTHING: f64 = 0.5;
@@ -101,6 +103,18 @@ pub struct ForwardCorrection {
     pub original: f64,
     /// The corrected estimate after folding in occasion k's information.
     pub corrected: f64,
+}
+
+/// What a revisit cost (§IV-B2): one exchange with each live peer holding
+/// retained samples, one timed-out probe of each departed one — priced
+/// per node, not per sample.
+fn revisit_messages(report: &RevisitReport) -> MessageSplit {
+    MessageSplit {
+        revisit: report.peers as u64 * REVISIT_COST,
+        lost: report.departed as u64 * LOST_PROBE_COST,
+        peers: report.peers as u64,
+        ..MessageSplit::default()
+    }
 }
 
 /// What one question class made of an occasion's panel (§IV-B2, Eq. 7).
@@ -368,18 +382,23 @@ impl RepeatedEstimator {
         let occasion = self.occasion(ctx, &question, [(0, precision)], operator, rng)?;
         let answer = self.answer(0);
         if digest_telemetry::events_enabled() {
-            let mut fields = vec![
+            let [walk, report, revisit, lost, peers] = occasion.messages.fields();
+            let fields = [
                 ("estimator", Field::Str("RPT")),
                 ("estimate", Field::F64(answer.estimate)),
                 ("fresh", Field::U64(occasion.fresh)),
                 ("retained", Field::U64(occasion.revisited)),
                 ("retained_fraction", Field::F64(occasion.retained_fraction)),
+                walk,
+                report,
+                revisit,
+                lost,
+                peers,
+                ("rho", Field::F64(answer.rho.unwrap_or(f64::NAN))),
             ];
-            fields.extend(occasion.messages.fields());
-            if let Some(rho) = answer.rho {
-                fields.push(("rho", Field::F64(rho)));
-            }
-            digest_telemetry::emit("estimator.snapshot", &fields);
+            // `rho` only when there was one.
+            let len = fields.len() - usize::from(answer.rho.is_none());
+            digest_telemetry::emit("estimator.snapshot", &fields[..len]);
         }
         Ok(SnapshotEstimate {
             estimate: answer.estimate,
@@ -534,11 +553,7 @@ impl RepeatedEstimator {
         self.panel
             .revisit(ctx.db, questions, partition.retained, report);
         let g_live = report.survivors.len();
-        let mut messages = MessageSplit {
-            revisit: g_live as u64 * REVISIT_COST,
-            lost: report.lost as u64 * LOST_PROBE_COST,
-            ..MessageSplit::default()
-        };
+        let mut messages = revisit_messages(report);
 
         // 3. Fresh draws: the replaced portion plus replacements for lost
         //    retained samples. Unless some question's predicate is
@@ -626,6 +641,7 @@ mod tests {
     use digest_db::{P2PDatabase, Schema, Tuple, TupleHandle};
     use digest_net::{topology, Graph, NodeId};
     use digest_sampling::SamplingConfig;
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1074,24 +1090,215 @@ mod tests {
         .unwrap();
         drift(&mut w, 0.95, 0.5, &mut rng);
         drift(&mut w, 0.95, 0.5, &mut rng);
+        let before = est.panel.handles().to_vec();
+        let question = [(&w.expr, &Predicate::True)];
+        assert!(est.align(&question));
         let r = est
-            .evaluate(
-                &ctx(&w),
-                &w.expr,
-                &Predicate::True,
-                &precision,
-                &mut op,
+            .occasion(&ctx(&w), &question, [(0, &precision)], &mut op, &mut rng)
+            .unwrap();
+        // Nothing was deleted, so the revisited entries are the newest
+        // `retained` of the panel, and their owners are the peers: one
+        // request and one reply each, however many entries they hold.
+        let revisited = &before[before.len() - r.revisited as usize..];
+        let owners: std::collections::BTreeSet<NodeId> = revisited.iter().map(|h| h.node).collect();
+        assert!(owners.len() < revisited.len(), "{owners:?}");
+        assert_eq!(
+            (r.messages.revisit, r.messages.lost, r.messages.peers),
+            (2 * owners.len() as u64, 0, owners.len() as u64)
+        );
+        // Messages must be far below what fresh-walking every sample costs
+        // (walk_length = 40 ⇒ ≈ 20+ messages per fresh sample).
+        let all_fresh_cost = (r.revisited + r.fresh) * 21;
+        assert!(
+            r.messages.total() < all_fresh_cost,
+            "messages {} not cheaper than all-fresh {all_fresh_cost}",
+            r.messages.total()
+        );
+    }
+
+    /// A one-class estimator with history whose panel is `handles`, as a
+    /// first occasion would leave it.
+    fn seeded(w: &World, handles: &[TupleHandle]) -> RepeatedEstimator {
+        let mut est = RepeatedEstimator::new(RptConfig::default()).unwrap();
+        let question = (&w.expr, &Predicate::True);
+        assert!(!est.align(&[question]));
+        let mut panel = SamplePanel::new();
+        panel.reset(1);
+        for &h in handles {
+            panel.stage(answer(question, w.db.read(h).unwrap()).unwrap());
+            assert!(panel.commit(h));
+        }
+        est.seed(&mut panel, [Some((50.0, 1.0, 8.0))]);
+        est
+    }
+
+    /// What the next occasion's revisit costs — `(revisit, lost)` messages
+    /// — and how many entries survive it. The panel is far below the
+    /// pilot, so every entry is retained.
+    fn revisit_cost(w: &World, est: &mut RepeatedEstimator) -> (u64, u64, u64) {
+        let question = [(&w.expr, &Predicate::True)];
+        assert!(est.align(&question));
+        let precision = Precision::new(2.0, 2.0, 0.95).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(40);
+        let r = est
+            .occasion(
+                &ctx(w),
+                &question,
+                [(0, &precision)],
+                &mut operator(),
                 &mut rng,
             )
             .unwrap();
-        // Messages must be far below what fresh-walking every sample costs
-        // (walk_length = 40 ⇒ ≈ 20+ messages per fresh sample).
-        let all_fresh_cost = r.total_samples() * 21;
-        assert!(
-            r.messages < all_fresh_cost,
-            "messages {} not cheaper than all-fresh {}",
-            r.messages,
-            all_fresh_cost
-        );
+        (r.messages.revisit, r.messages.lost, r.revisited)
+    }
+
+    /// Four nodes of three tuples: `handles[3 v..3 v + 3]` live on node `v`.
+    fn four_nodes() -> World {
+        world(4, 3, 50.0, 8.0, 41)
+    }
+
+    #[test]
+    fn two_retained_entries_on_one_node_are_one_exchange() {
+        let w = four_nodes();
+        let mut est = seeded(&w, &w.handles[..2]);
+        assert_eq!(revisit_cost(&w, &mut est), (2, 0, 2));
+    }
+
+    #[test]
+    fn a_departed_node_is_one_probe_however_many_entries_it_held() {
+        let mut w = four_nodes();
+        let mut est = seeded(&w, &w.handles[3..6]);
+        w.db.remove_node(NodeId(1)).unwrap();
+        assert_eq!(revisit_cost(&w, &mut est), (0, 1, 0));
+    }
+
+    /// The node is live, so it replies — "gone" — and that is a read, not
+    /// a timed-out probe.
+    #[test]
+    fn a_deleted_tuple_on_a_live_node_is_an_exchange() {
+        let mut w = four_nodes();
+        let mut est = seeded(&w, &w.handles[3..4]);
+        w.db.delete(w.handles[3]).unwrap();
+        assert_eq!(revisit_cost(&w, &mut est), (2, 0, 0));
+    }
+
+    #[test]
+    fn a_tuple_drawn_twice_is_one_exchange() {
+        let w = four_nodes();
+        let mut est = seeded(&w, &[w.handles[7], w.handles[7]]);
+        assert_eq!(revisit_cost(&w, &mut est), (2, 0, 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pricing per peer cannot change the estimate. Over random panels
+        /// (duplicates included) on random node layouts — tuples moved out
+        /// of a predicate, deleted, on departed nodes — the revisit reads
+        /// exactly what reading each retained entry alone reads. It costs
+        /// one exchange per live owner and one probe per departed one,
+        /// which is never more than the per-entry price (an exchange per
+        /// survivor, a probe per lost entry) plus one message per live
+        /// owner whose entries were all lost.
+        #[test]
+        fn pricing_per_peer_cannot_change_the_estimate(
+            layout in prop::collection::vec(0u32..6, 1..40),
+            picks in prop::collection::vec(0usize..1000, 0..30),
+            moved in prop::collection::vec(0usize..1000, 0..8),
+            deleted in prop::collection::vec(0usize..1000, 0..8),
+            departed in prop::collection::vec(0u32..6, 0..3),
+            keep in 0usize..40,
+            both in 0u8..2,
+        ) {
+            let mut db = P2PDatabase::new(Schema::single("a"));
+            for v in 0..6 {
+                db.register_node(NodeId(v));
+            }
+            let handles: Vec<TupleHandle> = layout
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| db.insert(NodeId(v), Tuple::single((i * 7 % 20) as f64)).unwrap())
+                .collect();
+            let pick = |i: usize| handles[i % handles.len()];
+            let expr = Expr::first_attr(db.schema());
+            let high = Predicate::parse("a > 9", db.schema()).unwrap();
+            let questions = [(&expr, &high), (&expr, &Predicate::True)];
+            let questions = &questions[..1 + usize::from(both)];
+            let mut panel = SamplePanel::new();
+            panel.reset(questions.len());
+            for &i in &picks {
+                let row = db.read(pick(i)).unwrap();
+                for &q in questions {
+                    panel.stage(answer(q, row).unwrap());
+                }
+                panel.commit(pick(i));
+            }
+            for &i in &moved {
+                let v = db.read(pick(i)).unwrap().value(0).unwrap();
+                db.update(pick(i), &[(v + 10.0) % 20.0]).unwrap();
+            }
+            for &i in &deleted {
+                db.delete(pick(i)).unwrap();
+            }
+            for &v in &departed {
+                let _ = db.remove_node(NodeId(v));
+            }
+            let mut report = RevisitReport::default();
+            panel.revisit(&db, questions, keep, &mut report);
+
+            // Each retained entry read alone.
+            let skip = panel.len() - keep.min(panel.len());
+            let previous = panel.values().chunks_exact(questions.len()).skip(skip);
+            let mut want = vec![Answers::default(); questions.len()];
+            let (mut survivors, mut values, mut lost) = (Vec::new(), Vec::new(), 0);
+            for (&h, prev) in panel.handles()[skip..].iter().zip(previous) {
+                let row = db.read(h).ok();
+                let start = values.len();
+                for ((&q, &p), a) in questions.iter().zip(prev).zip(&mut want) {
+                    let cur = row.and_then(|row| answer(q, row).ok().flatten());
+                    values.push(cur.unwrap_or(f64::NAN).to_bits());
+                    match cur {
+                        Some(c) if p.is_nan() => {
+                            a.fresh.push(c);
+                            a.unpaired += 1;
+                        }
+                        Some(c) => {
+                            a.prev.push(p);
+                            a.cur.push(c);
+                        }
+                        None => {}
+                    }
+                }
+                if values[start..].iter().any(|&v| !f64::from_bits(v).is_nan()) {
+                    survivors.push(h);
+                } else {
+                    values.truncate(start);
+                    lost += 1;
+                }
+            }
+            prop_assert_eq!(report.lost, lost);
+            prop_assert_eq!(report.survivors.handles(), &survivors[..]);
+            let got: Vec<u64> = report.survivors.values().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, values);
+            for (got, want) in report.answers.iter().zip(&want) {
+                prop_assert_eq!(
+                    (&got.prev, &got.cur, &got.fresh, got.unpaired),
+                    (&want.prev, &want.cur, &want.fresh, want.unpaired)
+                );
+            }
+
+            let owners: std::collections::BTreeSet<NodeId> =
+                panel.handles()[skip..].iter().map(|h| h.node).collect();
+            let live = owners.iter().filter(|&&v| db.has_node(v)).count();
+            prop_assert_eq!((report.peers, report.departed), (live, owners.len() - live));
+            let m = revisit_messages(&report);
+            let priced = m.revisit + m.lost;
+            prop_assert_eq!(priced, 2 * live as u64 + (owners.len() - live) as u64);
+            let barren = owners
+                .iter()
+                .filter(|&&v| db.has_node(v) && survivors.iter().all(|h| h.node != v))
+                .count();
+            prop_assert!(priced <= 2 * survivors.len() as u64 + lost as u64 + barren as u64);
+        }
     }
 }

@@ -140,7 +140,8 @@ fn field(line: &str, key: &str) -> u64 {
 
 /// Every round's messages, split by cause — walk hops, sample reports,
 /// panel revisits, lost probes and the size refresh — add up to its
-/// total; RPT rounds revisit, INDEP rounds never do.
+/// total, a revisit costing one exchange per peer; RPT rounds revisit,
+/// INDEP rounds never do.
 fn check_message_split(events: &[String], estimator: EstimatorKind) {
     let rounds: Vec<&String> = events
         .iter()
@@ -154,6 +155,7 @@ fn check_message_split(events: &[String], estimator: EstimatorKind) {
             .map(|key| field(line, key))
             .sum();
         assert_eq!(split, field(line, "messages"), "{line}");
+        assert_eq!(field(line, "revisit"), 2 * field(line, "peers"), "{line}");
         revisits += field(line, "revisit");
     }
     assert_eq!(

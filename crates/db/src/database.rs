@@ -94,6 +94,13 @@ impl P2PDatabase {
         }
     }
 
+    /// Upper bound on the node ids ever registered (for building dense
+    /// id-indexed side tables).
+    #[must_use]
+    pub fn id_upper_bound(&self) -> usize {
+        self.fragments.len()
+    }
+
     /// Whether the node currently holds a fragment.
     #[must_use]
     pub fn has_node(&self, node: NodeId) -> bool {

@@ -49,7 +49,7 @@ impl Field<'_> {
 type Entry<'a> = (&'static str, Field<'a>);
 
 /// Entries a [`FieldBuf`] holds on the stack: the widest schema
-/// (`audit.occasion`, 9 fields) plus the `kind` / `tick` / `trace`
+/// (`estimator.snapshot`, 11 fields) plus the `kind` / `tick` / `trace`
 /// envelope, with headroom.
 const INLINE_FIELDS: usize = 16;
 

@@ -119,8 +119,9 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     },
     // One estimator snapshot evaluation (RPT adds the panel split), with
     // its messages by cause: walk hops and sample reports of fresh draws,
-    // revisits of retained tuples, probes of retained tuples that were
-    // gone.
+    // one request and reply per live peer holding retained tuples, one
+    // probe per departed one — and `peers`, the live peers revisited (a
+    // count, no part of the sum).
     EventSchema {
         kind: "estimator.snapshot",
         fields: &[
@@ -132,6 +133,7 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("report", U64),
             req("revisit", U64),
             req("lost", U64),
+            req("peers", U64),
             opt("retained_fraction", F64),
             opt("rho", F64),
         ],
@@ -218,7 +220,8 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     // many of them were at their deadline (the rest rode along), the panel
     // size read (revisited + fresh), and the round's total message spend,
     // then that spend by cause — `estimator.snapshot`'s four plus the
-    // relation-size refresh — summing to `messages`.
+    // relation-size refresh — summing to `messages`, and the live peers
+    // the revisit exchanged with.
     // The event's `trace` envelope is the round id that member
     // `audit.occasion` events reference via their `round` field.
     EventSchema {
@@ -233,6 +236,7 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("revisit", U64),
             req("lost", U64),
             req("size", U64),
+            req("peers", U64),
         ],
     },
 ];
@@ -409,6 +413,7 @@ mod tests {
                 ("revisit", Field::U64(600)),
                 ("lost", Field::U64(4)),
                 ("size", Field::U64(396)),
+                ("peers", Field::U64(300)),
             ],
         );
         assert_eq!(validate_line(&line), Ok(()));
@@ -433,10 +438,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_mux_round_events() {
-        let valid = r#"{"due":1,"kind":"mux.round","lost":0,"members":3,"messages":10,"panel":8,"report":2,"revisit":4,"size":0,"tick":0,"walk":4}"#;
+        let valid = r#"{"due":1,"kind":"mux.round","lost":0,"members":3,"messages":10,"panel":8,"peers":2,"report":2,"revisit":4,"size":0,"tick":0,"walk":4}"#;
         assert_eq!(validate_line(valid), Ok(()));
-        // Missing required field (`panel`, or a cause of the split).
-        for missing in ["\"panel\":8,", "\"revisit\":4,"] {
+        // Missing required field (`panel`, a cause of the split, or the
+        // peers the revisit priced).
+        for missing in ["\"panel\":8,", "\"revisit\":4,", "\"peers\":2,"] {
             assert!(
                 validate_line(&valid.replace(missing, "")).is_err(),
                 "{missing}"

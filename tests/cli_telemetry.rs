@@ -2,7 +2,8 @@
 //! field is the statement's own oracle — the value the auditor scores
 //! against and the CLI prints — not the workload's plain-AVG aggregate; a
 //! `--queries` count of zero is refused by name; `--estimator` reaches
-//! shared rounds; and an estimator's messages split by cause add up.
+//! shared rounds; and an estimator's messages split by cause add up, the
+//! revisit priced per peer.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -44,6 +45,17 @@ fn split(event: &serde_json::Value) -> u64 {
         .iter()
         .filter_map(|key| event[*key].as_u64())
         .sum()
+}
+
+/// A revisit is priced per peer: one request and one reply for each live
+/// node holding retained entries, however many it holds. The temperature
+/// world deletes nothing and loses no node, so each of those peers holds
+/// at least one of the `retained` entries, and no probe is lost.
+fn check_peers(event: &serde_json::Value, retained: &str) {
+    let peers = event["peers"].as_u64().expect("peers field");
+    assert_eq!(event["revisit"].as_u64(), Some(2 * peers), "{event}");
+    assert!(Some(peers) <= event[retained].as_u64(), "{event}");
+    assert_eq!(event["lost"].as_u64(), Some(0), "{event}");
 }
 
 #[test]
@@ -182,6 +194,8 @@ fn the_estimator_reaches_shared_rounds() {
         assert!(rounds.len() >= 20, "{} rounds", rounds.len());
         for round in &rounds {
             assert_eq!(split(round), round["messages"].as_u64().unwrap(), "{round}");
+            // A round reports its whole panel, revisited and fresh.
+            check_peers(round, "panel");
         }
         let revisits: u64 = rounds.iter().map(|r| r["revisit"].as_u64().unwrap()).sum();
         // The summary `--telemetry` appends is not the trace.
@@ -240,8 +254,14 @@ fn an_estimators_messages_add_up_by_cause() {
                 snapshots.get(&event["trace"].as_u64().unwrap()),
                 "{event}"
             );
+            check_peers(event, "retained");
         }
         let revisits = estimated.iter().filter(|e| e["revisit"].as_u64() > Some(0));
         assert_eq!(revisits.count() > 0, estimator == "rpt");
+        // Retained entries share nodes: fewer exchanges than entries.
+        if estimator == "rpt" {
+            let sum = |key: &str| -> u64 { estimated.iter().filter_map(|e| e[key].as_u64()).sum() };
+            assert!(sum("peers") < sum("retained"), "{estimator}");
+        }
     }
 }
