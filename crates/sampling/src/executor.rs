@@ -17,7 +17,10 @@
 //!   M–H proposals read the snapshot's CSR rows and precomputed
 //!   acceptance table instead of re-querying [`digest_net::Graph`] and
 //!   re-evaluating weights per step. Weights were validated at capture,
-//!   which is why the per-step walk below is infallible.
+//!   which is why the walk below is infallible.
+//! * **Few keystream words per step.** The walk draws through the
+//!   [`crate::draw`] kernel, shared with the live-graph walk, at ≈ ¼ of
+//!   the words of a per-step laziness coin.
 //! * **Arena-recycled buffers.** Task, result, outcome and value
 //!   vectors live in the operator's [`WalkArena`] and are reused across
 //!   batches — the steady-state batch path allocates nothing.
@@ -40,11 +43,12 @@
 //! empty, and the operator's pool and accounting are untouched.
 
 use crate::arena::WalkArena;
+use crate::draw;
 use crate::error::SamplingError;
 use crate::metropolis::MetropolisWalk;
 use crate::operator::{SampleCost, SamplingConfig};
 use crate::par;
-use crate::snapshot::{OccasionSnapshot, ACCEPT_ALWAYS};
+use crate::snapshot::OccasionSnapshot;
 use crate::Result;
 use digest_db::{P2PDatabase, TupleHandle};
 use digest_net::NodeId;
@@ -52,8 +56,8 @@ use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Retry budget for landing on a content-bearing node, matching the
-/// bounded loop in `SamplingOperator::sample_tuple`.
+/// Retry budget for landing on a content-bearing node: each retry walks
+/// one more reset length.
 const TUPLE_RETRY_LIMIT: usize = 64;
 
 /// Local (lock-free) telemetry tallies of one walk slot, flushed into
@@ -67,62 +71,26 @@ struct SlotTally {
     accepts: u64,
 }
 
-/// Integer threshold reproducing the laziness draw. The vendored
-/// `gen_bool(0.5)` computes `unit_f64(v) < 0.5` where `unit_f64(v) =
-/// ((v >> 11) as f64)·2⁻⁵³` is the exact rational `(v >> 11)/2⁵³`; the
-/// comparison holds iff `v >> 11 < 2⁵²`, i.e. iff `v < 2⁶³`. Unrolling
-/// it removes the per-step float conversion without touching the
-/// stream.
-const LAZY_THRESHOLD: u64 = 1 << 63;
-
 /// One cached walk position: the CSR row `(start, span)` of the current
 /// node plus its precomputed Lemire rejection threshold for the uniform
-/// proposal draw. Refreshed only when the walk actually moves, so lazy
-/// steps touch no snapshot memory at all.
+/// proposal draw. Refreshed only when the walk actually moves.
 #[derive(Clone, Copy)]
 struct CachedRow {
     start: usize,
-    /// Degree as the `span` of the vendored `uniform_u64_below`.
-    span: u64,
-    /// `span.wrapping_neg() % span` — the modulo the vendored
-    /// `gen_range` recomputes per draw, precomputed per node by the
+    /// Degree, the `span` of [`draw::uniform_below`].
+    span: u32,
+    /// [`draw::reject_threshold`]`(span)`, precomputed per node by the
     /// snapshot.
-    reject: u64,
+    reject: u32,
 }
 
-/// Draws a uniform offset in `0..span` (`span ≥ 1`), consuming the
-/// stream exactly like the vendored `rng.gen_range(0..span)`
-/// (`uniform_u64_below`: Lemire widening-multiply rejection, one `u64`
-/// draw per attempt) but with the per-attempt modulo replaced by the
-/// snapshot's precomputed `reject` threshold. Equivalence is pinned by
-/// `reject_table_matches_vendored_gen_range` in the snapshot module and
-/// by `snapshot_walk_is_byte_equivalent_to_metropolis_walk` below,
-/// which drains both streams.
-/// xtask: no-alloc
-#[inline]
-fn sample_uniform_offset<R: RngCore + ?Sized>(rng: &mut R, span: u64, reject: u64) -> usize {
-    loop {
-        let x = rng.next_u64();
-        if x.wrapping_mul(span) >= reject {
-            let hi = (u128::from(x) * u128::from(span)) >> 64;
-            // `hi < span` = a node degree, so this cannot actually fail.
-            return usize::try_from(hi).unwrap_or(usize::MAX);
-        }
-    }
-}
-
-/// A Metropolis walk advancing over an [`OccasionSnapshot`]. Must mirror
-/// [`MetropolisWalk::step`]'s RNG consumption order *exactly* — one
-/// laziness draw, then (non-lazy, with neighbors) one proposal draw and
-/// at most one acceptance draw — so the snapshot walk and the
-/// live-graph walk are interchangeable given the same stream (pinned by
-/// a unit test below). Every distribution call of the live step is
-/// unrolled to its integer core: laziness is a raw compare against
-/// [`LAZY_THRESHOLD`], the proposal is [`sample_uniform_offset`] over
-/// the cached row, and acceptance compares the 53 mantissa bits of one
-/// draw against the snapshot's precomputed per-edge threshold (which
-/// the snapshot module pins bit-identical to the live
-/// `gen_bool(ratio)`).
+/// A Metropolis walk advancing over an [`OccasionSnapshot`]. It draws
+/// through the [`draw`] kernel in exactly [`MetropolisWalk::run`]'s
+/// order — one laziness word per chunk of ≤ 64 steps decides how many
+/// steps are active, then each active step draws its proposal over the
+/// cached row and its acceptance against the snapshot's per-edge
+/// threshold — so the snapshot walk and the live-graph walk are
+/// interchangeable given the same stream (pinned by a unit test below).
 struct SnapshotWalk {
     current: NodeId,
     row: CachedRow,
@@ -135,7 +103,7 @@ impl SnapshotWalk {
         let (start, degree) = snap.row(v);
         CachedRow {
             start,
-            span: u64::try_from(degree).unwrap_or(u64::MAX),
+            span: u32::try_from(degree).unwrap_or(u32::MAX),
             reject: snap.reject_threshold_of(v),
         }
     }
@@ -149,42 +117,31 @@ impl SnapshotWalk {
         }
     }
 
-    /// One M–H step on the snapshot. Infallible: the snapshot never
-    /// changes under the walk and its weights were validated at build.
-    /// xtask: no-alloc
-    #[inline]
-    fn step<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, rng: &mut R) {
-        self.tally.steps += 1;
-
-        // Laziness ½.
-        if rng.next_u64() < LAZY_THRESHOLD {
-            self.tally.lazy += 1;
-            return;
-        }
-        let CachedRow {
-            start,
-            span,
-            reject,
-        } = self.row;
-        if span == 0 {
-            return;
-        }
-        let pick = start + sample_uniform_offset(rng, span, reject);
-        self.tally.proposals += 1;
-
-        let threshold = snap.accept_threshold_at(pick);
-        if threshold == ACCEPT_ALWAYS || (rng.next_u64() >> 11) < threshold {
-            self.current = snap.neighbor_at(pick);
-            self.row = Self::cached_row(snap, self.current);
-            self.tally.accepts += 1;
-            self.tally.hops += 1;
-        }
-    }
-
+    /// Runs `steps` M–H steps on the snapshot. Infallible: the snapshot
+    /// never changes under the walk and its weights were validated at
+    /// build.
     /// xtask: no-alloc
     fn run<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, steps: u64, rng: &mut R) {
-        for _ in 0..steps {
-            self.step(snap, rng);
+        let active = draw::active_steps(rng, steps);
+        self.tally.steps += steps;
+        self.tally.lazy += steps - active;
+        for _ in 0..active {
+            let CachedRow {
+                start,
+                span,
+                reject,
+            } = self.row;
+            if span == 0 {
+                break;
+            }
+            let pick = start + draw::uniform_below(rng, span, reject) as usize;
+            self.tally.proposals += 1;
+            if draw::accept(rng, snap.accept_threshold_at(pick)) {
+                self.current = snap.neighbor_at(pick);
+                self.row = Self::cached_row(snap, self.current);
+                self.tally.accepts += 1;
+                self.tally.hops += 1;
+            }
         }
     }
 }
@@ -295,8 +252,7 @@ fn run_slot(
     let _span = digest_telemetry::span(Stage::SamplingWalk);
     walk.run(snap, task.burn_in, &mut rng);
     // Before convergence a walk can sit on an empty node; walk reset
-    // lengths until it lands on a content-bearing one (bounded, as in
-    // the sequential `sample_tuple`).
+    // lengths until it lands on a content-bearing one (bounded).
     for retry in 0..TUPLE_RETRY_LIMIT {
         if let Some((handle, _row)) = db.sample_local(walk.current, &mut rng) {
             return Ok(SlotOutcome {

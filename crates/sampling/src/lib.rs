@@ -43,6 +43,7 @@
 
 mod arena;
 pub mod baselines;
+mod draw;
 pub mod error;
 mod executor;
 pub mod metropolis;

@@ -20,6 +20,7 @@
 //! keep-alive exchange (the paper's "obtaining the weight `w_j` from its
 //! neighbor `j`").
 
+use crate::draw;
 use crate::error::SamplingError;
 use crate::weight::NodeWeight;
 use crate::Result;
@@ -113,59 +114,36 @@ impl MetropolisWalk {
         Ok(())
     }
 
-    /// Advances the walk one step under weight function `w`. Returns
-    /// whether the agent physically moved.
+    /// Advances the walk one step under weight function `w` (a run of
+    /// length 1, see [`MetropolisWalk::run`]). Returns whether the agent
+    /// physically moved.
     ///
     /// # Errors
     ///
-    /// * [`SamplingError::UnknownNode`] if the current node was removed
-    ///   from the graph (caller should [`MetropolisWalk::relocate`]).
-    /// * [`SamplingError::InvalidWeight`] on negative/non-finite weights.
+    /// As for [`MetropolisWalk::run`].
     pub fn step<W: NodeWeight, R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
         w: &W,
         rng: &mut R,
     ) -> Result<bool> {
-        if !g.contains(self.current) {
-            return Err(SamplingError::UnknownNode(self.current));
-        }
-        self.steps += 1;
-        telemetry::SAMPLING_WALK_STEPS.inc();
-
-        // Laziness ½.
-        if rng.gen_bool(0.5) {
-            telemetry::SAMPLING_MH_LAZY.inc();
-            return Ok(false);
-        }
-        let neighbors = g.neighbors(self.current);
-        if neighbors.is_empty() {
-            return Ok(false);
-        }
-        let proposal = neighbors[rng.gen_range(0..neighbors.len())];
-        telemetry::SAMPLING_MH_PROPOSALS.inc();
-
-        let w_i = checked_weight(w, self.current)?.max(ZERO_WEIGHT_FLOOR);
-        let w_j = checked_weight(w, proposal)?;
-        let d_i = g.degree(self.current) as f64;
-        let d_j = g.degree(proposal) as f64;
-
-        let accept = (w_j * d_i) / (w_i * d_j);
-        if accept >= 1.0 || rng.gen_bool(accept.max(0.0)) {
-            self.current = proposal;
-            self.messages += 1;
-            telemetry::SAMPLING_MH_ACCEPTS.inc();
-            telemetry::SAMPLING_WALK_HOPS.inc();
-            return Ok(true);
-        }
-        Ok(false)
+        let before = self.messages;
+        self.run(g, w, 1, rng)?;
+        Ok(self.messages > before)
     }
 
-    /// Runs `n` steps (see [`MetropolisWalk::step`]).
+    /// Runs `steps` steps under weight function `w`. A lazy step is a
+    /// no-op, so the run first draws how many of its steps are active —
+    /// Binomial(`steps`, ½), the popcount of one masked `u64` per chunk
+    /// of ≤ 64 steps — and each active step then proposes a uniform
+    /// neighbour and accepts it against the Eq. 12 ratio, drawing through
+    /// the same kernel as the occasion-snapshot walk.
     ///
     /// # Errors
     ///
-    /// As for [`MetropolisWalk::step`].
+    /// * [`SamplingError::UnknownNode`] if the current node was removed
+    ///   from the graph (caller should [`MetropolisWalk::relocate`]).
+    /// * [`SamplingError::InvalidWeight`] on negative/non-finite weights.
     pub fn run<W: NodeWeight, R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
@@ -173,8 +151,33 @@ impl MetropolisWalk {
         steps: u64,
         rng: &mut R,
     ) -> Result<()> {
-        for _ in 0..steps {
-            self.step(g, w, rng)?;
+        if !g.contains(self.current) {
+            return Err(SamplingError::UnknownNode(self.current));
+        }
+        let active = draw::active_steps(rng, steps);
+        self.steps += steps;
+        telemetry::SAMPLING_WALK_STEPS.add(steps);
+        telemetry::SAMPLING_MH_LAZY.add(steps - active);
+        for _ in 0..active {
+            let neighbors = g.neighbors(self.current);
+            let span = u32::try_from(neighbors.len()).unwrap_or(u32::MAX);
+            if span == 0 {
+                break;
+            }
+            let proposal =
+                neighbors[draw::uniform_below(rng, span, draw::reject_threshold(span)) as usize];
+            telemetry::SAMPLING_MH_PROPOSALS.inc();
+
+            let w_i = checked_weight(w, self.current)?.max(ZERO_WEIGHT_FLOOR);
+            let w_j = checked_weight(w, proposal)?;
+            let d_i = g.degree(self.current) as f64;
+            let d_j = g.degree(proposal) as f64;
+            if draw::accept(rng, draw::accept_threshold((w_j * d_i) / (w_i * d_j))) {
+                self.current = proposal;
+                self.messages += 1;
+                telemetry::SAMPLING_MH_ACCEPTS.inc();
+                telemetry::SAMPLING_WALK_HOPS.inc();
+            }
         }
         Ok(())
     }

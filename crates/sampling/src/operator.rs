@@ -392,14 +392,16 @@ impl SamplingOperator {
     }
 
     /// Draws one uniformly random tuple of the relation by two-stage
-    /// sampling (node ∝ `m_v`, then a uniform local tuple). The returned
-    /// tuple is a snapshot copy (the remote node ships the tuple's current
-    /// state with the report message).
+    /// sampling (node ∝ `m_v`, then a uniform local tuple): a batch of one
+    /// ([`SamplingOperator::sample_batch`]), so it takes one pooled walk
+    /// and counts one sample however many reset lengths the walk needs to
+    /// reach a content-bearing node. The returned tuple is a snapshot copy
+    /// (the remote node ships the tuple's current state with the report
+    /// message).
     ///
     /// # Errors
     ///
-    /// * [`SamplingError::EmptyDatabase`] if no node stores any tuple.
-    /// * Errors of [`SamplingOperator::sample_node`].
+    /// As for [`SamplingOperator::sample_batch`].
     pub fn sample_tuple<R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
@@ -407,23 +409,14 @@ impl SamplingOperator {
         origin: NodeId,
         rng: &mut R,
     ) -> Result<(TupleHandle, Tuple, SampleCost)> {
-        if db.total_tuples() == 0 {
-            return Err(SamplingError::EmptyDatabase);
-        }
-        let w = content_size_weight(db);
-        let mut cost = SampleCost::default();
-        // Before convergence a walk can sit on an empty node; walk a bit
-        // further until it lands on a content-bearing one. Bounded because
-        // the database is non-empty and empty nodes repel the walk.
-        for _ in 0..64 {
-            let (node, c) = self.sample_node(g, &w, origin, rng)?;
-            cost.walk_messages += c.walk_messages;
-            cost.report_messages = c.report_messages;
-            if let Some((handle, row)) = db.sample_local(node, rng) {
-                return Ok((handle, row.to_tuple(), cost));
-            }
-        }
-        Err(SamplingError::ZeroTotalWeight)
+        let batch = self.sample_batch(g, db, origin, 1, rng)?;
+        let sample = batch
+            .iter()
+            .next()
+            .map(|(handle, row, cost)| (handle, row.to_tuple(), cost));
+        sample.ok_or(SamplingError::InvalidConfig {
+            reason: "a batch of one returned no sample",
+        })
     }
 
     /// Draws `n` uniformly random tuples ("batch mode": the paper invokes
@@ -445,7 +438,11 @@ impl SamplingOperator {
     ///
     /// # Errors
     ///
-    /// As for [`SamplingOperator::sample_tuple`].
+    /// * [`SamplingError::EmptyDatabase`] if no node stores any tuple.
+    /// * [`SamplingError::EmptyGraph`] if the graph is empty.
+    /// * [`SamplingError::UnknownNode`] if `origin` is not live.
+    /// * [`SamplingError::ZeroTotalWeight`] if a walk exhausts its
+    ///   content-retry budget.
     pub fn sample_batch<R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
@@ -792,6 +789,37 @@ mod tests {
             op.begin_occasion();
             let (handle, _, _) = op.sample_tuple(&g, &db, NodeId(0), &mut r).unwrap();
             assert_ne!(handle.node, NodeId(5), "sampled a departed node's tuple");
+        }
+    }
+
+    /// A tuple draw is one sample from one pooled walk: when the walk
+    /// ends on an empty node it walks on (a reset length at a time)
+    /// instead of taking the next pooled walk and counting another sample.
+    #[test]
+    fn one_tuple_draw_is_one_sample_from_one_walk() {
+        let g = topology::complete(4).unwrap();
+        // Node 0 (the origin) is empty: a one-step walk ends there half
+        // the time.
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        db.register_node(NodeId(0));
+        for i in 1..4 {
+            db.register_node(NodeId(i));
+            db.insert(NodeId(i), Tuple::single(f64::from(i))).unwrap();
+        }
+        let mut r = rng(12);
+        for _ in 0..32 {
+            let mut op = SamplingOperator::new(SamplingConfig {
+                walk_length: 1,
+                reset_length: 1,
+                continue_walks: true,
+                workers: 1,
+                cache_snapshots: true,
+            })
+            .unwrap();
+            let (handle, _, _) = op.sample_tuple(&g, &db, NodeId(0), &mut r).unwrap();
+            assert_ne!(handle.node, NodeId(0));
+            assert_eq!(op.samples_drawn(), 1);
+            assert_eq!(op.pool_size(), 1);
         }
     }
 

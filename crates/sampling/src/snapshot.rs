@@ -30,15 +30,13 @@
 //!   directed CSR edge `(i, j)`, the Metropolis–Hastings acceptance
 //!   ratio `(w_j·d_i) / (max(w_i, ε)·d_j)` of PAPER.md §V-A Eq. 12 using
 //!   *bit-for-bit the same `f64` expression* as the live walk — and then
-//!   folds it all the way down to the integer Bernoulli threshold
-//!   `rand`'s `gen_bool(ratio)` would compare against. IEEE-754
-//!   arithmetic is deterministic, so the table entry decides *and
-//!   consumes the RNG stream* exactly like recomputing the ratio and
-//!   calling `gen_bool` per step: ratio ≥ 1 maps to [`ACCEPT_ALWAYS`]
-//!   (accept, no draw), anything else to `⌈ratio·2⁵³⌉` compared against
-//!   the 53 mantissa bits of one raw `next_u64` draw. The per-node
-//!   Lemire rejection threshold of the proposal draw (a 64-bit modulo
-//!   in the vendored `gen_range`) is precomputed the same way. The
+//!   folds it down to the integer threshold [`crate::draw::accept`]
+//!   decides against ([`accept_threshold`]: ratio ≥ 1 accepts without a
+//!   draw, anything else is `⌈ratio·2⁵³⌉`). IEEE-754 arithmetic is
+//!   deterministic, so the table entry decides *and consumes the RNG
+//!   stream* exactly like the live walk recomputing the ratio per step.
+//!   The per-node Lemire rejection threshold of the proposal draw
+//!   ([`reject_threshold`], a modulo) is precomputed the same way. The
 //!   inner walk step becomes a few array reads and integer compares —
 //!   no float ops, no modulo, no weight-closure calls.
 //!
@@ -48,6 +46,7 @@
 //! incomparable, so `SamplingOperator::reset` must (and does) drop the
 //! cache before an operator may be pointed at another graph.
 
+use crate::draw::{accept_threshold, reject_threshold};
 use crate::error::SamplingError;
 use crate::metropolis::ZERO_WEIGHT_FLOOR;
 use crate::weight::NodeWeight;
@@ -72,9 +71,9 @@ pub(crate) struct OccasionSnapshot {
     /// evaluates live (Eq. 12).
     accept: Vec<u64>,
     /// Per-node Lemire rejection threshold for the uniform proposal
-    /// draw, [`lemire_reject_threshold`] of the node's degree
+    /// draw, [`reject_threshold`] of the node's degree
     /// (`id_upper_bound` entries, 0 for dead or isolated ids).
-    reject: Vec<u64>,
+    reject: Vec<u32>,
     /// Weight per id slot (0.0 for dead ids); every entry finite, ≥ 0.
     weights: Vec<f64>,
     /// Liveness per id slot.
@@ -123,10 +122,8 @@ impl OccasionSnapshot {
     }
 
     /// The precomputed integer acceptance threshold at CSR index `idx`:
-    /// [`ACCEPT_ALWAYS`] iff the live ratio is ≥ 1 (accept without
-    /// consuming randomness), otherwise [`accept_threshold`]'s
-    /// `⌈ratio·2⁵³⌉` so that `(next_u64() >> 11) < threshold`
-    /// reproduces `gen_bool(ratio)` bit-for-bit.
+    /// [`accept_threshold`] of the ratio the live walk computes, which
+    /// [`crate::draw::accept`] decides against.
     /// xtask: no-alloc
     #[inline]
     pub(crate) fn accept_threshold_at(&self, idx: usize) -> u64 {
@@ -134,10 +131,10 @@ impl OccasionSnapshot {
     }
 
     /// The precomputed per-node Lemire rejection threshold for `v`'s
-    /// uniform proposal draw (see [`lemire_reject_threshold`]).
+    /// uniform proposal draw (see [`reject_threshold`]).
     /// xtask: no-alloc
     #[inline]
-    pub(crate) fn reject_threshold_of(&self, v: NodeId) -> u64 {
+    pub(crate) fn reject_threshold_of(&self, v: NodeId) -> u32 {
         self.reject.get(v.0 as usize).copied().unwrap_or(0)
     }
 
@@ -167,7 +164,7 @@ impl OccasionSnapshot {
         resize_retained(&mut self.reject, upper, 0);
         for i in 0..upper {
             let degree = self.offsets[i + 1] - self.offsets[i];
-            self.reject[i] = lemire_reject_threshold(degree as u64);
+            self.reject[i] = reject_threshold(degree_u32(degree));
             self.derive_row(i);
         }
     }
@@ -278,7 +275,7 @@ impl OccasionSnapshot {
             offsets[i] = write;
             adjacency[write..write + row.len()].copy_from_slice(row);
             live[i] = g.contains(d);
-            reject[i] = lemire_reject_threshold(row.len() as u64);
+            reject[i] = reject_threshold(degree_u32(row.len()));
             write += row.len();
             let moved = write.wrapping_sub(start);
             let next = dirty.get(r + 1).map_or(upper + 1, |next| next.0 as usize);
@@ -317,6 +314,12 @@ impl OccasionSnapshot {
 /// allocation is exact). These are the operator's largest buffers, the
 /// id space and edge count of a churning overlay creep rather than jump,
 /// and a doubled `accept` alone would hold 4.8 MB idle at 10⁵ nodes.
+/// A node degree as the `u32` span of the proposal draw: a degree counts
+/// `u32`-numbered nodes, so it always fits.
+fn degree_u32(degree: usize) -> u32 {
+    u32::try_from(degree).unwrap_or(u32::MAX)
+}
+
 fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     if len > v.capacity() {
         grow_retained(v, len);
@@ -328,45 +331,6 @@ fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
 fn grow_retained<T>(v: &mut Vec<T>, len: usize) {
     let capacity = len.max(v.capacity() + v.capacity() / 8);
     v.reserve_exact(capacity - v.len());
-}
-
-/// Sentinel threshold for "ratio ≥ 1": the walk accepts the proposal
-/// *without drawing* from the RNG, mirroring the live step's
-/// `accept >= 1.0 ||` short-circuit. Unambiguous: for any ratio < 1 the
-/// stored threshold is at most `2⁵³ − 1 < u64::MAX`.
-pub(crate) const ACCEPT_ALWAYS: u64 = u64::MAX;
-
-/// Folds an M–H acceptance ratio down to the integer threshold whose
-/// `(next_u64() >> 11) < threshold` compare reproduces the live step's
-/// `accept >= 1.0 || rng.gen_bool(accept.max(0.0))` decision *and* RNG
-/// consumption bit-for-bit. The vendored `rand::Rng::gen_bool(p)` is
-/// `unit_f64(next_u64()) < p` where `unit_f64(v) = ((v >> 11) as f64)
-/// · 2⁻⁵³` — an *exact* rational `m / 2⁵³` with integer `m < 2⁵³`.
-/// Scaling `p` by the power of two 2⁵³ is itself exact in IEEE-754, so
-/// `m / 2⁵³ < p  ⇔  m < ⌈p·2⁵³⌉`, making the per-draw comparison pure
-/// integer (pinned against the real `gen_bool` by a unit test below).
-/// A NaN ratio follows the live path's `NaN.max(0.0) == 0.0` to a
-/// never-accept threshold of 0.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn accept_threshold(ratio: f64) -> u64 {
-    if ratio >= 1.0 {
-        return ACCEPT_ALWAYS;
-    }
-    // 2⁵³ — the mantissa scale inside the vendored `unit_f64`.
-    const SCALE: f64 = 9_007_199_254_740_992.0;
-    (ratio.max(0.0) * SCALE).ceil() as u64
-}
-
-/// The Lemire rejection threshold the vendored
-/// `rand::uniform_u64_below(rng, span)` recomputes on every proposal
-/// draw (`span.wrapping_neg() % span`, a 64-bit modulo). Precomputed
-/// here per node because it depends only on the node's degree.
-fn lemire_reject_threshold(span: u64) -> u64 {
-    if span == 0 {
-        0
-    } else {
-        span.wrapping_neg() % span
-    }
 }
 
 /// How a [`SnapshotCache::refresh`] satisfied the occasion's request.
@@ -561,7 +525,7 @@ fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> R
 /// below holds the in-place patch to.
 #[cfg(test)]
 mod reference {
-    use super::{accept_threshold, lemire_reject_threshold, OccasionSnapshot};
+    use super::{accept_threshold, degree_u32, reject_threshold, OccasionSnapshot};
     use crate::metropolis::ZERO_WEIGHT_FLOOR;
     use digest_net::{Graph, NodeId};
 
@@ -655,9 +619,7 @@ mod reference {
                     .unwrap_or(0)
                     .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0)),
             );
-            snap.reject.push(lemire_reject_threshold(
-                u64::try_from(len).unwrap_or(u64::MAX),
-            ));
+            snap.reject.push(reject_threshold(degree_u32(len)));
             let d_i = len as f64;
             let w_i = snap
                 .weights
@@ -768,76 +730,21 @@ mod tests {
         assert!(below_one > 0);
     }
 
-    /// [`accept_threshold`]'s `(next_u64() >> 11) < t` compare must
-    /// agree with the vendored `gen_bool(p)` on both the decision and
-    /// the amount of stream consumed, for every probability class the
-    /// acceptance ratio can produce below 1.
+    /// The per-node rejection table must hold exactly the 32-bit Lemire
+    /// threshold `2³² mod d` of every degree the shipped overlays have.
     #[test]
-    fn thresholds_reproduce_gen_bool_exactly() {
-        use rand::{Rng, RngCore};
-        let ps = [
-            0.0,
-            1e-300,
-            0.25,
-            0.5,
-            0.618_033_988_7,
-            0.999_999,
-            1.0 - f64::EPSILON,
+    fn reject_table_holds_the_32_bit_lemire_threshold_of_every_degree() {
+        let graphs = [
+            topology::barabasi_albert(200, 3, &mut rng(6)).unwrap(),
+            topology::mesh(7, 9, false).unwrap(),
+            topology::mesh(6, 6, true).unwrap(),
         ];
-        for (i, &p) in ps.iter().enumerate() {
-            let t = accept_threshold(p);
-            let mut live = rng(100 + i as u64);
-            let mut table = live.clone();
-            for round in 0..128 {
-                assert_eq!(
-                    live.gen_bool(p),
-                    (table.next_u64() >> 11) < t,
-                    "p={p} round={round}"
-                );
+        for g in &graphs {
+            let snap = OccasionSnapshot::build(g, &|_: NodeId| 1.0).unwrap();
+            for v in g.nodes() {
+                let span = u32::try_from(g.degree(v)).unwrap();
+                assert_eq!(snap.reject_threshold_of(v), span.wrapping_neg() % span);
             }
-            // Both sides drained the same amount of stream.
-            assert_eq!(live.next_u64(), table.next_u64(), "p={p}");
-        }
-        assert_eq!(accept_threshold(1.0), ACCEPT_ALWAYS);
-        assert_eq!(accept_threshold(37.5), ACCEPT_ALWAYS);
-        assert_eq!(accept_threshold(f64::INFINITY), ACCEPT_ALWAYS);
-        // NaN ratio: the live path's `NaN.max(0.0)` is 0.0 → never accept.
-        assert_eq!(accept_threshold(f64::NAN), 0);
-        // The sentinel can never collide with a sub-unity threshold.
-        assert!(accept_threshold(1.0 - f64::EPSILON) < ACCEPT_ALWAYS);
-    }
-
-    /// The per-node rejection table must hold exactly the threshold the
-    /// vendored `uniform_u64_below` recomputes per draw, and the
-    /// precomputed-threshold draw must match `gen_range` decision- and
-    /// consumption-wise.
-    #[test]
-    fn reject_table_matches_vendored_gen_range() {
-        use rand::{Rng, RngCore};
-        for span in 1u64..=40 {
-            assert_eq!(lemire_reject_threshold(span), span.wrapping_neg() % span);
-        }
-        assert_eq!(lemire_reject_threshold(0), 0);
-        let g = topology::barabasi_albert(40, 2, &mut rng(6)).unwrap();
-        let snap = OccasionSnapshot::build(&g, &|_: NodeId| 1.0).unwrap();
-        for v in g.nodes() {
-            let span = u64::try_from(g.degree(v)).unwrap();
-            assert_eq!(snap.reject_threshold_of(v), lemire_reject_threshold(span));
-            let mut live = rng(u64::from(v.0) + 500);
-            let mut table = live.clone();
-            let reject = snap.reject_threshold_of(v);
-            for _ in 0..64 {
-                let want = live.gen_range(0..g.degree(v));
-                let got = loop {
-                    let x = table.next_u64();
-                    let m = u128::from(x) * u128::from(span);
-                    if x.wrapping_mul(span) >= reject {
-                        break usize::try_from(m >> 64).unwrap();
-                    }
-                };
-                assert_eq!(want, got, "node {v:?}");
-            }
-            assert_eq!(live.next_u64(), table.next_u64());
         }
     }
 

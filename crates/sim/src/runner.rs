@@ -835,7 +835,7 @@ mod tests {
     /// `MuxAudit` attached and checks it against the dense per-member
     /// sweep: the partition is two `AVG`s in one class and four singleton
     /// classes, every record's `exact` is bit-equal to the member's own
-    /// scan, and the audit reports are the parent commit's.
+    /// scan, and the audit reports are the pinned ones.
     fn assert_truth_classes_replay_member_scans<W: Workload>(
         make_workload: impl Fn() -> W,
         make_mux: impl Fn(&W) -> QueryMux,
@@ -889,12 +889,12 @@ mod tests {
             200,
             31,
             [
-                [19, 19, 0, 0, 3253, 160, 160],
-                [19, 19, 0, 0, 3249, 160, 160],
-                [19, 19, 0, 0, 3246, 80, 80],
-                [19, 19, 19, 10, 3242, 160, 160],
-                [19, 19, 10, 0, 3239, 160, 160],
-                [19, 19, 0, 0, 8, 160, 160],
+                [18, 18, 0, 0, 3046, 160, 160],
+                [18, 18, 0, 0, 3040, 160, 160],
+                [18, 18, 0, 0, 3036, 80, 80],
+                [18, 18, 10, 0, 3032, 160, 160],
+                [18, 18, 0, 0, 3031, 160, 160],
+                [18, 18, 0, 0, 8, 160, 160],
             ],
         );
     }
@@ -916,12 +916,12 @@ mod tests {
             50,
             32,
             [
-                [50, 16, 0, 0, 4533, 1951, 1838],
-                [50, 16, 1, 0, 4529, 1951, 1899],
-                [50, 16, 0, 0, 4527, 952, 908],
-                [50, 16, 12, 20, 4526, 1951, 1779],
-                [50, 16, 0, 0, 4524, 1951, 1786],
-                [50, 16, 0, 0, 650, 1951, 1838],
+                [50, 14, 0, 0, 4747, 1951, 1838],
+                [50, 14, 0, 0, 4744, 1951, 1899],
+                [50, 14, 0, 0, 4738, 952, 908],
+                [50, 14, 12, 29, 4737, 1951, 1779],
+                [50, 14, 0, 0, 4736, 1951, 1786],
+                [50, 14, 0, 0, 555, 1951, 1838],
             ],
         );
     }

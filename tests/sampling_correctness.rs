@@ -3,8 +3,11 @@
 //! it depends on.
 
 use digest::db::{P2PDatabase, Schema, Tuple};
-use digest::net::{topology, NodeId};
-use digest::sampling::{mixing, uniform_weight, OracleSampler, SamplingConfig, SamplingOperator};
+use digest::net::{topology, Graph, NodeId};
+use digest::sampling::{
+    content_size_weight, default_workers, mixing, uniform_weight, MetropolisWalk, OracleSampler,
+    SamplingConfig, SamplingOperator,
+};
 use digest::stats::{total_variation_distance, DiscreteDistribution};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -138,4 +141,152 @@ fn estimator_built_on_sampler_is_unbiased() {
         (mean - truth).abs() < tol,
         "mean {mean} vs truth {truth} (tol {tol})"
     );
+}
+
+/// Tuples per node of the law graph: non-uniform and growing along the
+/// path, so a walk from node 0 drifts and `P^L` still moves at `L = 130`.
+const LAW_SIZES: [u32; 12] = [1, 2, 5, 8, 17, 30, 70, 120, 260, 500, 1000, 2100];
+
+/// Walks per (length, walker) pair.
+const LAW_WALKS: usize = 200_000;
+
+/// χ² critical values at α = 0.001 for 1..=11 degrees of freedom.
+const CHI2_CRIT: [f64; 11] = [
+    10.828, 13.816, 16.266, 18.467, 20.515, 22.458, 24.322, 26.124, 27.877, 29.588, 31.264,
+];
+
+/// The law graph: a 12-node path with two chords, node `v` holding
+/// `LAW_SIZES[v]` tuples.
+fn law_world() -> (Graph, P2PDatabase) {
+    let mut g = Graph::new();
+    let nodes: Vec<NodeId> = (0..LAW_SIZES.len()).map(|_| g.add_node()).collect();
+    let chords = [(0, 2), (5, 7)];
+    for (a, b) in (0..nodes.len() - 1).map(|i| (i, i + 1)).chain(chords) {
+        g.add_edge(nodes[a], nodes[b]).unwrap();
+    }
+    let mut db = P2PDatabase::new(Schema::single("a"));
+    for (&v, &m) in nodes.iter().zip(&LAW_SIZES) {
+        db.register_node(v);
+        for j in 0..m {
+            db.insert(v, Tuple::single(f64::from(j))).unwrap();
+        }
+    }
+    (g, db)
+}
+
+/// Row 0 of `P^L` for the lazy Metropolis chain of Eq. 12, built from
+/// the definition: `P_ij = ½ · (1/d_i) · min(1, (w_j d_i)/(w_i d_j))` for
+/// neighbours and `P_ii = 1 − Σ_j P_ij`.
+fn exact_law(g: &Graph, length: u64) -> Vec<f64> {
+    let n = LAW_SIZES.len();
+    let degree = |i: usize| g.degree(NodeId(i as u32)) as f64;
+    let mut p = vec![vec![0.0; n]; n];
+    for i in 0..n {
+        for &j in g.neighbors(NodeId(i as u32)) {
+            let j = j.0 as usize;
+            let ratio =
+                (f64::from(LAW_SIZES[j]) * degree(i)) / (f64::from(LAW_SIZES[i]) * degree(j));
+            p[i][j] = 0.5 / degree(i) * ratio.min(1.0);
+        }
+        p[i][i] = 1.0 - p[i].iter().sum::<f64>();
+    }
+    let mut row = vec![0.0; n];
+    row[0] = 1.0;
+    for _ in 0..length {
+        row = (0..n)
+            .map(|j| (0..n).map(|i| row[i] * p[i][j]).sum())
+            .collect();
+    }
+    row
+}
+
+/// Holds the end-node counts of `LAW_WALKS` walks to the exact law: no
+/// walk ends where `P^L` is 0, the TVD is ≤ 0.01, and χ² (cells with an
+/// expected count below 5 pooled) is below its α = 0.001 critical value.
+fn assert_law(walker: &str, length: u64, counts: &[u64], law: &[f64]) {
+    let total = LAW_WALKS as f64;
+    let mut tvd = 0.0;
+    let (mut chi2, mut cells) = (0.0, 0usize);
+    let (mut pooled_observed, mut pooled_expected) = (0.0, 0.0);
+    for (v, (&observed, &p)) in counts.iter().zip(law).enumerate() {
+        if p == 0.0 {
+            assert_eq!(
+                observed, 0,
+                "{walker} L={length}: ended on unreachable node {v}"
+            );
+            continue;
+        }
+        let (observed, expected) = (observed as f64, p * total);
+        tvd += (observed / total - p).abs() / 2.0;
+        if expected < 5.0 {
+            pooled_observed += observed;
+            pooled_expected += expected;
+        } else {
+            chi2 += (observed - expected).powi(2) / expected;
+            cells += 1;
+        }
+    }
+    if pooled_expected > 0.0 {
+        chi2 += (pooled_observed - pooled_expected).powi(2) / pooled_expected;
+        cells += 1;
+    }
+    assert!(tvd <= 0.01, "{walker} L={length}: TVD {tvd}");
+    if cells > 1 {
+        let critical = CHI2_CRIT[cells - 2];
+        assert!(
+            chi2 < critical,
+            "{walker} L={length}: χ² {chi2:.1} ≥ {critical} on {} df",
+            cells - 1
+        );
+    }
+}
+
+/// Both walkers realise exactly the lazy Metropolis chain: the end node
+/// of a length-`L` walk from node 0 is distributed as row 0 of `P^L`, for
+/// lengths on both sides of the 64-step laziness chunk.
+#[test]
+fn both_walkers_follow_the_exact_lazy_metropolis_law() {
+    let (g, db) = law_world();
+    let w = content_size_weight(&db);
+    let origin = NodeId(0);
+    for (k, length) in [1u64, 7, 23, 64, 65, 130].into_iter().enumerate() {
+        let law = exact_law(&g, length);
+
+        // The live-graph walk.
+        let mut rng = ChaCha8Rng::seed_from_u64(100 + k as u64);
+        let mut counts = vec![0u64; LAW_SIZES.len()];
+        for _ in 0..LAW_WALKS {
+            let mut walk = MetropolisWalk::new(&g, origin).unwrap();
+            walk.run(&g, &w, length, &mut rng).unwrap();
+            counts[walk.current().0 as usize] += 1;
+        }
+        assert_law("live walk", length, &counts, &law);
+
+        // The occasion-snapshot walk, through the operator's batch path:
+        // every slot a fresh walk of `length` steps, and every node holds
+        // a tuple, so no slot walks further.
+        let mut op = SamplingOperator::new(SamplingConfig {
+            walk_length: length,
+            reset_length: length,
+            continue_walks: false,
+            workers: default_workers(),
+            cache_snapshots: true,
+        })
+        .unwrap();
+        let mut counts = vec![0u64; LAW_SIZES.len()];
+        let mut left = LAW_WALKS;
+        while left > 0 {
+            let n = left.min(4_096);
+            op.begin_occasion();
+            for (handle, _, _) in op
+                .sample_batch(&g, &db, origin, n, &mut rng)
+                .unwrap()
+                .iter()
+            {
+                counts[handle.node.0 as usize] += 1;
+            }
+            left -= n;
+        }
+        assert_law("snapshot walk", length, &counts, &law);
+    }
 }
