@@ -2,10 +2,10 @@
 //!
 //! Drives `PredScheduler` through a fixed piecewise signal — steady,
 //! linear drift, accelerating quadratic, plus a mid-trace reset — the
-//! way the engine does (each decided delay advances the clock), and
-//! byte-compares the full decision log against a checked-in fixture.
-//! Any change to the extrapolator's fitting, remainder bound, or skip
-//! logic shows up as a readable line diff here.
+//! way the engine does (each decided delay advances the clock), under a
+//! query contract, and byte-compares the full decision log against a
+//! checked-in fixture. Any change to the extrapolator's fit, prediction
+//! bound, or skip logic shows up as a readable line diff here.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -15,7 +15,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use digest_core::{PredScheduler, SnapshotScheduler};
+use digest_core::{Precision, PredScheduler, SnapshotScheduler};
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -37,12 +37,18 @@ fn signal(t: u64) -> f64 {
     }
 }
 
+/// The snapshots' contract: `ε` and `p`, the same in every scenario.
+const EPSILON: f64 = 1.0;
+const CONFIDENCE: f64 = 0.95;
+
 /// Replays one `(k, δ)` scenario and appends every decision to `out`.
 fn replay(k: usize, delta: f64, horizon: u64, reset_at: Option<u64>, out: &mut String) {
-    let mut s = PredScheduler::new(k).unwrap();
+    let contract = Precision::new(delta, EPSILON, CONFIDENCE).unwrap();
+    let mut s = PredScheduler::for_precision(k, &contract).unwrap();
     writeln!(
         out,
-        "scenario k={k} delta={delta} horizon={horizon} reset_at={reset_at:?}"
+        "scenario k={k} delta={delta} epsilon={EPSILON} p={CONFIDENCE} horizon={horizon} \
+         reset_at={reset_at:?}"
     )
     .unwrap();
     let mut t = 0u64;
@@ -64,7 +70,7 @@ fn replay(k: usize, delta: f64, horizon: u64, reset_at: Option<u64>, out: &mut S
 
 fn decision_trace() -> String {
     let mut out = String::new();
-    out.push_str("PRED-k golden decision trace v1\n");
+    out.push_str("PRED-k golden decision trace v2\n");
     for &(k, delta) in &[(2usize, 2.0f64), (3, 5.0), (5, 5.0), (3, 1.0)] {
         replay(k, delta, 200, None, &mut out);
     }

@@ -889,12 +889,12 @@ mod tests {
             200,
             31,
             [
-                [18, 18, 0, 0, 3046, 160, 160],
-                [18, 18, 0, 0, 3040, 160, 160],
-                [18, 18, 0, 0, 3036, 80, 80],
-                [18, 18, 10, 0, 3032, 160, 160],
-                [18, 18, 0, 0, 3031, 160, 160],
-                [18, 18, 0, 0, 8, 160, 160],
+                [20, 20, 0, 0, 3252, 160, 160],
+                [20, 20, 0, 0, 3246, 160, 160],
+                [20, 20, 0, 0, 3242, 80, 80],
+                [20, 20, 12, 0, 3237, 160, 160],
+                [20, 20, 0, 0, 3235, 160, 160],
+                [20, 20, 0, 0, 8, 160, 160],
             ],
         );
     }
@@ -916,12 +916,12 @@ mod tests {
             50,
             32,
             [
-                [50, 14, 0, 0, 4747, 1951, 1838],
-                [50, 14, 0, 0, 4744, 1951, 1899],
-                [50, 14, 0, 0, 4738, 952, 908],
-                [50, 14, 12, 29, 4737, 1951, 1779],
-                [50, 14, 0, 0, 4736, 1951, 1786],
-                [50, 14, 0, 0, 555, 1951, 1838],
+                [50, 14, 0, 0, 4856, 1951, 1838],
+                [50, 14, 0, 0, 4851, 1951, 1899],
+                [50, 14, 0, 0, 4847, 952, 908],
+                [50, 14, 12, 30, 4845, 1951, 1779],
+                [50, 14, 0, 0, 4843, 1951, 1786],
+                [50, 14, 0, 0, 570, 1951, 1838],
             ],
         );
     }

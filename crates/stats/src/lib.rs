@@ -15,11 +15,11 @@
 //!   mean with probability `p` (paper Eq. 6).
 //! * [`linalg`] — small dense matrices (products, power-iteration spectral
 //!   radius) for explicit transition matrices in the mixing diagnostics.
-//! * [`taylor`] — Taylor-polynomial extrapolation with Lagrange remainder
-//!   bounds: predicts the earliest time the running aggregate can have
-//!   drifted by the resolution threshold `δ` (paper §IV-A, Eqs. 1–4). The
-//!   exactly determined fit is the Newton interpolant, read with the
-//!   remainder bound off one on-stack divided-difference table.
+//! * [`taylor`] — polynomial extrapolation with a prediction bound:
+//!   predicts the earliest time the running aggregate can have drifted by
+//!   the resolution threshold `δ` (paper §IV-A, Eqs. 1–4) from a
+//!   least-squares fit over the recent snapshots, whose bound carries the
+//!   snapshots' own variance `(ε / z_p)²` (one on-stack QR per decision).
 //! * [`quantile`] — the interpolated sample quantile the exact oracle
 //!   and baselines finalise `PERCENTILE` / `MEDIAN` with.
 //! * [`repeated`] — the repeated-sampling estimator algebra of paper
@@ -69,7 +69,7 @@ pub use moments::{PairedMoments, RunningMoments};
 pub use normal::{inverse_phi, phi, phi_pdf, z_for_confidence};
 pub use quantile::sample_quantile;
 pub use repeated::{combined_estimate, optimal_partition, CombinedEstimate, PanelPartition};
-pub use taylor::{Extrapolator, ExtrapolatorConfig, Prediction};
+pub use taylor::{Bound, Extrapolator, ExtrapolatorConfig, Prediction};
 pub use tvd::{total_variation_distance, DiscreteDistribution};
 
 /// Result alias used throughout the crate.

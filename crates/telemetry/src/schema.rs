@@ -106,15 +106,19 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("messages", U64),
         ],
     },
-    // One scheduler next_delay decision (PRED-k adds the extrapolation
-    // diagnostics; ALL omits them).
+    // One scheduler next_delay decision. PRED-k adds whether it is still
+    // bootstrapping and, once it is not, its prediction bound's parts at
+    // the chosen horizon: the fitted `drift`, the `spread` around it, and
+    // the fit's residual mean square `noise_var`. ALL omits all four.
     EventSchema {
         kind: "scheduler.decision",
         fields: &[
             req("scheduler", Str),
             req("delay", U64),
             opt("bootstrapping", Bool),
-            opt("derivative_bound", F64),
+            opt("drift", F64),
+            opt("spread", F64),
+            opt("noise_var", F64),
         ],
     },
     // One estimator snapshot evaluation (RPT adds the panel split), with
@@ -343,10 +347,27 @@ mod tests {
                 ("scheduler", Field::Str("pred3")),
                 ("delay", Field::U64(7)),
                 ("bootstrapping", Field::Bool(false)),
-                ("derivative_bound", Field::F64(0.25)),
+                ("drift", Field::F64(-1.5)),
+                ("spread", Field::F64(4.25)),
+                ("noise_var", Field::F64(1.04)),
             ],
         );
         assert_eq!(validate_line(&line), Ok(()));
+    }
+
+    #[test]
+    fn a_decision_carries_the_bound_not_a_derivative_bound() {
+        let valid = r#"{"bootstrapping":false,"delay":7,"drift":-1.5,"kind":"scheduler.decision","noise_var":1.04,"scheduler":"PRED3","spread":4.25,"tick":9}"#;
+        assert_eq!(validate_line(valid), Ok(()));
+        // The remainder heuristic's field is gone from the wire format.
+        let old = valid.replace("\"drift\":-1.5", "\"derivative_bound\":0.25");
+        assert!(validate_line(&old).is_err());
+        // Each part of the bound is a number.
+        for part in ["drift", "spread", "noise_var"] {
+            let quoted =
+                valid.replace(&format!("\"{part}\":"), &format!("\"{part}\":\"x\",\"y\":"));
+            assert!(validate_line(&quoted).is_err(), "{part}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! on every row of `audit`), [`check_report`] (exact member count; per member:
 //! occasions ≥ [`AUDIT_MIN_OCCASIONS`], `violation_rate ≤
 //! violation_bound` — the `(1 − p) + 3σ` bound the report itself carries
-//! — and drift ≤ [`AUDIT_DRIFT_TOLERANCE`]) and [`validate_event_stream`]
+//! —, the share of ticks off by more than `δ + ε` within the same kind of
+//! bound ([`resolution_bound`]), and drift ≤ [`AUDIT_DRIFT_TOLERANCE`]) and
+//! [`validate_event_stream`]
 //! (every JSONL line schema-valid, every required kind present). A new
 //! leg is a table row; each predicate is driven red on a planted input by
 //! `tests/gate_predicates.rs`, which never spawns the CLI.
@@ -99,7 +101,7 @@ pub struct Scenario {
 }
 
 /// Pinned tolerance for the worst confidence-calibration miss. The
-/// fixed-seed temperature scenario lands around 0.11 with 23 reporting
+/// fixed-seed temperature scenario lands around 0.14 with 11 reporting
 /// occasions; 0.35 leaves room for finite-sample noise while still
 /// catching a mis-scaled CI half-width (which drifts toward 0.5 at the
 /// tails).
@@ -107,6 +109,18 @@ pub const AUDIT_DRIFT_TOLERANCE: f64 = 0.35;
 
 /// Minimum reporting occasions for the audit gate to be meaningful.
 pub const AUDIT_MIN_OCCASIONS: f64 = 10.0;
+
+/// Binomial standard errors of slack on the δ-miss share, as the report's
+/// own `violation_bound` allows on the ε-violation rate.
+pub const RESOLUTION_SLACK_SIGMAS: f64 = 3.0;
+
+/// The δ-miss share a member may show over `ticks`: the promised `1 − p`
+/// plus [`RESOLUTION_SLACK_SIGMAS`] binomial standard errors.
+#[must_use]
+pub fn resolution_bound(confidence: f64, ticks: f64) -> f64 {
+    let q = 1.0 - confidence;
+    q + RESOLUTION_SLACK_SIGMAS * (confidence * q / ticks.max(1.0)).sqrt()
+}
 
 /// Kinds a standalone audited, span-traced run must emit.
 pub const SCHEMA_REQUIRED_KINDS: &[&str] = &[
@@ -452,6 +466,9 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
             "calibration drift",
             report_number(report, "calibration_drift")?,
         );
+        let ticks = report_number(report, "ticks")?;
+        let resolution_misses = report_number(report, "resolution_violations")?;
+        let confidence = report_number(report, "confidence")?;
         Ok((
             report_number(report, "occasions")?,
             report_number(report, "violation_rate")?,
@@ -462,9 +479,13 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
                     ("under-coverage drift", under_coverage_drift(report)?)
                 }
             },
+            (
+                resolution_misses / ticks.max(1.0),
+                resolution_bound(confidence, ticks),
+            ),
         ))
     };
-    let (occasions, rate, bound, (drift_label, drift)) = match numbers() {
+    let (occasions, rate, bound, (drift_label, drift), (miss_share, miss_bound)) = match numbers() {
         Ok(numbers) => numbers,
         Err(e) => {
             eprintln!("xtask audit [{label}]: {query}: {e}");
@@ -473,7 +494,8 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
     };
     println!(
         "xtask audit [{label}]: {query}: occasions {occasions}, violation rate {rate:.4} \
-         (gate ≤ {bound:.4}), {drift_label} {drift:.4} (gate ≤ {AUDIT_DRIFT_TOLERANCE})"
+         (gate ≤ {bound:.4}), δ-miss share {miss_share:.4} (gate ≤ {miss_bound:.4}), \
+         {drift_label} {drift:.4} (gate ≤ {AUDIT_DRIFT_TOLERANCE})"
     );
     let mut misses = Vec::new();
     if occasions < AUDIT_MIN_OCCASIONS {
@@ -485,6 +507,12 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
     if rate > bound {
         misses.push(format!(
             "ε-violation rate {rate:.4} exceeds the promised rate plus binomial slack ({bound:.4})"
+        ));
+    }
+    if miss_share > miss_bound {
+        misses.push(format!(
+            "δ-miss share {miss_share:.4} (ticks off by more than δ + ε) exceeds 1 − p plus binomial \
+             slack ({miss_bound:.4})"
         ));
     }
     if drift > AUDIT_DRIFT_TOLERANCE {
@@ -500,7 +528,8 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
 
 /// Gates one `--audit-json` report: a JSON array of exactly `row.members`
 /// per-query audits, each with enough occasions, an ε-violation rate within
-/// the bound the report carries, and calibration drift within tolerance.
+/// the bound the report carries, a δ-miss share within
+/// [`resolution_bound`], and calibration drift within tolerance.
 pub fn check_report(label: &str, report: &[u8], row: &AuditRow) -> bool {
     let parsed = match serde_json::from_str(&String::from_utf8_lossy(report)) {
         Ok(parsed) => parsed,

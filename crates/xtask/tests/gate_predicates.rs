@@ -3,9 +3,9 @@
 //! derived from. Nothing here spawns `digest-cli`.
 
 use xtask::gate::{
-    check_report, differing, extends, same, validate_event_stream, Artefacts, AuditRow, DriftGate,
-    Variant, AUDIT_DRIFT_TOLERANCE, MUX_SCHEMA_REQUIRED_KINDS, REPLAY_AND_WORKERS, SCENARIOS,
-    SCHEMA_REQUIRED_KINDS,
+    check_report, differing, extends, resolution_bound, same, validate_event_stream, Artefacts,
+    AuditRow, DriftGate, Variant, AUDIT_DRIFT_TOLERANCE, MUX_SCHEMA_REQUIRED_KINDS,
+    REPLAY_AND_WORKERS, SCENARIOS, SCHEMA_REQUIRED_KINDS,
 };
 
 fn artefacts() -> Artefacts {
@@ -64,6 +64,10 @@ struct Member {
     drift: f64,
     /// `(nominal, coverage)` rows of the calibration table.
     calibration: Vec<(f64, f64)>,
+    /// Ticks the run covered, and those off by more than `δ + ε`.
+    ticks: f64,
+    resolution_violations: f64,
+    confidence: f64,
 }
 
 impl Member {
@@ -75,6 +79,9 @@ impl Member {
             bound: 0.1863,
             drift: 0.113,
             calibration: vec![(0.5, 0.6087), (0.8, 0.913), (0.95, 1.0)],
+            ticks: 60.0,
+            resolution_violations: 0.0,
+            confidence: 0.95,
         }
     }
 
@@ -86,12 +93,16 @@ impl Member {
             .collect();
         format!(
             "{{\"query\":\"SELECT AVG(x) FROM R\",\"occasions\":{},\"violation_rate\":{},\
-             \"violation_bound\":{},\"calibration_drift\":{},\"calibration\":[{}]}}",
+             \"violation_bound\":{},\"calibration_drift\":{},\"calibration\":[{}],\
+             \"ticks\":{},\"resolution_violations\":{},\"confidence\":{}}}",
             self.occasions,
             self.rate,
             self.bound,
             self.drift,
-            rows.join(",")
+            rows.join(","),
+            self.ticks,
+            self.resolution_violations,
+            self.confidence,
         )
     }
 }
@@ -158,6 +169,29 @@ fn drift_beyond_the_tolerance_is_red_under_both_gates() {
 }
 
 #[test]
+fn a_delta_miss_share_above_one_minus_p_plus_slack_is_red() {
+    // 600 ticks at p = 0.95: 0.05 + 3·√(0.95·0.05/600) = 0.0767, so 46
+    // misses (0.0767) pass and 47 (0.0783) do not.
+    let bound = resolution_bound(0.95, 600.0);
+    assert!((bound - 0.0767).abs() < 1e-4, "{bound}");
+    for gate in BOTH_GATES {
+        let member = |misses: f64| Member {
+            ticks: 600.0,
+            resolution_violations: misses,
+            ..Member::clean()
+        };
+        assert!(passes(member(46.0), gate), "{gate:?}");
+        assert!(!passes(member(47.0), gate), "{gate:?}");
+        // The promise is the member's own: the same misses pass at p = 0.9.
+        let looser = Member {
+            confidence: 0.9,
+            ..member(47.0)
+        };
+        assert!(passes(looser, gate), "{gate:?}");
+    }
+}
+
+#[test]
 fn too_few_occasions_is_red() {
     for gate in BOTH_GATES {
         let enough = Member {
@@ -203,6 +237,9 @@ fn a_report_missing_a_numeric_field_is_red() {
         "violation_rate",
         "violation_bound",
         "calibration_drift",
+        "ticks",
+        "resolution_violations",
+        "confidence",
     ] {
         // Renaming the key removes the field; a string value is not numeric.
         let renamed = clean.replace(&format!("\"{field}\":"), "\"renamed\":");
@@ -274,6 +311,9 @@ fn a_schema_invalid_line_is_red_even_when_every_kind_is_present() {
         MUX_STREAM[0].replace("\"panel\":91,", ""),
         // A field of the wrong type.
         MUX_STREAM[2].replace("\"snapshot\":true", "\"snapshot\":\"yes\""),
+        // A PRED decision as the remainder heuristic wrote it; it carries
+        // `drift`, `spread` and `noise_var` now.
+        r#"{"bootstrapping":false,"delay":7,"derivative_bound":0.25,"kind":"scheduler.decision","scheduler":"PRED3","tick":9}"#.to_owned(),
         // Not JSON.
         "{\"kind\":\"tick\"".to_owned(),
     ];

@@ -380,16 +380,17 @@ fn coincident_mux_members_share_one_fold() {
     assert!(many <= few + ROUNDS * (32 - 4), "{few} -> {many}");
 }
 
-/// A PRED-k decision is a divided-difference table on the stack: once the
-/// scheduler exists, observing, deciding and resetting never allocate.
-/// Statically, `Extrapolator::{observe, predict}` and
+/// A PRED-k decision is a least-squares fit and its prediction bound on
+/// the stack: once the scheduler exists, observing, deciding and resetting
+/// never allocate. Statically, `Extrapolator::{observe, predict}` and
 /// `PredScheduler::next_delay` carry the `xtask: no-alloc` tag.
 #[test]
 fn pred_decisions_stay_off_the_heap() {
     const CALLS: u64 = 1_000;
     let _turn = telemetry_turn();
 
-    let mut scheduler = PredScheduler::new(3).unwrap();
+    let contract = Precision::new(1.0, 0.05, 0.95).unwrap();
+    let mut scheduler = PredScheduler::for_precision(3, &contract).unwrap();
     let mut decide = |range: std::ops::Range<u64>| {
         let mut ticks = 0;
         for t in range {
