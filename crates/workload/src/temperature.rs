@@ -141,10 +141,11 @@ impl TemperatureWorkload {
         let mut handles = Vec::with_capacity(config.units);
         let mut units = Vec::with_capacity(config.units);
         let base = base_signal(&config, 0, 0.0);
+        let mut words = BulkWords::new(&mut rng, 2 * GAUSSIAN_WORDS * config.units);
         for i in 0..config.units {
             let node = node_ids[i % node_ids.len()];
-            let offset = config.offset_std * gaussian(&mut rng);
-            let ar = config.ar_std * gaussian(&mut rng);
+            let offset = config.offset_std * gaussian(&mut words);
+            let ar = config.ar_std * gaussian(&mut words);
             let value = base + offset + ar;
             let handle = db
                 .insert(node, Tuple::single(value))
@@ -199,15 +200,18 @@ impl Workload for TemperatureWorkload {
 
     fn advance(&mut self, _rng: &mut dyn RngCore) {
         self.tick += 1;
-        self.drift += self.config.drift_std * gaussian(&mut self.rng);
+        // The drift's draw, then one per unit.
+        let draws = self.units.len() + 1;
+        let mut words = BulkWords::new(&mut self.rng, GAUSSIAN_WORDS * draws);
+        self.drift += self.config.drift_std * gaussian(&mut words);
         let base = base_signal(&self.config, self.tick, self.drift);
         let ar_coeff = self.config.ar_coeff;
         let innovation_std = self.config.ar_std * (1.0 - ar_coeff.powi(2)).sqrt();
-        let (units, rng) = (&mut self.units, &mut self.rng);
+        let units = &mut self.units;
         self.db
             .update_rows(&self.handles, |i, row| {
                 let unit = &mut units[i];
-                unit.ar = ar_coeff * unit.ar + innovation_std * gaussian(rng);
+                unit.ar = ar_coeff * unit.ar + innovation_std * gaussian(&mut words);
                 row[0] = base + unit.offset + unit.ar;
             })
             .expect("unit handles stay valid (no churn)");
@@ -235,10 +239,75 @@ fn base_signal(cfg: &TemperatureConfig, tick: u64, drift: f64) -> f64 {
         + drift
 }
 
-/// Standard normal via Box–Muller (two uniforms per call; the second
-/// value is discarded). Generation is the bottleneck of most runs: the
-/// world advance it feeds is the benchmark's `workload.advance_share` of
-/// ≈ 0.72 on `mux32`, ≈ 0.74 on `audited` and > 0.99 on `solo_loose`.
+/// Keystream words one [`gaussian`] draw reads: two `next_u64`.
+const GAUSSIAN_WORDS: usize = 4;
+
+/// Words per [`BulkWords`] chunk (4 KiB, on the stack).
+const CHUNK_WORDS: usize = 1_024;
+
+/// `rng`'s next `words` words, drawn a chunk at a time through
+/// [`ChaCha8Rng::fill_words`] and read back through `RngCore`, whose
+/// `next_u64` is `lo | hi << 32` as `ChaCha8Rng`'s is. Reading exactly
+/// `words` words returns what `rng` itself would and leaves it where it
+/// would be; past that it draws one word per read.
+struct BulkWords<'r> {
+    rng: &'r mut ChaCha8Rng,
+    /// Words still to be drawn from `rng`.
+    owed: usize,
+    chunk: [u32; CHUNK_WORDS],
+    /// Next unread word of `chunk`.
+    next: usize,
+    /// Words of `chunk` filled by the last draw.
+    filled: usize,
+}
+
+impl<'r> BulkWords<'r> {
+    fn new(rng: &'r mut ChaCha8Rng, words: usize) -> Self {
+        Self {
+            rng,
+            owed: words,
+            chunk: [0; CHUNK_WORDS],
+            next: 0,
+            filled: 0,
+        }
+    }
+}
+
+impl RngCore for BulkWords<'_> {
+    /// xtask: no-alloc
+    fn next_u32(&mut self) -> u32 {
+        if self.next == self.filled {
+            // What is still owed, at most a chunk, at least one word.
+            self.filled = self.owed.clamp(1, CHUNK_WORDS);
+            self.owed = self.owed.saturating_sub(self.filled);
+            self.rng.fill_words(&mut self.chunk[..self.filled]);
+            self.next = 0;
+        }
+        let word = self.chunk[self.next];
+        self.next += 1;
+        word
+    }
+
+    /// xtask: no-alloc
+    fn next_u64(&mut self) -> u64 {
+        // Both words in the chunk (always, when chunks and reads are
+        // even): one check instead of two.
+        if self.next + 2 <= self.filled {
+            let (lo, hi) = (self.chunk[self.next], self.chunk[self.next + 1]);
+            self.next += 2;
+            return u64::from(hi) << 32 | u64::from(lo);
+        }
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
+        hi << 32 | lo
+    }
+}
+
+/// Standard normal via Box–Muller (two uniforms per call, each from one
+/// `next_u64`; the second value is discarded). Generation is the
+/// bottleneck of most runs: the world advance it feeds is the benchmark's
+/// `workload.advance_share` of ≈ 0.69 on `mux32`, ≈ 0.72 on `audited`
+/// and > 0.99 on `solo_loose`.
 pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -248,6 +317,7 @@ pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn small() -> TemperatureWorkload {
@@ -318,6 +388,20 @@ mod tests {
         }
     }
 
+    /// Both worlds hold the same rows bit for bit, the same aggregate, and
+    /// generators at the same position.
+    fn assert_same_world(a: &mut TemperatureWorkload, b: &mut TemperatureWorkload) {
+        let bits = |w: &TemperatureWorkload| -> Vec<(TupleHandle, u64)> {
+            let rows = w.db().iter();
+            rows.map(|(h, row)| (h, row.values()[0].to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.current_tick(), b.current_tick());
+        assert_eq!(a.exact_aggregate().to_bits(), b.exact_aggregate().to_bits());
+        assert_eq!(a.rng.next_u64(), b.rng.next_u64());
+    }
+
     #[test]
     fn batched_advance_is_the_per_unit_loop() {
         let (mut batched, mut looped) = (small(), small());
@@ -326,18 +410,64 @@ mod tests {
             batched.advance(&mut rng);
             advance_per_unit(&mut looped);
         }
-        let bits = |w: &TemperatureWorkload| -> Vec<(TupleHandle, u64)> {
-            let rows = w.db().iter();
-            rows.map(|(h, row)| (h, row.values()[0].to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(&batched), bits(&looped));
-        assert_eq!(batched.current_tick(), looped.current_tick());
-        assert_eq!(
-            batched.exact_aggregate().to_bits(),
-            looped.exact_aggregate().to_bits()
-        );
-        assert_eq!(batched.rng.next_u64(), looped.rng.next_u64());
+        assert_same_world(&mut batched, &mut looped);
+    }
+
+    /// Mixed 32- and 64-bit reads that straddle chunk ends and run past
+    /// the owed words return the generator's own words and leave it where
+    /// its own reads would.
+    #[test]
+    fn bulk_words_read_as_the_generator_does() {
+        for owed in [0, 1, 3, 1_023, 1_024, 1_025, 2_051] {
+            let mut bulk_rng = ChaCha8Rng::seed_from_u64(owed as u64);
+            let mut rng = bulk_rng.clone();
+            let mut bulk = BulkWords::new(&mut bulk_rng, owed);
+            let mut read = 0;
+            while read <= owed + 4 {
+                if read % 3 == 0 {
+                    assert_eq!(bulk.next_u32(), rng.next_u32(), "owed {owed}, read {read}");
+                    read += 1;
+                } else {
+                    assert_eq!(bulk.next_u64(), rng.next_u64(), "owed {owed}, read {read}");
+                    read += 2;
+                }
+            }
+            assert_eq!(bulk_rng.next_u64(), rng.next_u64(), "owed {owed}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bulk keystream reads change no word: from 1 to 600 units a
+        /// tick reads less than one eight-block group, exactly one, or
+        /// several chunks. Construction draws each unit's offset and AR
+        /// state in turn, and three batched ticks are the per-unit loop.
+        #[test]
+        fn bulk_reads_are_the_per_draw_stream(
+            units in 1usize..601,
+            seed in 0u64..1_000_000,
+        ) {
+            let config = TemperatureConfig {
+                seed,
+                ..TemperatureConfig::reduced(units, 2, 3, 3)
+            };
+            let mut batched = TemperatureWorkload::new(config);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for unit in &batched.units {
+                let offset = config.offset_std * gaussian(&mut rng);
+                let ar = config.ar_std * gaussian(&mut rng);
+                prop_assert_eq!(unit.offset.to_bits(), offset.to_bits());
+                prop_assert_eq!(unit.ar.to_bits(), ar.to_bits());
+            }
+            prop_assert_eq!(batched.rng.clone().next_u64(), rng.next_u64());
+            let mut looped = TemperatureWorkload::new(config);
+            for _ in 0..3 {
+                batched.advance(&mut rng);
+                advance_per_unit(&mut looped);
+            }
+            assert_same_world(&mut batched, &mut looped);
+        }
     }
 
     #[test]

@@ -116,6 +116,10 @@ pub const R4_FILES: &[&str] = &[
 /// either of these rules would miss cannot affect a replayed run.
 pub const SIM_VISIBLE_CRATES: &[&str] = R2_CRATES;
 
+/// Vendored crates (under `vendor/`) whose `xtask: no-alloc` tags R7
+/// checks too: the RNG's bulk keystream path runs inside the world step.
+pub const R7_VENDORED_CRATES: &[&str] = &["rand_chacha"];
+
 /// Designated seeding modules (R5): the only files allowed to construct
 /// RNGs ad hoc, because constructing per-slot / per-replication streams
 /// from the run seed is their whole job.
@@ -914,6 +918,13 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     }
     for krate in crates_to_scan {
         lint_crate(krate, &mut findings)?;
+    }
+    for krate in R7_VENDORED_CRATES {
+        for path in rust_sources(&root.join("vendor").join(krate).join("src"))? {
+            let source = std::fs::read_to_string(&path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            findings.extend(lint_hot_path_alloc(&relative_label(root, &path), &source));
+        }
     }
 
     apply_allowlist(findings, &allow)

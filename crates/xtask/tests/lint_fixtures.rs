@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use xtask::{
     lint_concurrency, lint_float_discipline, lint_hot_path_alloc, lint_no_hash_collections,
     lint_no_panic, lint_paper_refs, lint_rng_discipline, lint_workspace, Remedy, Rule, R1_CRATES,
-    R2_CRATES, R3_CRATES, R5_SEEDING_MODULES,
+    R2_CRATES, R3_CRATES, R5_SEEDING_MODULES, R7_VENDORED_CRATES,
 };
 
 fn fixture(name: &str) -> String {
@@ -230,8 +230,9 @@ impl TempWorkspace {
                 }
             }
         }
-        for krate in crates {
-            let src = root.join("crates").join(krate).join("src");
+        let vendored = R7_VENDORED_CRATES.iter().map(|krate| ("vendor", krate));
+        for (dir, krate) in crates.iter().map(|krate| ("crates", krate)).chain(vendored) {
+            let src = root.join(dir).join(krate).join("src");
             fs::create_dir_all(&src).expect("create temp crate dir");
             fs::write(src.join("lib.rs"), "// empty\n").expect("write empty lib");
         }
@@ -434,4 +435,14 @@ fn r7_findings_surface_in_workspace_scan() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, Rule::R7HotPathAlloc);
     assert_eq!(findings[0].line, 3);
+
+    // A vendored crate in `R7_VENDORED_CRATES` is held to its tags too.
+    ws.write(
+        "vendor/rand_chacha/src/lib.rs",
+        "/// xtask: no-alloc\npub fn fill(out: &mut [u32]) {\n    let _ = vec![0u32; out.len()];\n}\n",
+    );
+    let findings = lint_workspace(&ws.root).expect("lint tagged vendored allocation");
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(findings[1].file, "vendor/rand_chacha/src/lib.rs");
+    assert_eq!(findings[1].line, 3);
 }
