@@ -215,10 +215,12 @@ impl P2PDatabase {
     /// attribute values of `handles[k]`, in order, to overwrite. Equivalent
     /// to one [`P2PDatabase::update`] per handle — same checks, same rows
     /// written — except that the update tally is bumped once for the whole
-    /// batch (a world that rewrites every tuple every tick pays for the
-    /// per-call atomic otherwise) and that each written fragment's leaves
-    /// are re-added once, after the loop, however many of its rows the
-    /// batch wrote.
+    /// batch and that each written fragment's leaves are re-added once,
+    /// after the loop, however many of its rows the batch wrote. Two
+    /// writers rely on it: TEMPERATURE, which rewrites every tuple every
+    /// tick and would pay the per-call atomic otherwise, and MEMORY, which
+    /// writes its sparse updates a stage of hits at a time so that the
+    /// stage's row misses overlap rather than follow one another.
     ///
     /// # Errors
     ///

@@ -23,7 +23,13 @@
 //! therefore has no meaningful order: a removal moves the last unit into
 //! the hole. Every position is equally likely to update, so the order is
 //! a determinism matter only; it is a function of the seed like
-//! everything else.
+//! everything else. The updates themselves run `STAGE` hits at a time
+//! in three passes — the draws, the units' AR steps, one batched write of
+//! the rows — so that the misses on a stage's randomly placed units and
+//! rows (at 2·10⁵ units both arrays are far out of cache) are in flight
+//! together; one write at a time waited ≈ 350–450 ns on each. The
+//! words, the rows and every leaf are those of one `update` per hit, as
+//! the per-update reference in this module's tests checks.
 
 use crate::scenario::Workload;
 use crate::temperature::gaussian;
@@ -49,8 +55,9 @@ pub struct MemoryConfig {
     /// occasion grain at which queries can usefully re-probe is coarser —
     /// 40 s by default, the mean per-unit update spacing.
     pub seconds_per_tick: u64,
-    /// Per-unit per-tick probability of an update (calibrated to the
-    /// Table II record count: 95 445 / (1 000 × 3 600) ≈ 0.0265).
+    /// Per-unit probability of an update in each internal second
+    /// (calibrated to the Table II record count: 95 445 / (1 000 × 3 600)
+    /// ≈ 0.0265).
     pub update_prob: f64,
     /// Mean available memory (arbitrary MB units).
     pub mean: f64,
@@ -62,11 +69,11 @@ pub struct MemoryConfig {
     pub ar_coeff: f64,
     /// Amplitude of the slow common load swing.
     pub load_amplitude: f64,
-    /// Period of the load swing, in ticks.
+    /// Period of the load swing, in internal seconds.
     pub load_period: f64,
-    /// Per-node per-tick probability of leaving.
+    /// Per-node probability of leaving in each internal second.
     pub leave_prob: f64,
-    /// Expected node joins per tick.
+    /// Expected node joins per internal second.
     pub join_rate: f64,
     /// Units created per joining node.
     pub units_per_join: usize,
@@ -126,6 +133,11 @@ struct Unit {
 
 /// End of a node's unit chain.
 const NO_UNIT: u32 = u32::MAX;
+
+/// Updates per stage of [`MemoryWorkload::update_values`]: enough
+/// independent misses to fill the memory pipeline, and its three buffers
+/// (≈ 14 KB) stay on the stack.
+const STAGE: usize = 512;
 
 /// The live MEMORY scenario.
 pub struct MemoryWorkload {
@@ -271,8 +283,13 @@ impl MemoryWorkload {
     /// One internal second: churn, then sparse autonomous value updates.
     fn second(&mut self) {
         self.seconds += 1;
+        self.apply_churn();
+        self.update_values();
+    }
 
-        // 1. Churn.
+    /// The second's churn step: departed nodes take their fragments and
+    /// units with them, joiners arrive with fresh units.
+    fn apply_churn(&mut self) {
         let events = self.churn.step(&mut self.graph, &mut self.rng);
         self.churn_events += events.len() as u64;
         // Departures before the joiners' pushes, so `units` stays within its
@@ -294,20 +311,55 @@ impl MemoryWorkload {
                 }
             }
         }
+    }
 
-        // 2. Sparse value updates: the units that update, by position.
-        let load = self.config.load_amplitude
-            * (2.0 * std::f64::consts::PI * self.seconds as f64 / self.config.load_period).sin();
-        let innovation_std = self.config.ar_std * (1.0 - self.config.ar_coeff.powi(2)).sqrt();
-        let mut updating = BernoulliHits::new(self.units.len(), self.config.update_prob);
-        while let Some(position) = updating.next(&mut self.rng) {
-            let unit = &mut self.units[position];
-            unit.ar = self.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut self.rng);
-            let value = (self.config.mean + load + unit.offset + unit.ar).max(0.0);
+    /// The second's sparse value updates, [`STAGE`] hits at a time in
+    /// three passes: the draws in stream order (each hit's gap, then its
+    /// Gaussian, as one hit at a time would take them), then the units'
+    /// AR steps, then one batched write of the rows. Each pass's loads are
+    /// independent of one another, so the cache misses of a stage's
+    /// random units and rows are in flight together instead of one write
+    /// waiting on the last; the words drawn, the rows written and the
+    /// leaves re-added are those of one `update` per hit.
+    ///
+    /// xtask: no-alloc
+    fn update_values(&mut self) {
+        let config = &self.config;
+        let load = config.load_amplitude
+            * (2.0 * std::f64::consts::PI * self.seconds as f64 / config.load_period).sin();
+        let innovation_std = config.ar_std * (1.0 - config.ar_coeff.powi(2)).sqrt();
+        let mut updating = BernoulliHits::new(self.units.len(), config.update_prob);
+        let mut positions = [0usize; STAGE];
+        // A hit's Gaussian draw, then, once its unit has stepped, its value.
+        let mut values = [0.0f64; STAGE];
+        let mut handles = [TupleHandle {
+            node: NodeId(0),
+            slot: 0,
+            generation: 0,
+        }; STAGE];
+        loop {
+            let mut hits = 0;
+            while hits < STAGE {
+                let Some(position) = updating.next(&mut self.rng) else {
+                    break;
+                };
+                positions[hits] = position;
+                values[hits] = gaussian(&mut self.rng);
+                hits += 1;
+            }
+            for k in 0..hits {
+                let unit = &mut self.units[positions[k]];
+                unit.ar = config.ar_coeff * unit.ar + innovation_std * values[k];
+                values[k] = (config.mean + load + unit.offset + unit.ar).max(0.0);
+                handles[k] = unit.handle;
+            }
             self.db
-                .update(unit.handle, &[value])
-                .expect("live unit handle");
-            self.update_records += 1;
+                .update_rows(&handles[..hits], |k, row| row[0] = values[k])
+                .expect("live unit handles");
+            self.update_records += hits as u64;
+            if hits < STAGE {
+                return;
+            }
         }
     }
 }
@@ -546,6 +598,80 @@ mod tests {
         }
     }
 
+    /// `second` as it was before the stages: one `update` (one tally bump,
+    /// one re-add) per hit, each hit's unit and row read as it is drawn.
+    fn second_per_update(w: &mut MemoryWorkload) {
+        w.seconds += 1;
+        w.apply_churn();
+        let load = w.config.load_amplitude
+            * (2.0 * std::f64::consts::PI * w.seconds as f64 / w.config.load_period).sin();
+        let innovation_std = w.config.ar_std * (1.0 - w.config.ar_coeff.powi(2)).sqrt();
+        let mut updating = BernoulliHits::new(w.units.len(), w.config.update_prob);
+        while let Some(position) = updating.next(&mut w.rng) {
+            let unit = &mut w.units[position];
+            unit.ar = w.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut w.rng);
+            let value = (w.config.mean + load + unit.offset + unit.ar).max(0.0);
+            w.db.update(unit.handle, &[value]).unwrap();
+            w.update_records += 1;
+        }
+    }
+
+    /// Runs `seconds` staged seconds and as many of the per-update loop on
+    /// two worlds built from `config`. After each, both hold the same rows
+    /// bit for bit, the same aggregate, the same AR states and counts, and
+    /// generators at the same position. Returns each second's updates.
+    fn staged_is_per_update(config: MemoryConfig, seconds: usize) -> Vec<u64> {
+        let (mut staged, mut looped) = (MemoryWorkload::new(config), MemoryWorkload::new(config));
+        let rows = |w: &MemoryWorkload| -> Vec<(TupleHandle, u64)> {
+            let rows = w.db().iter();
+            rows.map(|(h, row)| (h, row.values()[0].to_bits()))
+                .collect()
+        };
+        let ars =
+            |w: &MemoryWorkload| -> Vec<u64> { w.units.iter().map(|u| u.ar.to_bits()).collect() };
+        let mut updates = Vec::new();
+        for second in 0..seconds {
+            let records = staged.update_records();
+            staged.second();
+            second_per_update(&mut looped);
+            assert_eq!(rows(&staged), rows(&looped), "second {second}");
+            assert_eq!(
+                staged.exact_aggregate().to_bits(),
+                looped.exact_aggregate().to_bits()
+            );
+            assert_eq!(ars(&staged), ars(&looped), "second {second}");
+            assert_eq!(staged.update_records(), looped.update_records());
+            assert_eq!(staged.churn_events(), looped.churn_events());
+            assert_eq!(staged.rng.clone().next_u64(), looped.rng.clone().next_u64());
+            updates.push(staged.update_records() - records);
+        }
+        updates
+    }
+
+    /// Every unit updating: a second of no hits, of one short stage, of
+    /// exactly one full stage, of a full stage and one hit more, and of
+    /// several stages ending short.
+    #[test]
+    fn staged_second_is_the_per_update_loop_at_the_stage_bounds() {
+        for (units, update_prob) in [
+            (STAGE, 0.0),
+            (1, 1.0),
+            (STAGE - 1, 1.0),
+            (STAGE, 1.0),
+            (STAGE + 1, 1.0),
+            (3 * STAGE + 1, 1.0),
+        ] {
+            let config = MemoryConfig {
+                update_prob,
+                leave_prob: 0.0,
+                join_rate: 0.0,
+                ..MemoryConfig::reduced(units, 20, 3)
+            };
+            let expected = if update_prob > 0.0 { units as u64 } else { 0 };
+            assert_eq!(staged_is_per_update(config, 3), [expected; 3]);
+        }
+    }
+
     /// Table II's record count follows from the per-second update rate:
     /// over the paper-scale hour it lies within 4σ of `units · seconds ·
     /// update_prob` (joiners' first records aside, which churn adds and
@@ -612,6 +738,35 @@ mod tests {
                 peak = peak.max(w.units.len());
                 prop_assert!(peak > capacity || w.units.capacity() == capacity);
             }
+        }
+
+        /// The staged second is the per-update loop, churn on and off, at
+        /// rates from none to every unit: seconds of no hits, of part of a
+        /// stage, of a stage exactly, of one hit past it and of several
+        /// stages all occur among the cases.
+        #[test]
+        fn staged_second_is_the_per_update_loop(
+            seed in 0u64..1_000_000,
+            units in prop_oneof![
+                Just(STAGE),
+                Just(STAGE + 1),
+                1usize..3 * STAGE + 2,
+            ],
+            update_prob in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0, 0.0f64..0.01],
+            churn in prop_oneof![Just(false), Just(true)],
+        ) {
+            let (leave_prob, join_rate) = if churn { (0.05, 3.0) } else { (0.0, 0.0) };
+            staged_is_per_update(
+                MemoryConfig {
+                    update_prob,
+                    leave_prob,
+                    join_rate,
+                    units_per_join: 2,
+                    seed,
+                    ..MemoryConfig::reduced(units, 40, 4)
+                },
+                4,
+            );
         }
     }
 
