@@ -303,9 +303,26 @@ impl P2PDatabase {
         node: NodeId,
         rng: &mut R,
     ) -> Option<(TupleHandle, RowView<'_>)> {
+        let sampled = self.sample_local_untallied(node, rng);
+        if sampled.is_some() {
+            digest_telemetry::registry::DB_LOCAL_SAMPLES.inc();
+        }
+        sampled
+    }
+
+    /// [`sample_local`](Self::sample_local) without its `db.local_samples`
+    /// tally: the same draw from the same words. For a caller that draws
+    /// many samples at once and adds the count of those that landed to
+    /// [`DB_LOCAL_SAMPLES`](digest_telemetry::registry::DB_LOCAL_SAMPLES)
+    /// once, instead of an atomic add per sample.
+    #[must_use]
+    pub fn sample_local_untallied<R: Rng + ?Sized>(
+        &self,
+        node: NodeId,
+        rng: &mut R,
+    ) -> Option<(TupleHandle, RowView<'_>)> {
         let store = self.fragments.get(node.0 as usize)?.as_ref()?;
         let (slot, generation, row) = store.sample_uniform(rng)?;
-        digest_telemetry::registry::DB_LOCAL_SAMPLES.inc();
         Some((
             TupleHandle {
                 node,

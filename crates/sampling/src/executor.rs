@@ -34,9 +34,12 @@
 //! * **Deferred telemetry, once per batch.** Workers run with events
 //!   suppressed and tally per slot locally; post-join the `sampling.*`
 //!   counters and the burn-in histogram are bumped once with the batch's
-//!   sums, while the per-slot `sampling.walk` event and re-emitted walk
-//!   span (then the per-batch `sampling.batch` event) are emitted in
-//!   slot order, keeping traces deterministic.
+//!   sums, as are the batch's `n` walk spans
+//!   ([`digest_telemetry::spans`]) and its local draws
+//!   ([`P2PDatabase::sample_local_untallied`] plus one add), while the
+//!   per-slot `sampling.walk` event and walk `span` event (then the
+//!   per-batch `sampling.batch` event) are emitted in slot order, keeping
+//!   traces deterministic.
 //!
 //! The batch is atomic: any slot error (or exhausted content-retry
 //! budget) fails the whole occasion batch, `arena.outcomes` is left
@@ -249,12 +252,11 @@ fn run_slot(
 ) -> Result<SlotOutcome> {
     let mut rng = ChaCha8Rng::seed_from_u64(task.seed);
     let mut walk = SnapshotWalk::new(task.start, snap);
-    let _span = digest_telemetry::span(Stage::SamplingWalk);
     walk.run(snap, task.burn_in, &mut rng);
     // Before convergence a walk can sit on an empty node; walk reset
     // lengths until it lands on a content-bearing one (bounded).
     for retry in 0..TUPLE_RETRY_LIMIT {
-        if let Some((handle, _row)) = db.sample_local(walk.current, &mut rng) {
+        if let Some((handle, _row)) = db.sample_local_untallied(walk.current, &mut rng) {
             return Ok(SlotOutcome {
                 fresh: task.fresh,
                 end: walk.current,
@@ -354,9 +356,9 @@ fn flush_batch_telemetry(config: &SamplingConfig, outcomes: &[SlotOutcome]) {
                 ("hops", Field::U64(outcome.hops)),
             ],
         );
-        // Re-emit the worker-side walk span that was suppressed inside
-        // the batch. The deterministic clock cannot advance mid-batch
-        // (the tick is driver-stamped), so the re-emitted duration is
+        // Emit the slot's walk span, recorded once for the whole batch
+        // by `run_tuple_batch`. The deterministic clock cannot advance
+        // mid-batch (the tick is driver-stamped), so its duration is
         // always 0 ticks — what matters is that the span stream is
         // identical for every worker count and stays monotone in tick
         // order.
@@ -408,20 +410,33 @@ pub(crate) fn run_tuple_batch(
     let values = &mut arena.values;
     // Lowest-slot problem wins.
     let mut failure: Option<SamplingError> = None;
+    // Slots whose local draw landed: each drew one tuple, an `Err` slot
+    // none, failed batch or not.
+    let mut local_samples = 0u64;
     let drained = {
         // Workers could interleave events nondeterministically; run them
         // suppressed and emit deterministic rollups post-join. The guard
         // also covers the inline (single-worker) path so the emitted
         // stream is identical for every worker count.
         let _quiet = digest_telemetry::suppress_events();
-        par::run_indexed(
-            config.workers,
-            request.n,
-            &mut arena.results,
-            |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
-            |slot| drain_slot(db, slot, outcomes, values, &mut failure),
-        )
+        // Every slot runs, failed batch or not, and is one walk span. The
+        // tick cannot move inside the batch, so in deterministic mode the
+        // `n` spans total 0 ticks, as per-slot guards would; their events
+        // are emitted by `flush_batch_telemetry`.
+        digest_telemetry::spans(Stage::SamplingWalk, request.n as u64, || {
+            par::run_indexed(
+                config.workers,
+                request.n,
+                &mut arena.results,
+                |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
+                |slot| {
+                    local_samples += u64::from(slot.is_ok());
+                    drain_slot(db, slot, outcomes, values, &mut failure);
+                },
+            )
+        })
     };
+    telemetry::DB_LOCAL_SAMPLES.add(local_samples);
     if drained.is_err() {
         // Unreachable by construction, surfaced per the panic policy.
         failure.get_or_insert(SamplingError::InvalidConfig {

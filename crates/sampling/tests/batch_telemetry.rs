@@ -59,7 +59,9 @@ fn churn(g: &mut Graph, occasion: usize) {
 }
 
 /// What the sampling layer's batch flush owns of the registry, plus the
-/// local-draw tally both paths bump from inside their slots.
+/// local-draw tally both paths bump from inside their slots, plus the
+/// walk and batch stage reports (count, total): the batch records its
+/// slots' walk spans once, the replay one guard per slot.
 fn registry_fingerprint() -> Vec<u64> {
     let mut fp = vec![
         registry::SAMPLING_WALKS_FRESH.get(),
@@ -77,6 +79,11 @@ fn registry_fingerprint() -> Vec<u64> {
     for histogram in [&registry::SAMPLING_BURN_IN, &registry::SAMPLING_BATCH_SLOTS] {
         fp.extend([histogram.count(), histogram.sum(), histogram.max()]);
         fp.extend(histogram.bucket_counts());
+    }
+    for report in digest_telemetry::stage_reports() {
+        if matches!(report.stage, Stage::SamplingWalk | Stage::SamplingBatch) {
+            fp.extend([report.count, report.total]);
+        }
     }
     fp
 }
@@ -179,6 +186,7 @@ fn per_slot_run(refreshes: &[&'static str]) {
                         let mut stream =
                             ChaCha8Rng::seed_from_u64(par::stream_seed(occasion_seed, slot));
                         let mut walk = MetropolisWalk::new(&g, start).unwrap();
+                        let _walk_span = digest_telemetry::span(Stage::SamplingWalk);
                         walk.run(&g, &w, burn_in, &mut stream).unwrap();
                         let mut retries = 0;
                         while db.sample_local(walk.current(), &mut stream).is_none() {
@@ -248,8 +256,16 @@ fn batched_flush_leaves_what_the_per_slot_flush_left() {
     // the burn-in histogram would have nothing to get wrong.
     assert!(registry::SAMPLING_BURN_IN.count() > registry::SAMPLING_SAMPLES.get());
     assert!(registry::SAMPLING_WALKS_CONTINUED.get() > 0);
-
+    // One walk span per slot and one batch span per batch.
+    let stages = digest_telemetry::stage_reports();
+    let count = |stage| stages.iter().find(|r| r.stage == stage).unwrap().count;
     let samples = OCCASIONS * BATCHES.iter().sum::<usize>();
+    assert_eq!(count(Stage::SamplingWalk), samples as u64);
+    assert_eq!(
+        count(Stage::SamplingBatch),
+        (OCCASIONS * BATCHES.len()) as u64
+    );
+
     let walks = |lines: &[String]| lines.iter().filter(|l| l.contains("sampling.walk")).count();
     assert_eq!(walks(&batched_events), samples);
     assert!(batched_events.iter().any(|l| l.contains("sampling_walk")));

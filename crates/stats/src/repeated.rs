@@ -165,6 +165,12 @@ pub fn required_panel_size(sigma2: f64, rho: f64, target_variance: f64) -> Resul
     Ok(crate::f64_to_usize_saturating(n.ceil()).max(crate::clt::MIN_SAMPLE_SIZE))
 }
 
+/// The value `Iterator::sum::<f64>` folds from. It is `−0.0`, the
+/// additive identity that keeps an all-`−0.0` column's sum `−0.0`;
+/// [`combined_estimate`]'s hand-written sums start there too, so that
+/// they stay the sums the iterator would give.
+const SUM_START: f64 = -0.0;
+
 /// The combined repeated-sampling estimate for one occasion (paper
 /// §IV-B2, Eq. 7/Eq. 8).
 #[derive(Debug, Clone, Copy)]
@@ -219,34 +225,41 @@ pub fn combined_estimate(
     if n == 0 {
         return Err(StatsError::InsufficientData { got: 0, need: 1 });
     }
-    if fresh
-        .iter()
-        .chain(retained_prev.iter())
-        .chain(retained_cur.iter())
-        .any(|v| !v.is_finite())
-        || !prev_mean.is_finite()
-    {
+
+    // One pass over the panel, fresh column first, then the retained
+    // pairs. Each accumulator sees its values in the order, and starts
+    // from the value, it would on a pass of its own, so the result is
+    // bit-identical to folding them one after another; only their
+    // independent division chains now overlap.
+    let mut finite = prev_mean.is_finite();
+    // Pooled variance of current-occasion values across the whole panel.
+    let mut pooled = RunningMoments::new();
+    let mut fresh_sum = SUM_START;
+    for &y in fresh {
+        finite &= y.is_finite();
+        pooled.push(y);
+        fresh_sum += y;
+    }
+    // Retained-pair statistics.
+    let mut pairs = PairedMoments::new();
+    let (mut retained_prev_sum, mut retained_cur_sum) = (SUM_START, SUM_START);
+    for (&x, &y) in retained_prev.iter().zip(retained_cur) {
+        finite &= x.is_finite() & y.is_finite();
+        pooled.push(y);
+        pairs.push(x, y);
+        retained_prev_sum += x;
+        retained_cur_sum += y;
+    }
+    if !finite {
         return Err(StatsError::NonFiniteInput {
             what: "panel values",
         });
     }
-
-    // Pooled variance of current-occasion values across the whole panel.
-    let mut pooled = RunningMoments::new();
-    pooled.extend_from(fresh);
-    pooled.extend_from(retained_cur);
     let sigma2_hat = pooled.sample_variance();
-
-    // Retained-pair statistics.
-    let pairs = PairedMoments::from_pairs(retained_prev, retained_cur);
     let rho_hat = pairs.correlation();
     let slope = pairs.regression_slope();
 
-    let fresh_mean = if f > 0 {
-        fresh.iter().sum::<f64>() / f as f64
-    } else {
-        0.0
-    };
+    let fresh_mean = if f > 0 { fresh_sum / f as f64 } else { 0.0 };
 
     // Pure-fresh fallback (independent sampling).
     if g == 0 {
@@ -263,8 +276,8 @@ pub fn combined_estimate(
 
     // Regression estimate from the retained portion (Table 1):
     // Ȳ_kg = ȳ_kg + b (Ȳ_{k−1} − ȳ_{k−1,g}).
-    let retained_cur_mean = retained_cur.iter().sum::<f64>() / g as f64;
-    let retained_prev_mean = retained_prev.iter().sum::<f64>() / g as f64;
+    let retained_cur_mean = retained_cur_sum / g as f64;
+    let retained_prev_mean = retained_prev_sum / g as f64;
     let regression_estimate = retained_cur_mean + slope * (prev_mean - retained_prev_mean);
 
     let rho2 = rho_hat * rho_hat;
@@ -303,6 +316,114 @@ pub fn combined_estimate(
     })
 }
 
+/// `combined_estimate` as five passes (finiteness, pooled moments, paired
+/// moments, one sum per column), the oracle its one-pass fold is held to.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn combined_estimate(
+        fresh: &[f64],
+        retained_prev: &[f64],
+        retained_cur: &[f64],
+        prev_mean: f64,
+    ) -> Result<CombinedEstimate> {
+        if retained_prev.len() != retained_cur.len() {
+            return Err(StatsError::DimensionMismatch {
+                context: "combined_estimate: retained slices must be parallel",
+            });
+        }
+        let f = fresh.len();
+        let g = retained_cur.len();
+        let n = f + g;
+        if n == 0 {
+            return Err(StatsError::InsufficientData { got: 0, need: 1 });
+        }
+        if fresh
+            .iter()
+            .chain(retained_prev.iter())
+            .chain(retained_cur.iter())
+            .any(|v| !v.is_finite())
+            || !prev_mean.is_finite()
+        {
+            return Err(StatsError::NonFiniteInput {
+                what: "panel values",
+            });
+        }
+
+        // Pooled variance of current-occasion values across the whole panel.
+        let mut pooled = RunningMoments::new();
+        pooled.extend_from(fresh);
+        pooled.extend_from(retained_cur);
+        let sigma2_hat = pooled.sample_variance();
+
+        // Retained-pair statistics.
+        let pairs = PairedMoments::from_pairs(retained_prev, retained_cur);
+        let rho_hat = pairs.correlation();
+        let slope = pairs.regression_slope();
+
+        let fresh_mean = if f > 0 {
+            fresh.iter().sum::<f64>() / f as f64
+        } else {
+            0.0
+        };
+
+        // Pure-fresh fallback (independent sampling).
+        if g == 0 {
+            let variance = sigma2_hat / f as f64;
+            return Ok(CombinedEstimate {
+                estimate: fresh_mean,
+                variance,
+                alpha: 1.0,
+                rho_hat: 0.0,
+                slope: 0.0,
+                sigma2_hat,
+            });
+        }
+
+        // Regression estimate from the retained portion (Table 1):
+        // Ȳ_kg = ȳ_kg + b (Ȳ_{k−1} − ȳ_{k−1,g}).
+        let retained_cur_mean = retained_cur.iter().sum::<f64>() / g as f64;
+        let retained_prev_mean = retained_prev.iter().sum::<f64>() / g as f64;
+        let regression_estimate = retained_cur_mean + slope * (prev_mean - retained_prev_mean);
+
+        let rho2 = rho_hat * rho_hat;
+        let var_regression = sigma2_hat * (1.0 - rho2) / g as f64 + rho2 * sigma2_hat / n as f64;
+
+        // Pure-retained fallback.
+        if f == 0 {
+            return Ok(CombinedEstimate {
+                estimate: regression_estimate,
+                variance: var_regression,
+                alpha: 0.0,
+                rho_hat,
+                slope,
+                sigma2_hat,
+            });
+        }
+
+        let var_fresh = sigma2_hat / f as f64;
+
+        // Inverse-variance weights; guard the zero-variance (constant data)
+        // corner where both weights blow up.
+        const TINY: f64 = 1e-12;
+        let w_f = 1.0 / var_fresh.max(TINY);
+        let w_g = 1.0 / var_regression.max(TINY);
+        let alpha = w_f / (w_f + w_g);
+        let estimate = alpha * fresh_mean + (1.0 - alpha) * regression_estimate;
+        let variance = 1.0 / (w_f + w_g);
+
+        Ok(CombinedEstimate {
+            estimate,
+            variance,
+            alpha,
+            rho_hat,
+            slope,
+            sigma2_hat,
+        })
+    }
+}
+
 #[cfg(test)]
 #[allow(
     clippy::unwrap_used,
@@ -312,6 +433,7 @@ pub fn combined_estimate(
 )]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn partition_zero_correlation_is_half() {
@@ -533,5 +655,126 @@ mod tests {
         }
         let avg = sum / trials as f64;
         assert!(avg.abs() < 0.05, "bias detected: {avg}");
+    }
+
+    /// Every field of an estimate, bit for bit.
+    fn bits(e: &CombinedEstimate) -> [u64; 6] {
+        [
+            e.estimate,
+            e.variance,
+            e.alpha,
+            e.rho_hat,
+            e.slope,
+            e.sigma2_hat,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// A finite panel value: wide, or near-constant at a large mean (the
+    /// regime Welford is there for), or a repeat that makes columns
+    /// constant, or either zero, or large enough that sums overflow.
+    fn finite() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1e3..1e3,
+            -1e3..1e3,
+            (-1.0..1.0).prop_map(|x: f64| 1e6 + 1e-3 * x),
+            Just(5.0),
+            Just(0.0),
+            Just(-0.0),
+            -1e307..1e307,
+            Just(f64::MAX),
+        ]
+    }
+
+    fn non_finite() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one-pass fold is the five-pass fold: the same bits in every
+        /// field, or the same error. Columns are finite, or carry one NaN
+        /// or ±∞ (in a column or in `prev_mean`), or are all one signed
+        /// zero; fresh and retained columns are empty now and then, and
+        /// the retained slices sometimes differ in length.
+        #[test]
+        fn one_pass_fold_is_the_five_pass_fold(
+            fresh in prop::collection::vec(finite(), 0..16),
+            pairs in prop::collection::vec((finite(), finite()), 0..16),
+            prev_mean in finite(),
+            poison in 0usize..64,
+            poison_value in non_finite(),
+            zeros in 0u8..12,
+            mismatch in 0u8..16,
+        ) {
+            let mut fresh = fresh;
+            let (mut prev, mut cur): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let mut prev_mean = prev_mean;
+            // One in six panels is all one signed zero.
+            if zeros < 2 {
+                let zero = if zeros == 0 { -0.0 } else { 0.0 };
+                for v in fresh.iter_mut().chain(&mut prev).chain(&mut cur) {
+                    *v = zero;
+                }
+                prev_mean = zero;
+            }
+            // About a third of the panels carry one non-finite value.
+            let columns = [fresh.len(), prev.len(), cur.len()];
+            match poison.checked_sub(columns.iter().sum()) {
+                None => {
+                    let mut at = poison;
+                    for (column, len) in [&mut fresh, &mut prev, &mut cur].into_iter().zip(columns) {
+                        if at < len {
+                            column[at] = poison_value;
+                            break;
+                        }
+                        at -= len;
+                    }
+                }
+                Some(0) => prev_mean = poison_value,
+                Some(_) => {}
+            }
+            // One in sixteen has retained slices of different lengths.
+            if mismatch == 0 && cur.pop().is_none() {
+                cur.push(1.0);
+            }
+
+            let got = combined_estimate(&fresh, &prev, &cur, prev_mean);
+            let want = reference::combined_estimate(&fresh, &prev, &cur, prev_mean);
+            match (got, want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(bits(&got), bits(&want)),
+                (got, want) => prop_assert_eq!(got.map(|e| bits(&e)), want.map(|e| bits(&e))),
+            }
+        }
+    }
+
+    /// The fold's corners the property draws only now and then.
+    #[test]
+    fn one_pass_fold_matches_on_empty_and_signed_zero_columns() {
+        let cases: [(&[f64], &[f64], &[f64]); 6] = [
+            (&[-0.0, -0.0], &[], &[]),
+            (&[], &[-0.0, -0.0], &[-0.0, -0.0]),
+            (&[-0.0], &[-0.0], &[-0.0]),
+            (&[0.0, -0.0], &[-0.0], &[0.0]),
+            (&[], &[1.0], &[2.0]),
+            (&[3.0], &[], &[]),
+        ];
+        for (fresh, prev, cur) in cases {
+            for prev_mean in [-0.0, 0.0, 1.0] {
+                let got = combined_estimate(fresh, prev, cur, prev_mean).unwrap();
+                let want = reference::combined_estimate(fresh, prev, cur, prev_mean).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{fresh:?} {prev:?} {cur:?} {prev_mean}"
+                );
+            }
+        }
+        let got = combined_estimate(&[-0.0, -0.0], &[], &[], 0.0).unwrap();
+        assert!(
+            got.estimate.is_sign_negative(),
+            "an all-−0.0 column's mean is −0.0"
+        );
     }
 }

@@ -45,8 +45,8 @@ pub use event::{EventSink, Field, JsonlSink, MemorySink, TeeSink};
 pub use metric::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{descriptors, reset_metrics, Descriptor, MetricHandle};
 pub use span::{
-    clock_mode, reset_stages, set_clock_mode, span, stage_reports, ClockMode, SpanGuard, Stage,
-    StageReport, STAGES,
+    clock_mode, reset_stages, set_clock_mode, span, spans, stage_reports, ClockMode, SpanGuard,
+    Stage, StageReport, STAGES,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -134,9 +134,9 @@ pub fn span_events_enabled() -> bool {
 
 /// Emits one `span` event for a closed deterministic-clock span: the
 /// stage name plus its duration in simulation ticks. No-op unless span
-/// events are enabled *and* a sink is installed and unsuppressed — which
-/// is exactly why worker-side spans (closed under suppression) must be
-/// re-emitted post-join, in slot order, by the batch executor.
+/// events are enabled *and* a sink is installed and unsuppressed. The
+/// batch executor records its walk spans once, with [`spans()`], and
+/// calls this post-join for each of them, in slot order.
 pub fn emit_span_event(stage: Stage, duration_ticks: u64) {
     if !span_events_enabled() || !events_enabled() {
         return;
@@ -280,9 +280,9 @@ mod tests {
     use super::*;
     use std::sync::{Mutex as StdMutex, OnceLock};
 
-    /// The sink slot is process-global; tests that install sinks must
-    /// not interleave.
-    fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// The sink slot, the tick and the stage table are process-global;
+    /// tests that install sinks or read stage totals must not interleave.
+    pub(crate) fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| StdMutex::new(()))
             .lock()

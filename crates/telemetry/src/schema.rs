@@ -193,8 +193,8 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     },
     // One closed deterministic-clock pipeline span (`dur` in simulation
     // ticks). Only emitted when span events are enabled (trace export);
-    // worker-side spans are suppressed and re-emitted post-join in slot
-    // order so the stream is identical for every worker count.
+    // a walk batch's spans are emitted post-join in slot order so the
+    // stream is identical for every worker count.
     EventSchema {
         kind: "span",
         fields: &[req("stage", Str), req("dur", U64)],

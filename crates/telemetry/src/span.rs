@@ -16,8 +16,10 @@
 //!   holds with telemetry enabled.
 //!
 //! Span accounting is two relaxed atomic adds per span (plus two
-//! `Instant` reads in wall mode); spans are cheap enough for per-sample
-//! instrumentation.
+//! `Instant` reads in wall mode). That is cheap per stage, not per
+//! sample: a span per walk slot cost about 3 % of a run that samples at
+//! every tick, so a batch of side-by-side spans (one occasion's walk
+//! slots) is recorded once, through [`spans()`].
 
 use crate::metric::Counter;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -210,31 +212,63 @@ pub struct SpanGuard {
 /// Opens a span over `stage`; the returned guard closes it when dropped.
 #[must_use]
 pub fn span(stage: Stage) -> SpanGuard {
+    let (started_wall, started_tick) = start();
+    SpanGuard {
+        stage,
+        started_wall,
+        started_tick,
+    }
+}
+
+/// A span's start: the wall clock in wall mode only (deterministic mode
+/// never reads a clock) and the simulation tick.
+fn start() -> (Option<Instant>, u64) {
     let started_wall = match clock_mode() {
         ClockMode::Wall => Some(Instant::now()),
         ClockMode::Deterministic => None,
     };
-    SpanGuard {
-        stage,
-        started_wall,
-        started_tick: crate::tick(),
+    (started_wall, crate::tick())
+}
+
+/// Time since [`start`], in the clock mode's unit.
+fn elapsed(started_wall: Option<Instant>, started_tick: u64) -> u64 {
+    match started_wall {
+        Some(start) => u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        None => crate::tick().saturating_sub(started_tick),
     }
+}
+
+/// Folds `count` closed spans of `stage`, `total` long together.
+fn record(stage: Stage, count: u64, total: u64) {
+    let stat = &STATS[stage.index()];
+    stat.count.add(count);
+    stat.total.fetch_add(total, Ordering::Relaxed); // relaxed-ok: monotone tally
+}
+
+/// Runs `work` as `count` spans of `stage` that run side by side inside
+/// it (one occasion's walk slots) and records them once: `count` spans
+/// whose summed duration is `work`'s. In deterministic mode that is what
+/// `count` guards opened and closed inside `work` would have summed, as
+/// long as `work` does not move the tick; in wall mode it is `work`'s
+/// wall time.
+///
+/// No `span` event is emitted: a caller that wants one per span emits
+/// them itself with [`crate::emit_span_event`], in an order it controls.
+pub fn spans<T>(stage: Stage, count: u64, work: impl FnOnce() -> T) -> T {
+    let (started_wall, started_tick) = start();
+    let out = work();
+    record(stage, count, elapsed(started_wall, started_tick));
+    out
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let elapsed = match self.started_wall {
-            Some(start) => u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            None => crate::tick().saturating_sub(self.started_tick),
-        };
-        let stat = &STATS[self.stage.index()];
-        stat.count.inc();
-        stat.total.fetch_add(elapsed, Ordering::Relaxed); // relaxed-ok: monotone tally
-                                                          // Deterministic-clock spans additionally surface as `span` events
-                                                          // when trace export is on. Wall-mode durations never reach the
-                                                          // event stream (they would break byte-level replay), and spans
-                                                          // closed under suppression (worker threads) are skipped here and
-                                                          // re-emitted post-join in slot order by the batch executor.
+        let elapsed = elapsed(self.started_wall, self.started_tick);
+        record(self.stage, 1, elapsed);
+        // Deterministic-clock spans additionally surface as `span` events
+        // when trace export is on. Wall-mode durations never reach the
+        // event stream (they would break byte-level replay), and spans
+        // closed under suppression emit nothing.
         if self.started_wall.is_none() {
             crate::emit_span_event(self.stage, elapsed);
         }
@@ -251,23 +285,62 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
+    fn report(stage: Stage) -> StageReport {
+        stage_reports()
+            .into_iter()
+            .find(|r| r.stage == stage)
+            .unwrap()
+    }
+
     #[test]
     fn deterministic_spans_measure_ticks_only() {
-        // Default mode is deterministic; use a stage no other test (or
-        // instrumented crate) touches within this test binary.
+        // Default mode is deterministic.
+        let _lock = crate::tests::sink_lock();
         reset_stages();
         crate::set_tick(10);
         {
             let _guard = span(Stage::Replication);
             crate::set_tick(13);
         }
-        let report = stage_reports()
-            .into_iter()
-            .find(|r| r.stage == Stage::Replication)
-            .unwrap();
+        let report = report(Stage::Replication);
         assert_eq!(report.count, 1);
         assert_eq!(report.total, 3);
         assert_eq!(report.mean(), 3.0);
+    }
+
+    /// `spans(stage, n, work)` records what `n` guards opened and closed
+    /// inside `work` record, and emits no event of its own.
+    #[test]
+    fn spans_record_what_as_many_guards_inside_record() {
+        let _lock = crate::tests::sink_lock();
+        crate::reset_run_state();
+        let sink = crate::MemorySink::new();
+        crate::install_sink(Box::new(sink.clone()));
+        crate::set_span_events(true);
+        crate::set_tick(5);
+
+        let guarded = {
+            let _quiet = crate::suppress_events();
+            for _ in 0..7 {
+                drop(span(Stage::SamplingWalk));
+            }
+            report(Stage::SamplingWalk)
+        };
+        reset_stages();
+        let batched = spans(Stage::SamplingWalk, 7, || report(Stage::SamplingWalk));
+        assert_eq!(batched.count, 0, "recorded after `work` returns");
+        assert_eq!(report(Stage::SamplingWalk), guarded);
+        assert_eq!((guarded.count, guarded.total), (7, 0));
+        assert!(sink.lines().is_empty());
+
+        // A tick that moves inside `work` is the batch's total.
+        spans(Stage::SamplingWalk, 2, || crate::set_tick(8));
+        assert_eq!(report(Stage::SamplingWalk).count, 9);
+        assert_eq!(report(Stage::SamplingWalk).total, 3);
+
+        crate::set_span_events(false);
+        crate::take_sink();
+        crate::reset_run_state();
     }
 
     #[test]
