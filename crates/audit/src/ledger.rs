@@ -12,11 +12,15 @@
 //!
 //! The filter table mirrors the database's own `(node, slot)` layout — one
 //! row per node id, one entry per slot — so a tick is one pass over
-//! [`P2PDatabase::iter`] with an indexed lookup per tuple, and once the
-//! rows have grown to the database's slot counts that pass never touches
-//! the heap (DESIGN.md §14).
+//! [`P2PDatabase::fragments`]: each node's row is looked up once, each
+//! tuple is an indexed entry in it, and once the rows have grown to the
+//! database's id space and slot counts that pass never touches the heap
+//! (DESIGN.md §14). What the query accounts — a bare attribute under no
+//! predicate (every shipped query), read straight off the row, or any
+//! other `(expression, predicate)`, evaluated per row — is resolved once
+//! per pass.
 
-use digest_db::{Expr, P2PDatabase, Predicate};
+use digest_db::{Expr, P2PDatabase, Predicate, RowView, StoreRows};
 
 /// `seen` stamp of an entry no `observe` call has reached yet (the tick
 /// counter starts at 1 and cannot get here).
@@ -41,12 +45,17 @@ struct FilterEntry {
     seen: u64,
 }
 
-const VACANT: FilterEntry = FilterEntry {
-    last: 0.0,
-    shipped: 0.0,
-    generation: 0,
-    seen: NEVER,
-};
+impl Default for FilterEntry {
+    /// A slot no `observe` call has reached yet.
+    fn default() -> Self {
+        Self {
+            last: 0.0,
+            shipped: 0.0,
+            generation: 0,
+            seen: NEVER,
+        }
+    }
+}
 
 /// Totals the ledger has accumulated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,44 +107,30 @@ impl MessageLedger {
     ///
     /// xtask: no-alloc
     pub fn observe(&mut self, db: &P2PDatabase) {
-        let previous = self.totals.ticks;
-        self.totals.ticks += 1;
-        let tick = self.totals.ticks;
-        self.tracked = 0;
-        for (handle, tuple) in db.iter() {
-            if !self.predicate.eval(tuple).unwrap_or(false) {
-                continue;
-            }
-            let Ok(value) = self.expr.eval(tuple) else {
-                continue;
-            };
-            let (node, slot) = (handle.node.0 as usize, handle.slot as usize);
-            let entry = match self.rows.get_mut(node).and_then(|row| row.get_mut(slot)) {
-                Some(entry) => entry,
-                None => grow(&mut self.rows, node, slot),
-            };
-            if entry.seen == previous && entry.generation == handle.generation {
-                // Bit comparison: any representational change is a
-                // change the source would push (exact float equality
-                // is the intended semantics here, not tolerance).
-                if value.to_bits() != entry.last.to_bits() {
-                    self.totals.all_messages += 1;
-                }
-                if (value - entry.shipped).abs() > self.epsilon {
-                    self.totals.filter_messages += 1;
-                    entry.shipped = value;
-                }
-            } else {
-                // New tuple: both baselines ship the initial value.
-                self.totals.all_messages += 1;
-                self.totals.filter_messages += 1;
-                entry.shipped = value;
-                entry.generation = handle.generation;
-            }
-            entry.last = value;
-            entry.seen = tick;
-            self.tracked += 1;
+        let ids = db.id_upper_bound();
+        if self.rows.len() < ids {
+            grow(&mut self.rows, ids - 1);
         }
+        let pass = Pass {
+            epsilon: self.epsilon,
+            previous: self.totals.ticks,
+            tick: self.totals.ticks + 1,
+        };
+        let rows = &mut self.rows;
+        let (all, filter, tracked) = match (&self.expr, &self.predicate) {
+            // The schema's own attribute, unfiltered: every row has it.
+            (&Expr::Attr { index, .. }, Predicate::True) if index < db.schema().arity() => {
+                pass.run(rows, db, |row| row.values().get(index).copied())
+            }
+            (expr, predicate) => pass.run(rows, db, |row| match predicate.eval(row) {
+                Ok(true) => expr.eval(row).ok(),
+                _ => None,
+            }),
+        };
+        self.totals.ticks += 1;
+        self.totals.all_messages += all;
+        self.totals.filter_messages += filter;
+        self.tracked = tracked;
     }
 
     /// The accumulated baseline totals.
@@ -151,18 +146,87 @@ impl MessageLedger {
     }
 }
 
-/// Extends the table to cover `(node, slot)` — the only place the ledger
-/// allocates, reached once per slot the database ever hands out.
+/// One `observe` call's stamps and filter width.
+#[derive(Clone, Copy)]
+struct Pass {
+    epsilon: f64,
+    /// `totals.ticks` before this call: the stamp of a slot seen last call.
+    previous: u64,
+    /// The stamp this call leaves on every slot it sees.
+    tick: u64,
+}
+
+impl Pass {
+    /// Charges every tuple `value` accounts (`None`: not accounted — the
+    /// predicate is false or fails, or the expression fails), node by node,
+    /// and returns the `ALL` and `ALL+FILTER` messages and the tuples seen.
+    /// `rows` already covers every node id.
+    ///
+    /// xtask: no-alloc
+    #[inline]
+    fn run(
+        self,
+        rows: &mut [Vec<FilterEntry>],
+        db: &P2PDatabase,
+        value: impl Fn(RowView<'_>) -> Option<f64>,
+    ) -> (u64, u64, usize) {
+        let mut sums = (0, 0, 0);
+        for (node, tuples) in db.fragments() {
+            if let Some(row) = rows.get_mut(node.0 as usize) {
+                let (all, filter, tracked) = self.fragment(row, tuples, &value);
+                sums = (sums.0 + all, sums.1 + filter, sums.2 + tracked);
+            }
+        }
+        sums
+    }
+
+    /// [`Pass::run`] over one node's tuples and its row of the table. Out
+    /// of line, so the tuple loop has the registers to itself.
+    ///
+    /// xtask: no-alloc
+    #[inline(never)]
+    fn fragment(
+        self,
+        row: &mut Vec<FilterEntry>,
+        tuples: StoreRows<'_>,
+        value: &impl Fn(RowView<'_>) -> Option<f64>,
+    ) -> (u64, u64, usize) {
+        let (mut all, mut filter, mut tracked) = (0, 0, 0);
+        for (slot, generation, tuple) in tuples {
+            let Some(value) = value(tuple) else {
+                continue;
+            };
+            let entry = match row.get_mut(slot as usize) {
+                Some(entry) => entry,
+                None => grow(row, slot as usize),
+            };
+            // New tuple (or new again): both baselines ship the initial
+            // value. Bit comparison: any representational change is a
+            // change the source would push (exact float equality is the
+            // intended semantics here, not tolerance).
+            let fresh = entry.seen != self.previous || entry.generation != generation;
+            let changed = value.to_bits() != entry.last.to_bits();
+            let ship = fresh | ((value - entry.shipped).abs() > self.epsilon);
+            all += u64::from(fresh | changed);
+            filter += u64::from(ship);
+            entry.shipped = if ship { value } else { entry.shipped };
+            entry.generation = generation;
+            entry.last = value;
+            entry.seen = self.tick;
+            tracked += 1;
+        }
+        (all, filter, tracked)
+    }
+}
+
+/// Extends `table` to cover `index` with default entries (a node row with
+/// no slots, a slot no call has reached) — the only place the ledger
+/// allocates: the node table once per tick the id space grew, a node's
+/// row once per slot the database ever hands out there.
 #[cold]
-fn grow(rows: &mut Vec<Vec<FilterEntry>>, node: usize, slot: usize) -> &mut FilterEntry {
-    if rows.len() <= node {
-        rows.resize_with(node + 1, Vec::new);
-    }
-    let row = &mut rows[node];
-    if row.len() <= slot {
-        row.resize(slot + 1, VACANT);
-    }
-    &mut row[slot]
+fn grow<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    table.resize_with(index + 1, T::default);
+    &mut table[index]
 }
 
 /// The `BTreeMap` implementation this table replaced, kept verbatim as
@@ -399,8 +463,8 @@ mod tests {
             node: u32,
             a: f64,
         },
-        /// `a += by`: steps inside ε, jumps outside it, `0.0` rewrites the
-        /// identical bits.
+        /// `a += by`: steps inside ε, onto it and outside it, `0.0`
+        /// rewrites the identical bits.
         Shift {
             pick: usize,
             by: f64,
@@ -439,6 +503,12 @@ mod tests {
             (0usize..64, 1.5f64..6.0).prop_map(|(pick, by)| Op::Shift { pick, by }),
             (0usize..64, -6.0f64..-1.5).prop_map(|(pick, by)| Op::Shift { pick, by }),
             (0usize..64).prop_map(|pick| Op::Shift { pick, by: 0.0 }),
+            // Exactly onto the filter's edge (exact: `a` and `a ± ε` share
+            // a binade), which must not escape.
+            (0usize..64, 0u32..2).prop_map(|(pick, down)| Op::Shift {
+                pick,
+                by: if down == 0 { EPSILON } else { -EPSILON },
+            }),
             (0usize..64).prop_map(|pick| Op::Cross { pick }),
             (0usize..64).prop_map(|pick| Op::Delete { pick }),
             (0usize..64, value()).prop_map(|(pick, a)| Op::Replace { pick, a }),
@@ -452,16 +522,32 @@ mod tests {
     }
 
     /// The database under test plus the live handles the ops pick from.
+    /// Its schema is `(a, c)` or a prefix of it; a tuple is `(a, THRESHOLD)`
+    /// cut to that width.
     struct World {
         db: P2PDatabase,
         live: Vec<TupleHandle>,
     }
 
     impl World {
+        fn row(&self, a: f64) -> Vec<f64> {
+            [a, THRESHOLD][..self.db.schema().arity()].to_vec()
+        }
+
         fn insert(&mut self, node: NodeId, a: f64) {
             if self.db.has_node(node) {
-                let tuple = Tuple::new(vec![a, THRESHOLD]);
+                let tuple = Tuple::new(self.row(a));
                 self.live.push(self.db.insert(node, tuple).unwrap());
+            }
+        }
+
+        /// Rewrites `a` of the tuple `pick` names (with no `a`, the empty
+        /// row) as `f(a)`.
+        fn rewrite(&mut self, pick: usize, f: impl Fn(f64) -> f64) {
+            if let Some(h) = self.picked(pick) {
+                let a = self.db.read(h).unwrap().values().first().map(|&a| f(a));
+                let row = self.row(a.unwrap_or_default());
+                self.db.update(h, &row).unwrap();
             }
         }
 
@@ -484,18 +570,8 @@ mod tests {
         fn apply(&mut self, op: &Op) {
             match *op {
                 Op::Insert { node, a } => self.insert(NodeId(node), a),
-                Op::Shift { pick, by } => {
-                    if let Some(h) = self.picked(pick) {
-                        let a = self.db.read(h).unwrap().values()[0] + by;
-                        self.db.update(h, &[a, THRESHOLD]).unwrap();
-                    }
-                }
-                Op::Cross { pick } => {
-                    if let Some(h) = self.picked(pick) {
-                        let a = 2.0 * THRESHOLD - self.db.read(h).unwrap().values()[0];
-                        self.db.update(h, &[a, THRESHOLD]).unwrap();
-                    }
-                }
+                Op::Shift { pick, by } => self.rewrite(pick, |a| a + by),
+                Op::Cross { pick } => self.rewrite(pick, |a| 2.0 * THRESHOLD - a),
                 Op::Delete { pick } => {
                     if let Some(h) = self.picked(pick) {
                         self.delete(h);
@@ -523,47 +599,63 @@ mod tests {
         }
     }
 
+    /// `(schema, expression, predicate)`: both ways `observe` reads a
+    /// value — straight off the row (a bare attribute under no predicate,
+    /// at either index of the two-attribute schema) and through `eval` (a
+    /// predicate, a computed expression, a constant over a schema with no
+    /// attributes at all).
+    const CASES: [(&[&str], &str, &str); 5] = [
+        (&["a", "c"], "a", "a > c"),
+        (&["a", "c"], "a", "true"),
+        (&["a", "c"], "c", "true"),
+        (&["a", "c"], "a - c", "true"),
+        (&[], "2.5", "true"),
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The `BTreeMap` ledger is the oracle for the dense table: the
         /// same totals and the same tracked count after every `observe`,
-        /// whatever happened to the database in between.
+        /// whatever happened to the database in between, for every way of
+        /// reading a tuple's value.
         #[test]
         fn dense_table_matches_the_map_reference(
             nodes in 1u32..7,
             ops in prop::collection::vec(op_strategy(), 0..120),
         ) {
-            let schema = Schema::new(["a", "c"]);
-            let expr = Expr::first_attr(&schema);
-            let predicate = Predicate::parse("a > c", &schema).unwrap();
-            let mut world = World { db: P2PDatabase::new(schema), live: Vec::new() };
-            for node in 0..nodes {
-                world.db.register_node(NodeId(node));
-                // One tuple on each side of the threshold.
-                world.insert(NodeId(node), THRESHOLD + 2.0);
-                world.insert(NodeId(node), THRESHOLD - 2.0);
-            }
-            let mut ledger = MessageLedger::new(expr.clone(), predicate.clone(), EPSILON);
-            let mut model = reference::MessageLedger::new(expr, predicate, EPSILON);
-            for op in &ops {
-                world.apply(op);
-                let observes = match op {
-                    Op::Observe => 1,
-                    Op::ObserveTwice => 2,
-                    _ => 0,
-                };
-                for _ in 0..observes {
-                    ledger.observe(&world.db);
-                    model.observe(&world.db);
-                    prop_assert_eq!(ledger.totals(), model.totals());
-                    prop_assert_eq!(ledger.tracked(), model.tracked());
+            for (names, expr, predicate) in CASES {
+                let schema = Schema::new(names.iter().copied());
+                let (text, expr) = (expr, Expr::parse(expr, &schema).unwrap());
+                let predicate = Predicate::parse(predicate, &schema).unwrap();
+                let mut world = World { db: P2PDatabase::new(schema), live: Vec::new() };
+                for node in 0..nodes {
+                    world.db.register_node(NodeId(node));
+                    // One tuple on each side of the threshold.
+                    world.insert(NodeId(node), THRESHOLD + 2.0);
+                    world.insert(NodeId(node), THRESHOLD - 2.0);
                 }
+                let mut ledger = MessageLedger::new(expr.clone(), predicate.clone(), EPSILON);
+                let mut model = reference::MessageLedger::new(expr, predicate, EPSILON);
+                for op in &ops {
+                    world.apply(op);
+                    let observes = match op {
+                        Op::Observe => 1,
+                        Op::ObserveTwice => 2,
+                        _ => 0,
+                    };
+                    for _ in 0..observes {
+                        ledger.observe(&world.db);
+                        model.observe(&world.db);
+                        let (got, want) = ((ledger.totals(), ledger.tracked()), (model.totals(), model.tracked()));
+                        prop_assert!(got == want, "{}: {:?} != {:?}", text, got, want);
+                    }
+                }
+                ledger.observe(&world.db);
+                model.observe(&world.db);
+                let (got, want) = ((ledger.totals(), ledger.tracked()), (model.totals(), model.tracked()));
+                prop_assert!(got == want, "{}: {:?} != {:?}", text, got, want);
             }
-            ledger.observe(&world.db);
-            model.observe(&world.db);
-            prop_assert_eq!(ledger.totals(), model.totals());
-            prop_assert_eq!(ledger.tracked(), model.tracked());
         }
     }
 }

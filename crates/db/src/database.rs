@@ -337,10 +337,18 @@ impl P2PDatabase {
     /// and each in its store's order (oracle-only: a real peer cannot
     /// enumerate the database).
     pub fn iter(&self) -> impl Iterator<Item = (TupleHandle, RowView<'_>)> + '_ {
-        Rows {
-            fragments: (0..).zip(&self.fragments),
-            node: NodeId(0),
-            current: StoreRows::default(),
+        Rows::new(self.fragments())
+    }
+
+    /// Iterates over the fragments, in node-id order: each held fragment
+    /// as its node and its `(slot, generation, row)` triples in store
+    /// order. Flattened, it is [`P2PDatabase::iter`] (oracle-only, like
+    /// `iter`); a reader that keeps per-node state resolves it once per
+    /// fragment instead of once per tuple.
+    #[must_use]
+    pub fn fragments(&self) -> Fragments<'_> {
+        Fragments {
+            stores: (0..).zip(&self.fragments),
         }
     }
 
@@ -350,15 +358,10 @@ impl P2PDatabase {
     /// enumerating its local fragment — and is what the sketch sweep
     /// estimator folds per-node sketch mass from.
     pub fn iter_node(&self, node: NodeId) -> impl Iterator<Item = (TupleHandle, RowView<'_>)> + '_ {
-        let fragment = self.fragments.get(node.0 as usize);
-        Rows {
-            fragments: (0..).zip(&[]),
-            node,
-            current: fragment
-                .and_then(Option::as_ref)
-                .map(LocalStore::rows)
-                .unwrap_or_default(),
-        }
+        let idx = node.0 as usize;
+        Rows::new(Fragments {
+            stores: (node.0..).zip(self.fragments.get(idx..=idx).unwrap_or_default()),
+        })
     }
 
     /// Nodes currently holding fragments.
@@ -452,7 +455,7 @@ impl P2PDatabase {
         let mut count = 0usize;
         let sum = combine(self.fragments.iter().map(|fragment| {
             let mut leaf = 0.0;
-            for (_, _, row) in fragment.iter().flat_map(LocalStore::rows) {
+            for (_, _, row) in fragment.iter().flat_map(LocalStore::iter) {
                 if predicate.eval(row)? {
                     leaf += expr.eval(row)?;
                     count += 1;
@@ -521,13 +524,40 @@ fn digest_sum_count(column: &[f64], total_tuples: usize) -> Result<(f64, usize)>
     Ok((combine(column.iter().map(|&leaf| Ok(leaf)))?, total_tuples))
 }
 
+/// The held fragments of a [`P2PDatabase`], in node-id order, each as its
+/// node and its rows ([`P2PDatabase::fragments`]).
+#[derive(Debug, Clone)]
+pub struct Fragments<'a> {
+    /// Fragment slots not yet reached, by node id (`None` = not held).
+    stores: Zip<RangeFrom<u32>, std::slice::Iter<'a, Option<LocalStore>>>,
+}
+
+impl<'a> Iterator for Fragments<'a> {
+    type Item = (NodeId, StoreRows<'a>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.stores
+            .find_map(|(id, store)| Some((NodeId(id), store.as_ref()?.iter())))
+    }
+}
+
 /// `(handle, row)` pairs, fragment after fragment: the rest of `current`
-/// (node `node`'s store), then every store still in `fragments`.
+/// (node `node`'s store), then every fragment still in `fragments`.
 struct Rows<'a> {
-    /// Fragments not yet started, by node id.
-    fragments: Zip<RangeFrom<u32>, std::slice::Iter<'a, Option<LocalStore>>>,
+    fragments: Fragments<'a>,
     node: NodeId,
     current: StoreRows<'a>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(fragments: Fragments<'a>) -> Self {
+        Self {
+            fragments,
+            node: NodeId(0),
+            current: StoreRows::default(),
+        }
+    }
 }
 
 impl<'a> Iterator for Rows<'a> {
@@ -544,11 +574,7 @@ impl<'a> Iterator for Rows<'a> {
                 };
                 return Some((handle, row));
             }
-            let (id, fragment) = self.fragments.next()?;
-            if let Some(store) = fragment {
-                self.node = NodeId(id);
-                self.current = store.rows();
-            }
+            (self.node, self.current) = self.fragments.next()?;
         }
     }
 }

@@ -37,11 +37,11 @@ pub mod predicate;
 pub mod store;
 pub mod tuple;
 
-pub use database::P2PDatabase;
+pub use database::{Fragments, P2PDatabase};
 pub use error::DbError;
 pub use expr::Expr;
 pub use predicate::{CmpOp, Predicate};
-pub use store::LocalStore;
+pub use store::{LocalStore, StoreRows};
 pub use tuple::{RowView, Schema, Tuple, TupleHandle};
 
 /// Result alias used throughout the crate.

@@ -152,14 +152,10 @@ impl LocalStore {
         Some((slot, generation, self.row(pos)))
     }
 
-    /// Iterates over `(slot, generation, row)` for all stored tuples.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, RowView<'_>)> + '_ {
-        self.rows()
-    }
-
-    /// [`LocalStore::iter`] as a nameable type (the database's own iterator
-    /// holds one per fragment).
-    pub(crate) fn rows(&self) -> StoreRows<'_> {
+    /// Iterates over `(slot, generation, row)` for all stored tuples, in
+    /// row order.
+    #[must_use]
+    pub fn iter(&self) -> StoreRows<'_> {
         StoreRows {
             live: self.live.iter(),
             rest: &self.values,
@@ -196,9 +192,10 @@ impl LocalStore {
     }
 }
 
-/// The `(slot, generation, row)` triples of one store, in row order.
+/// The `(slot, generation, row)` triples of one store, in row order
+/// ([`LocalStore::iter`]); the default is empty.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StoreRows<'a> {
+pub struct StoreRows<'a> {
     live: std::slice::Iter<'a, (u32, u32)>,
     /// Values of the rows not yet yielded.
     rest: &'a [f64],

@@ -388,6 +388,60 @@ proptest! {
         prop_assert!(live.len() <= db.total_tuples());
     }
 
+    /// Flattening the per-fragment view gives `iter` exactly — every
+    /// `(handle, row)` in the same order — after inserts, deletes, slot
+    /// reuse, departures and (re-)registrations, on every arity down to
+    /// zero, where each row is empty.
+    #[test]
+    fn the_fragment_view_flattens_to_iter(
+        arity in 0usize..3,
+        ops in prop::collection::vec(fragment_op_strategy(), 0..160),
+    ) {
+        let names = ["a", "b"];
+        let mut db = P2PDatabase::new(Schema::new(names[..arity].iter().copied()));
+        for i in 0..4u32 {
+            db.register_node(NodeId(i));
+        }
+        let mut live: Vec<TupleHandle> = Vec::new();
+        for op in ops {
+            match op {
+                FragmentOp::Insert(n, row) => {
+                    if db.has_node(NodeId(n)) {
+                        live.push(db.insert(NodeId(n), Tuple::new(row[..arity].to_vec())).unwrap());
+                    }
+                }
+                FragmentOp::Delete(pick) => {
+                    if let Some(i) = pick.checked_rem(live.len()) {
+                        prop_assert!(db.delete(live.swap_remove(i)).unwrap());
+                    }
+                }
+                FragmentOp::Replace(pick, row) => {
+                    if let Some(i) = pick.checked_rem(live.len()) {
+                        let old = live.swap_remove(i);
+                        prop_assert!(db.delete(old).unwrap());
+                        let new = db.insert(old.node, Tuple::new(row[..arity].to_vec())).unwrap();
+                        prop_assert_eq!((new.node, new.slot), (old.node, old.slot));
+                        prop_assert_ne!(new.generation, old.generation);
+                        live.push(new);
+                    }
+                }
+                FragmentOp::RemoveNode(n) => {
+                    if db.has_node(NodeId(n)) {
+                        db.remove_node(NodeId(n)).unwrap();
+                        live.retain(|h| h.node != NodeId(n));
+                    }
+                }
+                FragmentOp::Register(n) => db.register_node(NodeId(n)),
+            }
+            let flat = flattened_fragments(&db);
+            let listed: Vec<(TupleHandle, Vec<u64>)> =
+                db.iter().map(|(h, row)| (h, row_bits(row))).collect();
+            prop_assert_eq!(&flat, &listed);
+            prop_assert_eq!(flat.len(), db.total_tuples());
+            prop_assert_eq!(flat.len(), live.len());
+        }
+    }
+
     #[test]
     fn store_slot_generations_prevent_aba(values in prop::collection::vec(-1e6f64..1e6, 1..50)) {
         let mut store = LocalStore::new(1);
@@ -435,6 +489,70 @@ proptest! {
         let expected = (a + b) * 2.0 - a / 4.0;
         prop_assert!((expr.eval(&t).unwrap() - expected).abs() < 1e-9 * (1.0 + expected.abs()));
     }
+}
+
+/// What the per-fragment view and `iter` are checked under.
+#[derive(Debug, Clone)]
+enum FragmentOp {
+    Insert(u32, Vec<f64>),
+    Delete(usize),
+    /// Delete, then insert at the same node: the slot is reused under a
+    /// bumped generation.
+    Replace(usize, Vec<f64>),
+    RemoveNode(u32),
+    /// Registers a node: a departed one comes back empty, a live one is
+    /// left alone, a new id grows the id space.
+    Register(u32),
+}
+
+fn fragment_op_strategy() -> impl Strategy<Value = FragmentOp> {
+    let row = || prop::collection::vec(-1e6f64..1e6, 2..3);
+    prop_oneof![
+        (0u32..10, row()).prop_map(|(n, v)| FragmentOp::Insert(n, v)),
+        (0u32..10, row()).prop_map(|(n, v)| FragmentOp::Insert(n, v)),
+        (0usize..256).prop_map(FragmentOp::Delete),
+        (0usize..256, row()).prop_map(|(i, v)| FragmentOp::Replace(i, v)),
+        (0u32..10).prop_map(FragmentOp::RemoveNode),
+        (0u32..10).prop_map(FragmentOp::Register),
+    ]
+}
+
+/// A row's values by bit pattern, so two reads compare exactly.
+fn row_bits(row: digest_db::RowView<'_>) -> Vec<u64> {
+    row.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `P2PDatabase::fragments` read back through interfaces that do not share
+/// its walk: its nodes are `nodes()`, each fragment holds `content_size`
+/// rows, each row is what `read` returns for its handle, and the fragment
+/// is what `iter_node` lists. Returns the flattened `(handle, row)`s.
+fn flattened_fragments(db: &P2PDatabase) -> Vec<(TupleHandle, Vec<u64>)> {
+    let mut flat = Vec::new();
+    let mut nodes = Vec::new();
+    for (node, rows) in db.fragments() {
+        nodes.push(node);
+        let fragment: Vec<(TupleHandle, Vec<u64>)> = rows
+            .map(|(slot, generation, row)| {
+                let handle = TupleHandle {
+                    node,
+                    slot,
+                    generation,
+                };
+                assert_eq!(row_bits(db.read(handle).unwrap()), row_bits(row));
+                assert_eq!(row.arity(), db.schema().arity());
+                (handle, row_bits(row))
+            })
+            .collect();
+        assert_eq!(fragment.len(), db.content_size(node));
+        let own: Vec<(TupleHandle, Vec<u64>)> = db
+            .iter_node(node)
+            .map(|(h, row)| (h, row_bits(row)))
+            .collect();
+        assert_eq!(own, fragment);
+        flat.extend(fragment);
+    }
+    assert_eq!(nodes, db.nodes().collect::<Vec<_>>());
+    flat
 }
 
 /// What the grammar of `digest_db::parse` gives meaning to: keywords,

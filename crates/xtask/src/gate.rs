@@ -18,7 +18,8 @@
 //! occasions ≥ [`AUDIT_MIN_OCCASIONS`], `violation_rate ≤
 //! violation_bound` — the `(1 − p) + 3σ` bound the report itself carries
 //! —, the share of ticks off by more than `δ + ε` within the same kind of
-//! bound ([`resolution_bound`]), and drift ≤ [`AUDIT_DRIFT_TOLERANCE`]) and
+//! bound ([`resolution_bound`]), drift ≤ [`AUDIT_DRIFT_TOLERANCE`], and the
+//! push baselines' totals exactly the row's [`Baselines`]) and
 //! [`validate_event_stream`]
 //! (every JSONL line schema-valid, every required kind present). A new
 //! leg is a table row; each predicate is driven red on a planted input by
@@ -75,14 +76,42 @@ pub enum DriftGate {
     UnderCoverageOnly,
 }
 
+/// What the push baselines would have spent on one member's data stream:
+/// its report's `messages.all` / `messages.all_filter`. They depend on the
+/// world's data stream and the member's expression, predicate and `ε`
+/// alone — never on the engine — so any change to them is a ledger bug.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Baselines {
+    /// Messages of `ALL` (every value change shipped).
+    pub all: u64,
+    /// Messages of `ALL+FILTER` (changes escaping the width-`2ε` filter).
+    pub filter: u64,
+}
+
 /// A scenario's row in `cargo xtask audit`; its legs are [`REPLAY_AND_WORKERS`].
 #[derive(Clone, Copy, Debug)]
 pub struct AuditRow {
-    /// Exact number of per-query audits the report must hold.
-    pub members: usize,
+    /// Per member, in report order, the baselines' exact totals; the
+    /// report must hold exactly this many per-query audits.
+    pub members: &'static [Baselines],
     /// How calibration drift is read off each member's report.
     pub drift: DriftGate,
 }
+
+/// [`Baselines`] as a table row is written.
+const fn spent(all: u64, filter: u64) -> Baselines {
+    Baselines { all, filter }
+}
+
+/// What the five members of the `temperature/mux*` rows see: the predicate
+/// query, then four generated AVG contracts (ε = 4, 2, 4, 2).
+const MUX_BASELINES: &[Baselines] = &[
+    spent(177_169, 90_245),
+    spent(240_000, 89_320),
+    spent(240_000, 155_807),
+    spent(240_000, 89_320),
+    spent(240_000, 155_807),
+];
 
 /// One fixed-seed `digest-cli` invocation and the legs each gate runs on it.
 #[derive(Clone, Copy, Debug)]
@@ -170,7 +199,7 @@ pub const SCENARIOS: &[Scenario] = &[
         ],
         determinism: EVERY_PLAIN_VARIANT,
         audit: Some(AuditRow {
-            members: 1,
+            members: &[spent(120_000, 78_133)],
             drift: DriftGate::Absolute,
         }),
         schema: SCHEMA_REQUIRED_KINDS,
@@ -213,7 +242,7 @@ pub const SCENARIOS: &[Scenario] = &[
         ],
         determinism: &[],
         audit: Some(AuditRow {
-            members: 5,
+            members: MUX_BASELINES,
             drift: DriftGate::UnderCoverageOnly,
         }),
         schema: MUX_SCHEMA_REQUIRED_KINDS,
@@ -239,7 +268,7 @@ pub const SCENARIOS: &[Scenario] = &[
         ],
         determinism: &[],
         audit: Some(AuditRow {
-            members: 5,
+            members: MUX_BASELINES,
             drift: DriftGate::UnderCoverageOnly,
         }),
         schema: &[],
@@ -258,7 +287,11 @@ pub const SCENARIOS: &[Scenario] = &[
         ],
         determinism: REPLAY_AND_WORKERS,
         audit: Some(AuditRow {
-            members: 3,
+            members: &[
+                spent(240_000, 155_807),
+                spent(240_000, 233_427),
+                spent(240_000, 235_567),
+            ],
             drift: DriftGate::UnderCoverageOnly,
         }),
         schema: &[],
@@ -455,8 +488,25 @@ fn under_coverage_drift(report: &serde_json::Value) -> Result<f64, String> {
     Ok(worst)
 }
 
+/// The baselines' totals a member's report carries.
+fn report_baselines(report: &serde_json::Value) -> Result<Baselines, String> {
+    let count = |key: &str| {
+        report
+            .get("messages")
+            .and_then(|messages| messages.get(key))
+            .and_then(serde_json::Value::as_u64)
+            .ok_or_else(|| format!("audit report is missing message count `messages.{key}`"))
+    };
+    Ok(spent(count("all")?, count("all_filter")?))
+}
+
 /// Gates one member's report; prints its numbers and every miss.
-fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> bool {
+fn check_member(
+    label: &str,
+    report: &serde_json::Value,
+    gate: DriftGate,
+    expected: Baselines,
+) -> bool {
     let query = report
         .get("query")
         .and_then(serde_json::Value::as_str)
@@ -483,19 +533,22 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
                 resolution_misses / ticks.max(1.0),
                 resolution_bound(confidence, ticks),
             ),
+            report_baselines(report)?,
         ))
     };
-    let (occasions, rate, bound, (drift_label, drift), (miss_share, miss_bound)) = match numbers() {
-        Ok(numbers) => numbers,
-        Err(e) => {
-            eprintln!("xtask audit [{label}]: {query}: {e}");
-            return false;
-        }
-    };
+    let (occasions, rate, bound, (drift_label, drift), (miss_share, miss_bound), baselines) =
+        match numbers() {
+            Ok(numbers) => numbers,
+            Err(e) => {
+                eprintln!("xtask audit [{label}]: {query}: {e}");
+                return false;
+            }
+        };
     println!(
         "xtask audit [{label}]: {query}: occasions {occasions}, violation rate {rate:.4} \
          (gate ≤ {bound:.4}), δ-miss share {miss_share:.4} (gate ≤ {miss_bound:.4}), \
-         {drift_label} {drift:.4} (gate ≤ {AUDIT_DRIFT_TOLERANCE})"
+         {drift_label} {drift:.4} (gate ≤ {AUDIT_DRIFT_TOLERANCE}), ALL / ALL+FILTER {} / {}",
+        baselines.all, baselines.filter
     );
     let mut misses = Vec::new();
     if occasions < AUDIT_MIN_OCCASIONS {
@@ -520,16 +573,23 @@ fn check_member(label: &str, report: &serde_json::Value, gate: DriftGate) -> boo
             "{drift_label} {drift:.4} exceeds the pinned tolerance {AUDIT_DRIFT_TOLERANCE}"
         ));
     }
+    if baselines != expected {
+        misses.push(format!(
+            "push baselines ALL / ALL+FILTER spent {} / {} messages, pinned at {} / {}",
+            baselines.all, baselines.filter, expected.all, expected.filter
+        ));
+    }
     for miss in &misses {
         eprintln!("xtask audit [{label}]: {query}: {miss}");
     }
     misses.is_empty()
 }
 
-/// Gates one `--audit-json` report: a JSON array of exactly `row.members`
-/// per-query audits, each with enough occasions, an ε-violation rate within
-/// the bound the report carries, a δ-miss share within
-/// [`resolution_bound`], and calibration drift within tolerance.
+/// Gates one `--audit-json` report: a JSON array of exactly one per-query
+/// audit per entry of `row.members`, each with enough occasions, an
+/// ε-violation rate within the bound the report carries, a δ-miss share
+/// within [`resolution_bound`], calibration drift within tolerance, and
+/// exactly its entry's [`Baselines`].
 pub fn check_report(label: &str, report: &[u8], row: &AuditRow) -> bool {
     let parsed = match serde_json::from_str(&String::from_utf8_lossy(report)) {
         Ok(parsed) => parsed,
@@ -539,17 +599,17 @@ pub fn check_report(label: &str, report: &[u8], row: &AuditRow) -> bool {
         }
     };
     let members = parsed.as_array().map_or(&[][..], Vec::as_slice);
-    if members.len() != row.members {
+    if members.len() != row.members.len() {
         eprintln!(
             "xtask audit [{label}]: report must audit {} queries, got {}",
-            row.members,
+            row.members.len(),
             members.len()
         );
         return false;
     }
     let mut ok = true;
-    for member in members {
-        ok &= check_member(label, member, row.drift);
+    for (member, &expected) in members.iter().zip(row.members) {
+        ok &= check_member(label, member, row.drift, expected);
     }
     ok
 }

@@ -4,7 +4,7 @@
 
 use xtask::gate::{
     check_report, differing, extends, resolution_bound, same, validate_event_stream, Artefacts,
-    AuditRow, DriftGate, Variant, AUDIT_DRIFT_TOLERANCE, MUX_SCHEMA_REQUIRED_KINDS,
+    AuditRow, Baselines, DriftGate, Variant, AUDIT_DRIFT_TOLERANCE, MUX_SCHEMA_REQUIRED_KINDS,
     REPLAY_AND_WORKERS, SCENARIOS, SCHEMA_REQUIRED_KINDS,
 };
 
@@ -68,7 +68,15 @@ struct Member {
     ticks: f64,
     resolution_violations: f64,
     confidence: f64,
+    /// What the push baselines spent.
+    baselines: Baselines,
 }
+
+/// The clean member's `ALL` / `ALL+FILTER` totals.
+const CLEAN: Baselines = Baselines {
+    all: 120_000,
+    filter: 78_133,
+};
 
 impl Member {
     /// The fixed-seed `temperature/rpt` member, rounded.
@@ -82,6 +90,7 @@ impl Member {
             ticks: 60.0,
             resolution_violations: 0.0,
             confidence: 0.95,
+            baselines: CLEAN,
         }
     }
 
@@ -94,7 +103,8 @@ impl Member {
         format!(
             "{{\"query\":\"SELECT AVG(x) FROM R\",\"occasions\":{},\"violation_rate\":{},\
              \"violation_bound\":{},\"calibration_drift\":{},\"calibration\":[{}],\
-             \"ticks\":{},\"resolution_violations\":{},\"confidence\":{}}}",
+             \"ticks\":{},\"resolution_violations\":{},\"confidence\":{},\
+             \"messages\":{{\"digest\":5036,\"all\":{},\"all_filter\":{}}}}}",
             self.occasions,
             self.rate,
             self.bound,
@@ -103,6 +113,8 @@ impl Member {
             self.ticks,
             self.resolution_violations,
             self.confidence,
+            self.baselines.all,
+            self.baselines.filter,
         )
     }
 }
@@ -112,8 +124,13 @@ fn report(members: &[Member]) -> Vec<u8> {
     format!("[{}]", members.join(",")).into_bytes()
 }
 
+/// A row of `members` members, each pinned at [`CLEAN`].
 fn row(members: usize, drift: DriftGate) -> AuditRow {
-    AuditRow { members, drift }
+    const PINS: &[Baselines] = &[CLEAN; 5];
+    AuditRow {
+        members: &PINS[..members],
+        drift,
+    }
 }
 
 const BOTH_GATES: [DriftGate; 2] = [DriftGate::Absolute, DriftGate::UnderCoverageOnly];
@@ -208,6 +225,36 @@ fn too_few_occasions_is_red() {
 }
 
 #[test]
+fn push_baselines_off_their_pins_by_one_message_are_red() {
+    for gate in BOTH_GATES {
+        assert!(passes(Member::clean(), gate), "{gate:?}");
+        for (all, filter) in [(1, 0), (0, 1), (-1, 0), (0, -1)] {
+            let planted = Member {
+                baselines: Baselines {
+                    all: CLEAN.all.saturating_add_signed(all),
+                    filter: CLEAN.filter.saturating_add_signed(filter),
+                },
+                ..Member::clean()
+            };
+            assert!(!passes(planted, gate), "{all} {filter} {gate:?}");
+        }
+    }
+    // Each member is held to its own pin, in report order.
+    let members = [Member::clean(), Member::clean()];
+    let swapped = AuditRow {
+        members: &[
+            CLEAN,
+            Baselines {
+                all: 240_000,
+                ..CLEAN
+            },
+        ],
+        drift: DriftGate::UnderCoverageOnly,
+    };
+    assert!(!check_report("planted", &report(&members), &swapped));
+}
+
+#[test]
 fn the_wrong_member_count_is_red() {
     let five: Vec<Member> = (0..5).map(|_| Member::clean()).collect();
     let gate = DriftGate::UnderCoverageOnly;
@@ -240,6 +287,8 @@ fn a_report_missing_a_numeric_field_is_red() {
         "ticks",
         "resolution_violations",
         "confidence",
+        "all",
+        "all_filter",
     ] {
         // Renaming the key removes the field; a string value is not numeric.
         let renamed = clean.replace(&format!("\"{field}\":"), "\"renamed\":");
@@ -339,7 +388,7 @@ fn the_table_runs_the_stated_leg_inventory() {
     let inventory: Vec<_> = SCENARIOS
         .iter()
         .map(|s| {
-            let audit = s.audit.map(|a| (a.members, a.drift));
+            let audit = s.audit.map(|a| (a.members.len(), a.drift));
             (s.label, s.determinism, audit, s.schema)
         })
         .collect();

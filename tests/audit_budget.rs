@@ -1,8 +1,8 @@
-//! The audited-run budget as a gate that cannot flake (ROADMAP item 5a:
-//! audited ≤ 1.25× plain wall). Wall-clock ratios are too noisy to gate
-//! on; allocation counts repeat exactly, and an observer that never
-//! touches the heap on a steady-state tick is what keeps the ratio inside
-//! the budget. `cargo xtask lint` guards the same property statically
+//! The audited-run budget as a gate that cannot flake (ROADMAP aim 4: a
+//! view cheap enough to leave on; DESIGN.md §14: audited ≤ 1.25× plain
+//! wall). Wall-clock ratios are too noisy to gate on; allocation counts
+//! repeat exactly, and an observer that never touches the heap on a
+//! steady-state tick is what keeps the ratio inside the budget. `cargo xtask lint` guards the same property statically
 //! through the `xtask: no-alloc` tag on `MessageLedger::observe`.
 
 use digest::audit::QueryAudit;
@@ -179,7 +179,83 @@ fn audit_observation_stays_off_the_heap() {
     assert!(traced.occasion_allocs <= 8 * events, "{traced:?}");
 }
 
-/// The other half of a `solo_loose` / `audited` tick (ROADMAP item 5a):
+/// The MEMORY twin, under churn: the ledger's table grows where the
+/// database did — its node table once on a tick the id space grew, a
+/// joiner's row on its first tuple — and nowhere else. A tick without a
+/// churn event observes old and freshly joined nodes alike off the heap.
+#[test]
+fn a_churning_audit_allocates_only_where_the_database_grew() {
+    const TICKS: u64 = 1_000;
+    let _turn = telemetry_turn();
+
+    let mut workload = MemoryWorkload::new(MemoryConfig {
+        seconds_per_tick: 1,
+        ..MemoryConfig::paper_scale()
+    });
+    let query = ContinuousQuery::avg(
+        Expr::first_attr(workload.db().schema()),
+        Precision::new(200.0, 50.0, 0.9).unwrap(),
+    );
+    let mut engine = DigestEngine::new(
+        query,
+        EngineConfig {
+            scheduler: SchedulerKind::Pred(3),
+            estimator: EstimatorKind::Repeated,
+            sampling: SamplingConfig::recommended(workload.graph().node_count()),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let mut audit = QueryAudit::new(engine.query(), 0).unwrap();
+    let first_ids = workload.graph().id_upper_bound();
+    let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+    let mut origin = workload.graph().nodes().next().unwrap();
+
+    let (mut quiet_ticks, mut churn_ticks, mut occasions) = (0u64, 0u64, 0u64);
+    for tick in 0..TICKS {
+        let events = workload.churn_events();
+        workload.advance_to(tick, &mut rng);
+        let events = workload.churn_events() - events;
+        if !workload.graph().contains(origin) {
+            origin = workload.graph().nodes().next().unwrap();
+        }
+        let ctx = TickContext {
+            tick,
+            graph: workload.graph(),
+            db: workload.db(),
+            origin,
+        };
+        let outcome = engine.on_tick(&ctx, &mut rng).unwrap();
+        let exact = engine.oracle_truth(&ctx).unwrap();
+        let before = allocs();
+        audit.observe(&ctx, &outcome, exact);
+        let spent = allocs() - before;
+        // The first observation sizes the whole table.
+        if tick == 0 {
+            continue;
+        }
+        occasions += u64::from(outcome.snapshot_executed);
+        if events == 0 {
+            assert_eq!(spent, 0, "tick {tick}");
+            quiet_ticks += 1;
+        } else {
+            assert!(
+                spent <= 2 * events,
+                "tick {tick}: {spent} for {events} events"
+            );
+            churn_ticks += 1;
+        }
+    }
+    // Both kinds of tick, a few hundred joins and occasions among them.
+    assert!(
+        quiet_ticks >= TICKS / 2 && churn_ticks >= 100,
+        "{quiet_ticks} / {churn_ticks}"
+    );
+    assert!(workload.graph().id_upper_bound() >= first_ids + 100);
+    assert!(occasions > 0);
+}
+
+/// The other half of a `solo_loose` / `audited` tick (ROADMAP aim 4):
 /// advancing the paper-scale TEMPERATURE world rewrites 8 000 rows in place
 /// and its oracle is one fold over the fragments' columns — neither may
 /// touch the heap. Statically, `P2PDatabase::update_rows` and the oracle
