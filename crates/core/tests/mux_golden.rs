@@ -1,14 +1,19 @@
 //! Golden-trace regression test for the mux scheduler.
 //!
-//! Drives a seeded shared [`QueryMux`] over a fixed world and logs each
-//! member's per-tick decision (snapshot or hold, shared round id, samples,
-//! messages, estimate), byte-compared against a checked-in fixture — one
-//! per shared-round estimator: the rotating RPT panel
-//! (`mux_decisions.txt`) and a fresh CLT-sized panel every round
-//! (`mux_decisions_indep.txt`, the trace every shared round had before
-//! RPT rounds). This pins the end-to-end scheduler × sizing ×
-//! panel-sharing pipeline bit-for-bit. The same replays check that every
-//! `mux.round` event's messages split by cause sums to its `messages`.
+//! Drives a seeded [`QueryMux`] over a fixed world and logs each member's
+//! per-tick decision (snapshot or hold, shared round id, samples,
+//! messages, estimate), byte-compared against a checked-in fixture. Two
+//! fixtures run three `AVG` members on shared rounds, one per shared-round
+//! estimator: the rotating RPT panel (`mux_decisions.txt`) and a fresh
+//! CLT-sized panel every round (`mux_decisions_indep.txt`, the trace every
+//! shared round had before RPT rounds). Three more add a fourth member
+//! under `WHERE a > 50` and print each estimate as its `f64` bits: the
+//! unshared mux — standalone RPT and INDEP engines, per
+//! `tests/mux_equivalence.rs` — and shared INDEP rounds, where a predicated
+//! class sizes the CLT loop. This pins the end-to-end scheduler × sizing ×
+//! panel-sharing pipeline bit-for-bit. The shared replays also check that
+//! every `mux.round` event's messages split by cause sums to its
+//! `messages`.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -23,7 +28,7 @@
 )]
 
 use digest_core::{ContinuousQuery, EstimatorKind, MuxConfig, Precision, QueryMux, TickContext};
-use digest_db::{Expr, P2PDatabase, Schema, Tuple};
+use digest_db::{Expr, P2PDatabase, Predicate, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -31,20 +36,79 @@ use std::fmt::Write as _;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
-/// The goldens: fixture name, `mux` section header, shared-round estimator.
-const GOLDENS: [(&str, &str, EstimatorKind); 2] = [
-    (
-        "mux_decisions.txt",
-        "mux sharing=on estimator=rpt",
-        EstimatorKind::Repeated,
-    ),
+/// One member of a golden's fleet: `(δ, ε, p)` and a `WHERE` clause.
+type Member = (f64, f64, f64, Option<&'static str>);
+
+/// Three `AVG` contracts over the whole relation.
+const PLAIN: &[Member] = &[
+    (2.0, 1.0, 0.95, None),
+    (4.0, 2.0, 0.90, None),
+    (8.0, 4.0, 0.90, None),
+];
+
+/// [`PLAIN`] and one member over the tuples above the mean.
+const PREDICATED: &[Member] = &[
+    (2.0, 1.0, 0.95, None),
+    (4.0, 2.0, 0.90, None),
+    (8.0, 4.0, 0.90, None),
+    (4.0, 2.0, 0.90, Some("a > 50")),
+];
+
+/// One golden fixture and the mux it replays.
+struct Golden {
+    file: &'static str,
+    /// The `mux` section header.
+    header: &'static str,
+    estimator: EstimatorKind,
+    sharing: bool,
+    fleet: &'static [Member],
+    /// Print each estimate as its `f64` bits rather than to six decimals.
+    bits: bool,
+}
+
+const GOLDENS: [Golden; 5] = [
+    Golden {
+        file: "mux_decisions.txt",
+        header: "mux sharing=on estimator=rpt",
+        estimator: EstimatorKind::Repeated,
+        sharing: true,
+        fleet: PLAIN,
+        bits: false,
+    },
     // The header as first written: the round rule it names is the only
     // one there is now.
-    (
-        "mux_decisions_indep.txt",
-        "mux sharing=on horizon=2 piggyback=on",
-        EstimatorKind::Independent,
-    ),
+    Golden {
+        file: "mux_decisions_indep.txt",
+        header: "mux sharing=on horizon=2 piggyback=on",
+        estimator: EstimatorKind::Independent,
+        sharing: true,
+        fleet: PLAIN,
+        bits: false,
+    },
+    Golden {
+        file: "mux_decisions_unshared_rpt.txt",
+        header: "mux sharing=off estimator=rpt fleet=predicated",
+        estimator: EstimatorKind::Repeated,
+        sharing: false,
+        fleet: PREDICATED,
+        bits: true,
+    },
+    Golden {
+        file: "mux_decisions_unshared_indep.txt",
+        header: "mux sharing=off estimator=indep fleet=predicated",
+        estimator: EstimatorKind::Independent,
+        sharing: false,
+        fleet: PREDICATED,
+        bits: true,
+    },
+    Golden {
+        file: "mux_decisions_indep_where.txt",
+        header: "mux sharing=on estimator=indep fleet=predicated",
+        estimator: EstimatorKind::Independent,
+        sharing: true,
+        fleet: PREDICATED,
+        bits: true,
+    },
 ];
 
 /// The fixed world the mux section runs on: a complete 8-node overlay,
@@ -64,25 +128,30 @@ fn world(seed: u64) -> (Graph, P2PDatabase) {
     (graph, db)
 }
 
-/// Drives a shared mux over the fixed world and logs every member's
+/// Drives the golden's mux over the fixed world and logs every member's
 /// per-tick decision. Round ids are renumbered from the first observed
 /// one so the fixture does not depend on the process-global trace
 /// counter.
-fn replay_mux(out: &mut String, header: &str, estimator: EstimatorKind) {
-    writeln!(out, "{header}").unwrap();
+fn replay_mux(out: &mut String, golden: &Golden) {
+    writeln!(out, "{}", golden.header).unwrap();
     let (graph, db) = world(42);
     let mut mux = QueryMux::new(MuxConfig {
-        estimator,
+        estimator: golden.estimator,
+        sharing: golden.sharing,
         ..MuxConfig::default()
     })
     .unwrap();
     let schema = Schema::single("a");
-    for &(delta, eps, p) in &[(2.0, 1.0, 0.95), (4.0, 2.0, 0.90), (8.0, 4.0, 0.90)] {
-        mux.register(ContinuousQuery::avg(
+    for &(delta, eps, p, predicate) in golden.fleet {
+        let query = ContinuousQuery::avg(
             Expr::first_attr(&schema),
             Precision::new(delta, eps, p).unwrap(),
-        ))
-        .unwrap();
+        );
+        let query = match predicate {
+            Some(text) => query.with_predicate(Predicate::parse(text, &schema).unwrap()),
+            None => query,
+        };
+        mux.register(query).unwrap();
     }
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut round_base: Option<u64> = None;
@@ -99,15 +168,20 @@ fn replay_mux(out: &mut String, header: &str, estimator: EstimatorKind) {
                 let base = *round_base.get_or_insert(r);
                 r - base
             });
+            let estimate = o.outcome.estimate;
+            let est = if golden.bits {
+                format!("{:016x}", estimate.to_bits())
+            } else {
+                format!("{estimate:.6}")
+            };
             writeln!(
                 out,
-                "  t={tick:>3} q={} snap={} round={} samples={} messages={} est={:.6}",
+                "  t={tick:>3} q={} snap={} round={} samples={} messages={} est={est}",
                 o.query,
                 u8::from(o.outcome.snapshot_executed),
                 round.map_or_else(|| "-".to_owned(), |r| r.to_string()),
                 o.outcome.samples_this_tick,
                 o.outcome.messages_this_tick,
-                o.outcome.estimate,
             )
             .unwrap();
         }
@@ -116,12 +190,12 @@ fn replay_mux(out: &mut String, header: &str, estimator: EstimatorKind) {
 }
 
 /// One golden's decision trace and the event stream of its replay.
-fn decision_trace(header: &str, estimator: EstimatorKind) -> (String, Vec<String>) {
+fn decision_trace(golden: &Golden) -> (String, Vec<String>) {
     let mut out = String::new();
     out.push_str("mux golden decision trace v1\n");
     let sink = digest_telemetry::MemorySink::new();
     digest_telemetry::install_sink(Box::new(sink.clone()));
-    replay_mux(&mut out, header, estimator);
+    replay_mux(&mut out, golden);
     digest_telemetry::take_sink();
     (out, sink.lines())
 }
@@ -167,10 +241,12 @@ fn check_message_split(events: &[String], estimator: EstimatorKind) {
 
 #[test]
 fn mux_scheduler_decisions_match_golden_trace() {
-    for (name, header, estimator) in GOLDENS {
-        let path = format!("{GOLDEN_DIR}/{name}");
-        let (trace, events) = decision_trace(header, estimator);
-        check_message_split(&events, estimator);
+    for golden in &GOLDENS {
+        let path = format!("{GOLDEN_DIR}/{}", golden.file);
+        let (trace, events) = decision_trace(golden);
+        if golden.sharing {
+            check_message_split(&events, golden.estimator);
+        }
         if std::env::var("UPDATE_MUX_GOLDEN").is_ok() {
             std::fs::create_dir_all(GOLDEN_DIR).unwrap();
             std::fs::write(&path, &trace).unwrap();
