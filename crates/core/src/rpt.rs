@@ -37,7 +37,7 @@
 //! column: an occasion at a steady panel size allocates nothing here.
 
 use crate::error::CoreError;
-use crate::indep::{IndependentEstimator, SnapshotEstimate};
+use crate::indep::{draw_cap, IndependentEstimator, SnapshotEstimate};
 use crate::panel::{answer, Answers, Question, RevisitReport, SamplePanel};
 use crate::query::Precision;
 use crate::report::{draws_for_deficit, MessageSplit, Selectivity};
@@ -293,6 +293,9 @@ impl Class {
 #[derive(Debug, Clone)]
 pub struct RepeatedEstimator {
     config: RptConfig,
+    /// The first occasion's estimator: independent sampling that keeps
+    /// its draws as the panel.
+    indep: IndependentEstimator,
     panel: SamplePanel,
     /// In the order the questions were last asked.
     classes: Vec<Class>,
@@ -312,18 +315,10 @@ impl RepeatedEstimator {
     ///
     /// [`CoreError::InvalidConfig`] for out-of-range settings.
     pub fn new(config: RptConfig) -> Result<Self> {
-        if config.pilot_size < 2 {
-            return Err(CoreError::InvalidConfig {
-                reason: "pilot_size must be at least 2",
-            });
-        }
-        if config.max_samples < config.pilot_size {
-            return Err(CoreError::InvalidConfig {
-                reason: "max_samples must cover the pilot",
-            });
-        }
+        let indep = IndependentEstimator::new(config.pilot_size, config.max_samples, true)?;
         Ok(Self {
             config,
+            indep,
             panel: SamplePanel::new(),
             classes: Vec::new(),
             occasions_evaluated: 0,
@@ -429,12 +424,9 @@ impl RepeatedEstimator {
         operator: &mut SamplingOperator,
         rng: &mut dyn RngCore,
     ) -> Result<SnapshotEstimate> {
-        let indep = IndependentEstimator {
-            pilot_size: self.config.pilot_size,
-            max_samples: self.config.max_samples,
-            build_panel: true,
-        };
-        let mut result = indep.evaluate(ctx, expr, predicate, precision, operator, rng)?;
+        let mut result = self
+            .indep
+            .evaluate(ctx, expr, predicate, precision, operator, rng)?;
         let first = (result.estimate, result.estimator_variance, result.sigma_hat);
         self.seed(&mut result.panel_for_next, [Some(first)]);
         Ok(result)
@@ -522,11 +514,7 @@ impl RepeatedEstimator {
         operator.begin_occasion();
         let cfg = self.config;
         let any_trivial = questions.iter().any(|(_, p)| p.is_trivial());
-        let cap = if questions.iter().all(|(_, p)| p.is_trivial()) {
-            cfg.max_samples
-        } else {
-            cfg.max_samples.saturating_mul(4)
-        };
+        let cap = draw_cap(questions, cfg.max_samples);
 
         // 1. Size the panel from the RPT variance formula (Eq. 10).
         let (mut n, mut rho) = (0, 0.0);
