@@ -2,14 +2,14 @@
 //! occasion hot path.
 //!
 //! [`WalkArena`] owns the buffers of a walk batch — the slot task list,
-//! the slot-indexed result table, the outcome list and the sampled
-//! rows — for the lifetime of a `SamplingOperator` and recycles them
-//! across batches and occasions: `clear()` + `resize` keep capacity, so
-//! after the first occasion at a given panel size a batch performs no
-//! heap allocation at all. Per-slot state — the ChaCha8 stream and the
-//! walk cursor — lives on the worker's stack, and the sampled rows are
-//! copied, one after another, into the single `values` column instead
-//! of one owned tuple each.
+//! the outcome list and the sampled rows — for the lifetime of a
+//! `SamplingOperator` and recycles them across batches and occasions:
+//! `clear()` keeps capacity, so after the first occasion at a given
+//! panel size a one-worker batch performs no heap allocation at all
+//! (each extra worker's range is one `Vec` per batch). Per-slot state
+//! — the ChaCha8 stream and the walk cursor — lives on the worker's
+//! stack, and the sampled rows are copied, one after another, into the
+//! single `values` column instead of one owned tuple each.
 //!
 //! The arena is scratch, not state: `outcomes` and `values` hold the
 //! last successful batch only until the next one starts, which is as
@@ -18,17 +18,12 @@
 //! no buffers and need none).
 
 use crate::executor::{SlotOutcome, SlotTask};
-use crate::par::Cells;
-use crate::Result;
 
 /// Retained buffers for one operator's walk batches.
 #[derive(Debug, Default)]
 pub(crate) struct WalkArena {
     /// Per-slot work orders, fully written before workers start.
     pub(crate) tasks: Vec<SlotTask>,
-    /// Slot-indexed reassembly table [`crate::par::run_indexed`] fills
-    /// lock-free (always left all-empty, capacity intact).
-    pub(crate) results: Cells<Result<SlotOutcome>>,
     /// Slot-ordered outcomes of the last successful batch.
     pub(crate) outcomes: Vec<SlotOutcome>,
     /// The sampled rows of `outcomes`, one after another in slot order:

@@ -8,7 +8,7 @@
 //!   `u64` occasion seed from its own RNG; every walk slot then owns an
 //!   independent `ChaCha8Rng` seeded by [`crate::par::stream_seed`]
 //!   `(occasion_seed, slot)`, and the slots run through
-//!   [`crate::par::run_indexed`] (claim / publish / slot-order drain), so
+//!   [`crate::par::run_indexed`] (fixed ranges, slot-order drain), so
 //!   the sampled panel is **byte-identical for any worker count,
 //!   including 1**, and the lowest-slot error always wins.
 //! * **A cached occasion snapshot.** The operator refreshes a
@@ -21,9 +21,10 @@
 //! * **Few keystream words per step.** The walk draws through the
 //!   [`crate::draw`] kernel, shared with the live-graph walk, at ≈ ¼ of
 //!   the words of a per-step laziness coin.
-//! * **Arena-recycled buffers.** Task, result, outcome and value
-//!   vectors live in the operator's [`WalkArena`] and are reused across
-//!   batches — the steady-state batch path allocates nothing.
+//! * **Arena-recycled buffers.** Task, outcome and value vectors
+//!   live in the operator's [`WalkArena`] and are reused across
+//!   batches — at one worker the steady-state batch path allocates
+//!   nothing.
 //! * **A `Copy` outcome, rows copied at the drain.** What a slot hands
 //!   across the join is its [`SlotOutcome`]: the sampled tuple's handle,
 //!   the walk's end position and its tallies, no heap. The slot-order
@@ -413,11 +414,11 @@ pub(crate) fn run_tuple_batch(
     // Slots whose local draw landed: each drew one tuple, an `Err` slot
     // none, failed batch or not.
     let mut local_samples = 0u64;
-    let drained = {
+    {
         // Workers could interleave events nondeterministically; run them
         // suppressed and emit deterministic rollups post-join. The guard
-        // also covers the inline (single-worker) path so the emitted
-        // stream is identical for every worker count.
+        // also covers the caller's own range so the emitted stream is
+        // identical for every worker count.
         let _quiet = digest_telemetry::suppress_events();
         // Every slot runs, failed batch or not, and is one walk span. The
         // tick cannot move inside the batch, so in deterministic mode the
@@ -427,22 +428,15 @@ pub(crate) fn run_tuple_batch(
             par::run_indexed(
                 config.workers,
                 request.n,
-                &mut arena.results,
                 |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
                 |slot| {
                     local_samples += u64::from(slot.is_ok());
                     drain_slot(db, slot, outcomes, values, &mut failure);
                 },
-            )
-        })
-    };
-    telemetry::DB_LOCAL_SAMPLES.add(local_samples);
-    if drained.is_err() {
-        // Unreachable by construction, surfaced per the panic policy.
-        failure.get_or_insert(SamplingError::InvalidConfig {
-            reason: "parallel walk worker exited without reporting a result",
+            );
         });
     }
+    telemetry::DB_LOCAL_SAMPLES.add(local_samples);
     if let Some(err) = failure {
         arena.outcomes.clear();
         arena.values.clear();
@@ -458,11 +452,10 @@ pub(crate) fn run_tuple_batch(
 /// per-slot telemetry flush is replayed from outside the crate, by
 /// `tests/batch_telemetry.rs`, which needs the global registry to
 /// itself.)
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 pub(crate) mod reference {
     use super::*;
-    use crate::par::Cells;
     use digest_db::Tuple;
 
     /// The parent's `SlotOutcome`: a heap-allocated tuple per sample.
@@ -526,7 +519,6 @@ pub(crate) mod reference {
         par::run_indexed(
             config.workers,
             request.n,
-            &mut Cells::default(),
             |slot| run_slot(&tasks[slot], snapshot, db, config.reset_length),
             |outcome| match outcome {
                 Ok(outcome) if failure.is_none() => outcomes.push(outcome),
@@ -535,8 +527,7 @@ pub(crate) mod reference {
                     failure.get_or_insert(err);
                 }
             },
-        )
-        .unwrap();
+        );
         match failure {
             Some(err) => Err(err),
             None => Ok(outcomes),
@@ -544,7 +535,7 @@ pub(crate) mod reference {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 #[allow(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -601,9 +592,8 @@ mod tests {
         assert_eq!(walk.tally.steps, 50);
     }
 
-    /// The arena's result table and task list must be recycled: after a
-    /// successful batch every cell is empty with capacity `n`, and a
-    /// second batch of the same size performs no buffer growth.
+    /// The arena's task and outcome lists must be recycled: a second
+    /// batch of the same size performs no buffer growth.
     #[test]
     fn arena_buffers_are_recycled_across_batches() {
         let g = topology::barabasi_albert(30, 2, &mut rng(4)).unwrap();
@@ -633,14 +623,10 @@ mod tests {
         };
         run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
-        assert_eq!(arena.results.0.len(), 8);
-        assert!(arena.results.0.iter().all(|cell| cell.get().is_none()));
-        let results_cap = arena.results.0.capacity();
         let tasks_cap = arena.tasks.capacity();
         let outcomes_cap = arena.outcomes.capacity();
         run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
-        assert_eq!(arena.results.0.capacity(), results_cap);
         assert_eq!(arena.tasks.capacity(), tasks_cap);
         assert_eq!(arena.outcomes.capacity(), outcomes_cap);
     }

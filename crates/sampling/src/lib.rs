@@ -52,7 +52,6 @@ pub mod operator;
 pub mod par;
 pub mod size_estimate;
 mod snapshot;
-mod sync;
 pub mod weight;
 
 pub use baselines::{NaiveWalkSampler, OracleSampler};

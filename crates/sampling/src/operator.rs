@@ -1116,7 +1116,7 @@ mod tests {
 /// `sample_batch` against the batch path it replaced (the parent commit's
 /// `sample_tuples` over `executor::reference`): same panel, same pool,
 /// same accounting, same caller-RNG advance.
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod batch_equivalence {
     use super::*;

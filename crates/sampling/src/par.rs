@@ -1,5 +1,5 @@
 //! The one deterministic parallel substrate: counter-derived RNG stream
-//! seeds plus lock-free index stealing with in-order reassembly.
+//! seeds plus a fixed partition of the job indices with in-order drain.
 //!
 //! The paper's batch mode invokes `S` n times *simultaneously* (§VI-A);
 //! the two places this workspace makes that simultaneity real on threads
@@ -11,21 +11,16 @@
 //!   job `index` seeds its private RNG from [`stream_seed`]`(root, index)`.
 //!   No job reads another's stream, so every result is a pure function
 //!   of `(root, index)` — byte-identical for any worker count.
-//! * **Claim / publish, lock-free.** Workers claim indices from an
-//!   atomic cursor and publish each result into its own `OnceLock` cell —
-//!   each cell is written by exactly one worker, so the substrate holds
-//!   no lock anywhere (R6). One worker runs the same drain loop inline,
-//!   not a separate code path.
-//! * **In-order drain.** After the scope joins, cells are handed to the
-//!   caller in index order, so thread scheduling can influence neither
-//!   the output order, nor a floating-point merge order, nor which error
-//!   surfaces first. A cell found empty is reported as [`EmptyCell`]
-//!   instead of panicking.
-//!
-//! The claim/publish protocol is model-checked against the vendored loom
-//! stand-in under `RUSTFLAGS="--cfg loom"` (see DESIGN.md §13).
-
-use crate::sync::{AtomicUsize, OnceLock, Ordering};
+//! * **Fixed ranges on scoped threads.** `0..n` is cut into at most
+//!   `workers` contiguous ranges. The calling thread runs the first;
+//!   each other range runs on its own `std::thread::scope` thread into a
+//!   `Vec` that thread owns. The substrate keeps no atomic, lock or
+//!   shared table: the threads share only `&job`.
+//! * **In-order drain.** The first range's results are drained as they
+//!   are computed, then each other range's after its join, in range
+//!   order — so thread scheduling can influence neither the output
+//!   order, nor a floating-point merge order, nor which error surfaces
+//!   first. With one range no thread is spawned and nothing is buffered.
 
 /// SplitMix64 finalizer (Steele et al., "Fast splittable pseudorandom
 /// number generators") — derives well-separated seeds from one root.
@@ -45,181 +40,50 @@ pub fn stream_seed(root: u64, index: usize) -> u64 {
     splitmix64(root.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Claims the next unprocessed index from the cursor, or `None` once all
-/// of `0..limit` are handed out. Each index goes to exactly one caller
-/// because `fetch_add` is atomic.
-/// xtask: no-alloc
-fn claim(cursor: &AtomicUsize, limit: usize) -> Option<usize> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // results are published through `OnceLock::set` and the scope join,
-    // so no ordering rides on this counter.
-    let index = cursor.fetch_add(1, Ordering::Relaxed);
-    (index < limit).then_some(index)
-}
-
-/// Publishes one result into its reassembly cell. Returns `false` when
-/// the cell was already filled — impossible while [`claim`] hands out
-/// each index once (model-checked under `--cfg loom`).
-fn publish<T>(cell: &OnceLock<T>, value: T) -> bool {
-    cell.set(value).is_ok()
-}
-
-/// The index-ordered reassembly table of [`run_indexed`]. Always left
-/// all-empty with its capacity intact, so a caller that keeps one across
-/// calls pays for the table once.
-#[derive(Debug)]
-pub struct Cells<T>(pub(crate) Vec<OnceLock<T>>);
-
-impl<T> Default for Cells<T> {
-    fn default() -> Self {
-        Self(Vec::new())
-    }
-}
-
-/// A job's cell was empty after the join: a worker exited without
-/// publishing. Unreachable by construction (the scope joins every worker
-/// and each index is claimed exactly once); callers map it into their
-/// own error type per the panic policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmptyCell;
-
 /// Runs `job(0) … job(n − 1)` on up to `workers` threads and hands every
 /// result to `drain` in index order.
 ///
-/// # Errors
-///
-/// [`EmptyCell`] if any job's result is missing; every present result is
-/// still drained first.
-pub fn run_indexed<T, J, D>(
-    workers: usize,
-    n: usize,
-    cells: &mut Cells<T>,
-    job: J,
-    mut drain: D,
-) -> Result<(), EmptyCell>
+/// The calling thread runs `0..⌈n / workers⌉` and drains each result
+/// before it starts the next job; every further range of that length
+/// runs on a scoped thread. A panic in any job is re-raised on the
+/// caller.
+pub fn run_indexed<T, J, D>(workers: usize, n: usize, job: J, mut drain: D)
 where
-    T: Send + Sync,
+    T: Send,
     J: Fn(usize) -> T + Sync,
     D: FnMut(T),
 {
-    cells.0.clear();
-    cells.0.resize_with(n, OnceLock::new);
-    let cursor = AtomicUsize::new(0);
-    let table = &cells.0;
-    let work = || {
-        while let Some(index) = claim(&cursor, n) {
-            // Always true: `claim` hands each index to one worker.
-            let _ = publish(&table[index], job(index));
-        }
-    };
-    let workers = workers.min(n);
-    if workers <= 1 {
-        work();
-    } else {
-        // `scope` joins every worker before returning and re-raises any
-        // worker panic.
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
+    let len = n.div_ceil(workers.max(1)).max(1);
+    let head = 0..len.min(n);
+    if head.end == n {
+        // One range: nothing to spawn, so skip the scope and the shared
+        // state it allocates on every call.
+        head.for_each(|index| drain(job(index)));
+        return;
+    }
+    std::thread::scope(|scope| {
+        let job = &job;
+        let tails: Vec<_> = (len..n)
+            .step_by(len)
+            .map(|start| {
+                scope.spawn(move || (start..n.min(start + len)).map(job).collect::<Vec<T>>())
+            })
+            .collect();
+        head.for_each(|index| drain(job(index)));
+        for tail in tails {
+            match tail.join() {
+                Ok(results) => results.into_iter().for_each(&mut drain),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-        });
-    }
-
-    let mut complete = true;
-    for cell in &mut cells.0 {
-        match cell.take() {
-            Some(value) => drain(value),
-            None => complete = false,
         }
-    }
-    if complete {
-        Ok(())
-    } else {
-        Err(EmptyCell)
-    }
+    });
 }
 
-#[cfg(all(test, loom))]
-#[allow(clippy::unwrap_used)]
-mod loom_tests {
-    use super::{claim, publish};
-    use crate::sync::{AtomicUsize, OnceLock};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Exhaustively interleaves two workers draining a three-slot batch
-    /// through the production `claim` / `publish` protocol: under every
-    /// schedule each slot is claimed exactly once, every publish lands in
-    /// a previously-empty cell, and after the join the table holds each
-    /// slot's result exactly once.
-    #[test]
-    fn loom_claim_publish_fills_every_slot_exactly_once() {
-        loom::model(|| {
-            const SLOTS: usize = 3;
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let table: Arc<Vec<OnceLock<usize>>> =
-                Arc::new((0..SLOTS).map(|_| OnceLock::new()).collect());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let table = Arc::clone(&table);
-                    thread::spawn(move || {
-                        while let Some(index) = claim(&cursor, SLOTS) {
-                            assert!(
-                                publish(&table[index], index * 10),
-                                "slot {index} was claimed twice"
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut table = Arc::try_unwrap(table).ok().unwrap();
-            for (index, cell) in table.iter_mut().enumerate() {
-                assert_eq!(cell.take(), Some(index * 10), "slot {index} missing");
-            }
-        });
-    }
-
-    /// A cursor overshooting the slot count (more workers than work)
-    /// never yields an in-range index twice and never blocks: late
-    /// claimers see `None` and exit.
-    #[test]
-    fn loom_overshooting_claims_return_none() {
-        loom::model(|| {
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let claimed = Arc::new(OnceLock::new());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let claimed = Arc::clone(&claimed);
-                    thread::spawn(move || match claim(&cursor, 1) {
-                        Some(index) => {
-                            assert!(publish(&claimed, index), "single slot claimed twice");
-                        }
-                        None => {}
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut claimed = Arc::try_unwrap(claimed).ok().unwrap();
-            assert_eq!(claimed.take(), Some(0));
-        });
-    }
-}
-
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn stream_seeds_are_distinct_across_indices_and_roots() {
@@ -232,14 +96,53 @@ mod tests {
     }
 
     #[test]
-    fn results_drain_in_index_order_for_every_worker_count() {
-        let mut cells = Cells::default();
-        for workers in [0, 1, 2, 4, 64] {
-            let mut seen = Vec::new();
-            run_indexed(workers, 17, &mut cells, |i| i * i, |v| seen.push(v)).unwrap();
-            assert_eq!(seen, (0..17).map(|i| i * i).collect::<Vec<_>>());
-            assert!(cells.0.iter().all(|cell| cell.get().is_none()));
+    fn every_index_runs_once_and_drains_in_order() {
+        for workers in [0, 1, 2, 3, 4, 16, 17, 18, 64] {
+            for n in [0, 1, 2, 16, 17, 18] {
+                let calls = Mutex::new(vec![0u32; n]);
+                let mut seen = Vec::new();
+                run_indexed(
+                    workers,
+                    n,
+                    |i| {
+                        calls.lock().unwrap()[i] += 1;
+                        i * i
+                    },
+                    |v| seen.push(v),
+                );
+                let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(seen, expected, "workers {workers}, n {n}");
+                assert!(
+                    calls.into_inner().unwrap().iter().all(|&c| c == 1),
+                    "workers {workers}, n {n}"
+                );
+            }
         }
-        run_indexed(4, 0, &mut cells, |i| i, |_| unreachable!()).unwrap();
+    }
+
+    /// One worker keeps no table: `job(i + 1)` starts only after
+    /// `drain(i)` has returned.
+    #[test]
+    fn one_worker_drains_each_result_before_the_next_job() {
+        let log = Mutex::new(Vec::new());
+        run_indexed(
+            1,
+            5,
+            |i| {
+                log.lock().unwrap().push(("job", i));
+                i
+            },
+            |i| log.lock().unwrap().push(("drain", i)),
+        );
+        let expected: Vec<_> = (0..5).flat_map(|i| [("job", i), ("drain", i)]).collect();
+        assert_eq!(log.into_inner().unwrap(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn a_panic_on_a_spawned_range_reaches_the_caller() {
+        // Four workers over eight jobs: ranges of two, so job 5 runs on
+        // the third range's thread, not the caller's.
+        run_indexed(4, 8, |i| assert!(i != 5, "job {i} failed"), |()| {});
     }
 }

@@ -7,12 +7,12 @@
 //! replication set is exactly reproducible) and summarises the
 //! distribution of any per-run metric.
 //!
-//! Workers steal replication seeds and reports are reassembled in seed
-//! order through the shared substrate, [`digest_sampling::par`].
+//! Workers run fixed ranges of replication seeds and reports are drained
+//! in seed order through the shared substrate, [`digest_sampling::par`].
 
 use crate::runner::{run, RunConfig};
 use crate::trace::RunReport;
-use digest_core::{CoreError, QuerySystem, Result};
+use digest_core::{QuerySystem, Result};
 use digest_sampling::par;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use digest_workload::Workload;
@@ -107,8 +107,9 @@ where
 /// [`run_replications`] with an explicit worker-thread count.
 ///
 /// Results are identical for any `workers >= 1` — each replication is
-/// seeded by its index, workers only steal indices, and reports are
-/// re-assembled in seed order — which the test suite pins down.
+/// seeded by its index, workers only split the indices into fixed
+/// ranges, and reports are drained in seed order — which the test suite
+/// pins down.
 ///
 /// # Errors
 ///
@@ -135,7 +136,6 @@ where
     par::run_indexed(
         workers,
         count,
-        &mut par::Cells::default(),
         |index| {
             let seed = index as u64;
             let mut workload = make_workload(seed);
@@ -149,11 +149,7 @@ where
             run(&mut workload, &mut system, config, delta, epsilon, &mut rng)
         },
         |outcome| outcomes.push(outcome),
-    )
-    // Unreachable by construction, surfaced per the panic policy.
-    .map_err(|_| CoreError::InvalidConfig {
-        reason: "replication worker exited without reporting a result",
-    })?;
+    );
     // The first failing seed's error wins.
     let reports = outcomes.into_iter().collect::<Result<Vec<RunReport>>>()?;
     // Worker-side engines bump the global trace counter in a thread-

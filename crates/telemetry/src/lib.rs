@@ -206,6 +206,14 @@ pub fn emit(kind: &'static str, fields: &[(&'static str, Field<'_>)]) {
     let tick = tick();
     let trace = current_trace();
     let slot = SINK.lock().unwrap_or_else(PoisonError::into_inner);
+    // The fast-path flag can be stale: a guard dropping on another
+    // thread may re-raise it after this thread suppressed. The depth is
+    // the authority.
+    // relaxed-ok: a suppressing thread reads its own increment, and
+    // workers it spawns see it through the spawn edge.
+    if SUPPRESS_DEPTH.load(Ordering::Relaxed) != 0 {
+        return;
+    }
     if let Some(sink) = slot.as_ref() {
         if trace == 0 {
             sink.emit(kind, tick, fields);
@@ -355,6 +363,26 @@ mod tests {
         );
         assert_eq!(handle.len(), 1);
 
+        assert!(take_sink().is_some());
+    }
+
+    /// A stale fast-path flag (another thread's guard dropping late) must
+    /// not let a suppressed emit through: `emit` re-checks the depth.
+    #[test]
+    fn emit_under_a_guard_ignores_a_stale_enabled_flag() {
+        let _guard = sink_lock();
+        let sink = MemorySink::new();
+        let handle = sink.clone();
+        install_sink(Box::new(sink));
+        {
+            let _quiet = suppress_events();
+            EVENTS_ENABLED.store(true, Ordering::Relaxed); // relaxed-ok: test forces the race's outcome
+            emit(
+                "net.churn",
+                &[("joins", Field::U64(1)), ("leaves", Field::U64(0))],
+            );
+        }
+        assert_eq!(handle.len(), 0, "a suppressed emit reached the sink");
         assert!(take_sink().is_some());
     }
 

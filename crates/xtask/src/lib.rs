@@ -32,7 +32,7 @@
 //!   `// relaxed-ok: <why>` justification comment (monotone telemetry
 //!   counters are the intended audience); `Mutex` / `RwLock` / `mpsc`
 //!   channels banned in sim-visible crates modulo the allowlist (the
-//!   parallel substrate is lock-free by design; see DESIGN.md §13); every
+//!   parallel substrate takes no lock; see DESIGN.md §13); every
 //!   `unsafe` needs a `// SAFETY: <why>` comment.
 //! * **R7 — hot-path allocation**: function bodies tagged
 //!   `/// xtask: no-alloc` may not allocate (`Vec::new`, `vec!`,
@@ -688,8 +688,8 @@ fn has_justification(lines: &[scrub::Line], idx: usize, marker: &str) -> bool {
 ///   the same line or in the comment block directly above (monotone
 ///   telemetry counters are the intended audience — anything
 ///   load-bearing needs a stronger order).
-/// * `Mutex` / `RwLock` / `mpsc` are banned; the parallel substrate is
-///   lock-free by design (allowlist entries cover the telemetry sink).
+/// * `Mutex` / `RwLock` / `mpsc` are banned; the parallel substrate
+///   takes no lock (allowlist entries cover the telemetry sink).
 /// * Every `unsafe` needs a `// SAFETY: <why>` comment on the same line
 ///   or in the comment block directly above.
 pub fn lint_concurrency(file: &str, source: &str) -> Vec<Finding> {
@@ -721,8 +721,8 @@ pub fn lint_concurrency(file: &str, source: &str) -> Vec<Finding> {
                     line: idx + 1,
                     message: format!(
                         "blocking primitive `{word}` in sim-visible code; the parallel \
-                         substrate is lock-free (OnceLock slot tables + atomics) — \
-                         restructure or add an allowlist entry ({token})"
+                         substrate takes no lock (fixed ranges, results moved out at the \
+                         join) — restructure or add an allowlist entry ({token})"
                     ),
                     remedy: Remedy::AllowlistEntry,
                     allow_token: Some(token),
