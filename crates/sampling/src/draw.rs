@@ -22,10 +22,15 @@
 
 use rand::RngCore;
 
+/// Bits every [`accept_threshold`] fits in, [`ACCEPT_ALWAYS`] included:
+/// the occasion snapshot packs a threshold into the low bits of a memo
+/// word whose high bits stamp it.
+pub(crate) const THRESHOLD_BITS: u32 = 54;
+
 /// Sentinel threshold for "ratio ≥ 1": [`accept`] takes the proposal
-/// *without drawing*. Unambiguous: for any ratio < 1 [`accept_threshold`]
-/// is at most `2⁵³ − 1 < u64::MAX`.
-pub(crate) const ACCEPT_ALWAYS: u64 = u64::MAX;
+/// *without drawing*. All ones in [`THRESHOLD_BITS`], and unambiguous: for
+/// any ratio < 1 [`accept_threshold`] is at most `2⁵³ − 1`.
+pub(crate) const ACCEPT_ALWAYS: u64 = (1 << THRESHOLD_BITS) - 1;
 
 /// Low bits of a 53-bit acceptance threshold that only the tie-break word
 /// of [`accept`] decides; the first word decides the high 32.
@@ -90,15 +95,23 @@ pub(crate) fn accept<R: RngCore + ?Sized>(rng: &mut R, threshold: u64) -> bool {
 /// compares the 53 mantissa bits of one draw (pinned by a unit test
 /// below). A NaN ratio follows `NaN.max(0.0) == 0.0` to a never-accept
 /// threshold of 0.
+///
+/// The ceiling is taken by hand: the baseline x86-64 target has no
+/// `roundsd`, so `f64::ceil` is an out-of-line call. `x` lies in
+/// `[0, 2⁵³)`, where truncating to `i64` is exact floor and `t as f64`
+/// exact, so `t` plus one exactly when `x` has a fraction is `⌈x⌉`.
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 pub(crate) fn accept_threshold(ratio: f64) -> u64 {
     if ratio >= 1.0 {
         return ACCEPT_ALWAYS;
     }
-    // 2⁵³ — the mantissa scale of a uniform `f64` in [0, 1).
-    const SCALE: f64 = 9_007_199_254_740_992.0;
-    (ratio.max(0.0) * SCALE).ceil() as u64
+    let x = ratio.max(0.0) * SCALE;
+    let t = x as i64;
+    (t + i64::from((t as f64) < x)) as u64
 }
+
+/// 2⁵³ — the mantissa scale of a uniform `f64` in [0, 1).
+const SCALE: f64 = 9_007_199_254_740_992.0;
 
 /// The Lemire rejection threshold of [`uniform_below`] for `span`,
 /// `2³² mod span` (0 for an isolated node): it depends only on a node's
@@ -115,6 +128,7 @@ pub(crate) fn reject_threshold(span: u32) -> u32 {
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -227,6 +241,92 @@ mod tests {
         assert_eq!(accept_threshold(f64::NAN), 0);
         // Every sub-unity threshold fits the split's 53 bits.
         assert_eq!(accept_threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+    }
+
+    /// `accept_threshold` as it was written with `f64::ceil`: the
+    /// reference the hand-taken ceiling is held to.
+    fn ceil_threshold(ratio: f64) -> u64 {
+        if ratio >= 1.0 {
+            return ACCEPT_ALWAYS;
+        }
+        (ratio.max(0.0) * SCALE).ceil() as u64
+    }
+
+    /// A positive finite `x`'s neighbours one ulp either side.
+    fn ulp_neighbours(x: f64) -> [f64; 3] {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    }
+
+    #[test]
+    fn hand_taken_ceiling_equals_f64_ceil_at_the_edges() {
+        let mut ratios = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            0.5,
+        ];
+        // The smallest subnormal, and 1 with the largest ratio below it:
+        // (2⁵³ − 1) / 2⁵³, which scales to 2⁵³ − 1.
+        ratios.extend(ulp_neighbours(f64::from_bits(1)));
+        ratios.extend(ulp_neighbours(1.0));
+        // Scaled integers and one ulp either side of them, then the
+        // half-integers (representable while the scaled value is < 2⁵²).
+        for k in [
+            1u64,
+            2,
+            3,
+            1 << 20,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            (1 << 53) - 1,
+        ] {
+            ratios.extend(ulp_neighbours(k as f64 / SCALE));
+            if k < 1 << 52 {
+                ratios.extend(ulp_neighbours((k as f64 + 0.5) / SCALE));
+            }
+        }
+        ratios.extend(ulp_neighbours(0.5 / SCALE));
+        for ratio in ratios {
+            assert_eq!(
+                accept_threshold(ratio),
+                ceil_threshold(ratio),
+                "ratio {ratio:e} ({:#x})",
+                ratio.to_bits()
+            );
+        }
+        assert_eq!(accept_threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+        assert_eq!(accept_threshold(f64::from_bits(1)), 1);
+        assert_eq!(accept_threshold(-0.0), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern, any unit ratio and any scaled integer (with
+        /// its ulp neighbours): the hand-taken ceiling is `f64::ceil`'s.
+        #[test]
+        fn hand_taken_ceiling_equals_f64_ceil(
+            bits in 0u64..u64::MAX,
+            unit in 0.0f64..1.0,
+            k in 1u64..(1u64 << 53),
+        ) {
+            let mut ratios = vec![f64::from_bits(bits), unit];
+            ratios.extend(ulp_neighbours(k as f64 / SCALE));
+            for ratio in ratios {
+                prop_assert_eq!(accept_threshold(ratio), ceil_threshold(ratio));
+            }
+        }
     }
 
     /// For every span a proposal can have here, each output of

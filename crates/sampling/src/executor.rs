@@ -14,10 +14,11 @@
 //! * **A cached occasion snapshot.** The operator refreshes a
 //!   [`OccasionSnapshot`] through its [`crate::snapshot::SnapshotCache`]
 //!   (reuse / patch / rebuild, see that module) and lends it here;
-//!   M–H proposals read the snapshot's CSR rows and precomputed
-//!   acceptance table instead of re-querying [`digest_net::Graph`] and
-//!   re-evaluating weights per step. Weights were validated at capture,
-//!   which is why the walk below is infallible.
+//!   M–H proposals read the snapshot's CSR rows instead of re-querying
+//!   [`digest_net::Graph`], and each edge's acceptance threshold from the
+//!   snapshot's memo, which the first walk to propose the edge fills.
+//!   Weights were validated at capture, which is why the walk below is
+//!   infallible.
 //! * **Few keystream words per step.** The walk draws through the
 //!   [`crate::draw`] kernel, shared with the live-graph walk, at ≈ ¼ of
 //!   the words of a per-step laziness coin.
@@ -92,7 +93,7 @@ struct CachedRow {
 /// through the [`draw`] kernel in exactly [`MetropolisWalk::run`]'s
 /// order — one laziness word per chunk of ≤ 64 steps decides how many
 /// steps are active, then each active step draws its proposal over the
-/// cached row and its acceptance against the snapshot's per-edge
+/// cached row and its acceptance against the snapshot's memoised per-edge
 /// threshold — so the snapshot walk and the live-graph walk are
 /// interchangeable given the same stream (pinned by a unit test below).
 struct SnapshotWalk {
@@ -140,7 +141,7 @@ impl SnapshotWalk {
             }
             let pick = start + draw::uniform_below(rng, span, reject) as usize;
             self.tally.proposals += 1;
-            if draw::accept(rng, snap.accept_threshold_at(pick)) {
+            if draw::accept(rng, snap.accept_threshold_at(pick, self.current)) {
                 self.current = snap.neighbor_at(pick);
                 self.row = Self::cached_row(snap, self.current);
                 self.tally.accepts += 1;
@@ -544,6 +545,7 @@ pub(crate) mod reference {
 )]
 mod tests {
     use super::*;
+    use crate::snapshot::{thresholds_derived, SnapshotCache, SnapshotRefresh};
     use crate::weight::uniform_weight;
     use digest_net::topology;
     use rand::RngCore;
@@ -553,9 +555,9 @@ mod tests {
     }
 
     /// The snapshot walk must consume its RNG stream exactly like the
-    /// live-graph walk: same stream in, same trajectory out. With the
-    /// acceptance table this also pins that table lookups decide
-    /// identically to the live ratio computation.
+    /// live-graph walk: same stream in, same trajectory out. This also
+    /// pins that the memoised acceptance thresholds decide identically to
+    /// the live ratio computation.
     #[test]
     fn snapshot_walk_is_byte_equivalent_to_metropolis_walk() {
         let g = topology::barabasi_albert(60, 3, &mut rng(11)).unwrap();
@@ -592,17 +594,108 @@ mod tests {
         assert_eq!(walk.tally.steps, 50);
     }
 
-    /// The arena's task and outcome lists must be recycled: a second
-    /// batch of the same size performs no buffer growth.
-    #[test]
-    fn arena_buffers_are_recycled_across_batches() {
-        let g = topology::barabasi_albert(30, 2, &mut rng(4)).unwrap();
+    /// A world where every node holds one tuple.
+    fn dealt(g: &digest_net::Graph) -> P2PDatabase {
         let mut db = P2PDatabase::new(digest_db::Schema::single("a"));
         for v in g.nodes() {
             db.register_node(v);
             db.insert(v, digest_db::Tuple::single(f64::from(v.0)))
                 .unwrap();
         }
+        db
+    }
+
+    /// Runs one 64-slot batch and returns its outcomes and values as
+    /// text, plus the slots' summed proposals.
+    fn run_batch(
+        db: &P2PDatabase,
+        snap: &OccasionSnapshot,
+        workers: usize,
+        seed: u64,
+    ) -> (String, u64) {
+        let config = SamplingConfig {
+            walk_length: 40,
+            reset_length: 6,
+            continue_walks: false,
+            workers,
+            cache_snapshots: true,
+        };
+        let request = BatchRequest {
+            config: &config,
+            pool: &[],
+            cursor: 0,
+            origin: NodeId(0),
+            n: 64,
+            occasion_seed: seed,
+        };
+        let mut arena = WalkArena::new();
+        run_tuple_batch(db, &request, snap, &mut arena).unwrap();
+        let proposals = arena.outcomes.iter().map(|o| o.proposals).sum();
+        (
+            format!("{:?} {:?}", arena.outcomes, arena.values),
+            proposals,
+        )
+    }
+
+    /// Walks that fill the memo as they go decide exactly as walks that
+    /// find it full: 64 slots on a 12-node overlay propose the same edges
+    /// many times over, on a fresh stamp at one worker and at four, and
+    /// the outcomes are those of a memo forced full beforehand.
+    #[test]
+    fn lazy_memo_batches_are_byte_identical_across_workers() {
+        let g = topology::barabasi_albert(12, 2, &mut rng(31)).unwrap();
+        let db = dealt(&g);
+        let w = |v: NodeId| f64::from(v.0 % 4) + 0.5;
+        for seed in 0..4 {
+            let fresh = |workers| {
+                run_batch(
+                    &db,
+                    &OccasionSnapshot::build(&g, &w).unwrap(),
+                    workers,
+                    seed,
+                )
+            };
+            let (one, proposals) = fresh(1);
+            assert!(proposals > 10 * 2 * g.edge_count() as u64);
+            assert_eq!(fresh(4).0, one, "seed {seed}");
+            let warm = OccasionSnapshot::build(&g, &w).unwrap();
+            warm.forced_accept();
+            assert_eq!(run_batch(&db, &warm, 4, seed).0, one, "seed {seed}");
+        }
+    }
+
+    /// A batch derives a threshold only for an edge one of its walks
+    /// proposes, so never more thresholds than proposals; the same batch
+    /// after a reuse of the snapshot proposes only those edges again and
+    /// derives none.
+    #[test]
+    fn a_batch_derives_at_most_its_proposals_and_a_reused_one_none() {
+        let g = topology::barabasi_albert(400, 3, &mut rng(32)).unwrap();
+        let db = dealt(&g);
+        let w = |v: NodeId| f64::from(v.0 % 7) + 0.25;
+        let mut cache = SnapshotCache::new();
+        let derived = thresholds_derived();
+        let (snap, _) = cache.refresh(&g, &w, true).unwrap();
+        let (first, proposals) = run_batch(&db, snap, 1, 5);
+        let derived = thresholds_derived() - derived;
+        assert!(
+            derived > 0 && derived as u64 <= proposals,
+            "{derived} > {proposals}"
+        );
+
+        let (snap, kind) = cache.refresh(&g, &w, true).unwrap();
+        assert_eq!(kind, SnapshotRefresh::Reused);
+        let before = thresholds_derived();
+        assert_eq!(run_batch(&db, snap, 1, 5).0, first);
+        assert_eq!(thresholds_derived(), before);
+    }
+
+    /// The arena's task and outcome lists must be recycled: a second
+    /// batch of the same size performs no buffer growth.
+    #[test]
+    fn arena_buffers_are_recycled_across_batches() {
+        let g = topology::barabasi_albert(30, 2, &mut rng(4)).unwrap();
+        let db = dealt(&g);
         let w = uniform_weight();
         let snap = OccasionSnapshot::build(&g, &w).unwrap();
         let config = SamplingConfig {

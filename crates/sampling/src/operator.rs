@@ -227,7 +227,7 @@ pub struct SamplingOperator {
 /// benchmarks and tests read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Full cold builds of the CSR + weight + acceptance tables.
+    /// Full cold builds of the CSR, weights and rejection thresholds.
     pub built: u64,
     /// Zero-write reuses of the cached snapshot.
     pub reused: u64,
@@ -586,6 +586,7 @@ impl SamplingOperator {
 )]
 mod tests {
     use super::*;
+    use crate::snapshot::thresholds_derived;
     use digest_db::Schema;
     use digest_net::topology;
     use rand::RngCore;
@@ -1089,6 +1090,45 @@ mod tests {
         let stats = op.snapshot_stats();
         assert_eq!(stats.built, 1);
         assert_eq!(stats.patched, 1);
+    }
+
+    /// On a 10⁵-node BA overlay under churn, a cold build and two patched
+    /// occasions derive fewer M–H thresholds than the overlay has nodes:
+    /// only the edges the walks propose, not the 6·10⁵ of an eager table.
+    #[test]
+    fn a_churning_large_overlay_derives_only_what_its_walks_propose() {
+        let mut g = topology::barabasi_albert(100_000, 3, &mut rng(41)).unwrap();
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        for v in g.nodes() {
+            db.register_node(v);
+            db.insert(v, Tuple::single(f64::from(v.0))).unwrap();
+        }
+        let mut op = SamplingOperator::new(SamplingConfig {
+            workers: 1,
+            cache_snapshots: true,
+            ..SamplingConfig::recommended(g.node_count())
+        })
+        .unwrap();
+        let mut r = rng(42);
+        let derived = thresholds_derived();
+        for occasion in 0..3u32 {
+            if occasion > 0 {
+                let joiner = g.add_node();
+                for target in [7 * occasion, 50_000 + occasion, 99_000] {
+                    g.add_edge(joiner, NodeId(target)).unwrap();
+                }
+                g.remove_node(NodeId(10_000 + occasion)).unwrap();
+            }
+            op.begin_occasion();
+            op.sample_tuples(&g, &db, NodeId(0), 200, &mut r).unwrap();
+        }
+        let stats = op.snapshot_stats();
+        assert_eq!((stats.built, stats.patched), (1, 2));
+        let derived = thresholds_derived() - derived;
+        assert!(
+            derived > 0 && derived < 100_000,
+            "{derived} thresholds derived"
+        );
     }
 
     #[test]

@@ -19,26 +19,25 @@
 //!   still covers the gap, [`digest_net::Graph::changes_since`] yields
 //!   the sorted set of dirty node ids. The snapshot is patched where it
 //!   changed and in place: the clean row spans between dirty ids slide to
-//!   their new positions in bulk (adjacency and thresholds alike), dirty
-//!   rows are re-read from the graph, and acceptance thresholds are
-//!   re-derived only for the rows of the *changed set* `C` — dirty ids
-//!   plus ids whose captured weight differs from the cached one — and of
-//!   `C`'s neighbours, the only rows an Eq. 12 ratio can have moved in.
-//!   What stays O(n) is what a reuse pays too: capturing the weights and
-//!   comparing them.
-//! * **M–H proposal caching.** The snapshot precomputes, for every
-//!   directed CSR edge `(i, j)`, the Metropolis–Hastings acceptance
-//!   ratio `(w_j·d_i) / (max(w_i, ε)·d_j)` of PAPER.md §V-A Eq. 12 using
-//!   *bit-for-bit the same `f64` expression* as the live walk — and then
-//!   folds it down to the integer threshold [`crate::draw::accept`]
-//!   decides against ([`accept_threshold`]: ratio ≥ 1 accepts without a
-//!   draw, anything else is `⌈ratio·2⁵³⌉`). IEEE-754 arithmetic is
-//!   deterministic, so the table entry decides *and consumes the RNG
-//!   stream* exactly like the live walk recomputing the ratio per step.
+//!   their new positions in bulk and only dirty rows are re-read from the
+//!   graph. What stays O(n) is what a reuse pays too: capturing the
+//!   weights and comparing them.
+//! * **M–H thresholds memoised on first proposal.** As in the paper
+//!   (§V-A), the Metropolis–Hastings ratio `(w_j·d_i) / (max(w_i, ε)·d_j)`
+//!   of Eq. 12 is evaluated when a walk at `i` proposes `j` — with
+//!   *bit-for-bit the same `f64` expression* as the live walk — and
+//!   folded to the integer threshold [`crate::draw::accept`] decides
+//!   against ([`accept_threshold`]: ratio ≥ 1 accepts without a draw,
+//!   anything else is `⌈ratio·2⁵³⌉`). The snapshot keeps it in a per-edge
+//!   memo cell, so later proposals of the edge are an array read and an
+//!   integer compare. A cell answers only under the stamp it was written
+//!   at, and every refresh that changes the snapshot bumps the stamp, so
+//!   no refresh derives a threshold: a churning overlay's walks propose a
+//!   small share of its edges between two refreshes. A cell's value is a
+//!   pure function of the frozen arrays, so a walk that finds it filled
+//!   and one that fills it decide, *and consume the RNG stream*, alike.
 //!   The per-node Lemire rejection threshold of the proposal draw
-//!   ([`reject_threshold`], a modulo) is precomputed the same way. The
-//!   inner walk step becomes a few array reads and integer compares —
-//!   no float ops, no modulo, no weight-closure calls.
+//!   ([`reject_threshold`], a modulo) is precomputed per refresh.
 //!
 //! Every refresh outcome is counted (`sampling.snapshot.built/reused/
 //! patched`) and timed under [`Stage::SnapshotBuild`]. The cache is
@@ -46,30 +45,82 @@
 //! incomparable, so `SamplingOperator::reset` must (and does) drop the
 //! cache before an operator may be pointed at another graph.
 
-use crate::draw::{accept_threshold, reject_threshold};
+use crate::draw::{accept_threshold, reject_threshold, ACCEPT_ALWAYS, THRESHOLD_BITS};
 use crate::error::SamplingError;
 use crate::metropolis::ZERO_WEIGHT_FLOOR;
 use crate::weight::NodeWeight;
 use crate::Result;
 use digest_net::{Graph, NodeId};
 use digest_telemetry::{registry as telemetry, Stage};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Immutable per-occasion view of the overlay: CSR adjacency, liveness,
-/// pre-validated node weights, and the precomputed M–H acceptance ratio
-/// per directed edge, all indexed by raw node id. Built (or patched)
-/// once per occasion on the dispatching thread; shared read-only by
-/// every walk slot.
+/// The last stamp of the acceptance memo; the one after it is 1 again,
+/// with every cell zeroed.
+const STAMP_LIMIT: u64 = (1 << (64 - THRESHOLD_BITS)) - 1;
+
+/// One acceptance-memo cell, `stamp << THRESHOLD_BITS | threshold` in one
+/// word, so it never tears. Every writer under a stamp stores the same
+/// word, and nothing else is published through a cell: its loads and
+/// stores are `Relaxed`.
+#[derive(Debug, Default)]
+struct MemoCell(AtomicU64);
+
+impl MemoCell {
+    /// The threshold this cell holds under `stamp`, if any.
+    /// xtask: no-alloc
+    #[inline]
+    fn get(&self, stamp: u64) -> Option<u64> {
+        // relaxed-ok: a memo word (see the type); a stale one is a miss.
+        let word = self.0.load(Ordering::Relaxed);
+        (word >> THRESHOLD_BITS == stamp).then_some(word & ACCEPT_ALWAYS)
+    }
+
+    /// xtask: no-alloc
+    fn set(&self, stamp: u64, threshold: u64) {
+        let word = stamp << THRESHOLD_BITS | threshold;
+        // relaxed-ok: a memo word (see the type); the batch's join orders
+        // the store before the next refresh touches the memo.
+        self.0.store(word, Ordering::Relaxed);
+    }
+}
+
+impl Clone for MemoCell {
+    /// Copies the word: the copy answers as the original does.
+    fn clone(&self) -> Self {
+        // relaxed-ok: a memo word (see the type); no batch runs during a
+        // copy, the operator lends the snapshot to one under `&mut self`.
+        Self(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Thresholds this thread's walks have derived (a test's own count:
+    /// each test runs on its own thread).
+    static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Per-occasion view of the overlay: CSR adjacency, liveness,
+/// pre-validated node weights, and a memo of the M–H acceptance
+/// threshold per directed edge, all indexed by raw node id. Built (or
+/// patched) once per occasion on the dispatching thread; shared by every
+/// walk slot, which reads the arrays and fills memo cells. A clone copies
+/// the cells' words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OccasionSnapshot {
     /// CSR row offsets, `id_upper_bound + 1` entries.
     offsets: Vec<usize>,
     /// Concatenated neighbor lists.
     adjacency: Vec<NodeId>,
-    /// Integer acceptance threshold for the directed edge stored at the
-    /// same index in `adjacency`: [`accept_threshold`] of the ratio
-    /// `(w_j·d_i) / (max(w_i, ε)·d_j)` that `MetropolisWalk::step`
-    /// evaluates live (Eq. 12).
-    accept: Vec<u64>,
+    /// Memo of the integer acceptance threshold of the directed edge
+    /// stored at the same index in `adjacency`, `stamp << THRESHOLD_BITS
+    /// | threshold`: [`accept_threshold`] of the ratio `(w_j·d_i) /
+    /// (max(w_i, ε)·d_j)` that `MetropolisWalk::step` evaluates live
+    /// (Eq. 12). A cell answers only while its stamp is `stamp`.
+    accept: Vec<MemoCell>,
+    /// The memo's current stamp, `1..=STAMP_LIMIT` once built; 0 marks a
+    /// cell never derived.
+    stamp: u64,
     /// Per-node Lemire rejection threshold for the uniform proposal
     /// draw, [`reject_threshold`] of the node's degree
     /// (`id_upper_bound` entries, 0 for dead or isolated ids).
@@ -121,13 +172,38 @@ impl OccasionSnapshot {
         self.adjacency.get(idx).copied().unwrap_or(NodeId(0))
     }
 
-    /// The precomputed integer acceptance threshold at CSR index `idx`:
+    /// The integer acceptance threshold of the edge at CSR index `idx`,
+    /// proposed by a walk at `from` (whose row holds `idx`):
     /// [`accept_threshold`] of the ratio the live walk computes, which
-    /// [`crate::draw::accept`] decides against.
+    /// [`crate::draw::accept`] decides against. Read from the memo, or
+    /// derived and memoised on the edge's first proposal under this stamp.
     /// xtask: no-alloc
     #[inline]
-    pub(crate) fn accept_threshold_at(&self, idx: usize) -> u64 {
-        self.accept.get(idx).copied().unwrap_or(0)
+    pub(crate) fn accept_threshold_at(&self, idx: usize, from: NodeId) -> u64 {
+        match self.accept.get(idx) {
+            Some(cell) => cell
+                .get(self.stamp)
+                .unwrap_or_else(|| self.derive(cell, idx, from)),
+            None => 0,
+        }
+    }
+
+    /// The memo's miss path: evaluates the Eq. 12 ratio of the edge at
+    /// `idx` from `from` and stores its threshold under the current stamp.
+    /// The value depends on the frozen arrays only, so concurrent walks
+    /// that miss the same cell store the same word.
+    /// xtask: no-alloc
+    #[cold]
+    #[inline(never)]
+    fn derive(&self, cell: &MemoCell, idx: usize, from: NodeId) -> u64 {
+        let degree = |v: usize| (self.offsets[v + 1] - self.offsets[v]) as f64;
+        let (i, j) = (from.0 as usize, self.adjacency[idx].0 as usize);
+        let w_i = self.weights[i].max(ZERO_WEIGHT_FLOOR);
+        let threshold = accept_threshold((self.weights[j] * degree(i)) / (w_i * degree(j)));
+        cell.set(self.stamp, threshold);
+        #[cfg(test)]
+        DERIVED.with(|n| n.set(n.get() + 1));
+        threshold
     }
 
     /// The precomputed per-node Lemire rejection threshold for `v`'s
@@ -154,50 +230,38 @@ impl OccasionSnapshot {
         self.weights.get(v.0 as usize).copied().unwrap_or(0.0)
     }
 
-    /// Recomputes the proposal tables (per-edge acceptance thresholds,
-    /// per-node rejection thresholds) of every row from the current CSR +
-    /// weights. O(n + m): the cold build's pass — a patch re-derives the
-    /// rows around what changed instead.
-    fn recompute_tables(&mut self) {
-        let upper = self.live.len();
-        resize_retained(&mut self.accept, self.adjacency.len(), 0);
-        resize_retained(&mut self.reject, upper, 0);
-        for i in 0..upper {
-            let degree = self.offsets[i + 1] - self.offsets[i];
-            self.reject[i] = reject_threshold(degree_u32(degree));
-            self.derive_row(i);
+    /// Every acceptance threshold in CSR order, forced through the lookup
+    /// row by row — filling the memo as walks would.
+    #[cfg(test)]
+    pub(crate) fn forced_accept(&self) -> Vec<u64> {
+        let mut table = Vec::with_capacity(self.adjacency.len());
+        for i in 0..self.live.len() {
+            let v = NodeId(u32::try_from(i).unwrap_or(u32::MAX));
+            let (start, len) = self.row(v);
+            table.extend((start..start + len).map(|idx| self.accept_threshold_at(idx, v)));
         }
+        table
     }
 
-    /// Derives the acceptance thresholds of row `i` from the current CSR +
-    /// weights: the one place the tables evaluate the Eq. 12 ratio.
-    /// xtask: no-alloc
-    fn derive_row(&mut self, i: usize) {
-        let Self {
-            offsets,
-            adjacency,
-            accept,
-            weights,
-            ..
-        } = self;
-        let (start, end) = (offsets[i], offsets[i + 1]);
-        let d_i = (end - start) as f64;
-        let w_i = weights[i].max(ZERO_WEIGHT_FLOOR);
-        for (slot, nb) in accept[start..end].iter_mut().zip(&adjacency[start..end]) {
-            let j = nb.0 as usize;
-            let d_j = (offsets[j + 1] - offsets[j]) as f64;
-            *slot = accept_threshold((weights[j] * d_i) / (w_i * d_j));
+    /// Forgets every memoised threshold in O(1) — by moving to the next
+    /// stamp — and sizes the memo to the edge count. Wrapping back to
+    /// stamp 1 zeroes every cell first, so no cell outlives a full cycle.
+    fn forget_thresholds(&mut self) {
+        resize_retained(&mut self.accept, self.adjacency.len(), MemoCell::default());
+        if self.stamp == STAMP_LIMIT {
+            self.accept.fill(MemoCell::default());
+            self.stamp = 0;
         }
+        self.stamp += 1;
     }
 
     /// Brings the CSR rows, liveness and rejection thresholds up to the
     /// graph's state, given the `dirty` ids (sorted, deduped, complete —
     /// the contract of [`Graph::changes_since`]) and an id space that did
     /// not shrink. In place: the clean spans between dirty ids slide to
-    /// their new positions, carrying their thresholds, and only dirty
-    /// rows are re-read from the graph. Clean rows cannot reference
-    /// removed nodes because `remove_node` marks all former neighbors
-    /// dirty. Dirty rows' thresholds are left for the caller to derive.
+    /// their new positions and only dirty rows are re-read from the
+    /// graph. Clean rows cannot reference removed nodes because
+    /// `remove_node` marks all former neighbors dirty.
     /// xtask: no-alloc
     fn patch_rows(&mut self, g: &Graph, dirty: &[NodeId]) {
         let Some(first) = dirty.first().map(|d| d.0 as usize) else {
@@ -213,7 +277,6 @@ impl OccasionSnapshot {
         let Self {
             offsets,
             adjacency,
-            accept,
             reject,
             live,
             ..
@@ -226,7 +289,6 @@ impl OccasionSnapshot {
         let total = old_total + gained - lost;
         if total > old_total {
             resize_retained(adjacency, total, NodeId(0));
-            resize_retained(accept, total, 0);
         }
 
         // The clean span after `dirty[r]`, as its old `(start, end)`.
@@ -248,7 +310,6 @@ impl OccasionSnapshot {
             let (start, end) = span_after(offsets, r);
             if write < start {
                 adjacency.copy_within(start..end, write);
-                accept.copy_within(start..end, write);
             }
             write += end - start;
         }
@@ -258,12 +319,10 @@ impl OccasionSnapshot {
             let to = write_end - (end - start);
             if to > start {
                 adjacency.copy_within(start..end, to);
-                accept.copy_within(start..end, to);
             }
             write_end = to - g.degree(d);
         }
         adjacency.truncate(total);
-        accept.truncate(total);
 
         // Dirty rows, and the row starts after each re-based by how far
         // its span moved (`wrapping`: the distance may be negative).
@@ -287,26 +346,12 @@ impl OccasionSnapshot {
             write += end - start;
         }
     }
+}
 
-    /// Re-derives the thresholds of row `c` and of its neighbours' rows —
-    /// every row a change of `c`'s weight or degree can have moved a ratio
-    /// in — skipping rows whose bit in `done` says this patch has them.
-    /// xtask: no-alloc
-    fn derive_around(&mut self, c: usize, done: &mut [u64]) {
-        self.derive_once(c, done);
-        for k in self.offsets[c]..self.offsets[c + 1] {
-            self.derive_once(self.adjacency[k].0 as usize, done);
-        }
-    }
-
-    /// xtask: no-alloc
-    fn derive_once(&mut self, i: usize, done: &mut [u64]) {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if done[word] & bit == 0 {
-            done[word] |= bit;
-            self.derive_row(i);
-        }
-    }
+/// A node degree as the `u32` span of the proposal draw: a degree counts
+/// `u32`-numbered nodes, so it always fits.
+fn degree_u32(degree: usize) -> u32 {
+    u32::try_from(degree).unwrap_or(u32::MAX)
 }
 
 /// Resizes one of the cache's retained arrays, enlarging its allocation
@@ -314,12 +359,6 @@ impl OccasionSnapshot {
 /// allocation is exact). These are the operator's largest buffers, the
 /// id space and edge count of a churning overlay creep rather than jump,
 /// and a doubled `accept` alone would hold 4.8 MB idle at 10⁵ nodes.
-/// A node degree as the `u32` span of the proposal draw: a degree counts
-/// `u32`-numbered nodes, so it always fits.
-fn degree_u32(degree: usize) -> u32 {
-    u32::try_from(degree).unwrap_or(u32::MAX)
-}
-
 fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     if len > v.capacity() {
         grow_retained(v, len);
@@ -336,15 +375,15 @@ fn grow_retained<T>(v: &mut Vec<T>, len: usize) {
 /// How a [`SnapshotCache::refresh`] satisfied the occasion's request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SnapshotRefresh {
-    /// Cold path: the full CSR + weight + acceptance tables were
-    /// (re)materialized from the graph.
+    /// Cold path: the full CSR, weights and rejection thresholds were
+    /// (re)materialized from the graph and the acceptance memo forgotten.
     Built,
     /// Cache hit: same graph epoch, byte-identical weights — the cached
     /// snapshot was returned with zero writes.
     Reused,
     /// Incremental path: the mutation journal covered the delta, so only
-    /// dirty CSR rows were re-read (clean spans moved in place) and only
-    /// the thresholds around changed nodes re-derived.
+    /// dirty CSR rows were re-read (clean spans moved in place); the
+    /// acceptance memo was forgotten.
     Patched,
 }
 
@@ -359,11 +398,9 @@ pub(crate) struct SnapshotCache {
     valid: bool,
     /// Graph mutation epoch the snapshot was captured at.
     epoch: u64,
-    /// Per-occasion weight re-evaluation target; after a patch, the
-    /// weights the snapshot held before it.
+    /// Per-occasion weight re-evaluation target; after a refresh that
+    /// took the new weights, the ones the snapshot held before it.
     weights_scratch: Vec<f64>,
-    /// One bit per row: thresholds the current patch has re-derived.
-    derived: Vec<u64>,
 }
 
 impl SnapshotCache {
@@ -425,15 +462,15 @@ impl SnapshotCache {
         }
         self.rebuild_topology(g);
         std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
-        self.snapshot.recompute_tables();
+        self.snapshot.forget_thresholds();
         self.epoch = epoch;
         self.valid = true;
         telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
         Ok((&self.snapshot, SnapshotRefresh::Built))
     }
 
-    /// Full CSR + liveness rebuild from the graph, reusing the
-    /// snapshot's existing allocations.
+    /// Full CSR, liveness and rejection-threshold rebuild from the graph,
+    /// reusing the snapshot's existing allocations.
     fn rebuild_topology(&mut self, g: &Graph) {
         let upper = g.id_upper_bound();
         let snap = &mut self.snapshot;
@@ -441,6 +478,7 @@ impl SnapshotCache {
         resize_retained(&mut snap.offsets, upper + 1, 0);
         snap.live.clear();
         resize_retained(&mut snap.live, upper, false);
+        resize_retained(&mut snap.reject, upper, 0);
         for v in g.nodes() {
             let i = v.0 as usize;
             if let (Some(live), Some(deg)) = (snap.live.get_mut(i), snap.offsets.get_mut(i + 1)) {
@@ -448,9 +486,14 @@ impl SnapshotCache {
                 *deg = g.neighbors(v).len();
             }
         }
+        // Each `offsets[i + 1]` holds row `i`'s degree until the prefix
+        // sum reaches it.
         for i in 0..upper {
             let prev = snap.offsets.get(i).copied().unwrap_or(0);
-            if let Some(next) = snap.offsets.get_mut(i + 1) {
+            if let (Some(next), Some(reject)) =
+                (snap.offsets.get_mut(i + 1), snap.reject.get_mut(i))
+            {
+                *reject = reject_threshold(degree_u32(*next));
                 *next += prev;
             }
         }
@@ -471,34 +514,21 @@ impl SnapshotCache {
 
     /// Incremental refresh from the journal's `dirty` ids and the freshly
     /// captured `weights_scratch`: every array ends byte-equal to a cold
-    /// build's. Work is proportional to the changed set `C` — dirty ids
-    /// plus ids whose weight bits changed — and its neighbourhood; the
-    /// weight comparison is the one pass over all ids.
+    /// build's, and the memo answers as a cold build's would. The CSR work
+    /// is proportional to the dirty rows and the clean spans between them.
     /// xtask: no-alloc
     fn patch(&mut self, g: &Graph, dirty: &[NodeId]) {
         let snap = &mut self.snapshot;
-        let old_upper = snap.live.len();
         snap.patch_rows(g, dirty);
         std::mem::swap(&mut snap.weights, &mut self.weights_scratch);
-
-        self.derived.clear();
-        resize_retained(&mut self.derived, snap.live.len().div_ceil(64), 0);
-        for d in dirty {
-            snap.derive_around(d.0 as usize, &mut self.derived);
-        }
-        // Ids past the old bound were all dirty.
-        for i in 0..old_upper {
-            if self.weights_scratch[i].to_bits() != snap.weights[i].to_bits() {
-                snap.derive_around(i, &mut self.derived);
-            }
-        }
+        snap.forget_thresholds();
     }
+}
 
-    /// How many rows the last patch re-derived thresholds for.
-    #[cfg(test)]
-    fn rows_derived(&self) -> usize {
-        self.derived.iter().map(|w| w.count_ones() as usize).sum()
-    }
+/// How many acceptance thresholds this thread's walks have derived so far.
+#[cfg(test)]
+pub(crate) fn thresholds_derived() -> usize {
+    DERIVED.with(std::cell::Cell::get)
 }
 
 /// Evaluates `w` over every live node into `scratch` (0.0 for dead id
@@ -521,16 +551,19 @@ fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> R
 
 /// The whole-graph patch `SnapshotCache::patch` replaced — every CSR row
 /// re-copied into double buffers with a binary search per node, then
-/// every threshold recomputed — kept verbatim as the model the proptest
-/// below holds the in-place patch to.
+/// every threshold recomputed — kept as the model the proptest below
+/// holds the in-place patch to, and the eager acceptance table the memo
+/// is held to.
 #[cfg(test)]
 mod reference {
     use super::{accept_threshold, degree_u32, reject_threshold, OccasionSnapshot};
     use crate::metropolis::ZERO_WEIGHT_FLOOR;
     use digest_net::{Graph, NodeId};
 
-    /// Patches `snap` to `g`'s state given the journal's `dirty` ids and
-    /// the newly captured `weights`.
+    /// Patches `snap`'s CSR, liveness, weights and rejection thresholds
+    /// to `g`'s state given the journal's `dirty` ids and the newly
+    /// captured `weights` (its memo is left as it was: compare through
+    /// [`recompute_tables`]).
     pub(super) fn patch(
         snap: &mut OccasionSnapshot,
         g: &Graph,
@@ -539,7 +572,7 @@ mod reference {
     ) {
         patch_topology(snap, g, dirty);
         snap.weights = weights;
-        recompute_tables(snap);
+        snap.reject = recompute_tables(snap).1;
     }
 
     fn node_id(i: usize) -> NodeId {
@@ -604,12 +637,12 @@ mod reference {
         std::mem::swap(&mut snap.adjacency, &mut adjacency_scratch);
     }
 
-    fn recompute_tables(snap: &mut OccasionSnapshot) {
-        snap.accept.clear();
-        snap.accept.reserve(snap.adjacency.len());
+    /// Every edge's acceptance threshold and every id's rejection
+    /// threshold, derived eagerly from `snap`'s CSR and weights.
+    pub(super) fn recompute_tables(snap: &OccasionSnapshot) -> (Vec<u64>, Vec<u32>) {
+        let mut accept = Vec::with_capacity(snap.adjacency.len());
         let upper = snap.live.len();
-        snap.reject.clear();
-        snap.reject.reserve(upper);
+        let mut reject = Vec::with_capacity(upper);
         for i in 0..upper {
             let (start, len) = (
                 snap.offsets.get(i).copied().unwrap_or(0),
@@ -619,7 +652,7 @@ mod reference {
                     .unwrap_or(0)
                     .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0)),
             );
-            snap.reject.push(reject_threshold(degree_u32(len)));
+            reject.push(reject_threshold(degree_u32(len)));
             let d_i = len as f64;
             let w_i = snap
                 .weights
@@ -637,10 +670,10 @@ mod reference {
                     .unwrap_or(0)
                     .saturating_sub(snap.offsets.get(j).copied().unwrap_or(0)))
                     as f64;
-                snap.accept
-                    .push(accept_threshold((w_j * d_i) / (w_i * d_j)));
+                accept.push(accept_threshold((w_j * d_i) / (w_i * d_j)));
             }
         }
+        (accept, reject)
     }
 }
 
@@ -657,19 +690,22 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use std::collections::BTreeSet;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// `a`'s arrays equal `b`'s, and every threshold `a`'s memo serves —
+    /// forced through the lookup — equals the eager table of `b`.
     fn assert_snapshots_equal(a: &OccasionSnapshot, b: &OccasionSnapshot) {
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.adjacency, b.adjacency);
         assert_eq!(a.weights, b.weights);
         assert_eq!(a.live, b.live);
-        assert_eq!(a.accept, b.accept);
         assert_eq!(a.reject, b.reject);
+        let (accept, reject) = reference::recompute_tables(b);
+        assert_eq!(a.forced_accept(), accept);
+        assert_eq!(a.reject, reject);
     }
 
     #[test]
@@ -704,7 +740,7 @@ mod tests {
         assert!(OccasionSnapshot::build(&g, &w).is_err());
     }
 
-    /// The acceptance table must hold exactly the threshold derived
+    /// The acceptance memo must serve exactly the threshold derived
     /// from the ratio the live walk computes per step (PAPER.md §V-A
     /// Eq. 12), folded through the same [`accept_threshold`].
     #[test]
@@ -720,7 +756,10 @@ mod tests {
             for k in 0..len {
                 let j = snap.neighbor_at(start + k);
                 let live = (w(j) * d_i) / (w_i * (g.degree(j) as f64));
-                assert_eq!(snap.accept_threshold_at(start + k), accept_threshold(live));
+                assert_eq!(
+                    snap.accept_threshold_at(start + k, v),
+                    accept_threshold(live)
+                );
                 if live < 1.0 {
                     below_one += 1;
                 }
@@ -1002,24 +1041,15 @@ mod tests {
         }
     }
 
-    /// `|C| + Σ_{c ∈ C} deg(c)` for the changed set between `before` and
-    /// the graph's and `weights`' current state.
-    fn change_bound(g: &Graph, dirty: &[NodeId], before: &[f64], weights: &[f64]) -> usize {
-        let mut changed: BTreeSet<usize> = dirty.iter().map(|d| d.0 as usize).collect();
-        changed.extend((0..before.len()).filter(|&i| before[i].to_bits() != weights[i].to_bits()));
-        changed
-            .iter()
-            .map(|&c| 1 + g.degree(NodeId(c as u32)))
-            .sum()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Arbitrary edits between refreshes: whatever way a refresh is
-        /// served, all six arrays equal a cold build's; a patch also
-        /// equals the whole-graph patch it replaced, and re-derives no
-        /// more rows than the changed set and its neighbours have.
+        /// served, every array equals a cold build's and every threshold
+        /// the memo serves the eager table's; a patch also equals the
+        /// whole-graph patch it replaced. Each round forces the whole
+        /// memo, so a reuse serves it warm — deriving nothing — while a
+        /// build or a patch serves nothing it held before.
         #[test]
         fn every_refresh_equals_a_cold_build(
             shape in (0u32..3, 8usize..48, 0u64..1000),
@@ -1034,6 +1064,7 @@ mod tests {
             let mut table: Vec<f64> = Vec::new();
             let mut cache = SnapshotCache::new();
             cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+            cache.snapshot.forced_accept();
             for ops in &rounds {
                 let before = cache.snapshot.clone();
                 let mark = cache.key().unwrap();
@@ -1043,7 +1074,9 @@ mod tests {
                 let w = |v: NodeId| table.get(v.0 as usize).copied().unwrap_or(1.0);
                 let (_, served) = cache.refresh(&g, &w, true).unwrap();
                 let cold = OccasionSnapshot::build(&g, &w).unwrap();
+                let derived = thresholds_derived();
                 assert_snapshots_equal(&cache.snapshot, &cold);
+                let derived = thresholds_derived() - derived;
 
                 let unchanged = g.epoch() == mark && cold.weights == before.weights;
                 let stormed = ops.iter().any(|op| matches!(op, Op::Storm));
@@ -1051,13 +1084,16 @@ mod tests {
                     SnapshotRefresh::Reused => {
                         prop_assert!(unchanged);
                         prop_assert_eq!(cache.key().unwrap(), mark);
+                        prop_assert_eq!(derived, 0);
                     }
-                    SnapshotRefresh::Built => prop_assert!(stormed),
+                    SnapshotRefresh::Built => {
+                        prop_assert!(stormed);
+                        prop_assert_eq!(derived, cold.adjacency.len());
+                    }
                     SnapshotRefresh::Patched => {
                         prop_assert!(!unchanged);
+                        prop_assert_eq!(derived, cold.adjacency.len());
                         let dirty = g.changes_since(mark).unwrap();
-                        let bound = change_bound(&g, &dirty, &before.weights, &cold.weights);
-                        prop_assert!(cache.rows_derived() <= bound);
                         let mut model = before;
                         reference::patch(&mut model, &g, &dirty, cold.weights.clone());
                         assert_snapshots_equal(&cache.snapshot, &model);
@@ -1068,32 +1104,66 @@ mod tests {
     }
 
     /// A weight that changes on a node the journal never saw must still
-    /// reach the rows pointing at that node, and no others.
+    /// reach the thresholds of the edges pointing at that node, however
+    /// warm the memo was: the patch forgets every cell.
     #[test]
-    fn weight_change_on_a_clean_node_rederives_its_neighbourhood_only() {
+    fn weight_change_on_a_clean_node_reaches_the_edges_pointing_at_it() {
         let g = topology::barabasi_albert(300, 3, &mut rng(21)).unwrap();
         let mut cache = SnapshotCache::new();
         cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+        let warm = cache.snapshot.forced_accept();
         let target = NodeId(150);
         let w = |v: NodeId| if v == target { 0.125 } else { 1.0 };
         let (_, kind) = cache.refresh(&g, &w, true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_eq!(cache.rows_derived(), 1 + g.degree(target));
         assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let now = cache.snapshot.forced_accept();
+        let mut moved = 0;
+        for v in g.nodes() {
+            let (start, len) = cache.snapshot.row(v);
+            for idx in start..start + len {
+                if now[idx] != warm[idx] {
+                    assert!(v == target || cache.snapshot.neighbor_at(idx) == target);
+                    moved += 1;
+                }
+            }
+        }
+        assert!(moved > 0);
     }
 
-    /// The O(change) property as a count: one join and one leave on a
-    /// 20 000-node overlay re-derive the rows of the changed set and its
-    /// neighbours — a few percent of the table even when a hub is among
-    /// them — and move everything else without looking at it.
+    /// A cell derived under one stamp must not answer when the stamp comes
+    /// round to it again: the wrap zeroes every cell.
     #[test]
-    fn one_join_and_one_leave_rederive_a_sliver_of_a_large_overlay() {
+    fn a_threshold_is_not_served_after_the_stamp_wraps_back_to_it() {
+        let g = topology::ring(6).unwrap();
+        let weights =
+            |flip: bool| move |v: NodeId| f64::from(v.0 % 3) + if flip { 0.5 } else { 2.0 };
+        let mut cache = SnapshotCache::new();
+        cache.refresh(&g, &weights(false), true).unwrap();
+        let stamp = cache.snapshot.stamp;
+        let stale = cache.snapshot.forced_accept();
+        // `STAMP_LIMIT` patches, no lookup in between; the limit is odd, so
+        // the last one leaves the flipped weights in place.
+        for k in 0..STAMP_LIMIT {
+            let (_, kind) = cache.refresh(&g, &weights(k % 2 == 0), true).unwrap();
+            assert_eq!(kind, SnapshotRefresh::Patched);
+        }
+        assert_eq!(cache.snapshot.stamp, stamp);
+        let cold = OccasionSnapshot::build(&g, &weights(true)).unwrap();
+        assert_ne!(reference::recompute_tables(&cold).0, stale);
+        assert_snapshots_equal(&cache.snapshot, &cold);
+    }
+
+    /// One join and one leave on a 20 000-node overlay, hub included,
+    /// patch to a cold build's snapshot, and neither the build nor the
+    /// patch derives a threshold.
+    #[test]
+    fn one_join_and_one_leave_patch_a_large_overlay_without_deriving() {
         let mut g = topology::barabasi_albert(20_000, 3, &mut rng(22)).unwrap();
         let w = |v: NodeId| f64::from(v.0 % 5) + 1.0;
+        let derived = thresholds_derived();
         let mut cache = SnapshotCache::new();
         cache.refresh(&g, &w, true).unwrap();
-        let before = cache.snapshot.weights.clone();
-        let mark = g.epoch();
 
         let hub = g.nodes().max_by_key(|&v| g.degree(v)).unwrap();
         let joiner = g.add_node();
@@ -1104,15 +1174,7 @@ mod tests {
 
         let (_, kind) = cache.refresh(&g, &w, true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
-        let cold = OccasionSnapshot::build(&g, &w).unwrap();
-        assert_snapshots_equal(&cache.snapshot, &cold);
-        let dirty = g.changes_since(mark).unwrap();
-        let rows = cache.rows_derived();
-        assert!(
-            rows > g.degree(hub),
-            "the hub's neighbours point at a new degree"
-        );
-        assert!(rows <= change_bound(&g, &dirty, &before, &cold.weights));
-        assert!(rows * 20 < g.id_upper_bound(), "{rows} rows re-derived");
+        assert_eq!(thresholds_derived(), derived);
+        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
     }
 }

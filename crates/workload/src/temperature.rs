@@ -306,8 +306,8 @@ impl RngCore for BulkWords<'_> {
 /// Standard normal via Box–Muller (two uniforms per call, each from one
 /// `next_u64`; the second value is discarded). Generation is the
 /// bottleneck of most runs: the world advance it feeds is the benchmark's
-/// `workload.advance_share` of ≈ 0.69 on `mux32`, ≈ 0.72 on `audited`
-/// and > 0.99 on `solo_loose`.
+/// `workload.advance_share` of ≈ 0.73 on `mux32`, ≈ 0.82 on `audited`
+/// and ≈ 0.99 on `solo_loose`.
 pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
