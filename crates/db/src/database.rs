@@ -216,11 +216,11 @@ impl P2PDatabase {
     /// to one [`P2PDatabase::update`] per handle — same checks, same rows
     /// written — except that the update tally is bumped once for the whole
     /// batch and that each written fragment's leaves are re-added once,
-    /// after the loop, however many of its rows the batch wrote. Two
-    /// writers rely on it: TEMPERATURE, which rewrites every tuple every
-    /// tick and would pay the per-call atomic otherwise, and MEMORY, which
-    /// writes its sparse updates a stage of hits at a time so that the
-    /// stage's row misses overlap rather than follow one another.
+    /// after the loop, however many of its rows the batch wrote. Its one
+    /// writer is MEMORY, which writes its sparse updates a stage of hits at
+    /// a time so that the stage's row misses overlap rather than follow one
+    /// another; a world that rewrites every tuple takes
+    /// [`P2PDatabase::rewrite_fragments`].
     ///
     /// # Errors
     ///
@@ -247,6 +247,27 @@ impl P2PDatabase {
         outcome
     }
 
+    /// Overwrites every stored row in place: `write(node, values)` is handed
+    /// each held fragment in node-id order as its stored attribute values —
+    /// row `k` at `k·arity .. (k+1)·arity`, rows in store order — and the
+    /// fragment's leaves are re-added as soon as it returns. Equivalent to
+    /// one [`P2PDatabase::update`] per row in [`P2PDatabase::iter`] order —
+    /// the same rows and leaves — except that the update tally is bumped
+    /// once, by the number of rows. No handle is resolved and no fragment
+    /// is marked: the dense writer of a world that rewrites every tuple
+    /// each tick (TEMPERATURE).
+    ///
+    /// xtask: no-alloc
+    pub fn rewrite_fragments(&mut self, mut write: impl FnMut(NodeId, &mut [f64])) {
+        for (id, fragment) in (0u32..).zip(&mut self.fragments) {
+            if let Some(store) = fragment {
+                write(NodeId(id), store.values_mut());
+                set_leaves(&mut self.sums, id as usize, store);
+            }
+        }
+        digest_telemetry::registry::DB_UPDATES.add(self.total_tuples as u64);
+    }
+
     /// Re-adds every fragment marked in `written` and clears the marks.
     ///
     /// xtask: no-alloc
@@ -260,24 +281,14 @@ impl P2PDatabase {
         }
     }
 
-    /// Recomputes fragment `idx`'s leaves from its stored rows: per
-    /// attribute, the `+=` chain over the column in store order from `0.0`.
-    /// The row count is the writers' to keep; a rewrite cannot move it.
+    /// Recomputes fragment `idx`'s leaves from its stored rows
+    /// ([`set_leaves`]); nothing for an id that holds no fragment.
     ///
     /// xtask: no-alloc
     fn readd(&mut self, idx: usize) {
-        let Some(Some(store)) = self.fragments.get(idx) else {
-            return;
-        };
-        for (index, column) in self.sums.iter_mut().enumerate() {
-            let mut leaf = 0.0;
-            for value in store.column(index) {
-                leaf += value;
-            }
-            column[idx] = leaf;
+        if let Some(Some(store)) = self.fragments.get(idx) {
+            set_leaves(&mut self.sums, idx, store);
         }
-        #[cfg(test)]
-        READDS.with(|n| n.set(n.get() + 1));
     }
 
     /// Content size `m_v` of a node (0 for unknown nodes — a weight
@@ -486,6 +497,23 @@ impl P2PDatabase {
             .get_mut(handle.slot, handle.generation)
             .ok_or(DbError::StaleHandle)
     }
+}
+
+/// Sets fragment `idx`'s leaves to `store`'s: per attribute, the `+=` chain
+/// over the column in store order from `0.0`. The row count is the
+/// writers' to keep; a rewrite cannot move it.
+///
+/// xtask: no-alloc
+fn set_leaves(sums: &mut [Vec<f64>], idx: usize, store: &LocalStore) {
+    for (index, column) in sums.iter_mut().enumerate() {
+        let mut leaf = 0.0;
+        for value in store.column(index) {
+            leaf += value;
+        }
+        column[idx] = leaf;
+    }
+    #[cfg(test)]
+    READDS.with(|n| n.set(n.get() + 1));
 }
 
 /// Leaves are summed in this many interleaved chains.

@@ -163,6 +163,12 @@ impl LocalStore {
         }
     }
 
+    /// Every stored value, row after row in iteration order (row `k` at
+    /// `k·arity .. (k+1)·arity`), for overwriting in place.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// The stored values of attribute `index`, in iteration order (nothing
     /// when the store has no such attribute).
     pub(crate) fn column(&self, index: usize) -> impl Iterator<Item = f64> + '_ {

@@ -163,6 +163,9 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
         }
         ids.push(new);
     }
+    // Connected by construction: the seed is a clique, and every arrival
+    // attached to nodes already connected to it.
+    g.mark_connected();
     Ok(g)
 }
 
@@ -258,12 +261,14 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 /// edge each: the overlay's bootstrap / rejoin service. The one
 /// scan-and-stitch loop of the crate — these builders run it once, the
 /// churn process whenever a step may have partitioned the overlay. Draws
-/// one `gen_range` per stitched component and nothing on a connected graph.
+/// one `gen_range` per stitched component and nothing on a connected graph,
+/// and marks the graph connected when it returns one.
 pub(crate) fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
     let mut in_giant = Vec::new();
     loop {
         let giant = g.largest_component();
         if giant.len() == g.node_count() {
+            g.mark_connected();
             return;
         }
         in_giant.clear();
@@ -349,7 +354,7 @@ mod tests {
     fn barabasi_albert_structure() {
         let g = barabasi_albert(500, 3, &mut rng(1)).unwrap();
         assert_eq!(g.node_count(), 500);
-        assert!(g.is_connected());
+        assert!(g.is_connected() && g.proven_connected());
         // Each arriving node adds m edges; seed clique has m(m+1)/2.
         let expected = 6 + (500 - 4) * 3;
         assert_eq!(g.edge_count(), expected);
@@ -383,7 +388,7 @@ mod tests {
     fn erdos_renyi_connected_and_sized() {
         let g = erdos_renyi(200, 0.02, &mut rng(4)).unwrap();
         assert_eq!(g.node_count(), 200);
-        assert!(g.is_connected());
+        assert!(g.is_connected() && g.proven_connected());
         // Expected edges ≈ C(200,2)·0.02 = 398; stitching adds a few.
         assert!(
             g.edge_count() > 250 && g.edge_count() < 600,
@@ -411,7 +416,7 @@ mod tests {
     fn watts_strogatz_structure() {
         let g = watts_strogatz(100, 4, 0.1, &mut rng(7)).unwrap();
         assert_eq!(g.node_count(), 100);
-        assert!(g.is_connected());
+        assert!(g.is_connected() && g.proven_connected());
         // Edge count stays ~ nk/2 (rewiring preserves it, stitching may add).
         assert!(
             g.edge_count() >= 195 && g.edge_count() <= 215,

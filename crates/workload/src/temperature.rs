@@ -19,10 +19,9 @@
 //! `σ_off² = 36, σ_a² = 28, ρ_ar ≈ 0.749` → `σ = 8`, `ρ = 0.89`.
 
 use crate::scenario::Workload;
-use digest_db::{Expr, P2PDatabase, Schema, Tuple, TupleHandle};
+use digest_db::{Expr, P2PDatabase, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
-use rand::SeedableRng;
-use rand::{Rng, RngCore};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration of the TEMPERATURE generator.
@@ -97,7 +96,10 @@ impl TemperatureConfig {
     }
 }
 
-/// Generator state of one sensor unit; its tuple is `handles[i]`.
+/// Generator state of one sensor unit. Unit `i` is row `i / n` of node
+/// `i % n`'s fragment (`n` mesh nodes, ids `0..n`): `new` deals the units
+/// round-robin and nothing ever deletes from the relation, so the mapping
+/// is arithmetic and needs no handle.
 struct Unit {
     offset: f64,
     ar: f64,
@@ -109,8 +111,6 @@ pub struct TemperatureWorkload {
     graph: Graph,
     db: P2PDatabase,
     expr: Expr,
-    /// The units' tuples, in the order `advance` rewrites them.
-    handles: Vec<TupleHandle>,
     units: Vec<Unit>,
     rng: ChaCha8Rng,
     tick: u64,
@@ -136,29 +136,36 @@ impl TemperatureWorkload {
             db.register_node(v);
         }
         let node_ids: Vec<NodeId> = graph.nodes().collect();
+        assert!(
+            (0u32..).zip(&node_ids).all(|(i, &v)| v == NodeId(i)),
+            "mesh ids are 0..n in order"
+        );
         let expr = Expr::first_attr(db.schema());
 
-        let mut handles = Vec::with_capacity(config.units);
+        // Each unit draws its offset, then its AR state.
         let mut units = Vec::with_capacity(config.units);
+        let mut words = [0u32; CHUNK_WORDS];
+        while units.len() < config.units {
+            let batch = (config.units - units.len()).min(CHUNK_WORDS / (2 * GAUSSIAN_WORDS));
+            let words = &mut words[..2 * GAUSSIAN_WORDS * batch];
+            rng.fill_words(words);
+            let (draws, _) = words.as_chunks::<{ 2 * GAUSSIAN_WORDS }>();
+            units.extend(draws.iter().map(|draw| Unit {
+                offset: config.offset_std * standard_normal(&draw[..GAUSSIAN_WORDS]),
+                ar: config.ar_std * standard_normal(&draw[GAUSSIAN_WORDS..]),
+            }));
+        }
         let base = base_signal(&config, 0, 0.0);
-        let mut words = BulkWords::new(&mut rng, 2 * GAUSSIAN_WORDS * config.units);
-        for i in 0..config.units {
-            let node = node_ids[i % node_ids.len()];
-            let offset = config.offset_std * gaussian(&mut words);
-            let ar = config.ar_std * gaussian(&mut words);
-            let value = base + offset + ar;
-            let handle = db
-                .insert(node, Tuple::single(value))
+        for (i, unit) in units.iter().enumerate() {
+            let value = base + unit.offset + unit.ar;
+            db.insert(node_ids[i % node_ids.len()], Tuple::single(value))
                 .expect("node registered");
-            handles.push(handle);
-            units.push(Unit { offset, ar });
         }
         Self {
             config,
             graph,
             db,
             expr,
-            handles,
             units,
             rng,
             tick: 0,
@@ -198,23 +205,36 @@ impl Workload for TemperatureWorkload {
         self.config.ticks
     }
 
+    /// One tick: the drift's draw, then one draw per unit in unit order,
+    /// each stepping its unit's AR(1) state as it is decoded, a keystream
+    /// chunk at a time; then one rewrite of the relation in store order.
+    ///
+    /// xtask: no-alloc
     fn advance(&mut self, _rng: &mut dyn RngCore) {
         self.tick += 1;
-        // The drift's draw, then one per unit.
-        let draws = self.units.len() + 1;
-        let mut words = BulkWords::new(&mut self.rng, GAUSSIAN_WORDS * draws);
-        self.drift += self.config.drift_std * gaussian(&mut words);
+        let mut words = [0u32; CHUNK_WORDS];
+        let drift = &mut words[..GAUSSIAN_WORDS];
+        self.rng.fill_words(drift);
+        self.drift += self.config.drift_std * standard_normal(drift);
         let base = base_signal(&self.config, self.tick, self.drift);
         let ar_coeff = self.config.ar_coeff;
         let innovation_std = self.config.ar_std * (1.0 - ar_coeff.powi(2)).sqrt();
-        let units = &mut self.units;
-        self.db
-            .update_rows(&self.handles, |i, row| {
-                let unit = &mut units[i];
-                unit.ar = ar_coeff * unit.ar + innovation_std * gaussian(&mut words);
-                row[0] = base + unit.offset + unit.ar;
-            })
-            .expect("unit handles stay valid (no churn)");
+        for units in self.units.chunks_mut(CHUNK_WORDS / GAUSSIAN_WORDS) {
+            let words = &mut words[..GAUSSIAN_WORDS * units.len()];
+            self.rng.fill_words(words);
+            let (draws, _) = words.as_chunks::<GAUSSIAN_WORDS>();
+            for (unit, draw) in units.iter_mut().zip(draws) {
+                unit.ar = ar_coeff * unit.ar + innovation_std * standard_normal(draw);
+            }
+        }
+        // Node `k`'s rows are units `k, k + n, k + 2n, …`.
+        let (units, nodes) = (&self.units, self.graph.node_count());
+        self.db.rewrite_fragments(|node, values| {
+            let column = units.get(node.0 as usize..).unwrap_or_default();
+            for (value, unit) in values.iter_mut().zip(column.iter().step_by(nodes)) {
+                *value = base + unit.offset + unit.ar;
+            }
+        });
     }
 
     fn exact_aggregate(&self) -> f64 {
@@ -239,86 +259,67 @@ fn base_signal(cfg: &TemperatureConfig, tick: u64, drift: f64) -> f64 {
         + drift
 }
 
-/// Keystream words one [`gaussian`] draw reads: two `next_u64`.
+/// Keystream words one Box–Muller draw reads: two `next_u64`.
 const GAUSSIAN_WORDS: usize = 4;
 
-/// Words per [`BulkWords`] chunk (4 KiB, on the stack).
+/// Words of keystream a tick holds at a time (4 KiB, on the stack).
 const CHUNK_WORDS: usize = 1_024;
 
-/// `rng`'s next `words` words, drawn a chunk at a time through
-/// [`ChaCha8Rng::fill_words`] and read back through `RngCore`, whose
-/// `next_u64` is `lo | hi << 32` as `ChaCha8Rng`'s is. Reading exactly
-/// `words` words returns what `rng` itself would and leaves it where it
-/// would be; past that it draws one word per read.
-struct BulkWords<'r> {
-    rng: &'r mut ChaCha8Rng,
-    /// Words still to be drawn from `rng`.
-    owed: usize,
-    chunk: [u32; CHUNK_WORDS],
-    /// Next unread word of `chunk`.
-    next: usize,
-    /// Words of `chunk` filled by the last draw.
-    filled: usize,
-}
-
-impl<'r> BulkWords<'r> {
-    fn new(rng: &'r mut ChaCha8Rng, words: usize) -> Self {
-        Self {
-            rng,
-            owed: words,
-            chunk: [0; CHUNK_WORDS],
-            next: 0,
-            filled: 0,
-        }
-    }
-}
-
-impl RngCore for BulkWords<'_> {
-    /// xtask: no-alloc
-    fn next_u32(&mut self) -> u32 {
-        if self.next == self.filled {
-            // What is still owed, at most a chunk, at least one word.
-            self.filled = self.owed.clamp(1, CHUNK_WORDS);
-            self.owed = self.owed.saturating_sub(self.filled);
-            self.rng.fill_words(&mut self.chunk[..self.filled]);
-            self.next = 0;
-        }
-        let word = self.chunk[self.next];
-        self.next += 1;
-        word
-    }
-
-    /// xtask: no-alloc
-    fn next_u64(&mut self) -> u64 {
-        // Both words in the chunk (always, when chunks and reads are
-        // even): one check instead of two.
-        if self.next + 2 <= self.filled {
-            let (lo, hi) = (self.chunk[self.next], self.chunk[self.next + 1]);
-            self.next += 2;
-            return u64::from(hi) << 32 | u64::from(lo);
-        }
-        let lo = u64::from(self.next_u32());
-        let hi = u64::from(self.next_u32());
-        hi << 32 | lo
-    }
-}
-
-/// Standard normal via Box–Muller (two uniforms per call, each from one
-/// `next_u64`; the second value is discarded). Generation is the
-/// bottleneck of most runs: the world advance it feeds is the benchmark's
-/// `workload.advance_share` of ≈ 0.73 on `mux32`, ≈ 0.82 on `audited`
-/// and ≈ 0.99 on `solo_loose`.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+/// Standard normal via Box–Muller from two 64-bit draws, `u1` from `a` and
+/// `u2` from `b`, each decoded as `rand`'s `gen_range` decodes it; the
+/// second value is discarded. The one Box–Muller of the crate.
+/// Generation is the bottleneck of most runs: the world advance it feeds
+/// is the benchmark's `workload.advance_share` of ≈ 0.69 on `mux32`,
+/// ≈ 0.78 on `audited` and ≈ 0.996 on `solo_loose`, and its `ln` / `cos`
+/// are about half of that advance.
+///
+/// xtask: no-alloc
+#[inline]
+fn box_muller(a: u64, b: u64) -> f64 {
+    let u1 = uniform(f64::EPSILON, 1.0, a);
+    let u2 = uniform(0.0, 1.0, b);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// `gen_range(low..high)` for `f64` on the draw `bits`: its top 53 bits as
+/// a uniform in `[0, 1)`, scaled onto the range, and a value rounded up to
+/// `high` taken back to `low`.
+///
+/// xtask: no-alloc
+#[inline]
+fn uniform(low: f64, high: f64, bits: u64) -> f64 {
+    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let v = low + u * (high - low);
+    if v >= high {
+        low
+    } else {
+        v
+    }
+}
+
+/// [`box_muller`] on four keystream words, paired into `u64`s as
+/// `ChaCha8Rng::next_u64` pairs them (`lo | hi << 32`).
+///
+/// xtask: no-alloc
+#[inline]
+fn standard_normal(words: &[u32]) -> f64 {
+    let word = |k: usize| u64::from(words[k]);
+    box_muller(word(1) << 32 | word(0), word(3) << 32 | word(2))
+}
+
+/// Standard normal from two `next_u64` of `rng`, through [`box_muller`]:
+/// bit for bit the draw a TEMPERATURE tick decodes from the same words.
+pub(crate) fn gaussian<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    let a = rng.next_u64();
+    box_muller(a, rng.next_u64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use digest_db::TupleHandle;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> TemperatureWorkload {
         TemperatureWorkload::new(TemperatureConfig::reduced(400, 5, 8, 100))
@@ -374,75 +375,158 @@ mod tests {
         );
     }
 
-    /// `advance` as it was before the batched writer: one `update` (and
-    /// one tally bump) per unit.
-    fn advance_per_unit(w: &mut TemperatureWorkload) {
+    /// `new` as it was with a handle per unit: each unit draws its offset
+    /// and AR state through `gaussian` in turn, and its tuple is inserted
+    /// on the next node round-robin. Returns the world and the handles, in
+    /// unit order.
+    fn per_unit_world(config: TemperatureConfig) -> (TemperatureWorkload, Vec<TupleHandle>) {
+        let graph = topology::mesh(config.mesh_rows, config.mesh_cols, false).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut db = P2PDatabase::new(Schema::single("temperature"));
+        for v in graph.nodes() {
+            db.register_node(v);
+        }
+        let node_ids: Vec<NodeId> = graph.nodes().collect();
+        let base = base_signal(&config, 0, 0.0);
+        let (mut units, mut handles) = (Vec::new(), Vec::new());
+        for i in 0..config.units {
+            let offset = config.offset_std * gaussian(&mut rng);
+            let ar = config.ar_std * gaussian(&mut rng);
+            let node = node_ids[i % node_ids.len()];
+            handles.push(db.insert(node, Tuple::single(base + offset + ar)).unwrap());
+            units.push(Unit { offset, ar });
+        }
+        let expr = Expr::first_attr(db.schema());
+        let world = TemperatureWorkload {
+            config,
+            graph,
+            db,
+            expr,
+            units,
+            rng,
+            tick: 0,
+            drift: 0.0,
+        };
+        (world, handles)
+    }
+
+    /// `advance` as it was before the batched writer: one `gaussian` and
+    /// one `update` (and one tally bump) per unit, through its handle.
+    fn advance_per_unit(w: &mut TemperatureWorkload, handles: &[TupleHandle]) {
         w.tick += 1;
         w.drift += w.config.drift_std * gaussian(&mut w.rng);
         let base = base_signal(&w.config, w.tick, w.drift);
         let innovation_std = w.config.ar_std * (1.0 - w.config.ar_coeff.powi(2)).sqrt();
-        for (unit, &handle) in w.units.iter_mut().zip(&w.handles) {
+        for (unit, &handle) in w.units.iter_mut().zip(handles) {
             unit.ar = w.config.ar_coeff * unit.ar + innovation_std * gaussian(&mut w.rng);
             let value = base + unit.offset + unit.ar;
             w.db.update(handle, &[value]).unwrap();
         }
     }
 
-    /// Both worlds hold the same rows bit for bit, the same aggregate, and
-    /// generators at the same position.
+    /// Both worlds hold the same rows and units bit for bit, the same
+    /// aggregate, and generators at the same position.
     fn assert_same_world(a: &mut TemperatureWorkload, b: &mut TemperatureWorkload) {
-        let bits = |w: &TemperatureWorkload| -> Vec<(TupleHandle, u64)> {
+        let rows = |w: &TemperatureWorkload| -> Vec<(TupleHandle, u64)> {
             let rows = w.db().iter();
             rows.map(|(h, row)| (h, row.values()[0].to_bits()))
                 .collect()
         };
-        assert_eq!(bits(a), bits(b));
+        let units = |w: &TemperatureWorkload| -> Vec<(u64, u64)> {
+            let states = w.units.iter();
+            states
+                .map(|u| (u.offset.to_bits(), u.ar.to_bits()))
+                .collect()
+        };
+        assert_eq!(rows(a), rows(b));
+        assert_eq!(units(a), units(b));
         assert_eq!(a.current_tick(), b.current_tick());
+        assert_eq!(a.drift.to_bits(), b.drift.to_bits());
         assert_eq!(a.exact_aggregate().to_bits(), b.exact_aggregate().to_bits());
-        assert_eq!(a.rng.next_u64(), b.rng.next_u64());
+        assert_eq!(a.rng.clone().next_u64(), b.rng.clone().next_u64());
     }
 
     #[test]
     fn batched_advance_is_the_per_unit_loop() {
-        let (mut batched, mut looped) = (small(), small());
+        let config = TemperatureConfig::reduced(400, 5, 8, 100);
+        let (mut batched, (mut looped, handles)) = (small(), per_unit_world(config));
+        assert_same_world(&mut batched, &mut looped);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         for _ in 0..100 {
             batched.advance(&mut rng);
-            advance_per_unit(&mut looped);
+            advance_per_unit(&mut looped, &handles);
         }
         assert_same_world(&mut batched, &mut looped);
     }
 
-    /// Mixed 32- and 64-bit reads that straddle chunk ends and run past
-    /// the owed words return the generator's own words and leave it where
-    /// its own reads would.
-    #[test]
-    fn bulk_words_read_as_the_generator_does() {
-        for owed in [0, 1, 3, 1_023, 1_024, 1_025, 2_051] {
-            let mut bulk_rng = ChaCha8Rng::seed_from_u64(owed as u64);
-            let mut rng = bulk_rng.clone();
-            let mut bulk = BulkWords::new(&mut bulk_rng, owed);
-            let mut read = 0;
-            while read <= owed + 4 {
-                if read % 3 == 0 {
-                    assert_eq!(bulk.next_u32(), rng.next_u32(), "owed {owed}, read {read}");
-                    read += 1;
-                } else {
-                    assert_eq!(bulk.next_u64(), rng.next_u64(), "owed {owed}, read {read}");
-                    read += 2;
-                }
-            }
-            assert_eq!(bulk_rng.next_u64(), rng.next_u64(), "owed {owed}");
+    /// `Rng::gen_range`'s reading of the next two `u64`s, as `gaussian`
+    /// spelled Box–Muller before it fed the kernel.
+    fn gaussian_by_gen_range<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    /// A generator that hands out fixed `u64`s.
+    struct Fixed<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for Fixed<'_> {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("the kernel reads whole u64s")
         }
+
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().unwrap()
+        }
+    }
+
+    /// The kernel is `gen_range`'s arithmetic to the bit: on edge words
+    /// (all zero, where `u1` is the range's low end `f64::EPSILON` and the
+    /// draw is its largest, and all ones, `u1` and `u2` just below 1), on
+    /// a keystream both as two `next_u64` and as four words of a chunk,
+    /// and — through `uniform` — where a value rounds up to `high` and is
+    /// taken back to `low`.
+    #[test]
+    fn box_muller_is_gen_range_to_the_bit() {
+        let edges = [0, 1, 1 << 11, u64::MAX >> 11, u64::MAX - 1, u64::MAX];
+        for a in edges {
+            for b in edges {
+                let want = gaussian_by_gen_range(&mut Fixed([a, b].iter()));
+                assert_eq!(box_muller(a, b).to_bits(), want.to_bits(), "{a:#x} {b:#x}");
+            }
+        }
+        let ends = box_muller(0, 0);
+        assert_eq!(ends, (-2.0 * f64::EPSILON.ln()).sqrt());
+
+        let mut rng = ChaCha8Rng::seed_from_u64(20_080_402);
+        let (mut by_range, mut by_words) = (rng.clone(), rng.clone());
+        for _ in 0..20_000 {
+            let want = gaussian_by_gen_range(&mut by_range).to_bits();
+            assert_eq!(gaussian(&mut rng).to_bits(), want);
+            let words = [(); GAUSSIAN_WORDS].map(|()| by_words.next_u32());
+            assert_eq!(standard_normal(&words).to_bits(), want);
+        }
+
+        let next_up = 1.0 + f64::EPSILON;
+        for (low, high) in [(f64::EPSILON, 1.0), (0.0, 1.0), (1.0, next_up), (-3.5, 2.0)] {
+            for bits in edges.into_iter().chain([1 << 63, (1 << 63) + (1 << 11)]) {
+                let want: f64 = Fixed([bits].iter()).gen_range(low..high);
+                assert_eq!(uniform(low, high, bits).to_bits(), want.to_bits());
+            }
+        }
+        // The top draw rounds `1 + u·2⁻⁵²` up to `high`: the clamp ran.
+        assert_eq!(uniform(1.0, next_up, u64::MAX), 1.0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The bulk keystream reads change no word: from 1 to 600 units a
-        /// tick reads less than one eight-block group, exactly one, or
-        /// several chunks. Construction draws each unit's offset and AR
-        /// state in turn, and three batched ticks are the per-unit loop.
+        /// The chunked keystream changes no word and the store-order
+        /// rewrite no row: from 1 to 600 units on six nodes a tick reads
+        /// less than one eight-block group, exactly one, or several chunks,
+        /// and a fragment holds no row, one, or a hundred. Construction is
+        /// the per-draw, per-handle `new`, and three ticks are the per-unit
+        /// loop.
         #[test]
         fn bulk_reads_are_the_per_draw_stream(
             units in 1usize..601,
@@ -453,18 +537,12 @@ mod tests {
                 ..TemperatureConfig::reduced(units, 2, 3, 3)
             };
             let mut batched = TemperatureWorkload::new(config);
+            let (mut looped, handles) = per_unit_world(config);
+            assert_same_world(&mut batched, &mut looped);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            for unit in &batched.units {
-                let offset = config.offset_std * gaussian(&mut rng);
-                let ar = config.ar_std * gaussian(&mut rng);
-                prop_assert_eq!(unit.offset.to_bits(), offset.to_bits());
-                prop_assert_eq!(unit.ar.to_bits(), ar.to_bits());
-            }
-            prop_assert_eq!(batched.rng.clone().next_u64(), rng.next_u64());
-            let mut looped = TemperatureWorkload::new(config);
             for _ in 0..3 {
                 batched.advance(&mut rng);
-                advance_per_unit(&mut looped);
+                advance_per_unit(&mut looped, &handles);
             }
             assert_same_world(&mut batched, &mut looped);
         }

@@ -258,8 +258,9 @@ fn a_churning_audit_allocates_only_where_the_database_grew() {
 /// The other half of a `solo_loose` / `audited` tick (ROADMAP aim 4):
 /// advancing the paper-scale TEMPERATURE world rewrites 8 000 rows in place
 /// and its oracle is one fold over the fragments' columns — neither may
-/// touch the heap. Statically, `P2PDatabase::update_rows` and the oracle
-/// fold carry the `xtask: no-alloc` tag.
+/// touch the heap. Statically, `TemperatureWorkload::advance`, the writer
+/// it drives (`P2PDatabase::rewrite_fragments`) and the oracle fold carry
+/// the `xtask: no-alloc` tag.
 #[test]
 fn world_advance_and_oracle_stay_off_the_heap() {
     const TICKS: u64 = 50;
