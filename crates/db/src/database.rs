@@ -214,13 +214,22 @@ impl P2PDatabase {
     /// Updates many tuples in place: `write(k, row)` is handed the stored
     /// attribute values of `handles[k]`, in order, to overwrite. Equivalent
     /// to one [`P2PDatabase::update`] per handle — same checks, same rows
-    /// written — except that the update tally is bumped once for the whole
-    /// batch and that each written fragment's leaves are re-added once,
-    /// after the loop, however many of its rows the batch wrote. Its one
-    /// writer is MEMORY, which writes its sparse updates a stage of hits at
-    /// a time so that the stage's row misses overlap rather than follow one
-    /// another; a world that rewrites every tuple takes
-    /// [`P2PDatabase::rewrite_fragments`].
+    /// written in the same order — except that the update tally is bumped
+    /// once for the whole batch and that each written fragment's leaves are
+    /// re-added once, after the loop, however many of its rows the batch
+    /// wrote.
+    ///
+    /// A handle reaches its row through a chain of three dependent loads:
+    /// its fragment, the fragment's slot entry (the row's position), the
+    /// row. Resolving and writing one handle at a time waits on each
+    /// handle's chain in turn. Instead the handles go 512 (`RESOLVE`) at a
+    /// time through one pass per link: the chunk's fragments, then their
+    /// slot entries — both passes only read — then the writes of the
+    /// resolved rows in handle order. No load of a pass depends on another
+    /// handle's, so the misses of a chunk's randomly placed fragments,
+    /// slots and rows overlap by construction. Its one writer is MEMORY,
+    /// which writes its sparse updates a stage of hits at a time; a world
+    /// that rewrites every tuple takes [`P2PDatabase::rewrite_fragments`].
     ///
     /// # Errors
     ///
@@ -234,16 +243,50 @@ impl P2PDatabase {
         handles: &[TupleHandle],
         mut write: impl FnMut(usize, &mut [f64]),
     ) -> Result<()> {
-        let mut written = 0u64;
-        let outcome = handles.iter().enumerate().try_for_each(|(k, &handle)| {
-            write(k, self.row_mut(handle)?);
-            let idx = handle.node.0 as usize;
-            self.written[idx / 64] |= 1 << (idx % 64);
-            written += 1;
-            Ok(())
-        });
+        let mut rows = [(0u32, 0usize); RESOLVE];
+        let mut outcome = Ok(());
+        let mut written = 0;
+        for chunk in handles.chunks(RESOLVE) {
+            let mut stores = [None; RESOLVE];
+            for (store, handle) in stores.iter_mut().zip(chunk) {
+                *store = self
+                    .fragments
+                    .get(handle.node.0 as usize)
+                    .and_then(Option::as_ref);
+            }
+            let mut resolved = 0;
+            for (&handle, store) in chunk.iter().zip(stores) {
+                let found = store
+                    .ok_or(DbError::UnknownNode(handle.node))
+                    .and_then(|store| {
+                        store
+                            .position(handle.slot, handle.generation)
+                            .ok_or(DbError::StaleHandle)
+                    });
+                match found {
+                    Ok(pos) => rows[resolved] = (handle.node.0, pos),
+                    Err(error) => {
+                        outcome = Err(error);
+                        break;
+                    }
+                }
+                resolved += 1;
+            }
+            for (k, &(node, pos)) in (written..).zip(&rows[..resolved]) {
+                let idx = node as usize;
+                // Resolved just above, so the fragment is held.
+                if let Some(Some(store)) = self.fragments.get_mut(idx) {
+                    write(k, store.row_mut(pos));
+                }
+                self.written[idx / 64] |= 1 << (idx % 64);
+            }
+            written += resolved;
+            if outcome.is_err() {
+                break;
+            }
+        }
         self.readd_written();
-        digest_telemetry::registry::DB_UPDATES.add(written);
+        digest_telemetry::registry::DB_UPDATES.add(written as u64);
         outcome
     }
 
@@ -515,6 +558,11 @@ fn set_leaves(sums: &mut [Vec<f64>], idx: usize, store: &LocalStore) {
     #[cfg(test)]
     READDS.with(|n| n.set(n.get() + 1));
 }
+
+/// Handles [`P2PDatabase::update_rows`] resolves per pass: enough
+/// independent misses to fill the memory pipeline, and a chunk's resolved
+/// fragments and rows (12 KB) stay on the stack.
+const RESOLVE: usize = 512;
 
 /// Leaves are summed in this many interleaved chains.
 const LANES: usize = 8;

@@ -163,6 +163,14 @@ impl LocalStore {
         }
     }
 
+    /// Row `pos`'s attribute values (`pos` from [`LocalStore::position`]),
+    /// for overwriting in place.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, pos: usize) -> &mut [f64] {
+        let span = self.span(pos);
+        &mut self.values[span]
+    }
+
     /// Every stored value, row after row in iteration order (row `k` at
     /// `k·arity .. (k+1)·arity`), for overwriting in place.
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
@@ -179,9 +187,10 @@ impl LocalStore {
         cells.unwrap_or_default().iter().step_by(stride).copied()
     }
 
-    /// Row index of a live handle.
+    /// Row index of a live handle (`None` = stale): where
+    /// [`LocalStore::row_mut`] finds it until the store next changes shape.
     #[inline]
-    fn position(&self, slot: u32, generation: u32) -> Option<usize> {
+    pub(crate) fn position(&self, slot: u32, generation: u32) -> Option<usize> {
         let entry = self.slots.get(slot as usize)?;
         (entry.generation == generation && entry.pos != VACANT).then_some(entry.pos as usize)
     }

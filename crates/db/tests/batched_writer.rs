@@ -6,11 +6,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)]
 
-use digest_db::{DbError, P2PDatabase, Schema, Tuple, TupleHandle};
+use digest_db::{DbError, Expr, P2PDatabase, Schema, Tuple, TupleHandle};
 use digest_net::NodeId;
 use digest_telemetry::registry::DB_UPDATES;
 
 const ARITY: usize = 2;
+
+/// Handles `update_rows` resolves per pass (`RESOLVE` in `database.rs`).
+const CHUNK: usize = 512;
 
 fn world() -> (P2PDatabase, Vec<TupleHandle>) {
     let mut db = P2PDatabase::new(Schema::new(["a", "b"]));
@@ -21,6 +24,24 @@ fn world() -> (P2PDatabase, Vec<TupleHandle>) {
         .map(|i| {
             let row = Tuple::new(vec![f64::from(i), -f64::from(i)]);
             db.insert(NodeId(i % 4), row).unwrap()
+        })
+        .collect();
+    (db, handles)
+}
+
+/// A world of 1 100 handles on 37 nodes, more than two resolve chunks.
+/// The first 600 rows go round-robin over nodes 0–35 and the rest over all
+/// 37, so node 36's first handle lies in the second chunk.
+fn wide_world() -> (P2PDatabase, Vec<TupleHandle>) {
+    let mut db = P2PDatabase::new(Schema::new(["a", "b"]));
+    for node in 0..37u32 {
+        db.register_node(NodeId(node));
+    }
+    let handles = (0..1_100u32)
+        .map(|i| {
+            let row = Tuple::new(vec![f64::from(i), -f64::from(i)]);
+            let node = if i < 600 { i % 36 } else { i % 37 };
+            db.insert(NodeId(node), row).unwrap()
         })
         .collect();
     (db, handles)
@@ -57,6 +78,13 @@ fn assert_equivalent(db: &P2PDatabase, handles: &[TupleHandle]) -> (Result<(), D
     assert_eq!(batch_outcome, loop_outcome);
     assert_eq!(listing(&batched), listing(&looped));
     assert_eq!(batch_delta, loop_delta);
+    // The leaves too: each written fragment's, re-added once, is the chain
+    // one `update` per row leaves behind.
+    for name in ["a", "b"] {
+        let attr = Expr::attr(db.schema(), name).unwrap();
+        let sum = |db: &P2PDatabase| db.exact_sum(&attr).map(f64::to_bits);
+        assert_eq!(sum(&batched), sum(&looped));
+    }
     (batch_outcome, batch_delta)
 }
 
@@ -96,4 +124,30 @@ fn update_rows_is_a_loop_of_update() {
     let (outcome, written) = assert_equivalent(&departed, &handles);
     assert_eq!(outcome, Err(DbError::StaleHandle));
     assert_eq!(written, 2);
+
+    // Across resolve chunks: a stale handle first in the batch, on either
+    // side of each chunk boundary and last.
+    let (db, handles) = wide_world();
+    let last = handles.len() - 1;
+    assert!(last >= 2 * CHUNK);
+    assert_eq!(
+        assert_equivalent(&db, &handles),
+        (Ok(()), handles.len() as u64)
+    );
+    for k in [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, last] {
+        let mut stale = db.clone();
+        assert!(stale.delete(handles[k]).unwrap());
+        let (outcome, written) = assert_equivalent(&stale, &handles);
+        assert_eq!(outcome, Err(DbError::StaleHandle), "k = {k}");
+        assert_eq!(written, k as u64);
+    }
+    // A node departed whose first handle is in the second chunk: the first
+    // chunk and the second's rows before it are written.
+    let first = handles.iter().position(|h| h.node == NodeId(36)).unwrap();
+    assert!((CHUNK..2 * CHUNK).contains(&first), "{first}");
+    let mut departed = db.clone();
+    departed.remove_node(NodeId(36)).unwrap();
+    let (outcome, written) = assert_equivalent(&departed, &handles);
+    assert_eq!(outcome, Err(DbError::UnknownNode(NodeId(36))));
+    assert_eq!(written, first as u64);
 }

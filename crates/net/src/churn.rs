@@ -59,6 +59,29 @@ impl Default for ChurnConfig {
     }
 }
 
+impl ChurnConfig {
+    /// How many nodes `steps` steps join, for sizing a world ahead of its
+    /// run. A step joins `⌊join_rate⌋` nodes plus one more with the
+    /// fraction `f`'s probability, so the total is `⌊join_rate⌋·steps` plus
+    /// a Binomial(`steps`, `f`) count; this is that count's mean plus four
+    /// standard deviations, rounded up and never above `steps` — exact for
+    /// a whole rate, exceeded with probability below 10⁻⁴ otherwise.
+    #[must_use]
+    pub fn joins_within(&self, steps: u64) -> usize {
+        let whole = self.join_rate.floor().clamp(0.0, 1e9);
+        let frac = (self.join_rate - whole).clamp(0.0, 1.0);
+        let steps = steps as f64;
+        let mean = frac * steps;
+        let extra = (mean + 4.0 * (mean * (1.0 - frac)).sqrt())
+            .ceil()
+            .min(steps);
+        // A float-to-int `as` saturates, so a huge product cannot wrap.
+        #[allow(clippy::cast_possible_truncation)]
+        let joins = (whole * steps + extra) as usize;
+        joins
+    }
+}
+
 /// One membership change produced by a churn step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
@@ -380,6 +403,44 @@ mod tests {
         })
         .is_err());
         assert!(ChurnProcess::new(ChurnConfig::default()).is_ok());
+    }
+
+    /// `joins_within` is what the steps join for a whole rate, and above
+    /// it for a fractional one.
+    #[test]
+    fn joins_stay_within_the_sizing_bound() {
+        for join_rate in [0.0, 0.164, 1.0, 2.0, 2.5] {
+            let config = ChurnConfig {
+                join_rate,
+                ..Default::default()
+            };
+            let p = ChurnProcess::new(config).unwrap();
+            for seed in 0..8 {
+                let mut g = topology::ring(10).unwrap();
+                let mut r = rng(seed);
+                let mut joined = 0;
+                for _ in 0..300 {
+                    let events = p.step(&mut g, &mut r);
+                    joined += events
+                        .iter()
+                        .filter(|e| matches!(e, ChurnEvent::Joined(_)))
+                        .count();
+                }
+                let bound = config.joins_within(300);
+                if join_rate.fract() == 0.0 {
+                    assert_eq!(joined, bound, "rate {join_rate}");
+                } else {
+                    assert!(joined < bound, "rate {join_rate}: {joined} > {bound}");
+                }
+            }
+        }
+        // Never above every step's bonus join, even on a short run.
+        let config = ChurnConfig {
+            join_rate: 0.5,
+            ..Default::default()
+        };
+        assert_eq!(config.joins_within(3), 3);
+        assert_eq!(config.joins_within(0), 0);
     }
 
     #[test]

@@ -120,9 +120,11 @@ impl Clone for ReachScratch {
 
 impl ReachScratch {
     /// Sizes `mark` for `upper` ids and keeps two fresh stamps available.
-    /// The only place the stamps allocate, and amortised: under churn the
-    /// id space grows on every tick with a join, so growth must not copy
-    /// the whole vector each time.
+    /// The only place the stamps allocate. The caller passes the id
+    /// columns' capacity, not their length: under churn the id space
+    /// grows on every tick with a join, and the stamps then grow only when
+    /// the columns did — amortised, or never within the room the graph
+    /// was created with ([`Graph::with_capacity`]).
     #[cold]
     fn grow(&mut self, upper: usize) {
         if self.mark.len() < upper {
@@ -157,7 +159,9 @@ impl Graph {
         Self::default()
     }
 
-    /// Creates an empty graph with room for `n` nodes.
+    /// Creates an empty graph with room for `n` nodes: its per-id columns
+    /// (`row_off` / `row_len` / `row_cap` / `alive` / `live` /
+    /// `live_pos`) reallocate only past the `n`-th [`Graph::add_node`].
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         Self {
@@ -613,7 +617,7 @@ impl Graph {
             ..
         } = self;
         if reach.mark.len() < row_off.len() || reach.stamp > u32::MAX - 2 {
-            reach.grow(row_off.len());
+            reach.grow(row_off.capacity());
         }
         let stamps = [reach.stamp + 1, reach.stamp + 2];
         reach.stamp += 2;

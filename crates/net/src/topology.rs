@@ -118,6 +118,24 @@ pub fn star(n: usize) -> Result<Graph> {
 ///
 /// [`NetError::InvalidTopology`] if `m == 0` or `n ≤ m`.
 pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Result<Graph> {
+    barabasi_albert_with_room(n, m, 0, rng)
+}
+
+/// [`barabasi_albert`] with its per-id columns sized for `room` more nodes
+/// from the start, so that as many later joins (ids are never reused)
+/// copy none of them. The same graph and the same draws: only the
+/// capacity differs. Sizing after the build would move every column once
+/// at setup and leave its old block as a hole for the next allocations.
+///
+/// # Errors
+///
+/// As [`barabasi_albert`].
+pub fn barabasi_albert_with_room<R: Rng + ?Sized>(
+    n: usize,
+    m: usize,
+    room: usize,
+    rng: &mut R,
+) -> Result<Graph> {
     if m == 0 {
         return Err(NetError::InvalidTopology {
             reason: "BA attachment count m must be positive",
@@ -130,7 +148,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
         });
     }
 
-    let mut g = Graph::with_capacity(n);
+    let mut g = Graph::with_capacity(n.saturating_add(room));
     let mut ids: Vec<NodeId> = (0..m0).map(|_| g.add_node()).collect();
     for i in 0..m0 {
         for j in i + 1..m0 {
@@ -298,7 +316,7 @@ pub(crate) fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
 mod tests {
     use super::*;
     use crate::metrics::{degree_distribution, estimate_power_law_alpha};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -348,6 +366,20 @@ mod tests {
         assert_eq!(s.edge_count(), 4);
         assert_eq!(s.degree(NodeId(0)), 4);
         assert!(star(1).is_err());
+    }
+
+    /// Room changes the capacity only: the same graph from the same draws.
+    #[test]
+    fn barabasi_albert_with_room_is_the_same_graph() {
+        let (mut a, mut b) = (rng(5), rng(5));
+        let plain = barabasi_albert(300, 2, &mut a).unwrap();
+        let roomy = barabasi_albert_with_room(300, 2, 50, &mut b).unwrap();
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert_eq!(plain.id_upper_bound(), roomy.id_upper_bound());
+        for v in plain.nodes() {
+            assert_eq!(plain.neighbors(v), roomy.neighbors(v));
+        }
+        assert!(roomy.proven_connected());
     }
 
     #[test]

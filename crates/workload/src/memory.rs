@@ -167,15 +167,6 @@ impl MemoryWorkload {
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let graph = topology::barabasi_albert(config.nodes, config.attachment, &mut rng)
-            .expect("valid BA parameters");
-        let mut db = P2PDatabase::new(Schema::single("memory"));
-        for v in graph.nodes() {
-            db.register_node(v);
-        }
-        let expr = Expr::first_attr(db.schema());
-        let node_ids: Vec<_> = graph.nodes().collect();
-
         let churn = ChurnProcess::new(ChurnConfig {
             leave_prob: config.leave_prob,
             join_rate: config.join_rate,
@@ -185,10 +176,30 @@ impl MemoryWorkload {
             repair_partitions: true,
         })
         .expect("valid churn config");
+        // Room for the joins of the run's `ticks` seconds, each a new id
+        // with its units, so that a join does not copy a column of the
+        // world mid-run.
+        let joins = churn.config().joins_within(config.ticks);
+        let graph =
+            topology::barabasi_albert_with_room(config.nodes, config.attachment, joins, &mut rng)
+                .expect("valid BA parameters");
+        let mut db = P2PDatabase::new(Schema::single("memory"));
+        for v in graph.nodes() {
+            db.register_node(v);
+        }
+        let expr = Expr::first_attr(db.schema());
+        let node_ids: Vec<_> = graph.nodes().collect();
+
+        let mut unit_head = Vec::with_capacity(graph.id_upper_bound().saturating_add(joins));
+        unit_head.resize(graph.id_upper_bound(), NO_UNIT);
 
         let mut this = Self {
-            units: Vec::with_capacity(config.units),
-            unit_head: vec![NO_UNIT; graph.id_upper_bound()],
+            units: Vec::with_capacity(
+                config
+                    .units
+                    .saturating_add(joins.saturating_mul(config.units_per_join)),
+            ),
+            unit_head,
             config,
             graph,
             db,
@@ -292,8 +303,10 @@ impl MemoryWorkload {
     fn apply_churn(&mut self) {
         let events = self.churn.step(&mut self.graph, &mut self.rng);
         self.churn_events += events.len() as u64;
-        // Departures before the joiners' pushes, so `units` stays within its
-        // initial capacity while joins and leaves balance.
+        // Departures before the joiners' pushes: the order fixes every
+        // unit's position. Neither reallocates `units` or `unit_head` within
+        // the run: `new` sized them, and the overlay's id columns, for the
+        // run's joins (`ChurnConfig::joins_within`).
         for event in &events {
             if let ChurnEvent::Left(node) = *event {
                 if self.db.has_node(node) {

@@ -28,13 +28,31 @@ thread_local! {
     /// initialised and without a destructor, so reading it from inside
     /// the allocator allocates nothing.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Reallocations by this thread of a block of at least [`BIG`] bytes,
+    /// and the bytes those blocks held (what a moving `realloc` copies).
+    static BIG_REALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
+
+/// From this size up a block is a world's column, not a scratch buffer:
+/// the 10⁵-node world's smallest per-id column (`Graph`'s liveness flags)
+/// is 100 kB.
+const BIG: usize = 64 << 10;
 
 struct CountingAlloc;
 
 fn count() {
     // A thread being torn down has no counter left; nothing to count for.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn count_realloc(size: usize) {
+    count();
+    if size >= BIG {
+        let _ = BIG_REALLOCS.try_with(|n| {
+            let (calls, bytes) = n.get();
+            n.set((calls + 1, bytes + size as u64));
+        });
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -60,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count_realloc(layout.size());
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -71,6 +89,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn big_reallocs() -> (u64, u64) {
+    BIG_REALLOCS.with(Cell::get)
 }
 
 /// The event sink and its suppression depth are process-wide: a walk batch
@@ -329,6 +351,47 @@ fn memory_world_allocates_only_where_nodes_join() {
         workload.churn_events()
     );
     assert!(truths.is_finite() && sizes > 0);
+}
+
+/// The benchmark's `churn_100k` world (10⁵ BA peers, 2·10⁵ units, two
+/// joins a second) is built for the joins its configuration allows: over
+/// its 60 seconds no column of it — the unit list, the unit chains' heads,
+/// the overlay's per-id columns, the database's digest — is reallocated,
+/// so no join copies megabytes mid-run. The benchmark's first three
+/// worlds at its default seed, each run with its joins.
+#[test]
+fn the_churn_100k_world_never_regrows_a_column() {
+    for world in 0..3 {
+        let base = MemoryConfig::paper_scale();
+        let mut workload = MemoryWorkload::new(MemoryConfig {
+            units: 200_000,
+            nodes: 100_000,
+            attachment: 3,
+            seconds_per_tick: 1,
+            update_prob: 0.01,
+            leave_prob: 2e-5,
+            join_rate: 2.0,
+            ticks: 60,
+            seed: base.seed.wrapping_add(20_080_402_000 + world),
+            ..base
+        });
+        let first_ids = workload.graph().id_upper_bound();
+        let mut rng = ChaCha8Rng::seed_from_u64(20080402);
+        let before = big_reallocs();
+        for _ in 0..workload.duration() {
+            workload.advance(&mut rng);
+        }
+        let (calls, bytes) = big_reallocs();
+        assert!(
+            workload.graph().id_upper_bound() > first_ids,
+            "world {world}: no join"
+        );
+        assert_eq!(
+            (calls - before.0, bytes - before.1),
+            (0, 0),
+            "world {world}: reallocations of blocks >= {BIG} B, and their bytes"
+        );
+    }
 }
 
 /// What PR 17 bought on `solo_tight` (ROADMAP aim 1): an RPT occasion at
