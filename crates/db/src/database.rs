@@ -336,11 +336,20 @@ impl P2PDatabase {
 
     /// Content size `m_v` of a node (0 for unknown nodes — a weight
     /// function must be total over `V`): one read of the dense size column,
-    /// not of the fragment — the weight capture asks this of every live
-    /// node on every occasion.
+    /// not of the fragment.
     #[must_use]
     pub fn content_size(&self, node: NodeId) -> usize {
         self.sizes.get(node.0 as usize).map_or(0, |&m| m as usize)
+    }
+
+    /// The dense size column itself, by node id: entry `i` is
+    /// [`P2PDatabase::content_size`] of `NodeId(i)` for every `i` below
+    /// its length (ids past it hold no fragment). The sampling operator
+    /// copies it once per changed occasion and compares it to tell an
+    /// unchanged relation's weights (paper §III, `w_v = m_v`) in one pass.
+    #[must_use]
+    pub fn content_sizes(&self) -> &[u32] {
+        &self.sizes
     }
 
     /// Total number of tuples `N` across all fragments.
@@ -743,6 +752,9 @@ mod tests {
         assert_eq!(db.content_size(NodeId(0)), 2);
         assert_eq!(db.content_size(NodeId(1)), 0);
         assert_eq!(db.content_size(NodeId(42)), 0, "unknown node has size 0");
+        assert_eq!(db.content_sizes(), [2, 0]);
+        db.remove_node(NodeId(0)).unwrap();
+        assert_eq!(db.content_sizes(), [0, 0]);
     }
 
     #[test]

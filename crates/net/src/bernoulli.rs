@@ -15,7 +15,7 @@ use rand::RngCore;
 ///
 /// Every call that has trials left draws exactly one `u64`,
 /// `u = ((x >> 11) + 1)·2⁻⁵³ ∈ (0, 1]`, and skips `⌊ln u / ln(1 − p)⌋`
-/// failures: `P(skip ≥ k) = P(u ≤ (1 − p)ᵏ) = (1 − p)ᵏ`. The walk restarts
+/// failures (the floor taken by the compare and the cast): `P(skip ≥ k) = P(u ≤ (1 − p)ᵏ) = (1 − p)ᵏ`. The walk restarts
 /// with every value — nothing is carried from one trial sequence to the
 /// next, so the stream does not depend on what happened to the list in
 /// between.
@@ -52,7 +52,10 @@ impl BernoulliHits {
             return None;
         }
         let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-        let skip = (u.ln() * self.inv_ln_q).floor();
+        // `⌊skip⌋` without `floor` (a library call on the baseline x86-64
+        // target): `skip` is ≥ 0 (or `-0.0`), NaN or ∞, so `skip < m` for
+        // a whole `m` and the truncating cast decide as `⌊skip⌋` would.
+        let skip = u.ln() * self.inv_ln_q;
         // Compared as floats: a skip past the end does not fit an index
         // (and `0 · ∞` at a subnormal `p` is NaN, which also ends here).
         if skip < (self.n - self.next) as f64 {
@@ -231,6 +234,62 @@ mod tests {
             // touches the one gap that runs off the end).
             let chi = chi_square(&gaps, &pmf);
             assert!(chi < 39.0, "p={p}: gaps χ² = {chi}");
+        }
+    }
+
+    /// [`BernoulliHits::next`] as it was written, with `floor` taken
+    /// before the compare and the cast: the reference the draw is held to.
+    fn floor_hits<R: RngCore>(n: usize, p: f64, rng: &mut R) -> Vec<usize> {
+        let mut draw = BernoulliHits::new(n, p);
+        std::iter::from_fn(|| {
+            if draw.next >= draw.n {
+                return None;
+            }
+            let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+            let skip = (u.ln() * draw.inv_ln_q).floor();
+            if skip < (draw.n - draw.next) as f64 {
+                #[allow(clippy::cast_sign_loss)]
+                let hit = draw.next + skip as usize;
+                draw.next = hit + 1;
+                Some(hit)
+            } else {
+                draw.next = draw.n;
+                None
+            }
+        })
+        .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Without `floor` the draw makes the same hits from the same
+        /// words as with it, at any rate (subnormal and saturated ones
+        /// included) and on the extreme words.
+        #[test]
+        fn hits_and_words_are_the_floor_forms(
+            n in prop_oneof![0usize..5_000, Just(usize::MAX)],
+            p in prop_oneof![
+                0.0f64..1.0,
+                1e-12f64..1e-3,
+                0.999f64..1.0,
+                Just(f64::MIN_POSITIVE / 16.0),
+                Just(1.0 - f64::EPSILON / 2.0),
+                -1.0f64..2.0,
+            ],
+            seed in 0u64..1_000_000,
+            word in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX],
+        ) {
+            // The whole index range only where the hits stay few.
+            let n = if n == usize::MAX && p > 1e-15 { 5_000 } else { n };
+            let (mut a, mut b) = (counting(seed), counting(seed));
+            prop_assert_eq!(hits(n, p, &mut a), floor_hits(n, p, &mut b));
+            prop_assert_eq!(a.words, b.words);
+            let n = n.min(64);
+            prop_assert_eq!(
+                hits(n, p, &mut Constant(word)),
+                floor_hits(n, p, &mut Constant(word))
+            );
         }
     }
 

@@ -95,17 +95,18 @@ pub struct Graph {
     /// connected. A proof only while it still equals `epoch`: every
     /// structural edit by anyone bumps the epoch and so voids it.
     connected_at: Option<u64>,
-    /// Scratch of the two-sided search behind [`Graph::chain_connected`].
+    /// Scratch of the component search behind [`Graph::chain_connected`].
     reach: ReachScratch,
 }
 
-/// Visit stamps and the two frontiers of one reachability search,
-/// retained across searches so the steady state allocates nothing.
+/// Visit stamps and the two frontiers of one connectivity check (the
+/// component's and the searching terminal's), retained across checks so
+/// the steady state allocates nothing.
 #[derive(Debug, Default)]
 struct ReachScratch {
     /// Per-id stamp of the search side that last reached the id.
     mark: Vec<u32>,
-    /// Last stamp handed out; a search takes the next two.
+    /// Last stamp handed out; a check takes the next two.
     stamp: u32,
     /// FIFO frontiers of the two sides (a `Vec` plus a read cursor).
     sides: [Vec<NodeId>; 2],
@@ -290,15 +291,25 @@ impl Graph {
     /// Compacts the arena when garbage spans dominate it.
     fn maybe_compact(&mut self) {
         if self.pool.len() > COMPACT_MIN_POOL && self.pool_garbage > self.pool.len() / 2 {
-            self.compact_pool();
+            self.compact_pool(self.pool.len() - self.pool_garbage);
         }
     }
 
-    /// Rewrites the arena with live rows only (in id order, `cap = len`),
-    /// reclaiming every garbage span. O(pool). Neighbor order within
-    /// each row is preserved, so derived views and walks are unaffected.
-    fn compact_pool(&mut self) {
-        let mut new_pool = Vec::with_capacity(self.pool.len() - self.pool_garbage);
+    /// Lays the arena out in id order with no garbage, keeping its
+    /// capacity as room for the rows' later growth. A builder whose rows
+    /// grew by relocation calls it once at the end, so that a pass over
+    /// the rows in id order — the occasion snapshot's cold build — reads
+    /// the arena front to back.
+    pub(crate) fn compact_in_id_order(&mut self) {
+        self.compact_pool(self.pool.capacity());
+    }
+
+    /// Rewrites the arena with live rows only (in id order, `cap = len`)
+    /// into a new one of `capacity` slots, reclaiming every garbage span.
+    /// O(pool). Neighbor order within each row is preserved, so derived
+    /// views and walks are unaffected.
+    fn compact_pool(&mut self, capacity: usize) {
+        let mut new_pool = Vec::with_capacity(capacity);
         for i in 0..self.row_off.len() {
             if !self.alive[i] {
                 self.row_off[i] = 0;
@@ -576,79 +587,94 @@ impl Graph {
         self.connected_at = Some(self.epoch);
     }
 
-    /// Whether all live ids among `terminals` lie in one component,
-    /// decided by searching between consecutive ones (so the cost is that
-    /// of `terminals.len() − 1` short searches, not of a scan). Departed
-    /// ids are skipped; zero or one live terminal is trivially chained.
-    pub(crate) fn chain_connected(&mut self, terminals: &[NodeId]) -> bool {
-        let mut previous = None;
-        for &t in terminals {
-            if !self.contains(t) {
-                continue;
-            }
-            if let Some(p) = previous {
-                if !self.reachable(p, t) {
-                    return false;
-                }
-            }
-            previous = Some(t);
-        }
-        true
-    }
-
-    /// Whether live nodes `a` and `b` are connected: a breadth-first
-    /// search from both ends that always expands a node of the side with
-    /// fewer pending ones, and stops when a side meets the other's
-    /// stamps or runs dry. A one-sided search that exits on reaching `b`
-    /// visits most of a small-world overlay before it gets there (≈ 70 000
-    /// of 10⁵ BA nodes); the two balanced balls meet after a few hundred,
-    /// and on a real partition the cost is about twice the smaller
-    /// component.
+    /// Whether all live ids among `terminals` lie in one component.
+    /// Departed ids are skipped; zero or one live terminal is trivially
+    /// chained.
+    ///
+    /// The first live terminal's search is kept as one stamped component
+    /// whose frontier carries over from terminal to terminal. A later
+    /// terminal already stamped is in it and costs nothing. Any other runs
+    /// a breadth-first search from its own end against the component,
+    /// always expanding a node of the side with fewer pending ones; when
+    /// the two meet, its side is stamped into the component and its
+    /// pending nodes join the component's frontier. A side that runs dry
+    /// is a whole component without the other: a partition. A one-sided
+    /// search that exits on reaching its target visits most of a
+    /// small-world overlay before it gets there (≈ 70 000 of 10⁵ BA
+    /// nodes); balanced sides meet after a few hundred, and on a real
+    /// partition the cost is about twice the smaller side.
     /// xtask: no-alloc
-    fn reachable(&mut self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
-        }
+    pub(crate) fn chain_connected(&mut self, terminals: &[NodeId]) -> bool {
         let Self {
             reach,
             pool,
             row_off,
             row_len,
+            alive,
             ..
         } = self;
+        let is_live = |t: &&NodeId| alive.get(t.0 as usize).copied().unwrap_or(false);
+        let mut live = terminals.iter().filter(is_live);
+        let Some(&first) = live.next() else {
+            return true;
+        };
         if reach.mark.len() < row_off.len() || reach.stamp > u32::MAX - 2 {
             reach.grow(row_off.capacity());
         }
-        let stamps = [reach.stamp + 1, reach.stamp + 2];
-        reach.stamp += 2;
+        let ReachScratch { mark, stamp, sides } = reach;
+        // The component's stamp, then the searching terminal's.
+        let stamps = [*stamp + 1, *stamp + 2];
+        *stamp += 2;
+        let [component, searching] = sides;
+        component.clear();
+        enqueue(component, first);
+        mark[first.0 as usize] = stamps[0];
         let mut heads = [0usize; 2];
-        for (side, &start) in [a, b].iter().enumerate() {
-            reach.sides[side].clear();
-            enqueue(&mut reach.sides[side], start);
-            reach.mark[start.0 as usize] = stamps[side];
-        }
-        loop {
-            let pending = [
-                reach.sides[0].len() - heads[0],
-                reach.sides[1].len() - heads[1],
-            ];
-            if pending[0] == 0 || pending[1] == 0 {
-                return false;
+        for &t in live {
+            if mark[t.0 as usize] == stamps[0] {
+                continue;
             }
-            let side = usize::from(pending[1] < pending[0]);
-            let v = reach.sides[side][heads[side]].0 as usize;
-            heads[side] += 1;
-            for &nb in &pool[row_off[v]..row_off[v] + row_len[v]] {
-                let seen = &mut reach.mark[nb.0 as usize];
-                if *seen == stamps[1 - side] {
-                    return true;
+            searching.clear();
+            heads[1] = 0;
+            enqueue(searching, t);
+            mark[t.0 as usize] = stamps[1];
+            loop {
+                let pending = [component.len() - heads[0], searching.len() - heads[1]];
+                if pending[0] == 0 || pending[1] == 0 {
+                    return false;
                 }
-                if *seen != stamps[side] {
-                    *seen = stamps[side];
-                    enqueue(&mut reach.sides[side], nb);
+                let side = usize::from(pending[1] < pending[0]);
+                let frontier = if side == 0 {
+                    &mut *component
+                } else {
+                    &mut *searching
+                };
+                let v = frontier[heads[side]].0 as usize;
+                heads[side] += 1;
+                // The whole row is expanded even once the sides meet, so
+                // every stamped node is expanded or pending.
+                let mut met = false;
+                for &nb in &pool[row_off[v]..row_off[v] + row_len[v]] {
+                    let seen = &mut mark[nb.0 as usize];
+                    if *seen == stamps[1 - side] {
+                        met = true;
+                    } else if *seen != stamps[side] {
+                        *seen = stamps[side];
+                        enqueue(frontier, nb);
+                    }
+                }
+                if met {
+                    for &u in searching.iter() {
+                        mark[u.0 as usize] = stamps[0];
+                    }
+                    for &u in &searching[heads[1]..] {
+                        enqueue(component, u);
+                    }
+                    break;
                 }
             }
         }
+        true
     }
 
     /// True if the graph is bipartite (2-colourable). A bipartite overlay
@@ -1209,7 +1235,7 @@ mod tests {
                     .map(|&(v, _)| v)
                     .collect();
                 for &b in &live {
-                    assert_eq!(g.reachable(a, b), reached.contains(&b), "{a} {b}");
+                    assert_eq!(g.chain_connected(&[a, b]), reached.contains(&b), "{a} {b}");
                 }
                 let reached: Vec<NodeId> = reached.into_iter().collect();
                 assert!(copy.chain_connected(&reached));
@@ -1219,6 +1245,101 @@ mod tests {
                     .all(|&s| !copy.chain_connected(&[a, ids[0], s])));
             }
             assert!(g.reach.stamp < 4000, "the counter wrapped");
+        }
+    }
+
+    /// Whether `g`'s live rows lie back to back in id order from the
+    /// arena's start, with no garbage.
+    fn rows_in_id_order(g: &Graph) -> bool {
+        let mut next = 0;
+        for i in 0..g.row_off.len() {
+            if g.alive[i] {
+                if g.row_off[i] != next {
+                    return false;
+                }
+                next += g.row_len[i];
+            }
+        }
+        g.pool.len() == next && g.pool_garbage == 0
+    }
+
+    /// The id-order compaction keeps every row's neighbours in order, the
+    /// epoch and the arena's capacity; the BA builder ends with it.
+    #[test]
+    fn compaction_in_id_order_keeps_rows_epoch_and_capacity() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..300).map(|_| g.add_node()).collect();
+        for _ in 0..900 {
+            let _ = g.add_edge(ids[rng.gen_range(0..300)], ids[rng.gen_range(0..300)]);
+        }
+        for _ in 0..30 {
+            let _ = g.remove_node(ids[rng.gen_range(0..300)]);
+        }
+        assert!(!rows_in_id_order(&g));
+        let mut compact = g.clone();
+        compact.pool.reserve(5_000);
+        let capacity = compact.pool.capacity();
+        compact.compact_in_id_order();
+        assert!(rows_in_id_order(&compact));
+        assert!(compact.pool.capacity() >= capacity);
+        assert_eq!(compact.epoch(), g.epoch());
+        for v in g.nodes() {
+            assert_eq!(compact.neighbors(v), g.neighbors(v));
+        }
+        let ba = crate::topology::barabasi_albert_with_room(2_000, 3, 40, &mut rng).unwrap();
+        assert!(rows_in_id_order(&ba));
+    }
+
+    /// The connected components of `g`, as one label per id (the
+    /// component's first node in `nodes()` order; `None` for departed
+    /// ids), by one-sided BFS.
+    fn bfs_labels(g: &Graph) -> Vec<Option<NodeId>> {
+        let mut label = vec![None; g.id_upper_bound()];
+        for start in g.nodes() {
+            if label[start.0 as usize].is_none() {
+                for (v, _) in g.bfs_distances(start).unwrap() {
+                    label[v.0 as usize] = Some(start);
+                }
+            }
+        }
+        label
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `chain_connected` is "every live terminal has one BFS label" on
+        /// sparse random graphs with departed nodes, for terminal lists
+        /// with departed, unknown and repeated ids, checked call after
+        /// call from a stamp counter a few calls before its wrap.
+        #[test]
+        fn chain_connected_is_one_label_per_live_terminal(
+            n in 2usize..40,
+            edges in prop::collection::vec((0usize..40, 0usize..40), 0..60),
+            removals in prop::collection::vec(0usize..40, 0..6),
+            lists in prop::collection::vec(prop::collection::vec(0u32..44, 0..8), 1..8),
+            before_wrap in 0u32..8,
+        ) {
+            let mut g = Graph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
+            for &(a, b) in &edges {
+                let _ = g.add_edge(ids[a % n], ids[b % n]);
+            }
+            for &r in &removals {
+                let _ = g.remove_node(ids[r % n]);
+            }
+            let label = bfs_labels(&g);
+            g.reach.stamp = u32::MAX - 2 * before_wrap;
+            for terminals in &lists {
+                let mut labels = terminals
+                    .iter()
+                    .filter_map(|&t| label.get(t as usize).copied().flatten());
+                let first = labels.next();
+                let want = labels.all(|l| Some(l) == first);
+                let terminals: Vec<NodeId> = terminals.iter().map(|&t| NodeId(t)).collect();
+                prop_assert_eq!(g.chain_connected(&terminals), want, "{:?}", terminals);
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //!    *number* of non-lazy ones matters, Binomial(L, ½) — one `u64` per
 //!    chunk of ≤ 64 steps, masked to the chunk and counted by popcount;
 //! 2. then, per active step at a node with neighbours, [`uniform_below`]
-//!    picks the proposal (Lemire's widening multiply on one `u32`: a
-//!    degree is a node count, below 2³²) and [`accept`] decides it
+//!    picks the proposal (Lemire's nearly divisionless widening multiply
+//!    on one `u32`: a degree is a node count, below 2³²) and [`accept`] decides it
 //!    against the edge's [`accept_threshold`] — one `u32` and, only on a
 //!    tie (probability 2⁻³²), a second.
 //!
@@ -53,19 +53,25 @@ pub(crate) fn active_steps<R: RngCore + ?Sized>(rng: &mut R, steps: u64) -> u64 
     active
 }
 
-/// A uniform offset in `0..span` (`span ≥ 1`) by Lemire's widening
-/// multiply on one `u32` per attempt, rejecting the low words below
-/// `reject` (= [`reject_threshold`]`(span)`, precomputed per node).
+/// A uniform offset in `0..span` (`span ≥ 1`) by Lemire's nearly
+/// divisionless widening multiply on one `u32` per attempt ("Fast Random
+/// Integer Generation in an Interval", ACM TOMACS 2019): a low word `≥
+/// span` is accepted outright, and only a low word below `span` pays the
+/// modulo `2³² mod span` that decides whether to reject it. Since that
+/// threshold is below `span`, every word is accepted or rejected exactly as
+/// against a precomputed threshold, and the same words are read.
 /// xtask: no-alloc
 #[inline]
 #[allow(clippy::cast_possible_truncation)] // the low and high halves of a u32 × u32 product
-pub(crate) fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u32, reject: u32) -> u32 {
-    loop {
-        let m = u64::from(rng.next_u32()) * u64::from(span);
-        if m as u32 >= reject {
-            return (m >> 32) as u32;
+pub(crate) fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u32) -> u32 {
+    let mut m = u64::from(rng.next_u32()) * u64::from(span);
+    if (m as u32) < span {
+        let reject = span.wrapping_neg() % span;
+        while (m as u32) < reject {
+            m = u64::from(rng.next_u32()) * u64::from(span);
         }
     }
+    (m >> 32) as u32
 }
 
 /// Whether an M–H proposal with acceptance threshold `threshold` (see
@@ -112,17 +118,6 @@ pub(crate) fn accept_threshold(ratio: f64) -> u64 {
 
 /// 2⁵³ — the mantissa scale of a uniform `f64` in [0, 1).
 const SCALE: f64 = 9_007_199_254_740_992.0;
-
-/// The Lemire rejection threshold of [`uniform_below`] for `span`,
-/// `2³² mod span` (0 for an isolated node): it depends only on a node's
-/// degree, so the snapshot keeps it per node.
-pub(crate) fn reject_threshold(span: u32) -> u32 {
-    if span == 0 {
-        0
-    } else {
-        span.wrapping_neg() % span
-    }
-}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
@@ -329,6 +324,85 @@ mod tests {
         }
     }
 
+    /// `2³² mod span`, the rejection threshold the proposal draw used to
+    /// read from a per-node table (0 for an isolated node).
+    fn reject_threshold(span: u32) -> u32 {
+        if span == 0 {
+            0
+        } else {
+            span.wrapping_neg() % span
+        }
+    }
+
+    /// The proposal draw as it was written against that table: the
+    /// reference [`uniform_below`] is held to, value and words.
+    fn uniform_below_table<R: RngCore + ?Sized>(rng: &mut R, span: u32, reject: u32) -> u32 {
+        loop {
+            let m = u64::from(rng.next_u32()) * u64::from(span);
+            if m as u32 >= reject {
+                return (m >> 32) as u32;
+            }
+        }
+    }
+
+    /// Words whose low product with `span` lands below `span` — the only
+    /// ones the draw takes its modulo for — with `x_k = ⌈k·2³² / span⌉`
+    /// for a few `k`: `x_k·span − k·2³²` lies in `[0, span)`.
+    fn slow_branch_words(span: u32) -> Vec<u32> {
+        let s = u64::from(span);
+        let mut words = Vec::new();
+        for k in [0, 1, 2, s / 2, s.saturating_sub(1)] {
+            if k < s {
+                let x = ((k << 32).div_ceil(s)) as u32;
+                words.extend([x, x.wrapping_sub(1), x.wrapping_add(1)]);
+            }
+        }
+        words
+    }
+
+    /// Draws once with each form from `words` (each replaying them from
+    /// the start, with `filler` after them), and asserts the same value
+    /// and the same number of words read.
+    fn assert_draws_alike(span: u32, words: &[u32], filler: &mut ChaCha8Rng) {
+        let mut stream = words.to_vec();
+        stream.extend((0..64).map(|_| filler.next_u32()));
+        let (mut a, mut b) = (Words(stream.clone().into_iter()), Words(stream.into_iter()));
+        assert_eq!(
+            uniform_below(&mut a, span),
+            uniform_below_table(&mut b, span, reject_threshold(span)),
+            "span {span} words {words:?}"
+        );
+        assert_eq!(a.0.len(), b.0.len(), "span {span} words {words:?}");
+    }
+
+    /// The nearly divisionless draw takes the table form's decisions and
+    /// reads its words: every span up to 4 096, and large random spans
+    /// (where rejections are common), on words that take the modulo
+    /// branch, words either side of them, and keystream words.
+    #[test]
+    fn uniform_below_is_the_table_form_value_and_words() {
+        let mut r = ChaCha8Rng::seed_from_u64(4096);
+        let large = (0..2_000).map(|_| r.next_u32() | 1 << 31);
+        let spans: Vec<u32> = (1..=4096).chain(large).chain([u32::MAX, 1 << 31]).collect();
+        for &span in &spans {
+            for &word in &slow_branch_words(span) {
+                assert_draws_alike(span, &[word], &mut r);
+                // A rejected word followed by one that takes the branch.
+                assert_draws_alike(span, &[0, word], &mut r);
+            }
+            assert_draws_alike(span, &[], &mut r);
+            let mut fast = ChaCha8Rng::seed_from_u64(u64::from(span));
+            let mut table = fast.clone();
+            for _ in 0..8 {
+                assert_eq!(
+                    uniform_below(&mut fast, span),
+                    uniform_below_table(&mut table, span, reject_threshold(span))
+                );
+            }
+            assert_eq!(fast.next_u32(), table.next_u32(), "span {span}");
+        }
+    }
+
     /// For every span a proposal can have here, each output of
     /// `uniform_below` has exactly `⌊2³² / span⌋` accepted preimages: the
     /// `x` with `x·span ∈ [k·2³² + reject, (k + 1)·2³²)`, counted as the
@@ -354,14 +428,14 @@ mod tests {
         let span = 3; // 2³² mod 3 = 1: only x = 0 has a low word below it.
         assert_eq!(reject_threshold(span), 1);
         let mut words = Words::new([0, u32::MAX]);
-        assert_eq!(uniform_below(&mut words, span, 1), 2);
+        assert_eq!(uniform_below(&mut words, span), 2);
         assert_eq!(words.0.len(), 0);
         let mut words = Words::new([0x8000_0000]);
-        assert_eq!(uniform_below(&mut words, span, 1), 1);
+        assert_eq!(uniform_below(&mut words, span), 1);
         for span in [1, 7, 64, u32::MAX] {
             let mut r = ChaCha8Rng::seed_from_u64(u64::from(span));
             for _ in 0..1_000 {
-                assert!(uniform_below(&mut r, span, reject_threshold(span)) < span);
+                assert!(uniform_below(&mut r, span) < span);
             }
         }
     }

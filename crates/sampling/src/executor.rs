@@ -17,8 +17,8 @@
 //!   M–H proposals read the snapshot's CSR rows instead of re-querying
 //!   [`digest_net::Graph`], and each edge's acceptance threshold from the
 //!   snapshot's memo, which the first walk to propose the edge fills.
-//!   Weights were validated at capture, which is why the walk below is
-//!   infallible.
+//!   Its weights are the relation's content sizes, finite and
+//!   non-negative by type, which is why the walk below is infallible.
 //! * **Few keystream words per step.** The walk draws through the
 //!   [`crate::draw`] kernel, shared with the live-graph walk, at ≈ ¼ of
 //!   the words of a per-step laziness coin.
@@ -77,16 +77,12 @@ struct SlotTally {
 }
 
 /// One cached walk position: the CSR row `(start, span)` of the current
-/// node plus its precomputed Lemire rejection threshold for the uniform
-/// proposal draw. Refreshed only when the walk actually moves.
+/// node. Refreshed only when the walk actually moves.
 #[derive(Clone, Copy)]
 struct CachedRow {
     start: usize,
     /// Degree, the `span` of [`draw::uniform_below`].
     span: u32,
-    /// [`draw::reject_threshold`]`(span)`, precomputed per node by the
-    /// snapshot.
-    reject: u32,
 }
 
 /// A Metropolis walk advancing over an [`OccasionSnapshot`]. It draws
@@ -109,7 +105,6 @@ impl SnapshotWalk {
         CachedRow {
             start,
             span: u32::try_from(degree).unwrap_or(u32::MAX),
-            reject: snap.reject_threshold_of(v),
         }
     }
 
@@ -123,23 +118,18 @@ impl SnapshotWalk {
     }
 
     /// Runs `steps` M–H steps on the snapshot. Infallible: the snapshot
-    /// never changes under the walk and its weights were validated at
-    /// build.
+    /// never changes under the walk and its weights are counts.
     /// xtask: no-alloc
     fn run<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, steps: u64, rng: &mut R) {
         let active = draw::active_steps(rng, steps);
         self.tally.steps += steps;
         self.tally.lazy += steps - active;
         for _ in 0..active {
-            let CachedRow {
-                start,
-                span,
-                reject,
-            } = self.row;
+            let CachedRow { start, span } = self.row;
             if span == 0 {
                 break;
             }
-            let pick = start + draw::uniform_below(rng, span, reject) as usize;
+            let pick = start + draw::uniform_below(rng, span) as usize;
             self.tally.proposals += 1;
             if draw::accept(rng, snap.accept_threshold_at(pick, self.current)) {
                 self.current = snap.neighbor_at(pick);
@@ -594,13 +584,15 @@ mod tests {
         assert_eq!(walk.tally.steps, 50);
     }
 
-    /// A world where every node holds one tuple.
-    fn dealt(g: &digest_net::Graph) -> P2PDatabase {
+    /// A world where node `v` holds `m(v)` tuples.
+    fn dealt(g: &digest_net::Graph, m: impl Fn(NodeId) -> u32) -> P2PDatabase {
         let mut db = P2PDatabase::new(digest_db::Schema::single("a"));
         for v in g.nodes() {
             db.register_node(v);
-            db.insert(v, digest_db::Tuple::single(f64::from(v.0)))
-                .unwrap();
+            for k in 0..m(v) {
+                let value = f64::from(v.0) + f64::from(k) / 8.0;
+                db.insert(v, digest_db::Tuple::single(value)).unwrap();
+            }
         }
         db
     }
@@ -644,13 +636,13 @@ mod tests {
     #[test]
     fn lazy_memo_batches_are_byte_identical_across_workers() {
         let g = topology::barabasi_albert(12, 2, &mut rng(31)).unwrap();
-        let db = dealt(&g);
-        let w = |v: NodeId| f64::from(v.0 % 4) + 0.5;
+        let db = dealt(&g, |v| v.0 % 4 + 1);
+        let sizes = db.content_sizes();
         for seed in 0..4 {
             let fresh = |workers| {
                 run_batch(
                     &db,
-                    &OccasionSnapshot::build(&g, &w).unwrap(),
+                    &OccasionSnapshot::build_sized(&g, sizes),
                     workers,
                     seed,
                 )
@@ -658,7 +650,7 @@ mod tests {
             let (one, proposals) = fresh(1);
             assert!(proposals > 10 * 2 * g.edge_count() as u64);
             assert_eq!(fresh(4).0, one, "seed {seed}");
-            let warm = OccasionSnapshot::build(&g, &w).unwrap();
+            let warm = OccasionSnapshot::build_sized(&g, sizes);
             warm.forced_accept();
             assert_eq!(run_batch(&db, &warm, 4, seed).0, one, "seed {seed}");
         }
@@ -671,11 +663,10 @@ mod tests {
     #[test]
     fn a_batch_derives_at_most_its_proposals_and_a_reused_one_none() {
         let g = topology::barabasi_albert(400, 3, &mut rng(32)).unwrap();
-        let db = dealt(&g);
-        let w = |v: NodeId| f64::from(v.0 % 7) + 0.25;
+        let db = dealt(&g, |v| v.0 % 7 + 1);
         let mut cache = SnapshotCache::new();
         let derived = thresholds_derived();
-        let (snap, _) = cache.refresh(&g, &w, true).unwrap();
+        let (snap, _) = cache.refresh(&g, db.content_sizes(), true);
         let (first, proposals) = run_batch(&db, snap, 1, 5);
         let derived = thresholds_derived() - derived;
         assert!(
@@ -683,7 +674,7 @@ mod tests {
             "{derived} > {proposals}"
         );
 
-        let (snap, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (snap, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Reused);
         let before = thresholds_derived();
         assert_eq!(run_batch(&db, snap, 1, 5).0, first);
@@ -695,9 +686,8 @@ mod tests {
     #[test]
     fn arena_buffers_are_recycled_across_batches() {
         let g = topology::barabasi_albert(30, 2, &mut rng(4)).unwrap();
-        let db = dealt(&g);
-        let w = uniform_weight();
-        let snap = OccasionSnapshot::build(&g, &w).unwrap();
+        let db = dealt(&g, |_| 1);
+        let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
         let config = SamplingConfig {
             walk_length: 10,
             reset_length: 4,

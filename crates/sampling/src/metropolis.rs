@@ -164,8 +164,7 @@ impl MetropolisWalk {
             if span == 0 {
                 break;
             }
-            let proposal =
-                neighbors[draw::uniform_below(rng, span, draw::reject_threshold(span)) as usize];
+            let proposal = neighbors[draw::uniform_below(rng, span) as usize];
             telemetry::SAMPLING_MH_PROPOSALS.inc();
 
             let w_i = checked_weight(w, self.current)?.max(ZERO_WEIGHT_FLOOR);

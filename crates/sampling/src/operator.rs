@@ -29,7 +29,7 @@ use crate::error::SamplingError;
 use crate::executor;
 use crate::metropolis::MetropolisWalk;
 use crate::snapshot::{SnapshotCache, SnapshotRefresh};
-use crate::weight::{content_size_weight, uniform_weight, NodeWeight};
+use crate::weight::{uniform_weight, NodeWeight};
 use crate::Result;
 use digest_db::{P2PDatabase, RowView, Tuple, TupleHandle};
 use digest_net::{Graph, NodeId};
@@ -92,8 +92,8 @@ pub struct SamplingConfig {
     /// so this knob trades wall-clock time only, never results.
     pub workers: usize,
     /// Reuse / incrementally patch the per-occasion overlay snapshot
-    /// across occasions (keyed by graph mutation epoch, the captured
-    /// weights compared exactly; see `crate::snapshot`) instead of
+    /// across occasions (keyed by graph mutation epoch, the relation's
+    /// size column compared exactly; see `crate::snapshot`) instead of
     /// rebuilding it per batch. Byte-identical panels either way; off
     /// reproduces the cold PR 3 path for A/B runs.
     pub cache_snapshots: bool,
@@ -227,7 +227,7 @@ pub struct SamplingOperator {
 /// benchmarks and tests read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Full cold builds of the CSR, weights and rejection thresholds.
+    /// Full cold builds of the CSR and the size column.
     pub built: u64,
     /// Zero-write reuses of the cached snapshot.
     pub reused: u64,
@@ -469,8 +469,9 @@ impl SamplingOperator {
             return Err(SamplingError::UnknownNode(origin));
         }
         let occasion_seed = rng.next_u64();
-        let w = content_size_weight(db);
-        let (snapshot, refresh) = self.cache.refresh(g, &w, self.config.cache_snapshots)?;
+        let (snapshot, refresh) =
+            self.cache
+                .refresh(g, db.content_sizes(), self.config.cache_snapshots);
         match refresh {
             SnapshotRefresh::Built => self.stats.built += 1,
             SnapshotRefresh::Reused => self.stats.reused += 1,
@@ -1190,8 +1191,9 @@ mod batch_equivalence {
             return Err(SamplingError::UnknownNode(origin));
         }
         let occasion_seed = rng.next_u64();
-        let w = content_size_weight(db);
-        let (snapshot, refresh) = op.cache.refresh(g, &w, op.config.cache_snapshots)?;
+        let (snapshot, refresh) =
+            op.cache
+                .refresh(g, db.content_sizes(), op.config.cache_snapshots);
         match refresh {
             SnapshotRefresh::Built => op.stats.built += 1,
             SnapshotRefresh::Reused => op.stats.reused += 1,

@@ -8,20 +8,25 @@
 //! PAPERS.md):
 //!
 //! * **Epoch-keyed caching.** [`SnapshotCache`] holds the last-built
-//!   [`OccasionSnapshot`] keyed by the graph mutation epoch.
-//!   [`digest_net::Graph::epoch`] advances only on
-//!   structural mutation, so an unchanged overlay is detected in O(1);
-//!   weights (arbitrary caller closures) are re-evaluated into a scratch
-//!   buffer each occasion — O(n), unavoidable without purity guarantees
-//!   — and compared exactly. A full hit reuses the snapshot with zero
-//!   writes.
+//!   [`OccasionSnapshot`] keyed by the graph mutation epoch and the
+//!   relation's size column. The operator's one weight is the paper's
+//!   `w_v = m_v` (§III), so the snapshot freezes a copy of
+//!   [`digest_db::P2PDatabase::content_sizes`] rather than evaluating a
+//!   weight function per node. [`digest_net::Graph::epoch`] advances only
+//!   on structural mutation, so an unchanged overlay is detected in O(1)
+//!   and an unchanged relation by one exact slice compare; a full hit
+//!   reuses the snapshot with zero writes. A size count is always finite
+//!   and non-negative, so there is nothing to validate. The database has
+//!   no epoch of its own to key on: epochs of two databases are
+//!   incomparable, the hazard `SamplingOperator::reset` guards against
+//!   for graphs.
 //! * **CSR patching.** When the graph changed but the mutation journal
 //!   still covers the gap, [`digest_net::Graph::changes_since`] yields
 //!   the sorted set of dirty node ids. The snapshot is patched where it
 //!   changed and in place: the clean row spans between dirty ids slide to
 //!   their new positions in bulk and only dirty rows are re-read from the
-//!   graph. What stays O(n) is what a reuse pays too: capturing the
-//!   weights and comparing them.
+//!   graph. What stays O(n) is what a reuse pays too — comparing the size
+//!   column — plus one `memcpy` of it.
 //! * **M–H thresholds memoised on first proposal.** As in the paper
 //!   (§V-A), the Metropolis–Hastings ratio `(w_j·d_i) / (max(w_i, ε)·d_j)`
 //!   of Eq. 12 is evaluated when a walk at `i` proposes `j` — with
@@ -36,8 +41,8 @@
 //!   small share of its edges between two refreshes. A cell's value is a
 //!   pure function of the frozen arrays, so a walk that finds it filled
 //!   and one that fills it decide, *and consume the RNG stream*, alike.
-//!   The per-node Lemire rejection threshold of the proposal draw
-//!   ([`reject_threshold`], a modulo) is precomputed per refresh.
+//!   The proposal draw needs no per-node table: [`crate::draw::uniform_below`]
+//!   takes its rejection modulo only on the rare low word below the degree.
 //!
 //! Every refresh outcome is counted (`sampling.snapshot.built/reused/
 //! patched`) and timed under [`Stage::SnapshotBuild`]. The cache is
@@ -45,11 +50,8 @@
 //! incomparable, so `SamplingOperator::reset` must (and does) drop the
 //! cache before an operator may be pointed at another graph.
 
-use crate::draw::{accept_threshold, reject_threshold, ACCEPT_ALWAYS, THRESHOLD_BITS};
-use crate::error::SamplingError;
+use crate::draw::{accept_threshold, ACCEPT_ALWAYS, THRESHOLD_BITS};
 use crate::metropolis::ZERO_WEIGHT_FLOOR;
-use crate::weight::NodeWeight;
-use crate::Result;
 use digest_net::{Graph, NodeId};
 use digest_telemetry::{registry as telemetry, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,12 +102,12 @@ thread_local! {
     static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Per-occasion view of the overlay: CSR adjacency, liveness,
-/// pre-validated node weights, and a memo of the M–H acceptance
-/// threshold per directed edge, all indexed by raw node id. Built (or
-/// patched) once per occasion on the dispatching thread; shared by every
-/// walk slot, which reads the arrays and fills memo cells. A clone copies
-/// the cells' words.
+/// Per-occasion view of the overlay: CSR adjacency, liveness, the
+/// relation's size column (the node weights `w_v = m_v`), and a memo of
+/// the M–H acceptance threshold per directed edge, all indexed by raw
+/// node id. Built (or patched) once per occasion on the dispatching
+/// thread; shared by every walk slot, which reads the arrays and fills
+/// memo cells. A clone copies the cells' words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OccasionSnapshot {
     /// CSR row offsets, `id_upper_bound + 1` entries.
@@ -121,30 +123,47 @@ pub(crate) struct OccasionSnapshot {
     /// The memo's current stamp, `1..=STAMP_LIMIT` once built; 0 marks a
     /// cell never derived.
     stamp: u64,
-    /// Per-node Lemire rejection threshold for the uniform proposal
-    /// draw, [`reject_threshold`] of the node's degree
-    /// (`id_upper_bound` entries, 0 for dead or isolated ids).
-    reject: Vec<u32>,
-    /// Weight per id slot (0.0 for dead ids); every entry finite, ≥ 0.
-    weights: Vec<f64>,
+    /// The relation's content size per node id, copied from
+    /// [`digest_db::P2PDatabase::content_sizes`] at the refresh (ids past
+    /// its end hold no tuple). Node `v`'s weight is `f64::from(sizes[v])`,
+    /// the bits of `content_size(v) as f64`.
+    sizes: Vec<u32>,
     /// Liveness per id slot.
     live: Vec<bool>,
 }
 
 impl OccasionSnapshot {
-    /// Builds a cold snapshot (no cache); test-only reference path —
-    /// the operator goes through [`SnapshotCache`].
+    /// Builds a cold snapshot (no cache) over the size column `sizes`;
+    /// test-only reference path — the operator goes through
+    /// [`SnapshotCache`].
+    #[cfg(test)]
+    pub(crate) fn build_sized(g: &Graph, sizes: &[u32]) -> Self {
+        let mut cache = SnapshotCache::new();
+        cache.refresh(g, sizes, false);
+        cache.snapshot
+    }
+
+    /// [`Self::build_sized`] over the column of a relation whose live node
+    /// `v` holds `w(v)` tuples, so a walk test can run the live walker
+    /// under the same closure.
     ///
     /// # Errors
     ///
-    /// [`SamplingError::InvalidWeight`] if `w` yields a negative or
-    /// non-finite weight for any live node (the same check the
-    /// sequential walk applies lazily per step, applied eagerly here).
+    /// [`crate::SamplingError::InvalidWeight`] for a live node whose
+    /// weight is no tuple count.
     #[cfg(test)]
-    pub(crate) fn build<W: NodeWeight>(g: &Graph, w: &W) -> Result<Self> {
-        let mut cache = SnapshotCache::new();
-        cache.refresh(g, w, false)?;
-        Ok(cache.snapshot)
+    pub(crate) fn build(g: &Graph, w: &impl crate::weight::NodeWeight) -> crate::Result<Self> {
+        let mut sizes = vec![0; g.id_upper_bound()];
+        for v in g.nodes() {
+            let weight = w.weight(v);
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let size = weight as u32;
+            if f64::from(size).to_bits() != weight.to_bits() {
+                return Err(crate::SamplingError::InvalidWeight { node: v, weight });
+            }
+            sizes[v.0 as usize] = size;
+        }
+        Ok(Self::build_sized(g, &sizes))
     }
 
     /// Whether `v` was live at capture time.
@@ -198,20 +217,19 @@ impl OccasionSnapshot {
     fn derive(&self, cell: &MemoCell, idx: usize, from: NodeId) -> u64 {
         let degree = |v: usize| (self.offsets[v + 1] - self.offsets[v]) as f64;
         let (i, j) = (from.0 as usize, self.adjacency[idx].0 as usize);
-        let w_i = self.weights[i].max(ZERO_WEIGHT_FLOOR);
-        let threshold = accept_threshold((self.weights[j] * degree(i)) / (w_i * degree(j)));
+        let w_i = self.weight(i).max(ZERO_WEIGHT_FLOOR);
+        let threshold = accept_threshold((self.weight(j) * degree(i)) / (w_i * degree(j)));
         cell.set(self.stamp, threshold);
         #[cfg(test)]
         DERIVED.with(|n| n.set(n.get() + 1));
         threshold
     }
 
-    /// The precomputed per-node Lemire rejection threshold for `v`'s
-    /// uniform proposal draw (see [`reject_threshold`]).
+    /// Node `i`'s weight `m_i`, as the live walk's `content_size(v) as
+    /// f64` computes it.
     /// xtask: no-alloc
-    #[inline]
-    pub(crate) fn reject_threshold_of(&self, v: NodeId) -> u32 {
-        self.reject.get(v.0 as usize).copied().unwrap_or(0)
+    fn weight(&self, i: usize) -> f64 {
+        f64::from(self.sizes.get(i).copied().unwrap_or(0))
     }
 
     #[cfg(test)]
@@ -223,11 +241,6 @@ impl OccasionSnapshot {
     #[cfg(test)]
     pub(crate) fn degree(&self, v: NodeId) -> usize {
         self.row(v).1
-    }
-
-    #[cfg(test)]
-    pub(crate) fn weight(&self, v: NodeId) -> f64 {
-        self.weights.get(v.0 as usize).copied().unwrap_or(0.0)
     }
 
     /// Every acceptance threshold in CSR order, forced through the lookup
@@ -255,13 +268,13 @@ impl OccasionSnapshot {
         self.stamp += 1;
     }
 
-    /// Brings the CSR rows, liveness and rejection thresholds up to the
-    /// graph's state, given the `dirty` ids (sorted, deduped, complete —
-    /// the contract of [`Graph::changes_since`]) and an id space that did
-    /// not shrink. In place: the clean spans between dirty ids slide to
-    /// their new positions and only dirty rows are re-read from the
-    /// graph. Clean rows cannot reference removed nodes because
-    /// `remove_node` marks all former neighbors dirty.
+    /// Brings the CSR rows and liveness up to the graph's state, given the
+    /// `dirty` ids (sorted, deduped, complete — the contract of
+    /// [`Graph::changes_since`]) and an id space that did not shrink. In
+    /// place: the clean spans between dirty ids slide to their new
+    /// positions and only dirty rows are re-read from the graph. Clean
+    /// rows cannot reference removed nodes because `remove_node` marks all
+    /// former neighbors dirty.
     /// xtask: no-alloc
     fn patch_rows(&mut self, g: &Graph, dirty: &[NodeId]) {
         let Some(first) = dirty.first().map(|d| d.0 as usize) else {
@@ -273,11 +286,9 @@ impl OccasionSnapshot {
         // their old rows are empty ones at the old end.
         resize_retained(&mut self.offsets, upper + 1, old_total);
         resize_retained(&mut self.live, upper, false);
-        resize_retained(&mut self.reject, upper, 0);
         let Self {
             offsets,
             adjacency,
-            reject,
             live,
             ..
         } = self;
@@ -334,7 +345,6 @@ impl OccasionSnapshot {
             offsets[i] = write;
             adjacency[write..write + row.len()].copy_from_slice(row);
             live[i] = g.contains(d);
-            reject[i] = reject_threshold(degree_u32(row.len()));
             write += row.len();
             let moved = write.wrapping_sub(start);
             let next = dirty.get(r + 1).map_or(upper + 1, |next| next.0 as usize);
@@ -348,17 +358,12 @@ impl OccasionSnapshot {
     }
 }
 
-/// A node degree as the `u32` span of the proposal draw: a degree counts
-/// `u32`-numbered nodes, so it always fits.
-fn degree_u32(degree: usize) -> u32 {
-    u32::try_from(degree).unwrap_or(u32::MAX)
-}
-
-/// Resizes one of the cache's retained arrays, enlarging its allocation
-/// by an eighth at a time rather than `Vec`'s doubling (the first
-/// allocation is exact). These are the operator's largest buffers, the
-/// id space and edge count of a churning overlay creep rather than jump,
-/// and a doubled `accept` alone would hold 4.8 MB idle at 10⁵ nodes.
+/// Resizes one of the cache's retained arrays, allocating an eighth
+/// beyond what is asked rather than `Vec`'s doubling — the first
+/// allocation included. These are the operator's largest buffers, the id
+/// space and edge count of a churning overlay creep rather than jump: a
+/// doubled `accept` alone would hold 4.8 MB idle at 10⁵ nodes, and an
+/// exact first allocation would be copied at the first join.
 fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     if len > v.capacity() {
         grow_retained(v, len);
@@ -366,31 +371,41 @@ fn resize_retained<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     v.resize(len, fill);
 }
 
+/// Copies `src` into one of the retained arrays, growing it as
+/// [`resize_retained`] does.
+fn copy_retained<T: Copy>(v: &mut Vec<T>, src: &[T]) {
+    v.clear();
+    if src.len() > v.capacity() {
+        grow_retained(v, src.len());
+    }
+    v.extend_from_slice(src);
+}
+
 #[cold]
 fn grow_retained<T>(v: &mut Vec<T>, len: usize) {
-    let capacity = len.max(v.capacity() + v.capacity() / 8);
+    let capacity = (len + len / 8).max(v.capacity() + v.capacity() / 8);
     v.reserve_exact(capacity - v.len());
 }
 
 /// How a [`SnapshotCache::refresh`] satisfied the occasion's request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SnapshotRefresh {
-    /// Cold path: the full CSR, weights and rejection thresholds were
-    /// (re)materialized from the graph and the acceptance memo forgotten.
+    /// Cold path: the full CSR was (re)materialized from the graph, the
+    /// size column copied and the acceptance memo forgotten.
     Built,
-    /// Cache hit: same graph epoch, byte-identical weights — the cached
+    /// Cache hit: same graph epoch, an equal size column — the cached
     /// snapshot was returned with zero writes.
     Reused,
     /// Incremental path: the mutation journal covered the delta, so only
-    /// dirty CSR rows were re-read (clean spans moved in place); the
-    /// acceptance memo was forgotten.
+    /// dirty CSR rows were re-read (clean spans moved in place); the size
+    /// column was copied and the acceptance memo forgotten.
     Patched,
 }
 
 /// Epoch-keyed cache of the last [`OccasionSnapshot`], owned by a
 /// `SamplingOperator`. All scratch buffers are retained across
-/// occasions, so the steady state (unchanged overlay) allocates nothing
-/// and writes nothing beyond the weight re-evaluation.
+/// occasions, so the steady state (unchanged overlay and relation)
+/// allocates nothing and writes nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapshotCache {
     snapshot: OccasionSnapshot,
@@ -398,9 +413,6 @@ pub(crate) struct SnapshotCache {
     valid: bool,
     /// Graph mutation epoch the snapshot was captured at.
     epoch: u64,
-    /// Per-occasion weight re-evaluation target; after a refresh that
-    /// took the new weights, the ones the snapshot held before it.
-    weights_scratch: Vec<f64>,
 }
 
 impl SnapshotCache {
@@ -423,54 +435,49 @@ impl SnapshotCache {
         self.valid.then_some(self.epoch)
     }
 
-    /// Produces the occasion snapshot for the graph's current state,
-    /// reusing / patching the cached one when `caching` is on and the
-    /// key matches / the journal covers the delta.
-    ///
-    /// # Errors
-    ///
-    /// [`SamplingError::InvalidWeight`] if `w` yields a negative or
-    /// non-finite weight for any live node; the cache is invalidated so
-    /// a later refresh cannot serve stale state.
-    pub(crate) fn refresh<W: NodeWeight>(
+    /// Produces the occasion snapshot for the graph's current state and
+    /// the relation's size column `sizes`
+    /// ([`digest_db::P2PDatabase::content_sizes`]): reused when `caching`
+    /// is on, the epoch is the cached one and `sizes` equals the frozen
+    /// copy, patched when the journal covers the delta, built otherwise.
+    pub(crate) fn refresh(
         &mut self,
         g: &Graph,
-        w: &W,
+        sizes: &[u32],
         caching: bool,
-    ) -> Result<(&OccasionSnapshot, SnapshotRefresh)> {
+    ) -> (&OccasionSnapshot, SnapshotRefresh) {
         let _span = digest_telemetry::span(Stage::SnapshotBuild);
         let epoch = g.epoch();
-        if let Err(err) = capture_weights(g, w, &mut self.weights_scratch) {
-            self.invalidate();
-            return Err(err);
-        }
+        let mut served = SnapshotRefresh::Built;
         if caching && self.valid {
-            if epoch == self.epoch && self.weights_scratch == self.snapshot.weights {
+            if epoch == self.epoch && sizes == self.snapshot.sizes {
                 telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
-                return Ok((&self.snapshot, SnapshotRefresh::Reused));
+                return (&self.snapshot, SnapshotRefresh::Reused);
             }
             // Ids are never reused, so the id space of the graph this
             // cache is bound to cannot shrink; a smaller one is another
             // graph's and gets a cold build.
             let grown = g.id_upper_bound() >= self.snapshot.live.len();
             if let Some(dirty) = g.changes_since(self.epoch).filter(|_| grown) {
-                self.patch(g, &dirty);
-                self.epoch = epoch;
-                telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
-                return Ok((&self.snapshot, SnapshotRefresh::Patched));
+                self.snapshot.patch_rows(g, &dirty);
+                served = SnapshotRefresh::Patched;
             }
         }
-        self.rebuild_topology(g);
-        std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
+        if served == SnapshotRefresh::Built {
+            self.rebuild_topology(g);
+            self.valid = true;
+            telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
+        } else {
+            telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
+        }
+        copy_retained(&mut self.snapshot.sizes, sizes);
         self.snapshot.forget_thresholds();
         self.epoch = epoch;
-        self.valid = true;
-        telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
-        Ok((&self.snapshot, SnapshotRefresh::Built))
+        (&self.snapshot, served)
     }
 
-    /// Full CSR, liveness and rejection-threshold rebuild from the graph,
-    /// reusing the snapshot's existing allocations.
+    /// Full CSR and liveness rebuild from the graph, reusing the
+    /// snapshot's existing allocations.
     fn rebuild_topology(&mut self, g: &Graph) {
         let upper = g.id_upper_bound();
         let snap = &mut self.snapshot;
@@ -478,7 +485,6 @@ impl SnapshotCache {
         resize_retained(&mut snap.offsets, upper + 1, 0);
         snap.live.clear();
         resize_retained(&mut snap.live, upper, false);
-        resize_retained(&mut snap.reject, upper, 0);
         for v in g.nodes() {
             let i = v.0 as usize;
             if let (Some(live), Some(deg)) = (snap.live.get_mut(i), snap.offsets.get_mut(i + 1)) {
@@ -490,10 +496,7 @@ impl SnapshotCache {
         // sum reaches it.
         for i in 0..upper {
             let prev = snap.offsets.get(i).copied().unwrap_or(0);
-            if let (Some(next), Some(reject)) =
-                (snap.offsets.get_mut(i + 1), snap.reject.get_mut(i))
-            {
-                *reject = reject_threshold(degree_u32(*next));
+            if let Some(next) = snap.offsets.get_mut(i + 1) {
                 *next += prev;
             }
         }
@@ -511,18 +514,6 @@ impl SnapshotCache {
             }
         }
     }
-
-    /// Incremental refresh from the journal's `dirty` ids and the freshly
-    /// captured `weights_scratch`: every array ends byte-equal to a cold
-    /// build's, and the memo answers as a cold build's would. The CSR work
-    /// is proportional to the dirty rows and the clean spans between them.
-    /// xtask: no-alloc
-    fn patch(&mut self, g: &Graph, dirty: &[NodeId]) {
-        let snap = &mut self.snapshot;
-        snap.patch_rows(g, dirty);
-        std::mem::swap(&mut snap.weights, &mut self.weights_scratch);
-        snap.forget_thresholds();
-    }
 }
 
 /// How many acceptance thresholds this thread's walks have derived so far.
@@ -531,48 +522,23 @@ pub(crate) fn thresholds_derived() -> usize {
     DERIVED.with(std::cell::Cell::get)
 }
 
-/// Evaluates `w` over every live node into `scratch` (0.0 for dead id
-/// slots), validating eagerly.
-fn capture_weights<W: NodeWeight>(g: &Graph, w: &W, scratch: &mut Vec<f64>) -> Result<()> {
-    let upper = g.id_upper_bound();
-    scratch.clear();
-    resize_retained(scratch, upper, 0.0);
-    for v in g.nodes() {
-        let weight = w.weight(v);
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(SamplingError::InvalidWeight { node: v, weight });
-        }
-        if let Some(slot) = scratch.get_mut(v.0 as usize) {
-            *slot = weight;
-        }
-    }
-    Ok(())
-}
-
-/// The whole-graph patch `SnapshotCache::patch` replaced — every CSR row
+/// The whole-graph patch the in-place one replaced — every CSR row
 /// re-copied into double buffers with a binary search per node, then
 /// every threshold recomputed — kept as the model the proptest below
 /// holds the in-place patch to, and the eager acceptance table the memo
 /// is held to.
 #[cfg(test)]
 mod reference {
-    use super::{accept_threshold, degree_u32, reject_threshold, OccasionSnapshot};
+    use super::{accept_threshold, OccasionSnapshot};
     use crate::metropolis::ZERO_WEIGHT_FLOOR;
     use digest_net::{Graph, NodeId};
 
-    /// Patches `snap`'s CSR, liveness, weights and rejection thresholds
-    /// to `g`'s state given the journal's `dirty` ids and the newly
-    /// captured `weights` (its memo is left as it was: compare through
-    /// [`recompute_tables`]).
-    pub(super) fn patch(
-        snap: &mut OccasionSnapshot,
-        g: &Graph,
-        dirty: &[NodeId],
-        weights: Vec<f64>,
-    ) {
+    /// Patches `snap`'s CSR, liveness and size column to `g`'s state
+    /// given the journal's `dirty` ids and the relation's `sizes` (its
+    /// memo is left as it was: compare through [`recompute_accept`]).
+    pub(super) fn patch(snap: &mut OccasionSnapshot, g: &Graph, dirty: &[NodeId], sizes: &[u32]) {
         patch_topology(snap, g, dirty);
-        snap.weights = weights;
-        snap.reject = recompute_tables(snap).1;
+        snap.sizes = sizes.to_vec();
     }
 
     fn node_id(i: usize) -> NodeId {
@@ -637,43 +603,27 @@ mod reference {
         std::mem::swap(&mut snap.adjacency, &mut adjacency_scratch);
     }
 
-    /// Every edge's acceptance threshold and every id's rejection
-    /// threshold, derived eagerly from `snap`'s CSR and weights.
-    pub(super) fn recompute_tables(snap: &OccasionSnapshot) -> (Vec<u64>, Vec<u32>) {
+    /// Every edge's acceptance threshold, derived eagerly from `snap`'s
+    /// CSR and size column.
+    pub(super) fn recompute_accept(snap: &OccasionSnapshot) -> Vec<u64> {
         let mut accept = Vec::with_capacity(snap.adjacency.len());
-        let upper = snap.live.len();
-        let mut reject = Vec::with_capacity(upper);
-        for i in 0..upper {
-            let (start, len) = (
-                snap.offsets.get(i).copied().unwrap_or(0),
-                snap.offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0)),
-            );
-            reject.push(reject_threshold(degree_u32(len)));
+        let weight = |i: usize| f64::from(snap.sizes.get(i).copied().unwrap_or(0));
+        let row = |i: usize| {
+            let start = snap.offsets.get(i).copied().unwrap_or(0);
+            let end = snap.offsets.get(i + 1).copied().unwrap_or(0);
+            (start, end.saturating_sub(start))
+        };
+        for i in 0..snap.live.len() {
+            let (start, len) = row(i);
             let d_i = len as f64;
-            let w_i = snap
-                .weights
-                .get(i)
-                .copied()
-                .unwrap_or(0.0)
-                .max(ZERO_WEIGHT_FLOOR);
+            let w_i = weight(i).max(ZERO_WEIGHT_FLOOR);
             for k in start..start + len {
                 let j = snap.adjacency.get(k).map_or(0, |n| n.0 as usize);
-                let w_j = snap.weights.get(j).copied().unwrap_or(0.0);
-                let d_j = (snap
-                    .offsets
-                    .get(j + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(snap.offsets.get(j).copied().unwrap_or(0)))
-                    as f64;
-                accept.push(accept_threshold((w_j * d_i) / (w_i * d_j)));
+                let d_j = row(j).1 as f64;
+                accept.push(accept_threshold((weight(j) * d_i) / (w_i * d_j)));
             }
         }
-        (accept, reject)
+        accept
     }
 }
 
@@ -686,6 +636,8 @@ mod reference {
 )]
 mod tests {
     use super::*;
+    use crate::weight::{content_size_weight, NodeWeight};
+    use digest_db::{P2PDatabase, Schema, Tuple};
     use digest_net::topology;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -695,67 +647,70 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// Registers `v` and gives it `m` tuples.
+    fn join(db: &mut P2PDatabase, v: NodeId, m: u32) {
+        db.register_node(v);
+        for k in 0..m {
+            db.insert(v, Tuple::single(f64::from(k))).unwrap();
+        }
+    }
+
+    /// A relation over `g`'s live nodes in which `v` holds `m(v)` tuples.
+    fn db_of(g: &Graph, m: impl Fn(NodeId) -> u32) -> P2PDatabase {
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        for v in g.nodes() {
+            join(&mut db, v, m(v));
+        }
+        db
+    }
+
     /// `a`'s arrays equal `b`'s, and every threshold `a`'s memo serves —
     /// forced through the lookup — equals the eager table of `b`.
     fn assert_snapshots_equal(a: &OccasionSnapshot, b: &OccasionSnapshot) {
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.adjacency, b.adjacency);
-        assert_eq!(a.weights, b.weights);
+        assert_eq!(a.sizes, b.sizes);
         assert_eq!(a.live, b.live);
-        assert_eq!(a.reject, b.reject);
-        let (accept, reject) = reference::recompute_tables(b);
-        assert_eq!(a.forced_accept(), accept);
-        assert_eq!(a.reject, reject);
+        assert_eq!(a.forced_accept(), reference::recompute_accept(b));
     }
 
     #[test]
     fn snapshot_matches_graph_views() {
         let mut g = topology::barabasi_albert(40, 2, &mut rng(7)).unwrap();
+        let db = db_of(&g, |v| v.0 % 4 + 1);
         g.remove_node(NodeId(11)).unwrap();
-        let w = |v: NodeId| f64::from(v.0) + 0.5;
-        let snap = OccasionSnapshot::build(&g, &w).unwrap();
+        let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
         for v in g.nodes() {
             assert!(snap.contains(v));
             assert_eq!(snap.neighbors(v), g.neighbors(v));
             assert_eq!(snap.degree(v), g.degree(v));
-            assert_eq!(snap.weight(v), f64::from(v.0) + 0.5);
+            assert_eq!(snap.weight(v.0 as usize), f64::from(v.0 % 4 + 1));
         }
         assert!(!snap.contains(NodeId(11)));
         assert!(snap.neighbors(NodeId(11)).is_empty());
         assert!(!snap.contains(NodeId(999)));
-    }
-
-    #[test]
-    fn snapshot_rejects_invalid_weights_eagerly() {
-        let g = topology::ring(6).unwrap();
-        let w = |v: NodeId| if v.0 == 3 { f64::NAN } else { 1.0 };
-        assert!(matches!(
-            OccasionSnapshot::build(&g, &w),
-            Err(SamplingError::InvalidWeight {
-                node: NodeId(3),
-                ..
-            })
-        ));
-        let w = |v: NodeId| if v.0 == 2 { -1.0 } else { 1.0 };
-        assert!(OccasionSnapshot::build(&g, &w).is_err());
+        assert_eq!(snap.weight(999), 0.0, "an id past the column weighs 0");
     }
 
     /// The acceptance memo must serve exactly the threshold derived
-    /// from the ratio the live walk computes per step (PAPER.md §V-A
-    /// Eq. 12), folded through the same [`accept_threshold`].
+    /// from the ratio the live walk computes per step under the
+    /// content-size weight (PAPER.md §V-A Eq. 12), folded through the same
+    /// [`accept_threshold`]. Nodes with no tuple take the zero-weight
+    /// floor.
     #[test]
     fn acceptance_table_is_bit_identical_to_live_expression() {
         let g = topology::barabasi_albert(80, 3, &mut rng(5)).unwrap();
-        let w = |v: NodeId| f64::from(v.0 % 7) + 0.25;
-        let snap = OccasionSnapshot::build(&g, &w).unwrap();
+        let db = db_of(&g, |v| v.0 % 7);
+        let w = content_size_weight(&db);
+        let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
         let mut below_one = 0usize;
         for v in g.nodes() {
             let (start, len) = snap.row(v);
             let d_i = g.degree(v) as f64;
-            let w_i = w(v).max(ZERO_WEIGHT_FLOOR);
+            let w_i = w.weight(v).max(ZERO_WEIGHT_FLOOR);
             for k in 0..len {
                 let j = snap.neighbor_at(start + k);
-                let live = (w(j) * d_i) / (w_i * (g.degree(j) as f64));
+                let live = (w.weight(j) * d_i) / (w_i * (g.degree(j) as f64));
                 assert_eq!(
                     snap.accept_threshold_at(start + k, v),
                     accept_threshold(live)
@@ -769,33 +724,15 @@ mod tests {
         assert!(below_one > 0);
     }
 
-    /// The per-node rejection table must hold exactly the 32-bit Lemire
-    /// threshold `2³² mod d` of every degree the shipped overlays have.
     #[test]
-    fn reject_table_holds_the_32_bit_lemire_threshold_of_every_degree() {
-        let graphs = [
-            topology::barabasi_albert(200, 3, &mut rng(6)).unwrap(),
-            topology::mesh(7, 9, false).unwrap(),
-            topology::mesh(6, 6, true).unwrap(),
-        ];
-        for g in &graphs {
-            let snap = OccasionSnapshot::build(g, &|_: NodeId| 1.0).unwrap();
-            for v in g.nodes() {
-                let span = u32::try_from(g.degree(v)).unwrap();
-                assert_eq!(snap.reject_threshold_of(v), span.wrapping_neg() % span);
-            }
-        }
-    }
-
-    #[test]
-    fn cache_reuses_on_unchanged_graph_and_weights() {
+    fn cache_reuses_on_unchanged_graph_and_sizes() {
         let g = topology::barabasi_albert(60, 2, &mut rng(3)).unwrap();
-        let w = |_: NodeId| 1.0;
+        let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        let (_, first) = cache.refresh(&g, &w, true).unwrap();
+        let (_, first) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(first, SnapshotRefresh::Built);
         let key = cache.key().unwrap();
-        let (_, second) = cache.refresh(&g, &w, true).unwrap();
+        let (_, second) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(second, SnapshotRefresh::Reused);
         assert_eq!(cache.key().unwrap(), key);
     }
@@ -803,10 +740,10 @@ mod tests {
     #[test]
     fn cache_disabled_always_rebuilds() {
         let g = topology::ring(12).unwrap();
-        let w = |_: NodeId| 1.0;
+        let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
         for _ in 0..3 {
-            let (_, kind) = cache.refresh(&g, &w, false).unwrap();
+            let (_, kind) = cache.refresh(&g, db.content_sizes(), false);
             assert_eq!(kind, SnapshotRefresh::Built);
         }
     }
@@ -816,38 +753,71 @@ mod tests {
     #[test]
     fn patched_snapshot_equals_cold_build_after_churn() {
         let mut g = topology::barabasi_albert(50, 3, &mut rng(9)).unwrap();
-        let w = |v: NodeId| f64::from(v.0 % 4) + 1.0;
+        let mut db = db_of(&g, |v| v.0 % 4 + 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
 
         // Add a node with edges, remove a node, rewire an edge.
         let fresh = g.add_node();
+        join(&mut db, fresh, 3);
         g.add_edge(fresh, NodeId(0)).unwrap();
         g.add_edge(fresh, NodeId(7)).unwrap();
         g.remove_node(NodeId(13)).unwrap();
+        db.remove_node(NodeId(13)).unwrap();
         let a = NodeId(2);
         let b = g.neighbors(a)[0];
         g.remove_edge(a, b).unwrap();
         g.add_edge(a, NodeId(21)).unwrap();
 
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
-        let cold = OccasionSnapshot::build(&g, &w).unwrap();
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
-    /// A weight change alone (same epoch) must also invalidate reuse and
-    /// produce the cold-build snapshot.
+    /// A refresh is served from the cache exactly when the graph's epoch
+    /// and the whole size column (its length included) are what the
+    /// snapshot froze. A size change on an unchanged overlay patches: it
+    /// bumps the stamp, so a warm memo serves the eager thresholds of the
+    /// new column.
     #[test]
-    fn weight_change_alone_triggers_patch() {
-        let g = topology::ring(20).unwrap();
+    fn a_refresh_is_reused_iff_the_epoch_and_the_sizes_are_unchanged() {
+        let mut g = topology::barabasi_albert(30, 2, &mut rng(8)).unwrap();
+        let mut db = db_of(&g, |v| v.0 % 3 + 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
-        let w2 = |v: NodeId| f64::from(v.0) + 2.0;
-        let (_, kind) = cache.refresh(&g, &w2, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-        let cold = OccasionSnapshot::build(&g, &w2).unwrap();
-        assert_snapshots_equal(&cache.snapshot, &cold);
+        let mut refresh = |g: &Graph, db: &P2PDatabase| {
+            let (snap, kind) = cache.refresh(g, db.content_sizes(), true);
+            let warm = snap.forced_accept();
+            let stamp = snap.stamp;
+            assert_snapshots_equal(snap, &OccasionSnapshot::build_sized(g, db.content_sizes()));
+            (kind, stamp, warm)
+        };
+        let (kind, stamp, warm) = refresh(&g, &db);
+        assert_eq!(kind, SnapshotRefresh::Built);
+        let (kind, again, _) = refresh(&g, &db);
+        assert_eq!((kind, again), (SnapshotRefresh::Reused, stamp));
+
+        // One more tuple at one node, no structural change.
+        db.insert(NodeId(7), Tuple::single(0.5)).unwrap();
+        let (kind, bumped, now) = refresh(&g, &db);
+        assert_eq!((kind, bumped), (SnapshotRefresh::Patched, stamp + 1));
+        assert_ne!(now, warm, "the size change reaches the thresholds");
+        let (kind, same, _) = refresh(&g, &db);
+        assert_eq!((kind, same), (SnapshotRefresh::Reused, bumped));
+
+        // A column that only grew by an empty node is a different column.
+        db.register_node(NodeId(40));
+        assert_eq!(refresh(&g, &db).0, SnapshotRefresh::Patched);
+        assert_eq!(refresh(&g, &db).0, SnapshotRefresh::Reused);
+
+        // A structural change under an equal column patches too.
+        let far = (1..30)
+            .map(NodeId)
+            .find(|&v| !g.has_edge(NodeId(0), v))
+            .unwrap();
+        assert!(g.add_edge(NodeId(0), far).unwrap());
+        assert_eq!(refresh(&g, &db).0, SnapshotRefresh::Patched);
+        assert_eq!(refresh(&g, &db).0, SnapshotRefresh::Reused);
     }
 
     /// Once the journal overflows, `changes_since` loses coverage and
@@ -855,18 +825,18 @@ mod tests {
     #[test]
     fn journal_overflow_falls_back_to_full_rebuild() {
         let mut g = topology::ring(16).unwrap();
-        let w = |_: NodeId| 1.0;
+        let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
         // Far more mutations than the journal retains.
         for _ in 0..4096 {
             let v = g.add_node();
             g.add_edge(v, NodeId(0)).unwrap();
             g.remove_node(v).unwrap();
         }
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Built);
-        let cold = OccasionSnapshot::build(&g, &w).unwrap();
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
@@ -877,14 +847,15 @@ mod tests {
     #[test]
     fn journal_bound_decides_patch_vs_build() {
         let mut g = topology::ring(16).unwrap();
-        let w = |_: NodeId| 1.0;
+        let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
 
         // Under the bound: a handful of mutations → Patched.
         let v = g.add_node();
+        join(&mut db, v, 2);
         g.add_edge(v, NodeId(0)).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
 
         // Past the bound (JOURNAL_CAP entries): same edge toggled far
@@ -893,9 +864,10 @@ mod tests {
             g.add_edge(v, NodeId(1)).unwrap();
             g.remove_edge(v, NodeId(1)).unwrap();
         }
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Built);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
     /// Re-pointing an un-invalidated cache at a *different* graph whose
@@ -913,37 +885,21 @@ mod tests {
             old.remove_edge(a, b).ok();
             old.add_edge(a, b).ok();
         }
-        let w = |_: NodeId| 1.0;
+        let db = db_of(&old, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&old, &w, true).unwrap();
+        cache.refresh(&old, db.content_sizes(), true);
 
         // A fresh graph starts from epoch ~n: far below the cached mark.
         let fresh = topology::ring(8).unwrap();
         assert!(fresh.epoch() < old.epoch());
-        let (_, kind) = cache.refresh(&fresh, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&fresh, db.content_sizes(), true);
         assert_eq!(
             kind,
             SnapshotRefresh::Built,
             "stale cache must rebuild for a graph it has never seen"
         );
-        assert_snapshots_equal(
-            &cache.snapshot,
-            &OccasionSnapshot::build(&fresh, &w).unwrap(),
-        );
-    }
-
-    #[test]
-    fn invalid_weight_invalidates_cache() {
-        let g = topology::ring(8).unwrap();
-        let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
-        assert!(cache.key().is_some());
-        let bad = |v: NodeId| if v.0 == 1 { -3.0 } else { 1.0 };
-        assert!(cache.refresh(&g, &bad, true).is_err());
-        assert!(cache.key().is_none());
-        // Next valid refresh is a cold build, not a stale reuse.
-        let (_, kind) = cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Built);
+        let cold = OccasionSnapshot::build_sized(&fresh, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
     /// Growing then shrinking `id_upper_bound` across patches must stay
@@ -951,23 +907,27 @@ mod tests {
     #[test]
     fn patch_handles_upper_bound_growth_and_shrink() {
         let mut g = topology::ring(10).unwrap();
-        let w = |_: NodeId| 1.0;
+        let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
 
         let v = g.add_node();
+        join(&mut db, v, 1);
         g.add_edge(v, NodeId(4)).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
 
         g.remove_node(v).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        db.remove_node(v).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
-    /// One edit to the overlay or the weight table between refreshes;
+    /// One edit to the overlay or the size column between refreshes;
     /// node operands index the live list (mod its length).
     #[derive(Debug, Clone)]
     enum Op {
@@ -978,7 +938,7 @@ mod tests {
         Leave(usize),
         AddEdge(usize, usize),
         RemoveEdge(usize),
-        SetWeight(usize, f64),
+        SetSize(usize, u32),
         /// One edge toggled until the journal overflows.
         Storm,
     }
@@ -990,14 +950,16 @@ mod tests {
             (0usize..64).prop_map(Op::Leave),
             (0usize..64, 0usize..64).prop_map(|(a, b)| Op::AddEdge(a, b)),
             (0usize..64).prop_map(Op::RemoveEdge),
-            (0usize..64, 0.0f64..4.0).prop_map(|(k, w)| Op::SetWeight(k, w)),
-            (0usize..64, 0.0f64..4.0).prop_map(|(k, w)| Op::SetWeight(k, w)),
-            (0usize..64).prop_map(|k| Op::SetWeight(k, 0.0)),
+            (0usize..64, 0u32..4).prop_map(|(k, m)| Op::SetSize(k, m)),
+            (0usize..64, 0u32..4).prop_map(|(k, m)| Op::SetSize(k, m)),
+            (0usize..64).prop_map(|k| Op::SetSize(k, 0)),
             Just(Op::Storm),
         ]
     }
 
-    fn apply(op: &Op, g: &mut Graph, table: &mut Vec<f64>) {
+    /// Applies `op` to the overlay and to the size column `sizes`, which
+    /// need not span the id space (ids past it hold no tuple).
+    fn apply(op: &Op, g: &mut Graph, sizes: &mut Vec<u32>) {
         let live: Vec<NodeId> = g.nodes().collect();
         let pick = |k: usize| live[k % live.len()];
         match *op {
@@ -1020,12 +982,12 @@ mod tests {
                     g.remove_edge(pick(k), nb).unwrap();
                 }
             }
-            Op::SetWeight(k, w) => {
+            Op::SetSize(k, m) => {
                 let i = pick(k).0 as usize;
-                if table.len() <= i {
-                    table.resize(i + 1, 1.0);
+                if sizes.len() <= i {
+                    sizes.resize(i + 1, 1);
                 }
-                table[i] = w;
+                sizes[i] = m;
             }
             Op::Storm => {
                 let (a, b) = (pick(0), pick(1));
@@ -1061,24 +1023,23 @@ mod tests {
                 1 => topology::ring(n).unwrap(),
                 _ => topology::star(n).unwrap(),
             };
-            let mut table: Vec<f64> = Vec::new();
+            let mut sizes = vec![1; n];
             let mut cache = SnapshotCache::new();
-            cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+            cache.refresh(&g, &sizes, true);
             cache.snapshot.forced_accept();
             for ops in &rounds {
                 let before = cache.snapshot.clone();
                 let mark = cache.key().unwrap();
                 for op in ops {
-                    apply(op, &mut g, &mut table);
+                    apply(op, &mut g, &mut sizes);
                 }
-                let w = |v: NodeId| table.get(v.0 as usize).copied().unwrap_or(1.0);
-                let (_, served) = cache.refresh(&g, &w, true).unwrap();
-                let cold = OccasionSnapshot::build(&g, &w).unwrap();
+                let (_, served) = cache.refresh(&g, &sizes, true);
+                let cold = OccasionSnapshot::build_sized(&g, &sizes);
                 let derived = thresholds_derived();
                 assert_snapshots_equal(&cache.snapshot, &cold);
                 let derived = thresholds_derived() - derived;
 
-                let unchanged = g.epoch() == mark && cold.weights == before.weights;
+                let unchanged = g.epoch() == mark && sizes == before.sizes;
                 let stormed = ops.iter().any(|op| matches!(op, Op::Storm));
                 match served {
                     SnapshotRefresh::Reused => {
@@ -1095,7 +1056,7 @@ mod tests {
                         prop_assert_eq!(derived, cold.adjacency.len());
                         let dirty = g.changes_since(mark).unwrap();
                         let mut model = before;
-                        reference::patch(&mut model, &g, &dirty, cold.weights.clone());
+                        reference::patch(&mut model, &g, &dirty, &sizes);
                         assert_snapshots_equal(&cache.snapshot, &model);
                     }
                 }
@@ -1103,20 +1064,22 @@ mod tests {
         }
     }
 
-    /// A weight that changes on a node the journal never saw must still
+    /// A size that changes on a node the journal never saw must still
     /// reach the thresholds of the edges pointing at that node, however
     /// warm the memo was: the patch forgets every cell.
     #[test]
-    fn weight_change_on_a_clean_node_reaches_the_edges_pointing_at_it() {
+    fn size_change_on_a_clean_node_reaches_the_edges_pointing_at_it() {
         let g = topology::barabasi_albert(300, 3, &mut rng(21)).unwrap();
+        let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
         let warm = cache.snapshot.forced_accept();
         let target = NodeId(150);
-        let w = |v: NodeId| if v == target { 0.125 } else { 1.0 };
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        join(&mut db, target, 7);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
         let now = cache.snapshot.forced_accept();
         let mut moved = 0;
         for v in g.nodes() {
@@ -1136,21 +1099,21 @@ mod tests {
     #[test]
     fn a_threshold_is_not_served_after_the_stamp_wraps_back_to_it() {
         let g = topology::ring(6).unwrap();
-        let weights =
-            |flip: bool| move |v: NodeId| f64::from(v.0 % 3) + if flip { 0.5 } else { 2.0 };
+        let sizes =
+            |flip: bool| -> Vec<u32> { (0..6).map(|v| v % 3 + if flip { 1 } else { 4 }).collect() };
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &weights(false), true).unwrap();
+        cache.refresh(&g, &sizes(false), true);
         let stamp = cache.snapshot.stamp;
         let stale = cache.snapshot.forced_accept();
         // `STAMP_LIMIT` patches, no lookup in between; the limit is odd, so
-        // the last one leaves the flipped weights in place.
+        // the last one leaves the flipped column in place.
         for k in 0..STAMP_LIMIT {
-            let (_, kind) = cache.refresh(&g, &weights(k % 2 == 0), true).unwrap();
+            let (_, kind) = cache.refresh(&g, &sizes(k % 2 == 0), true);
             assert_eq!(kind, SnapshotRefresh::Patched);
         }
         assert_eq!(cache.snapshot.stamp, stamp);
-        let cold = OccasionSnapshot::build(&g, &weights(true)).unwrap();
-        assert_ne!(reference::recompute_tables(&cold).0, stale);
+        let cold = OccasionSnapshot::build_sized(&g, &sizes(true));
+        assert_ne!(reference::recompute_accept(&cold), stale);
         assert_snapshots_equal(&cache.snapshot, &cold);
     }
 
@@ -1160,21 +1123,24 @@ mod tests {
     #[test]
     fn one_join_and_one_leave_patch_a_large_overlay_without_deriving() {
         let mut g = topology::barabasi_albert(20_000, 3, &mut rng(22)).unwrap();
-        let w = |v: NodeId| f64::from(v.0 % 5) + 1.0;
+        let mut db = db_of(&g, |v| v.0 % 5 + 1);
         let derived = thresholds_derived();
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, db.content_sizes(), true);
 
         let hub = g.nodes().max_by_key(|&v| g.degree(v)).unwrap();
         let joiner = g.add_node();
+        join(&mut db, joiner, 2);
         for target in [hub, NodeId(4_321), NodeId(17)] {
             g.add_edge(joiner, target).unwrap();
         }
         g.remove_node(NodeId(9_876)).unwrap();
+        db.remove_node(NodeId(9_876)).unwrap();
 
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
         assert_eq!(kind, SnapshotRefresh::Patched);
         assert_eq!(thresholds_derived(), derived);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
+        let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
+        assert_snapshots_equal(&cache.snapshot, &cold);
     }
 }
