@@ -25,8 +25,9 @@
 //!   count, including 1. Per-occasion overlay snapshots are cached and
 //!   incrementally patched across occasions
 //!   ([`SamplingConfig::cache_snapshots`]): cost is proportional to
-//!   *change*, not overlay size, and the M–H acceptance ratios are
-//!   precomputed into the snapshot (bit-equivalent to the live Eq. 12
+//!   *change*, not overlay size; the node weights are the relation's
+//!   size column, and the M–H acceptance thresholds are memoised in the
+//!   snapshot on first proposal (bit-equivalent to the live Eq. 12
 //!   expression, so RNG streams and panels are unaffected).
 //! * [`mixing`] — exact mixing analysis on small graphs: transition
 //!   matrices, `π_t = π_0 Pᵗ`, TVD curves, measured mixing time `τ(γ)`,
