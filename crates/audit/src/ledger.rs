@@ -453,6 +453,92 @@ mod tests {
         assert_eq!(ledger.tracked(), 2);
     }
 
+    impl MessageLedger {
+        /// The value each entry the latest `observe` stamped last shipped:
+        /// what an `ALL+FILTER` querier holds for the tuples it tracks.
+        fn shipped(&self) -> Vec<f64> {
+            let tick = self.totals.ticks;
+            self.rows
+                .iter()
+                .flatten()
+                .filter(|entry| entry.seen == tick)
+                .map(|entry| entry.shipped)
+                .collect()
+        }
+    }
+
+    /// Drives a six-node world for 200 ticks — every value drifts upward
+    /// with noise each tick, and with `churn` nodes leave and rejoin and
+    /// tuples are replaced — and returns the worst distance between
+    /// `ALL+FILTER`'s answer (the mean of the shipped values) and the exact
+    /// AVG over the ticks, with the ledger's totals.
+    fn worst_filter_error(churn: bool, seed: u64) -> (f64, LedgerTotals) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut world = World {
+            db: P2PDatabase::new(Schema::single("a")),
+            live: Vec::new(),
+        };
+        for node in 0..6 {
+            world.db.register_node(NodeId(node));
+            for _ in 0..5 {
+                world.insert(NodeId(node), rng.gen_range(40.0..60.0));
+            }
+        }
+        let expr = Expr::first_attr(world.db.schema());
+        let mut ledger = ledger_for(&world.db, EPSILON);
+        let mut worst: f64 = 0.0;
+        for _ in 0..200 {
+            for pick in 0..world.live.len() {
+                let by = rng.gen_range(-0.2..0.5);
+                world.rewrite(pick, |a| a + by);
+            }
+            if churn {
+                let node = NodeId(rng.gen_range(0..6));
+                if world.db.has_node(node) && rng.gen_bool(0.2) {
+                    world.remove_node(node);
+                } else if !world.db.has_node(node) {
+                    world.db.register_node(node);
+                    for _ in 0..5 {
+                        world.insert(node, rng.gen_range(40.0..60.0));
+                    }
+                }
+                if let Some(h) = world.picked(rng.gen_range(0..64)) {
+                    world.delete(h);
+                    world.insert(h.node, rng.gen_range(40.0..60.0));
+                }
+            }
+            ledger.observe(&world.db);
+            let shipped = ledger.shipped();
+            assert_eq!(shipped.len(), ledger.tracked());
+            if let Ok(truth) = world.db.exact_avg(&expr) {
+                let held = shipped.iter().sum::<f64>() / shipped.len() as f64;
+                worst = worst.max((held - truth).abs());
+            }
+        }
+        (worst, ledger.totals())
+    }
+
+    /// Every tracked tuple is within ε of its shipped value and the
+    /// tracked tuples are the relation, so `ALL+FILTER`'s mean of shipped
+    /// values is within ε of the AVG on every tick — on a drifting world
+    /// and on a churning one — while shipping fewer messages than `ALL`.
+    #[test]
+    fn filter_answer_stays_within_epsilon_of_the_avg() {
+        for (churn, seed) in [(false, 1), (true, 2)] {
+            let (worst, totals) = worst_filter_error(churn, seed);
+            assert!(worst <= EPSILON, "churn {churn}: worst error {worst}");
+            // The drift is mostly upward, so the held-back changes add up
+            // to a sizeable share of ε: the bound is exercised, not met by
+            // a filter that ships everything.
+            assert!(worst > 0.25 * EPSILON, "churn {churn}: worst error {worst}");
+            assert!(
+                totals.filter_messages < totals.all_messages / 2,
+                "churn {churn}: {totals:?}"
+            );
+        }
+    }
+
     const EPSILON: f64 = 1.0;
     /// Every tuple's `c`: the accounted population is `a > c`.
     const THRESHOLD: f64 = 50.0;

@@ -15,10 +15,12 @@
 //!   table (nominal coverage level vs observed coverage at the CLT-scaled
 //!   half-width), and emits `audit.occasion` telemetry events;
 //! * [`ledger::MessageLedger`] — recomputes, in the same run, what the
-//!   push-based `ALL` and `ALL+FILTER` baselines (paper §VI-B3, Olston
-//!   adaptive filters) would have spent on the same data stream, giving
-//!   per-query message-cost comparisons that share every tick of workload
-//!   dynamics with the digest engine being audited;
+//!   push-based `ALL` and `ALL+FILTER` baselines (paper §VI-B3; a fixed
+//!   ±ε filter, one message a push) would have spent on the same data
+//!   stream, giving per-query message-cost comparisons that share every
+//!   tick of workload dynamics with the digest engine being audited. It is
+//!   the repository's only model of the push baselines: Fig. 5-b's push
+//!   rows (`exp_fig5b`) read it off Digest's own run;
 //! * [`chrome::chrome_trace_json`] — exports a collected telemetry event
 //!   stream (with its causal `trace` envelopes) to Chrome/Perfetto
 //!   trace-event JSON for timeline inspection.

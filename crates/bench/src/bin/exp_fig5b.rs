@@ -3,37 +3,63 @@
 //! Same query as Figure 5-a (`δ/σ̂ = 1, ε/σ̂ = 0.25, p = 0.95`), total
 //! node-to-node messages for:
 //!
-//! * `ALL+ALL` — push every tuple every tick (exact; paper's baseline),
-//! * `ALL+FILTER` — Olston-style adaptive filters,
+//! * `ALL+ALL` — every value change is pushed to the querier (exact),
+//! * `ALL+FILTER` — a change is pushed only when it escapes a fixed ±ε
+//!   filter around the value last pushed,
 //! * `ALL+INDEP` — naive sampling,
 //! * `PRED3+RPT` — Digest.
 //!
-//! Expected shape (paper, log-scale): Digest ≥ 1 order of magnitude under
-//! ALL+FILTER and ≈ 2 orders under ALL+ALL; even naive sampling beats the
-//! filter-based push approach. The paper also reports the average walk
-//! cost per sample: 65 msgs (530-node mesh) and 43 msgs (820-node
-//! power-law) — we print ours next to it.
+//! The two push rows are [`digest_audit::MessageLedger`] riding Digest's
+//! own run: it re-accounts the world's data stream, so its totals depend on
+//! the world alone, and a push costs one message, as a Digest sample reply
+//! does. Both push rows are within ε of the truth by construction (`ALL`
+//! is exact; every tracked tuple is within ε of its shipped value, so the
+//! mean of the shipped values is within ε of the AVG).
+//!
+//! The paper reports Digest ≥ 1 order of magnitude under ALL+FILTER and
+//! ≈ 2 orders under ALL+ALL, naive sampling under the filter, and an
+//! average walk cost per sample of 65 msgs (530-node mesh) and 43 msgs
+//! (820-node power-law). The binary prints the ratios it measured next to
+//! those claims.
 
+use digest_audit::QueryAudit;
 use digest_bench::{banner, engine_for, memory, run_full, temperature, write_json, Scale};
-use digest_core::baselines::{FilterConfig, FilterEngine, PushAllEngine};
-use digest_core::{ContinuousQuery, EstimatorKind, Precision, SchedulerKind};
-use digest_db::Expr;
-use digest_sim::RunReport;
+use digest_core::{EstimatorKind, SchedulerKind};
+use digest_sim::{run_observed, RunConfig, RunReport};
 use digest_workload::Workload;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-
-fn query_for<W: Workload>(w: &W, delta: f64, epsilon: f64) -> ContinuousQuery {
-    ContinuousQuery::avg(
-        Expr::first_attr(w.db().schema()),
-        Precision::new(delta, epsilon, 0.95).expect("valid precision"),
-    )
-}
 
 struct Row {
     name: &'static str,
     messages: u64,
     samples: u64,
-    report: RunReport,
+    snapshots: u64,
+    confidence_violation_rate: f64,
+}
+
+impl Row {
+    /// A push baseline: evaluated every tick, within ε by construction.
+    fn push(name: &'static str, messages: u64, ticks: u64) -> Self {
+        Self {
+            name,
+            messages,
+            samples: 0,
+            snapshots: ticks,
+            confidence_violation_rate: 0.0,
+        }
+    }
+
+    fn sampled(name: &'static str, report: &RunReport) -> Self {
+        Self {
+            name,
+            messages: report.total_messages(),
+            samples: report.total_fresh_samples(),
+            snapshots: report.total_snapshots(),
+            confidence_violation_rate: report.confidence_violation_rate(),
+        }
+    }
 }
 
 fn run_dataset<W: Workload, F: Fn() -> W>(make: F) -> Vec<Row> {
@@ -42,74 +68,56 @@ fn run_dataset<W: Workload, F: Fn() -> W>(make: F) -> Vec<Row> {
     let (delta, epsilon) = (sigma, 0.25 * sigma);
     drop(probe);
 
-    let mut rows = Vec::new();
-
-    // ALL+ALL.
-    {
-        let mut w = make();
-        let mut sys = PushAllEngine::new(query_for(&w, delta, epsilon));
-        let r = run_full(&mut w, &mut sys, delta, epsilon, 41).expect("run");
-        rows.push(Row {
-            name: "ALL+ALL",
-            messages: r.total_messages(),
-            samples: 0,
-            report: r,
-        });
-    }
-    // ALL+FILTER.
-    {
-        let mut w = make();
-        let mut sys = FilterEngine::new(query_for(&w, delta, epsilon), FilterConfig::default())
-            .expect("AVG query");
-        let r = run_full(&mut w, &mut sys, delta, epsilon, 42).expect("run");
-        rows.push(Row {
-            name: "ALL+FILTER",
-            messages: r.total_messages(),
-            samples: 0,
-            report: r,
-        });
-    }
     // ALL+INDEP.
-    {
-        let mut w = make();
-        let mut sys = engine_for(
-            &w,
-            SchedulerKind::All,
-            EstimatorKind::Independent,
-            delta,
-            epsilon,
-            0.95,
-        )
-        .expect("engine");
-        let r = run_full(&mut w, &mut sys, delta, epsilon, 43).expect("run");
-        rows.push(Row {
-            name: "ALL+INDEP",
-            messages: r.total_messages(),
-            samples: r.total_fresh_samples(),
-            report: r,
-        });
-    }
-    // Digest: PRED3+RPT.
-    {
-        let mut w = make();
-        let mut sys = engine_for(
-            &w,
-            SchedulerKind::Pred(3),
-            EstimatorKind::Repeated,
-            delta,
-            epsilon,
-            0.95,
-        )
-        .expect("engine");
-        let r = run_full(&mut w, &mut sys, delta, epsilon, 44).expect("run");
-        rows.push(Row {
-            name: "PRED3+RPT",
-            messages: r.total_messages(),
-            samples: r.total_fresh_samples(),
-            report: r,
-        });
-    }
-    rows
+    let mut w = make();
+    let mut sys = engine_for(
+        &w,
+        SchedulerKind::All,
+        EstimatorKind::Independent,
+        delta,
+        epsilon,
+        0.95,
+    )
+    .expect("engine");
+    let indep = run_full(&mut w, &mut sys, delta, epsilon, 43).expect("run");
+
+    // Digest: PRED3+RPT, with the push baselines' ledger riding along.
+    let mut w = make();
+    let mut sys = engine_for(
+        &w,
+        SchedulerKind::Pred(3),
+        EstimatorKind::Repeated,
+        delta,
+        epsilon,
+        0.95,
+    )
+    .expect("engine");
+    let mut audit = QueryAudit::new(sys.query(), 0).expect("audit");
+    let mut rng = ChaCha8Rng::seed_from_u64(44);
+    let digest = run_observed(
+        &mut w,
+        &mut sys,
+        RunConfig::default(),
+        delta,
+        epsilon,
+        &mut rng,
+        &mut audit,
+    )
+    .expect("run");
+    let push = audit.report();
+
+    vec![
+        Row::push("ALL+ALL", push.all_messages, push.ticks),
+        Row::push("ALL+FILTER", push.filter_messages, push.ticks),
+        Row::sampled("ALL+INDEP", &indep),
+        Row::sampled("PRED3+RPT", &digest),
+    ]
+}
+
+fn messages(rows: &[Row], name: &str) -> f64 {
+    rows.iter()
+        .find(|row| row.name == name)
+        .map_or(f64::NAN, |row| row.messages as f64)
 }
 
 fn print_rows(rows: &[Row]) -> Vec<serde_json::Value> {
@@ -137,10 +145,24 @@ fn print_rows(rows: &[Row]) -> Vec<serde_json::Value> {
             "system": row.name,
             "messages": row.messages,
             "messages_per_fresh_sample": if per_sample.is_nan() { serde_json::Value::Null } else { json!(per_sample) },
-            "snapshots": row.report.total_snapshots(),
-            "confidence_violation_rate": row.report.confidence_violation_rate(),
+            "snapshots": row.snapshots,
+            "confidence_violation_rate": row.confidence_violation_rate,
         }));
     }
+
+    let digest = digest_msgs as f64;
+    let (all, filter) = (messages(rows, "ALL+ALL"), messages(rows, "ALL+FILTER"));
+    let indep = messages(rows, "ALL+INDEP");
+    println!(
+        "measured: Digest {:.1}x (10^{:.2}) under ALL+FILTER, {:.1}x (10^{:.2}) under ALL+ALL; \
+         ALL+INDEP {} ALL+FILTER ({:.3}x)",
+        filter / digest,
+        (filter / digest).log10(),
+        all / digest,
+        (all / digest).log10(),
+        if indep < filter { "below" } else { "above" },
+        indep / filter,
+    );
     out
 }
 
@@ -164,8 +186,8 @@ fn main() {
 
     println!();
     println!(
-        "shape check: ALL+ALL ≫ ALL+FILTER ≫ ALL+INDEP > PRED3+RPT; Digest \
-         sits ≥1 order of magnitude under the filter-based push approach."
+        "paper: Digest >= 1 order of magnitude under ALL+FILTER and ~2 under ALL+ALL, \
+         ALL+INDEP under ALL+FILTER; the measured lines above say where this run sits."
     );
     write_json(
         "fig5b",

@@ -17,17 +17,17 @@
 //!   estimate with the fresh-sample mean.
 //!
 //! [`engine::DigestEngine`] composes a scheduler, an estimator, and the
-//! bottom-tier sampling operator into the full system; [`baselines`]
-//! implements the push-based comparators of the paper's §VI-B3 evaluation
-//! (`ALL+ALL` flooding and the Olston-style `ALL+FILTER` adaptive
-//! filters). Everything implements the [`system::QuerySystem`] trait the
-//! simulator drives.
+//! bottom-tier sampling operator into the full system; [`tag`] is the
+//! tree-aggregation comparator of the paper's §VII. Everything implements
+//! the [`system::QuerySystem`] trait the simulator drives. The push
+//! comparators of the paper's §VI-B3 evaluation (`ALL+ALL`,
+//! `ALL+FILTER`) are not query systems: `digest_audit::MessageLedger`
+//! re-accounts them on the data stream of any run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod baselines;
 pub mod engine;
 pub mod error;
 pub mod indep;

@@ -222,8 +222,8 @@ impl ContinuousQuery {
 
 /// The exact answer of a sketch-served aggregate (`PERCENTILE` /
 /// `COUNT DISTINCT` / `TOPK`, DESIGN.md §17) over the qualifying `values`
-/// — what the oracle and the flooding comparators ([`ExactFold`]) finalise
-/// with once the values are in one place. Sorts `values` in place for the order statistic.
+/// — what the oracle and the flooding comparator TAG ([`ExactFold`])
+/// finalise with once the values are in one place. Sorts `values` in place for the order statistic.
 ///
 /// `None` when the answer is undefined (an order statistic or a mass
 /// fraction over nothing; `COUNT DISTINCT` over nothing is 0), and for
@@ -259,8 +259,8 @@ pub(crate) fn exact_over(op: AggregateOp, values: &mut [f64]) -> Option<f64> {
     }
 }
 
-/// What a flooding comparator (`ALL+ALL`, TAG) makes of the tuples that
-/// reach the querier: a running sum and count for the mean-like kinds,
+/// What the flooding comparator (TAG) makes of the tuples that reach the
+/// querier: a running sum and count for the mean-like kinds,
 /// the qualifying values themselves for the sketch kinds, which the
 /// querier then finalises exactly ([`exact_over`], DESIGN.md §17).
 pub(crate) struct ExactFold<'q> {

@@ -2,10 +2,10 @@
 //! has produced (or failed to produce) a value.
 //!
 //! The paper's product is one rule — report when the aggregate has moved
-//! by `δ`, within `ε` at confidence `p` (§II) — and five systems apply it:
-//! [`crate::DigestEngine`], the shared [`crate::QueryMux`], `ALL+ALL`,
-//! `ALL+FILTER` and TAG. This module owns, each exactly once, the parts
-//! of that tail that do not depend on who is asking:
+//! by `δ`, within `ε` at confidence `p` (§II) — and three systems apply
+//! it: [`crate::DigestEngine`], the shared [`crate::QueryMux`] and TAG.
+//! This module owns, each exactly once, the parts of that tail that do
+//! not depend on who is asking:
 //!
 //! * the δ-rule and its two fields ([`Report`]);
 //! * the scheduler hand-off that follows it ([`finish`]: δ-rule →
@@ -67,8 +67,7 @@ impl Report {
     }
 
     /// The whole tail of a system that evaluates every tick without
-    /// sampling or scheduling (`ALL+ALL`, `ALL+FILTER`, TAG): δ-rule in,
-    /// outcome out.
+    /// sampling or scheduling (TAG): δ-rule in, outcome out.
     pub(crate) fn every_tick(&mut self, estimate: f64, delta: f64, messages: u64) -> TickOutcome {
         TickOutcome {
             estimate,

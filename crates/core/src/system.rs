@@ -1,8 +1,8 @@
 //! The interface every continuous-query system exposes to the simulator.
 //!
 //! One trait covers Digest in all its scheduler/estimator combinations and
-//! the push-based baselines, so experiments can drive them uniformly and
-//! compare sample and message counts on equal footing.
+//! the TAG comparator, so experiments can drive them uniformly and compare
+//! sample and message counts on equal footing.
 
 use crate::Result;
 use digest_db::P2PDatabase;
@@ -13,8 +13,8 @@ use rand::RngCore;
 ///
 /// The `graph`/`db` references are the *real* distributed state; each
 /// system is honour-bound to access them only in ways its real-world
-/// counterpart could (Digest through sampling walks, push baselines
-/// through their installed filters). Message accounting makes the cost of
+/// counterpart could (Digest through sampling walks, TAG through its
+/// aggregation tree). Message accounting makes the cost of
 /// every access explicit.
 #[derive(Debug, Clone, Copy)]
 pub struct TickContext<'a> {

@@ -21,7 +21,7 @@
 //!   least-squares fit over the recent snapshots, whose bound carries the
 //!   snapshots' own variance `(ε / z_p)²` (one on-stack QR per decision).
 //! * [`quantile`] — the interpolated sample quantile the exact oracle
-//!   and baselines finalise `PERCENTILE` / `MEDIAN` with.
+//!   and TAG finalise `PERCENTILE` / `MEDIAN` with.
 //! * [`repeated`] — the repeated-sampling estimator algebra of paper
 //!   §IV-B2: optimal panel partitioning `g_opt`, the combined
 //!   regression+mean estimator, and its variance (Eqs. 7–11).

@@ -1,8 +1,7 @@
 //! Sample quantiles.
 //!
 //! The interpolated order statistic of a sorted sample — what the exact
-//! oracle and the exact baselines finalise `PERCENTILE` (and so `MEDIAN`)
-//! with. Approximate quantiles are `digest-sketch`'s UDDSketch, not this
+//! oracle and TAG finalise `PERCENTILE` (and so `MEDIAN`) with. Approximate quantiles are `digest-sketch`'s UDDSketch, not this
 //! module.
 
 use crate::error::StatsError;

@@ -94,7 +94,6 @@ pub const R4_FILES: &[&str] = &[
     "crates/core/src/scheduler.rs",
     "crates/core/src/rpt.rs",
     "crates/core/src/indep.rs",
-    "crates/core/src/baselines.rs",
     "crates/core/src/report.rs",
     "crates/core/src/mux.rs",
     "crates/sampling/src/metropolis.rs",

@@ -12,14 +12,14 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `digest-core` | the two-tier query engine: `(δ, ε, p)` semantics, `ALL`/`PRED-k` schedulers, `INDEP`/`RPT`/sketch-sweep estimators, push/TAG baselines |
+//! | [`core`] | `digest-core` | the two-tier query engine: `(δ, ε, p)` semantics, `ALL`/`PRED-k` schedulers, `INDEP`/`RPT`/sketch-sweep estimators, the TAG comparator |
 //! | [`sampling`] | `digest-sampling` | the Metropolis random-walk sampling operator, mixing diagnostics, size estimation |
 //! | [`net`] | `digest-net` | the unstructured overlay: topologies and churn |
 //! | [`db`] | `digest-db` | the horizontally partitioned relation, expressions, predicates |
 //! | [`stats`] | `digest-stats` | the numerical substrate (moments, quantiles, CLT sizing, Taylor extrapolation, repeated-sampling algebra) |
 //! | [`workload`] | `digest-workload` | the calibrated TEMPERATURE / MEMORY synthetic datasets |
 //! | [`sim`] | `digest-sim` | the discrete-time runner with oracle verification and parallel replication |
-//! | [`audit`] | `digest-audit` | the continuous-guarantee auditor: ε-violation tracking, CI calibration, message-cost ledger, Perfetto trace export |
+//! | [`audit`] | `digest-audit` | the continuous-guarantee auditor: ε-violation tracking, CI calibration, the push baselines' message-cost ledger, Perfetto trace export |
 //!
 //! See the repository README for a quickstart and the `examples/`
 //! directory for end-to-end scenarios.

@@ -1,6 +1,5 @@
 //! Integration: the full stack under heavy churn (MEMORY-style worlds).
 
-use digest::core::baselines::{FilterConfig, FilterEngine, PushAllEngine};
 use digest::core::{
     ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision, SchedulerKind,
 };
@@ -88,55 +87,6 @@ fn rpt_panel_never_dangles_under_churn() {
     .unwrap();
     assert!(report.total_snapshots() > 0);
     assert!(report.records.iter().all(|r| r.estimate.is_finite()));
-}
-
-#[test]
-fn push_baselines_survive_churn_too() {
-    let (delta, epsilon) = (10.0, 3.0);
-    {
-        let mut w = stormy(5);
-        let query = ContinuousQuery::avg(
-            Expr::first_attr(w.db().schema()),
-            Precision::new(delta, epsilon, 0.95).unwrap(),
-        );
-        let mut sys = PushAllEngine::new(query);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let report = run(
-            &mut w,
-            &mut sys,
-            RunConfig::for_ticks(30),
-            delta,
-            epsilon,
-            &mut rng,
-        )
-        .unwrap();
-        // Exact system: zero error at every tick.
-        assert!(report.max_snapshot_error() < 1e-9);
-    }
-    {
-        let mut w = stormy(7);
-        let query = ContinuousQuery::avg(
-            Expr::first_attr(w.db().schema()),
-            Precision::new(delta, epsilon, 0.95).unwrap(),
-        );
-        let mut sys = FilterEngine::new(query, FilterConfig::default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let report = run(
-            &mut w,
-            &mut sys,
-            RunConfig::for_ticks(30),
-            delta,
-            epsilon,
-            &mut rng,
-        )
-        .unwrap();
-        // Filters bound the error by ε as long as registrations keep up.
-        assert!(
-            report.max_snapshot_error() <= epsilon + 1e-9,
-            "filter error {}",
-            report.max_snapshot_error()
-        );
-    }
 }
 
 #[test]
