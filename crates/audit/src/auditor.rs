@@ -303,7 +303,8 @@ pub struct AuditReport {
     pub digest_messages: u64,
     /// Messages the `ALL` push baseline would have spent on the same data.
     pub all_messages: u64,
-    /// Messages the `ALL+FILTER` (Olston) baseline would have spent.
+    /// Messages the `ALL+FILTER` baseline (a fixed `±ε` filter per
+    /// tuple) would have spent.
     pub filter_messages: u64,
 }
 

@@ -2,8 +2,11 @@
 //!
 //! The paper's evaluation (§VI-B3) compares Digest against two push-based
 //! comparators: `ALL`, where every source ships every value change to the
-//! query origin, and `ALL+FILTER`, where each source holds an Olston-style
-//! adaptive filter of width `2ε` and ships only changes that escape it.
+//! query origin, and `ALL+FILTER`, where each source holds a fixed filter
+//! of half-width `ε` around the value it last shipped and ships only
+//! changes that escape it, recentring on each ship. The filter never
+//! adapts: Olston-style adaptive widths measured ≈ 1.000× this fixed one
+//! on the paper's worlds.
 //! Running those baselines as separate simulations introduces workload
 //! divergence; the ledger instead *re-accounts* the same run — it watches
 //! the oracle-visible database each tick and tallies exactly the messages

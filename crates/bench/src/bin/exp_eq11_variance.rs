@@ -15,15 +15,10 @@ use digest_stats::repeated::{
     combined_estimate, combined_variance, improvement_ratio, min_combined_variance,
     optimal_partition,
 };
+use digest_workload::normal::gaussian;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-
-fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
 
 /// Empirical variance of the combined estimator at partition `g` of `n`,
 /// over `trials` Monte-Carlo replications with population correlation ρ.

@@ -17,7 +17,8 @@
 //! 1 000 computing units on an 820-node power-law overlay over one hour of
 //! continuous updates with heavy node churn (`ρ ≈ 0.68`, `σ ≈ 10`).
 //! [`calibrate`] measures the realised statistics so Table II can be
-//! *verified* rather than assumed.
+//! *verified* rather than assumed. Both worlds draw every normal through
+//! [`normal`]'s one ziggurat kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +26,7 @@
 
 pub mod calibrate;
 pub mod memory;
+pub mod normal;
 pub mod scenario;
 pub mod temperature;
 pub mod traffic;

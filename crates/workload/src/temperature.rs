@@ -18,6 +18,7 @@
 //! defaults solve these for the Table II targets:
 //! `σ_off² = 36, σ_a² = 28, ρ_ar ≈ 0.749` → `σ = 8`, `ρ = 0.89`.
 
+use crate::normal::{gaussian, Normals};
 use crate::scenario::Workload;
 use digest_db::{Expr, P2PDatabase, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
@@ -143,18 +144,13 @@ impl TemperatureWorkload {
         let expr = Expr::first_attr(db.schema());
 
         // Each unit draws its offset, then its AR state.
-        let mut units = Vec::with_capacity(config.units);
-        let mut words = [0u32; CHUNK_WORDS];
-        while units.len() < config.units {
-            let batch = (config.units - units.len()).min(CHUNK_WORDS / (2 * GAUSSIAN_WORDS));
-            let words = &mut words[..2 * GAUSSIAN_WORDS * batch];
-            rng.fill_words(words);
-            let (draws, _) = words.as_chunks::<{ 2 * GAUSSIAN_WORDS }>();
-            units.extend(draws.iter().map(|draw| Unit {
-                offset: config.offset_std * standard_normal(&draw[..GAUSSIAN_WORDS]),
-                ar: config.ar_std * standard_normal(&draw[GAUSSIAN_WORDS..]),
-            }));
-        }
+        let mut normals = Normals::new(&mut rng, 2 * config.units);
+        let units: Vec<Unit> = (0..config.units)
+            .map(|_| Unit {
+                offset: config.offset_std * normals.draw(),
+                ar: config.ar_std * normals.draw(),
+            })
+            .collect();
         let base = base_signal(&config, 0, 0.0);
         for (i, unit) in units.iter().enumerate() {
             let value = base + unit.offset + unit.ar;
@@ -212,20 +208,13 @@ impl Workload for TemperatureWorkload {
     /// xtask: no-alloc
     fn advance(&mut self, _rng: &mut dyn RngCore) {
         self.tick += 1;
-        let mut words = [0u32; CHUNK_WORDS];
-        let drift = &mut words[..GAUSSIAN_WORDS];
-        self.rng.fill_words(drift);
-        self.drift += self.config.drift_std * standard_normal(drift);
+        self.drift += self.config.drift_std * gaussian(&mut self.rng);
         let base = base_signal(&self.config, self.tick, self.drift);
         let ar_coeff = self.config.ar_coeff;
         let innovation_std = self.config.ar_std * (1.0 - ar_coeff.powi(2)).sqrt();
-        for units in self.units.chunks_mut(CHUNK_WORDS / GAUSSIAN_WORDS) {
-            let words = &mut words[..GAUSSIAN_WORDS * units.len()];
-            self.rng.fill_words(words);
-            let (draws, _) = words.as_chunks::<GAUSSIAN_WORDS>();
-            for (unit, draw) in units.iter_mut().zip(draws) {
-                unit.ar = ar_coeff * unit.ar + innovation_std * standard_normal(draw);
-            }
+        let mut normals = Normals::new(&mut self.rng, self.units.len());
+        for unit in &mut self.units {
+            unit.ar = ar_coeff * unit.ar + innovation_std * normals.draw();
         }
         // Node `k`'s rows are units `k, k + n, k + 2n, …`.
         let (units, nodes) = (&self.units, self.graph.node_count());
@@ -259,67 +248,12 @@ fn base_signal(cfg: &TemperatureConfig, tick: u64, drift: f64) -> f64 {
         + drift
 }
 
-/// Keystream words one Box–Muller draw reads: two `next_u64`.
-const GAUSSIAN_WORDS: usize = 4;
-
-/// Words of keystream a tick holds at a time (4 KiB, on the stack).
-const CHUNK_WORDS: usize = 1_024;
-
-/// Standard normal via Box–Muller from two 64-bit draws, `u1` from `a` and
-/// `u2` from `b`, each decoded as `rand`'s `gen_range` decodes it; the
-/// second value is discarded. The one Box–Muller of the crate.
-/// Generation is the bottleneck of most runs: the world advance it feeds
-/// is the benchmark's `workload.advance_share` of ≈ 0.69 on `mux32`,
-/// ≈ 0.78 on `audited` and ≈ 0.996 on `solo_loose`, and its `ln` / `cos`
-/// are about half of that advance.
-///
-/// xtask: no-alloc
-#[inline]
-fn box_muller(a: u64, b: u64) -> f64 {
-    let u1 = uniform(f64::EPSILON, 1.0, a);
-    let u2 = uniform(0.0, 1.0, b);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// `gen_range(low..high)` for `f64` on the draw `bits`: its top 53 bits as
-/// a uniform in `[0, 1)`, scaled onto the range, and a value rounded up to
-/// `high` taken back to `low`.
-///
-/// xtask: no-alloc
-#[inline]
-fn uniform(low: f64, high: f64, bits: u64) -> f64 {
-    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    let v = low + u * (high - low);
-    if v >= high {
-        low
-    } else {
-        v
-    }
-}
-
-/// [`box_muller`] on four keystream words, paired into `u64`s as
-/// `ChaCha8Rng::next_u64` pairs them (`lo | hi << 32`).
-///
-/// xtask: no-alloc
-#[inline]
-fn standard_normal(words: &[u32]) -> f64 {
-    let word = |k: usize| u64::from(words[k]);
-    box_muller(word(1) << 32 | word(0), word(3) << 32 | word(2))
-}
-
-/// Standard normal from two `next_u64` of `rng`, through [`box_muller`]:
-/// bit for bit the draw a TEMPERATURE tick decodes from the same words.
-pub(crate) fn gaussian<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    let a = rng.next_u64();
-    box_muller(a, rng.next_u64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use digest_db::TupleHandle;
     use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn small() -> TemperatureWorkload {
         TemperatureWorkload::new(TemperatureConfig::reduced(400, 5, 8, 100))
@@ -457,65 +391,6 @@ mod tests {
             advance_per_unit(&mut looped, &handles);
         }
         assert_same_world(&mut batched, &mut looped);
-    }
-
-    /// `Rng::gen_range`'s reading of the next two `u64`s, as `gaussian`
-    /// spelled Box–Muller before it fed the kernel.
-    fn gaussian_by_gen_range<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// A generator that hands out fixed `u64`s.
-    struct Fixed<'a>(std::slice::Iter<'a, u64>);
-
-    impl RngCore for Fixed<'_> {
-        fn next_u32(&mut self) -> u32 {
-            unreachable!("the kernel reads whole u64s")
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            *self.0.next().unwrap()
-        }
-    }
-
-    /// The kernel is `gen_range`'s arithmetic to the bit: on edge words
-    /// (all zero, where `u1` is the range's low end `f64::EPSILON` and the
-    /// draw is its largest, and all ones, `u1` and `u2` just below 1), on
-    /// a keystream both as two `next_u64` and as four words of a chunk,
-    /// and — through `uniform` — where a value rounds up to `high` and is
-    /// taken back to `low`.
-    #[test]
-    fn box_muller_is_gen_range_to_the_bit() {
-        let edges = [0, 1, 1 << 11, u64::MAX >> 11, u64::MAX - 1, u64::MAX];
-        for a in edges {
-            for b in edges {
-                let want = gaussian_by_gen_range(&mut Fixed([a, b].iter()));
-                assert_eq!(box_muller(a, b).to_bits(), want.to_bits(), "{a:#x} {b:#x}");
-            }
-        }
-        let ends = box_muller(0, 0);
-        assert_eq!(ends, (-2.0 * f64::EPSILON.ln()).sqrt());
-
-        let mut rng = ChaCha8Rng::seed_from_u64(20_080_402);
-        let (mut by_range, mut by_words) = (rng.clone(), rng.clone());
-        for _ in 0..20_000 {
-            let want = gaussian_by_gen_range(&mut by_range).to_bits();
-            assert_eq!(gaussian(&mut rng).to_bits(), want);
-            let words = [(); GAUSSIAN_WORDS].map(|()| by_words.next_u32());
-            assert_eq!(standard_normal(&words).to_bits(), want);
-        }
-
-        let next_up = 1.0 + f64::EPSILON;
-        for (low, high) in [(f64::EPSILON, 1.0), (0.0, 1.0), (1.0, next_up), (-3.5, 2.0)] {
-            for bits in edges.into_iter().chain([1 << 63, (1 << 63) + (1 << 11)]) {
-                let want: f64 = Fixed([bits].iter()).gen_range(low..high);
-                assert_eq!(uniform(low, high, bits).to_bits(), want.to_bits());
-            }
-        }
-        // The top draw rounds `1 + u·2⁻⁵²` up to `high`: the clamp ran.
-        assert_eq!(uniform(1.0, next_up, u64::MAX), 1.0);
     }
 
     proptest! {

@@ -106,11 +106,11 @@ const fn spent(all: u64, filter: u64) -> Baselines {
 /// What the five members of the `temperature/mux*` rows see: the predicate
 /// query, then four generated AVG contracts (ε = 4, 2, 4, 2).
 const MUX_BASELINES: &[Baselines] = &[
-    spent(177_169, 90_245),
-    spent(240_000, 89_320),
-    spent(240_000, 155_807),
-    spent(240_000, 89_320),
-    spent(240_000, 155_807),
+    spent(169_352, 87_029),
+    spent(240_000, 89_969),
+    spent(240_000, 155_972),
+    spent(240_000, 89_969),
+    spent(240_000, 155_972),
 ];
 
 /// One fixed-seed `digest-cli` invocation and the legs each gate runs on it.
@@ -199,7 +199,7 @@ pub const SCENARIOS: &[Scenario] = &[
         ],
         determinism: EVERY_PLAIN_VARIANT,
         audit: Some(AuditRow {
-            members: &[spent(120_000, 78_133)],
+            members: &[spent(120_000, 78_394)],
             drift: DriftGate::Absolute,
         }),
         schema: SCHEMA_REQUIRED_KINDS,
@@ -288,9 +288,9 @@ pub const SCENARIOS: &[Scenario] = &[
         determinism: REPLAY_AND_WORKERS,
         audit: Some(AuditRow {
             members: &[
-                spent(240_000, 155_807),
-                spent(240_000, 233_427),
-                spent(240_000, 235_567),
+                spent(240_000, 155_972),
+                spent(240_000, 233_574),
+                spent(240_000, 235_705),
             ],
             drift: DriftGate::UnderCoverageOnly,
         }),

@@ -174,8 +174,9 @@ fn a_statement_the_parser_cannot_read_is_an_error_not_a_crash() {
 /// engines only, so `--queries 4 --estimator rpt` and `--estimator indep`
 /// printed the same trace and emitted the same `mux.round` stream; now RPT
 /// rounds revisit a rotating panel and INDEP rounds draw a fresh one, and
-/// INDEP is exactly what every shared round was before (the fixture is
-/// the parent commit's `--queries 4` stdout, byte for byte).
+/// INDEP is exactly what every shared round was before (the fixture was
+/// `--queries 4` stdout before `--estimator` reached shared rounds, byte
+/// for byte; it is regenerated only when the world's own stream changes).
 #[test]
 fn the_estimator_reaches_shared_rounds() {
     let run = |estimator: &str| {

@@ -40,43 +40,55 @@ fn engine(
     .unwrap()
 }
 
+/// Over twenty worlds, PRED3+RPT holds both halves of (δ, ε, p) and skips
+/// work. The ε leg pools the worlds' snapshots (≈ 280): one world gives
+/// 12–17, too few to judge a 5 % miss rate — allowing ≤ 2 misses a world,
+/// this engine failed 6–10 of worlds 1–100, and a system missing 15 % of
+/// the time would pass 60 % of them. Pooled, a miss rate above 10 % has
+/// probability ≈ 2·10⁻⁴ at the nominal 5 %, and a system missing 15 % of
+/// the time stays under it with probability ≈ 1 %.
 #[test]
 fn digest_meets_both_precision_requirements() {
-    let mut w = workload(1);
     let (delta, epsilon) = (8.0, 2.0);
-    let mut sys = engine(
-        &w,
-        SchedulerKind::Pred(3),
-        EstimatorKind::Repeated,
-        delta,
-        epsilon,
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let report = run(
-        &mut w,
-        &mut sys,
-        RunConfig::default(),
-        delta,
-        epsilon,
-        &mut rng,
-    )
-    .unwrap();
+    let (mut misses, mut snapshots) = (0.0, 0);
+    for seed in 1..=20 {
+        let mut w = workload(seed);
+        let mut sys = engine(
+            &w,
+            SchedulerKind::Pred(3),
+            EstimatorKind::Repeated,
+            delta,
+            epsilon,
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let report = run(
+            &mut w,
+            &mut sys,
+            RunConfig::default(),
+            delta,
+            epsilon,
+            &mut rng,
+        )
+        .unwrap();
 
-    assert_eq!(report.ticks(), 120);
-    // Confidence: ≤ 5% nominal misses, allow finite-sample slack.
+        assert_eq!(report.ticks(), 120);
+        misses += report.confidence_violation_rate() * report.total_snapshots() as f64;
+        snapshots += report.total_snapshots();
+        // Resolution: the held result never drifts uncaught for long.
+        assert!(
+            report.resolution_violation_rate() <= 0.10,
+            "world {seed}: δ-violation rate {}",
+            report.resolution_violation_rate()
+        );
+        // And it actually skipped work.
+        assert!(report.total_snapshots() < 120);
+    }
+    // Confidence: ≤ 5 % nominal misses, pooled over the worlds.
+    let rate = misses / snapshots as f64;
     assert!(
-        report.confidence_violation_rate() <= 0.15,
-        "ε-violation rate {}",
-        report.confidence_violation_rate()
+        rate <= 0.10,
+        "ε-violation rate {rate} over {snapshots} snapshots"
     );
-    // Resolution: the held result never drifts uncaught for long.
-    assert!(
-        report.resolution_violation_rate() <= 0.10,
-        "δ-violation rate {}",
-        report.resolution_violation_rate()
-    );
-    // And it actually skipped work.
-    assert!(report.total_snapshots() < 120);
 }
 
 #[test]
