@@ -70,8 +70,10 @@ fn main() {
         scale,
     );
 
+    // 32 worlds at full scale: enough to tell a change of law (a mean
+    // moving by several standard errors) from a new sample path.
     let replications = match scale {
-        Scale::Full => 8,
+        Scale::Full => 32,
         Scale::Quick => 5,
     };
     let probe = make_workload(scale)(0);

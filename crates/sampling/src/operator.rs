@@ -428,10 +428,10 @@ impl SamplingOperator {
     /// RNG contract: exactly **one** `u64` is drawn from `rng` per call
     /// with `n > 0` (the occasion seed) and none when `n == 0`, so the
     /// caller's stream advance — and hence everything downstream — is
-    /// independent of both `n`'s internals and the worker count. Each
-    /// walk slot derives its own `ChaCha8` stream from `(occasion_seed,
-    /// slot)`; the returned panel is byte-identical for every worker
-    /// count.
+    /// independent of both `n`'s internals and the worker count. The
+    /// occasion seed is one `ChaCha8` key, and each walk slot reads the
+    /// key's stream numbered by its pool slot; the returned panel is
+    /// byte-identical for every worker count.
     ///
     /// The batch is atomic: on error no sample is returned and the walk
     /// pool, cursor, and message accounting are left untouched.

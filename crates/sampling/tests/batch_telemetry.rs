@@ -2,7 +2,8 @@
 //! replaced flushed once per slot (and the live-graph walk still bumps
 //! its counters once per *step*). This binary holds the batched flush to
 //! that older bookkeeping: every occasion batch is replayed slot by slot
-//! from the public pieces — `par::stream_seed`, the live
+//! from the public pieces — the occasion key's stream per slot
+//! (`ChaCha8Rng::with_stream`), the live
 //! [`MetropolisWalk`], `P2PDatabase::sample_local` — with the parent
 //! commit's per-slot flush written out below, and the registry and the
 //! rendered event stream must come out the same.
@@ -15,7 +16,7 @@
 use digest_db::{P2PDatabase, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
 use digest_sampling::{
-    content_size_weight, par, MetropolisWalk, SamplingConfig, SamplingOperator, SnapshotStats,
+    content_size_weight, MetropolisWalk, SamplingConfig, SamplingOperator, SnapshotStats,
 };
 use digest_telemetry::{registry, Field, MemorySink, Stage};
 use rand::{RngCore, SeedableRng};
@@ -163,7 +164,7 @@ fn per_slot_run(refreshes: &[&'static str]) {
         churn(&mut g, occasion);
         let mut cursor = 0;
         for n in BATCHES {
-            let occasion_seed = rng.next_u64();
+            let key = ChaCha8Rng::seed_from_u64(rng.next_u64());
             drop(digest_telemetry::span(Stage::SnapshotBuild));
             digest_telemetry::emit(
                 "sampling.snapshot",
@@ -183,8 +184,7 @@ fn per_slot_run(refreshes: &[&'static str]) {
                             Some(v) => (v, false, CONFIG.reset_length),
                             None => (ORIGIN, true, CONFIG.walk_length),
                         };
-                        let mut stream =
-                            ChaCha8Rng::seed_from_u64(par::stream_seed(occasion_seed, slot));
+                        let mut stream = key.with_stream(slot as u64);
                         let mut walk = MetropolisWalk::new(&g, start).unwrap();
                         let _walk_span = digest_telemetry::span(Stage::SamplingWalk);
                         walk.run(&g, &w, burn_in, &mut stream).unwrap();

@@ -889,12 +889,12 @@ mod tests {
             200,
             31,
             [
-                [20, 20, 0, 0, 3252, 160, 160],
-                [20, 20, 0, 0, 3246, 160, 160],
-                [20, 20, 0, 0, 3242, 80, 80],
-                [20, 20, 12, 0, 3237, 160, 160],
-                [20, 20, 0, 0, 3235, 160, 160],
-                [20, 20, 0, 0, 8, 160, 160],
+                [19, 19, 0, 0, 3216, 160, 160],
+                [19, 19, 0, 0, 3215, 160, 160],
+                [19, 19, 0, 0, 3211, 80, 80],
+                [19, 19, 13, 0, 3208, 160, 160],
+                [19, 19, 0, 0, 3201, 160, 160],
+                [19, 19, 0, 0, 8, 160, 160],
             ],
         );
     }
@@ -916,12 +916,12 @@ mod tests {
             50,
             32,
             [
-                [50, 17, 0, 0, 5351, 1958, 1835],
-                [50, 17, 0, 0, 5348, 1958, 1891],
-                [50, 17, 0, 0, 5345, 1024, 978],
-                [50, 17, 12, 17, 5340, 1958, 1791],
-                [50, 17, 0, 0, 5337, 1958, 1795],
-                [50, 17, 0, 0, 691, 1958, 1835],
+                [50, 17, 0, 0, 6135, 1958, 1835],
+                [50, 17, 0, 0, 6129, 1958, 1891],
+                [50, 17, 0, 0, 6126, 1024, 978],
+                [50, 17, 12, 19, 6122, 1958, 1791],
+                [50, 17, 0, 0, 6120, 1958, 1795],
+                [50, 17, 0, 0, 679, 1958, 1835],
             ],
         );
     }
