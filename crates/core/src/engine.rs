@@ -1,26 +1,26 @@
-//! The Digest engine: scheduler × estimator × sampling operator.
+//! The Digest engine: scheduler × estimator × sampling operator for one
+//! continuous query (paper §III, Figure 2).
 //!
-//! Each node runs its own engine instance per continuous query (paper
-//! §III, Figure 2). Per tick the engine either *holds* the running result
-//! (zero cost) or — when the scheduler says the aggregate may have drifted
-//! by `δ` — executes a snapshot query through its estimator, refreshes the
-//! result, and asks the scheduler for the next occasion.
+//! Per tick the engine either *holds* the running result (zero cost) or —
+//! when the scheduler says the aggregate may have drifted by `δ` —
+//! executes a snapshot query through its estimator, refreshes the result,
+//! and asks the scheduler for the next occasion. `SUM` and `COUNT` scale
+//! the sampled `AVG` by a relation-size estimate `N̂` (capture–recapture
+//! over uniform node samples, refreshed periodically).
 //!
-//! `SUM` and `COUNT` scale the sampled `AVG` by a relation-size estimate
-//! `N̂` obtained with the capture–recapture machinery over uniform node
-//! samples (drawn by a second, uniform-weight instance of the sampling
-//! operator), refreshed periodically; the extra estimator variance is the
-//! price of the unstructured setting, where nobody knows `N`.
+//! That is exactly a shared [`crate::QueryMux`] round with one member, so
+//! a [`DigestEngine`] is one: it keeps a round's machinery and its one
+//! member, and ticks them through the mux's round function. One query or
+//! many, Digest answers through one implementation of the draw, the hold
+//! rules, the size refresh and the occasion's tail.
 
-use crate::indep::IndependentEstimator;
-use crate::query::{AggregateOp, ContinuousQuery, Precision};
-use crate::report::{emit_snapshot, finish, scale, Report, Selectivity, SizeTracker, Snapshot};
-use crate::rpt::{RepeatedEstimator, RptConfig};
+use crate::mux::{next_deadline, Member, MuxQueryOutcome, Round};
+use crate::query::{ContinuousQuery, Precision};
+use crate::rpt::RptConfig;
 use crate::scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
-use digest_sampling::{SamplingConfig, SamplingOperator};
-use digest_telemetry::{registry as telemetry, Stage};
+use digest_sampling::SamplingConfig;
 use rand::RngCore;
 
 /// Which continual-querying policy to run (paper §IV-A).
@@ -42,6 +42,15 @@ impl SchedulerKind {
     }
 }
 
+impl std::fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchedulerKind::All => f.write_str("ALL"),
+            SchedulerKind::Pred(k) => write!(f, "PRED{k}"),
+        }
+    }
+}
+
 /// Which approximate-querying policy to run (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {
@@ -51,8 +60,17 @@ pub enum EstimatorKind {
     Repeated,
 }
 
+impl std::fmt::Display for EstimatorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            EstimatorKind::Independent => "INDEP",
+            EstimatorKind::Repeated => "RPT",
+        })
+    }
+}
+
 /// Engine configuration: the scheduler × estimator pairing of paper §III,
-/// Figure 2.
+/// Figure 2, and its tuning — each member's in a [`crate::QueryMux`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The continual-querying policy.
@@ -63,7 +81,7 @@ pub struct EngineConfig {
     pub sampling: SamplingConfig,
     /// Estimator tuning (pilot sizes, caps, revisit costs).
     pub rpt: RptConfig,
-    /// For `SUM`/`COUNT`: snapshots between relation-size refreshes.
+    /// For `SUM`/`COUNT`: rounds between relation-size refreshes (§V-B).
     pub size_refresh_interval: u64,
     /// For `SUM`/`COUNT`: uniform node samples per size estimation round.
     pub size_sample_target: usize,
@@ -82,50 +100,21 @@ impl Default for EngineConfig {
     }
 }
 
-// One per engine and never moved once built: boxing the big variant would
-// buy nothing but a heap object.
-#[allow(clippy::large_enum_variant)]
-enum EstimatorImpl {
-    Indep(IndependentEstimator),
-    Rpt(RepeatedEstimator),
-    /// Sketch-served kinds (`PERCENTILE`/`COUNT DISTINCT`/`TOPK`) sweep
-    /// per-node mergeable sketches instead of sampling (DESIGN.md §17).
-    Sketch(crate::sketch_est::SketchSweepEstimator),
-}
-
 /// The Digest query engine for one continuous query (paper §III,
-/// Figure 2: scheduler + estimator + sampling operator on one node).
+/// Figure 2: scheduler + estimator + sampling operator on one node): a
+/// one-member [`crate::QueryMux`] round.
 pub struct DigestEngine {
-    query: ContinuousQuery,
-    config: EngineConfig,
     name: String,
-    scheduler: Box<dyn SnapshotScheduler + Send>,
-    estimator: EstimatorImpl,
-    operator: SamplingOperator,
-    /// `N̂` for `SUM`/`COUNT` scaling.
-    size: SizeTracker,
-
-    started: bool,
-    next_snapshot_tick: u64,
-    /// Causal trace id of the current reporting occasion (0 before the
-    /// first snapshot). Allocated from the deterministic global counter
-    /// at each occasion start so every telemetry event downstream of the
-    /// scheduler decision carries the same id.
-    trace: u64,
-    report: Report,
-    selectivity: Selectivity,
-
-    total_messages: u64,
-    total_samples: u64,
-    total_snapshots: u64,
+    round: Round,
+    member: Member,
 }
 
 impl std::fmt::Debug for DigestEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DigestEngine")
             .field("name", &self.name)
-            .field("query", &self.query.to_string())
-            .field("snapshots", &self.total_snapshots)
+            .field("query", &self.member.query.to_string())
+            .field("snapshots", &self.member.totals.snapshots)
             .finish_non_exhaustive()
     }
 }
@@ -138,145 +127,58 @@ impl DigestEngine {
     /// [`crate::CoreError::InvalidConfig`] for invalid scheduler/
     /// estimator/sampling settings.
     pub fn new(query: ContinuousQuery, config: EngineConfig) -> Result<Self> {
-        let scheduler = config.scheduler.build(&query.precision)?;
-        let estimator = if query.op.is_sketch() {
-            EstimatorImpl::Sketch(crate::sketch_est::SketchSweepEstimator::for_query(&query)?)
-        } else {
-            match config.estimator {
-                EstimatorKind::Independent => EstimatorImpl::Indep(IndependentEstimator::new(
-                    config.rpt.pilot_size,
-                    config.rpt.max_samples,
-                    false,
-                )?),
-                EstimatorKind::Repeated => EstimatorImpl::Rpt(RepeatedEstimator::new(config.rpt)?),
-            }
+        Self::member_of(0, query, config)
+    }
+
+    /// The engine serving `query` as member `id` of an unshared mux,
+    /// named as its scheduler and estimator are (e.g. `PRED3+RPT`).
+    pub(crate) fn member_of(id: u64, query: ContinuousQuery, config: EngineConfig) -> Result<Self> {
+        let member = Member::new(id, query, config.scheduler)?;
+        let name = match &member.sketch {
+            Some(sketch) => format!("{}+{}", config.scheduler, sketch.name()),
+            None => format!("{}+{}", config.scheduler, config.estimator),
         };
-        let operator = SamplingOperator::new(config.sampling)?;
-        let size = SizeTracker::new(config.sampling)?;
-        let est_name = match &estimator {
-            EstimatorImpl::Sketch(s) => s.name(),
-            EstimatorImpl::Indep(_) => "INDEP",
-            EstimatorImpl::Rpt(_) => "RPT",
-        };
-        let name = format!("{}+{}", scheduler.name(), est_name);
         Ok(Self {
-            query,
-            config,
             name,
-            scheduler,
-            estimator,
-            operator,
-            size,
-            started: false,
-            next_snapshot_tick: 0,
-            trace: 0,
-            report: Report::new(),
-            selectivity: Selectivity::default(),
-            total_messages: 0,
-            total_samples: 0,
-            total_snapshots: 0,
+            round: Round::new(config)?,
+            member,
         })
+    }
+
+    pub(crate) fn member(&self) -> &Member {
+        &self.member
     }
 
     /// The query this engine answers.
     #[must_use]
     pub fn query(&self) -> &ContinuousQuery {
-        &self.query
+        &self.member.query
     }
 
     /// The engine's configuration.
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.round.config
     }
 
     /// The most recent relation-size estimate `N̂` (only maintained for
     /// `SUM`/`COUNT` queries).
     #[must_use]
     pub fn size_estimate(&self) -> Option<f64> {
-        self.size.estimate()
+        self.round.size.estimate()
     }
 
-    /// Executes this occasion's snapshot query through the estimator;
-    /// returns how it ended and the messages it cost.
-    fn evaluate(
+    /// One tick of the one-member round.
+    pub(crate) fn tick(
         &mut self,
         ctx: &TickContext<'_>,
         rng: &mut dyn RngCore,
-    ) -> Result<(Snapshot, u64)> {
-        let query = &self.query;
-        let eval_span = digest_telemetry::span(Stage::EstimatorEval);
-        let evaluated = match &mut self.estimator {
-            // Sketch-served kinds bypass the sampling estimators entirely:
-            // one deterministic sweep over the overlay (DESIGN.md §17).
-            EstimatorImpl::Sketch(est) => {
-                let sweep = est.sweep(ctx.db, &query.expr, &query.predicate)?;
-                return Ok((sweep.into(), sweep.messages));
-            }
-            EstimatorImpl::Indep(e) => e.evaluate(
-                ctx,
-                &query.expr,
-                &query.predicate,
-                &query.precision,
-                &mut self.operator,
-                rng,
-            ),
-            EstimatorImpl::Rpt(e) => e.evaluate(
-                ctx,
-                &query.expr,
-                &query.predicate,
-                &query.precision,
-                &mut self.operator,
-                rng,
-            ),
-        };
-        drop(eval_span);
-        let snapshot = match evaluated {
-            Ok(snapshot) => snapshot,
-            // A transiently empty relation (every content-bearing node
-            // left at once) is a live condition, not a programming error:
-            // hold the current result and retry next tick.
-            Err(crate::error::CoreError::Sampling(
-                digest_sampling::SamplingError::EmptyDatabase,
-            )) => return Ok((Snapshot::Retry, 0)),
-            Err(other) => return Err(other),
-        };
-        let (samples, fresh) = (snapshot.total_samples(), snapshot.fresh_samples);
-
-        // A nontrivial predicate can transiently match nothing; hold the
-        // previous result rather than reporting a meaningless mean, but
-        // still count the probe (COUNT/SUM legitimately report 0).
-        if snapshot.qualifying_samples == 0
-            && !query.predicate.is_trivial()
-            && matches!(query.op, AggregateOp::Avg)
-            && self.started
-        {
-            return Ok((Snapshot::Hold { samples, fresh }, snapshot.messages));
-        }
-
-        let selectivity = if query.predicate.is_trivial() {
-            1.0
-        } else {
-            self.selectivity.update(
-                snapshot.selectivity * snapshot.fresh_samples as f64,
-                snapshot.fresh_samples as f64,
-            )
-        };
-        self.size.served_occasion();
-        let value = scale(
-            query.op,
-            snapshot.estimate,
-            selectivity,
-            self.size.estimate(),
-        );
-        Ok((
-            Snapshot::Value {
-                value,
-                samples,
-                fresh,
-            },
-            snapshot.messages,
-        ))
+    ) -> Result<MuxQueryOutcome> {
+        let mut outcome = self.member.idle();
+        let member = std::slice::from_mut(&mut self.member);
+        self.round
+            .tick(member, ctx, rng, &self.name, |served| outcome = served)?;
+        Ok(outcome)
     }
 }
 
@@ -286,15 +188,7 @@ impl QuerySystem for DigestEngine {
     }
 
     fn next_due(&mut self, now: u64) -> Option<u64> {
-        // Before the first snapshot the engine fires on its next tick
-        // (dense); afterwards every tick below `next_snapshot_tick` is
-        // the idle early-return in `on_tick` — no samples, no RNG — so
-        // the event-driven runner may jump straight to the deadline.
-        if self.started && self.next_snapshot_tick > now {
-            Some(self.next_snapshot_tick)
-        } else {
-            None
-        }
+        next_deadline(std::iter::once(&self.member), now)
     }
 
     fn on_tick(&mut self, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<TickOutcome> {
@@ -302,81 +196,31 @@ impl QuerySystem for DigestEngine {
         // directly (unit tests, library embedding) rather than by a
         // tick-stamping driver.
         digest_telemetry::set_tick(ctx.tick);
-        if self.started && ctx.tick < self.next_snapshot_tick {
-            return Ok(TickOutcome::idle(self.report.current));
-        }
-
-        // --- Execute a snapshot query. ---
-        // A new reporting occasion begins: allocate its causal trace id so
-        // every event from the scheduler decision through snapshot, walk
-        // batches, estimate, and report carries the same envelope. The
-        // counter is bumped in deterministic engine order regardless of
-        // telemetry enablement or worker count, so tracing never perturbs
-        // a replay.
-        self.trace = digest_telemetry::begin_trace();
-        let _tick_span = digest_telemetry::span(Stage::EngineTick);
-        let mut messages = 0u64;
-
-        // Relation size, if the aggregate needs it. Sketch sweeps never
-        // do: their scalar needs no N̂ scaling (DESIGN.md §17), and a
-        // capture–recapture round would cost messages and RNG draws for
-        // nothing.
-        if matches!(self.query.op, AggregateOp::Sum | AggregateOp::Count)
-            && self.size.is_stale(self.config.size_refresh_interval)
-        {
-            messages += self
-                .size
-                .refresh(ctx, self.config.size_sample_target, rng)?;
-        }
-
-        let (snapshot, cost) = self.evaluate(ctx, rng)?;
-        messages += cost;
-        let (outcome, delay) = finish(
-            &mut self.report,
-            &mut *self.scheduler,
-            ctx.tick,
-            self.query.precision.delta,
-            snapshot,
-            messages,
-        )?;
-        self.next_snapshot_tick = ctx.tick + delay;
-        self.total_messages += messages;
-        self.total_samples += outcome.samples_this_tick;
-        self.total_snapshots += 1;
-        if matches!(snapshot, Snapshot::Value { .. }) {
-            self.started = true;
-            telemetry::CORE_ENGINE_SNAPSHOTS.inc();
-            telemetry::CORE_ENGINE_MESSAGES.add(messages);
-            telemetry::CORE_ENGINE_SAMPLES.add(outcome.samples_this_tick);
-            emit_snapshot(&self.name, &outcome);
-        }
-        Ok(outcome)
+        Ok(self.tick(ctx, rng)?.outcome)
     }
 
     fn total_messages(&self) -> u64 {
-        self.total_messages
+        self.member.totals.messages
     }
 
     fn set_sampling_workers(&mut self, workers: usize) {
-        self.config.sampling.workers = workers;
-        self.operator.set_workers(workers);
-        self.size.set_workers(workers);
+        self.round.set_workers(workers);
     }
 
     fn total_samples(&self) -> u64 {
-        self.total_samples
+        self.member.totals.samples
     }
 
     fn total_snapshots(&self) -> u64 {
-        self.total_snapshots
+        self.member.totals.snapshots
     }
 
     fn oracle_truth(&self, ctx: &TickContext<'_>) -> Option<f64> {
-        self.query.oracle(ctx.db)
+        self.query().oracle(ctx.db)
     }
 
     fn trace_id(&self) -> u64 {
-        self.trace
+        self.member.trace
     }
 }
 
@@ -389,7 +233,7 @@ impl QuerySystem for DigestEngine {
 )]
 mod tests {
     use super::*;
-    use crate::query::Precision;
+    use crate::query::{AggregateOp, Precision};
     use digest_db::{Expr, P2PDatabase, Schema, Tuple, TupleHandle};
     use digest_net::{topology, Graph, NodeId};
     use rand::Rng;
@@ -425,6 +269,11 @@ mod tests {
             Expr::first_attr(&schema),
             Precision::new(delta, eps, 0.95).unwrap(),
         )
+    }
+
+    /// The tick the engine's one member is next due at.
+    fn due(engine: &DigestEngine) -> u64 {
+        engine.member.deadline.unwrap_or(0)
     }
 
     fn drift(w: &mut World, shift: f64) {
@@ -682,7 +531,7 @@ mod tests {
         )
         .unwrap();
         let (observed, decided) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        engine.scheduler = Box::new(Recording {
+        engine.member.scheduler = Box::new(Recording {
             observed: Arc::clone(&observed),
             decided: Arc::clone(&decided),
         });
@@ -749,20 +598,20 @@ mod tests {
         };
         // A steady aggregate until PRED-2 skips ahead.
         let (mut t, mut t_u) = (0, 0);
-        while engine.next_snapshot_tick < t_u + 3 {
+        while due(&engine) < t_u + 3 {
             if tick(&w, &mut engine, t).snapshot_executed {
                 t_u = t;
             }
             t += 1;
             assert!(t < 200, "PRED-2 never skipped a tick");
         }
-        let due = engine.next_snapshot_tick;
+        let deadline = due(&engine);
         // Every value below the predicate's threshold from here on.
         drift(&mut w, -30.0);
-        for t in due..due + 3 {
+        for t in deadline..deadline + 3 {
             let o = tick(&w, &mut engine, t);
             assert!(o.snapshot_executed && !o.updated, "tick {t}: a hold");
-            assert_eq!(engine.next_snapshot_tick, t + 1, "t_u = {t_u}, due {due}");
+            assert_eq!(due(&engine), t + 1, "t_u = {t_u}, due {deadline}");
         }
     }
 

@@ -11,13 +11,14 @@
 //! question classes and any number of contracts over them. It has three
 //! callers:
 //! - [`IndependentEstimator::evaluate`], the case of one class and one
-//!   contract (a [`crate::DigestEngine`] with `INDEP`);
+//!   contract;
 //! - a [`crate::RepeatedEstimator`]'s first occasion, which goes through
 //!   `evaluate` and keeps the draws as its panel (§IV-B2);
-//! - every fresh round of a shared [`crate::QueryMux`]: each `INDEP`
-//!   round, and each RPT round with no panel to revisit, whose draws seed
-//!   the RPT panel. Its members bring their `σ̂` EMA as a prior and their
-//!   smoothed selectivity as data; a lone contract brings none and 1.
+//! - every fresh round of a [`crate::QueryMux`] (a [`crate::DigestEngine`]
+//!   is its one-member case): each `INDEP` round, and each RPT round with
+//!   no panel to revisit, whose draws seed the RPT panel. Every member is
+//!   sized under the round's own `σ̂` and brings its smoothed selectivity
+//!   as data; a lone contract brings 1.
 
 use crate::error::CoreError;
 use crate::panel::{answer, Question, SamplePanel};
@@ -138,7 +139,7 @@ impl IndependentEstimator {
         let fresh = self.draw(
             ctx,
             &[(expr, predicate)],
-            std::iter::once((0, precision, None, 1.0)),
+            std::iter::once((0, precision, 1.0)),
             &mut tally,
             self.build_panel.then_some(&mut panel),
             operator,
@@ -190,7 +191,7 @@ impl IndependentEstimator {
     /// every drawn row is folded once per class into `tallies` (one
     /// [`RunningMoments`] per class, owned by the caller). A round asks
     /// for the largest deficit over `demands`, each `(class, precision,
-    /// prior σ̂, selectivity)`: its class's [`target`](Self::target) less
+    /// selectivity)`: its class's [`target`](Self::target) less
     /// the qualifying values the class has, turned into draws at the
     /// expected `selectivity`. The loop ends when no demand is short or
     /// the [`draw_cap`] is spent. With a `seed` panel, every row that
@@ -205,7 +206,7 @@ impl IndependentEstimator {
         &self,
         ctx: &TickContext<'_>,
         questions: &[Question<'_>],
-        demands: impl Iterator<Item = (usize, &'p Precision, Option<f64>, f64)> + Clone,
+        demands: impl Iterator<Item = (usize, &'p Precision, f64)> + Clone,
         tallies: &mut [RunningMoments],
         mut seed: Option<&mut SamplePanel>,
         operator: &mut SamplingOperator,
@@ -220,11 +221,11 @@ impl IndependentEstimator {
         loop {
             let headroom = cap.saturating_sub(usize::try_from(fresh.drawn).unwrap_or(usize::MAX));
             let mut want = 0;
-            for (class, precision, prior, selectivity) in demands.clone() {
+            for (class, precision, selectivity) in demands.clone() {
                 let Some(moments) = tallies.get(class) else {
                     continue;
                 };
-                let target = self.target(precision, prior, moments)?;
+                let target = self.target(precision, moments)?;
                 let have = moments.count();
                 if have < target {
                     want = want.max(draws_for_deficit(target - have, selectivity, headroom));
@@ -247,20 +248,9 @@ impl IndependentEstimator {
 
     /// Eq. 6's qualifying-sample target for one contract: the pilot until
     /// the class has folded one, then `(σ̂ z_p / ε)²` within
-    /// `[pilot, max_samples]`, `σ̂` the larger of the `prior` and the
-    /// class's running sample deviation (the prior alone before the
-    /// pilot is in).
-    fn target(
-        &self,
-        precision: &Precision,
-        prior: Option<f64>,
-        moments: &RunningMoments,
-    ) -> Result<u64> {
-        let measured = (moments.count() >= self.pilot_size as u64).then(|| moments.sample_std());
-        let sigma = match (prior, measured) {
-            (Some(prior), Some(measured)) => Some(prior.max(measured)),
-            (prior, measured) => prior.or(measured),
-        };
+    /// `[pilot, max_samples]`, `σ̂` the class's running sample deviation.
+    fn target(&self, precision: &Precision, moments: &RunningMoments) -> Result<u64> {
+        let sigma = (moments.count() >= self.pilot_size as u64).then(|| moments.sample_std());
         // Not `clamp`, which panics when `max_samples < pilot_size` (an
         // estimator built field by field); this ends the loop once the
         // pilot is in.

@@ -17,7 +17,8 @@
 //!   estimate with the fresh-sample mean.
 //!
 //! [`engine::DigestEngine`] composes a scheduler, an estimator, and the
-//! bottom-tier sampling operator into the full system; [`tag`] is the
+//! bottom-tier sampling operator into the full system — one query's
+//! round of the [`mux::QueryMux`], which serves many; [`tag`] is the
 //! tree-aggregation comparator of the paper's §VII. Everything implements
 //! the [`system::QuerySystem`] trait the simulator drives. The push
 //! comparators of the paper's §VI-B3 evaluation (`ALL+ALL`,

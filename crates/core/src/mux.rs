@@ -33,15 +33,16 @@
 //! a question nobody asked before) and every round with
 //! `EstimatorKind::Independent` draws a fresh CLT-sized panel instead
 //! through [`IndependentEstimator`]'s one CLT loop (Eq. 6 per member under
-//! its `σ̂` EMA and smoothed selectivity, sized at the maximum
-//! requirement, §IV-B1), which then seeds the RPT panel. Every member
-//! reads its class's result under its own `(δ, ε, p)` contract, aggregate
-//! op, δ-semantics and scheduling, and receives its own causal trace id
-//! parented to the round's.
+//! the round's own `σ̂` and the member's smoothed selectivity, sized at
+//! the maximum requirement, §IV-B1), which then seeds the RPT panel.
+//! Every member reads its class's result under its own `(δ, ε, p)`
+//! contract, aggregate op, δ-semantics and scheduling, and receives its
+//! own causal trace id parented to the round's.
 //!
-//! With sharing disabled the mux degrades to N independent
-//! [`DigestEngine`]s driven in registration order — byte-identical to
-//! running the engines standalone, which `tests/mux_equivalence.rs` pins.
+//! The round is the only query-answering path Digest has: a
+//! [`DigestEngine`] is a round with one member. With sharing disabled the
+//! mux runs one such engine per query, in registration order, which
+//! `tests/mux_equivalence.rs` holds to standalone engines byte for byte.
 
 use crate::engine::{DigestEngine, EngineConfig, EstimatorKind, SchedulerKind};
 use crate::error::CoreError;
@@ -51,53 +52,34 @@ use crate::query::{AggregateOp, ContinuousQuery};
 use crate::report::{
     emit_snapshot, finish, scale, MessageSplit, Report, Selectivity, SizeTracker, Snapshot,
 };
-use crate::rpt::{ClassAnswer, RepeatedEstimator, RptConfig};
+use crate::rpt::{ClassAnswer, RepeatedEstimator};
 use crate::scheduler::SnapshotScheduler;
 use crate::sketch_est::SketchSweepEstimator;
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
-use digest_sampling::{SamplingConfig, SamplingError, SamplingOperator};
+use digest_sampling::{SamplingError, SamplingOperator};
 use digest_stats::RunningMoments;
-use digest_telemetry::{Field, Stage};
+use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::RngCore;
-use std::collections::BTreeMap;
 
-/// Multiplexer configuration: scheduler × estimator defaults for member
-/// queries plus the sharing switch (§IV-A, §V).
+/// Multiplexer configuration (§IV-A, §V): whether compatible queries
+/// share rounds, and the scheduler × estimator tuning of every member.
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
     /// Share walk batches and panels across compatible queries. When
-    /// `false` the mux runs one full [`DigestEngine`] per query —
-    /// byte-identical to standalone engines (§IV baseline).
+    /// `false` the mux runs one [`DigestEngine`] per query (§IV baseline).
     pub sharing: bool,
-    /// Scheduler for member queries (§IV-A).
-    pub scheduler: SchedulerKind,
-    /// Estimator for member queries (§IV-B): each engine's in unshared
-    /// mode; in shared mode, `Repeated` keeps one rotating RPT panel
-    /// across rounds (§IV-B2) and `Independent` draws a fresh CLT-sized
-    /// panel every round (Eq. 6).
-    pub estimator: EstimatorKind,
-    /// Bottom-tier sampling operator tuning (§V).
-    pub sampling: SamplingConfig,
-    /// Estimator tuning: pilot size and sample caps (§IV-B).
-    pub rpt: RptConfig,
-    /// For `SUM`/`COUNT`: rounds between shared relation-size refreshes
-    /// (§V-B capture–recapture).
-    pub size_refresh_rounds: u64,
-    /// For `SUM`/`COUNT`: uniform node samples per size round (§V-B).
-    pub size_sample_target: usize,
+    /// Each member's scheduler, estimator, sampling and size tuning
+    /// (§IV-A, §IV-B, §V); in shared mode the estimator keeps one panel
+    /// for all of them.
+    pub member: EngineConfig,
 }
 
 impl Default for MuxConfig {
     fn default() -> Self {
         Self {
             sharing: true,
-            scheduler: SchedulerKind::Pred(3),
-            estimator: EstimatorKind::Repeated,
-            sampling: SamplingConfig::default(),
-            rpt: RptConfig::default(),
-            size_refresh_rounds: 10,
-            size_sample_target: 256,
+            member: EngineConfig::default(),
         }
     }
 }
@@ -129,100 +111,171 @@ pub struct MuxQueryTotals {
     pub snapshots: u64,
 }
 
-/// Per-query state in shared mode.
-struct SharedQuery {
-    query: ContinuousQuery,
-    scheduler: Box<dyn SnapshotScheduler + Send>,
+/// One member of a round (§II: its own contract, schedule, estimate
+/// stream and causal trace).
+pub(crate) struct Member {
+    id: u64,
+    pub(crate) query: ContinuousQuery,
+    pub(crate) scheduler: Box<dyn SnapshotScheduler + Send>,
     /// Per-member sweep estimator for the sketch-served kinds (DESIGN.md
     /// §17); `None` for the panel-served mean-like kinds.
-    sketch: Option<SketchSweepEstimator>,
+    pub(crate) sketch: Option<SketchSweepEstimator>,
+    /// The member's question class in the current round
+    /// (`question_classes`).
+    class: usize,
     /// Tick of the member's next occasion, as its scheduler last decided
     /// (§IV-A); `None` = never served, due at once (§II: answers start at
     /// arrival time).
-    deadline: Option<u64>,
+    pub(crate) deadline: Option<u64>,
     started: bool,
-    trace: u64,
+    pub(crate) trace: u64,
     report: Report,
-    sigma_ema: Option<f64>,
     selectivity: Selectivity,
-    totals: MuxQueryTotals,
+    pub(crate) totals: MuxQueryTotals,
 }
 
-impl SharedQuery {
+impl Member {
+    /// Member `id`, answering `query` under a `scheduler` (§II: its
+    /// contract runs from here).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] for an invalid scheduler or a
+    /// degenerate sketch contract (DESIGN.md §17 sizing).
+    pub(crate) fn new(id: u64, query: ContinuousQuery, scheduler: SchedulerKind) -> Result<Self> {
+        let sketch = query
+            .op
+            .is_sketch()
+            .then(|| SketchSweepEstimator::for_query(&query))
+            .transpose()?;
+        Ok(Self {
+            id,
+            scheduler: scheduler.build(&query.precision)?,
+            query,
+            sketch,
+            class: 0,
+            deadline: None,
+            started: false,
+            trace: 0,
+            report: Report::new(),
+            selectivity: Selectivity::default(),
+            totals: MuxQueryTotals::default(),
+        })
+    }
+
+    fn asks(&self) -> Question<'_> {
+        (&self.query.expr, &self.query.predicate)
+    }
+
     fn is_due(&self, tick: u64) -> bool {
         self.deadline.is_none_or(|deadline| deadline <= tick)
     }
 
-    fn idle(&self, id: u64) -> MuxQueryOutcome {
+    pub(crate) fn idle(&self) -> MuxQueryOutcome {
         MuxQueryOutcome {
-            query: id,
+            query: self.id,
             outcome: TickOutcome::idle(self.report.current),
             trace: self.trace,
             round: None,
         }
     }
-}
 
-/// What one question class got from a round's panel, however it was
-/// drawn (§IV-B).
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassDraw {
-    /// The class's mean.
-    mean: f64,
-    /// Values behind it, retained and fresh.
-    qualifying: u64,
-    /// Fresh draws that answered, out of `fresh_drawn`: the selectivity
-    /// tally's input.
-    fresh_qualifying: u64,
-    fresh_drawn: u64,
-    /// `σ̂` of the round's values, when there were two or more.
-    std: Option<f64>,
-}
-
-impl ClassDraw {
-    /// A class's draw from a CLT round of `drawn` fresh samples, `moments`
-    /// the values that answered it.
-    fn fresh(moments: &RunningMoments, drawn: u64) -> Self {
-        Self {
-            mean: moments.mean(),
-            qualifying: moments.count(),
-            fresh_qualifying: moments.count(),
-            fresh_drawn: drawn,
-            std: (moments.count() >= 2).then(|| moments.sample_std()),
+    /// A panel member's snapshot from its class's answer (§IV-B): a
+    /// started `AVG` whose qualifying set came up empty holds its result;
+    /// anything else is scaled into the member's aggregate, its fresh
+    /// tallies folded into the member's selectivity first.
+    #[allow(clippy::cast_precision_loss)]
+    fn snapshot(&mut self, answer: ClassAnswer, panel: Panel, n_hat: Option<f64>) -> Snapshot {
+        let (samples, fresh) = (panel.samples, panel.fresh);
+        let trivial = self.query.predicate.is_trivial();
+        if answer.qualifying == 0
+            && !trivial
+            && matches!(self.query.op, AggregateOp::Avg)
+            && self.started
+        {
+            return Snapshot::Hold { samples, fresh };
+        }
+        let selectivity = if trivial {
+            1.0
+        } else {
+            self.selectivity
+                .update(answer.fresh_qualifying as f64, fresh as f64)
+        };
+        Snapshot::Value {
+            value: scale(self.query.op, answer.estimate, selectivity, n_hat),
+            samples,
+            fresh,
         }
     }
 
-    /// A class's draw from an RPT round that drew `fresh_drawn` samples.
-    fn repeated(answer: ClassAnswer, fresh_drawn: u64) -> Self {
-        Self {
-            mean: answer.estimate,
-            qualifying: answer.qualifying,
-            fresh_qualifying: answer.fresh_qualifying,
-            fresh_drawn,
-            std: (answer.qualifying >= 2).then_some(answer.sigma),
+    /// Ends the member's occasion at `tick` (§II δ-rule, §IV-A
+    /// rescheduling) and books it; returns the member's outcome.
+    fn close(
+        &mut self,
+        tick: u64,
+        snapshot: Snapshot,
+        messages: u64,
+        round: u64,
+    ) -> Result<MuxQueryOutcome> {
+        let (outcome, delay) = finish(
+            &mut self.report,
+            &mut *self.scheduler,
+            tick,
+            self.query.precision.delta,
+            snapshot,
+            messages,
+        )?;
+        self.deadline = Some(tick + delay);
+        self.totals.messages += messages;
+        self.totals.samples += outcome.samples_this_tick;
+        self.totals.snapshots += 1;
+        if matches!(snapshot, Snapshot::Value { .. }) {
+            self.started = true;
+            telemetry::CORE_ENGINE_SNAPSHOTS.inc();
+            telemetry::CORE_ENGINE_MESSAGES.add(messages);
+            telemetry::CORE_ENGINE_SAMPLES.add(outcome.samples_this_tick);
         }
+        Ok(MuxQueryOutcome {
+            query: self.id,
+            outcome,
+            trace: self.trace,
+            round: Some(round),
+        })
     }
 }
 
-/// A class's first-occasion `(estimate, its variance, σ̂)` for the RPT
-/// panel a CLT round seeds (§IV-B2), when anything answered.
+/// A class's answer from a CLT round (§IV-B1), `moments` the values that
+/// answered it; also the class's first occasion in the RPT panel the round
+/// seeds (§IV-B2).
 #[allow(clippy::cast_precision_loss)]
-fn first_occasion(moments: &RunningMoments) -> Option<(f64, f64, f64)> {
+fn fresh_answer(moments: &RunningMoments) -> ClassAnswer {
     let n = moments.count();
-    (n > 0).then(|| {
-        (
-            moments.mean(),
-            moments.sample_variance() / n as f64,
-            moments.sample_std(),
-        )
-    })
+    ClassAnswer {
+        estimate: moments.mean(),
+        variance: moments.sample_variance() / n.max(1) as f64,
+        sigma: moments.sample_std(),
+        rho: None,
+        qualifying: n,
+        fresh_qualifying: n,
+    }
 }
 
-/// A round's panel (§IV-B): what each question class drew — `None` when
-/// the relation was empty and the round holds — the samples every panel
-/// member read, and what drawing them cost.
-struct Round {
-    classes: Option<Vec<ClassDraw>>,
+/// The earliest of `members`' deadlines, if it is still ahead of `now`
+/// (§IV-A): ticks before it idle without consuming randomness. A member
+/// due now, or never served (`None` sorts first), keeps the round dense —
+/// as does no member.
+pub(crate) fn next_deadline<'a>(
+    members: impl Iterator<Item = &'a Member>,
+    now: u64,
+) -> Option<u64> {
+    let earliest = members.map(|q| q.deadline).min().flatten();
+    earliest.filter(|&deadline| deadline > now)
+}
+
+/// A drawn round's panel (§IV-B): the samples every panel member read,
+/// and what drawing them cost.
+#[derive(Debug, Clone, Copy)]
+struct Panel {
     samples: u64,
     fresh: u64,
     messages: MessageSplit,
@@ -231,60 +284,307 @@ struct Round {
 /// The members a round's tuple panel serves, ascending by id: all but the
 /// sweep-served sketch kinds, which are answered by per-member node
 /// sweeps (DESIGN.md §17).
-fn panel_members(
-    queries: &BTreeMap<u64, SharedQuery>,
-) -> impl Iterator<Item = &SharedQuery> + Clone {
-    queries.values().filter(|q| q.sketch.is_none())
+fn panel_members(members: &[Member]) -> impl Iterator<Item = &Member> + Clone {
+    members.iter().filter(|q| q.sketch.is_none())
 }
 
 /// Partitions a round's panel members by the question they put to each
-/// sampled row: `classes[i]` is the class of the `i`-th panel member,
-/// numbered in order of first appearance, and two members share a class
-/// iff their `(expr, predicate)` are equal (`op` scales the folded mean
-/// afterwards and `(δ, ε, p)` sizes the panel; neither enters the fold).
-/// Every panel member sees every row of the round, so classmates would
-/// fold the same values in the same order — one tally per class is, bit
-/// for bit, each member's own. Returns the classes and each
-/// class's question.
-fn question_classes(queries: &BTreeMap<u64, SharedQuery>) -> (Vec<usize>, Vec<Question<'_>>) {
-    let mut questions: Vec<Question<'_>> = Vec::new();
-    let classes = panel_members(queries)
-        .map(|q| {
-            let asked = (&q.query.expr, &q.query.predicate);
-            questions
-                .iter()
-                .position(|&question| question == asked)
-                .unwrap_or_else(|| {
-                    questions.push(asked);
-                    questions.len() - 1
-                })
-        })
-        .collect();
-    (classes, questions)
+/// sampled row, numbering the classes in order of first appearance
+/// (`Member::class`). Two members share a class iff their `(expr,
+/// predicate)` are equal (`op` scales the folded mean afterwards and `(δ,
+/// ε, p)` sizes the panel; neither enters the fold). Every panel member
+/// sees every row of the round, so classmates would fold the same values
+/// in the same order — one tally per class is, bit for bit, each member's
+/// own. Returns the number of classes.
+fn question_classes(members: &mut [Member]) -> usize {
+    let mut classes = 0;
+    for i in 0..members.len() {
+        let (earlier, rest) = members.split_at_mut(i);
+        let Some(q) = rest.first_mut().filter(|q| q.sketch.is_none()) else {
+            continue;
+        };
+        q.class = match panel_members(earlier).find(|p| p.asks() == q.asks()) {
+            Some(classmate) => classmate.class,
+            None => {
+                classes += 1;
+                classes - 1
+            }
+        };
+    }
+    classes
 }
 
-/// Shared-mode state: one operator, one walk pool, one size estimate, one
-/// panel.
-struct SharedState {
+/// Empties `buffer` and hands its allocation on under another lifetime: a
+/// round's questions borrow its members, so the round keeps the buffer
+/// empty between rounds. (Collecting a `Vec`'s own iterator into a `Vec`
+/// of a same-sized type reuses its allocation.)
+fn recycle<'b>(mut buffer: Vec<Question<'_>>) -> Vec<Question<'b>> {
+    buffer.clear();
+    buffer.into_iter().map_while(|_| None).collect()
+}
+
+/// A round's machinery: one operator, one walk pool, one size estimate and
+/// one panel for the members it is ticked with — the one query of a
+/// [`DigestEngine`], or every query of a sharing [`QueryMux`] — and the
+/// round's scratch, kept for its buffers so that a steady round allocates
+/// nothing.
+pub(crate) struct Round {
+    pub(crate) config: EngineConfig,
     operator: SamplingOperator,
-    /// The CLT loop of fresh rounds, under `MuxConfig::rpt`'s pilot and
-    /// cap.
+    /// The CLT loop of fresh rounds, under `config.rpt`'s pilot and cap.
     clt: IndependentEstimator,
     /// `N̂` for the `SUM`/`COUNT` members, shared by all of them.
-    size: SizeTracker,
+    pub(crate) size: SizeTracker,
     /// The rotating RPT panel and its per-class state (`None`: every
     /// round draws a fresh CLT-sized panel, INDEP).
     rpt: Option<RepeatedEstimator>,
     /// A CLT round's draws on their way to seeding the RPT panel.
     seed: SamplePanel,
-    queries: BTreeMap<u64, SharedQuery>,
     rounds: u64,
     last_round_trace: u64,
+    /// The round's class questions (which borrow the members, so this is
+    /// empty between rounds) and a CLT round's per-class tallies.
+    questions: Vec<Question<'static>>,
+    tallies: Vec<RunningMoments>,
+}
+
+impl Round {
+    /// A round's machinery under `config`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] for invalid estimator or sampling
+    /// settings.
+    pub(crate) fn new(config: EngineConfig) -> Result<Self> {
+        let rpt = match config.estimator {
+            EstimatorKind::Repeated => Some(RepeatedEstimator::new(config.rpt)?),
+            EstimatorKind::Independent => None,
+        };
+        Ok(Self {
+            config,
+            operator: SamplingOperator::new(config.sampling)?,
+            clt: IndependentEstimator::new(config.rpt.pilot_size, config.rpt.max_samples, false)?,
+            size: SizeTracker::new(config.sampling)?,
+            rpt,
+            seed: SamplePanel::new(),
+            rounds: 0,
+            last_round_trace: 0,
+            questions: Vec::new(),
+            tallies: Vec::new(),
+        })
+    }
+
+    pub(crate) fn set_workers(&mut self, workers: usize) {
+        self.config.sampling.workers = workers;
+        self.operator.set_workers(workers);
+        self.size.set_workers(workers);
+    }
+
+    /// One tick of `members` (ascending by id), each one's outcome handed
+    /// to `served` in that order. A round fires when some member's deadline
+    /// has come (§IV-A); it draws one panel — revisiting the rotating RPT
+    /// panel (§IV-B2) or, with nothing to revisit, a fresh CLT-sized one
+    /// (Eq. 6) — and serves *every* member from it, each under its own
+    /// contract (§II): reading a paid panel costs no messages, so nobody
+    /// waits for a deadline of their own. `system` names the members'
+    /// `engine.snapshot` events.
+    ///
+    /// # Errors
+    ///
+    /// Any sampling or scheduler error; a transiently empty relation is
+    /// held, not raised (§V).
+    ///
+    /// xtask: no-alloc
+    #[allow(clippy::too_many_lines, clippy::cast_possible_truncation)]
+    pub(crate) fn tick(
+        &mut self,
+        members: &mut [Member],
+        ctx: &TickContext<'_>,
+        rng: &mut dyn RngCore,
+        system: &str,
+        mut served: impl FnMut(MuxQueryOutcome),
+    ) -> Result<()> {
+        let tick = ctx.tick;
+        let due = members.iter().filter(|q| q.is_due(tick)).count() as u64;
+        if due == 0 {
+            members.iter().for_each(|q| served(q.idle()));
+            return Ok(());
+        }
+
+        // A round fires. Allocate its causal trace first so the sampling
+        // events below parent to the round, then one id per member (ascending
+        // id order — deterministic regardless of telemetry enablement).
+        let round_trace = digest_telemetry::begin_trace();
+        digest_telemetry::set_trace(round_trace);
+        let _round_span = digest_telemetry::span(Stage::EngineTick);
+
+        // Panel sizing, the size refresh and the round-cost split cover
+        // panel members only.
+        let mut size = 0u64;
+        let needs_size = panel_members(members).any(|q| !matches!(q.query.op, AggregateOp::Avg));
+        if needs_size && self.size.is_stale(self.config.size_refresh_interval) {
+            size = self
+                .size
+                .refresh(ctx, self.config.size_sample_target, rng)?;
+        }
+
+        // --- Draw the panel, folded once per question class. ---
+        let classes = question_classes(members);
+        let mut questions = recycle(std::mem::take(&mut self.questions));
+        for q in panel_members(members) {
+            if q.class == questions.len() {
+                questions.push(q.asks());
+            }
+        }
+        let eval_span = digest_telemetry::span(Stage::EstimatorEval);
+        let repeated = self.rpt.as_mut().is_some_and(|rpt| rpt.align(&questions));
+        let drawn = match self.rpt.as_mut() {
+            Some(rpt) if repeated => {
+                let demands = panel_members(members).map(|q| (q.class, &q.query.precision));
+                rpt.occasion(ctx, &questions, demands, &mut self.operator, rng)
+                    .map(|occasion| Panel {
+                        samples: occasion.revisited + occasion.fresh,
+                        fresh: occasion.fresh,
+                        messages: occasion.messages,
+                    })
+            }
+            // Nothing to revisit, or INDEP: a fresh CLT-sized panel (Eq. 6),
+            // each member sized under the round's σ̂ and its smoothed
+            // selectivity (1 under a trivial predicate, whose tally is never
+            // updated); with RPT on, its draws seed the RPT panel (§IV-B2).
+            rpt => {
+                let demands = panel_members(members)
+                    .map(|q| (q.class, &q.query.precision, q.selectivity.smoothed()));
+                self.tallies.clear();
+                self.tallies.resize(classes, RunningMoments::new());
+                let seed = rpt.is_some().then_some(&mut self.seed);
+                let fresh = self.clt.draw(
+                    ctx,
+                    &questions,
+                    demands,
+                    &mut self.tallies,
+                    seed,
+                    &mut self.operator,
+                    rng,
+                );
+                fresh.map(|fresh| {
+                    if let Some(rpt) = rpt {
+                        let firsts = self.tallies.iter().map(|moments| {
+                            let first = fresh_answer(moments);
+                            (first.qualifying > 0).then_some((
+                                first.estimate,
+                                first.variance,
+                                first.sigma,
+                            ))
+                        });
+                        rpt.seed(&mut self.seed, firsts);
+                    }
+                    Panel {
+                        samples: fresh.drawn,
+                        fresh: fresh.drawn,
+                        messages: fresh.messages,
+                    }
+                })
+            }
+        };
+        self.questions = recycle(questions);
+        drop(eval_span);
+        let panel = match drawn {
+            Ok(panel) => Some(panel),
+            // A transiently empty relation is a live condition (§V): hold
+            // every due member and retry next tick. It fails a round's
+            // first batch, before any draw, so the round has no samples
+            // to show (an RPT revisit's lost probes are dropped with it).
+            Err(CoreError::Sampling(SamplingError::EmptyDatabase)) => None,
+            Err(other) => return Err(other),
+        };
+        let round_messages = panel.map_or(0, |panel| panel.messages.total()) + size;
+
+        // --- Per-member finalisation in ascending id order: attribute the
+        // round cost, apply each member's δ-semantics, reschedule (§IV-A).
+        // Panel members split a drawn round's cost evenly, due members a
+        // held one's; sweep-served members pay exactly their own
+        // fresh-node pulls (DESIGN.md §17). ---
+        let payers = panel.map_or(due, |_| panel_members(members).count().max(1) as u64);
+        let (share, remainder) = (round_messages / payers, round_messages % payers);
+        let mut paid = 0u64;
+        for q in members.iter_mut() {
+            let Some(panel) = panel else {
+                // Held: due members count an (empty) occasion and retry
+                // next tick; everyone else idles.
+                let outcome = if q.is_due(tick) {
+                    paid += 1;
+                    let messages = share + u64::from(paid <= remainder);
+                    q.close(tick, Snapshot::Retry, messages, round_trace)?
+                } else {
+                    q.idle()
+                };
+                served(outcome);
+                continue;
+            };
+            q.trace = digest_telemetry::begin_trace();
+            digest_telemetry::set_trace(q.trace);
+            let (snapshot, messages) = if let Some(sketch) = q.sketch.as_mut() {
+                let sweep = sketch.sweep(ctx.db, &q.query.expr, &q.query.predicate)?;
+                (sweep.into(), sweep.messages)
+            } else {
+                let answer = match &self.rpt {
+                    Some(rpt) if repeated => Some(rpt.answer(q.class)),
+                    _ => self.tallies.get(q.class).map(fresh_answer),
+                };
+                paid += 1;
+                let messages = share + u64::from(paid <= remainder);
+                let n_hat = self.size.estimate();
+                (
+                    q.snapshot(answer.unwrap_or_default(), panel, n_hat),
+                    messages,
+                )
+            };
+            let outcome = q.close(tick, snapshot, messages, round_trace)?;
+            // A sweep member's occasion is an event even when it held; a
+            // panel member's only when it produced a value.
+            if matches!(snapshot, Snapshot::Value { .. }) || q.sketch.is_some() {
+                emit_snapshot(system, &outcome.outcome);
+            }
+            served(outcome);
+        }
+        self.rounds += 1;
+        self.last_round_trace = round_trace;
+        let Some(panel) = panel else {
+            return Ok(());
+        };
+
+        // The round's own event, under the round's trace id, its messages
+        // split by cause.
+        digest_telemetry::set_trace(round_trace);
+        if digest_telemetry::events_enabled() {
+            let [walk, report, revisit, lost, peers] = panel.messages.fields();
+            digest_telemetry::emit(
+                "mux.round",
+                &[
+                    ("members", Field::U64(members.len() as u64)),
+                    ("due", Field::U64(due)),
+                    ("panel", Field::U64(panel.samples)),
+                    ("messages", Field::U64(round_messages)),
+                    walk,
+                    report,
+                    revisit,
+                    lost,
+                    ("size", Field::U64(size)),
+                    peers,
+                ],
+            );
+        }
+        self.size.served_occasion();
+        Ok(())
+    }
 }
 
 enum Mode {
-    Independent(BTreeMap<u64, DigestEngine>),
-    Shared(Box<SharedState>),
+    /// One [`DigestEngine`] — a one-member round — per query.
+    Independent(Vec<DigestEngine>),
+    /// One round for every member, ascending by id.
+    Shared(Box<Round>, Vec<Member>),
 }
 
 /// The query multiplexer: N concurrent continuous queries (heterogeneous
@@ -321,40 +621,16 @@ impl QueryMux {
     /// [`crate::CoreError::InvalidConfig`] for invalid scheduler/sampling
     /// settings.
     pub fn new(config: MuxConfig) -> Result<Self> {
-        let mode = if config.sharing {
-            let rpt = match config.estimator {
-                EstimatorKind::Repeated => Some(RepeatedEstimator::new(config.rpt)?),
-                EstimatorKind::Independent => None,
-            };
-            Mode::Shared(Box::new(SharedState {
-                operator: SamplingOperator::new(config.sampling)?,
-                clt: IndependentEstimator::new(
-                    config.rpt.pilot_size,
-                    config.rpt.max_samples,
-                    false,
-                )?,
-                size: SizeTracker::new(config.sampling)?,
-                rpt,
-                seed: SamplePanel::new(),
-                queries: BTreeMap::new(),
-                rounds: 0,
-                last_round_trace: 0,
-            }))
+        let member = config.member;
+        let (mode, name) = if config.sharing {
+            let round = Box::new(Round::new(member)?);
+            (
+                Mode::Shared(round, Vec::new()),
+                format!("MUX+{}", member.scheduler),
+            )
         } else {
-            Mode::Independent(BTreeMap::new())
-        };
-        let scheduler_name = match config.scheduler {
-            SchedulerKind::All => "ALL".to_owned(),
-            SchedulerKind::Pred(k) => format!("PRED{k}"),
-        };
-        let name = if config.sharing {
-            format!("MUX+{scheduler_name}")
-        } else {
-            let est = match config.estimator {
-                EstimatorKind::Independent => "INDEP",
-                EstimatorKind::Repeated => "RPT",
-            };
-            format!("MUX-UNSHARED+{scheduler_name}+{est}")
+            let name = format!("MUX-UNSHARED+{}+{}", member.scheduler, member.estimator);
+            (Mode::Independent(Vec::new()), name)
         };
         Ok(Self {
             config,
@@ -368,6 +644,21 @@ impl QueryMux {
         })
     }
 
+    /// Every member, ascending by id.
+    fn members(&self) -> impl Iterator<Item = &Member> {
+        let (shared, engines): (&[Member], &[DigestEngine]) = match &self.mode {
+            Mode::Independent(engines) => (&[], engines),
+            Mode::Shared(_, members) => (members, &[]),
+        };
+        shared
+            .iter()
+            .chain(engines.iter().map(DigestEngine::member))
+    }
+
+    fn member(&self, id: u64) -> Option<&Member> {
+        self.members().find(|q| q.id == id)
+    }
+
     /// Registers a continuous query; returns its member id (§II: the
     /// query's contract runs from this call until
     /// [`QueryMux::deregister`]).
@@ -379,47 +670,10 @@ impl QueryMux {
     /// (DESIGN.md §17 sizing).
     pub fn register(&mut self, query: ContinuousQuery) -> Result<u64> {
         let id = self.next_id;
+        let config = self.config.member;
         match &mut self.mode {
-            Mode::Independent(engines) => {
-                let engine = DigestEngine::new(
-                    query,
-                    EngineConfig {
-                        scheduler: self.config.scheduler,
-                        estimator: self.config.estimator,
-                        sampling: self.config.sampling,
-                        rpt: self.config.rpt,
-                        size_refresh_interval: self.config.size_refresh_rounds,
-                        size_sample_target: self.config.size_sample_target,
-                    },
-                )?;
-                engines.insert(id, engine);
-            }
-            Mode::Shared(state) => {
-                // Sweep-served members (quantiles, distinct count, top-k
-                // mass — DESIGN.md §17) carry a per-member sweep
-                // estimator; mean-like members share the panel.
-                let sketch = if query.op.is_sketch() {
-                    Some(SketchSweepEstimator::for_query(&query)?)
-                } else {
-                    None
-                };
-                let scheduler = self.config.scheduler.build(&query.precision)?;
-                state.queries.insert(
-                    id,
-                    SharedQuery {
-                        query,
-                        scheduler,
-                        sketch,
-                        deadline: None,
-                        started: false,
-                        trace: 0,
-                        report: Report::new(),
-                        sigma_ema: None,
-                        selectivity: Selectivity::default(),
-                        totals: MuxQueryTotals::default(),
-                    },
-                );
-            }
+            Mode::Independent(engines) => engines.push(DigestEngine::member_of(id, query, config)?),
+            Mode::Shared(_, members) => members.push(Member::new(id, query, config.scheduler)?),
         }
         self.next_id += 1;
         Ok(id)
@@ -429,22 +683,15 @@ impl QueryMux {
     /// unknown ids are ignored.
     pub fn deregister(&mut self, id: u64) {
         match &mut self.mode {
-            Mode::Independent(engines) => {
-                engines.remove(&id);
-            }
-            Mode::Shared(state) => {
-                state.queries.remove(&id);
-            }
+            Mode::Independent(engines) => engines.retain(|e| e.member().id != id),
+            Mode::Shared(_, members) => members.retain(|q| q.id != id),
         }
     }
 
     /// Number of registered queries (§II).
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.mode {
-            Mode::Independent(engines) => engines.len(),
-            Mode::Shared(state) => state.queries.len(),
-        }
+        self.members().count()
     }
 
     /// Whether no query is registered (§II).
@@ -456,33 +703,20 @@ impl QueryMux {
     /// The member query behind `id`, if registered (§II).
     #[must_use]
     pub fn query(&self, id: u64) -> Option<&ContinuousQuery> {
-        match &self.mode {
-            Mode::Independent(engines) => engines.get(&id).map(DigestEngine::query),
-            Mode::Shared(state) => state.queries.get(&id).map(|q| &q.query),
-        }
+        self.member(id).map(|q| &q.query)
     }
 
     /// Registered member ids in ascending order (§II).
     #[must_use]
     pub fn query_ids(&self) -> Vec<u64> {
-        match &self.mode {
-            Mode::Independent(engines) => engines.keys().copied().collect(),
-            Mode::Shared(state) => state.queries.keys().copied().collect(),
-        }
+        self.members().map(|q| q.id).collect()
     }
 
     /// Lifetime cost counters for one member (§VI accounting; round
     /// costs are split evenly across round members in shared mode).
     #[must_use]
     pub fn query_totals(&self, id: u64) -> Option<MuxQueryTotals> {
-        match &self.mode {
-            Mode::Independent(engines) => engines.get(&id).map(|e| MuxQueryTotals {
-                messages: e.total_messages(),
-                samples: e.total_samples(),
-                snapshots: e.total_snapshots(),
-            }),
-            Mode::Shared(state) => state.queries.get(&id).map(|q| q.totals),
-        }
+        self.member(id).map(|q| q.totals)
     }
 
     /// Coalesced sampling rounds executed so far (0 in unshared mode —
@@ -491,7 +725,7 @@ impl QueryMux {
     pub fn rounds(&self) -> u64 {
         match &self.mode {
             Mode::Independent(_) => 0,
-            Mode::Shared(state) => state.rounds,
+            Mode::Shared(round, _) => round.rounds,
         }
     }
 
@@ -509,22 +743,21 @@ impl QueryMux {
         rng: &mut dyn RngCore,
     ) -> Result<Vec<MuxQueryOutcome>> {
         digest_telemetry::set_tick(ctx.tick);
-        let outcomes = match &mut self.mode {
+        let mut outcomes = Vec::with_capacity(self.len());
+        match &mut self.mode {
             Mode::Independent(engines) => {
-                let mut out = Vec::with_capacity(engines.len());
-                for (&id, engine) in engines.iter_mut() {
-                    let outcome = engine.on_tick(ctx, rng)?;
-                    out.push(MuxQueryOutcome {
-                        query: id,
-                        outcome,
-                        trace: engine.trace_id(),
+                for engine in engines {
+                    let outcome = engine.tick(ctx, rng)?;
+                    outcomes.push(MuxQueryOutcome {
                         round: None,
+                        ..outcome
                     });
                 }
-                out
             }
-            Mode::Shared(state) => shared_tick(state, &self.config, ctx, rng)?,
-        };
+            Mode::Shared(round, members) => {
+                round.tick(members, ctx, rng, "MUX", |o| outcomes.push(o))?;
+            }
+        }
         for o in &outcomes {
             self.total_messages += o.outcome.messages_this_tick;
             self.total_samples += o.outcome.samples_this_tick;
@@ -539,299 +772,13 @@ impl QueryMux {
     }
 }
 
-/// One shared-mode tick. A round fires when some member's deadline has
-/// come (§IV-A); it draws one shared panel — revisiting the rotating RPT
-/// panel (§IV-B2) or, with nothing to revisit, a fresh CLT-sized one
-/// (Eq. 6) — and serves *every* member from it, each under its own
-/// contract (§II) — reading a paid panel costs no messages, so nobody
-/// waits for a deadline of their own.
-#[allow(clippy::too_many_lines)]
-fn shared_tick(
-    state: &mut SharedState,
-    config: &MuxConfig,
-    ctx: &TickContext<'_>,
-    rng: &mut dyn RngCore,
-) -> Result<Vec<MuxQueryOutcome>> {
-    let tick = ctx.tick;
-    let due = state.queries.values().filter(|q| q.is_due(tick)).count() as u64;
-    if due == 0 {
-        return Ok(state.queries.iter().map(|(&id, q)| q.idle(id)).collect());
-    }
-
-    // A round fires. Allocate its causal trace first so the sampling
-    // events below parent to the round, then one id per member (ascending
-    // id order — deterministic regardless of telemetry enablement).
-    let round_trace = digest_telemetry::begin_trace();
-    digest_telemetry::set_trace(round_trace);
-    let _round_span = digest_telemetry::span(Stage::EngineTick);
-
-    // Panel sizing, the size refresh and the round-cost split cover panel
-    // members only.
-    let mut size = 0u64;
-    let needs_size = panel_members(&state.queries).any(|q| !matches!(q.query.op, AggregateOp::Avg));
-    if needs_size && state.size.is_stale(config.size_refresh_rounds) {
-        size = state.size.refresh(ctx, config.size_sample_target, rng)?;
-    }
-
-    // --- Draw the shared panel, folded once per question class. ---
-    let (classes, questions) = question_classes(&state.queries);
-    let eval_span = digest_telemetry::span(Stage::EstimatorEval);
-    let repeated = state.rpt.as_mut().is_some_and(|rpt| rpt.align(&questions));
-    let round = match state.rpt.as_mut() {
-        Some(rpt) if repeated => {
-            let demands = panel_members(&state.queries)
-                .zip(&classes)
-                .map(|(q, &class)| (class, &q.query.precision));
-            rpt.occasion(ctx, &questions, demands, &mut state.operator, rng)
-                .map(|occasion| Round {
-                    classes: Some(
-                        (0..questions.len())
-                            .map(|class| ClassDraw::repeated(rpt.answer(class), occasion.fresh))
-                            .collect(),
-                    ),
-                    samples: occasion.revisited + occasion.fresh,
-                    fresh: occasion.fresh,
-                    messages: occasion.messages,
-                })
-        }
-        // Nothing to revisit, or INDEP: a fresh CLT-sized panel (Eq. 6),
-        // each member sized under its σ̂ EMA and smoothed selectivity (1
-        // under a trivial predicate, whose tally is never updated); with
-        // RPT on, its draws seed the RPT panel (§IV-B2).
-        rpt => {
-            let demands = panel_members(&state.queries)
-                .zip(&classes)
-                .map(|(q, &class)| {
-                    let selectivity = q.selectivity.smoothed();
-                    (class, &q.query.precision, q.sigma_ema, selectivity)
-                });
-            let mut tallies = vec![RunningMoments::new(); questions.len()];
-            let seed = rpt.is_some().then_some(&mut state.seed);
-            let fresh = state.clt.draw(
-                ctx,
-                &questions,
-                demands,
-                &mut tallies,
-                seed,
-                &mut state.operator,
-                rng,
-            );
-            fresh.map(|fresh| {
-                if let Some(rpt) = rpt {
-                    rpt.seed(&mut state.seed, tallies.iter().map(first_occasion));
-                }
-                Round {
-                    classes: Some(
-                        tallies
-                            .iter()
-                            .map(|moments| ClassDraw::fresh(moments, fresh.drawn))
-                            .collect(),
-                    ),
-                    samples: fresh.drawn,
-                    fresh: fresh.drawn,
-                    messages: fresh.messages,
-                }
-            })
-        }
-    };
-    let round = match round {
-        Ok(round) => round,
-        // A transiently empty relation is a live condition (§V): hold
-        // every due member and retry next tick. It fails a round's first
-        // batch, before any draw, so the round has no samples to show
-        // (an RPT revisit's lost probes are dropped with it).
-        Err(CoreError::Sampling(SamplingError::EmptyDatabase)) => Round {
-            classes: None,
-            samples: 0,
-            fresh: 0,
-            messages: MessageSplit::default(),
-        },
-        Err(other) => return Err(other),
-    };
-    drop(eval_span);
-    let round_messages = round.messages.total() + size;
-
-    let mut out = Vec::with_capacity(state.queries.len());
-    let Some(draws) = round.classes else {
-        // Hold: due members count an (empty) occasion and retry next
-        // tick; everyone else idles. Messages spent so far are split
-        // across due members.
-        let share = round_messages / due;
-        let remainder = round_messages % due;
-        let mut held = 0u64;
-        for (&id, q) in &mut state.queries {
-            if !q.is_due(tick) {
-                out.push(q.idle(id));
-                continue;
-            }
-            let messages = share + u64::from(held < remainder);
-            held += 1;
-            q.totals.messages += messages;
-            q.totals.snapshots += 1;
-            q.deadline = Some(tick + 1);
-            out.push(MuxQueryOutcome {
-                query: id,
-                outcome: TickOutcome::held(q.report.current, messages),
-                trace: q.trace,
-                round: Some(round_trace),
-            });
-        }
-        state.rounds += 1;
-        state.last_round_trace = round_trace;
-        return Ok(out);
-    };
-
-    // --- Per-member finalisation in ascending id order: attribute the
-    // round cost, apply each member's δ-semantics, reschedule (§IV-A).
-    // Panel members split the shared round cost evenly; sweep-served
-    // members pay exactly their own fresh-node pulls (DESIGN.md §17). ---
-    let m = classes.len().max(1) as u64;
-    let share = round_messages / m;
-    let remainder = round_messages % m;
-    let mut panel_index = 0u64;
-    let mut member_classes = classes.iter();
-    for (&id, q) in &mut state.queries {
-        q.trace = digest_telemetry::begin_trace();
-        digest_telemetry::set_trace(q.trace);
-
-        let delta = q.query.precision.delta;
-
-        // Sweep path (DESIGN.md §17): one deterministic node sweep per
-        // occasion, retained members free, δ-semantics as usual. A sweep
-        // member pays exactly its own fresh-node pulls.
-        let (snapshot, messages) = if let Some(sketch) = q.sketch.as_mut() {
-            let snap = sketch.sweep(ctx.db, &q.query.expr, &q.query.predicate)?;
-            (snap.into(), snap.messages)
-        } else {
-            // Panel members are finalised in the order `classes` is in.
-            let draw = member_classes
-                .next()
-                .and_then(|&class| draws.get(class))
-                .copied()
-                .unwrap_or_default();
-            let messages = share + u64::from(panel_index < remainder);
-            panel_index += 1;
-
-            // Transiently empty qualifying sub-population for a started
-            // AVG: hold the previous result, still reschedule (engine
-            // semantics).
-            let trivial = q.query.predicate.is_trivial();
-            let snapshot = if draw.qualifying == 0
-                && !trivial
-                && matches!(q.query.op, AggregateOp::Avg)
-                && q.started
-            {
-                Snapshot::Hold {
-                    samples: round.samples,
-                    fresh: round.fresh,
-                }
-            } else {
-                let selectivity = if trivial {
-                    1.0
-                } else {
-                    q.selectivity
-                        .update(draw.fresh_qualifying as f64, draw.fresh_drawn as f64)
-                };
-                if let Some(s) = draw.std {
-                    q.sigma_ema = Some(match q.sigma_ema {
-                        Some(old) => old + 0.5 * (s - old),
-                        None => s,
-                    });
-                }
-                Snapshot::Value {
-                    value: scale(q.query.op, draw.mean, selectivity, state.size.estimate()),
-                    samples: round.samples,
-                    fresh: round.fresh,
-                }
-            };
-            (snapshot, messages)
-        };
-
-        let (outcome, delay) = finish(
-            &mut q.report,
-            &mut *q.scheduler,
-            tick,
-            delta,
-            snapshot,
-            messages,
-        )?;
-        q.deadline = Some(tick + delay);
-        q.totals.messages += messages;
-        q.totals.samples += outcome.samples_this_tick;
-        q.totals.snapshots += 1;
-        // A sweep member's occasion is an event even when it held; a
-        // panel member's only when it produced a value.
-        let reported = matches!(snapshot, Snapshot::Value { .. });
-        q.started |= reported;
-        if reported || q.sketch.is_some() {
-            emit_snapshot("MUX", &outcome);
-        }
-        out.push(MuxQueryOutcome {
-            query: id,
-            outcome,
-            trace: q.trace,
-            round: Some(round_trace),
-        });
-    }
-
-    // The round's own event, under the round's trace id, its messages
-    // split by cause.
-    digest_telemetry::set_trace(round_trace);
-    if digest_telemetry::events_enabled() {
-        let [walk, report, revisit, lost, peers] = round.messages.fields();
-        digest_telemetry::emit(
-            "mux.round",
-            &[
-                ("members", Field::U64(out.len() as u64)),
-                ("due", Field::U64(due)),
-                ("panel", Field::U64(round.samples)),
-                ("messages", Field::U64(round_messages)),
-                walk,
-                report,
-                revisit,
-                lost,
-                ("size", Field::U64(size)),
-                peers,
-            ],
-        );
-    }
-    state.rounds += 1;
-    state.size.served_occasion();
-    state.last_round_trace = round_trace;
-    Ok(out)
-}
-
 impl QuerySystem for QueryMux {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn next_due(&mut self, now: u64) -> Option<u64> {
-        match &mut self.mode {
-            Mode::Independent(engines) => {
-                // Earliest member deadline; any member without a
-                // schedule keeps the whole mux dense.
-                let mut earliest: Option<u64> = None;
-                for engine in engines.values_mut() {
-                    match engine.next_due(now) {
-                        None => return None,
-                        Some(t) => earliest = Some(earliest.map_or(t, |e| e.min(t))),
-                    }
-                }
-                earliest
-            }
-            // The earliest deadline, if it is still ahead: ticks before
-            // it idle without consuming randomness. A member due now, or
-            // never served (`None` sorts first), keeps the mux dense — as
-            // does an empty mux.
-            Mode::Shared(state) => state
-                .queries
-                .values()
-                .map(|q| q.deadline)
-                .min()
-                .flatten()
-                .filter(|&deadline| deadline > now),
-        }
+        next_deadline(self.members(), now)
     }
 
     fn on_tick(&mut self, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<TickOutcome> {
@@ -865,24 +812,18 @@ impl QuerySystem for QueryMux {
     fn set_sampling_workers(&mut self, workers: usize) {
         match &mut self.mode {
             Mode::Independent(engines) => {
-                for engine in engines.values_mut() {
+                for engine in engines {
                     engine.set_sampling_workers(workers);
                 }
             }
-            Mode::Shared(state) => {
-                state.operator.set_workers(workers);
-                state.size.set_workers(workers);
-            }
+            Mode::Shared(round, _) => round.set_workers(workers),
         }
     }
 
     fn trace_id(&self) -> u64 {
         match &self.mode {
-            Mode::Independent(engines) => engines
-                .values()
-                .next_back()
-                .map_or(0, DigestEngine::trace_id),
-            Mode::Shared(state) => state.last_round_trace,
+            Mode::Independent(_) => self.members().last().map_or(0, |q| q.trace),
+            Mode::Shared(round, _) => round.last_round_trace,
         }
     }
 }
@@ -896,13 +837,16 @@ impl QuerySystem for QueryMux {
 )]
 mod tests {
     use super::*;
+    use crate::engine::DigestEngine;
     use crate::query::Precision;
+    use crate::rpt::RptConfig;
     use digest_db::{Expr, P2PDatabase, Predicate, Schema, Tuple};
     use digest_net::{topology, Graph, NodeId};
     use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
 
     fn world(seed: u64) -> (Graph, P2PDatabase) {
         let graph = topology::complete(8).unwrap();
@@ -1150,20 +1094,7 @@ mod tests {
         let (graph, db) = world(5);
         let mut engines: Vec<DigestEngine> = queries
             .iter()
-            .map(|q| {
-                DigestEngine::new(
-                    q.clone(),
-                    EngineConfig {
-                        scheduler: config.scheduler,
-                        estimator: config.estimator,
-                        sampling: config.sampling,
-                        rpt: config.rpt,
-                        size_refresh_interval: config.size_refresh_rounds,
-                        size_sample_target: config.size_sample_target,
-                    },
-                )
-                .unwrap()
-            })
+            .map(|q| DigestEngine::new(q.clone(), config.member).unwrap())
             .collect();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut engine_stream = Vec::new();
@@ -1182,73 +1113,6 @@ mod tests {
         assert_eq!(mux_stream, engine_stream);
     }
 
-    /// A one-member shared mux draws as a solo engine does: the engine's
-    /// estimator is the k = 1 case of the CLT loop the mux sizes over its
-    /// classes. With RPT every tick is equal — estimate bits, messages,
-    /// samples and the caller's RNG — over 60 ticks of a trivial `AVG`.
-    /// With INDEP the first round is, with and without a `WHERE` clause;
-    /// later mux rounds size under the member's σ̂ EMA, a solo engine's
-    /// under the round's own σ̂ alone.
-    #[test]
-    fn a_one_member_mux_draws_as_a_solo_engine() {
-        let (graph, db) = world(21);
-        let schema = Schema::single("a");
-        let avg = avg_query(2.0, 1.0, 0.95);
-        let above = Predicate::parse("a > 50", &schema).unwrap();
-        let cases = [
-            (EstimatorKind::Repeated, avg.clone(), 60),
-            (EstimatorKind::Independent, avg.clone(), 1),
-            (EstimatorKind::Independent, avg.with_predicate(above), 1),
-        ];
-        for (estimator, query, ticks) in cases {
-            let config = MuxConfig {
-                estimator,
-                ..MuxConfig::default()
-            };
-            let mut mux = QueryMux::new(config).unwrap();
-            mux.register(query.clone()).unwrap();
-            let mut engine = DigestEngine::new(
-                query,
-                EngineConfig {
-                    scheduler: config.scheduler,
-                    estimator,
-                    sampling: config.sampling,
-                    rpt: config.rpt,
-                    size_refresh_interval: config.size_refresh_rounds,
-                    size_sample_target: config.size_sample_target,
-                },
-            )
-            .unwrap();
-            let mut mux_rng = ChaCha8Rng::seed_from_u64(22);
-            let mut solo_rng = mux_rng.clone();
-            for tick in 0..ticks {
-                let ctx = TickContext {
-                    tick,
-                    graph: &graph,
-                    db: &db,
-                    origin: NodeId(0),
-                };
-                let shared = mux.on_tick_mux(&ctx, &mut mux_rng).unwrap()[0].outcome;
-                let solo = engine.on_tick(&ctx, &mut solo_rng).unwrap();
-                let seen = |o: TickOutcome| {
-                    (
-                        o.estimate.to_bits(),
-                        o.snapshot_executed,
-                        o.messages_this_tick,
-                        o.samples_this_tick,
-                        o.fresh_samples_this_tick,
-                    )
-                };
-                assert_eq!(seen(shared), seen(solo), "{estimator:?}, tick {tick}");
-                assert_eq!(
-                    mux_rng.clone().next_u64(),
-                    solo_rng.clone().next_u64(),
-                    "{estimator:?}, tick {tick}"
-                );
-            }
-        }
-    }
-
     /// A shared mux checks its estimator tuning at construction, whichever
     /// estimator its rounds run: a pilot the cap cannot hold, or one too
     /// small to measure `σ̂`, is an error, not a round that cannot be
@@ -1258,11 +1122,14 @@ mod tests {
         for estimator in [EstimatorKind::Independent, EstimatorKind::Repeated] {
             for (pilot_size, max_samples) in [(50, 10), (1, 100)] {
                 let config = MuxConfig {
-                    estimator,
-                    rpt: RptConfig {
-                        pilot_size,
-                        max_samples,
-                        ..RptConfig::default()
+                    member: EngineConfig {
+                        estimator,
+                        rpt: RptConfig {
+                            pilot_size,
+                            max_samples,
+                            ..RptConfig::default()
+                        },
+                        ..EngineConfig::default()
                     },
                     ..MuxConfig::default()
                 };
@@ -1345,7 +1212,10 @@ mod tests {
         let (graph, db) = world(11);
         let schema = Schema::single("a");
         let mut mux = QueryMux::new(MuxConfig {
-            size_sample_target: 2000,
+            member: EngineConfig {
+                size_sample_target: 2000,
+                ..EngineConfig::default()
+            },
             ..MuxConfig::default()
         })
         .unwrap();
@@ -1411,7 +1281,7 @@ mod tests {
     /// them, the remainder one each to the first), the two scheduled later
     /// idle. The
     /// RPT panel's revisit finds every tuple gone and its lost probes are
-    /// dropped with the failed draw, as a solo engine drops them; what the
+    /// dropped with the failed draw; what the
     /// size round costs depends on the randomness the warm-up rounds drew.
     #[test]
     fn emptied_relation_holds_due_members_and_idles_the_rest() {
@@ -1426,7 +1296,10 @@ mod tests {
     fn emptied_relation_holds(estimator: EstimatorKind, size_round: u64) {
         let (graph, mut db) = world(15);
         let mut mux = QueryMux::new(MuxConfig {
-            estimator,
+            member: EngineConfig {
+                estimator,
+                ..EngineConfig::default()
+            },
             ..MuxConfig::default()
         })
         .unwrap();
@@ -1521,14 +1394,13 @@ mod tests {
     }
 
     impl RoundTally {
-        /// The member's draw, for finishing its occasion.
-        fn draw(&self) -> ClassDraw {
-            ClassDraw {
-                mean: self.moments.mean(),
+        /// The member's answer, for finishing its occasion.
+        fn draw(&self) -> ClassAnswer {
+            ClassAnswer {
+                estimate: self.moments.mean(),
                 qualifying: self.qualifying,
                 fresh_qualifying: self.qualifying,
-                fresh_drawn: self.drawn,
-                std: (self.moments.count() >= 2).then(|| self.moments.sample_std()),
+                ..ClassAnswer::default()
             }
         }
 
@@ -1543,20 +1415,18 @@ mod tests {
         }
     }
 
+    fn find(members: &[Member], id: u64) -> Option<&Member> {
+        members.iter().find(|q| q.id == id)
+    }
+
     /// Eq. 6 per-member sizing as the mux wrote it before the one CLT
-    /// loop: qualifying-sample target given the best current σ̂ (prior
-    /// EMA vs in-round measurement, whichever is larger).
-    fn member_target(config: &MuxConfig, q: &SharedQuery, tally: &RoundTally) -> Result<u64> {
+    /// loop: qualifying-sample target given the in-round σ̂.
+    fn member_target(config: &EngineConfig, q: &Member, tally: &RoundTally) -> Result<u64> {
         let pilot = config.rpt.pilot_size.max(2);
-        let measured = if tally.moments.count() >= pilot as u64 {
+        let sigma = if tally.moments.count() >= pilot as u64 {
             Some(tally.moments.sample_std())
         } else {
             None
-        };
-        let sigma = match (q.sigma_ema, measured) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (Some(a), None) => Some(a),
-            (None, m) => m,
         };
         let target = match sigma {
             Some(s) => digest_stats::required_sample_size(
@@ -1570,42 +1440,41 @@ mod tests {
         Ok(target as u64)
     }
 
-    /// `shared_tick` as it was before question classes, reading due-ness
+    /// The round as it was before question classes, reading due-ness
     /// from each member's `deadline`: id lists looked up one by one, one
     /// private tally per panel member — in RPT rounds one estimator class
     /// per panel member — every sampled row pushed into each of them,
     /// every finalisation spelt out, and the O(members × due) hold path.
-    /// The oracle `shared_tick` is held to.
+    /// The oracle `Round::tick` is held to.
     #[allow(clippy::too_many_lines)]
     fn shared_tick_per_member(
-        state: &mut SharedState,
-        config: &MuxConfig,
+        state: &mut Round,
+        members: &mut [Member],
         ctx: &TickContext<'_>,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<MuxQueryOutcome>> {
-        let idle = |state: &SharedState| {
-            state
-                .queries
+        let config = &state.config.clone();
+        let idle = |members: &[Member]| {
+            members
                 .iter()
-                .map(|(&id, q)| MuxQueryOutcome {
-                    query: id,
+                .map(|q| MuxQueryOutcome {
+                    query: q.id,
                     outcome: TickOutcome::idle(q.report.current),
                     trace: q.trace,
                     round: None,
                 })
                 .collect::<Vec<_>>()
         };
-        if state.queries.is_empty() {
+        if members.is_empty() {
             return Ok(Vec::new());
         }
-        let due: Vec<u64> = state
-            .queries
+        let due: Vec<u64> = members
             .iter()
-            .filter(|(_, q)| q.is_due(ctx.tick))
-            .map(|(&id, _)| id)
+            .filter(|q| q.is_due(ctx.tick))
+            .map(|q| q.id)
             .collect();
         if due.is_empty() {
-            return Ok(idle(state));
+            return Ok(idle(members));
         }
 
         // A round fires. Allocate its causal trace first so the sampling
@@ -1615,29 +1484,21 @@ mod tests {
         digest_telemetry::set_trace(round_trace);
         let _round_span = digest_telemetry::span(Stage::EngineTick);
 
-        let participants: Vec<u64> = state.queries.keys().copied().collect();
+        let participants: Vec<u64> = members.iter().map(|q| q.id).collect();
         // Sweep-served members (DESIGN.md §17) are answered by per-member
         // node sweeps, not the shared tuple panel; CLT sizing, the size
         // refresh, and the round-cost split cover panel members only.
         let panel_members: Vec<u64> = participants
             .iter()
             .copied()
-            .filter(|id| {
-                state
-                    .queries
-                    .get(id)
-                    .is_some_and(|q| !q.query.op.is_sketch())
-            })
+            .filter(|id| find(&*members, *id).is_some_and(|q| !q.query.op.is_sketch()))
             .collect();
 
         let mut size = 0u64;
         let needs_size = panel_members.iter().any(|id| {
-            state
-                .queries
-                .get(id)
-                .is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
+            find(&*members, *id).is_some_and(|q| !matches!(q.query.op, AggregateOp::Avg))
         });
-        if needs_size && state.size.is_stale(config.size_refresh_rounds) {
+        if needs_size && state.size.is_stale(config.size_refresh_interval) {
             size = state.size.refresh(ctx, config.size_sample_target, rng)?;
         }
 
@@ -1645,10 +1506,10 @@ mod tests {
         // coinciding ones included — so it keeps one class per member.
         let member_questions: Vec<Question<'_>> = panel_members
             .iter()
-            .filter_map(|id| state.queries.get(id))
+            .filter_map(|&id| find(&*members, id))
             .map(|q| (&q.query.expr, &q.query.predicate))
             .collect();
-        let mut draws: BTreeMap<u64, ClassDraw> = BTreeMap::new();
+        let mut draws: BTreeMap<u64, ClassAnswer> = BTreeMap::new();
         let (mut samples, mut fresh) = (0u64, 0u64);
         let mut split = MessageSplit::default();
         let mut empty_database = false;
@@ -1661,11 +1522,11 @@ mod tests {
             let demands = panel_members
                 .iter()
                 .enumerate()
-                .filter_map(|(i, id)| state.queries.get(id).map(|q| (i, &q.query.precision)));
+                .filter_map(|(i, id)| find(&*members, *id).map(|q| (i, &q.query.precision)));
             match rpt.occasion(ctx, &member_questions, demands, &mut state.operator, rng) {
                 Ok(occasion) => {
                     for (i, &id) in panel_members.iter().enumerate() {
-                        draws.insert(id, ClassDraw::repeated(rpt.answer(i), occasion.fresh));
+                        draws.insert(id, rpt.answer(i));
                     }
                     (samples, fresh) = (occasion.revisited + occasion.fresh, occasion.fresh);
                     split = occasion.messages;
@@ -1680,12 +1541,9 @@ mod tests {
             // maximum member requirement (Eq. 6), one batch per loop (one
             // occasion seed, one join through the parallel executor);
             // with RPT on, the draws seed its panel. ---
-            let any_nontrivial = panel_members.iter().any(|id| {
-                state
-                    .queries
-                    .get(id)
-                    .is_some_and(|q| !q.query.predicate.is_trivial())
-            });
+            let any_nontrivial = panel_members
+                .iter()
+                .any(|id| find(&*members, *id).is_some_and(|q| !q.query.predicate.is_trivial()));
             let max_draws = if any_nontrivial {
                 config.rpt.max_samples.saturating_mul(4)
             } else {
@@ -1704,7 +1562,7 @@ mod tests {
             'rounds: loop {
                 let mut want = 0usize;
                 for &id in &panel_members {
-                    let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get(&id)) else {
+                    let (Some(q), Some(tally)) = (find(&*members, id), tallies.get(&id)) else {
                         continue;
                     };
                     let target = member_target(config, q, tally)?;
@@ -1746,7 +1604,7 @@ mod tests {
                     split.report += cost.report_messages;
                     drawn += 1;
                     for &id in &panel_members {
-                        let (Some(q), Some(tally)) = (state.queries.get(&id), tallies.get_mut(&id))
+                        let (Some(q), Some(tally)) = (find(&*members, id), tallies.get_mut(&id))
                         else {
                             continue;
                         };
@@ -1789,12 +1647,12 @@ mod tests {
             // Hold: due members count an (empty) occasion and retry next
             // tick; everyone else idles. Messages spent so far are split
             // across due members.
-            let mut out = Vec::with_capacity(state.queries.len());
+            let mut out = Vec::with_capacity(members.len());
             let m = due.len().max(1) as u64;
             let share = round_messages / m;
             let remainder = round_messages % m;
             for (i, &id) in due.iter().enumerate() {
-                if let Some(q) = state.queries.get_mut(&id) {
+                if let Some(q) = members.iter_mut().find(|q| q.id == id) {
                     let messages = share + u64::from((i as u64) < remainder);
                     q.totals.messages += messages;
                     q.totals.snapshots += 1;
@@ -1803,7 +1661,8 @@ mod tests {
             }
             state.rounds += 1;
             state.last_round_trace = round_trace;
-            for (&id, q) in &state.queries {
+            for q in &*members {
+                let id = q.id;
                 let is_due = due.contains(&id);
                 out.push(MuxQueryOutcome {
                     query: id,
@@ -1837,7 +1696,7 @@ mod tests {
         let mut panel_index = 0u64;
         let mut finalized: BTreeMap<u64, MuxQueryOutcome> = BTreeMap::new();
         for &id in &participants {
-            let Some(q) = state.queries.get_mut(&id) else {
+            let Some(q) = members.iter_mut().find(|q| q.id == id) else {
                 continue;
             };
             q.trace = digest_telemetry::begin_trace();
@@ -1868,16 +1727,15 @@ mod tests {
                         1.0
                     } else {
                         q.selectivity
-                            .update(draw.fresh_qualifying as f64, draw.fresh_drawn as f64)
+                            .update(draw.fresh_qualifying as f64, fresh as f64)
                     };
-                    if let Some(s) = draw.std {
-                        q.sigma_ema = Some(match q.sigma_ema {
-                            Some(old) => old + 0.5 * (s - old),
-                            None => s,
-                        });
-                    }
                     Snapshot::Value {
-                        value: scale(q.query.op, draw.mean, selectivity, state.size.estimate()),
+                        value: scale(
+                            q.query.op,
+                            draw.estimate,
+                            selectivity,
+                            state.size.estimate(),
+                        ),
                         samples,
                         fresh,
                     }
@@ -1936,12 +1794,11 @@ mod tests {
         state.size.served_occasion();
         state.last_round_trace = round_trace;
 
-        let out = state
-            .queries
+        let out = members
             .iter()
-            .map(|(&id, q)| {
-                finalized.remove(&id).unwrap_or(MuxQueryOutcome {
-                    query: id,
+            .map(|q| {
+                finalized.remove(&q.id).unwrap_or(MuxQueryOutcome {
+                    query: q.id,
                     outcome: TickOutcome::idle(q.report.current),
                     trace: q.trace,
                     round: None,
@@ -2080,12 +1937,15 @@ mod tests {
             let mut world_rng = ChaCha8Rng::seed_from_u64(seed);
             let (graph, mut db, mut handles) = two_attribute_world(&mut world_rng);
             let config = MuxConfig {
-                size_refresh_rounds: 3,
-                size_sample_target: 64,
-                estimator: if independent == 1 {
-                    EstimatorKind::Independent
-                } else {
-                    EstimatorKind::Repeated
+                member: EngineConfig {
+                    size_refresh_interval: 3,
+                    size_sample_target: 64,
+                    estimator: if independent == 1 {
+                        EstimatorKind::Independent
+                    } else {
+                        EstimatorKind::Repeated
+                    },
+                    ..EngineConfig::default()
                 },
                 ..MuxConfig::default()
             };
@@ -2127,10 +1987,10 @@ mod tests {
 
                 let ctx = TickContext { tick, graph: &graph, db: &db, origin: NodeId(0) };
                 let got = classed.on_tick_mux(&ctx, &mut classed_rng).unwrap();
-                let Mode::Shared(state) = &mut per_member.mode else {
+                let Mode::Shared(state, members) = &mut per_member.mode else {
                     unreachable!("sharing is on");
                 };
-                let want = shared_tick_per_member(state, &config, &ctx, &mut per_member_rng).unwrap();
+                let want = shared_tick_per_member(state, members, &ctx, &mut per_member_rng).unwrap();
                 prop_assert_eq!(
                     comparable(&got, &mut classed_traces),
                     comparable(&want, &mut per_member_traces),
@@ -2170,10 +2030,10 @@ mod tests {
             }
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD2);
             let deadlines = |mux: &QueryMux| -> Vec<(u64, Option<u64>)> {
-                let Mode::Shared(state) = &mux.mode else {
+                let Mode::Shared(_, members) = &mux.mode else {
                     unreachable!("sharing is on");
                 };
-                state.queries.iter().map(|(&id, q)| (id, q.deadline)).collect()
+                members.iter().map(|q| (q.id, q.deadline)).collect()
             };
             let mut rounds = 0u64;
 

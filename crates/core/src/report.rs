@@ -2,8 +2,9 @@
 //! has produced (or failed to produce) a value.
 //!
 //! The paper's product is one rule — report when the aggregate has moved
-//! by `δ`, within `ε` at confidence `p` (§II) — and three systems apply
-//! it: [`crate::DigestEngine`], the shared [`crate::QueryMux`] and TAG.
+//! by `δ`, within `ε` at confidence `p` (§II) — and two systems apply
+//! it: the round of a [`crate::QueryMux`] (a [`crate::DigestEngine`] is
+//! its one-member case) and TAG.
 //! This module owns, each exactly once, the parts of that tail that do
 //! not depend on who is asking:
 //!
@@ -22,7 +23,7 @@
 //!
 //! What stays with each system is what differs between them: how the
 //! value is obtained (estimator, sweep, fold, flood), when `N̂` is stale,
-//! how a round's cost is split, and which counters an occasion bumps.
+//! and how a round's cost is split.
 
 use crate::query::AggregateOp;
 use crate::scheduler::SnapshotScheduler;

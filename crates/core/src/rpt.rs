@@ -29,7 +29,7 @@
 //! sizing takes the largest Eq. 10 requirement over the members' `(ε, p)`
 //! contracts and splits the panel at the binding member's `ρ̂`.
 //! [`RepeatedEstimator::evaluate`] is the case of one class and one
-//! contract ([`crate::DigestEngine`]).
+//! contract, for callers outside a round.
 //!
 //! The occasion's working set — the revisit report, the fresh values and
 //! the next panel — lives in buffers the estimator keeps across
@@ -450,6 +450,7 @@ impl RepeatedEstimator {
                 .map(Some)
                 .collect();
             let mut from = Vec::with_capacity(questions.len());
+            self.classes.reserve_exact(questions.len());
             for &question in questions {
                 let kept = old
                     .iter_mut()

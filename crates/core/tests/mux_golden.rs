@@ -5,15 +5,16 @@
 //! messages, estimate), byte-compared against a checked-in fixture. Two
 //! fixtures run three `AVG` members on shared rounds, one per shared-round
 //! estimator: the rotating RPT panel (`mux_decisions.txt`) and a fresh
-//! CLT-sized panel every round (`mux_decisions_indep.txt`, the trace every
-//! shared round had before RPT rounds). Three more add a fourth member
+//! CLT-sized panel every round (`mux_decisions_indep.txt`). Three more add
+//! a fourth member
 //! under `WHERE a > 50` and print each estimate as its `f64` bits: the
 //! unshared mux — standalone RPT and INDEP engines, per
 //! `tests/mux_equivalence.rs` — and shared INDEP rounds, where a predicated
 //! class sizes the CLT loop. This pins the end-to-end scheduler × sizing ×
 //! panel-sharing pipeline bit-for-bit. The shared replays also check that
 //! every `mux.round` event's messages split by cause sums to its
-//! `messages`.
+//! `messages`, and every replay that the `core.engine.*` counters count
+//! each member's value occasion.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -27,9 +28,12 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{ContinuousQuery, EstimatorKind, MuxConfig, Precision, QueryMux, TickContext};
+use digest_core::{
+    ContinuousQuery, EngineConfig, EstimatorKind, MuxConfig, Precision, QueryMux, TickContext,
+};
 use digest_db::{Expr, P2PDatabase, Predicate, Schema, Tuple};
 use digest_net::{topology, Graph, NodeId};
+use digest_telemetry::registry;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -136,9 +140,11 @@ fn replay_mux(out: &mut String, golden: &Golden) {
     writeln!(out, "{}", golden.header).unwrap();
     let (graph, db) = world(42);
     let mut mux = QueryMux::new(MuxConfig {
-        estimator: golden.estimator,
         sharing: golden.sharing,
-        ..MuxConfig::default()
+        member: EngineConfig {
+            estimator: golden.estimator,
+            ..EngineConfig::default()
+        },
     })
     .unwrap();
     let schema = Schema::single("a");
@@ -189,15 +195,43 @@ fn replay_mux(out: &mut String, golden: &Golden) {
     writeln!(out, "end mux").unwrap();
 }
 
-/// One golden's decision trace and the event stream of its replay.
-fn decision_trace(golden: &Golden) -> (String, Vec<String>) {
+/// The `core.engine.*` counters: occasions, messages, samples.
+fn engine_counters() -> [u64; 3] {
+    [
+        registry::CORE_ENGINE_SNAPSHOTS.get(),
+        registry::CORE_ENGINE_MESSAGES.get(),
+        registry::CORE_ENGINE_SAMPLES.get(),
+    ]
+}
+
+/// One golden's decision trace, the event stream of its replay and what
+/// the replay added to the `core.engine.*` counters.
+fn decision_trace(golden: &Golden) -> (String, Vec<String>, [u64; 3]) {
     let mut out = String::new();
     out.push_str("mux golden decision trace v1\n");
     let sink = digest_telemetry::MemorySink::new();
     digest_telemetry::install_sink(Box::new(sink.clone()));
+    let before = engine_counters();
     replay_mux(&mut out, golden);
+    let after = engine_counters();
     digest_telemetry::take_sink();
-    (out, sink.lines())
+    (out, sink.lines(), [0, 1, 2].map(|i| after[i] - before[i]))
+}
+
+/// The `core.engine.*` counters count every member's value occasion,
+/// shared round or solo engine alike: one per `engine.snapshot` event,
+/// with that event's messages and samples.
+fn check_engine_counters(events: &[String], counted: [u64; 3]) {
+    let snapshots: Vec<&String> = events
+        .iter()
+        .filter(|l| l.contains("\"kind\":\"engine.snapshot\""))
+        .collect();
+    let sum = |key: &str| snapshots.iter().map(|line| field(line, key)).sum::<u64>();
+    assert!(snapshots.len() >= 10, "{} occasions", snapshots.len());
+    assert_eq!(
+        counted,
+        [snapshots.len() as u64, sum("messages"), sum("samples")]
+    );
 }
 
 /// The unsigned integer `key` holds in a rendered event line.
@@ -243,10 +277,11 @@ fn check_message_split(events: &[String], estimator: EstimatorKind) {
 fn mux_scheduler_decisions_match_golden_trace() {
     for golden in &GOLDENS {
         let path = format!("{GOLDEN_DIR}/{}", golden.file);
-        let (trace, events) = decision_trace(golden);
+        let (trace, events, counted) = decision_trace(golden);
         if golden.sharing {
             check_message_split(&events, golden.estimator);
         }
+        check_engine_counters(&events, counted);
         if std::env::var("UPDATE_MUX_GOLDEN").is_ok() {
             std::fs::create_dir_all(GOLDEN_DIR).unwrap();
             std::fs::write(&path, &trace).unwrap();

@@ -501,6 +501,11 @@ impl SamplingOperator {
         };
         executor::run_tuple_batch(db, &request, snapshot, &mut self.arena)?;
 
+        if self.config.continue_walks {
+            // The pool grows by the batch's new slots at once.
+            let grown = (self.cursor + n).saturating_sub(self.walkers.len());
+            self.walkers.reserve_exact(grown);
+        }
         for (i, outcome) in self.arena.outcomes.iter().enumerate() {
             let slot = self.cursor + i;
             if self.config.continue_walks {

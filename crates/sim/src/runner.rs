@@ -798,7 +798,10 @@ mod tests {
         let contract = |delta, epsilon, p| Precision::new(delta, epsilon, p).unwrap();
         let query = |op, precision| ContinuousQuery::new(op, a(), precision);
         let mut mux = QueryMux::new(digest_core::MuxConfig {
-            estimator: digest_core::EstimatorKind::Independent,
+            member: EngineConfig {
+                estimator: EstimatorKind::Independent,
+                ..EngineConfig::default()
+            },
             ..digest_core::MuxConfig::default()
         })
         .unwrap();

@@ -38,8 +38,8 @@
 
 use digest::audit::{AuditReport, MuxAudit};
 use digest::core::{
-    AggregateOp, ContinuousQuery, EstimatorKind, MuxConfig, Precision, QueryMux, QuerySystem,
-    SchedulerKind,
+    AggregateOp, ContinuousQuery, EngineConfig, EstimatorKind, MuxConfig, Precision, QueryMux,
+    QuerySystem, SchedulerKind,
 };
 use digest::db::{Expr, Schema};
 use digest::sampling::SamplingConfig;
@@ -353,15 +353,17 @@ fn serve<W: Workload>(
 ) -> Result<Vec<AuditReport>, Box<dyn std::error::Error>> {
     let mut mux = QueryMux::new(MuxConfig {
         sharing: opts.mux,
-        scheduler: opts.scheduler,
-        estimator: opts.estimator,
-        sampling: SamplingConfig {
-            workers: opts
-                .sampling_workers
-                .unwrap_or_else(digest::sampling::default_workers),
-            ..SamplingConfig::recommended(world.graph().node_count())
+        member: EngineConfig {
+            scheduler: opts.scheduler,
+            estimator: opts.estimator,
+            sampling: SamplingConfig {
+                workers: opts
+                    .sampling_workers
+                    .unwrap_or_else(digest::sampling::default_workers),
+                ..SamplingConfig::recommended(world.graph().node_count())
+            },
+            ..EngineConfig::default()
         },
-        ..MuxConfig::default()
     })?;
     let auditing = opts.audit || opts.audit_json.is_some();
     let mut audit = MuxAudit::new();

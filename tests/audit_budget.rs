@@ -518,10 +518,13 @@ fn coincident_mux_members_share_one_fold() {
     let run = |members: usize| {
         let mut workload = TemperatureWorkload::new(TemperatureConfig::paper_scale());
         let mut mux = QueryMux::new(MuxConfig {
-            scheduler: SchedulerKind::All,
-            sampling: SamplingConfig {
-                workers: 1,
-                ..SamplingConfig::recommended(workload.graph().node_count())
+            member: EngineConfig {
+                scheduler: SchedulerKind::All,
+                sampling: SamplingConfig {
+                    workers: 1,
+                    ..SamplingConfig::recommended(workload.graph().node_count())
+                },
+                ..EngineConfig::default()
             },
             ..MuxConfig::default()
         })
@@ -607,7 +610,10 @@ fn pred_decisions_stay_off_the_heap() {
 /// The benchmark's `solo_tight` engine (PRED3+RPT at (1, 0.75, 0.99) on
 /// two tuples a node, an occasion almost every tick): with the fit on the
 /// stack, a warmed-up `on_tick` — snapshot refresh, walks, RPT combine,
-/// δ-report, PRED-3 decision — allocates nothing at all.
+/// δ-report, PRED-3 decision — allocates nothing at all. The engine is a
+/// one-member mux round, so this also guards the round's kept scratch: a
+/// round that builds its question classes, class answers and outcomes
+/// afresh spends about four allocations an occasion here.
 #[test]
 fn pred_occasions_stay_off_the_heap() {
     const WARM_UP: u64 = 100;

@@ -173,10 +173,9 @@ fn a_statement_the_parser_cannot_read_is_an_error_not_a_crash() {
 /// `--estimator` reaches shared rounds. It used to be read by unshared
 /// engines only, so `--queries 4 --estimator rpt` and `--estimator indep`
 /// printed the same trace and emitted the same `mux.round` stream; now RPT
-/// rounds revisit a rotating panel and INDEP rounds draw a fresh one, and
-/// INDEP is exactly what every shared round was before (the fixture was
-/// `--queries 4` stdout before `--estimator` reached shared rounds, byte
-/// for byte; it is regenerated only when the world's own stream changes).
+/// rounds revisit a rotating panel and INDEP rounds draw a fresh one. The
+/// fixture is the INDEP run's stdout; it is regenerated only when the
+/// world's own stream or the INDEP sizing rule changes.
 #[test]
 fn the_estimator_reaches_shared_rounds() {
     let run = |estimator: &str| {
@@ -215,18 +214,18 @@ fn the_estimator_reaches_shared_rounds() {
     assert_eq!(
         indep_trace,
         include_str!("golden/queries4_stdout.txt"),
-        "--estimator indep is no longer the shared round of old"
+        "--estimator indep no longer prints the pinned trace"
     );
 }
 
-/// A solo engine's `estimator.snapshot` splits its messages by cause —
-/// walk hops, sample reports, revisits, lost probes — and for an `AVG`
-/// (no size refresh) they add up to the occasion's `engine.snapshot`
-/// messages.
+/// A solo engine's occasion is a one-member `mux.round`, which splits its
+/// messages by cause — walk hops, sample reports, revisits, lost probes —
+/// and for an `AVG` (no size refresh) they add up to the round's messages
+/// and to its member's `engine.snapshot` messages.
 #[test]
 fn an_estimators_messages_add_up_by_cause() {
     for estimator in ["rpt", "indep"] {
-        let (_, lines) = run_with_events(
+        let (stdout, lines) = run_with_events(
             &format!("split_{estimator}.jsonl"),
             &[
                 "--ticks",
@@ -240,29 +239,31 @@ fn an_estimators_messages_add_up_by_cause() {
         );
         let snapshots: BTreeMap<u64, u64> = events_of(&lines, "engine.snapshot")
             .iter()
-            .map(|e| {
-                (
-                    e["trace"].as_u64().unwrap(),
-                    e["messages"].as_u64().unwrap(),
-                )
-            })
+            .map(|e| (e["tick"].as_u64().unwrap(), e["messages"].as_u64().unwrap()))
             .collect();
-        let estimated = events_of(&lines, "estimator.snapshot");
-        assert_eq!(estimated.len(), snapshots.len(), "{estimator}");
-        for event in &estimated {
+        let rounds = events_of(&lines, "mux.round");
+        assert_eq!(rounds.len(), snapshots.len(), "{estimator}");
+        for round in &rounds {
+            assert_eq!(round["members"].as_u64(), Some(1), "{round}");
+            assert_eq!(split(round), round["messages"].as_u64().unwrap(), "{round}");
             assert_eq!(
-                Some(&split(event)),
-                snapshots.get(&event["trace"].as_u64().unwrap()),
-                "{event}"
+                Some(&split(round)),
+                snapshots.get(&round["tick"].as_u64().unwrap()),
+                "{round}"
             );
-            check_peers(event, "retained");
+            check_peers(round, "panel");
         }
-        let revisits = estimated.iter().filter(|e| e["revisit"].as_u64() > Some(0));
+        let revisits = rounds.iter().filter(|e| e["revisit"].as_u64() > Some(0));
         assert_eq!(revisits.count() > 0, estimator == "rpt");
         // Retained entries share nodes: fewer exchanges than entries.
         if estimator == "rpt" {
-            let sum = |key: &str| -> u64 { estimated.iter().filter_map(|e| e[key].as_u64()).sum() };
-            assert!(sum("peers") < sum("retained"), "{estimator}");
+            let peers: u64 = rounds.iter().filter_map(|e| e["peers"].as_u64()).sum();
+            let retained: u64 = stdout
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("core.rpt.retained "))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("the summary counts retained entries");
+            assert!(peers < retained, "{peers} peers, {retained} retained");
         }
     }
 }

@@ -170,9 +170,11 @@ fn every_system_agrees_on_what_a_median_is() {
     let mux = |sharing: bool| {
         let mut mux = QueryMux::new(MuxConfig {
             sharing,
-            scheduler: SchedulerKind::All,
-            sampling: SamplingConfig::recommended(w.graph.node_count()),
-            ..MuxConfig::default()
+            member: EngineConfig {
+                scheduler: SchedulerKind::All,
+                sampling: SamplingConfig::recommended(w.graph.node_count()),
+                ..EngineConfig::default()
+            },
         })
         .unwrap();
         mux.register(ContinuousQuery::parse(&median, w.db.schema()).unwrap())

@@ -11,8 +11,8 @@
 
 use digest::audit::MuxAudit;
 use digest::core::{
-    ContinuousQuery, DigestEngine, EngineConfig, MuxConfig, NoopMuxObserver, Precision, QueryMux,
-    QuerySystem, TickContext,
+    ContinuousQuery, DigestEngine, MuxConfig, NoopMuxObserver, Precision, QueryMux, QuerySystem,
+    TickContext,
 };
 use digest::db::{Expr, Predicate};
 use digest::sim::{run_mux, RunConfig};
@@ -92,19 +92,7 @@ fn independent_streams(seed: u64, workers: usize) -> Vec<Vec<u64>> {
     let mut engines: Vec<DigestEngine> = queries(&w)
         .into_iter()
         .map(|q| {
-            let config = mux_config(false);
-            let mut e = DigestEngine::new(
-                q,
-                EngineConfig {
-                    scheduler: config.scheduler,
-                    estimator: config.estimator,
-                    sampling: config.sampling,
-                    rpt: config.rpt,
-                    size_refresh_interval: config.size_refresh_rounds,
-                    size_sample_target: config.size_sample_target,
-                },
-            )
-            .unwrap();
+            let mut e = DigestEngine::new(q, mux_config(false).member).unwrap();
             e.set_sampling_workers(workers);
             e
         })
