@@ -151,7 +151,9 @@ impl Auditor {
         } else {
             1.0
         };
-        let violation = abs_error > self.config.epsilon * scale;
+        // A NaN error (a NaN estimate against a finite truth) is a miss,
+        // as it is for every calibration row below.
+        let violation = abs_error > self.config.epsilon * scale || abs_error.is_nan();
         let staleness = tick - self.last_occasion_tick.unwrap_or(tick);
         self.last_occasion_tick = Some(tick);
 

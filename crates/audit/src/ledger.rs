@@ -13,52 +13,32 @@
 //! each baseline would have sent on the identical data stream, giving a
 //! per-query cost comparison with zero cross-run noise.
 //!
-//! The filter table mirrors the database's own `(node, slot)` layout — one
-//! row per node id, one entry per slot — so a tick is one pass over
-//! [`P2PDatabase::fragments`]: each node's row is looked up once, each
-//! tuple is an indexed entry in it, and once the rows have grown to the
-//! database's id space and slot counts that pass never touches the heap
-//! (DESIGN.md §14). What the query accounts — a bare attribute under no
-//! predicate (every shipped query), read straight off the row, or any
-//! other `(expression, predicate)`, evaluated per row — is resolved once
-//! per pass.
+//! The filter state follows each fragment's own row order: per node id,
+//! the `(slot, generation)` keys of the rows the query accounted there on
+//! the last call that saw the node, those rows' `last` and `shipped`
+//! values as two columns beside them (one allocation a node), and the
+//! call's stamp. A tick is one pass over [`P2PDatabase::fragments`], and
+//! each fragment takes one of two ways (DESIGN.md §14):
+//!
+//! * **same shape** — the node was seen on the previous call and its
+//!   accounted keys are the held keys (one slice compare): one branch-free
+//!   kernel over `(values, last, shipped)`, which the compiler vectorises;
+//! * **otherwise** — one remap by slot: rows whose key survived carry their
+//!   state over, the rest are new. Inserts, swap-remove deletes, departed
+//!   and rejoined nodes and predicate flips all take this way.
+//!
+//! The shipped query's shape — a bare attribute of a one-attribute schema
+//! under no predicate — hands the pass the store's own key and value
+//! slices; any other `(expression, predicate)` first gathers its
+//! qualifying rows into two reused scratch columns. Once the table covers
+//! the database's id space and each node's largest fragment, a tick never
+//! touches the heap.
 
-use digest_db::{Expr, P2PDatabase, Predicate, RowView, StoreRows};
+use digest_db::{Expr, P2PDatabase, Predicate};
 
-/// `seen` stamp of an entry no `observe` call has reached yet (the tick
+/// `seen` stamp of a node no `observe` call has reached yet (the tick
 /// counter starts at 1 and cannot get here).
 const NEVER: u64 = u64::MAX;
-
-/// Per-slot filter state.
-#[derive(Debug, Clone, Copy)]
-struct FilterEntry {
-    /// The value as of the previous tick (change detection for `ALL`).
-    last: f64,
-    /// The value last shipped through the `ALL+FILTER` filter (the
-    /// filter's centre; escape when `|v − shipped| > ε`).
-    shipped: f64,
-    /// Generation of the tuple this state belongs to: a reused slot is a
-    /// different tuple.
-    generation: u32,
-    /// `totals.ticks` of the `observe` call that last saw this slot hold
-    /// a qualifying tuple. State carries over only from the immediately
-    /// preceding call, so anything that dropped out in between — deleted,
-    /// node departed, predicate false — needs no pruning: it is simply
-    /// new again when it reappears.
-    seen: u64,
-}
-
-impl Default for FilterEntry {
-    /// A slot no `observe` call has reached yet.
-    fn default() -> Self {
-        Self {
-            last: 0.0,
-            shipped: 0.0,
-            generation: 0,
-            seen: NEVER,
-        }
-    }
-}
 
 /// Totals the ledger has accumulated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,29 +51,70 @@ pub struct LedgerTotals {
     pub ticks: u64,
 }
 
+/// Filter state of the rows one node's fragment accounted on the last
+/// `observe` call that saw the node.
+#[derive(Debug, Clone)]
+struct NodeFilter {
+    /// `totals.ticks` of that call. State carries over only from the
+    /// immediately preceding call, so anything that dropped out in between
+    /// — a departed node, a deleted tuple, a false predicate — needs no
+    /// pruning: it is simply new again when it reappears.
+    seen: u64,
+    /// `n` row keys ([`key`]), then the rows' `last` values (the value as
+    /// of that call: change detection for `ALL`), then their `shipped`
+    /// values (the filter's centre: escape when `|v − shipped| > ε`), the
+    /// values as bits, each column in the fragment's row order.
+    rows: Vec<u64>,
+}
+
+impl Default for NodeFilter {
+    /// A node no `observe` call has reached yet.
+    fn default() -> Self {
+        Self {
+            seen: NEVER,
+            rows: Vec::new(),
+        }
+    }
+}
+
+/// A row's `(slot, generation)` as one word: a reused slot under a bumped
+/// generation is a different tuple.
+#[inline]
+fn key(slot: u32, generation: u32) -> u64 {
+    u64::from(slot) | u64::from(generation) << 32
+}
+
 /// Same-run message accounting for the `ALL` / `ALL+FILTER` baselines.
 #[derive(Debug)]
 pub struct MessageLedger {
     epsilon: f64,
     expr: Expr,
     predicate: Predicate,
-    /// `rows[node][slot]`, grown on demand and never shrunk.
-    rows: Vec<Vec<FilterEntry>>,
-    /// Entries stamped by the latest `observe` call.
+    /// Filter state by node id, grown to the id space and never shrunk.
+    nodes: Vec<NodeFilter>,
+    /// A fragment's qualifying rows' keys and values, when the query does
+    /// not read them in place.
+    keys: Vec<(u32, u32)>,
+    values: Vec<f64>,
+    remap: Remap,
+    /// Rows accounted by the latest `observe` call.
     tracked: usize,
     totals: LedgerTotals,
 }
 
 impl MessageLedger {
     /// Builds a ledger for the query's expression/predicate with filter
-    /// half-width `epsilon`.
+    /// half-width `epsilon` (≥ 0, as a query's ε is).
     #[must_use]
     pub fn new(expr: Expr, predicate: Predicate, epsilon: f64) -> Self {
         Self {
             epsilon,
             expr,
             predicate,
-            rows: Vec::new(),
+            nodes: Vec::new(),
+            keys: Vec::new(),
+            values: Vec::new(),
+            remap: Remap::default(),
             tracked: 0,
             totals: LedgerTotals::default(),
         }
@@ -108,28 +129,58 @@ impl MessageLedger {
     /// A tuple that did not qualify on the immediately preceding call is
     /// new: its filter state is gone and it ships again.
     ///
+    /// The heap is touched only where the database grew: the node table on
+    /// a call whose id space grew, a node's state (and the scratch) when
+    /// its fragment outgrows every earlier one.
+    ///
     /// xtask: no-alloc
     pub fn observe(&mut self, db: &P2PDatabase) {
         let ids = db.id_upper_bound();
-        if self.rows.len() < ids {
-            grow(&mut self.rows, ids - 1);
+        if self.nodes.len() < ids {
+            self.nodes.resize_with(ids, NodeFilter::default);
         }
         let pass = Pass {
             epsilon: self.epsilon,
             previous: self.totals.ticks,
             tick: self.totals.ticks + 1,
         };
-        let rows = &mut self.rows;
-        let (all, filter, tracked) = match (&self.expr, &self.predicate) {
-            // The schema's own attribute, unfiltered: every row has it.
-            (&Expr::Attr { index, .. }, Predicate::True) if index < db.schema().arity() => {
-                pass.run(rows, db, |row| row.values().get(index).copied())
-            }
-            (expr, predicate) => pass.run(rows, db, |row| match predicate.eval(row) {
-                Ok(true) => expr.eval(row).ok(),
-                _ => None,
-            }),
+        // What the query reads of a row: the schema's own attribute under
+        // no predicate (in place when it is the only one), or whatever the
+        // predicate and the expression evaluate to.
+        let arity = db.schema().arity();
+        let attr = match (&self.expr, &self.predicate) {
+            (&Expr::Attr { index, .. }, Predicate::True) if index < arity => Some(index),
+            _ => None,
         };
+        let in_place = attr.is_some() && arity == 1;
+        let (mut all, mut filter, mut tracked) = (0, 0, 0);
+        for (node, rows) in db.fragments() {
+            let Some(state) = self.nodes.get_mut(node.0 as usize) else {
+                continue;
+            };
+            let (keys, values) = if in_place {
+                rows.columns()
+            } else {
+                self.keys.clear();
+                self.values.clear();
+                for (slot, generation, row) in rows {
+                    let value = match attr {
+                        Some(index) => row.values().get(index).copied(),
+                        None => match self.predicate.eval(row) {
+                            Ok(true) => self.expr.eval(row).ok(),
+                            _ => None,
+                        },
+                    };
+                    if let Some(value) = value {
+                        self.keys.push((slot, generation));
+                        self.values.push(value);
+                    }
+                }
+                (&self.keys[..], &self.values[..])
+            };
+            let (a, f) = pass.account(state, keys, values, &mut self.remap);
+            (all, filter, tracked) = (all + a, filter + f, tracked + keys.len());
+        }
         self.totals.ticks += 1;
         self.totals.all_messages += all;
         self.totals.filter_messages += filter;
@@ -149,91 +200,138 @@ impl MessageLedger {
     }
 }
 
+/// Scratch of [`Pass::remap`]: a node's rows as the previous call left
+/// them, and the row of those each slot names.
+#[derive(Debug, Default)]
+struct Remap {
+    prior: Vec<u64>,
+    position: Vec<u32>,
+}
+
 /// One `observe` call's stamps and filter width.
 #[derive(Clone, Copy)]
 struct Pass {
     epsilon: f64,
-    /// `totals.ticks` before this call: the stamp of a slot seen last call.
+    /// `totals.ticks` before this call: the stamp of a node seen last call.
     previous: u64,
-    /// The stamp this call leaves on every slot it sees.
+    /// The stamp this call leaves on every node it sees.
     tick: u64,
 }
 
 impl Pass {
-    /// Charges every tuple `value` accounts (`None`: not accounted — the
-    /// predicate is false or fails, or the expression fails), node by node,
-    /// and returns the `ALL` and `ALL+FILTER` messages and the tuples seen.
-    /// `rows` already covers every node id.
+    /// Charges one fragment's accounted rows — `keys[k]`'s value is
+    /// `values[k]` — against `node`'s filter state, leaves the state at
+    /// them and stamps the node seen. Returns the `ALL` and `ALL+FILTER`
+    /// messages.
     ///
     /// xtask: no-alloc
     #[inline]
-    fn run(
+    fn account(
         self,
-        rows: &mut [Vec<FilterEntry>],
-        db: &P2PDatabase,
-        value: impl Fn(RowView<'_>) -> Option<f64>,
-    ) -> (u64, u64, usize) {
-        let mut sums = (0, 0, 0);
-        for (node, tuples) in db.fragments() {
-            if let Some(row) = rows.get_mut(node.0 as usize) {
-                let (all, filter, tracked) = self.fragment(row, tuples, &value);
-                sums = (sums.0 + all, sums.1 + filter, sums.2 + tracked);
-            }
+        node: &mut NodeFilter,
+        keys: &[(u32, u32)],
+        values: &[f64],
+        remap: &mut Remap,
+    ) -> (u64, u64) {
+        let seen = std::mem::replace(&mut node.seen, self.tick) == self.previous;
+        let same = seen
+            && node.rows.len() == 3 * keys.len()
+            && node
+                .rows
+                .iter()
+                .zip(keys)
+                .all(|(&was, &(s, g))| was == key(s, g));
+        if same {
+            self.kernel(&mut node.rows, values)
+        } else {
+            let held = if seen { node.rows.len() / 3 } else { 0 };
+            self.remap(&mut node.rows, held, keys, values, remap)
         }
-        sums
     }
 
-    /// [`Pass::run`] over one node's tuples and its row of the table. Out
-    /// of line, so the tuple loop has the registers to itself.
+    /// A fragment of the shape the previous call left: charges `values`
+    /// against the held `last` / `shipped` columns of `rows` (keys first,
+    /// one a value) and moves them on. Returns the `ALL` and `ALL+FILTER`
+    /// messages. Branch-free, so the loop vectorises.
+    ///
+    /// xtask: no-alloc
+    #[inline]
+    fn kernel(self, rows: &mut [u64], values: &[f64]) -> (u64, u64) {
+        let n = values.len();
+        let (last, shipped) = rows[n..].split_at_mut(n);
+        let (mut all, mut filter) = (0, 0);
+        for ((&value, last), shipped) in values.iter().zip(last).zip(shipped) {
+            // Bit comparison: any representational change is a change the
+            // source would push (exact float equality is the intended
+            // semantics here, not tolerance).
+            let changed = value.to_bits() != *last;
+            let escape = (value - f64::from_bits(*shipped)).abs() > self.epsilon;
+            all += u64::from(changed);
+            filter += u64::from(escape);
+            *shipped = if escape { value.to_bits() } else { *shipped };
+            *last = value.to_bits();
+        }
+        (all, filter)
+    }
+
+    /// Any other fragment: lays a node's `rows` out for `keys` afresh,
+    /// carrying over each of the `held` rows the previous call left (none
+    /// when it did not see the node) whose key survived, found by slot.
+    /// Every other row is new: it ships under both baselines, and its
+    /// state starts at its value, which the kernel then charges nothing
+    /// (`ε ≥ 0`). Returns the `ALL` and `ALL+FILTER` messages.
     ///
     /// xtask: no-alloc
     #[inline(never)]
-    fn fragment(
+    fn remap(
         self,
-        row: &mut Vec<FilterEntry>,
-        tuples: StoreRows<'_>,
-        value: &impl Fn(RowView<'_>) -> Option<f64>,
-    ) -> (u64, u64, usize) {
-        let (mut all, mut filter, mut tracked) = (0, 0, 0);
-        for (slot, generation, tuple) in tuples {
-            let Some(value) = value(tuple) else {
-                continue;
-            };
-            let entry = match row.get_mut(slot as usize) {
-                Some(entry) => entry,
-                None => grow(row, slot as usize),
-            };
-            // New tuple (or new again): both baselines ship the initial
-            // value. Bit comparison: any representational change is a
-            // change the source would push (exact float equality is the
-            // intended semantics here, not tolerance).
-            let fresh = entry.seen != self.previous || entry.generation != generation;
-            let changed = value.to_bits() != entry.last.to_bits();
-            let ship = fresh | ((value - entry.shipped).abs() > self.epsilon);
-            all += u64::from(fresh | changed);
-            filter += u64::from(ship);
-            entry.shipped = if ship { value } else { entry.shipped };
-            entry.generation = generation;
-            entry.last = value;
-            entry.seen = self.tick;
-            tracked += 1;
+        rows: &mut Vec<u64>,
+        held: usize,
+        keys: &[(u32, u32)],
+        values: &[f64],
+        remap: &mut Remap,
+    ) -> (u64, u64) {
+        let Remap { prior, position } = remap;
+        prior.clear();
+        prior.extend_from_slice(&rows[..3 * held]);
+        let (held_keys, held_values) = prior.split_at(held);
+        let (held_last, held_shipped) = held_values.split_at(held);
+        for (row, &was) in (0..).zip(held_keys) {
+            let slot = usize::try_from(was & u64::from(u32::MAX)).unwrap_or(usize::MAX);
+            if position.len() <= slot {
+                position.resize(slot + 1, u32::MAX);
+            }
+            position[slot] = row;
         }
-        (all, filter, tracked)
+
+        let n = keys.len();
+        rows.resize(3 * n, 0);
+        let (new_keys, new_values) = rows.split_at_mut(n);
+        let (new_last, new_shipped) = new_values.split_at_mut(n);
+        let mut fresh = 0;
+        for (k, (&(slot, generation), &value)) in keys.iter().zip(values).enumerate() {
+            new_keys[k] = key(slot, generation);
+            // A stale `position` entry (another node's, or a departed
+            // row's) names a held row of another slot, so the key compare
+            // turns it away.
+            let row = position
+                .get(slot as usize)
+                .map_or(usize::MAX, |&row| row as usize);
+            (new_last[k], new_shipped[k]) = match held_keys.get(row) {
+                Some(&was) if was == new_keys[k] => (held_last[row], held_shipped[row]),
+                _ => {
+                    fresh += 1;
+                    (value.to_bits(), value.to_bits())
+                }
+            };
+        }
+        let (all, filter) = self.kernel(rows, values);
+        (all + fresh, filter + fresh)
     }
 }
 
-/// Extends `table` to cover `index` with default entries (a node row with
-/// no slots, a slot no call has reached) — the only place the ledger
-/// allocates: the node table once per tick the id space grew, a node's
-/// row once per slot the database ever hands out there.
-#[cold]
-fn grow<T: Default>(table: &mut Vec<T>, index: usize) -> &mut T {
-    table.resize_with(index + 1, T::default);
-    &mut table[index]
-}
-
-/// The `BTreeMap` implementation this table replaced, kept verbatim as
-/// the model the proptest below holds the dense table to.
+/// The `BTreeMap` implementation the row-ordered state replaced, kept
+/// verbatim as the model the proptest below holds it to.
 #[cfg(test)]
 mod reference {
     use super::LedgerTotals;
@@ -444,6 +542,23 @@ mod tests {
         assert_eq!(t.filter_messages, 3);
     }
 
+    /// A delete swap-removes: the fragment's last row moves into the hole.
+    /// The moved tuple keeps its filter state through the remap — it does
+    /// not ship again — and a drift inside ε still costs `ALL` only.
+    #[test]
+    fn a_swap_removed_row_keeps_its_filter_state() {
+        let (mut db, handles) = db_with(&[1.0, 2.0, 3.0]);
+        let mut ledger = ledger_for(&db, 0.5);
+        ledger.observe(&db);
+        db.delete(handles[0]).unwrap();
+        db.update(handles[2], &[3.25]).unwrap();
+        ledger.observe(&db);
+        let t = ledger.totals();
+        assert_eq!((t.all_messages, t.filter_messages), (4, 3));
+        assert_eq!(ledger.tracked(), 2);
+        assert_eq!(ledger.shipped(), [3.0, 2.0]);
+    }
+
     #[test]
     fn predicate_restricts_the_accounted_population() {
         let (db, _) = db_with(&[1.0, 5.0, 9.0]);
@@ -457,15 +572,15 @@ mod tests {
     }
 
     impl MessageLedger {
-        /// The value each entry the latest `observe` stamped last shipped:
+        /// The value each row the latest `observe` accounted last shipped:
         /// what an `ALL+FILTER` querier holds for the tuples it tracks.
         fn shipped(&self) -> Vec<f64> {
             let tick = self.totals.ticks;
-            self.rows
+            self.nodes
                 .iter()
-                .flatten()
-                .filter(|entry| entry.seen == tick)
-                .map(|entry| entry.shipped)
+                .filter(|node| node.seen == tick)
+                .flat_map(|node| &node.rows[2 * node.rows.len() / 3..])
+                .map(|&bits| f64::from_bits(bits))
                 .collect()
         }
     }
@@ -688,12 +803,14 @@ mod tests {
         }
     }
 
-    /// `(schema, expression, predicate)`: both ways `observe` reads a
-    /// value — straight off the row (a bare attribute under no predicate,
-    /// at either index of the two-attribute schema) and through `eval` (a
-    /// predicate, a computed expression, a constant over a schema with no
-    /// attributes at all).
-    const CASES: [(&[&str], &str, &str); 5] = [
+    /// `(schema, expression, predicate)`: every way `observe` reads a
+    /// value — the store's own columns in place (the shipped query: a bare
+    /// attribute of a one-attribute schema under no predicate), a bare
+    /// attribute off the row (at either index of the two-attribute schema)
+    /// and through `eval` (a predicate, a computed expression, a constant
+    /// over a schema with no attributes at all).
+    const CASES: [(&[&str], &str, &str); 6] = [
+        (&["a"], "a", "true"),
         (&["a", "c"], "a", "a > c"),
         (&["a", "c"], "a", "true"),
         (&["a", "c"], "c", "true"),
@@ -704,8 +821,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The `BTreeMap` ledger is the oracle for the dense table: the
-        /// same totals and the same tracked count after every `observe`,
+        /// The `BTreeMap` ledger is the oracle for the row-ordered state:
+        /// the same totals and the same tracked count after every `observe`,
         /// whatever happened to the database in between, for every way of
         /// reading a tuple's value.
         #[test]

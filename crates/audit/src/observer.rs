@@ -113,7 +113,9 @@ impl QueryAudit {
         } else {
             self.epsilon
         };
-        if self.started && (outcome.estimate - exact).abs() > self.delta + eps_band {
+        // A NaN lag is a miss, as on the occasion leg.
+        let lag = (outcome.estimate - exact).abs();
+        if self.started && (lag > self.delta + eps_band || lag.is_nan()) {
             self.resolution_violations += 1;
         }
     }
@@ -274,5 +276,26 @@ mod tests {
         let report = audit.report();
         assert_eq!(report.resolution_violations, 1);
         assert_eq!(report.occasions, 1);
+    }
+
+    /// A NaN estimate against a finite truth misses on both legs: it is an
+    /// ε-violation of its occasion and a resolution miss of its tick, as
+    /// it is uncovered in every calibration row.
+    #[test]
+    fn a_nan_estimate_is_a_violation_on_both_legs() {
+        let (graph, db, query) = fixture();
+        let mut audit = QueryAudit::new(&query, 0).unwrap();
+        let ctx = TickContext {
+            tick: 0,
+            graph: &graph,
+            db: &db,
+            origin: NodeId(0),
+        };
+        audit.observe(&ctx, &outcome(f64::NAN, true), 10.0);
+        let report = audit.report();
+        assert_eq!(report.occasions, 1);
+        assert_eq!(report.violations, 1);
+        assert_eq!(report.resolution_violations, 1);
+        assert!(report.calibration.iter().all(|row| row.covered == 0));
     }
 }

@@ -565,6 +565,7 @@ impl Round {
                     ("members", Field::U64(members.len() as u64)),
                     ("due", Field::U64(due)),
                     ("panel", Field::U64(panel.samples)),
+                    ("fresh", Field::U64(panel.fresh)),
                     ("messages", Field::U64(round_messages)),
                     walk,
                     report,
@@ -1780,6 +1781,7 @@ mod tests {
                     ("members", Field::U64(participants.len() as u64)),
                     ("due", Field::U64(due.len() as u64)),
                     ("panel", Field::U64(samples)),
+                    ("fresh", Field::U64(fresh)),
                     ("messages", Field::U64(round_messages)),
                     ("walk", Field::U64(split.walk)),
                     ("report", Field::U64(split.report)),

@@ -217,6 +217,18 @@ pub struct StoreRows<'a> {
     arity: usize,
 }
 
+impl<'a> StoreRows<'a> {
+    /// The rows not yet yielded as two columns, borrowed from the store:
+    /// their `(slot, generation)` keys, and their values row after row
+    /// (`arity` values a row, so one a row in a one-attribute store).
+    ///
+    /// xtask: no-alloc
+    #[must_use]
+    pub fn columns(&self) -> (&'a [(u32, u32)], &'a [f64]) {
+        (self.live.as_slice(), self.rest)
+    }
+}
+
 impl<'a> Iterator for StoreRows<'a> {
     type Item = (u32, u32, RowView<'a>);
 

@@ -222,7 +222,8 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
     // One coalesced multi-query sampling round executed by the query
     // multiplexer: how many member queries consumed the shared panel, how
     // many of them were at their deadline (the rest rode along), the panel
-    // size read (revisited + fresh), and the round's total message spend,
+    // size read (revisited + fresh) and its fresh part (so `panel − fresh`
+    // entries were revisited), and the round's total message spend,
     // then that spend by cause — `estimator.snapshot`'s four plus the
     // relation-size refresh — summing to `messages`, and the live peers
     // the revisit exchanged with.
@@ -234,6 +235,7 @@ pub const EVENT_SCHEMAS: &[EventSchema] = &[
             req("members", U64),
             req("due", U64),
             req("panel", U64),
+            req("fresh", U64),
             req("messages", U64),
             req("walk", U64),
             req("report", U64),
@@ -428,6 +430,7 @@ mod tests {
                 ("members", Field::U64(5)),
                 ("due", Field::U64(2)),
                 ("panel", Field::U64(256)),
+                ("fresh", Field::U64(100)),
                 ("messages", Field::U64(9000)),
                 ("walk", Field::U64(6000)),
                 ("report", Field::U64(2000)),
@@ -459,11 +462,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_mux_round_events() {
-        let valid = r#"{"due":1,"kind":"mux.round","lost":0,"members":3,"messages":10,"panel":8,"peers":2,"report":2,"revisit":4,"size":0,"tick":0,"walk":4}"#;
+        let valid = r#"{"due":1,"fresh":3,"kind":"mux.round","lost":0,"members":3,"messages":10,"panel":8,"peers":2,"report":2,"revisit":4,"size":0,"tick":0,"walk":4}"#;
         assert_eq!(validate_line(valid), Ok(()));
-        // Missing required field (`panel`, a cause of the split, or the
-        // peers the revisit priced).
-        for missing in ["\"panel\":8,", "\"revisit\":4,", "\"peers\":2,"] {
+        // Missing required field (`panel`, its `fresh` part, a cause of the
+        // split, or the peers the revisit priced).
+        for missing in [
+            "\"panel\":8,",
+            "\"fresh\":3,",
+            "\"revisit\":4,",
+            "\"peers\":2,",
+        ] {
             assert!(
                 validate_line(&valid.replace(missing, "")).is_err(),
                 "{missing}"

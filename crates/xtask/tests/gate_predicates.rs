@@ -330,7 +330,7 @@ fn a_report_missing_a_numeric_field_is_red() {
 
 /// Three real lines of the `temperature/mux` stream, one per required kind.
 const MUX_STREAM: [&str; 3] = [
-    r#"{"due":5,"kind":"mux.round","lost":0,"members":5,"messages":3494,"panel":91,"peers":0,"report":91,"revisit":0,"size":0,"tick":0,"trace":1,"walk":3403}"#,
+    r#"{"due":5,"fresh":91,"kind":"mux.round","lost":0,"members":5,"messages":3494,"panel":91,"peers":0,"report":91,"revisit":0,"size":0,"tick":0,"trace":1,"walk":3403}"#,
     r#"{"error":0.6165221309732232,"estimate":66.60137985870993,"exact":65.98485772773671,"kind":"audit.occasion","messages":699,"panel":91,"query":0,"round":1,"staleness":0,"tick":0,"trace":2,"violation":false}"#,
     r#"{"estimate":66.60137985870993,"exact":65.98485772773671,"fresh":91,"kind":"tick","messages":699,"query":0,"samples":91,"snapshot":true,"tick":0,"trace":2,"updated":1}"#,
 ];

@@ -115,6 +115,11 @@ struct Phase {
     occasion_allocs: u64,
 }
 
+/// The benchmark's `audited` tick, observed: once the ledger holds a
+/// filter state for every node's fragment (one `Vec` a node, sized on the
+/// first observation), a tick of the TEMPERATURE world keeps every
+/// fragment's shape and the ledger's pass is its column kernel alone, off
+/// the heap; so is the auditor's occasion without a sink.
 #[test]
 fn audit_observation_stays_off_the_heap() {
     const WARM_UP: u64 = 3;
@@ -171,7 +176,7 @@ fn audit_observation_stays_off_the_heap() {
         phase
     };
 
-    // The ledger's table grows to the database's slot counts on the first
+    // The ledger's node states grow to the fragments on the first
     // observation; nothing may be left to grow after the warm-up.
     run(WARM_UP);
 
@@ -202,10 +207,12 @@ fn audit_observation_stays_off_the_heap() {
     assert!(traced.occasion_allocs <= 8 * events, "{traced:?}");
 }
 
-/// The MEMORY twin, under churn: the ledger's table grows where the
+/// The MEMORY twin, under churn: the ledger's state grows where the
 /// database did — its node table once on a tick the id space grew, a
-/// joiner's row on its first tuple — and nowhere else. A tick without a
-/// churn event observes old and freshly joined nodes alike off the heap.
+/// joiner's `Vec` on its first tuples, a node's when its fragment outgrows
+/// it — and nowhere else. A churn event reshapes fragments, which the
+/// ledger remaps by slot inside the buffers it holds; a tick without one
+/// observes old and freshly joined nodes alike off the heap.
 #[test]
 fn a_churning_audit_allocates_only_where_the_database_grew() {
     const TICKS: u64 = 1_000;

@@ -221,7 +221,9 @@ fn the_estimator_reaches_shared_rounds() {
 /// A solo engine's occasion is a one-member `mux.round`, which splits its
 /// messages by cause — walk hops, sample reports, revisits, lost probes —
 /// and for an `AVG` (no size refresh) they add up to the round's messages
-/// and to its member's `engine.snapshot` messages.
+/// and to its member's `engine.snapshot` messages. Its `panel` less its
+/// `fresh` draws is what it revisited: summed over the run, the
+/// `core.rpt.retained` count of the telemetry summary.
 #[test]
 fn an_estimators_messages_add_up_by_cause() {
     for estimator in ["rpt", "indep"] {
@@ -255,14 +257,22 @@ fn an_estimators_messages_add_up_by_cause() {
         }
         let revisits = rounds.iter().filter(|e| e["revisit"].as_u64() > Some(0));
         assert_eq!(revisits.count() > 0, estimator == "rpt");
+        // A round's panel is its revisited entries and its fresh draws; the
+        // revisited ones, summed over the run, are what the estimator
+        // counted as retained.
+        let retained: u64 = rounds
+            .iter()
+            .map(|e| e["panel"].as_u64().unwrap() - e["fresh"].as_u64().unwrap())
+            .sum();
+        let summary: u64 = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("core.rpt.retained "))
+            .map_or(0, |v| v.trim().parse().unwrap());
+        assert_eq!(retained, summary, "{estimator}");
+        assert_eq!(retained > 0, estimator == "rpt");
         // Retained entries share nodes: fewer exchanges than entries.
         if estimator == "rpt" {
             let peers: u64 = rounds.iter().filter_map(|e| e["peers"].as_u64()).sum();
-            let retained: u64 = stdout
-                .lines()
-                .find_map(|l| l.trim().strip_prefix("core.rpt.retained "))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("the summary counts retained entries");
             assert!(peers < retained, "{peers} peers, {retained} retained");
         }
     }
