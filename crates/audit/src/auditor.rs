@@ -67,6 +67,9 @@ pub struct Auditor {
     covered: [u64; NOMINAL_LEVELS.len()],
     occasions: u64,
     violations: u64,
+    /// Occasions whose error is a number (not NaN): what the error
+    /// summary averages over.
+    measured: u64,
     abs_error_sum: f64,
     max_abs_error: f64,
     last_occasion_tick: Option<u64>,
@@ -104,6 +107,7 @@ impl Auditor {
             covered: [0; NOMINAL_LEVELS.len()],
             occasions: 0,
             violations: 0,
+            measured: 0,
             abs_error_sum: 0.0,
             max_abs_error: 0.0,
             last_occasion_tick: None,
@@ -132,6 +136,12 @@ impl Auditor {
     /// member query of the round gets its *own* occasion event (its own
     /// ε-violation accounting against its own contract) while remaining
     /// causally parented to the shared round that paid for the panel.
+    ///
+    /// A NaN error (a NaN estimate or truth) is an ε-violation and is
+    /// uncovered in every calibration row, but both error summaries leave
+    /// it out: `mean_abs_error` averages the occasions whose error is a
+    /// number and `max_abs_error` is the largest of those, so both
+    /// summarise the same occasions.
     pub fn observe_occasion_in_round(
         &mut self,
         tick: u64,
@@ -161,8 +171,11 @@ impl Auditor {
         if violation {
             self.violations += 1;
         }
-        self.abs_error_sum += abs_error;
-        self.max_abs_error = self.max_abs_error.max(abs_error);
+        if !abs_error.is_nan() {
+            self.measured += 1;
+            self.abs_error_sum += abs_error;
+            self.max_abs_error = self.max_abs_error.max(abs_error);
+        }
         self.staleness_sum += staleness;
         self.max_staleness = self.max_staleness.max(staleness);
         for (covered, hw) in self.covered.iter_mut().zip(self.half_widths) {
@@ -244,10 +257,10 @@ impl Auditor {
             } else {
                 self.violations as f64 / n
             },
-            mean_abs_error: if self.occasions == 0 {
+            mean_abs_error: if self.measured == 0 {
                 0.0
             } else {
-                self.abs_error_sum / n
+                self.abs_error_sum / self.measured as f64
             },
             max_abs_error: self.max_abs_error,
             mean_staleness: if self.occasions == 0 {
@@ -286,9 +299,10 @@ pub struct AuditReport {
     pub violations: u64,
     /// `violations / occasions`.
     pub violation_rate: f64,
-    /// Mean `|err|` over occasions.
+    /// Mean `|err|` over the occasions whose error is a number (0 when
+    /// none is); a NaN error counts only as a violation.
     pub mean_abs_error: f64,
-    /// Max `|err|` over occasions.
+    /// Max `|err|` over the same occasions.
     pub max_abs_error: f64,
     /// Mean ticks between consecutive occasions.
     pub mean_staleness: f64,

@@ -187,6 +187,14 @@ impl MessageLedger {
         self.tracked = tracked;
     }
 
+    /// Whether this ledger accounts `expr` under `predicate` with a filter
+    /// of half-width `epsilon` (bit for bit).
+    pub(crate) fn has_filter(&self, expr: &Expr, predicate: &Predicate, epsilon: f64) -> bool {
+        self.expr == *expr
+            && self.predicate == *predicate
+            && self.epsilon.to_bits() == epsilon.to_bits()
+    }
+
     /// The accumulated baseline totals.
     #[must_use]
     pub fn totals(&self) -> LedgerTotals {

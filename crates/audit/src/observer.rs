@@ -7,16 +7,16 @@
 //! [`AuditReport`].
 
 use crate::auditor::{AuditReport, Auditor, AuditorConfig};
-use crate::ledger::MessageLedger;
+use crate::ledger::{LedgerTotals, MessageLedger};
 use crate::Result;
 use digest_core::{ContinuousQuery, MuxObserver, TickContext, TickObserver, TickOutcome};
 use std::collections::BTreeMap;
 
-/// Full guarantee audit of one continuous query over one run.
+/// What one query's audit holds besides the ledger: the occasion auditor,
+/// the pointwise resolution check and the run's tallies.
 #[derive(Debug)]
-pub struct QueryAudit {
+struct Verdict {
     auditor: Auditor,
-    ledger: MessageLedger,
     query: String,
     delta: f64,
     epsilon: f64,
@@ -27,14 +27,9 @@ pub struct QueryAudit {
     started: bool,
 }
 
-impl QueryAudit {
-    /// Builds the audit for `query`; `query_index` distinguishes events
-    /// of concurrent queries in one run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Auditor::new`].
-    pub fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
+impl Verdict {
+    /// As for [`QueryAudit::new`], without the ledger.
+    fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
         // Kind-specific ε-semantics (DESIGN.md §17): `COUNT DISTINCT`
         // promises a relative half-width; everything else keeps the
         // paper's absolute §II contract.
@@ -46,14 +41,8 @@ impl QueryAudit {
             query_index,
             relative_epsilon,
         })?;
-        let ledger = MessageLedger::new(
-            query.expr.clone(),
-            query.predicate.clone(),
-            query.precision.epsilon,
-        );
         Ok(Self {
             auditor,
-            ledger,
             query: query.to_string(),
             delta: query.precision.delta,
             epsilon: query.precision.epsilon,
@@ -65,10 +54,8 @@ impl QueryAudit {
         })
     }
 
-    /// Freezes the audit into its end-of-run report.
-    #[must_use]
-    pub fn report(&self) -> AuditReport {
-        let totals = self.ledger.totals();
+    /// The end-of-run report, with the ledger's baseline totals.
+    fn report(&self, totals: LedgerTotals) -> AuditReport {
         self.auditor.report(
             self.query.clone(),
             self.ticks,
@@ -79,11 +66,8 @@ impl QueryAudit {
         )
     }
 
-    /// Observes one tick, optionally attributing the occasion to a
-    /// coalesced multi-query sampling round (the round's trace id lands
-    /// on the emitted `audit.occasion` event). [`TickObserver::observe`]
-    /// is this with `round = None`.
-    pub fn observe_with_round(
+    /// Folds one tick's outcome in (the ledger is the caller's).
+    fn observe(
         &mut self,
         ctx: &TickContext<'_>,
         outcome: &TickOutcome,
@@ -92,7 +76,6 @@ impl QueryAudit {
     ) {
         self.ticks += 1;
         self.digest_messages += outcome.messages_this_tick;
-        self.ledger.observe(ctx.db);
         if outcome.snapshot_executed {
             self.started = true;
             self.auditor.observe_occasion_in_round(
@@ -121,20 +104,93 @@ impl QueryAudit {
     }
 }
 
+/// The ledger of `query`: its expression and predicate under a filter of
+/// half-width ε.
+fn ledger_for(query: &ContinuousQuery) -> MessageLedger {
+    MessageLedger::new(
+        query.expr.clone(),
+        query.predicate.clone(),
+        query.precision.epsilon,
+    )
+}
+
+/// Full guarantee audit of one continuous query over one run.
+#[derive(Debug)]
+pub struct QueryAudit {
+    verdict: Verdict,
+    ledger: MessageLedger,
+}
+
+impl QueryAudit {
+    /// Builds the audit for `query`; `query_index` distinguishes events
+    /// of concurrent queries in one run.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Auditor::new`].
+    pub fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
+        Ok(Self {
+            verdict: Verdict::new(query, query_index)?,
+            ledger: ledger_for(query),
+        })
+    }
+
+    /// Freezes the audit into its end-of-run report.
+    #[must_use]
+    pub fn report(&self) -> AuditReport {
+        self.verdict.report(self.ledger.totals())
+    }
+
+    /// Observes one tick, optionally attributing the occasion to a
+    /// coalesced multi-query sampling round (the round's trace id lands
+    /// on the emitted `audit.occasion` event). [`TickObserver::observe`]
+    /// is this with `round = None`.
+    pub fn observe_with_round(
+        &mut self,
+        ctx: &TickContext<'_>,
+        outcome: &TickOutcome,
+        exact: f64,
+        round: Option<u64>,
+    ) {
+        self.ledger.observe(ctx.db);
+        self.verdict.observe(ctx, outcome, exact, round);
+    }
+}
+
 impl TickObserver for QueryAudit {
     fn observe(&mut self, ctx: &TickContext<'_>, outcome: &TickOutcome, exact: f64) {
         self.observe_with_round(ctx, outcome, exact, None);
     }
 }
 
-/// Guarantee audit of a whole multiplexed run: one [`QueryAudit`] per
-/// member query, driven through the [`MuxObserver`] seam so every member
-/// gets its own `audit.occasion` stream (own ε-violation and resolution
-/// accounting against its own `(δ, ε, p)` contract), with occasions served
-/// from coalesced rounds causally parented to the round's trace id.
+/// One member of a [`MuxAudit`].
+#[derive(Debug)]
+struct Member {
+    verdict: Verdict,
+    /// Index of the member's ledger in `MuxAudit::ledgers`.
+    ledger: usize,
+    /// The ledger's totals as of the member's latest tick.
+    totals: LedgerTotals,
+}
+
+/// Guarantee audit of a whole multiplexed run: each member query gets
+/// what a [`QueryAudit`] of its own would report, driven through the
+/// [`MuxObserver`] seam so every member gets its own `audit.occasion`
+/// stream (own ε-violation and resolution accounting against its own
+/// `(δ, ε, p)` contract), with occasions served from coalesced rounds
+/// causally parented to the round's trace id.
+///
+/// Members that ask the same filter — equal expression, predicate and ε
+/// — and are registered before its ledger observes a tick share that
+/// ledger, which the first of them to be observed in a tick advances:
+/// one ledger pass a tick per distinct filter, not per member. Each
+/// member keeps the totals as of its own latest tick, so one that stops
+/// being observed reports what a ledger of its own would have counted. A
+/// member is observed every tick from its registration until it leaves.
 #[derive(Debug, Default)]
 pub struct MuxAudit {
-    audits: BTreeMap<u64, QueryAudit>,
+    members: BTreeMap<u64, Member>,
+    ledgers: Vec<MessageLedger>,
 }
 
 impl MuxAudit {
@@ -151,28 +207,33 @@ impl MuxAudit {
     ///
     /// As for [`QueryAudit::new`].
     pub fn register(&mut self, id: u64, query: &ContinuousQuery) -> Result<()> {
-        self.audits.insert(id, QueryAudit::new(query, id)?);
+        let verdict = Verdict::new(query, id)?;
+        let shared = self.ledgers.iter().position(|ledger| {
+            ledger.totals().ticks == 0
+                && ledger.has_filter(&query.expr, &query.predicate, query.precision.epsilon)
+        });
+        let ledger = shared.unwrap_or_else(|| {
+            self.ledgers.push(ledger_for(query));
+            self.ledgers.len() - 1
+        });
+        let totals = LedgerTotals::default();
+        self.members.insert(
+            id,
+            Member {
+                verdict,
+                ledger,
+                totals,
+            },
+        );
         Ok(())
-    }
-
-    /// The audit attached to member `id`.
-    #[must_use]
-    pub fn audit(&self, id: u64) -> Option<&QueryAudit> {
-        self.audits.get(&id)
-    }
-
-    /// Member ids in ascending order.
-    #[must_use]
-    pub fn ids(&self) -> Vec<u64> {
-        self.audits.keys().copied().collect()
     }
 
     /// End-of-run reports for every member, ascending by id.
     #[must_use]
     pub fn reports(&self) -> Vec<(u64, AuditReport)> {
-        self.audits
+        self.members
             .iter()
-            .map(|(&id, audit)| (id, audit.report()))
+            .map(|(&id, member)| (id, member.verdict.report(member.totals)))
             .collect()
     }
 }
@@ -186,9 +247,17 @@ impl MuxObserver for MuxAudit {
         exact: f64,
         round: Option<u64>,
     ) {
-        if let Some(audit) = self.audits.get_mut(&query) {
-            audit.observe_with_round(ctx, outcome, exact, round);
+        let Some(member) = self.members.get_mut(&query) else {
+            return;
+        };
+        let ledger = &mut self.ledgers[member.ledger];
+        // Not yet advanced to this member's tick: the member is the first
+        // of the ledger's to be observed this tick.
+        if ledger.totals().ticks == member.verdict.ticks {
+            ledger.observe(ctx.db);
         }
+        member.totals = ledger.totals();
+        member.verdict.observe(ctx, outcome, exact, round);
     }
 }
 
@@ -278,9 +347,57 @@ mod tests {
         assert_eq!(report.occasions, 1);
     }
 
+    /// Members with the same filter share one ledger, advanced once a
+    /// tick, and each reports what a `QueryAudit` of its own reports; a
+    /// different ε, or a member registered after its filter's ledger has
+    /// observed a tick, gets a ledger of its own.
+    #[test]
+    fn equal_mux_members_cost_one_ledger_pass_a_tick() {
+        let (graph, mut db, query) = fixture();
+        let mut wide = query.clone();
+        wide.precision = Precision::new(2.0, 3.0, 0.95).unwrap();
+        let members = [(0, &query), (1, &query), (2, &wide), (3, &query)];
+        let mut mux = MuxAudit::new();
+        let mut solo: Vec<QueryAudit> = Vec::new();
+        for &(id, q) in &members[..3] {
+            mux.register(id, q).unwrap();
+            solo.push(QueryAudit::new(q, id).unwrap());
+        }
+        assert_eq!(mux.ledgers.len(), 2);
+        for tick in 0..8u64 {
+            if tick == 3 {
+                let (id, q) = members[3];
+                mux.register(id, q).unwrap();
+                solo.push(QueryAudit::new(q, id).unwrap());
+            }
+            let step = if tick % 2 == 0 { 0.4 } else { 2.5 };
+            db.rewrite_fragments(|_, values| values.iter_mut().for_each(|v| *v += step));
+            let ctx = TickContext {
+                tick,
+                graph: &graph,
+                db: &db,
+                origin: NodeId(0),
+            };
+            let estimate = outcome(12.0, tick % 3 == 0);
+            for (id, audit) in (0..).zip(&mut solo) {
+                mux.observe_query(id, &ctx, &estimate, 12.0, None);
+                audit.observe(&ctx, &estimate, 12.0);
+            }
+        }
+        let ticks: Vec<u64> = mux.ledgers.iter().map(|l| l.totals().ticks).collect();
+        assert_eq!(ticks, [8, 8, 5]);
+        let key = |r: &AuditReport| (r.ticks, r.occasions, r.all_messages, r.filter_messages);
+        for ((id, report), audit) in mux.reports().iter().zip(&solo) {
+            assert_eq!(key(report), key(&audit.report()), "member {id}");
+        }
+        let filter: Vec<u64> = solo.iter().map(|a| a.report().filter_messages).collect();
+        assert_ne!(filter[0], filter[2], "ε must matter to the filter");
+    }
+
     /// A NaN estimate against a finite truth misses on both legs: it is an
     /// ε-violation of its occasion and a resolution miss of its tick, as
-    /// it is uncovered in every calibration row.
+    /// it is uncovered in every calibration row. Both error summaries
+    /// leave it out, before and after occasions with a number error.
     #[test]
     fn a_nan_estimate_is_a_violation_on_both_legs() {
         let (graph, db, query) = fixture();
@@ -297,5 +414,13 @@ mod tests {
         assert_eq!(report.violations, 1);
         assert_eq!(report.resolution_violations, 1);
         assert!(report.calibration.iter().all(|row| row.covered == 0));
+        assert_eq!((report.mean_abs_error, report.max_abs_error), (0.0, 0.0));
+
+        audit.observe(&ctx, &outcome(10.5, true), 10.0);
+        audit.observe(&ctx, &outcome(f64::NAN, true), 10.0);
+        audit.observe(&ctx, &outcome(8.0, true), 10.0);
+        let report = audit.report();
+        assert_eq!((report.occasions, report.violations), (4, 3));
+        assert_eq!((report.mean_abs_error, report.max_abs_error), (1.25, 2.0));
     }
 }

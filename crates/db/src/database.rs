@@ -903,6 +903,51 @@ mod tests {
         );
     }
 
+    /// After a dense rewrite at arity 1–4, each leaf `exact_avg` combines
+    /// is the `+=` chain of the fragment's `step_by` column, bit for bit,
+    /// and so is the average.
+    #[test]
+    fn leaves_are_the_step_by_chains_at_every_arity() {
+        for arity in 1..=4u32 {
+            let names = (0..arity).map(|i| format!("a{i}"));
+            let mut db = P2PDatabase::new(Schema::new(names));
+            for i in 0..7 {
+                db.register_node(NodeId(i));
+            }
+            let handles: Vec<TupleHandle> = (0..90)
+                .map(|i| {
+                    let row = (0..arity).map(|a| f64::from(i * arity + a)).collect();
+                    db.insert(NodeId(i % 7), Tuple::new(row)).unwrap()
+                })
+                .collect();
+            for &handle in handles.iter().step_by(4) {
+                assert!(db.delete(handle).unwrap());
+            }
+            db.rewrite_fragments(|node, values| {
+                for (k, value) in (1u32..).zip(values) {
+                    *value = 1e15 / f64::from(k + node.0) - 1e-3 * f64::from(k);
+                }
+            });
+            for index in 0..arity as usize {
+                let leaves: Vec<f64> = db
+                    .fragments
+                    .iter()
+                    .map(|fragment| {
+                        let values = fragment.as_ref().map(|s| s.iter().columns().1);
+                        let column = values.unwrap_or_default().iter().skip(index);
+                        column.step_by(arity as usize).fold(0.0, |leaf, v| leaf + v)
+                    })
+                    .collect();
+                for (id, leaf) in leaves.iter().enumerate() {
+                    assert_eq!(db.sums[index][id].to_bits(), leaf.to_bits(), "{arity}.{id}");
+                }
+                let (sum, count) = digest_sum_count(&leaves, db.total_tuples).unwrap();
+                let avg = db.exact_avg(&Expr::attr(db.schema(), &format!("a{index}")).unwrap());
+                assert_eq!(avg.unwrap().to_bits(), (sum / count as f64).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn exact_avg_of_empty_relation_errors() {
         let db = db_with_nodes(1);

@@ -219,9 +219,11 @@ impl Workload for TemperatureWorkload {
         // Node `k`'s rows are units `k, k + n, k + 2n, …`.
         let (units, nodes) = (&self.units, self.graph.node_count());
         self.db.rewrite_fragments(|node, values| {
-            let column = units.get(node.0 as usize..).unwrap_or_default();
-            for (value, unit) in values.iter_mut().zip(column.iter().step_by(nodes)) {
+            let mut at = node.0 as usize;
+            for value in values {
+                let Some(unit) = units.get(at) else { break };
                 *value = base + unit.offset + unit.ar;
+                at += nodes;
             }
         });
     }

@@ -115,9 +115,11 @@ pub const R4_FILES: &[&str] = &[
 /// either of these rules would miss cannot affect a replayed run.
 pub const SIM_VISIBLE_CRATES: &[&str] = R2_CRATES;
 
-/// Vendored crates (under `vendor/`) whose `xtask: no-alloc` tags R7
-/// checks too: the RNG's bulk keystream path runs inside the world step.
-pub const R7_VENDORED_CRATES: &[&str] = &["rand_chacha"];
+/// Vendored crates (under `vendor/`) held to the concurrency rule R6 (its
+/// `// SAFETY:` check covers the keystream kernel's run-time dispatch) and
+/// to their `xtask: no-alloc` tags under R7: the RNG's bulk keystream path
+/// runs inside the world step.
+pub const VENDORED_CRATES: &[&str] = &["rand_chacha"];
 
 /// Designated seeding modules (R5): the only files allowed to construct
 /// RNGs ad hoc, because constructing per-slot / per-replication streams
@@ -918,11 +920,13 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     for krate in crates_to_scan {
         lint_crate(krate, &mut findings)?;
     }
-    for krate in R7_VENDORED_CRATES {
+    for krate in VENDORED_CRATES {
         for path in rust_sources(&root.join("vendor").join(krate).join("src"))? {
             let source = std::fs::read_to_string(&path)
                 .map_err(|e| format!("read {}: {e}", path.display()))?;
-            findings.extend(lint_hot_path_alloc(&relative_label(root, &path), &source));
+            let rel = relative_label(root, &path);
+            findings.extend(lint_concurrency(&rel, &source));
+            findings.extend(lint_hot_path_alloc(&rel, &source));
         }
     }
 

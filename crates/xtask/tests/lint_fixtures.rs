@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use xtask::{
     lint_concurrency, lint_float_discipline, lint_hot_path_alloc, lint_no_hash_collections,
     lint_no_panic, lint_paper_refs, lint_rng_discipline, lint_workspace, Remedy, Rule, R1_CRATES,
-    R2_CRATES, R3_CRATES, R5_SEEDING_MODULES, R7_VENDORED_CRATES,
+    R2_CRATES, R3_CRATES, R5_SEEDING_MODULES, VENDORED_CRATES,
 };
 
 fn fixture(name: &str) -> String {
@@ -230,7 +230,7 @@ impl TempWorkspace {
                 }
             }
         }
-        let vendored = R7_VENDORED_CRATES.iter().map(|krate| ("vendor", krate));
+        let vendored = VENDORED_CRATES.iter().map(|krate| ("vendor", krate));
         for (dir, krate) in crates.iter().map(|krate| ("crates", krate)).chain(vendored) {
             let src = root.join(dir).join(krate).join("src");
             fs::create_dir_all(&src).expect("create temp crate dir");
@@ -420,6 +420,32 @@ fn r6_allowlist_covers_locks_but_never_missing_justifications() {
     assert_eq!(findings[0].remedy, Remedy::JustifyComment);
 }
 
+/// R6's `// SAFETY:` check reaches the vendored keystream crate: a
+/// commented `unsafe` there passes, an uncommented one is a finding.
+#[test]
+fn r6_scans_vendored_crates_for_uncommented_unsafe() {
+    let ws = TempWorkspace::new("r6vendor");
+    let commented = "#[allow(unsafe_code)]\n\
+                     pub fn kernel(p: *const u32) -> u32 {\n    \
+                         // SAFETY: the caller hands a valid, aligned pointer.\n    \
+                         unsafe { *p }\n\
+                     }\n";
+    ws.write("vendor/rand_chacha/src/lib.rs", commented);
+    let findings = lint_workspace(&ws.root).expect("lint commented vendored unsafe");
+    assert!(findings.is_empty(), "{findings:?}");
+
+    ws.write(
+        "vendor/rand_chacha/src/lib.rs",
+        &commented.replace("// SAFETY: the caller hands a valid, aligned pointer.", ""),
+    );
+    let findings = lint_workspace(&ws.root).expect("lint uncommented vendored unsafe");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::R6Concurrency);
+    assert_eq!(findings[0].remedy, Remedy::JustifyComment);
+    assert_eq!(findings[0].file, "vendor/rand_chacha/src/lib.rs");
+    assert_eq!(findings[0].line, 4);
+}
+
 #[test]
 fn r7_findings_surface_in_workspace_scan() {
     let ws = TempWorkspace::new("r7scan");
@@ -436,7 +462,7 @@ fn r7_findings_surface_in_workspace_scan() {
     assert_eq!(findings[0].rule, Rule::R7HotPathAlloc);
     assert_eq!(findings[0].line, 3);
 
-    // A vendored crate in `R7_VENDORED_CRATES` is held to its tags too.
+    // A vendored crate in `VENDORED_CRATES` is held to its tags too.
     ws.write(
         "vendor/rand_chacha/src/lib.rs",
         "/// xtask: no-alloc\npub fn fill(out: &mut [u32]) {\n    let _ = vec![0u32; out.len()];\n}\n",
