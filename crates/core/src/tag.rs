@@ -124,12 +124,6 @@ impl TreeAggregationEngine {
         }
         false
     }
-
-    /// Number of nodes currently reporting through the tree.
-    #[must_use]
-    pub fn reporting_nodes(&self) -> usize {
-        self.parent.iter().filter(|p| p.is_some()).count()
-    }
 }
 
 impl QuerySystem for TreeAggregationEngine {

@@ -9,9 +9,16 @@
 //!   into a ChaCha8 key; pool slot `s` reads the key's stream `s`
 //!   ([`ChaCha8Rng::with_stream`], the counter-based design of Salmon et
 //!   al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). A
-//!   slot's words are a function of `(occasion_seed, s)` alone, and the
-//!   slots run through [`crate::par::run_indexed`] (fixed ranges,
-//!   slot-order drain), so the sampled panel is **byte-identical for any
+//!   slot's words are a function of `(occasion_seed, s)` alone.
+//! * **First blocks eight slots at a time.** Slots `8g … 8g + 7` of a
+//!   batch form group `g`: [`ChaCha8Rng::stream_group`] computes block 0
+//!   of their eight streams as one stream-lane group of the keystream
+//!   kernel (AVX2 when the host has it), and each slot opens its stream
+//!   with that block buffered, reading exactly the words `with_stream`
+//!   gives. The slots run through [`crate::par::run_indexed`]
+//!   (fixed ranges, slot-order drain); a range keeps its current group
+//!   as its scratch, and a range that starts inside a group computes
+//!   that group again. So the sampled panel is **byte-identical for any
 //!   worker count, including 1**, and the lowest-slot error always wins.
 //! * **A cached occasion snapshot.** The operator refreshes a
 //!   [`OccasionSnapshot`] through its [`crate::snapshot::SnapshotCache`]
@@ -61,7 +68,7 @@ use digest_db::{P2PDatabase, TupleHandle};
 use digest_net::NodeId;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{ChaCha8Rng, StreamGroup};
 
 /// Retry budget for landing on a content-bearing node: each retry walks
 /// one more reset length.
@@ -420,8 +427,16 @@ pub(crate) fn run_tuple_batch(
             par::run_indexed(
                 config.workers,
                 request.n,
-                |i| {
-                    let mut rng = key.with_stream((request.cursor + i) as u64);
+                || None,
+                |group: &mut Option<(usize, StreamGroup)>, i| {
+                    let (g, lane) = (i / StreamGroup::STREAMS, i % StreamGroup::STREAMS);
+                    if group.as_ref().is_some_and(|(at, _)| *at != g) {
+                        *group = None;
+                    }
+                    let (_, streams) = group.get_or_insert_with(|| {
+                        (g, key.stream_group((request.cursor + i - lane) as u64))
+                    });
+                    let mut rng = streams.open(lane);
                     run_slot(&tasks[i], snapshot, db, config.reset_length, &mut rng)
                 },
                 |slot| {
@@ -515,7 +530,8 @@ pub(crate) mod reference {
         par::run_indexed(
             config.workers,
             request.n,
-            |i| {
+            || (),
+            |(), i| {
                 let stream = key.with_stream((request.cursor + i) as u64);
                 run_slot(&tasks[i], snapshot, db, config.reset_length, stream)
             },
@@ -718,32 +734,44 @@ mod tests {
     /// key its occasion seed expands to, and nothing else: fresh 95-step
     /// walks on the 10 × 53 mesh, every node holding a tuple, end where
     /// a walk on that stream ends and sample the tuple its next draw
-    /// picks.
+    /// picks. Slots open their streams [`StreamGroup::STREAMS`] at a
+    /// time; 61 slots from cursor 13 have an unaligned first stream and a
+    /// ragged last group, and at three workers the second range starts
+    /// inside a group. Every worker count gives the same bytes.
     #[test]
     fn a_slot_reads_its_own_stream_of_the_batch_key() {
         let g = topology::mesh(10, 53, false).unwrap();
         let db = dealt(&g, |v| v.0 % 3 + 1);
         let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
-        let config = SamplingConfig {
-            walk_length: 95,
-            reset_length: 6,
-            continue_walks: false,
-            workers: 1,
-            cache_snapshots: true,
+        let (cursor, n, seed) = (13, 61, 20_080_402);
+        let batch = |workers| {
+            let config = SamplingConfig {
+                walk_length: 95,
+                reset_length: 6,
+                continue_walks: false,
+                workers,
+                cache_snapshots: true,
+            };
+            let request = BatchRequest {
+                config: &config,
+                pool: &[],
+                cursor,
+                origin: NodeId(7),
+                n,
+                occasion_seed: seed,
+            };
+            let mut arena = WalkArena::new();
+            run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
+            arena
         };
-        let (cursor, seed) = (13, 20_080_402);
-        let request = BatchRequest {
-            config: &config,
-            pool: &[],
-            cursor,
-            origin: NodeId(7),
-            n: 9,
-            occasion_seed: seed,
-        };
-        let mut arena = WalkArena::new();
-        run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
+        let one = batch(1);
+        assert_eq!(one.outcomes.len(), n);
+        let bytes = |arena: &WalkArena| format!("{:?} {:?}", arena.outcomes, arena.values);
+        for workers in [3, 4] {
+            assert_eq!(bytes(&batch(workers)), bytes(&one), "workers {workers}");
+        }
         let key = rng(seed);
-        for (i, outcome) in arena.outcomes.iter().enumerate() {
+        for (i, outcome) in one.outcomes.iter().enumerate() {
             let mut stream = key.with_stream((cursor + i) as u64);
             let mut walk = SnapshotWalk::new(NodeId(7), &snap);
             walk.run(&snap, 95, &mut stream);
@@ -753,6 +781,7 @@ mod tests {
             assert_eq!(outcome.end, walk.current, "slot {i}");
             assert_eq!(outcome.handle, handle, "slot {i}");
             assert_eq!(outcome.hops, walk.tally.hops, "slot {i}");
+            assert_eq!(outcome.proposals, walk.tally.proposals, "slot {i}");
             assert_eq!(outcome.retries, 0, "slot {i}");
         }
     }

@@ -17,7 +17,9 @@
 //!   `workers` contiguous ranges. The calling thread runs the first;
 //!   each other range runs on its own `std::thread::scope` thread into a
 //!   `Vec` that thread owns. The substrate keeps no atomic, lock or
-//!   shared table: the threads share only `&job`.
+//!   shared table: the threads share only `&init` and `&job`. Each range
+//!   carries a scratch value of its own, which is how a walk batch reuses
+//!   one keystream group across eight slots.
 //! * **In-order drain.** The first range's results are drained as they
 //!   are computed, then each other range's after its join, in range
 //!   order — so thread scheduling can influence neither the output
@@ -42,17 +44,21 @@ pub fn stream_seed(root: u64, index: usize) -> u64 {
     splitmix64(root.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Runs `job(0) … job(n − 1)` on up to `workers` threads and hands every
-/// result to `drain` in index order.
+/// Runs `job(scratch, 0) … job(scratch, n − 1)` on up to `workers`
+/// threads and hands every result to `drain` in index order.
 ///
 /// The calling thread runs `0..⌈n / workers⌉` and drains each result
 /// before it starts the next job; every further range of that length
-/// runs on a scoped thread. A panic in any job is re-raised on the
-/// caller.
-pub fn run_indexed<T, J, D>(workers: usize, n: usize, job: J, mut drain: D)
+/// runs on a scoped thread. Each range gets its own `scratch` from
+/// `init()` and passes it to its jobs in index order: a job may leave in
+/// it what a later job of its range can reuse, but what it returns must
+/// not depend on that, or the results would depend on where the ranges
+/// are cut. A panic in any job is re-raised on the caller.
+pub fn run_indexed<S, T, I, J, D>(workers: usize, n: usize, init: I, job: J, mut drain: D)
 where
     T: Send,
-    J: Fn(usize) -> T + Sync,
+    I: Fn() -> S + Sync,
+    J: Fn(&mut S, usize) -> T + Sync,
     D: FnMut(T),
 {
     let len = n.div_ceil(workers.max(1)).max(1);
@@ -60,18 +66,25 @@ where
     if head.end == n {
         // One range: nothing to spawn, so skip the scope and the shared
         // state it allocates on every call.
-        head.for_each(|index| drain(job(index)));
+        let mut scratch = init();
+        head.for_each(|index| drain(job(&mut scratch, index)));
         return;
     }
     std::thread::scope(|scope| {
-        let job = &job;
+        let (init, job) = (&init, &job);
         let tails: Vec<_> = (len..n)
             .step_by(len)
             .map(|start| {
-                scope.spawn(move || (start..n.min(start + len)).map(job).collect::<Vec<T>>())
+                scope.spawn(move || {
+                    let mut scratch = init();
+                    (start..n.min(start + len))
+                        .map(|index| job(&mut scratch, index))
+                        .collect::<Vec<T>>()
+                })
             })
             .collect();
-        head.for_each(|index| drain(job(index)));
+        let mut scratch = init();
+        head.for_each(|index| drain(job(&mut scratch, index)));
         for tail in tails {
             match tail.join() {
                 Ok(results) => results.into_iter().for_each(&mut drain),
@@ -106,7 +119,8 @@ mod tests {
                 run_indexed(
                     workers,
                     n,
-                    |i| {
+                    || (),
+                    |(), i| {
                         calls.lock().unwrap()[i] += 1;
                         i * i
                     },
@@ -130,7 +144,8 @@ mod tests {
         run_indexed(
             1,
             5,
-            |i| {
+            || (),
+            |(), i| {
                 log.lock().unwrap().push(("job", i));
                 i
             },
@@ -140,11 +155,43 @@ mod tests {
         assert_eq!(log.into_inner().unwrap(), expected);
     }
 
+    /// Each range gets a fresh scratch and runs its jobs through it in
+    /// index order: a job sees exactly the indices of its range before it.
+    #[test]
+    fn each_range_threads_its_own_scratch_in_index_order() {
+        for workers in [1, 2, 3, 4] {
+            let n: usize = 17;
+            let len = n.div_ceil(workers);
+            let mut seen = Vec::new();
+            run_indexed(
+                workers,
+                n,
+                Vec::new,
+                |before: &mut Vec<usize>, i| {
+                    before.push(i);
+                    before.clone()
+                },
+                |before| seen.push(before),
+            );
+            for (i, before) in seen.iter().enumerate() {
+                let expected: Vec<usize> = (i / len * len..=i).collect();
+                assert_eq!(before, &expected, "workers {workers}, job {i}");
+            }
+            assert_eq!(seen.len(), n);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "job 5 failed")]
     fn a_panic_on_a_spawned_range_reaches_the_caller() {
         // Four workers over eight jobs: ranges of two, so job 5 runs on
         // the third range's thread, not the caller's.
-        run_indexed(4, 8, |i| assert!(i != 5, "job {i} failed"), |()| {});
+        run_indexed(
+            4,
+            8,
+            || (),
+            |(), i| assert!(i != 5, "job {i} failed"),
+            |()| {},
+        );
     }
 }

@@ -136,7 +136,8 @@ where
     par::run_indexed(
         workers,
         count,
-        |index| {
+        || (),
+        |(), index| {
             let seed = index as u64;
             let mut workload = make_workload(seed);
             let mut system = make_system(seed);

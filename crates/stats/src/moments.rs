@@ -98,12 +98,6 @@ impl RunningMoments {
         self.sample_variance().sqrt()
     }
 
-    /// Population standard deviation.
-    #[must_use]
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Standard error of the mean, `s / √n` (0 when empty).
     #[must_use]
     pub fn standard_error(&self) -> f64 {
@@ -197,26 +191,6 @@ impl PairedMoments {
     #[must_use]
     pub fn mean_y(&self) -> f64 {
         self.mean_y
-    }
-
-    /// Sample variance of the `x` series.
-    #[must_use]
-    pub fn sample_variance_x(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2x / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample variance of the `y` series.
-    #[must_use]
-    pub fn sample_variance_y(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2y / (self.count - 1) as f64
-        }
     }
 
     /// Sample covariance of `x` and `y`.

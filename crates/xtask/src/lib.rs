@@ -33,7 +33,10 @@
 //!   counters are the intended audience); `Mutex` / `RwLock` / `mpsc`
 //!   channels banned in sim-visible crates modulo the allowlist (the
 //!   parallel substrate takes no lock; see DESIGN.md §13); every
-//!   `unsafe` needs a `// SAFETY: <why>` comment.
+//!   `unsafe` needs a `// SAFETY: <why>` comment; and a vendored crate
+//!   holds no `unsafe` but the one in each function
+//!   [`R6_VENDORED_UNSAFE`] names (the keystream kernel's run-time
+//!   dispatch).
 //! * **R7 — hot-path allocation**: function bodies tagged
 //!   `/// xtask: no-alloc` may not allocate (`Vec::new`, `vec!`,
 //!   `collect`, `to_vec`, `clone`, `Box::new`, `format!`) — the sampling
@@ -54,6 +57,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod bench;
 pub mod gate;
 pub mod scrub;
 
@@ -120,6 +124,13 @@ pub const SIM_VISIBLE_CRATES: &[&str] = R2_CRATES;
 /// to their `xtask: no-alloc` tags under R7: the RNG's bulk keystream path
 /// runs inside the world step.
 pub const VENDORED_CRATES: &[&str] = &["rand_chacha"];
+
+/// The only `unsafe` sites R6 accepts in a vendored crate, as `(file,
+/// function)`: one `unsafe` inside that function's body. The keystream
+/// kernel's run-time dispatch to its AVX2 instantiation is the tree's
+/// one; a second kernel call site, or any other `unsafe`, is a finding.
+pub const R6_VENDORED_UNSAFE: &[(&str, &str)] =
+    &[("vendor/rand_chacha/src/lib.rs", "group_blocks")];
 
 /// Designated seeding modules (R5): the only files allowed to construct
 /// RNGs ad hoc, because constructing per-slot / per-replication streams
@@ -746,6 +757,115 @@ pub fn lint_concurrency(file: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
+/// R6 in a vendored crate: each `unsafe` outside `#[cfg(test)]` must be
+/// the first in the body of a function [`R6_VENDORED_UNSAFE`] lists for
+/// `file`. An `unsafe fn`, `unsafe impl` or `unsafe` block anywhere else
+/// is a finding, and so is a second `unsafe` in an allow-listed function.
+/// (Whether each carries its `// SAFETY:` comment is
+/// [`lint_concurrency`]'s check.)
+pub fn lint_vendored_unsafe(file: &str, source: &str) -> Vec<Finding> {
+    let lines = scrub::scrub(source);
+    let sites = unsafe_sites(&lines);
+    let mut used: Vec<&str> = Vec::new();
+    let mut findings = Vec::new();
+    for (idx, (line, sites)) in lines.iter().zip(&sites).enumerate() {
+        if line.in_test {
+            continue;
+        }
+        for site in sites {
+            let function = site.as_deref();
+            let allowed = R6_VENDORED_UNSAFE
+                .iter()
+                .find(|(f, name)| *f == file && Some(*name) == function)
+                .map(|(_, name)| *name);
+            let message = match allowed {
+                Some(name) if !used.contains(&name) => {
+                    used.push(name);
+                    continue;
+                }
+                Some(name) => format!(
+                    "a second `unsafe` in `fn {name}`: the allow-listed kernel dispatch \
+                     holds exactly one"
+                ),
+                None => format!(
+                    "`unsafe` in a vendored crate outside the allow-listed kernel \
+                     dispatch{}; route the call through that dispatch instead",
+                    function.map_or(String::new(), |name| format!(" (in `fn {name}`)"))
+                ),
+            };
+            findings.push(Finding {
+                rule: Rule::R6Concurrency,
+                file: file.to_string(),
+                line: idx + 1,
+                message,
+                remedy: Remedy::Fix,
+                allow_token: None,
+            });
+        }
+    }
+    findings
+}
+
+/// Per scrubbed line, one entry per `unsafe` keyword on it: the name of
+/// the innermost function whose body it sits in (`None` outside any, as
+/// for an `unsafe fn` or `unsafe impl` at item level). `fn NAME` arms a
+/// pending body unless one is armed already (so a `fn(..)` pointer type
+/// in a signature does not rename it), its first `{` opens it, and a `;`
+/// at the signature's own paren / bracket nesting (a body-less
+/// declaration) disarms it, so an array type's `;` does not.
+fn unsafe_sites(lines: &[scrub::Line]) -> Vec<Vec<Option<String>>> {
+    let mut open: Vec<(String, usize)> = Vec::new();
+    let mut pending: Option<(Option<String>, usize)> = None;
+    let (mut depth, mut nesting) = (0usize, 0usize);
+    let mut out = Vec::with_capacity(lines.len());
+    for line in lines {
+        let mut sites = Vec::new();
+        let mut chars = line.code.char_indices().peekable();
+        while let Some((at, c)) = chars.next() {
+            if c.is_alphabetic() || c == '_' {
+                let mut end = at + c.len_utf8();
+                while let Some(&(i, n)) = chars.peek() {
+                    if !(n.is_alphanumeric() || n == '_') {
+                        break;
+                    }
+                    end = i + n.len_utf8();
+                    chars.next();
+                }
+                let word = &line.code[at..end];
+                match &mut pending {
+                    Some((name @ None, _)) => *name = Some(word.to_string()),
+                    None if word == "fn" => pending = Some((None, nesting)),
+                    _ => {}
+                }
+                if word == "unsafe" {
+                    sites.push(open.last().map(|(name, _)| name.clone()));
+                }
+                continue;
+            }
+            match c {
+                '(' | '[' => nesting += 1,
+                ')' | ']' => nesting = nesting.saturating_sub(1),
+                ';' if pending.as_ref().is_some_and(|(_, n)| *n == nesting) => pending = None,
+                '{' => {
+                    depth += 1;
+                    if let Some((Some(name), _)) = pending.take() {
+                        open.push((name, depth));
+                    }
+                }
+                '}' => {
+                    if open.last().is_some_and(|(_, d)| *d == depth) {
+                        open.pop();
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                _ => {}
+            }
+        }
+        out.push(sites);
+    }
+    out
+}
+
 /// R7: allocation inside `/// xtask: no-alloc` tagged function bodies.
 ///
 /// The tag is an opt-in contract on walk-loop hot paths: arena buffers are
@@ -926,6 +1046,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
                 .map_err(|e| format!("read {}: {e}", path.display()))?;
             let rel = relative_label(root, &path);
             findings.extend(lint_concurrency(&rel, &source));
+            findings.extend(lint_vendored_unsafe(&rel, &source));
             findings.extend(lint_hot_path_alloc(&rel, &source));
         }
     }

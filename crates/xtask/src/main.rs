@@ -16,15 +16,21 @@
 //!   predicates are one table in the library's `gate` module. Each exits
 //!   non-zero when any leg fails.
 //!
-//! All are wired into CI; `cargo xtask lint` is also the local
-//! pre-commit gate.
+//! * `bench-record` — run the benchmark over every workload at both seeds
+//!   and append one line to `BENCH_HISTORY.jsonl` (see the library's
+//!   `bench` module); with `--diff <rev>`, judge the newest line against
+//!   commit `<rev>`'s instead.
+//!
+//! All but `bench-record` are wired into CI; `cargo xtask lint` is also
+//! the local pre-commit gate.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::gate;
+use std::io::Write as _;
+use xtask::{bench, gate};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -40,6 +46,12 @@ fn usage() -> ExitCode {
            audit             replay fixed-seed runs under --audit/--trace-out and\n\
                              gate on the guarantee report (violation rate within\n\
                              binomial slack, calibration drift within tolerance)\n\
+           bench-record      run the benchmark ten times over (--tree DIR,\n\
+                             repeatable, the trees taking turns; default this\n\
+                             checkout) and append a line per tree to\n\
+                             BENCH_HISTORY.jsonl; --diff REV judges the newest line\n\
+                             against commit REV's (its clean one, or the dirty one\n\
+                             on its parent): counts exactly, times by the base IQR\n\
            help              show this message"
     );
     ExitCode::from(2)
@@ -70,6 +82,7 @@ fn main() -> ExitCode {
         "determinism" => gate::gate(&root, "determinism", gate::determinism),
         "telemetry-schema" => gate::gate(&root, "telemetry-schema", gate::telemetry_schema),
         "audit" => gate::gate(&root, "audit", gate::audit),
+        "bench-record" => bench_record(&root, &args.collect::<Vec<_>>()),
         "help" | "--help" | "-h" => {
             usage();
             ExitCode::SUCCESS
@@ -77,6 +90,73 @@ fn main() -> ExitCode {
         other => {
             eprintln!("unknown xtask command `{other}`");
             usage()
+        }
+    }
+}
+
+/// `cargo xtask bench-record [--tree DIR]...` or
+/// `cargo xtask bench-record --diff REV`.
+fn bench_record(root: &Path, args: &[String]) -> ExitCode {
+    let (mut trees, mut base) = (Vec::new(), None);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().cloned().unwrap_or_default();
+        match flag.as_str() {
+            "--tree" => trees.push(PathBuf::from(value())),
+            "--diff" => base = Some(value()),
+            other => {
+                eprintln!("unknown bench-record flag `{other}`");
+                return usage();
+            }
+        }
+    }
+    if trees.is_empty() {
+        trees.push(root.to_path_buf());
+    }
+    let history_path = root.join(bench::HISTORY_PATH);
+    let history = std::fs::read_to_string(&history_path).unwrap_or_default();
+    if let Some(base) = base {
+        let sha = bench::rev_parse(root, &base).unwrap_or_else(|| base.clone());
+        let parent = bench::rev_parse(root, &format!("{sha}^"));
+        let (Some(base_line), Some(head_line)) = (
+            bench::find_line(&history, &sha, parent.as_deref()),
+            bench::newest_line(&history),
+        ) else {
+            eprintln!("bench-record: no history line for `{base}`");
+            return ExitCode::FAILURE;
+        };
+        let verdict = bench::diff(&base_line, &head_line);
+        for line in &verdict.report {
+            println!("{line}");
+        }
+        for line in &verdict.red {
+            eprintln!("RED: {line}");
+        }
+        return if verdict.red.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    }
+    match bench::record(&trees) {
+        Ok(lines) => {
+            let appended = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&history_path)
+                .and_then(|mut file| lines.iter().try_for_each(|line| writeln!(file, "{line}")));
+            if let Err(e) = appended {
+                eprintln!("bench-record: write {}: {e}", history_path.display());
+                return ExitCode::FAILURE;
+            }
+            for line in &lines {
+                println!("{line}");
+            }
+            ExitCode::SUCCESS
+        }
+        Err(message) => {
+            eprintln!("bench-record: {message}");
+            ExitCode::FAILURE
         }
     }
 }

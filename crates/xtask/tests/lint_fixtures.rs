@@ -6,8 +6,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use xtask::{
     lint_concurrency, lint_float_discipline, lint_hot_path_alloc, lint_no_hash_collections,
-    lint_no_panic, lint_paper_refs, lint_rng_discipline, lint_workspace, Remedy, Rule, R1_CRATES,
-    R2_CRATES, R3_CRATES, R5_SEEDING_MODULES, VENDORED_CRATES,
+    lint_no_panic, lint_paper_refs, lint_rng_discipline, lint_vendored_unsafe, lint_workspace,
+    Remedy, Rule, R1_CRATES, R2_CRATES, R3_CRATES, R5_SEEDING_MODULES, R6_VENDORED_UNSAFE,
+    VENDORED_CRATES,
 };
 
 fn fixture(name: &str) -> String {
@@ -426,7 +427,7 @@ fn r6_allowlist_covers_locks_but_never_missing_justifications() {
 fn r6_scans_vendored_crates_for_uncommented_unsafe() {
     let ws = TempWorkspace::new("r6vendor");
     let commented = "#[allow(unsafe_code)]\n\
-                     pub fn kernel(p: *const u32) -> u32 {\n    \
+                     pub fn group_blocks(p: *const u32) -> u32 {\n    \
                          // SAFETY: the caller hands a valid, aligned pointer.\n    \
                          unsafe { *p }\n\
                      }\n";
@@ -444,6 +445,57 @@ fn r6_scans_vendored_crates_for_uncommented_unsafe() {
     assert_eq!(findings[0].remedy, Remedy::JustifyComment);
     assert_eq!(findings[0].file, "vendor/rand_chacha/src/lib.rs");
     assert_eq!(findings[0].line, 4);
+}
+
+/// A vendored crate holds one `unsafe`: the keystream kernel's dispatch
+/// in `group_blocks`. A second `unsafe` there, one in another function
+/// (a second kernel call site) or an item-level `unsafe fn` is a
+/// finding, SAFETY comment or not; test code is exempt.
+#[test]
+fn r6_allows_only_the_kernel_dispatch_unsafe_in_vendored_crates() {
+    let (file, _) = R6_VENDORED_UNSAFE[0];
+    let fixture = fixture("r6_vendored_unsafe.rs");
+    let findings = lint_vendored_unsafe(file, &fixture);
+    assert!(findings.iter().all(|f| f.rule == Rule::R6Concurrency));
+    assert!(findings.iter().all(|f| f.remedy == Remedy::Fix));
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    let red: Vec<usize> = fixture
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| line.contains("// red"))
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(lines, red, "{findings:?}");
+    assert!(
+        findings[0].message.contains("a second `unsafe`"),
+        "{findings:?}"
+    );
+    assert!(
+        findings[1].message.contains("`fn stream_blocks`"),
+        "{findings:?}"
+    );
+
+    // The same source under another file name has no allowed site.
+    let elsewhere = lint_vendored_unsafe("vendor/rand/src/lib.rs", &fixture);
+    assert_eq!(elsewhere.len(), red.len() + 1, "{elsewhere:?}");
+
+    // In the workspace scan: the dispatch alone is clean.
+    let ws = TempWorkspace::new("r6vendorunsafe");
+    let dispatch = "#[allow(unsafe_code)]\n\
+                    fn group_blocks(s: &[u32; 16]) -> [[u32; 8]; 16] {\n    \
+                        // SAFETY: the host was just seen to run AVX2.\n    \
+                        unsafe { group_blocks_avx2(s) }\n\
+                    }\n";
+    ws.write(file, dispatch);
+    let findings = lint_workspace(&ws.root).expect("lint the dispatch");
+    assert!(findings.is_empty(), "{findings:?}");
+    ws.write(
+        file,
+        &dispatch.replace("fn group_blocks", "fn stream_blocks"),
+    );
+    let findings = lint_workspace(&ws.root).expect("lint a second call site");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].file.as_str(), findings[0].line), (file, 4));
 }
 
 #[test]

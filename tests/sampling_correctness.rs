@@ -122,7 +122,7 @@ fn estimator_built_on_sampler_is_unbiased() {
         for (_, t) in db.iter() {
             m.push(t.value(0).unwrap());
         }
-        m.population_std()
+        m.population_variance().sqrt()
     };
 
     let mut op = SamplingOperator::new(SamplingConfig::recommended(80)).unwrap();
