@@ -183,16 +183,22 @@ impl SamplePanel {
     /// least one question, drops it otherwise. Returns whether it was kept.
     pub(crate) fn commit(&mut self, handle: TupleHandle) -> bool {
         let start = self.handles.len() * self.questions;
-        let kept = self
+        let answered = self
             .values
             .get(start..)
             .is_some_and(|staged| staged.iter().any(|v| !v.is_nan()));
-        if kept {
+        self.commit_answered(handle, answered)
+    }
+
+    /// [`SamplePanel::commit`] for a caller that already knows whether the
+    /// staged entry answered some question, so the entry is not scanned.
+    pub(crate) fn commit_answered(&mut self, handle: TupleHandle, answered: bool) -> bool {
+        if answered {
             self.handles.push(handle);
         } else {
-            self.values.truncate(start);
+            self.values.truncate(self.handles.len() * self.questions);
         }
-        kept
+        answered
     }
 
     /// Lays the panel out for a new list of questions: question `q` takes
@@ -263,13 +269,18 @@ impl SamplePanel {
             .zip(self.values.chunks_exact(self.questions.max(1)));
         for (&handle, previous) in entries.skip(skip) {
             report.contact(db, handle.node);
-            let row = db.read(handle).ok();
+            let Ok(row) = db.read(handle) else {
+                report.lost += 1;
+                continue;
+            };
+            let mut answered = false;
             for ((&question, &prev), answers) in
                 questions.iter().zip(previous).zip(&mut report.answers)
             {
-                let cur = row.and_then(|row| answer(question, row).ok().flatten());
+                let cur = answer(question, row).ok().flatten();
                 report.survivors.stage(cur);
                 let Some(cur) = cur else { continue };
+                answered = true;
                 if prev.is_nan() {
                     answers.fresh.push(cur);
                     answers.unpaired += 1;
@@ -278,7 +289,7 @@ impl SamplePanel {
                     answers.cur.push(cur);
                 }
             }
-            if !report.survivors.commit(handle) {
+            if !report.survivors.commit_answered(handle, answered) {
                 report.lost += 1;
             }
         }

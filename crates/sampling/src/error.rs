@@ -27,6 +27,9 @@ pub enum SamplingError {
     },
     /// The database had no tuple to sample where one was required.
     EmptyDatabase,
+    /// The overlay has more directed edges than an occasion snapshot's
+    /// rows can address (`u32::MAX`).
+    OverlayTooLarge,
     /// An error bubbled up from the statistics layer.
     Stats(digest_stats::StatsError),
 }
@@ -44,6 +47,11 @@ impl fmt::Display for SamplingError {
             SamplingError::EmptyDatabase => {
                 write!(f, "cannot sample a tuple from an empty database")
             }
+            SamplingError::OverlayTooLarge => write!(
+                f,
+                "the overlay has more than {} directed edges to snapshot",
+                u32::MAX
+            ),
             SamplingError::Stats(e) => write!(f, "statistics error: {e}"),
         }
     }

@@ -23,9 +23,12 @@
 //! * **A cached occasion snapshot.** The operator refreshes a
 //!   [`OccasionSnapshot`] through its [`crate::snapshot::SnapshotCache`]
 //!   (reuse / patch / rebuild, see that module) and lends it here;
-//!   M–H proposals read the snapshot's CSR rows instead of re-querying
-//!   [`digest_net::Graph`], and each edge's acceptance threshold from the
-//!   snapshot's memo, which the first walk to propose the edge fills.
+//!   M–H proposals read the snapshot's CSR rows, one 8-byte record per
+//!   node, instead of re-querying [`digest_net::Graph`], and each edge's
+//!   acceptance threshold from the snapshot's memo, which the first walk
+//!   to propose the edge fills. A walk keeps its node, that node's row
+//!   and its tallies in locals for a whole run, so an accepted hop waits
+//!   on the adjacency and row loads only.
 //!   Its weights are the relation's content sizes, finite and
 //!   non-negative by type, which is why the walk below is infallible.
 //! * **Few keystream words per step.** The walk draws through the
@@ -35,13 +38,14 @@
 //!   live in the operator's [`WalkArena`] and are reused across
 //!   batches — at one worker the steady-state batch path allocates
 //!   nothing.
-//! * **A `Copy` outcome, rows copied at the drain.** What a slot hands
-//!   across the join is its [`SlotOutcome`]: the sampled tuple's handle,
-//!   the walk's end position and its tallies, no heap. The slot-order
-//!   drain on the dispatching thread then reads each sampled row back
-//!   through its handle (the relation is borrowed immutably for the
-//!   whole batch, so it is the row the slot's local draw saw) into the
-//!   arena's one arity-strided `values` column.
+//! * **A `Copy` outcome, the row handed over.** What a slot hands across
+//!   the join is its [`SlotOutcome`] — the sampled tuple's handle, the
+//!   walk's end position and its tallies, no heap — and the [`RowView`]
+//!   its local draw returned. The relation is borrowed immutably for the
+//!   whole batch, so the view stays valid across the join, and the
+//!   slot-order drain on the dispatching thread copies it into the
+//!   arena's one arity-strided `values` column without resolving the
+//!   handle again.
 //! * **Deferred telemetry, once per batch.** Workers run with events
 //!   suppressed and tally per slot locally; post-join the `sampling.*`
 //!   counters and the burn-in histogram are bumped once with the batch's
@@ -62,9 +66,9 @@ use crate::error::SamplingError;
 use crate::metropolis::MetropolisWalk;
 use crate::operator::{SampleCost, SamplingConfig};
 use crate::par;
-use crate::snapshot::OccasionSnapshot;
+use crate::snapshot::{OccasionSnapshot, Row};
 use crate::Result;
-use digest_db::{P2PDatabase, TupleHandle};
+use digest_db::{P2PDatabase, RowView, TupleHandle};
 use digest_net::NodeId;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::{RngCore, SeedableRng};
@@ -85,68 +89,61 @@ struct SlotTally {
     accepts: u64,
 }
 
-/// One cached walk position: the CSR row `(start, span)` of the current
-/// node. Refreshed only when the walk actually moves.
-#[derive(Clone, Copy)]
-struct CachedRow {
-    start: usize,
-    /// Degree, the `span` of [`draw::uniform_below`].
-    span: u32,
-}
-
 /// A Metropolis walk advancing over an [`OccasionSnapshot`]. It draws
 /// through the [`draw`] kernel in exactly [`MetropolisWalk::run`]'s
 /// order — one laziness word per chunk of ≤ 64 steps decides how many
 /// steps are active, then each active step draws its proposal over the
-/// cached row and its acceptance against the snapshot's memoised per-edge
-/// threshold — so the snapshot walk and the live-graph walk are
+/// current node's row and its acceptance against the snapshot's memoised
+/// per-edge threshold — so the snapshot walk and the live-graph walk are
 /// interchangeable given the same stream (pinned by a unit test below).
 struct SnapshotWalk {
     current: NodeId,
-    row: CachedRow,
+    /// The current node's row, read again only when the walk moves.
+    row: Row,
     tally: SlotTally,
 }
 
 impl SnapshotWalk {
     /// xtask: no-alloc
-    fn cached_row(snap: &OccasionSnapshot, v: NodeId) -> CachedRow {
-        let (start, degree) = snap.row(v);
-        CachedRow {
-            start,
-            span: u32::try_from(degree).unwrap_or(u32::MAX),
-        }
-    }
-
-    /// xtask: no-alloc
     fn new(start: NodeId, snap: &OccasionSnapshot) -> Self {
         Self {
             current: start,
-            row: Self::cached_row(snap, start),
+            row: snap.row(start),
             tally: SlotTally::default(),
         }
     }
 
     /// Runs `steps` M–H steps on the snapshot. Infallible: the snapshot
     /// never changes under the walk and its weights are counts.
+    ///
+    /// The position, its row and the tallies live in locals for the whole
+    /// run and are written back once, so an accepted hop's next proposal
+    /// waits on the adjacency and row loads only, not on a store to `self`
+    /// and its reload.
     /// xtask: no-alloc
     fn run<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, steps: u64, rng: &mut R) {
         let active = draw::active_steps(rng, steps);
-        self.tally.steps += steps;
-        self.tally.lazy += steps - active;
+        let (mut current, mut row) = (self.current, self.row);
+        let (mut proposals, mut accepts) = (0, 0);
         for _ in 0..active {
-            let CachedRow { start, span } = self.row;
-            if span == 0 {
+            if row.degree == 0 {
                 break;
             }
-            let pick = start + draw::uniform_below(rng, span) as usize;
-            self.tally.proposals += 1;
-            if draw::accept(rng, snap.accept_threshold_at(pick, self.current)) {
-                self.current = snap.neighbor_at(pick);
-                self.row = Self::cached_row(snap, self.current);
-                self.tally.accepts += 1;
-                self.tally.hops += 1;
+            let pick = row.start as usize + draw::uniform_below(rng, row.degree) as usize;
+            proposals += 1;
+            if draw::accept(rng, snap.accept_threshold_at(pick, current)) {
+                current = snap.neighbor_at(pick);
+                row = snap.row(current);
+                accepts += 1;
             }
         }
+        (self.current, self.row) = (current, row);
+        let tally = &mut self.tally;
+        tally.steps += steps;
+        tally.lazy += steps - active;
+        tally.proposals += proposals;
+        tally.accepts += accepts;
+        tally.hops += accepts;
     }
 }
 
@@ -159,10 +156,10 @@ pub(crate) struct SlotTask {
     burn_in: u64,
 }
 
-/// Everything one slot hands across the join: the sampled tuple's
-/// handle, the walk's final position for pool writeback, and the
-/// deferred telemetry tallies. `Copy` — the row itself is read at the
-/// drain, not carried here.
+/// What one slot keeps of its walk: the sampled tuple's handle, the
+/// walk's final position for pool writeback, and the deferred telemetry
+/// tallies. `Copy` — the row crosses the join beside it, as the view the
+/// slot's local draw returned.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotOutcome {
     /// Whether the slot launched a fresh walk (vs continuing a pooled
@@ -243,20 +240,23 @@ fn slot_tasks<'a>(
     })
 }
 
-fn run_slot(
+/// Runs one slot's walk and local draw: its outcome, and the sampled row
+/// as the draw resolved it, which the drain copies into the batch's
+/// `values` column.
+fn run_slot<'db>(
     task: &SlotTask,
     snap: &OccasionSnapshot,
-    db: &P2PDatabase,
+    db: &'db P2PDatabase,
     reset_length: u64,
     rng: &mut ChaCha8Rng,
-) -> Result<SlotOutcome> {
+) -> Result<(SlotOutcome, RowView<'db>)> {
     let mut walk = SnapshotWalk::new(task.start, snap);
     walk.run(snap, task.burn_in, rng);
     // Before convergence a walk can sit on an empty node; walk reset
     // lengths until it lands on a content-bearing one (bounded).
     for retry in 0..TUPLE_RETRY_LIMIT {
-        if let Some((handle, _row)) = db.sample_local_untallied(walk.current, rng) {
-            return Ok(SlotOutcome {
+        if let Some((handle, row)) = db.sample_local_untallied(walk.current, rng) {
+            let outcome = SlotOutcome {
                 fresh: task.fresh,
                 end: walk.current,
                 retries: retry as u64,
@@ -266,39 +266,29 @@ fn run_slot(
                 proposals: walk.tally.proposals,
                 accepts: walk.tally.accepts,
                 handle,
-            });
+            };
+            return Ok((outcome, row));
         }
         walk.run(snap, reset_length, rng);
     }
     Err(SamplingError::ZeroTotalWeight)
 }
 
-/// Hands one slot's result to the batch, in slot order: copies the
-/// sampled row into the `values` column and keeps the outcome, or
+/// Hands one slot's result to the batch, in slot order: copies the row
+/// the slot sampled into the `values` column and keeps the outcome, or
 /// records the batch's failure (the lowest slot's wins).
 /// xtask: no-alloc
 fn drain_slot(
-    db: &P2PDatabase,
-    slot: Result<SlotOutcome>,
+    slot: Result<(SlotOutcome, RowView<'_>)>,
     outcomes: &mut Vec<SlotOutcome>,
     values: &mut Vec<f64>,
     failure: &mut Option<SamplingError>,
 ) {
     match slot {
-        Ok(outcome) if failure.is_none() => match db.read(outcome.handle) {
-            Ok(row) => {
-                values.extend_from_slice(row.values());
-                outcomes.push(outcome);
-            }
-            // Unreachable while the batch borrows the relation (the
-            // handle was drawn from it moments ago); surfaced per the
-            // panic policy.
-            Err(_) => {
-                *failure = Some(SamplingError::InvalidConfig {
-                    reason: "a tuple sampled in this batch no longer resolves",
-                });
-            }
-        },
+        Ok((outcome, row)) if failure.is_none() => {
+            values.extend_from_slice(row.values());
+            outcomes.push(outcome);
+        }
         Ok(_) => {}
         Err(err) => {
             failure.get_or_insert(err);
@@ -441,7 +431,7 @@ pub(crate) fn run_tuple_batch(
                 },
                 |slot| {
                     local_samples += u64::from(slot.is_ok());
-                    drain_slot(db, slot, outcomes, values, &mut failure);
+                    drain_slot(slot, outcomes, values, &mut failure);
                 },
             );
         });
@@ -700,7 +690,7 @@ mod tests {
         let db = dealt(&g, |v| v.0 % 7 + 1);
         let mut cache = SnapshotCache::new();
         let derived = thresholds_derived();
-        let (snap, _) = cache.refresh(&g, db.content_sizes(), true);
+        let (snap, _) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         let (first, proposals) = run_batch(&db, snap, 1, 5);
         let derived = thresholds_derived() - derived;
         assert!(
@@ -708,7 +698,7 @@ mod tests {
             "{derived} > {proposals}"
         );
 
-        let (snap, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (snap, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Reused);
         let before = thresholds_derived();
         assert_eq!(run_batch(&db, snap, 1, 5).0, first);
@@ -731,58 +721,111 @@ mod tests {
     }
 
     /// Slot `i` of a batch at `cursor` reads stream `cursor + i` of the
-    /// key its occasion seed expands to, and nothing else: fresh 95-step
-    /// walks on the 10 × 53 mesh, every node holding a tuple, end where
-    /// a walk on that stream ends and sample the tuple its next draw
-    /// picks. Slots open their streams [`StreamGroup::STREAMS`] at a
-    /// time; 61 slots from cursor 13 have an unaligned first stream and a
-    /// ragged last group, and at three workers the second range starts
-    /// inside a group. Every worker count gives the same bytes.
+    /// key its occasion seed expands to, and nothing else, and hands over
+    /// the row its own local draw returned. Each case's batch at one,
+    /// three and four workers gives the same bytes, and each slot equals a
+    /// replay on its stream: the walk, each retry's reset walk, and the
+    /// draw through `sample_local_untallied` whose row the slot's `values`
+    /// entry holds. Slots open their streams [`StreamGroup::STREAMS`] at a
+    /// time; 61 slots from an unaligned cursor have a ragged last group,
+    /// and at three workers the second range starts inside a group.
+    /// - Fresh 95-step walks on the 10 × 53 mesh, every node holding a
+    ///   tuple: no slot retries.
+    /// - Two-step walks on a 60-node world where four nodes in five hold
+    ///   no tuple: slots end on empty nodes and retry.
     #[test]
     fn a_slot_reads_its_own_stream_of_the_batch_key() {
-        let g = topology::mesh(10, 53, false).unwrap();
-        let db = dealt(&g, |v| v.0 % 3 + 1);
-        let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
-        let (cursor, n, seed) = (13, 61, 20_080_402);
-        let batch = |workers| {
-            let config = SamplingConfig {
-                walk_length: 95,
-                reset_length: 6,
-                continue_walks: false,
-                workers,
-                cache_snapshots: true,
-            };
-            let request = BatchRequest {
-                config: &config,
-                pool: &[],
-                cursor,
-                origin: NodeId(7),
-                n,
-                occasion_seed: seed,
-            };
-            let mut arena = WalkArena::new();
-            run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
-            arena
-        };
-        let one = batch(1);
-        assert_eq!(one.outcomes.len(), n);
-        let bytes = |arena: &WalkArena| format!("{:?} {:?}", arena.outcomes, arena.values);
-        for workers in [3, 4] {
-            assert_eq!(bytes(&batch(workers)), bytes(&one), "workers {workers}");
+        struct Case {
+            g: digest_net::Graph,
+            every_node_holds: bool,
+            walk: u64,
+            reset: u64,
+            cursor: usize,
+            seed: u64,
+            origin: NodeId,
         }
-        let key = rng(seed);
-        for (i, outcome) in one.outcomes.iter().enumerate() {
-            let mut stream = key.with_stream((cursor + i) as u64);
-            let mut walk = SnapshotWalk::new(NodeId(7), &snap);
-            walk.run(&snap, 95, &mut stream);
-            let (handle, _) = db
-                .sample_local_untallied(walk.current, &mut stream)
-                .unwrap();
-            assert_eq!(outcome.end, walk.current, "slot {i}");
-            assert_eq!(outcome.handle, handle, "slot {i}");
-            assert_eq!(outcome.hops, walk.tally.hops, "slot {i}");
-            assert_eq!(outcome.proposals, walk.tally.proposals, "slot {i}");
-            assert_eq!(outcome.retries, 0, "slot {i}");
+        let cases = [
+            Case {
+                g: topology::mesh(10, 53, false).unwrap(),
+                every_node_holds: true,
+                walk: 95,
+                reset: 6,
+                cursor: 13,
+                seed: 20_080_402,
+                origin: NodeId(7),
+            },
+            Case {
+                g: topology::barabasi_albert(60, 2, &mut rng(34)).unwrap(),
+                every_node_holds: false,
+                walk: 2,
+                reset: 3,
+                cursor: 5,
+                seed: 20_081_224,
+                origin: NodeId(1),
+            },
+        ];
+        let n = 61;
+        for case in &cases {
+            let db = if case.every_node_holds {
+                dealt(&case.g, |v| v.0 % 3 + 1)
+            } else {
+                dealt(&case.g, |v| u32::from(v.0 % 5 == 0) * (v.0 % 3 + 1))
+            };
+            let snap = OccasionSnapshot::build_sized(&case.g, db.content_sizes());
+            let batch = |workers| {
+                let config = SamplingConfig {
+                    walk_length: case.walk,
+                    reset_length: case.reset,
+                    continue_walks: false,
+                    workers,
+                    cache_snapshots: true,
+                };
+                let request = BatchRequest {
+                    config: &config,
+                    pool: &[],
+                    cursor: case.cursor,
+                    origin: case.origin,
+                    n,
+                    occasion_seed: case.seed,
+                };
+                let mut arena = WalkArena::new();
+                run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
+                arena
+            };
+            let one = batch(1);
+            assert_eq!((one.outcomes.len(), one.values.len()), (n, n));
+            let bytes = |arena: &WalkArena| format!("{:?} {:?}", arena.outcomes, arena.values);
+            for workers in [3, 4] {
+                assert_eq!(bytes(&batch(workers)), bytes(&one), "workers {workers}");
+            }
+            let retried = one.outcomes.iter().filter(|o| o.retries > 0).count();
+            assert_eq!(
+                retried == 0,
+                case.every_node_holds,
+                "{retried} slots retried"
+            );
+
+            let key = rng(case.seed);
+            for (i, (outcome, &value)) in one.outcomes.iter().zip(&one.values).enumerate() {
+                let mut stream = key.with_stream((case.cursor + i) as u64);
+                let mut walk = SnapshotWalk::new(case.origin, &snap);
+                walk.run(&snap, case.walk, &mut stream);
+                let mut retries = 0;
+                let (handle, row) = loop {
+                    if let Some(drawn) = db.sample_local_untallied(walk.current, &mut stream) {
+                        break drawn;
+                    }
+                    walk.run(&snap, case.reset, &mut stream);
+                    retries += 1;
+                };
+                assert_eq!(outcome.retries, retries, "slot {i}");
+                assert_eq!(outcome.end, walk.current, "slot {i}");
+                assert_eq!(outcome.handle, handle, "slot {i}");
+                assert_eq!(outcome.hops, walk.tally.hops, "slot {i}");
+                assert_eq!(outcome.steps, walk.tally.steps, "slot {i}");
+                assert_eq!(outcome.proposals, walk.tally.proposals, "slot {i}");
+                assert_eq!(value.to_bits(), row.values()[0].to_bits(), "slot {i}");
+            }
         }
     }
 

@@ -443,6 +443,8 @@ impl SamplingOperator {
     /// * [`SamplingError::UnknownNode`] if `origin` is not live.
     /// * [`SamplingError::ZeroTotalWeight`] if a walk exhausts its
     ///   content-retry budget.
+    /// * [`SamplingError::OverlayTooLarge`] if the overlay has more
+    ///   directed edges than the occasion snapshot can address.
     pub fn sample_batch<R: Rng + ?Sized>(
         &mut self,
         g: &Graph,
@@ -471,7 +473,7 @@ impl SamplingOperator {
         let occasion_seed = rng.next_u64();
         let (snapshot, refresh) =
             self.cache
-                .refresh(g, db.content_sizes(), self.config.cache_snapshots);
+                .refresh(g, db.content_sizes(), self.config.cache_snapshots)?;
         match refresh {
             SnapshotRefresh::Built => self.stats.built += 1,
             SnapshotRefresh::Reused => self.stats.reused += 1,
@@ -1198,7 +1200,7 @@ mod batch_equivalence {
         let occasion_seed = rng.next_u64();
         let (snapshot, refresh) =
             op.cache
-                .refresh(g, db.content_sizes(), op.config.cache_snapshots);
+                .refresh(g, db.content_sizes(), op.config.cache_snapshots)?;
         match refresh {
             SnapshotRefresh::Built => op.stats.built += 1,
             SnapshotRefresh::Reused => op.stats.reused += 1,

@@ -20,11 +20,18 @@
 //!   no epoch of its own to key on: epochs of two databases are
 //!   incomparable, the hazard `SamplingOperator::reset` guards against
 //!   for graphs.
+//! * **Row records.** A node's CSR row is one 8-byte [`Row`] `{ start:
+//!   u32, degree: u32 }`, so a walk reads the row it moves to in one
+//!   load. Rows lie in id order, each starting where the one before it
+//!   ends; a build lays them out by a checked prefix sum of the degrees,
+//!   and a refresh whose adjacency would pass `u32::MAX` entries is
+//!   refused with [`SamplingError::OverlayTooLarge`], never truncated.
 //! * **CSR patching.** When the graph changed but the mutation journal
 //!   still covers the gap, [`digest_net::Graph::changes_since`] yields
 //!   the sorted set of dirty node ids. The snapshot is patched where it
 //!   changed and in place: the clean row spans between dirty ids slide to
-//!   their new positions in bulk and only dirty rows are re-read from the
+//!   their new positions in bulk, the clean rows' starts are re-based by
+//!   how far their span moved, and only dirty rows are re-read from the
 //!   graph. What stays O(n) is what a reuse pays too — comparing the size
 //!   column — plus one `memcpy` of it.
 //! * **M–H thresholds memoised on first proposal.** As in the paper
@@ -52,6 +59,7 @@
 
 use crate::draw::{accept_threshold, ACCEPT_ALWAYS, THRESHOLD_BITS};
 use crate::metropolis::ZERO_WEIGHT_FLOOR;
+use crate::SamplingError;
 use digest_net::{Graph, NodeId};
 use digest_telemetry::{registry as telemetry, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,6 +110,24 @@ thread_local! {
     static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+/// One node's CSR row: where its neighbours start in the snapshot's
+/// adjacency and how many there are. Eight bytes, so a walk reads the
+/// row it moves to in one load; the adjacency it indexes holds at most
+/// `u32::MAX` entries (a refresh refuses a longer one).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Row {
+    pub(crate) start: u32,
+    pub(crate) degree: u32,
+}
+
+impl Row {
+    /// The row's index range in the adjacency.
+    /// xtask: no-alloc
+    fn span(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.degree as usize
+    }
+}
+
 /// Per-occasion view of the overlay: CSR adjacency, liveness, the
 /// relation's size column (the node weights `w_v = m_v`), and a memo of
 /// the M–H acceptance threshold per directed edge, all indexed by raw
@@ -110,8 +136,9 @@ thread_local! {
 /// memo cells. A clone copies the cells' words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OccasionSnapshot {
-    /// CSR row offsets, `id_upper_bound + 1` entries.
-    offsets: Vec<usize>,
+    /// CSR row per id slot, `id_upper_bound` entries; rows lie in id
+    /// order, each starting where the one before it ends.
+    rows: Vec<Row>,
     /// Concatenated neighbor lists.
     adjacency: Vec<NodeId>,
     /// Memo of the integer acceptance threshold of the directed edge
@@ -137,9 +164,12 @@ impl OccasionSnapshot {
     /// test-only reference path — the operator goes through
     /// [`SnapshotCache`].
     #[cfg(test)]
+    #[allow(clippy::expect_used)]
     pub(crate) fn build_sized(g: &Graph, sizes: &[u32]) -> Self {
         let mut cache = SnapshotCache::new();
-        cache.refresh(g, sizes, false);
+        cache
+            .refresh(g, sizes, false)
+            .expect("a test overlay fits a row");
         cache.snapshot
     }
 
@@ -172,15 +202,11 @@ impl OccasionSnapshot {
         self.live.get(v.0 as usize).copied().unwrap_or(false)
     }
 
-    /// CSR row of `v` as `(start, degree)`; `(0, 0)` for unknown ids.
+    /// CSR row of `v`; an empty one for unknown ids.
     /// xtask: no-alloc
     #[inline]
-    pub(crate) fn row(&self, v: NodeId) -> (usize, usize) {
-        let i = v.0 as usize;
-        match (self.offsets.get(i), self.offsets.get(i + 1)) {
-            (Some(&start), Some(&end)) => (start, end.saturating_sub(start)),
-            _ => (0, 0),
-        }
+    pub(crate) fn row(&self, v: NodeId) -> Row {
+        self.rows.get(v.0 as usize).copied().unwrap_or_default()
     }
 
     /// The neighbor stored at CSR index `idx` (caller guarantees `idx`
@@ -215,7 +241,7 @@ impl OccasionSnapshot {
     #[cold]
     #[inline(never)]
     fn derive(&self, cell: &MemoCell, idx: usize, from: NodeId) -> u64 {
-        let degree = |v: usize| (self.offsets[v + 1] - self.offsets[v]) as f64;
+        let degree = |v: usize| f64::from(self.rows[v].degree);
         let (i, j) = (from.0 as usize, self.adjacency[idx].0 as usize);
         let w_i = self.weight(i).max(ZERO_WEIGHT_FLOOR);
         let threshold = accept_threshold((self.weight(j) * degree(i)) / (w_i * degree(j)));
@@ -234,13 +260,12 @@ impl OccasionSnapshot {
 
     #[cfg(test)]
     pub(crate) fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (start, len) = self.row(v);
-        self.adjacency.get(start..start + len).unwrap_or(&[])
+        self.adjacency.get(self.row(v).span()).unwrap_or(&[])
     }
 
     #[cfg(test)]
     pub(crate) fn degree(&self, v: NodeId) -> usize {
-        self.row(v).1
+        self.row(v).degree as usize
     }
 
     /// Every acceptance threshold in CSR order, forced through the lookup
@@ -250,8 +275,11 @@ impl OccasionSnapshot {
         let mut table = Vec::with_capacity(self.adjacency.len());
         for i in 0..self.live.len() {
             let v = NodeId(u32::try_from(i).unwrap_or(u32::MAX));
-            let (start, len) = self.row(v);
-            table.extend((start..start + len).map(|idx| self.accept_threshold_at(idx, v)));
+            table.extend(
+                self.row(v)
+                    .span()
+                    .map(|idx| self.accept_threshold_at(idx, v)),
+            );
         }
         table
     }
@@ -275,39 +303,47 @@ impl OccasionSnapshot {
     /// positions and only dirty rows are re-read from the graph. Clean
     /// rows cannot reference removed nodes because `remove_node` marks all
     /// former neighbors dirty.
+    ///
+    /// # Errors
+    ///
+    /// [`SamplingError::OverlayTooLarge`] if the patched adjacency would
+    /// be longer than a row can address, before anything is written.
     /// xtask: no-alloc
-    fn patch_rows(&mut self, g: &Graph, dirty: &[NodeId]) {
+    fn patch_rows(&mut self, g: &Graph, dirty: &[NodeId]) -> crate::Result<()> {
         let Some(first) = dirty.first().map(|d| d.0 as usize) else {
-            return;
+            return Ok(());
         };
         let upper = g.id_upper_bound();
         let old_total = self.adjacency.len();
+        let (gained, lost) = dirty.iter().fold((0, 0), |(gained, lost), &d| {
+            let old = self.rows.get(d.0 as usize).map_or(0, |row| row.degree);
+            (gained + g.degree(d), lost + old as usize)
+        });
+        let total = row_total(old_total, gained, lost)?;
         // Ids past the old bound are all dirty (`add_node` journals them);
         // their old rows are empty ones at the old end.
-        resize_retained(&mut self.offsets, upper + 1, old_total);
+        let past_end = Row {
+            start: field(old_total),
+            degree: 0,
+        };
+        resize_retained(&mut self.rows, upper, past_end);
         resize_retained(&mut self.live, upper, false);
         let Self {
-            offsets,
+            rows,
             adjacency,
             live,
             ..
         } = self;
-
-        let (gained, lost) = dirty.iter().fold((0, 0), |(gained, lost), &d| {
-            let i = d.0 as usize;
-            (gained + g.degree(d), lost + offsets[i + 1] - offsets[i])
-        });
-        let total = old_total + gained - lost;
         if total > old_total {
             resize_retained(adjacency, total, NodeId(0));
         }
 
         // The clean span after `dirty[r]`, as its old `(start, end)`.
-        let span_after = |offsets: &[usize], r: usize| {
-            let start = offsets[dirty[r].0 as usize + 1];
+        let span_after = |rows: &[Row], r: usize| {
+            let start = rows[dirty[r].0 as usize].span().end;
             let end = dirty
                 .get(r + 1)
-                .map_or(old_total, |next| offsets[next.0 as usize]);
+                .map_or(old_total, |next| rows[next.0 as usize].start as usize);
             (start, end)
         };
         // A span moving left lands on dirty rows' old slots and on slots
@@ -315,10 +351,10 @@ impl OccasionSnapshot {
         // spans after it have left — so left-movers go first to last,
         // then right-movers last to first, and nothing clean is
         // overwritten before it has moved.
-        let mut write = offsets[first];
+        let mut write = rows[first].start as usize;
         for (r, &d) in dirty.iter().enumerate() {
             write += g.degree(d);
-            let (start, end) = span_after(offsets, r);
+            let (start, end) = span_after(rows, r);
             if write < start {
                 adjacency.copy_within(start..end, write);
             }
@@ -326,7 +362,7 @@ impl OccasionSnapshot {
         }
         let mut write_end = total;
         for (r, &d) in dirty.iter().enumerate().rev() {
-            let (start, end) = span_after(offsets, r);
+            let (start, end) = span_after(rows, r);
             let to = write_end - (end - start);
             if to > start {
                 adjacency.copy_within(start..end, to);
@@ -337,24 +373,71 @@ impl OccasionSnapshot {
 
         // Dirty rows, and the row starts after each re-based by how far
         // its span moved (`wrapping`: the distance may be negative).
-        let mut write = offsets[first];
+        let mut write = rows[first].start as usize;
         for (r, &d) in dirty.iter().enumerate() {
             let i = d.0 as usize;
-            let (start, end) = span_after(offsets, r);
+            let (start, end) = span_after(rows, r);
             let row = g.neighbors(d);
-            offsets[i] = write;
+            rows[i] = Row {
+                start: field(write),
+                degree: field(row.len()),
+            };
             adjacency[write..write + row.len()].copy_from_slice(row);
             live[i] = g.contains(d);
             write += row.len();
             let moved = write.wrapping_sub(start);
-            let next = dirty.get(r + 1).map_or(upper + 1, |next| next.0 as usize);
+            let next = dirty.get(r + 1).map_or(upper, |next| next.0 as usize);
             if moved != 0 {
-                for row_start in &mut offsets[i + 1..next] {
-                    *row_start = row_start.wrapping_add(moved);
+                for clean in &mut rows[i + 1..next] {
+                    clean.start = field((clean.start as usize).wrapping_add(moved));
                 }
             }
             write += end - start;
         }
+        Ok(())
+    }
+}
+
+/// An adjacency position or a degree as a row field. Every caller has
+/// checked that the adjacency fits a row, so every position and degree
+/// in it does too.
+/// xtask: no-alloc
+fn field(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
+/// Sets each row's `start` to the sum of the degrees of the rows before
+/// it and returns the sum of all of them, the adjacency's length.
+///
+/// # Errors
+///
+/// [`SamplingError::OverlayTooLarge`] if the sum passes `u32::MAX`: the
+/// rows after that point could not be addressed.
+/// xtask: no-alloc
+fn prefix_sum(rows: &mut [Row]) -> crate::Result<u32> {
+    let mut total = 0u32;
+    for row in rows {
+        row.start = total;
+        total = total
+            .checked_add(row.degree)
+            .ok_or(SamplingError::OverlayTooLarge)?;
+    }
+    Ok(total)
+}
+
+/// The adjacency's length after a patch: `old_total` entries, of which
+/// the dirty rows held `lost` and now hold `gained`.
+///
+/// # Errors
+///
+/// [`SamplingError::OverlayTooLarge`] if that length passes `u32::MAX`:
+/// the rows past that point could not be addressed.
+/// xtask: no-alloc
+fn row_total(old_total: usize, gained: usize, lost: usize) -> crate::Result<usize> {
+    let total = old_total + gained - lost;
+    match u32::try_from(total) {
+        Ok(_) => Ok(total),
+        Err(_) => Err(SamplingError::OverlayTooLarge),
     }
 }
 
@@ -440,79 +523,86 @@ impl SnapshotCache {
     /// ([`digest_db::P2PDatabase::content_sizes`]): reused when `caching`
     /// is on, the epoch is the cached one and `sizes` equals the frozen
     /// copy, patched when the journal covers the delta, built otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`SamplingError::OverlayTooLarge`] if the overlay has more directed
+    /// edges than a row can address (`u32::MAX`). The cache is then
+    /// invalid, and the next refresh builds.
     pub(crate) fn refresh(
         &mut self,
         g: &Graph,
         sizes: &[u32],
         caching: bool,
-    ) -> (&OccasionSnapshot, SnapshotRefresh) {
+    ) -> crate::Result<(&OccasionSnapshot, SnapshotRefresh)> {
         let _span = digest_telemetry::span(Stage::SnapshotBuild);
         let epoch = g.epoch();
-        let mut served = SnapshotRefresh::Built;
+        let mut dirty = None;
         if caching && self.valid {
             if epoch == self.epoch && sizes == self.snapshot.sizes {
                 telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
-                return (&self.snapshot, SnapshotRefresh::Reused);
+                return Ok((&self.snapshot, SnapshotRefresh::Reused));
             }
             // Ids are never reused, so the id space of the graph this
             // cache is bound to cannot shrink; a smaller one is another
             // graph's and gets a cold build.
             let grown = g.id_upper_bound() >= self.snapshot.live.len();
-            if let Some(dirty) = g.changes_since(self.epoch).filter(|_| grown) {
-                self.snapshot.patch_rows(g, &dirty);
-                served = SnapshotRefresh::Patched;
+            dirty = g.changes_since(self.epoch).filter(|_| grown);
+        }
+        self.valid = false;
+        let served = match dirty {
+            Some(dirty) => {
+                self.snapshot.patch_rows(g, &dirty)?;
+                telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
+                SnapshotRefresh::Patched
             }
-        }
-        if served == SnapshotRefresh::Built {
-            self.rebuild_topology(g);
-            self.valid = true;
-            telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
-        } else {
-            telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
-        }
+            None => {
+                self.rebuild_topology(g)?;
+                telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
+                SnapshotRefresh::Built
+            }
+        };
+        self.valid = true;
         copy_retained(&mut self.snapshot.sizes, sizes);
         self.snapshot.forget_thresholds();
         self.epoch = epoch;
-        (&self.snapshot, served)
+        Ok((&self.snapshot, served))
     }
 
     /// Full CSR and liveness rebuild from the graph, reusing the
     /// snapshot's existing allocations.
-    fn rebuild_topology(&mut self, g: &Graph) {
+    fn rebuild_topology(&mut self, g: &Graph) -> crate::Result<()> {
         let upper = g.id_upper_bound();
         let snap = &mut self.snapshot;
-        snap.offsets.clear();
-        resize_retained(&mut snap.offsets, upper + 1, 0);
+        snap.rows.clear();
+        resize_retained(&mut snap.rows, upper, Row::default());
         snap.live.clear();
         resize_retained(&mut snap.live, upper, false);
         for v in g.nodes() {
             let i = v.0 as usize;
-            if let (Some(live), Some(deg)) = (snap.live.get_mut(i), snap.offsets.get_mut(i + 1)) {
+            if let (Some(live), Some(row)) = (snap.live.get_mut(i), snap.rows.get_mut(i)) {
                 *live = true;
-                *deg = g.neighbors(v).len();
+                row.degree =
+                    u32::try_from(g.degree(v)).map_err(|_| SamplingError::OverlayTooLarge)?;
             }
         }
-        // Each `offsets[i + 1]` holds row `i`'s degree until the prefix
-        // sum reaches it.
-        for i in 0..upper {
-            let prev = snap.offsets.get(i).copied().unwrap_or(0);
-            if let Some(next) = snap.offsets.get_mut(i + 1) {
-                *next += prev;
-            }
-        }
-        let total = snap.offsets.get(upper).copied().unwrap_or(0);
+        let total = prefix_sum(&mut snap.rows)?;
         snap.adjacency.clear();
-        resize_retained(&mut snap.adjacency, total, NodeId(0));
+        resize_retained(&mut snap.adjacency, total as usize, NodeId(0));
         for v in g.nodes() {
             // `nodes()` iterates the dense live list, which is *not*
-            // id-ordered after churn — write each row at its offset.
-            let i = v.0 as usize;
-            let row = g.neighbors(v);
-            let start = snap.offsets.get(i).copied().unwrap_or(0);
-            if let Some(dst) = snap.adjacency.get_mut(start..start + row.len()) {
-                dst.copy_from_slice(row);
+            // id-ordered after churn — write each row at its start.
+            let span = snap
+                .rows
+                .get(v.0 as usize)
+                .copied()
+                .unwrap_or_default()
+                .span();
+            if let Some(dst) = snap.adjacency.get_mut(span) {
+                dst.copy_from_slice(g.neighbors(v));
             }
         }
+        Ok(())
     }
 }
 
@@ -529,7 +619,7 @@ pub(crate) fn thresholds_derived() -> usize {
 /// is held to.
 #[cfg(test)]
 mod reference {
-    use super::{accept_threshold, OccasionSnapshot};
+    use super::{accept_threshold, OccasionSnapshot, Row};
     use crate::metropolis::ZERO_WEIGHT_FLOOR;
     use digest_net::{Graph, NodeId};
 
@@ -546,7 +636,7 @@ mod reference {
     }
 
     fn patch_topology(snap: &mut OccasionSnapshot, g: &Graph, dirty: &[NodeId]) {
-        let mut offsets_scratch = Vec::new();
+        let mut rows_scratch = Vec::new();
         let mut adjacency_scratch = Vec::new();
         let upper = g.id_upper_bound();
         let old_upper = snap.live.len();
@@ -561,31 +651,28 @@ mod reference {
             }
         }
 
-        offsets_scratch.clear();
-        offsets_scratch.reserve(upper + 1);
-        offsets_scratch.push(0);
+        let old_row = |i: usize| snap.rows.get(i).copied().unwrap_or_default();
+        rows_scratch.reserve(upper);
         let mut running = 0usize;
         for i in 0..upper {
-            let deg = if is_dirty(i) {
+            let degree = if is_dirty(i) {
                 if snap.live.get(i).copied().unwrap_or(false) {
                     g.degree(node_id(i))
                 } else {
                     0
                 }
             } else if i < old_upper {
-                snap.offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0))
+                old_row(i).degree as usize
             } else {
                 0
             };
-            running += deg;
-            offsets_scratch.push(running);
+            rows_scratch.push(Row {
+                start: u32::try_from(running).unwrap_or(u32::MAX),
+                degree: u32::try_from(degree).unwrap_or(u32::MAX),
+            });
+            running += degree;
         }
 
-        adjacency_scratch.clear();
         adjacency_scratch.reserve(running);
         for i in 0..upper {
             if is_dirty(i) {
@@ -593,13 +680,12 @@ mod reference {
                     adjacency_scratch.extend_from_slice(g.neighbors(node_id(i)));
                 }
             } else if i < old_upper {
-                let start = snap.offsets.get(i).copied().unwrap_or(0);
-                let end = snap.offsets.get(i + 1).copied().unwrap_or(0);
-                adjacency_scratch.extend_from_slice(snap.adjacency.get(start..end).unwrap_or(&[]));
+                adjacency_scratch
+                    .extend_from_slice(snap.adjacency.get(old_row(i).span()).unwrap_or(&[]));
             }
         }
 
-        std::mem::swap(&mut snap.offsets, &mut offsets_scratch);
+        std::mem::swap(&mut snap.rows, &mut rows_scratch);
         std::mem::swap(&mut snap.adjacency, &mut adjacency_scratch);
     }
 
@@ -608,18 +694,13 @@ mod reference {
     pub(super) fn recompute_accept(snap: &OccasionSnapshot) -> Vec<u64> {
         let mut accept = Vec::with_capacity(snap.adjacency.len());
         let weight = |i: usize| f64::from(snap.sizes.get(i).copied().unwrap_or(0));
-        let row = |i: usize| {
-            let start = snap.offsets.get(i).copied().unwrap_or(0);
-            let end = snap.offsets.get(i + 1).copied().unwrap_or(0);
-            (start, end.saturating_sub(start))
-        };
+        let row = |i: usize| snap.rows.get(i).copied().unwrap_or_default();
         for i in 0..snap.live.len() {
-            let (start, len) = row(i);
-            let d_i = len as f64;
+            let d_i = f64::from(row(i).degree);
             let w_i = weight(i).max(ZERO_WEIGHT_FLOOR);
-            for k in start..start + len {
+            for k in row(i).span() {
                 let j = snap.adjacency.get(k).map_or(0, |n| n.0 as usize);
-                let d_j = row(j).1 as f64;
+                let d_j = f64::from(row(j).degree);
                 accept.push(accept_threshold((weight(j) * d_i) / (w_i * d_j)));
             }
         }
@@ -667,7 +748,7 @@ mod tests {
     /// `a`'s arrays equal `b`'s, and every threshold `a`'s memo serves —
     /// forced through the lookup — equals the eager table of `b`.
     fn assert_snapshots_equal(a: &OccasionSnapshot, b: &OccasionSnapshot) {
-        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.rows, b.rows);
         assert_eq!(a.adjacency, b.adjacency);
         assert_eq!(a.sizes, b.sizes);
         assert_eq!(a.live, b.live);
@@ -705,16 +786,12 @@ mod tests {
         let snap = OccasionSnapshot::build_sized(&g, db.content_sizes());
         let mut below_one = 0usize;
         for v in g.nodes() {
-            let (start, len) = snap.row(v);
             let d_i = g.degree(v) as f64;
             let w_i = w.weight(v).max(ZERO_WEIGHT_FLOOR);
-            for k in 0..len {
-                let j = snap.neighbor_at(start + k);
+            for idx in snap.row(v).span() {
+                let j = snap.neighbor_at(idx);
                 let live = (w.weight(j) * d_i) / (w_i * (g.degree(j) as f64));
-                assert_eq!(
-                    snap.accept_threshold_at(start + k, v),
-                    accept_threshold(live)
-                );
+                assert_eq!(snap.accept_threshold_at(idx, v), accept_threshold(live));
                 if live < 1.0 {
                     below_one += 1;
                 }
@@ -724,15 +801,58 @@ mod tests {
         assert!(below_one > 0);
     }
 
+    /// The prefix sum lays rows end to end up to an adjacency of exactly
+    /// `u32::MAX` entries, and refuses a degree list that sums past it
+    /// rather than wrap a start.
+    #[test]
+    fn the_row_prefix_sum_refuses_an_adjacency_past_u32_max() {
+        let rows = |degrees: &[u32]| -> Vec<Row> {
+            degrees
+                .iter()
+                .map(|&degree| Row { start: 7, degree })
+                .collect()
+        };
+        let mut fits = rows(&[3, 0, u32::MAX - 5, 2, 0]);
+        assert_eq!(prefix_sum(&mut fits), Ok(u32::MAX));
+        let starts: Vec<u32> = fits.iter().map(|row| row.start).collect();
+        assert_eq!(starts, [0, 3, 3, u32::MAX - 2, u32::MAX]);
+        for degrees in [&[u32::MAX, 1][..], &[3, u32::MAX - 5, 2, 1], &[u32::MAX; 3]] {
+            assert_eq!(
+                prefix_sum(&mut rows(degrees)),
+                Err(SamplingError::OverlayTooLarge),
+                "{degrees:?}"
+            );
+        }
+        assert_eq!(prefix_sum(&mut []), Ok(0));
+    }
+
+    /// A patch's new adjacency length is refused past `u32::MAX` the same
+    /// way, whether the dirty rows grew past it or the old length was
+    /// already at it; shrinking back to it is accepted.
+    #[test]
+    fn the_patched_row_total_refuses_an_adjacency_past_u32_max() {
+        let max = u32::MAX as usize;
+        assert_eq!(row_total(10, 4, 6), Ok(8));
+        assert_eq!(row_total(max - 3, 5, 2), Ok(max));
+        assert_eq!(row_total(max + 2, 0, 2), Ok(max));
+        for (old_total, gained, lost) in [(max - 3, 6, 2), (max, 1, 0), (0, max + 1, 0)] {
+            assert_eq!(
+                row_total(old_total, gained, lost),
+                Err(SamplingError::OverlayTooLarge),
+                "{old_total} + {gained} - {lost}"
+            );
+        }
+    }
+
     #[test]
     fn cache_reuses_on_unchanged_graph_and_sizes() {
         let g = topology::barabasi_albert(60, 2, &mut rng(3)).unwrap();
         let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        let (_, first) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, first) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(first, SnapshotRefresh::Built);
         let key = cache.key().unwrap();
-        let (_, second) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, second) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(second, SnapshotRefresh::Reused);
         assert_eq!(cache.key().unwrap(), key);
     }
@@ -743,7 +863,7 @@ mod tests {
         let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
         for _ in 0..3 {
-            let (_, kind) = cache.refresh(&g, db.content_sizes(), false);
+            let (_, kind) = cache.refresh(&g, db.content_sizes(), false).unwrap();
             assert_eq!(kind, SnapshotRefresh::Built);
         }
     }
@@ -755,7 +875,7 @@ mod tests {
         let mut g = topology::barabasi_albert(50, 3, &mut rng(9)).unwrap();
         let mut db = db_of(&g, |v| v.0 % 4 + 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
 
         // Add a node with edges, remove a node, rewire an edge.
         let fresh = g.add_node();
@@ -769,7 +889,7 @@ mod tests {
         g.remove_edge(a, b).unwrap();
         g.add_edge(a, NodeId(21)).unwrap();
 
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
@@ -786,7 +906,7 @@ mod tests {
         let mut db = db_of(&g, |v| v.0 % 3 + 1);
         let mut cache = SnapshotCache::new();
         let mut refresh = |g: &Graph, db: &P2PDatabase| {
-            let (snap, kind) = cache.refresh(g, db.content_sizes(), true);
+            let (snap, kind) = cache.refresh(g, db.content_sizes(), true).unwrap();
             let warm = snap.forced_accept();
             let stamp = snap.stamp;
             assert_snapshots_equal(snap, &OccasionSnapshot::build_sized(g, db.content_sizes()));
@@ -827,14 +947,14 @@ mod tests {
         let mut g = topology::ring(16).unwrap();
         let db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
         // Far more mutations than the journal retains.
         for _ in 0..4096 {
             let v = g.add_node();
             g.add_edge(v, NodeId(0)).unwrap();
             g.remove_node(v).unwrap();
         }
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Built);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
@@ -849,13 +969,13 @@ mod tests {
         let mut g = topology::ring(16).unwrap();
         let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
 
         // Under the bound: a handful of mutations → Patched.
         let v = g.add_node();
         join(&mut db, v, 2);
         g.add_edge(v, NodeId(0)).unwrap();
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
 
         // Past the bound (JOURNAL_CAP entries): same edge toggled far
@@ -864,7 +984,7 @@ mod tests {
             g.add_edge(v, NodeId(1)).unwrap();
             g.remove_edge(v, NodeId(1)).unwrap();
         }
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Built);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
@@ -887,12 +1007,12 @@ mod tests {
         }
         let db = db_of(&old, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&old, db.content_sizes(), true);
+        cache.refresh(&old, db.content_sizes(), true).unwrap();
 
         // A fresh graph starts from epoch ~n: far below the cached mark.
         let fresh = topology::ring(8).unwrap();
         assert!(fresh.epoch() < old.epoch());
-        let (_, kind) = cache.refresh(&fresh, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&fresh, db.content_sizes(), true).unwrap();
         assert_eq!(
             kind,
             SnapshotRefresh::Built,
@@ -909,19 +1029,19 @@ mod tests {
         let mut g = topology::ring(10).unwrap();
         let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
 
         let v = g.add_node();
         join(&mut db, v, 1);
         g.add_edge(v, NodeId(4)).unwrap();
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
 
         g.remove_node(v).unwrap();
         db.remove_node(v).unwrap();
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
@@ -1025,7 +1145,7 @@ mod tests {
             };
             let mut sizes = vec![1; n];
             let mut cache = SnapshotCache::new();
-            cache.refresh(&g, &sizes, true);
+            cache.refresh(&g, &sizes, true).unwrap();
             cache.snapshot.forced_accept();
             for ops in &rounds {
                 let before = cache.snapshot.clone();
@@ -1033,7 +1153,7 @@ mod tests {
                 for op in ops {
                     apply(op, &mut g, &mut sizes);
                 }
-                let (_, served) = cache.refresh(&g, &sizes, true);
+                let (_, served) = cache.refresh(&g, &sizes, true).unwrap();
                 let cold = OccasionSnapshot::build_sized(&g, &sizes);
                 let derived = thresholds_derived();
                 assert_snapshots_equal(&cache.snapshot, &cold);
@@ -1072,19 +1192,18 @@ mod tests {
         let g = topology::barabasi_albert(300, 3, &mut rng(21)).unwrap();
         let mut db = db_of(&g, |_| 1);
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
         let warm = cache.snapshot.forced_accept();
         let target = NodeId(150);
         join(&mut db, target, 7);
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());
         assert_snapshots_equal(&cache.snapshot, &cold);
         let now = cache.snapshot.forced_accept();
         let mut moved = 0;
         for v in g.nodes() {
-            let (start, len) = cache.snapshot.row(v);
-            for idx in start..start + len {
+            for idx in cache.snapshot.row(v).span() {
                 if now[idx] != warm[idx] {
                     assert!(v == target || cache.snapshot.neighbor_at(idx) == target);
                     moved += 1;
@@ -1102,13 +1221,13 @@ mod tests {
         let sizes =
             |flip: bool| -> Vec<u32> { (0..6).map(|v| v % 3 + if flip { 1 } else { 4 }).collect() };
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &sizes(false), true);
+        cache.refresh(&g, &sizes(false), true).unwrap();
         let stamp = cache.snapshot.stamp;
         let stale = cache.snapshot.forced_accept();
         // `STAMP_LIMIT` patches, no lookup in between; the limit is odd, so
         // the last one leaves the flipped column in place.
         for k in 0..STAMP_LIMIT {
-            let (_, kind) = cache.refresh(&g, &sizes(k % 2 == 0), true);
+            let (_, kind) = cache.refresh(&g, &sizes(k % 2 == 0), true).unwrap();
             assert_eq!(kind, SnapshotRefresh::Patched);
         }
         assert_eq!(cache.snapshot.stamp, stamp);
@@ -1126,7 +1245,7 @@ mod tests {
         let mut db = db_of(&g, |v| v.0 % 5 + 1);
         let derived = thresholds_derived();
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, db.content_sizes(), true);
+        cache.refresh(&g, db.content_sizes(), true).unwrap();
 
         let hub = g.nodes().max_by_key(|&v| g.degree(v)).unwrap();
         let joiner = g.add_node();
@@ -1137,7 +1256,7 @@ mod tests {
         g.remove_node(NodeId(9_876)).unwrap();
         db.remove_node(NodeId(9_876)).unwrap();
 
-        let (_, kind) = cache.refresh(&g, db.content_sizes(), true);
+        let (_, kind) = cache.refresh(&g, db.content_sizes(), true).unwrap();
         assert_eq!(kind, SnapshotRefresh::Patched);
         assert_eq!(thresholds_derived(), derived);
         let cold = OccasionSnapshot::build_sized(&g, db.content_sizes());

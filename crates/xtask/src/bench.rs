@@ -10,15 +10,20 @@
 //! and seed:
 //!
 //! * every time metric (unit `s`) as the median, quartiles and IQR of
-//!   its repetitions;
+//!   its repetitions, and the repetitions themselves in turn order;
 //! * every other end-to-end metric exactly — a count, byte total or
 //!   ratio of a fixed-seed run repeats bit for bit, so a repetition that
 //!   reads differently fails the record;
 //! * the operations attempted (median) and failed (sum).
 //!
-//! [`diff`] judges one line against another: an exact metric that moved
-//! is red, and a time whose median moved by more than the base line's
-//! IQR is reported as higher or lower (red when higher).
+//! The lines one record writes share a record id. [`diff`] judges one
+//! line against another: an exact metric that moved the way
+//! `BENCHMARK.json` calls worse (or moved at all, if it names no way) is
+//! red, and a time whose median moved by more than the base line's IQR is
+//! reported as higher or lower (red when higher). Two lines of one record took their
+//! turns side by side, so for them each time also reads as pairs: how
+//! many of the newer line's turns came in lower than the base line's
+//! turn beside them.
 //!
 //! A line recorded from uncommitted changes (`dirty`) carries the sha
 //! they sit on, and stands for the commit that lands them: [`find_line`]
@@ -41,12 +46,30 @@ pub const REPS: usize = 10;
 pub const HISTORY_PATH: &str = "BENCH_HISTORY.jsonl";
 
 /// What `BENCHMARK.json` declares: the command, the workloads and the
-/// end-to-end metrics with their units.
+/// end-to-end metrics with their units, and which way each metric that
+/// names one improves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spec {
     pub command: Vec<String>,
     pub workloads: Vec<String>,
     pub metrics: Vec<(String, String)>,
+    pub better: Vec<(String, Better)>,
+}
+
+/// Which way a metric improves: its `better` in `BENCHMARK.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    Lower,
+    Higher,
+}
+
+impl Spec {
+    fn better(&self, metric: &str) -> Option<Better> {
+        self.better
+            .iter()
+            .find(|(name, _)| name == metric)
+            .map(|&(_, better)| better)
+    }
 }
 
 /// Reads `BENCHMARK.json`.
@@ -54,7 +77,8 @@ pub struct Spec {
 /// # Errors
 ///
 /// If the text is not JSON or lacks `command`, `workloads[].name` or
-/// `end_to_end[].{name, unit}`.
+/// `end_to_end[].{name, unit}`, or an `end_to_end[].better` is neither
+/// `"lower"` nor `"higher"`.
 pub fn parse_spec(text: &str) -> Result<Spec, String> {
     let spec: Value = serde_json::from_str(text).map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let strings = |key: &str, field: Option<&str>| -> Result<Vec<String>, String> {
@@ -73,11 +97,40 @@ pub fn parse_spec(text: &str) -> Result<Spec, String> {
     };
     let names = strings("end_to_end", Some("name"))?;
     let units = strings("end_to_end", Some("unit"))?;
+    let mut better = Vec::new();
+    for (name, metric) in names
+        .iter()
+        .zip(spec["end_to_end"].as_array().into_iter().flatten())
+    {
+        let way = match metric.get("better").map(|b| b.as_str()) {
+            None => continue,
+            Some(Some("lower")) => Better::Lower,
+            Some(Some("higher")) => Better::Higher,
+            Some(_) => {
+                return Err(format!(
+                    "BENCHMARK.json: `{name}`'s `better` is not lower or higher"
+                ))
+            }
+        };
+        better.push((name.clone(), way));
+    }
     Ok(Spec {
         command: strings("command", None)?,
         workloads: strings("workloads", Some("name"))?,
         metrics: names.into_iter().zip(units).collect(),
+        better,
     })
+}
+
+/// Reads and parses `tree`'s `BENCHMARK.json`.
+///
+/// # Errors
+///
+/// If the file cannot be read, or as for [`parse_spec`].
+pub fn read_spec(tree: &Path) -> Result<Spec, String> {
+    let text = std::fs::read_to_string(tree.join("BENCHMARK.json"))
+        .map_err(|e| format!("read {}/BENCHMARK.json: {e}", tree.display()))?;
+    parse_spec(&text)
 }
 
 /// What one benchmark run printed on its last line.
@@ -145,7 +198,9 @@ pub fn quartiles(values: &[f64]) -> [f64; 3] {
 
 /// The history line's `cells`: `{workload: {seed: cell}}` over every
 /// reading, where a cell is `{"exact": {metric: value}, "times": {metric:
-/// {"median", "q1", "q3", "iqr"}}, "attempted": median, "failed": sum}`.
+/// {"median", "q1", "q3", "iqr", "turns"}}, "attempted": median, "failed":
+/// sum}` and `turns` lists the time's readings in the order they were
+/// taken.
 ///
 /// # Errors
 ///
@@ -177,11 +232,13 @@ pub fn summarise(spec: &Spec, readings: &[(String, u64, Reading)]) -> Result<Val
                     .ok_or(format!("{at}: no `{name}`"))?;
                 if is_time(unit) {
                     let [q1, median, q3] = quartiles(&values);
-                    let summary: Map =
+                    let mut summary: Map =
                         [("median", median), ("q1", q1), ("q3", q3), ("iqr", q3 - q1)]
                             .into_iter()
                             .map(|(key, v)| (key.to_owned(), Value::from(v)))
                             .collect();
+                    let turns = values.iter().copied().map(Value::from).collect();
+                    summary.insert("turns".to_owned(), Value::Array(turns));
                     times.insert(name.clone(), Value::Object(summary));
                 } else if values.iter().any(|v| v.to_bits() != values[0].to_bits()) {
                     return Err(format!("{at}: `{name}` did not repeat: {values:?}"));
@@ -222,12 +279,14 @@ pub struct Provenance {
     pub threads: usize,
 }
 
-/// One history line (no trailing newline).
+/// One history line (no trailing newline), written by the record
+/// `record` names.
 #[must_use]
-pub fn history_line(provenance: &Provenance, cells: Value) -> String {
+pub fn history_line(provenance: &Provenance, record: &str, cells: Value) -> String {
     let line: Map = [
         ("sha", Value::from(provenance.sha.as_str())),
         ("dirty", Value::from(provenance.dirty)),
+        ("record", Value::from(record)),
         ("threads", Value::from(provenance.threads)),
         ("reps", Value::from(REPS)),
         ("cells", cells),
@@ -277,12 +336,22 @@ pub struct Verdict {
 }
 
 /// Judges `head` against `base`, cell by cell over `base`'s cells: an
-/// exact metric or a failure count that differs is red, and so is a cell
-/// `head` lacks; so is a time whose median lies more than `base`'s IQR
-/// above `base`'s median.
+/// exact metric that moved the way `spec` calls worse is red, and so is
+/// one `spec` names no way for that moved at all, a failure count that
+/// rose, a cell `head` lacks and a time whose median lies more than
+/// `base`'s IQR above `base`'s median. An exact metric that moved the
+/// better way is reported as such. When both lines come from one record, each
+/// time's report also says in how many turns `head` read lower than
+/// `base` (the pairing judges nothing).
 #[must_use]
-pub fn diff(base: &Value, head: &Value) -> Verdict {
+pub fn diff(spec: &Spec, base: &Value, head: &Value) -> Verdict {
     let mut verdict = Verdict::default();
+    let record = |line: &Value| {
+        line.get("record")
+            .and_then(Value::as_str)
+            .map(str::to_owned)
+    };
+    let paired = record(base).is_some() && record(base) == record(head);
     let cells = |line: &Value| line.get("cells").and_then(Value::as_object).cloned();
     let (Some(base_cells), Some(head_cells)) = (cells(base), cells(head)) else {
         verdict.red.push("a line has no `cells`".to_owned());
@@ -319,13 +388,17 @@ pub fn diff(base: &Value, head: &Value) -> Verdict {
                 head_cell.get("failed").and_then(Value::as_f64),
             ));
             for (name, was, now) in judged {
-                let same = match (was, now) {
-                    (Some(a), Some(b)) => a.to_bits() == b.to_bits(),
-                    _ => false,
+                let better = if name == "failed" {
+                    Some(Better::Lower)
+                } else {
+                    spec.better(&name)
                 };
-                let line = format!("{at} {name}: {} -> {}", show(was), show(now));
-                if !same {
-                    verdict.red.push(line.clone());
+                let mut line = format!("{at} {name}: {} -> {}", show(was), show(now));
+                match (was, now, better) {
+                    (Some(a), Some(b), _) if a.to_bits() == b.to_bits() => {}
+                    (Some(a), Some(b), Some(Better::Lower)) if b < a => line.push_str(": better"),
+                    (Some(a), Some(b), Some(Better::Higher)) if b > a => line.push_str(": better"),
+                    _ => verdict.red.push(line.clone()),
                 }
                 verdict.report.push(line);
             }
@@ -356,10 +429,15 @@ pub fn diff(base: &Value, head: &Value) -> Verdict {
                 } else {
                     "within the base IQR"
                 };
-                let line = format!(
+                let mut line = format!(
                     "{at} {name}: {was:.4} -> {now:.4} ({:.3}x, base IQR {iqr:.4}): {call}",
                     now / was
                 );
+                if paired {
+                    if let Some((lower, turns)) = turns_lower(base_time, head_time) {
+                        line.push_str(&format!("; {lower}/{turns} turns lower"));
+                    }
+                }
                 if call == "higher" {
                     verdict.red.push(line.clone());
                 }
@@ -368,6 +446,24 @@ pub fn diff(base: &Value, head: &Value) -> Verdict {
         }
     }
     verdict
+}
+
+/// How many of `head`'s turns read lower than `base`'s turn in the same
+/// place, out of how many; `None` unless both list their turns, equally
+/// many.
+fn turns_lower(base: &Value, head: Option<&Value>) -> Option<(usize, usize)> {
+    let turns = |time: &Value| -> Option<Vec<f64>> {
+        time.get("turns")?
+            .as_array()?
+            .iter()
+            .map(Value::as_f64)
+            .collect()
+    };
+    let (base, head) = (turns(base)?, turns(head?)?);
+    (base.len() == head.len()).then(|| {
+        let lower = base.iter().zip(&head).filter(|(b, h)| h < b).count();
+        (lower, base.len())
+    })
 }
 
 fn show(value: Option<f64>) -> String {
@@ -390,13 +486,10 @@ fn show(value: Option<f64>) -> String {
 pub fn record(trees: &[PathBuf]) -> Result<Vec<String>, String> {
     let specs = trees
         .iter()
-        .map(|tree| {
-            let text = std::fs::read_to_string(tree.join("BENCHMARK.json"))
-                .map_err(|e| format!("read {}/BENCHMARK.json: {e}", tree.display()))?;
-            parse_spec(&text)
-        })
+        .map(|tree| read_spec(tree))
         .collect::<Result<Vec<Spec>, String>>()?;
     let workloads = specs.first().map_or(&[][..], |spec| &spec.workloads[..]);
+    let record = record_id();
     let mut readings = vec![Vec::new(); trees.len()];
     for rep in 0..REPS {
         let mut order: Vec<usize> = (0..trees.len()).collect();
@@ -420,9 +513,22 @@ pub fn record(trees: &[PathBuf]) -> Result<Vec<String>, String> {
         .zip(&specs)
         .zip(&readings)
         .map(|((tree, spec), readings)| {
-            Ok(history_line(&provenance(tree)?, summarise(spec, readings)?))
+            Ok(history_line(
+                &provenance(tree)?,
+                &record,
+                summarise(spec, readings)?,
+            ))
         })
         .collect()
+}
+
+/// An id for the lines one record writes: the second it started and the
+/// recording process.
+fn record_id() -> String {
+    let started = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |since| since.as_secs());
+    format!("{started}-{}", std::process::id())
 }
 
 /// One run of `tree`'s benchmark on one workload and seed, untraced.
@@ -540,6 +646,10 @@ mod tests {
                 ("run_s".to_owned(), "s".to_owned()),
                 ("messages".to_owned(), "count".to_owned()),
             ],
+            better: vec![
+                ("run_s".to_owned(), Better::Lower),
+                ("messages".to_owned(), Better::Lower),
+            ],
         }
     }
 
@@ -552,6 +662,10 @@ mod tests {
     }
 
     fn line(times: &[f64], messages: f64) -> Value {
+        line_of("r1", times, messages)
+    }
+
+    fn line_of(record: &str, times: &[f64], messages: f64) -> Value {
         let readings: Vec<_> = SEEDS
             .iter()
             .flat_map(|&seed| {
@@ -566,12 +680,13 @@ mod tests {
             dirty: false,
             threads: 2,
         };
-        serde_json::from_str(&history_line(&provenance, cells)).expect("a line parses back")
+        serde_json::from_str(&history_line(&provenance, record, cells)).expect("a line parses back")
     }
 
     #[test]
     fn the_same_counts_and_times_inside_the_iqr_are_green() {
         let verdict = diff(
+            &spec(),
             &line(&[1.0, 1.1, 1.2, 1.3], 500.0),
             &line(&[1.1, 1.2, 1.3, 1.4], 500.0),
         );
@@ -587,7 +702,7 @@ mod tests {
     #[test]
     fn a_planted_count_change_is_red() {
         let base = line(&[1.0, 1.1, 1.2, 1.3], 500.0);
-        let verdict = diff(&base, &line(&[1.0, 1.1, 1.2, 1.3], 501.0));
+        let verdict = diff(&spec(), &base, &line(&[1.0, 1.1, 1.2, 1.3], 501.0));
         assert_eq!(verdict.red.len(), SEEDS.len(), "{verdict:?}");
         assert!(verdict
             .red
@@ -595,8 +710,78 @@ mod tests {
             .all(|l| l.contains("messages: 500 -> 501")));
 
         let slower = line(&[2.0, 2.1, 2.2, 2.3], 500.0);
-        assert_eq!(diff(&base, &slower).red.len(), SEEDS.len());
-        assert!(diff(&slower, &base).red.is_empty());
+        assert_eq!(diff(&spec(), &base, &slower).red.len(), SEEDS.len());
+        assert!(diff(&spec(), &slower, &base).red.is_empty());
+    }
+
+    /// A count that moved the way the spec calls better is reported, not
+    /// red; the other way, or with no way named, it is red.
+    #[test]
+    fn a_count_that_moved_the_better_way_is_not_red() {
+        let base = line(&[1.0, 1.1, 1.2, 1.3], 500.0);
+        let fewer = line(&[1.0, 1.1, 1.2, 1.3], 499.0);
+        let verdict = diff(&spec(), &base, &fewer);
+        assert!(verdict.red.is_empty(), "{verdict:?}");
+        let moved: Vec<&String> = verdict
+            .report
+            .iter()
+            .filter(|l| l.contains("messages: 500 -> 499: better"))
+            .collect();
+        assert_eq!(moved.len(), SEEDS.len(), "{verdict:?}");
+
+        let mut higher_is_better = spec();
+        higher_is_better.better[1].1 = Better::Higher;
+        assert_eq!(
+            diff(&higher_is_better, &base, &fewer).red.len(),
+            SEEDS.len()
+        );
+        let mut unnamed = spec();
+        unnamed.better.truncate(1);
+        assert_eq!(diff(&unnamed, &base, &fewer).red.len(), SEEDS.len());
+        assert!(diff(&unnamed, &base, &base).red.is_empty());
+    }
+
+    /// Two lines of one record read as pairs, turn by turn, beside the
+    /// IQR call they leave as it was; lines of two records do not.
+    #[test]
+    fn lines_of_one_record_read_as_paired_turns() {
+        let base = line_of("r1", &[1.0, 1.1, 1.2, 1.3], 500.0);
+        let head = line_of("r1", &[0.9, 1.2, 1.1, 1.2], 500.0);
+        let turns =
+            base["cells"]["solo"][SEEDS[0].to_string().as_str()]["times"]["run_s"]["turns"].clone();
+        assert_eq!(turns, Value::from(vec![1.0, 1.1, 1.2, 1.3]));
+        let verdict = diff(&spec(), &base, &head);
+        assert!(verdict.red.is_empty(), "{verdict:?}");
+        let times: Vec<&String> = verdict
+            .report
+            .iter()
+            .filter(|l| l.contains("run_s"))
+            .collect();
+        assert_eq!(times.len(), SEEDS.len());
+        assert!(
+            times
+                .iter()
+                .all(|l| l.ends_with("within the base IQR; 3/4 turns lower")),
+            "{times:?}"
+        );
+
+        let other = line_of("r2", &[0.9, 1.2, 1.1, 1.2], 500.0);
+        let unpaired = diff(&spec(), &base, &other);
+        let stripped: Vec<String> = verdict
+            .report
+            .iter()
+            .map(|l| l.replace("; 3/4 turns lower", ""))
+            .collect();
+        assert_eq!(stripped, unpaired.report, "the pairing changes no call");
+        assert!(unpaired.report.iter().all(|l| !l.contains("turns lower")));
+
+        let slower = line_of("r1", &[2.0, 2.1, 0.5, 2.3], 500.0);
+        let verdict = diff(&spec(), &base, &slower);
+        assert_eq!(verdict.red.len(), SEEDS.len());
+        assert!(verdict
+            .red
+            .iter()
+            .all(|l| l.ends_with("higher; 1/4 turns lower")));
     }
 
     #[test]
@@ -662,5 +847,11 @@ mod tests {
             .metrics
             .iter()
             .any(|(name, unit)| name == "messages" && !is_time(unit)));
+        assert_eq!(spec.better("alloc_bytes"), Some(Better::Lower));
+        assert_eq!(spec.better("eps_coverage_ratio"), Some(Better::Higher));
+        assert!(spec
+            .metrics
+            .iter()
+            .all(|(name, _)| spec.better(name).is_some()));
     }
 }

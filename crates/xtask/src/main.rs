@@ -125,7 +125,14 @@ fn bench_record(root: &Path, args: &[String]) -> ExitCode {
             eprintln!("bench-record: no history line for `{base}`");
             return ExitCode::FAILURE;
         };
-        let verdict = bench::diff(&base_line, &head_line);
+        let spec = match bench::read_spec(root) {
+            Ok(spec) => spec,
+            Err(e) => {
+                eprintln!("bench-record: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let verdict = bench::diff(&spec, &base_line, &head_line);
         for line in &verdict.report {
             println!("{line}");
         }

@@ -403,7 +403,7 @@ fn the_churn_100k_world_never_regrows_a_column() {
 }
 
 /// The sampling operator's occasion snapshot sizes its retained arrays
-/// (CSR offsets and adjacency, the acceptance memo, the size column) with
+/// (CSR rows and adjacency, the acceptance memo, the size column) with
 /// an eighth to spare from its first build on, so an overlay that takes a
 /// few joins after the first batch is patched in place: no batch after it
 /// reallocates a block of [`BIG`] bytes or more. On the 10⁵-node world each
