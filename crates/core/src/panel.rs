@@ -18,6 +18,15 @@
 //! samples exactly as §IV-B2a prescribes; so is a tuple that no longer
 //! answers any question.
 //!
+//! A revisit costs a retained entry its loads and little more: one
+//! fragment lookup ([`P2PDatabase::fragment`]) both counts the entry's
+//! owner — branch-free, against one bit per node id — and resolves its
+//! handle; each question is one pass over the retained entries that
+//! writes its column of the staged values; and one last pass settles the
+//! staged entries into survivors and losses. An occasion's fresh draws
+//! are answered and settled the same way, and `answer` is the one
+//! per-row evaluator behind both (and behind INDEP's draws).
+//!
 //! A revisit writes into a [`RevisitReport`] its caller keeps from one
 //! occasion to the next, so a steady-state occasion revisits its panel
 //! without touching the heap.
@@ -88,27 +97,21 @@ pub struct RevisitReport {
     contacted: Vec<u64>,
 }
 
-impl RevisitReport {
-    /// Counts `node` as a peer or a departed node, unless this revisit has
-    /// reached it already. (An id beyond the bits is one the database never
-    /// held, so no node to reach.)
-    ///
-    /// xtask: no-alloc
-    fn contact(&mut self, db: &P2PDatabase, node: NodeId) {
-        let id = node.0 as usize;
-        let bit = 1u64 << (id % 64);
-        if let Some(word) = self.contacted.get_mut(id / 64) {
-            if *word & bit != 0 {
-                return;
-            }
-            *word |= bit;
-        }
-        if db.has_node(node) {
-            self.peers += 1;
-        } else {
-            self.departed += 1;
-        }
-    }
+/// Sets `node`'s bit in `contacted` and returns 1 if it was clear — the
+/// revisit's first contact with that owner — and 0 if not, without a
+/// branch on the bit. (An id beyond the bits is one the database never
+/// held, so no node this revisit could have reached: every contact is a
+/// first.)
+///
+/// xtask: no-alloc
+fn first_contact(contacted: &mut [u64], node: NodeId) -> usize {
+    let id = node.0 as usize;
+    let bit = 1u64 << (id % 64);
+    contacted.get_mut(id / 64).map_or(1, |word| {
+        let first = usize::from(*word & bit == 0);
+        *word |= bit;
+        first
+    })
 }
 
 /// The panel: an ordered multiset of sampled tuples, oldest first, with
@@ -187,18 +190,53 @@ impl SamplePanel {
             .values
             .get(start..)
             .is_some_and(|staged| staged.iter().any(|v| !v.is_nan()));
-        self.commit_answered(handle, answered)
-    }
-
-    /// [`SamplePanel::commit`] for a caller that already knows whether the
-    /// staged entry answered some question, so the entry is not scanned.
-    pub(crate) fn commit_answered(&mut self, handle: TupleHandle, answered: bool) -> bool {
         if answered {
             self.handles.push(handle);
         } else {
-            self.values.truncate(self.handles.len() * self.questions);
+            self.values.truncate(start);
         }
         answered
+    }
+
+    /// Stages `entries` entries at once behind the kept ones and lends
+    /// their values out to be written, entry-major as the panel's own
+    /// (`NaN` until written); [`SamplePanel::settle`] ends them. A caller
+    /// fills them one question at a time, a pass over the entries each.
+    pub(crate) fn stage_entries(&mut self, entries: usize) -> &mut [f64] {
+        let start = self.handles.len() * self.questions;
+        self.values.truncate(start);
+        self.values
+            .resize(start + entries * self.questions, f64::NAN);
+        self.values.get_mut(start..).unwrap_or_default()
+    }
+
+    /// Ends the entries [`SamplePanel::stage_entries`] staged, in order,
+    /// the `k`-th under the `k`-th of `handles`: one answering at least one
+    /// question is kept, behind the kept entries, and the rest dropped.
+    /// Returns how many were dropped.
+    ///
+    /// xtask: no-alloc
+    pub(crate) fn settle(&mut self, handles: impl IntoIterator<Item = TupleHandle>) -> usize {
+        let width = self.questions;
+        let mut from = self.handles.len() * width;
+        let mut dropped = 0;
+        for handle in handles {
+            let (to, end) = (self.handles.len() * width, from + width);
+            let Some(staged) = self.values.get(from..end) else {
+                break;
+            };
+            if staged.iter().any(|v| !v.is_nan()) {
+                if to != from {
+                    self.values.copy_within(from..end, to);
+                }
+                self.handles.push(handle);
+            } else {
+                dropped += 1;
+            }
+            from = end;
+        }
+        self.values.truncate(self.handles.len() * width);
+        dropped
     }
 
     /// Lays the panel out for a new list of questions: question `q` takes
@@ -231,6 +269,12 @@ impl SamplePanel {
     /// retained entries — or one entry twice — is one peer, or one
     /// departed node. Counting reorders nothing.
     ///
+    /// Each question is one pass over the retained entries, its answers
+    /// and its column of previous values fixed for the pass; the first
+    /// pass also counts each entry's owner from the same fragment lookup
+    /// that resolves its handle. The staged values are then settled in
+    /// one pass into survivors and losses.
+    ///
     /// xtask: no-alloc
     pub fn revisit(
         &self,
@@ -242,7 +286,9 @@ impl SamplePanel {
         report
             .answers
             .resize_with(questions.len(), Answers::default);
-        let kept = keep.min(self.handles.len());
+        let stride = self.questions.max(1);
+        let entries = self.handles.len().min(self.values.len() / stride);
+        let kept = keep.min(entries);
         for answers in &mut report.answers {
             answers.prev.clear();
             answers.cur.clear();
@@ -262,25 +308,32 @@ impl SamplePanel {
         if report.contacted.len() < words {
             report.contacted.resize(words.next_power_of_two(), 0);
         }
-        let skip = self.handles.len() - kept;
-        let entries = self
-            .handles
-            .iter()
-            .zip(self.values.chunks_exact(self.questions.max(1)));
-        for (&handle, previous) in entries.skip(skip) {
-            report.contact(db, handle.node);
-            let Ok(row) = db.read(handle) else {
-                report.lost += 1;
-                continue;
-            };
-            let mut answered = false;
-            for ((&question, &prev), answers) in
-                questions.iter().zip(previous).zip(&mut report.answers)
-            {
-                let cur = answer(question, row).ok().flatten();
-                report.survivors.stage(cur);
+        let skip = entries - kept;
+        let retained = self.handles.get(skip..skip + kept).unwrap_or_default();
+        let previous = self.values.get(skip * stride..).unwrap_or_default();
+        let width = questions.len().max(1);
+        let staged = report.survivors.stage_entries(kept);
+        for (q, (&question, answers)) in questions.iter().zip(&mut report.answers).enumerate() {
+            let entries = retained
+                .iter()
+                .zip(previous.chunks_exact(stride))
+                .zip(staged.chunks_exact_mut(width));
+            for ((&handle, previous), staged) in entries {
+                let fragment = db.fragment(handle.node);
+                if q == 0 {
+                    let first = first_contact(&mut report.contacted, handle.node);
+                    let live = usize::from(fragment.is_some());
+                    report.peers += first & live;
+                    report.departed += first & (live ^ 1);
+                }
+                let cur = fragment
+                    .and_then(|fragment| fragment.get(handle.slot, handle.generation))
+                    .and_then(|row| answer(question, row).ok().flatten());
+                if let Some(slot) = staged.get_mut(q) {
+                    *slot = cur.unwrap_or(f64::NAN);
+                }
                 let Some(cur) = cur else { continue };
-                answered = true;
+                let prev = previous.get(q).copied().unwrap_or(f64::NAN);
                 if prev.is_nan() {
                     answers.fresh.push(cur);
                     answers.unpaired += 1;
@@ -289,12 +342,10 @@ impl SamplePanel {
                     answers.cur.push(cur);
                 }
             }
-            if !report.survivors.commit_answered(handle, answered) {
-                report.lost += 1;
-            }
         }
+        report.lost = report.survivors.settle(retained.iter().copied());
         // Every bit set above is an owner of one of these entries.
-        for handle in self.handles.iter().skip(skip) {
+        for handle in retained {
             if let Some(word) = report.contacted.get_mut(handle.node.0 as usize / 64) {
                 *word = 0;
             }

@@ -44,7 +44,7 @@ use crate::report::{draws_for_deficit, MessageSplit, Selectivity};
 use crate::system::TickContext;
 use crate::Result;
 use digest_db::{Expr, Predicate};
-use digest_sampling::SamplingOperator;
+use digest_sampling::{SampledBatch, SamplingOperator};
 use digest_stats::repeated::{combined_estimate, optimal_partition, required_panel_size};
 use digest_telemetry::{registry as telemetry, Field};
 use rand::RngCore;
@@ -115,6 +115,39 @@ fn revisit_messages(report: &RevisitReport) -> MessageSplit {
         peers: report.peers as u64,
         ..MessageSplit::default()
     }
+}
+
+/// Answers an occasion's fresh draws under every question — one pass over
+/// the batch's rows per question, as the revisit answers its retained
+/// entries — and settles them behind `report`'s survivors: a draw that
+/// answers some question joins the panel, and its values join each
+/// question's fresh sample. Returns how many joined.
+///
+/// # Errors
+///
+/// A question's expression fails to evaluate on a qualifying row.
+///
+/// xtask: no-alloc
+fn admit(
+    batch: &SampledBatch<'_>,
+    questions: &[Question<'_>],
+    report: &mut RevisitReport,
+) -> Result<usize> {
+    let width = questions.len().max(1);
+    let staged = report.survivors.stage_entries(batch.len());
+    for (q, (&question, answers)) in questions.iter().zip(&mut report.answers).enumerate() {
+        for ((_, row, _), staged) in batch.iter().zip(staged.chunks_exact_mut(width)) {
+            let value = answer(question, row)?;
+            if let Some(slot) = staged.get_mut(q) {
+                *slot = value.unwrap_or(f64::NAN);
+            }
+            answers.fresh.extend(value);
+        }
+    }
+    let dropped = report
+        .survivors
+        .settle(batch.iter().map(|(handle, _, _)| handle));
+    Ok(batch.len() - dropped)
 }
 
 /// What one question class made of an occasion's panel (§IV-B2, Eq. 7).
@@ -569,16 +602,11 @@ impl RepeatedEstimator {
                 .max(1);
             attempts += want;
             let batch = operator.sample_batch(ctx.graph, ctx.db, ctx.origin, want, rng)?;
-            for (handle, row, cost) in batch.iter() {
+            for (_, _, cost) in batch.iter() {
                 messages.draw(cost);
-                fresh_drawn += 1;
-                for (&question, answers) in questions.iter().zip(&mut report.answers) {
-                    let value = answer(question, row)?;
-                    report.survivors.stage(value);
-                    answers.fresh.extend(value);
-                }
-                admitted += usize::from(report.survivors.commit(handle));
             }
+            admitted += admit(&batch, questions, report)?;
+            fresh_drawn += batch.len() as u64;
         }
 
         // 4. Each class folds its sample (Eq. 7) and refreshes its EMAs.
@@ -1178,44 +1206,76 @@ mod tests {
         assert_eq!(revisit_cost(&w, &mut est), (2, 0, 2));
     }
 
+    /// Stores a non-finite value in one attribute of a tuple, or both:
+    /// the tuple still resolves, but answers nothing by that value.
+    fn poison(db: &mut P2PDatabase, handle: TupleHandle, kind: u8) {
+        let row = db.read(handle).unwrap();
+        let (a, b) = (row.value(0).unwrap(), row.value(1).unwrap());
+        let values = match kind {
+            0 => [f64::INFINITY, b],
+            1 => [a, f64::NEG_INFINITY],
+            2 => [f64::NAN, b],
+            _ => [f64::NAN, f64::NAN],
+        };
+        db.update(handle, &values).unwrap();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Pricing per peer cannot change the estimate. Over random panels
-        /// (duplicates included) on random node layouts — tuples moved out
-        /// of a predicate, deleted, on departed nodes — the revisit reads
-        /// exactly what reading each retained entry alone reads. It costs
-        /// one exchange per live owner and one probe per departed one,
-        /// which is never more than the per-entry price (an exchange per
-        /// survivor, a probe per lost entry) plus one message per live
-        /// owner whose entries were all lost.
+        /// (repeated entries of one handle included) on random node
+        /// layouts of a two-attribute relation — tuples moved out of a
+        /// predicate, holding non-finite values, deleted, on departed
+        /// nodes — and up to three questions (a predicate on the first
+        /// attribute, a compound expression on the second), the revisit
+        /// reads exactly what reading each retained entry alone reads, and
+        /// a batch of fresh draws joins the panel exactly as each row
+        /// answered alone would. The revisit costs one exchange per live
+        /// owner and one probe per departed one, which is never more than
+        /// the per-entry price (an exchange per survivor, a probe per lost
+        /// entry) plus one message per live owner whose entries were all
+        /// lost.
         #[test]
         fn pricing_per_peer_cannot_change_the_estimate(
             layout in prop::collection::vec(0u32..6, 1..40),
             picks in prop::collection::vec(0usize..1000, 0..30),
+            repeats in 0usize..4,
             moved in prop::collection::vec(0usize..1000, 0..8),
+            poisoned in prop::collection::vec((0usize..1000, 0u8..4), 0..8),
             deleted in prop::collection::vec(0usize..1000, 0..8),
             departed in prop::collection::vec(0u32..6, 0..3),
             keep in 0usize..40,
-            both in 0u8..2,
+            asked in 1usize..4,
+            draws in 0usize..12,
+            seed in 0u64..1000,
         ) {
-            let mut db = P2PDatabase::new(Schema::single("a"));
+            let mut db = P2PDatabase::new(Schema::new(["a", "b"]));
             for v in 0..6 {
                 db.register_node(NodeId(v));
             }
             let handles: Vec<TupleHandle> = layout
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| db.insert(NodeId(v), Tuple::single((i * 7 % 20) as f64)).unwrap())
+                .map(|(i, &v)| {
+                    let values = vec![(i * 7 % 20) as f64, (i * 3 % 11) as f64 - 5.0];
+                    db.insert(NodeId(v), Tuple::new(values)).unwrap()
+                })
                 .collect();
             let pick = |i: usize| handles[i % handles.len()];
-            let expr = Expr::first_attr(db.schema());
+            let first = Expr::first_attr(db.schema());
+            let compound = Expr::parse("b * 2 - a / 4", db.schema()).unwrap();
             let high = Predicate::parse("a > 9", db.schema()).unwrap();
-            let questions = [(&expr, &high), (&expr, &Predicate::True)];
-            let questions = &questions[..1 + usize::from(both)];
+            let questions = [
+                (&first, &high),
+                (&compound, &Predicate::True),
+                (&first, &Predicate::True),
+            ];
+            let questions = &questions[..asked];
             let mut panel = SamplePanel::new();
             panel.reset(questions.len());
-            for &i in &picks {
+            let again = picks.first().copied().into_iter().cycle().take(repeats);
+            for i in picks.iter().copied().chain(again) {
                 let row = db.read(pick(i)).unwrap();
                 for &q in questions {
                     panel.stage(answer(q, row).unwrap());
@@ -1223,8 +1283,12 @@ mod tests {
                 panel.commit(pick(i));
             }
             for &i in &moved {
-                let v = db.read(pick(i)).unwrap().value(0).unwrap();
-                db.update(pick(i), &[(v + 10.0) % 20.0]).unwrap();
+                let row = db.read(pick(i)).unwrap();
+                let (a, b) = (row.value(0).unwrap(), row.value(1).unwrap());
+                db.update(pick(i), &[(a + 10.0) % 20.0, b]).unwrap();
+            }
+            for &(i, kind) in &poisoned {
+                poison(&mut db, pick(i), kind);
             }
             for &i in &deleted {
                 db.delete(pick(i)).unwrap();
@@ -1265,10 +1329,12 @@ mod tests {
                     lost += 1;
                 }
             }
+            let bits = |panel: &SamplePanel| -> Vec<u64> {
+                panel.values().iter().map(|v| v.to_bits()).collect()
+            };
             prop_assert_eq!(report.lost, lost);
             prop_assert_eq!(report.survivors.handles(), &survivors[..]);
-            let got: Vec<u64> = report.survivors.values().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, values);
+            prop_assert_eq!(bits(&report.survivors), values.clone());
             for (got, want) in report.answers.iter().zip(&want) {
                 prop_assert_eq!(
                     (&got.prev, &got.cur, &got.fresh, got.unpaired),
@@ -1288,6 +1354,41 @@ mod tests {
                 .filter(|&&v| db.has_node(v) && survivors.iter().all(|h| h.node != v))
                 .count();
             prop_assert!(priced <= 2 * survivors.len() as u64 + lost as u64 + barren as u64);
+
+            // The occasion's fresh draws, behind the survivors: each row
+            // of the batch answered alone.
+            if db.total_tuples() == 0 {
+                return Ok(());
+            }
+            let graph = topology::complete(6).unwrap();
+            let mut operator = operator();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let batch = operator
+                .sample_batch(&graph, &db, NodeId(0), draws, &mut rng)
+                .unwrap();
+            report.survivors.reserve(draws);
+            let joined = admit(&batch, questions, &mut report).unwrap();
+            let mut admitted = 0;
+            for (h, row, _) in batch.iter() {
+                let start = values.len();
+                for (&q, a) in questions.iter().zip(&mut want) {
+                    let cur = answer(q, row).unwrap();
+                    values.push(cur.unwrap_or(f64::NAN).to_bits());
+                    a.fresh.extend(cur);
+                }
+                if values[start..].iter().any(|&v| !f64::from_bits(v).is_nan()) {
+                    survivors.push(h);
+                    admitted += 1;
+                } else {
+                    values.truncate(start);
+                }
+            }
+            prop_assert_eq!(joined, admitted);
+            prop_assert_eq!(report.survivors.handles(), &survivors[..]);
+            prop_assert_eq!(bits(&report.survivors), values);
+            for (got, want) in report.answers.iter().zip(&want) {
+                prop_assert_eq!(&got.fresh, &want.fresh);
+            }
         }
     }
 }

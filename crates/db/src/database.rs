@@ -104,7 +104,16 @@ impl P2PDatabase {
     /// Whether the node currently holds a fragment.
     #[must_use]
     pub fn has_node(&self, node: NodeId) -> bool {
-        matches!(self.fragments.get(node.0 as usize), Some(Some(_)))
+        self.fragment(node).is_some()
+    }
+
+    /// The fragment `node` holds, if it holds one: the one lookup behind
+    /// [`P2PDatabase::has_node`], [`P2PDatabase::read`] and local
+    /// sampling, for a caller that wants both answers from it.
+    #[must_use]
+    #[inline]
+    pub fn fragment(&self, node: NodeId) -> Option<&LocalStore> {
+        self.fragments.get(node.0 as usize)?.as_ref()
     }
 
     /// Removes a node's fragment (the node left), returning the number of
@@ -184,8 +193,8 @@ impl P2PDatabase {
     /// * [`DbError::UnknownNode`] if the node departed.
     /// * [`DbError::StaleHandle`] if the tuple was deleted.
     pub fn read(&self, handle: TupleHandle) -> Result<RowView<'_>> {
-        let store = self.store(handle.node)?;
-        store
+        self.fragment(handle.node)
+            .ok_or(DbError::UnknownNode(handle.node))?
             .get(handle.slot, handle.generation)
             .ok_or(DbError::StaleHandle)
     }
@@ -384,8 +393,7 @@ impl P2PDatabase {
         node: NodeId,
         rng: &mut R,
     ) -> Option<(TupleHandle, RowView<'_>)> {
-        let store = self.fragments.get(node.0 as usize)?.as_ref()?;
-        let (slot, generation, row) = store.sample_uniform(rng)?;
+        let (slot, generation, row) = self.fragment(node)?.sample_uniform(rng)?;
         Some((
             TupleHandle {
                 node,
@@ -527,13 +535,6 @@ impl P2PDatabase {
             Ok(leaf)
         }))?;
         Ok((sum, count))
-    }
-
-    fn store(&self, node: NodeId) -> Result<&LocalStore> {
-        self.fragments
-            .get(node.0 as usize)
-            .and_then(Option::as_ref)
-            .ok_or(DbError::UnknownNode(node))
     }
 
     fn store_mut(&mut self, node: NodeId) -> Result<&mut LocalStore> {

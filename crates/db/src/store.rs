@@ -129,6 +129,7 @@ impl LocalStore {
     /// The row at `slot` under the given generation, or `None` if the
     /// handle is stale.
     #[must_use]
+    #[inline]
     pub fn get(&self, slot: u32, generation: u32) -> Option<RowView<'_>> {
         self.position(slot, generation).map(|pos| self.row(pos))
     }

@@ -185,6 +185,18 @@ pub struct SampledBatch<'a> {
 }
 
 impl<'a> SampledBatch<'a> {
+    /// How many samples the batch holds.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.outcomes.len()
+    }
+
+    /// Whether the batch holds no sample.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.outcomes.is_empty()
+    }
+
     /// The samples in slot order (§V): handle, row, §VI-A cost.
     pub fn iter(&self) -> impl Iterator<Item = (TupleHandle, RowView<'a>, SampleCost)> + '_ {
         let (values, arity) = (self.values, self.arity);

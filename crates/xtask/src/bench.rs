@@ -19,11 +19,13 @@
 //! The lines one record writes share a record id. [`diff`] judges one
 //! line against another: an exact metric that moved the way
 //! `BENCHMARK.json` calls worse (or moved at all, if it names no way) is
-//! red, and a time whose median moved by more than the base line's IQR is
-//! reported as higher or lower (red when higher). Two lines of one record took their
-//! turns side by side, so for them each time also reads as pairs: how
-//! many of the newer line's turns came in lower than the base line's
-//! turn beside them.
+//! red. Two lines of one record took their turns side by side: a time
+//! whose median moved by more than the base line's IQR is reported as
+//! higher or lower (red when higher), and also reads as pairs — how many
+//! of the newer line's turns came in lower than the base line's turn
+//! beside them. Lines of two records also differ by the host's drift, so
+//! a time between them is red only when it is worse by more than its
+//! `bound` in `BENCHMARK.json`, and is reported as "different records".
 //!
 //! A line recorded from uncommitted changes (`dirty`) carries the sha
 //! they sit on, and stands for the commit that lands them: [`find_line`]
@@ -46,14 +48,17 @@ pub const REPS: usize = 10;
 pub const HISTORY_PATH: &str = "BENCH_HISTORY.jsonl";
 
 /// What `BENCHMARK.json` declares: the command, the workloads and the
-/// end-to-end metrics with their units, and which way each metric that
-/// names one improves.
+/// end-to-end metrics with their units, which way each metric that names
+/// one improves, and the bound on how much worse each that names one may
+/// read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spec {
     pub command: Vec<String>,
     pub workloads: Vec<String>,
     pub metrics: Vec<(String, String)>,
     pub better: Vec<(String, Better)>,
+    /// `end_to_end[].bound`: the largest relative worsening allowed.
+    pub bound: Vec<(String, f64)>,
 }
 
 /// Which way a metric improves: its `better` in `BENCHMARK.json`.
@@ -70,6 +75,13 @@ impl Spec {
             .find(|(name, _)| name == metric)
             .map(|&(_, better)| better)
     }
+
+    fn bound(&self, metric: &str) -> Option<f64> {
+        self.bound
+            .iter()
+            .find(|(name, _)| name == metric)
+            .map(|&(_, bound)| bound)
+    }
 }
 
 /// Reads `BENCHMARK.json`.
@@ -77,8 +89,8 @@ impl Spec {
 /// # Errors
 ///
 /// If the text is not JSON or lacks `command`, `workloads[].name` or
-/// `end_to_end[].{name, unit}`, or an `end_to_end[].better` is neither
-/// `"lower"` nor `"higher"`.
+/// `end_to_end[].{name, unit}`, an `end_to_end[].better` is neither
+/// `"lower"` nor `"higher"`, or an `end_to_end[].bound` is not a number.
 pub fn parse_spec(text: &str) -> Result<Spec, String> {
     let spec: Value = serde_json::from_str(text).map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let strings = |key: &str, field: Option<&str>| -> Result<Vec<String>, String> {
@@ -97,11 +109,17 @@ pub fn parse_spec(text: &str) -> Result<Spec, String> {
     };
     let names = strings("end_to_end", Some("name"))?;
     let units = strings("end_to_end", Some("unit"))?;
-    let mut better = Vec::new();
+    let (mut better, mut bound) = (Vec::new(), Vec::new());
     for (name, metric) in names
         .iter()
         .zip(spec["end_to_end"].as_array().into_iter().flatten())
     {
+        if let Some(limit) = metric.get("bound") {
+            let limit = limit.as_f64().ok_or(format!(
+                "BENCHMARK.json: `{name}`'s `bound` is not a number"
+            ))?;
+            bound.push((name.clone(), limit));
+        }
         let way = match metric.get("better").map(|b| b.as_str()) {
             None => continue,
             Some(Some("lower")) => Better::Lower,
@@ -119,6 +137,7 @@ pub fn parse_spec(text: &str) -> Result<Spec, String> {
         workloads: strings("workloads", Some("name"))?,
         metrics: names.into_iter().zip(units).collect(),
         better,
+        bound,
     })
 }
 
@@ -338,11 +357,18 @@ pub struct Verdict {
 /// Judges `head` against `base`, cell by cell over `base`'s cells: an
 /// exact metric that moved the way `spec` calls worse is red, and so is
 /// one `spec` names no way for that moved at all, a failure count that
-/// rose, a cell `head` lacks and a time whose median lies more than
-/// `base`'s IQR above `base`'s median. An exact metric that moved the
-/// better way is reported as such. When both lines come from one record, each
-/// time's report also says in how many turns `head` read lower than
-/// `base` (the pairing judges nothing).
+/// rose and a cell `head` lacks. An exact metric that moved the better
+/// way is reported as such.
+///
+/// A time is judged by how the two lines were recorded. Lines of one
+/// record took their turns side by side: a median more than `base`'s IQR
+/// above `base`'s median is red, and the report also says in how many
+/// turns `head` read lower than `base` (the pairing judges nothing).
+/// Lines of different records are apart by the host's drift as well, which
+/// a short IQR does not cover: such a time is red only when its median is
+/// worse than `base`'s by more than the metric's `bound` in `spec` (by the
+/// IQR, as within a record, for a metric with no bound), and its report
+/// says "different records".
 #[must_use]
 pub fn diff(spec: &Spec, base: &Value, head: &Value) -> Verdict {
     let mut verdict = Verdict::default();
@@ -422,23 +448,41 @@ pub fn diff(spec: &Spec, base: &Value, head: &Value) -> Verdict {
                         .push(format!("{at} {name}: no median to compare"));
                     continue;
                 };
-                let call = if now > was + iqr {
-                    "higher"
-                } else if now < was - iqr {
-                    "lower"
-                } else {
-                    "within the base IQR"
+                let ratio = now / was;
+                let (mut line, red) = match spec.bound(name).filter(|_| !paired) {
+                    Some(bound) => {
+                        let beyond = ratio > 1.0 + bound;
+                        let call = if beyond {
+                            "higher by more than the bound"
+                        } else {
+                            "within the bound"
+                        };
+                        let line = format!(
+                            "{at} {name}: {was:.4} -> {now:.4} ({ratio:.3}x, bound {bound}): \
+                             different records, {call}"
+                        );
+                        (line, beyond)
+                    }
+                    None => {
+                        let call = if now > was + iqr {
+                            "higher"
+                        } else if now < was - iqr {
+                            "lower"
+                        } else {
+                            "within the base IQR"
+                        };
+                        let line = format!(
+                            "{at} {name}: {was:.4} -> {now:.4} ({ratio:.3}x, base IQR {iqr:.4}): {call}"
+                        );
+                        (line, call == "higher")
+                    }
                 };
-                let mut line = format!(
-                    "{at} {name}: {was:.4} -> {now:.4} ({:.3}x, base IQR {iqr:.4}): {call}",
-                    now / was
-                );
                 if paired {
                     if let Some((lower, turns)) = turns_lower(base_time, head_time) {
                         line.push_str(&format!("; {lower}/{turns} turns lower"));
                     }
                 }
-                if call == "higher" {
+                if red {
                     verdict.red.push(line.clone());
                 }
                 verdict.report.push(line);
@@ -650,6 +694,7 @@ mod tests {
                 ("run_s".to_owned(), Better::Lower),
                 ("messages".to_owned(), Better::Lower),
             ],
+            bound: vec![("run_s".to_owned(), 0.25), ("messages".to_owned(), 0.25)],
         }
     }
 
@@ -767,13 +812,13 @@ mod tests {
 
         let other = line_of("r2", &[0.9, 1.2, 1.1, 1.2], 500.0);
         let unpaired = diff(&spec(), &base, &other);
-        let stripped: Vec<String> = verdict
+        assert!(unpaired.red.is_empty(), "{unpaired:?}");
+        assert!(unpaired.report.iter().all(|l| !l.contains("turns lower")));
+        assert!(unpaired
             .report
             .iter()
-            .map(|l| l.replace("; 3/4 turns lower", ""))
-            .collect();
-        assert_eq!(stripped, unpaired.report, "the pairing changes no call");
-        assert!(unpaired.report.iter().all(|l| !l.contains("turns lower")));
+            .filter(|l| l.contains("run_s"))
+            .all(|l| l.ends_with("different records, within the bound")));
 
         let slower = line_of("r1", &[2.0, 2.1, 0.5, 2.3], 500.0);
         let verdict = diff(&spec(), &base, &slower);
@@ -782,6 +827,31 @@ mod tests {
             .red
             .iter()
             .all(|l| l.ends_with("higher; 1/4 turns lower")));
+    }
+
+    /// Between records a time is red only beyond its bound — +30 % is,
+    /// +5 % is not — while within one record a median above the base IQR
+    /// stays red.
+    #[test]
+    fn across_records_a_time_is_judged_by_its_bound() {
+        let base = line_of("r1", &[1.0, 1.0, 1.0, 1.0], 500.0);
+        let worse = diff(&spec(), &base, &line_of("r2", &[1.3, 1.3, 1.3, 1.3], 500.0));
+        assert_eq!(worse.red.len(), SEEDS.len(), "{worse:?}");
+        assert!(worse.red.iter().all(|l| l
+            .ends_with("(1.300x, bound 0.25): different records, higher by more than the bound")));
+        let drift = line_of("r2", &[1.05, 1.05, 1.05, 1.05], 500.0);
+        assert!(diff(&spec(), &base, &drift).red.is_empty());
+
+        let base = line_of("r1", &[1.0, 1.1, 1.2, 1.3], 500.0);
+        let above_iqr = [1.35, 1.35, 1.35, 1.35];
+        let paired = diff(&spec(), &base, &line_of("r1", &above_iqr, 500.0));
+        assert_eq!(paired.red.len(), SEEDS.len(), "{paired:?}");
+        assert!(paired
+            .red
+            .iter()
+            .all(|l| l.contains("higher; 0/4 turns lower")));
+        let apart = diff(&spec(), &base, &line_of("r2", &above_iqr, 500.0));
+        assert!(apart.red.is_empty(), "{apart:?}");
     }
 
     #[test]
@@ -853,5 +923,7 @@ mod tests {
             .metrics
             .iter()
             .all(|(name, _)| spec.better(name).is_some()));
+        assert_eq!(spec.bound("run_s"), Some(0.25));
+        assert_eq!(spec.bound("delta_ok_share"), Some(0.01));
     }
 }

@@ -51,7 +51,9 @@ fn usage() -> ExitCode {
                              checkout) and append a line per tree to\n\
                              BENCH_HISTORY.jsonl; --diff REV judges the newest line\n\
                              against commit REV's (its clean one, or the dirty one\n\
-                             on its parent): counts exactly, times by the base IQR\n\
+                             on its parent): counts exactly; times by the base IQR\n\
+                             within one record, by BENCHMARK.json's bound between\n\
+                             records\n\
            help              show this message"
     );
     ExitCode::from(2)
