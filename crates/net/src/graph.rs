@@ -12,10 +12,12 @@
 //! per occasion, now native to the graph itself. Compared with the old
 //! slot-vector-of-`Vec` layout this removes one heap allocation and one
 //! pointer indirection per node, which is what lets 10⁶-node overlays
-//! fit in cache-friendly memory. Rows grow by relocation to the arena
-//! tail with doubled capacity (amortized O(1) push); departed and
-//! relocated spans become garbage that a periodic compaction pass
-//! reclaims once it dominates the pool. Neighbor order is exactly the
+//! fit in cache-friendly memory. A generated overlay is laid out in one
+//! pass (`Graph::from_edges`): rows back to back in id order, each as
+//! long as its degree. Rows then grow by relocation to the arena tail
+//! with doubled capacity (amortized O(1) push); departed and relocated
+//! spans become garbage that a periodic compaction pass reclaims once it
+//! dominates the pool. Neighbor order is exactly the
 //! order the old representation produced (append on edge-add,
 //! swap-remove on edge-delete), so random-walk trajectories — and hence
 //! the deterministic replay gate — are unchanged by the refactor.
@@ -183,6 +185,82 @@ impl Graph {
         }
     }
 
+    /// The graph that `n` [`Graph::add_node`] calls on
+    /// [`Graph::with_capacity`]`(n + room)` and then one
+    /// [`Graph::add_edge`] per pair of `edges`, in order, would leave —
+    /// the same rows in the same neighbour order, degrees, edge count,
+    /// epoch (`n + E`) and `nodes()` order — built in two passes over
+    /// `edges` instead of `E` relocating pushes. The rows lie back to
+    /// back in id order with `cap = len`, so a pass over them in id order
+    /// reads the arena front to back. The journal starts empty at the
+    /// build's epoch, with its window's room reserved: a mark older than
+    /// the build gets `None` from [`Graph::changes_since`], and the
+    /// first [`JOURNAL_CAP`] changes allocate nothing. The pool holds
+    /// `max(4·(n + room), entries + spare)` slots — `with_capacity`'s,
+    /// or the `2E` entries plus `spare` slots of headroom when those are
+    /// more.
+    ///
+    /// `edges` must be simple (no self-loop, no pair twice in either
+    /// order) over ids `< n`; the topology builders' lists are so by
+    /// construction.
+    pub(crate) fn from_edges<E>(n: usize, room: usize, spare: usize, edges: E) -> Self
+    where
+        E: IntoIterator<Item = (NodeId, NodeId)>,
+        E::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let upper = n.saturating_add(room);
+        let mut row_cap = Vec::with_capacity(upper);
+        row_cap.resize(n, 0);
+        let mut edge_count = 0;
+        for (a, b) in edges.clone() {
+            debug_assert!(a != b && (a.0 as usize) < n && (b.0 as usize) < n);
+            row_cap[a.0 as usize] += 1;
+            row_cap[b.0 as usize] += 1;
+            edge_count += 1;
+        }
+        let mut row_off = Vec::with_capacity(upper);
+        let mut entries = 0;
+        for &cap in &row_cap {
+            row_off.push(entries);
+            entries += cap;
+        }
+        let mut row_len = Vec::with_capacity(upper);
+        row_len.resize(n, 0);
+        let mut pool = Vec::with_capacity(upper.saturating_mul(4).max(entries + spare));
+        pool.resize(entries, NodeId(u32::MAX));
+        for (a, b) in edges {
+            for (v, nb) in [(a, b), (b, a)] {
+                let i = v.0 as usize;
+                pool[row_off[i] + row_len[i]] = nb;
+                row_len[i] += 1;
+            }
+        }
+        let mut alive = Vec::with_capacity(upper);
+        alive.resize(n, true);
+        let mut live = Vec::with_capacity(upper);
+        live.extend((0..n).map(|i| NodeId(u32::try_from(i).unwrap_or(u32::MAX))));
+        let mut live_pos = Vec::with_capacity(upper);
+        live_pos.extend(0..n);
+        let epoch = (n + edge_count) as u64;
+        Self {
+            row_off,
+            row_len,
+            row_cap,
+            alive,
+            pool,
+            pool_garbage: 0,
+            live,
+            live_pos,
+            edge_count,
+            epoch,
+            journal: VecDeque::with_capacity(JOURNAL_CAP),
+            journal_floor: epoch,
+            connected_at: None,
+            reach: ReachScratch::default(),
+        }
+    }
+
     /// The current mutation epoch: 0 for a fresh graph, bumped by every
     /// structural change (node add/remove, edge add/remove). Two reads
     /// returning the same epoch guarantee the topology did not change in
@@ -291,25 +369,16 @@ impl Graph {
     /// Compacts the arena when garbage spans dominate it.
     fn maybe_compact(&mut self) {
         if self.pool.len() > COMPACT_MIN_POOL && self.pool_garbage > self.pool.len() / 2 {
-            self.compact_pool(self.pool.len() - self.pool_garbage);
+            self.compact_pool();
         }
     }
 
-    /// Lays the arena out in id order with no garbage, keeping its
-    /// capacity as room for the rows' later growth. A builder whose rows
-    /// grew by relocation calls it once at the end, so that a pass over
-    /// the rows in id order — the occasion snapshot's cold build — reads
-    /// the arena front to back.
-    pub(crate) fn compact_in_id_order(&mut self) {
-        self.compact_pool(self.pool.capacity());
-    }
-
     /// Rewrites the arena with live rows only (in id order, `cap = len`)
-    /// into a new one of `capacity` slots, reclaiming every garbage span.
+    /// into a new one with no spare slots, reclaiming every garbage span.
     /// O(pool). Neighbor order within each row is preserved, so derived
     /// views and walks are unaffected.
-    fn compact_pool(&mut self, capacity: usize) {
-        let mut new_pool = Vec::with_capacity(capacity);
+    fn compact_pool(&mut self) {
+        let mut new_pool = Vec::with_capacity(self.pool.len() - self.pool_garbage);
         for i in 0..self.row_off.len() {
             if !self.alive[i] {
                 self.row_off[i] = 0;
@@ -724,7 +793,7 @@ impl Graph {
     clippy::float_cmp,
     clippy::cast_possible_truncation
 )]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -1250,7 +1319,7 @@ mod tests {
 
     /// Whether `g`'s live rows lie back to back in id order from the
     /// arena's start, with no garbage.
-    fn rows_in_id_order(g: &Graph) -> bool {
+    pub(crate) fn rows_in_id_order(g: &Graph) -> bool {
         let mut next = 0;
         for i in 0..g.row_off.len() {
             if g.alive[i] {
@@ -1263,32 +1332,159 @@ mod tests {
         g.pool.len() == next && g.pool_garbage == 0
     }
 
-    /// The id-order compaction keeps every row's neighbours in order, the
-    /// epoch and the arena's capacity; the BA builder ends with it.
+    /// Whether `a` and `b` are the same graph to every reader: each id's
+    /// liveness, neighbours in order and degree, `has_edge` from it to
+    /// its neighbours and to a few ids about it, the edge count, epoch,
+    /// `nodes()` order, id space and connected-mark. The arena's layout
+    /// is free.
+    pub(crate) fn same_graph(a: &Graph, b: &Graph) -> std::result::Result<(), String> {
+        prop_assert_eq!(a.id_upper_bound(), b.id_upper_bound());
+        for v in (0..a.id_upper_bound() as u32 + 2).map(NodeId) {
+            prop_assert_eq!(a.contains(v), b.contains(v), "liveness of {}", v);
+            prop_assert_eq!(a.neighbors(v), b.neighbors(v), "row of {}", v);
+            prop_assert_eq!(a.degree(v), b.degree(v), "degree of {}", v);
+            let about = [
+                v.0 / 2,
+                v.0 ^ 1,
+                v.0 + 1,
+                v.0 * 7 % (a.id_upper_bound() as u32 + 1),
+            ];
+            let others = about
+                .into_iter()
+                .map(NodeId)
+                .chain(b.neighbors(v).iter().copied());
+            for u in a.neighbors(v).iter().copied().chain(others) {
+                prop_assert_eq!(a.has_edge(v, u), b.has_edge(v, u), "{} {}", v, u);
+            }
+        }
+        prop_assert_eq!(a.edge_count(), b.edge_count());
+        prop_assert_eq!(a.epoch(), b.epoch());
+        prop_assert!(a.nodes().eq(b.nodes()), "nodes() order differs");
+        prop_assert_eq!(a.proven_connected(), b.proven_connected());
+        Ok(())
+    }
+
+    /// A simple graph's edge list on `n` nodes: `edges` distinct pairs,
+    /// each in a random orientation, in a random order.
+    fn shuffled_edges(n: usize, edges: usize, rng: &mut impl Rng) -> Vec<(NodeId, NodeId)> {
+        let edges = edges.min(n * (n - 1) / 2);
+        let mut seen = BTreeSet::new();
+        let mut list = Vec::with_capacity(edges);
+        while list.len() < edges {
+            let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if a != b && seen.insert((a.min(b), a.max(b))) {
+                list.push((NodeId(a), NodeId(b)));
+            }
+        }
+        for i in (1..list.len()).rev() {
+            list.swap(i, rng.gen_range(0..i + 1));
+        }
+        list
+    }
+
+    /// `n` [`Graph::add_node`]s on `with_capacity(n + room)`, then one
+    /// [`Graph::add_edge`] per pair: what [`Graph::from_edges`] stands for.
+    pub(crate) fn edge_by_edge(n: usize, room: usize, edges: &[(NodeId, NodeId)]) -> Graph {
+        let mut g = Graph::with_capacity(n + room);
+        for _ in 0..n {
+            g.add_node();
+        }
+        for &(a, b) in edges {
+            assert!(g.add_edge(a, b).unwrap(), "{a} {b} is not a new edge");
+        }
+        g
+    }
+
+    /// One random structural edit over ids up to two past the id space
+    /// (so unknown and departed ids come up), applied to both graphs; they
+    /// must answer alike.
+    fn edit_both(
+        a: &mut Graph,
+        b: &mut Graph,
+        rng: &mut impl Rng,
+    ) -> std::result::Result<(), String> {
+        let upper = a.id_upper_bound() as u32 + 2;
+        let (u, v) = (
+            NodeId(rng.gen_range(0..upper)),
+            NodeId(rng.gen_range(0..upper)),
+        );
+        match rng.gen_range(0..8) {
+            0 => prop_assert_eq!(a.add_node(), b.add_node()),
+            1 => prop_assert_eq!(a.remove_node(u), b.remove_node(u)),
+            2..=4 => prop_assert_eq!(a.add_edge(u, v), b.add_edge(u, v)),
+            _ => prop_assert_eq!(a.remove_edge(u, v), b.remove_edge(u, v)),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The one-pass layout is the edge-by-edge build: the same graph
+        /// right after it and after the same edits on both, the same
+        /// journal for every mark taken since the build, and none for a
+        /// mark older than it (the bulk build keeps no history).
+        #[test]
+        fn a_bulk_build_is_the_edge_by_edge_build(
+            n in 1usize..300,
+            density in 0usize..5,
+            roomy in 0usize..2,
+            edits in 0usize..200,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let room = 17 * roomy;
+            let edges = shuffled_edges(n, density * n, &mut rng);
+            let mut bulk = Graph::from_edges(n, room, 0, edges.iter().copied());
+            let mut reference = edge_by_edge(n, room, &edges);
+            same_graph(&bulk, &reference)?;
+            prop_assert!(rows_in_id_order(&bulk));
+            let built = bulk.epoch();
+            let mut marks = vec![built];
+            for _ in 0..edits {
+                edit_both(&mut bulk, &mut reference, &mut rng)?;
+                marks.push(bulk.epoch());
+                let mark = marks[rng.gen_range(0..marks.len())];
+                prop_assert_eq!(bulk.changes_since(mark), reference.changes_since(mark));
+            }
+            same_graph(&bulk, &reference)?;
+            for &mark in &marks {
+                prop_assert_eq!(bulk.changes_since(mark), reference.changes_since(mark));
+            }
+            for old in [0, built / 2, built.saturating_sub(1)] {
+                prop_assert!(old == built || bulk.changes_since(old).is_none());
+            }
+        }
+    }
+
+    /// The neighbour pool each builder leaves: `with_capacity`'s
+    /// `4·(n + room)` slots, or the entries when they are more — and for
+    /// Barabási–Albert as many spare slots again as entries, the room its
+    /// rows relocate into under churn. Tightened, that rule makes the
+    /// `churn_100k` world regrow its pool mid-run (a 10⁵-node integration
+    /// test); this pins it where it is made.
     #[test]
-    fn compaction_in_id_order_keeps_rows_epoch_and_capacity() {
+    fn each_builder_leaves_its_pool_room() {
+        use crate::topology::{barabasi_albert_with_room, complete, mesh, ring, star};
+        let pool = |g: &Graph, n: usize, room: usize, spare: usize| {
+            assert_eq!(g.pool.len(), 2 * g.edge_count());
+            assert_eq!(
+                g.pool.capacity(),
+                (4 * (n + room)).max(g.pool.len() + spare)
+            );
+            assert!(g.row_off.capacity() >= n + room && g.live.capacity() >= n + room);
+            assert_eq!(g.journal.capacity(), JOURNAL_CAP);
+        };
+        pool(&mesh(10, 53, false).unwrap(), 530, 0, 0);
+        pool(&mesh(4, 4, true).unwrap(), 16, 0, 0);
+        pool(&ring(10).unwrap(), 10, 0, 0);
+        pool(&star(40).unwrap(), 40, 0, 0);
+        pool(&complete(20).unwrap(), 20, 0, 0);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..300).map(|_| g.add_node()).collect();
-        for _ in 0..900 {
-            let _ = g.add_edge(ids[rng.gen_range(0..300)], ids[rng.gen_range(0..300)]);
+        for (n, m, room) in [(2_000, 3, 40), (2_000, 1, 0), (50, 2, 500), (4, 3, 0)] {
+            let ba = barabasi_albert_with_room(n, m, room, &mut rng).unwrap();
+            pool(&ba, n, room, 2 * ba.edge_count());
         }
-        for _ in 0..30 {
-            let _ = g.remove_node(ids[rng.gen_range(0..300)]);
-        }
-        assert!(!rows_in_id_order(&g));
-        let mut compact = g.clone();
-        compact.pool.reserve(5_000);
-        let capacity = compact.pool.capacity();
-        compact.compact_in_id_order();
-        assert!(rows_in_id_order(&compact));
-        assert!(compact.pool.capacity() >= capacity);
-        assert_eq!(compact.epoch(), g.epoch());
-        for v in g.nodes() {
-            assert_eq!(compact.neighbors(v), g.neighbors(v));
-        }
-        let ba = crate::topology::barabasi_albert_with_room(2_000, 3, 40, &mut rng).unwrap();
-        assert!(rows_in_id_order(&ba));
     }
 
     /// The connected components of `g`, as one label per id (the

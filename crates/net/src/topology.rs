@@ -7,7 +7,11 @@
 //! other generators serve tests, ablations, and the mixing-time sweeps.
 //!
 //! Every generator is deterministic given its RNG, returns a *connected*
-//! graph, and documents how connectivity is ensured.
+//! graph, and documents how connectivity is ensured. The ones whose edge
+//! list is known before any adjacency is needed — mesh, ring, complete,
+//! star and Barabási–Albert — lay it out in one pass
+//! (`Graph::from_edges`): the graph the same `add_edge` calls would
+//! build, without relocating a row.
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
@@ -26,24 +30,25 @@ pub fn mesh(rows: usize, cols: usize, wrap: bool) -> Result<Graph> {
             reason: "mesh dimensions must be positive",
         });
     }
-    let mut g = Graph::with_capacity(rows * cols);
-    let ids: Vec<NodeId> = (0..rows * cols).map(|_| g.add_node()).collect();
-    let at = |r: usize, c: usize| ids[r * cols + c];
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(at(r, c), at(r, c + 1))?;
-            } else if wrap && cols > 2 {
-                g.add_edge(at(r, c), at(r, 0))?;
-            }
-            if r + 1 < rows {
-                g.add_edge(at(r, c), at(r + 1, c))?;
-            } else if wrap && rows > 2 {
-                g.add_edge(at(r, c), at(0, c))?;
-            }
-        }
-    }
-    Ok(g)
+    let at = move |r: usize, c: usize| node(r * cols + c);
+    // Each node's right then lower neighbour. A wrap closes only a row or
+    // a column longer than 2: in one of two it would repeat an edge.
+    let edges = (0..rows).flat_map(move |r| {
+        (0..cols).flat_map(move |c| {
+            let right = if c + 1 < cols {
+                Some(at(r, c + 1))
+            } else {
+                (wrap && cols > 2).then(|| at(r, 0))
+            };
+            let down = if r + 1 < rows {
+                Some(at(r + 1, c))
+            } else {
+                (wrap && rows > 2).then(|| at(0, c))
+            };
+            right.into_iter().chain(down).map(move |nb| (at(r, c), nb))
+        })
+    });
+    Ok(Graph::from_edges(rows * cols, 0, 0, edges))
 }
 
 /// A ring of `n` nodes.
@@ -57,12 +62,8 @@ pub fn ring(n: usize) -> Result<Graph> {
             reason: "ring requires at least 3 nodes",
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
-    for i in 0..n {
-        g.add_edge(ids[i], ids[(i + 1) % n])?;
-    }
-    Ok(g)
+    let edges = (0..n).map(move |i| (node(i), node((i + 1) % n)));
+    Ok(Graph::from_edges(n, 0, 0, edges))
 }
 
 /// The complete graph on `n` nodes.
@@ -76,14 +77,12 @@ pub fn complete(n: usize) -> Result<Graph> {
             reason: "complete graph requires n >= 1",
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
-    for i in 0..n {
-        for j in i + 1..n {
-            g.add_edge(ids[i], ids[j])?;
-        }
-    }
-    Ok(g)
+    Ok(Graph::from_edges(n, 0, 0, clique(n)))
+}
+
+/// The pairs `(i, j)`, `i < j < n`, in lexicographic order.
+fn clique(n: usize) -> impl Iterator<Item = (NodeId, NodeId)> + Clone {
+    (0..n).flat_map(move |i| (i + 1..n).map(move |j| (node(i), node(j))))
 }
 
 /// A star: node 0 at the hub, `n − 1` leaves.
@@ -97,13 +96,8 @@ pub fn star(n: usize) -> Result<Graph> {
             reason: "star requires at least 2 nodes",
         });
     }
-    let mut g = Graph::with_capacity(n);
-    let hub = g.add_node();
-    for _ in 1..n {
-        let leaf = g.add_node();
-        g.add_edge(hub, leaf)?;
-    }
-    Ok(g)
+    let edges = (1..n).map(|leaf| (node(0), node(leaf)));
+    Ok(Graph::from_edges(n, 0, 0, edges))
 }
 
 /// Barabási–Albert preferential attachment: each of the `n − m0` arriving
@@ -127,6 +121,15 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
 /// capacity differs. Sizing after the build would move every column once
 /// at setup and leave its old block as a hole for the next allocations.
 ///
+/// The edges are drawn first, into the endpoint list alone (Batagelj and
+/// Brandes' method: "Efficient generation of large random networks",
+/// Phys. Rev. E 71, 036113, 2005), and laid out once at the end. The
+/// neighbour pool gets as many spare slots as it has entries, on top of
+/// `with_capacity`'s `4·(n + room)` if that is more: every row is
+/// `cap = len`, its first push under churn relocates it at twice its
+/// length, and the spare lets each row do that once — hubs included —
+/// before the pool itself grows.
+///
 /// # Errors
 ///
 /// As [`barabasi_albert`].
@@ -148,48 +151,43 @@ pub fn barabasi_albert_with_room<R: Rng + ?Sized>(
         });
     }
 
-    let mut g = Graph::with_capacity(n.saturating_add(room));
-    let mut ids: Vec<NodeId> = (0..m0).map(|_| g.add_node()).collect();
-    for i in 0..m0 {
-        for j in i + 1..m0 {
-            g.add_edge(ids[i], ids[j])?;
-        }
-    }
-
     // `targets` holds one entry per edge endpoint: sampling it uniformly
-    // is sampling nodes proportional to degree.
-    let mut targets: Vec<NodeId> = Vec::with_capacity(2 * m * n);
-    for &id in &ids {
-        for _ in 0..g.degree(id) {
-            targets.push(id);
-        }
+    // is sampling nodes proportional to degree. The seed clique's nodes
+    // come first, `m` entries each; every arrival then appends its edges
+    // as consecutive `(arrival, chosen)` pairs.
+    let seed = m0 * m;
+    let mut targets: Vec<NodeId> = Vec::with_capacity(seed + 2 * m * (n - m0));
+    for i in 0..m0 {
+        targets.extend(std::iter::repeat_n(node(i), m));
     }
-
-    while ids.len() < n {
-        let new = g.add_node();
-        let mut chosen = Vec::with_capacity(m);
+    let mut chosen = Vec::with_capacity(m);
+    for new in m0..n {
+        // An arrival is not in `targets` yet, so it never draws itself.
+        chosen.clear();
         while chosen.len() < m {
             let candidate = targets[rng.gen_range(0..targets.len())];
-            if candidate != new && !chosen.contains(&candidate) {
+            if !chosen.contains(&candidate) {
                 chosen.push(candidate);
             }
         }
         for &c in &chosen {
-            g.add_edge(new, c)?;
-            targets.push(new);
+            targets.push(node(new));
             targets.push(c);
         }
-        ids.push(new);
     }
-    // Rows grew by relocation, so the arena is scattered and half garbage.
-    // `targets` is freed first, so the compacted copy adds nothing to the
-    // build's peak.
-    drop(targets);
-    g.compact_in_id_order();
+    // Every edge is in `targets` twice, as the seed's entries or as a
+    // pair, so its length is the pool's entries and the spare it gets.
+    let arrivals = targets[seed..].chunks_exact(2).map(|e| (e[0], e[1]));
+    let mut g = Graph::from_edges(n, room, targets.len(), clique(m0).chain(arrivals));
     // Connected by construction: the seed is a clique, and every arrival
     // attached to nodes already connected to it.
     g.mark_connected();
     Ok(g)
+}
+
+/// The id of the `i`-th node a builder lays out.
+fn node(i: usize) -> NodeId {
+    NodeId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: edges are sampled
@@ -320,6 +318,7 @@ pub(crate) fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
 )]
 mod tests {
     use super::*;
+    use crate::graph::tests::{edge_by_edge, rows_in_id_order, same_graph};
     use crate::metrics::{degree_distribution, estimate_power_law_alpha};
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -385,6 +384,121 @@ mod tests {
             assert_eq!(plain.neighbors(v), roomy.neighbors(v));
         }
         assert!(roomy.proven_connected());
+    }
+
+    /// The edge-by-edge Barabási–Albert build the one-pass one replaced:
+    /// `add_edge` per seed pair and per arrival's pick, the endpoint list
+    /// grown alongside.
+    fn barabasi_albert_by_edges(n: usize, m: usize, room: usize, rng: &mut ChaCha8Rng) -> Graph {
+        let m0 = m + 1;
+        let mut g = Graph::with_capacity(n + room);
+        let mut ids: Vec<NodeId> = (0..m0).map(|_| g.add_node()).collect();
+        for i in 0..m0 {
+            for j in i + 1..m0 {
+                g.add_edge(ids[i], ids[j]).unwrap();
+            }
+        }
+        let mut targets: Vec<NodeId> = Vec::new();
+        for &id in &ids {
+            for _ in 0..g.degree(id) {
+                targets.push(id);
+            }
+        }
+        while ids.len() < n {
+            let new = g.add_node();
+            let mut chosen = Vec::with_capacity(m);
+            while chosen.len() < m {
+                let candidate = targets[rng.gen_range(0..targets.len())];
+                if candidate != new && !chosen.contains(&candidate) {
+                    chosen.push(candidate);
+                }
+            }
+            for &c in &chosen {
+                g.add_edge(new, c).unwrap();
+                targets.push(new);
+                targets.push(c);
+            }
+            ids.push(new);
+        }
+        g.mark_connected();
+        g
+    }
+
+    /// The one-pass build is the edge-by-edge one, from the same draws
+    /// (the caller's generator is left at the same word), with its rows
+    /// back to back in id order.
+    #[test]
+    fn barabasi_albert_is_its_edge_by_edge_build() {
+        for m in 1..=3 {
+            for n in [m + 1, m + 2, 50, 2_000] {
+                for room in [0, 40] {
+                    for seed in [1, 12, 20_080_402] {
+                        let (mut a, mut b) = (rng(seed), rng(seed));
+                        let bulk = barabasi_albert_with_room(n, m, room, &mut a).unwrap();
+                        let reference = barabasi_albert_by_edges(n, m, room, &mut b);
+                        let at = format!("n {n}, m {m}, room {room}, seed {seed}");
+                        same_graph(&bulk, &reference)
+                            .map_err(|e| format!("{at}: {e}"))
+                            .unwrap();
+                        assert!(rows_in_id_order(&bulk), "{at}");
+                        assert_eq!(a.next_u64(), b.next_u64(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mesh (open and torus, with the 2-long wraps it skips), ring,
+    /// complete and star are their edge-by-edge builds.
+    #[test]
+    fn simple_builders_are_their_edge_by_edge_builds() {
+        let grid = |rows: usize, cols: usize, wrap: bool| {
+            let mut edges = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let at = |r: usize, c: usize| node(r * cols + c);
+                    if c + 1 < cols {
+                        edges.push((at(r, c), at(r, c + 1)));
+                    } else if wrap && cols > 2 {
+                        edges.push((at(r, c), at(r, 0)));
+                    }
+                    if r + 1 < rows {
+                        edges.push((at(r, c), at(r + 1, c)));
+                    } else if wrap && rows > 2 {
+                        edges.push((at(r, c), at(0, c)));
+                    }
+                }
+            }
+            edges
+        };
+        for (rows, cols) in [(1, 1), (1, 5), (2, 2), (2, 7), (3, 3), (10, 53)] {
+            for wrap in [false, true] {
+                let reference = edge_by_edge(rows * cols, 0, &grid(rows, cols, wrap));
+                same_graph(&mesh(rows, cols, wrap).unwrap(), &reference).unwrap();
+            }
+        }
+        for n in [3, 4, 17] {
+            let ring_edges: Vec<_> = (0..n).map(|i| (node(i), node((i + 1) % n))).collect();
+            same_graph(&ring(n).unwrap(), &edge_by_edge(n, 0, &ring_edges)).unwrap();
+        }
+        for n in [1, 2, 9] {
+            let mut pairs = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n {
+                    pairs.push((node(i), node(j)));
+                }
+            }
+            same_graph(&complete(n).unwrap(), &edge_by_edge(n, 0, &pairs)).unwrap();
+        }
+        // The star joined each leaf and linked it before the next joined:
+        // the same rows and the same epoch as all joins first.
+        let mut reference = Graph::new();
+        let hub = reference.add_node();
+        for _ in 1..12 {
+            let leaf = reference.add_node();
+            reference.add_edge(hub, leaf).unwrap();
+        }
+        same_graph(&star(12).unwrap(), &reference).unwrap();
     }
 
     #[test]

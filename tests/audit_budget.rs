@@ -364,9 +364,12 @@ fn memory_world_allocates_only_where_nodes_join() {
 /// The benchmark's `churn_100k` world (10⁵ BA peers, 2·10⁵ units, two
 /// joins a second) is built for the joins its configuration allows: over
 /// its 60 seconds no column of it — the unit list, the unit chains' heads,
-/// the overlay's per-id columns, the database's digest — is reallocated,
-/// so no join copies megabytes mid-run. The benchmark's first three
-/// worlds at its default seed, each run with its joins.
+/// the overlay's per-id columns and its neighbour pool, the database's
+/// digest — is reallocated, so no join copies megabytes mid-run. The pool
+/// holds as many spare slots as entries, so every row can relocate once
+/// at twice its length as joiners attach to it; with no spare (its
+/// entries alone) the first relocations outgrow it. The benchmark's first
+/// three worlds at its default seed, each run with its joins.
 #[test]
 fn the_churn_100k_world_never_regrows_a_column() {
     for world in 0..3 {
